@@ -280,7 +280,7 @@ func main() {
 	flag.Float64Var(&f.eValue, "evalue", 20000, "default E-value threshold for queries that do not set one")
 	flag.IntVar(&f.shards, "shards", 0, "work partitions (0 = one; with -db only, -index-dir reads it from the manifest)")
 	flag.BoolVar(&f.prefixShards, "prefix-sharding", false, "partition by suffix-tree prefix over one shared index instead of by sequence (near-root work done once per query; with -db only)")
-	flag.IntVar(&f.shardWorkers, "shard-workers", 0, "concurrent shard searches per query (0 = one per shard)")
+	flag.IntVar(&f.shardWorkers, "shard-workers", 0, "concurrent shard searches per query (0 = one per shard and mutable layer)")
 	flag.IntVar(&f.batchWorkers, "batch-workers", 0, "concurrent queries per batch (0 = GOMAXPROCS)")
 	flag.IntVar(&f.maxBatch, "max-batch", 256, "maximum queries per /batch request")
 	flag.Int64Var(&f.cacheMB, "cache", 32, "cross-query result cache size in MB (identical queries replay without touching the index; 0 disables)")

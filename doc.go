@@ -48,7 +48,7 @@
 //     manifest.json (internal/diskst.BuildSharded); oasis.OpenEngine /
 //     ShardOptions.IndexDir and the -index-dir flag of
 //     oasis-serve/oasis-search/oasis-bench reopen the directory with one
-//     buffer pool PER SHARD (shard.NewEngineFromSet over diskst indexes),
+//     buffer pool PER SHARD (shard.OpenDiskEngine over diskst indexes),
 //     so a query's shard fan-out fans out page I/O with no cross-shard
 //     cache thrash, and hit streams are identical to the in-memory
 //     engines (randomized equivalence tests pin this in both partition

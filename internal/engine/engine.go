@@ -61,7 +61,7 @@ type Options struct {
 	// shard (see shard.PartitionByPrefix).
 	PartitionByPrefix bool
 	// ShardWorkers bounds how many shard searches run concurrently within
-	// one query (default: one per shard).
+	// one query (default: one per shard, plus one per mutable layer).
 	ShardWorkers int
 	// BatchWorkers bounds how many queries of a batch are in flight at once
 	// (default GOMAXPROCS).
@@ -231,20 +231,28 @@ func New(db *seq.Database, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	bw := opts.BatchWorkers
-	if bw < 1 {
-		bw = runtime.GOMAXPROCS(0)
-	}
-	rb := opts.ResultBuffer
-	if rb < 1 {
-		rb = 64
-	}
-	e := &Engine{
-		batchWorkers: bw,
-		resultBuffer: rb,
-	}
-	if err := e.initMutable(sharded, db, opts); err != nil {
+	e, err := newWarm(sharded, db, opts, false)
+	if err != nil {
 		sharded.Close()
+	}
+	return e, err
+}
+
+// newWarm is the constructor tail New and NewFromShardEngine share: the batch
+// and cache defaults, and the first published generation over base.
+func newWarm(base *shard.Engine, db *seq.Database, opts Options, immutable bool) (*Engine, error) {
+	e := &Engine{
+		batchWorkers: opts.BatchWorkers,
+		resultBuffer: opts.ResultBuffer,
+		immutable:    immutable,
+	}
+	if e.batchWorkers < 1 {
+		e.batchWorkers = runtime.GOMAXPROCS(0)
+	}
+	if e.resultBuffer < 1 {
+		e.resultBuffer = 64
+	}
+	if err := e.initMutable(base, db, opts); err != nil {
 		return nil, err
 	}
 	if opts.CacheBytes > 0 {
@@ -269,26 +277,7 @@ func NewFromShardEngine(base *shard.Engine, opts Options) (*Engine, error) {
 	if opts.IndexDir != "" || opts.Shards != 0 || opts.PartitionByPrefix {
 		return nil, fmt.Errorf("engine: NewFromShardEngine wraps an existing engine; index-construction options must be zero")
 	}
-	bw := opts.BatchWorkers
-	if bw < 1 {
-		bw = runtime.GOMAXPROCS(0)
-	}
-	rb := opts.ResultBuffer
-	if rb < 1 {
-		rb = 64
-	}
-	e := &Engine{
-		batchWorkers: bw,
-		resultBuffer: rb,
-		immutable:    true,
-	}
-	if err := e.initMutable(base, nil, Options{}); err != nil {
-		return nil, err
-	}
-	if opts.CacheBytes > 0 {
-		e.cache = qcache.New(opts.CacheBytes)
-	}
-	return e, nil
+	return newWarm(base, nil, opts, true)
 }
 
 // DB returns the database the engine's base index was built over, or nil for

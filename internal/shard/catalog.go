@@ -9,7 +9,7 @@ import (
 )
 
 // unionCatalog presents the per-shard catalogs of a sequence-partitioned
-// IndexSet as one global catalog: sequence indexes are global, lookups are
+// engine as one global catalog: sequence indexes are global, lookups are
 // delegated to the owning shard, and the concatenated-position view is laid
 // out in global sequence order (each sequence followed by its terminator),
 // matching what a single index over the whole database would expose.
@@ -28,15 +28,12 @@ type unionCatalog struct {
 // shards quarantined at open time) passes only the surviving shards, so the
 // global index space may have holes: those entries keep the original global
 // numbering but answer metadata lookups with zero values (owner -1).
-func newUnionCatalog(indexes []core.Index, globals [][]int) (*unionCatalog, error) {
-	n := 0
-	for _, g := range globals {
-		n += len(g)
-	}
+func newUnionCatalog(shards []baseShard) (*unionCatalog, error) {
 	// Quarantined shards leave holes: the surviving maps keep their original
 	// global numbering, so the index space extends to the largest index seen.
-	for _, g := range globals {
-		for _, gi := range g {
+	n := 0
+	for _, b := range shards {
+		for _, gi := range b.globals {
 			if gi+1 > n {
 				n = gi + 1
 			}
@@ -46,15 +43,16 @@ func newUnionCatalog(indexes []core.Index, globals [][]int) (*unionCatalog, erro
 		return nil, fmt.Errorf("shard: index set covers no sequences")
 	}
 	u := &unionCatalog{
-		cats:  make([]core.Catalog, len(indexes)),
+		cats:  make([]core.Catalog, len(shards)),
 		owner: make([]int, n),
 		local: make([]int, n),
 	}
 	for gi := range u.owner {
 		u.owner[gi] = -1
 	}
-	for s, g := range globals {
-		u.cats[s] = indexes[s].Catalog()
+	for s, b := range shards {
+		g := b.globals
+		u.cats[s] = b.index.Catalog()
 		if u.cats[s].NumSequences() != len(g) {
 			return nil, fmt.Errorf("shard %d: catalog has %d sequences, global map %d",
 				s, u.cats[s].NumSequences(), len(g))

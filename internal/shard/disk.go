@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/diskst"
 )
 
@@ -52,40 +51,40 @@ func OpenDiskEngine(dir string, opts DiskOptions) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	set := IndexSet{Closers: []io.Closer{disk}, Standing: disk.Quarantined}
+	e := &Engine{closers: []io.Closer{disk}, standing: disk.Quarantined, disk: disk}
 	switch disk.Manifest.Partition {
 	case diskst.PartitionPrefix:
-		set.Partition = PartitionByPrefix
-		set.Views = make([]core.Index, len(disk.Indexes))
-		for i, idx := range disk.Indexes {
-			set.Views[i] = idx
+		e.mode = PartitionByPrefix
+		for _, idx := range disk.Indexes {
+			e.base = append(e.base, baseShard{index: idx})
 		}
-		// Frontier is nil for single-shard directories (no shared expansion
-		// ever runs); assigning a typed nil into the interface would defeat
-		// NewEngineFromSet's Views[0] fallback.
+		e.prefixes = disk.Prefixes
+		// Single-shard directories open no separate frontier handle (no
+		// shared expansion ever runs); their one view serves the catalog.
+		e.frontier = e.base[0].index
 		if disk.Frontier != nil {
-			set.Frontier = disk.Frontier
+			e.frontier = disk.Frontier
 		}
-		set.Prefixes = disk.Prefixes
+		e.cat = e.frontier.Catalog()
 	default:
-		set.Partition = PartitionBySequence
+		e.mode = PartitionBySequence
 		// Quarantined shards hold nil entries; the engine runs over the
-		// survivors, whose Globals maps keep the original global numbering
+		// survivors, whose global maps keep the original global numbering
 		// (the union catalog tolerates the holes).
 		for i, idx := range disk.Indexes {
-			if idx == nil {
-				continue
+			if idx != nil {
+				e.base = append(e.base, baseShard{index: idx, globals: disk.Manifest.GlobalIndex[i]})
 			}
-			set.Indexes = append(set.Indexes, idx)
-			set.Globals = append(set.Globals, disk.Manifest.GlobalIndex[i])
+		}
+		if e.cat, err = newUnionCatalog(e.base); err != nil {
+			disk.Close()
+			return nil, err
 		}
 	}
-	e, err := NewEngineFromSet(set, Options{Workers: opts.Workers, NoSteal: opts.NoSteal})
-	if err != nil {
+	if _, err := e.finish(Options{Workers: opts.Workers, NoSteal: opts.NoSteal}); err != nil {
 		disk.Close()
 		return nil, err
 	}
-	e.disk = disk
 	if !opts.BaseOnly {
 		if err := e.attachManifestDeltas(dir, opts); err != nil {
 			e.Close()

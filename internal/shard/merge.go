@@ -264,16 +264,12 @@ func (m *merger) publishBound() bool {
 		return true
 	}
 	b := int(^uint(0)>>1) * -1 // MinInt; below any real bound
-	live := false
 	for s := range m.bounds {
-		if !m.done[s] {
-			live = true
-			if m.bounds[s] > b {
-				b = m.bounds[s]
-			}
+		if !m.done[s] && m.bounds[s] > b {
+			b = m.bounds[s]
 		}
 	}
-	if !live || b >= m.lastBound {
+	if b >= m.lastBound {
 		return true
 	}
 	m.lastBound = b

@@ -3,9 +3,7 @@ package shard
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
-	"repro/internal/bufferpool"
 	"repro/internal/core"
 )
 
@@ -52,44 +50,12 @@ type ProviderSet struct {
 // path (core.Options.StrictShards opts out).  opts.Shards and opts.Partition
 // are ignored; opts.Workers bounds concurrent provider streams as usual.
 func NewEngineFromProviders(set ProviderSet, opts Options) (*Engine, error) {
-	if len(set.Providers) == 0 {
-		return nil, fmt.Errorf("shard: provider set has no providers")
-	}
 	if set.Catalog == nil {
 		return nil, fmt.Errorf("shard: provider set needs a catalog")
 	}
-	e := &Engine{
-		mode:      PartitionBySequence,
-		providers: set.Providers,
-		cat:       set.Catalog,
-		closers:   set.Closers,
+	e := &Engine{mode: PartitionBySequence, cat: set.Catalog, closers: set.Closers}
+	for _, p := range set.Providers {
+		e.base = append(e.base, baseShard{provider: p})
 	}
-	e.nShards = len(set.Providers)
-	e.numSeqs = e.cat.NumSequences()
-	e.total = e.cat.TotalResidues()
-	e.queryAl = e.cat.Alphabet()
-	e.workers = opts.Workers
-	if e.workers < 1 || e.workers > e.nShards {
-		e.workers = e.nShards
-	}
-	e.scratch = bufferpool.NewFreeList(4*(e.nShards+1), core.NewScratch)
-	e.dedups = bufferpool.NewFreeList(8, func() *dedupSet { return &dedupSet{} })
-	e.queued = make([]atomic.Int64, e.nShards)
-	e.active = make([]atomic.Int64, e.nShards)
-	return e, nil
-}
-
-// searchProviders fans the query out to every provider and merges the streams
-// exactly like searchSequence: providers are sequence-disjoint, so no
-// deduplication is needed, and every stream starts at the query's root bound.
-func (e *Engine) searchProviders(query []byte, opts core.Options, report func(core.Hit) bool, bsink func(int) bool) error {
-	rb := e.rootBound(query, opts)
-	bounds := make([]int, e.nShards)
-	for s := range bounds {
-		bounds[s] = rb
-	}
-	return e.fanOutMerge(query, opts, bounds, nil, core.Stats{}, nil, report, nil, bsink,
-		func(s int, shardOpts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
-			return e.providers[s].Stream(query, shardOpts, hit, frontier)
-		})
+	return e.finish(opts)
 }

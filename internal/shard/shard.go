@@ -1,32 +1,36 @@
-// Package shard runs one OASIS searcher per work partition on a bounded
-// worker pool and merges the per-shard hit streams into one globally
-// score-ordered stream.
+// Package shard merges boundable hit streams into one globally score-ordered
+// stream: the paper's online decreasing-score contract, kept across any number
+// of concurrent searchers.
 //
-// Two partition modes are supported.  PartitionBySequence (the original)
-// splits the database into independently indexed shards balanced by residue
-// count; each shard owns a disjoint sequence subset, so streams never
-// overlap, but every shard rebuilds its own suffix tree and re-expands the
-// same near-root columns.  PartitionByPrefix builds ONE shared suffix tree
-// and assigns disjoint top-level subtrees to shards by suffix prefix
-// (seq.PartitionByPrefix + core.ExpandFrontier): the near-root columns are
-// computed exactly once per query, so total ColumnsExpanded stays flat as
-// the shard count grows.  Because a sequence's suffixes spread across
-// subtrees, prefix shards may report the same sequence more than once (at
-// most once per shard, each at that shard's best score); the merger
-// deduplicates, and the frontier-bound release rule guarantees the first
-// released hit for a sequence carries its global best score.
+// The one unit the engine knows is a STREAM: something that reports hits in
+// decreasing score order and publishes a decreasing bound — the f-value at the
+// head of its searcher's priority queue — capping every score it can still
+// report.  One merger (merge.go) consumes any set of streams and releases a
+// buffered hit as soon as its score is strictly above every unfinished
+// stream's latest bound, so no stream has to finish before the strongest hits
+// start flowing.  Everything a query fans out over is an adapter onto that
+// unit (Engine.plan):
 //
-// In both modes a shard's searcher reports its hits in decreasing score
-// order and additionally publishes a decreasing frontier bound — the f-value
-// of the node at the head of its priority queue, which caps every score the
-// shard can still report (core.SearchStream / core.SearchSeedsStream).  The
-// merger releases a buffered hit as soon as its score is strictly above
-// every unfinished shard's latest bound, which preserves the paper's online
-// decreasing-score property end to end while keeping first-hit latency low:
-// no shard has to finish before the strongest hits start flowing.
+//   - a local index plus a local-to-global sequence map (core.SearchStream).
+//     This serves the base shards of a PartitionBySequence engine — the
+//     database split into independently indexed, sequence-disjoint shards
+//     balanced by residue count — and equally the engine layer's mutable
+//     layers (compacted delta indexes and the memtable snapshot, ExtraSet);
+//   - a prefix shard of a PartitionByPrefix engine: ONE shared suffix tree
+//     whose disjoint top-level subtrees are assigned to shards by suffix
+//     prefix (seq.PartitionByPrefix).  The near-root columns are expanded
+//     exactly once per query (core.ExpandFrontier), so total ColumnsExpanded
+//     stays flat as the shard count grows, and each shard then searches the
+//     seeds it owns or steals (steal.go).  A sequence's suffixes spread across
+//     subtrees, so prefix streams may each report the same sequence (once per
+//     stream, at that stream's best score): the merger deduplicates, and the
+//     strict release rule guarantees the first released hit for a sequence
+//     carries its global best score;
+//   - a Provider (provider.go), an opaque stream — in particular a remote
+//     shard server's (internal/remote) — taken as is.
 //
 // The merged (sequence, score, rank, E-value) stream is reproducible run to
-// run: equal-score ties are released only after every shard that could still
+// run: equal-score ties are released only after every stream that could still
 // produce that score has moved past it, in ascending global sequence index —
 // so even a top-k truncation (MaxResults) cuts the stream at the same hits
 // every time.  (Tie ORDER may still differ from the single-index search,
@@ -39,8 +43,10 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -70,8 +76,8 @@ type Options struct {
 	// Shards is the number of work partitions (default 1; capped at the
 	// number of sequences in PartitionBySequence mode).
 	Shards int
-	// Workers bounds how many shard searches run concurrently (default:
-	// one worker per shard).
+	// Workers bounds how many streams of one query run concurrently
+	// (default: all of them — every shard and every mutable layer).
 	Workers int
 	// Partition selects the work-partitioning strategy (default
 	// PartitionBySequence).
@@ -91,37 +97,34 @@ var _ core.SubtreeAssigner = (*seq.PrefixPartition)(nil)
 // a long-running engine (internal/engine) can multiplex many queries over
 // one warm Engine without per-query allocation.
 //
-// The engine does not care where its per-shard indexes live: NewEngine
-// builds in-memory suffix trees from a database, while NewEngineFromSet
-// accepts any prebuilt core.Index per shard — in particular disk-resident
-// indexes (internal/diskst) each read through its own buffer pool, so shard
-// parallelism also parallelises I/O.
+// The engine does not care where its shards live: NewEngine builds in-memory
+// suffix trees from a database, OpenDiskEngine opens disk-resident indexes
+// (internal/diskst) each read through its own buffer pool, so shard
+// parallelism also parallelises I/O, and NewEngineFromProviders takes opaque
+// streams such as remote shard servers.
 type Engine struct {
-	mode    PartitionMode
-	nShards int
+	mode PartitionMode
+	// workers is the explicit Options.Workers bound; 0 runs every stream of
+	// a query at once.
 	workers int
 	total   int64 // global residue count, for E-values
 	numSeqs int
 	queryAl *seq.Alphabet
 	cat     core.Catalog
-	// Sequence mode: one index per shard, with shard-local -> global
-	// sequence index maps.  Single-shard engines of either mode also use
-	// this pair (the shared index with an identity map) so the single-shard
-	// fast path is common.
-	indexes []core.Index
-	globals [][]int
-	// Prefix mode: per-shard read handles on the ONE shared logical index
-	// (for disk indexes, one handle per shard so each reads through its own
-	// buffer pool), the handle used for the shared near-root expansion, and
-	// the suffix-prefix assignment.
-	views    []core.Index
+	// base is the engine's own shards, one per work partition.
+	base []baseShard
+	// frontier and prefixes drive the shared near-root expansion of a prefix
+	// engine with more than one shard: the index handle the expansion reads
+	// through and the suffix-prefix assignment of subtrees to shards.  A
+	// one-shard prefix engine never expands a frontier: its single view is
+	// searched like any other local index.
 	frontier core.Index
 	prefixes *seq.PrefixPartition
 	// closers are resources the engine owns (disk index files); see Close.
 	// disk is set by OpenDiskEngine for buffer-pool statistics.
 	closers []io.Closer
 	disk    *diskst.Sharded
-	// scratch recycles per-shard searcher state across queries; dedups
+	// scratch recycles per-stream searcher state across queries; dedups
 	// recycles the merger's emitted-sequence sets (prefix mode only).
 	scratch *bufferpool.FreeList[*core.Scratch]
 	dedups  *bufferpool.FreeList[*dedupSet]
@@ -143,51 +146,27 @@ type Engine struct {
 	// mid-query over the engine's lifetime (metrics).
 	standing    []core.ShardError
 	quarantines atomic.Int64
-	// mutable is a standing mutable-layer context folded into every plain
-	// Search: OpenDiskEngine sets it when the directory's manifest records
-	// compacted delta layers or tombstones, so a reopened index serves the
-	// manifest's full live corpus, not just the base generation.  The engine
-	// layer manages its own per-query ExtraSet instead (DiskOptions.BaseOnly)
-	// and leaves this nil.
+	// mutable is a standing mutable-layer context folded into every search
+	// that brings none of its own: OpenDiskEngine sets it when the
+	// directory's manifest records compacted delta layers or tombstones, so a
+	// reopened index serves the manifest's full live corpus, not just the
+	// base generation.  The engine layer manages its own per-query ExtraSet
+	// instead (DiskOptions.BaseOnly) and leaves this nil.
 	mutable *ExtraSet
-	// providers, when set (NewEngineFromProviders), replace the local
-	// indexes entirely: each shard of the merge is one opaque boundable hit
-	// stream — in particular a remote shard server's stream (internal/remote).
-	// Provider shards are sequence-disjoint and always merge through
-	// fanOutMerge, never the single-shard fast path.
-	providers []Provider
 }
 
-// IndexSet describes prebuilt per-shard indexes for NewEngineFromSet.  It is
-// how disk-resident shards (internal/diskst, opened one buffer pool per
-// shard) and any other core.Index implementation plug into the sharded
-// search without the engine building anything itself.
-type IndexSet struct {
-	// Partition declares how the indexes divide the logical database.
-	Partition PartitionMode
-	// Sequence mode: Indexes[s] covers a disjoint sequence subset and
-	// Globals[s][i] is the global index of its i-th sequence.
-	Indexes []core.Index
-	Globals [][]int
-	// Prefix mode: Views[s] is shard s's read handle on the one shared
-	// index (entries may all be the same value, or independent handles so
-	// each shard reads through its own buffer pool); Frontier is the handle
-	// used for the shared near-root expansion (default Views[0]); Prefixes
-	// assigns top-level subtrees to shards.
-	Views    []core.Index
-	Frontier core.Index
-	Prefixes *seq.PrefixPartition
-	// Catalog is the global sequence catalog.  Optional: it defaults to the
-	// frontier's catalog in prefix mode and to the union of the shard
-	// catalogs under Globals in sequence mode.
-	Catalog core.Catalog
-	// Closers are resources the engine takes ownership of (disk index
-	// files, pools); Engine.Close releases them.
-	Closers []io.Closer
-	// Standing lists shards already quarantined when the set was assembled
-	// (open-time failures admitted in degraded mode).  Indexes/Globals hold
-	// only the survivors; every search is marked Degraded with these errors.
-	Standing []core.ShardError
+// baseShard is one of the engine's own work partitions: a local index, or an
+// opaque provider stream standing in for one.
+type baseShard struct {
+	// Sequence mode: index is the shard's own suffix tree over a disjoint
+	// sequence subset and globals maps its local sequence indexes to global
+	// ones.  Prefix mode: index is the shard's read handle on the one shared
+	// tree (on disk one handle per shard, so each reads through its own
+	// buffer pool) and globals is nil — its indexes are global already.
+	index   core.Index
+	globals []int
+	// provider, when set, replaces the local index (NewEngineFromProviders).
+	provider Provider
 }
 
 // NewEngine partitions the work for db into opts.Shards shards and builds
@@ -197,114 +176,59 @@ func NewEngine(db *seq.Database, opts Options) (*Engine, error) {
 	if opts.Shards < 1 {
 		opts.Shards = 1
 	}
-	set := IndexSet{Partition: opts.Partition, Catalog: core.NewDatabaseCatalog(db)}
+	e := &Engine{mode: opts.Partition, cat: core.NewDatabaseCatalog(db)}
 	switch opts.Partition {
 	case PartitionBySequence:
 		part, err := seq.PartitionDatabase(db, opts.Shards)
 		if err != nil {
 			return nil, err
 		}
-		set.Indexes = make([]core.Index, part.NumShards())
-		set.Globals = part.GlobalIndex
 		for s, shardDB := range part.Shards {
 			idx, err := core.BuildMemoryIndex(shardDB)
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: %w", s, err)
 			}
-			set.Indexes[s] = idx
+			e.base = append(e.base, baseShard{index: idx, globals: part.GlobalIndex[s]})
 		}
 	case PartitionByPrefix:
 		idx, err := core.BuildMemoryIndex(db)
 		if err != nil {
 			return nil, err
 		}
-		set.Prefixes, err = seq.PartitionByPrefix(db, opts.Shards)
+		e.prefixes, err = seq.PartitionByPrefix(db, opts.Shards)
 		if err != nil {
 			return nil, err
 		}
-		set.Views = make([]core.Index, set.Prefixes.NumShards())
-		for s := range set.Views {
-			set.Views[s] = idx
+		e.frontier = idx
+		for s := 0; s < e.prefixes.NumShards(); s++ {
+			e.base = append(e.base, baseShard{index: idx})
 		}
-		set.Frontier = idx
 	default:
 		return nil, fmt.Errorf("shard: unknown partition mode %d", opts.Partition)
 	}
-	return NewEngineFromSet(set, opts)
+	return e.finish(opts)
 }
 
-// NewEngineFromSet assembles a sharded engine over prebuilt per-shard
-// indexes.  opts.Shards and opts.Partition are ignored (the set determines
-// both); opts.Workers bounds shard-search concurrency as in NewEngine.
-func NewEngineFromSet(set IndexSet, opts Options) (*Engine, error) {
-	e := &Engine{mode: set.Partition, cat: set.Catalog, closers: set.Closers, standing: set.Standing}
-	switch set.Partition {
-	case PartitionBySequence:
-		if len(set.Indexes) == 0 {
-			return nil, fmt.Errorf("shard: sequence-mode index set has no indexes")
-		}
-		if len(set.Globals) != len(set.Indexes) {
-			return nil, fmt.Errorf("shard: %d global maps for %d indexes", len(set.Globals), len(set.Indexes))
-		}
-		e.indexes = set.Indexes
-		e.globals = set.Globals
-		e.nShards = len(e.indexes)
-		if e.cat == nil {
-			cat, err := newUnionCatalog(set.Indexes, set.Globals)
-			if err != nil {
-				return nil, err
-			}
-			e.cat = cat
-		}
-	case PartitionByPrefix:
-		if len(set.Views) == 0 {
-			return nil, fmt.Errorf("shard: prefix-mode index set has no views")
-		}
-		if set.Prefixes == nil {
-			return nil, fmt.Errorf("shard: prefix-mode index set has no prefix assignment")
-		}
-		if set.Prefixes.NumShards() != len(set.Views) {
-			return nil, fmt.Errorf("shard: prefix assignment has %d shards, index set %d",
-				set.Prefixes.NumShards(), len(set.Views))
-		}
-		e.views = set.Views
-		e.frontier = set.Frontier
-		if e.frontier == nil {
-			e.frontier = set.Views[0]
-		}
-		e.prefixes = set.Prefixes
-		e.nShards = len(e.views)
-		if e.cat == nil {
-			e.cat = e.frontier.Catalog()
-		}
-		if e.nShards == 1 {
-			// Route through the common single-shard fast path.
-			identity := make([]int, e.cat.NumSequences())
-			for i := range identity {
-				identity[i] = i
-			}
-			e.indexes = []core.Index{e.views[0]}
-			e.globals = [][]int{identity}
-		}
-	default:
-		return nil, fmt.Errorf("shard: unknown partition mode %d", set.Partition)
+// finish is the constructor tail every engine shape shares, run once the mode,
+// catalog and base shards are set: it derives the catalog totals and sizes the
+// pooled scratch, dedup sets and per-shard accounting.
+func (e *Engine) finish(opts Options) (*Engine, error) {
+	n := len(e.base)
+	if n == 0 {
+		return nil, fmt.Errorf("shard: engine has no shards")
 	}
 	e.numSeqs = e.cat.NumSequences()
 	e.total = e.cat.TotalResidues()
 	e.queryAl = e.cat.Alphabet()
-	e.workers = opts.Workers
-	if e.workers < 1 || e.workers > e.nShards {
-		e.workers = e.nShards
-	}
-	// Hold enough idle scratches for a few concurrent queries, each using
-	// one scratch per shard search (plus the frontier expansion in prefix
-	// mode).
-	e.scratch = bufferpool.NewFreeList(4*(e.nShards+1), core.NewScratch)
-	e.dedups = bufferpool.NewFreeList(8, func() *dedupSet { return &dedupSet{} })
-	e.affine = make([]atomic.Pointer[core.Scratch], e.nShards)
+	e.workers = max(opts.Workers, 0)
 	e.nosteal = opts.NoSteal
-	e.queued = make([]atomic.Int64, e.nShards)
-	e.active = make([]atomic.Int64, e.nShards)
+	// Hold enough idle scratches for a few concurrent queries, each using
+	// one scratch per stream (plus the frontier expansion in prefix mode).
+	e.scratch = bufferpool.NewFreeList(4*(n+1), core.NewScratch)
+	e.dedups = bufferpool.NewFreeList(8, func() *dedupSet { return &dedupSet{} })
+	e.affine = make([]atomic.Pointer[core.Scratch], n)
+	e.queued = make([]atomic.Int64, n)
+	e.active = make([]atomic.Int64, n)
 	return e, nil
 }
 
@@ -312,8 +236,8 @@ func NewEngineFromSet(set IndexSet, opts Options) (*Engine, error) {
 // are global, so alignment recovery and metadata lookups go through it).
 func (e *Engine) Catalog() core.Catalog { return e.cat }
 
-// Close releases resources the engine owns (disk index files handed over via
-// IndexSet.Closers).  In-memory engines own nothing and Close is a no-op.
+// Close releases resources the engine owns (disk index files, provider
+// connections).  In-memory engines own nothing and Close is a no-op.
 // Close does not wait for in-flight searches; callers must drain first.
 func (e *Engine) Close() error {
 	var first error
@@ -341,7 +265,7 @@ type QueueDepth struct {
 // QueueDepths returns a snapshot of every shard's queued and active search
 // counts (capacity-planning metric; see cmd/oasis-serve's /metrics).
 func (e *Engine) QueueDepths() []QueueDepth {
-	out := make([]QueueDepth, e.nShards)
+	out := make([]QueueDepth, len(e.base))
 	for s := range out {
 		out[s] = QueueDepth{Shard: s, Queued: e.queued[s].Load(), Active: e.active[s].Load()}
 	}
@@ -366,19 +290,11 @@ func (e *Engine) Quarantines() int64 { return e.quarantines.Load() }
 func (e *Engine) Steals() int64 { return e.steals.Load() }
 
 // NumShards returns the number of work partitions.
-func (e *Engine) NumShards() int { return e.nShards }
+func (e *Engine) NumShards() int { return len(e.base) }
 
-// Workers returns the concurrency bound for shard searches.
-func (e *Engine) Workers() int { return e.workers }
-
-// Shard exposes one shard's index (tests and diagnostics); in prefix mode
-// this is the shard's read handle on the shared index.
-func (e *Engine) Shard(i int) core.Index {
-	if e.mode == PartitionByPrefix && len(e.views) > 0 {
-		return e.views[i]
-	}
-	return e.indexes[i]
-}
+// Workers returns the concurrency bound for a query over the engine's own
+// shards: Options.Workers when set, otherwise one worker per shard.
+func (e *Engine) Workers() int { return cmp.Or(e.workers, len(e.base)) }
 
 // ExtraShard is one additional index searched alongside the engine's own
 // shards: the engine layer's LSM delta layers (the in-memory memtable
@@ -417,7 +333,7 @@ func (x *ExtraSet) empty() bool {
 	return x == nil || (len(x.Shards) == 0 && x.Drop == nil)
 }
 
-// event is one message from a shard goroutine to the merger.
+// event is one message from a stream goroutine to the merger.
 type event struct {
 	shard int
 	kind  eventKind
@@ -441,23 +357,49 @@ const (
 // Stats.Add; hit ranks are assigned by the merger.  Returning false from
 // report cancels every shard search.
 func (e *Engine) Search(query []byte, opts core.Options, report func(core.Hit) bool) error {
-	if !e.mutable.empty() {
-		// The directory carried compacted deltas and/or tombstones: every
-		// search merges them in so the stream reflects the live corpus.
-		return e.SearchExtra(query, opts, e.mutable, report)
+	return e.search(query, opts, nil, report, nil)
+}
+
+// SearchBounded is Search with a second online output: alongside the merged
+// decreasing-score hit stream, bound publishes a decreasing upper bound on
+// every hit the stream can still emit (the max frontier bound among the
+// engine's unfinished streams).  It is the per-stream (hit, bound) contract of
+// core.SearchStream lifted to the whole engine, which is exactly what a shard
+// SERVER needs to re-export its locally merged stream as one provider stream
+// a coordinator can merge with strict release (internal/remote).  A nil bound
+// is plain Search.  Returning false from either callback cancels the search.
+//
+// Unlike Search, a single-shard engine also routes through the merger here,
+// so equal-score ties are always released in ascending global sequence index
+// — the canonical merged order a coordinator reproduces.
+func (e *Engine) SearchBounded(query []byte, opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
+	return e.search(query, opts, nil, hit, bound)
+}
+
+// SearchExtra is Search with the engine layer's mutable context merged in:
+// delta shards stream alongside the base shards, tombstoned sequences are
+// filtered, and the live totals drive E-values and the all-sequences early
+// stop.  With an empty set it is exactly Search.  Extra streams always go
+// through the merger (even on a single-shard engine), so the merged stream
+// keeps the globally decreasing-score property and deterministic tie release.
+func (e *Engine) SearchExtra(query []byte, opts core.Options, ext *ExtraSet, report func(core.Hit) bool) error {
+	return e.search(query, opts, ext, report, nil)
+}
+
+// search is the one search path: plan the query's streams, merge them.  ext
+// is the caller's mutable context (nil or empty: the engine's standing one,
+// if the directory it was opened from carried deltas or tombstones); bsink,
+// when non-nil, receives the merged stream's own decreasing bound.
+func (e *Engine) search(query []byte, opts core.Options, ext *ExtraSet, report func(core.Hit) bool, bsink func(int) bool) error {
+	if ext.empty() {
+		ext = e.mutable
 	}
 	if err := e.applyStanding(opts); err != nil {
 		return err
 	}
-	if len(e.providers) > 0 {
-		if err := opts.Scheme.Validate(); err != nil {
-			return err
-		}
-		return e.searchProviders(query, opts, report, nil)
-	}
-	if e.nShards == 1 {
-		// One shard is the single-index search; skip the merge machinery.
-		globals := e.globals[0]
+	if b := &e.base[0]; len(e.base) == 1 && b.index != nil && ext == nil && bsink == nil {
+		// One local index and nothing to merge it with is the single-index
+		// search; skip the merge machinery.
 		n := 0
 		if opts.Scratch == nil {
 			sc := e.scratch.Get()
@@ -466,8 +408,10 @@ func (e *Engine) Search(query []byte, opts core.Options, report func(core.Hit) b
 		}
 		e.active[0].Add(1)
 		defer e.active[0].Add(-1)
-		return core.Search(e.indexes[0], query, opts, func(h core.Hit) bool {
-			h.SeqIndex = globals[h.SeqIndex]
+		return core.Search(b.index, query, opts, func(h core.Hit) bool {
+			if b.globals != nil {
+				h.SeqIndex = b.globals[h.SeqIndex]
+			}
 			n++
 			h.Rank = n
 			return report(h)
@@ -476,73 +420,11 @@ func (e *Engine) Search(query []byte, opts core.Options, report func(core.Hit) b
 	if err := opts.Scheme.Validate(); err != nil {
 		return err
 	}
-	if e.mode == PartitionByPrefix {
-		return e.searchPrefix(query, opts, report, nil)
-	}
-	return e.searchSequence(query, opts, report, nil)
-}
-
-// SearchBounded is Search with a second online output: alongside the merged
-// decreasing-score hit stream, bound publishes a decreasing upper bound on
-// every hit the stream can still emit (the max frontier bound among the
-// engine's unfinished shards).  It is the per-shard (hit, bound) contract of
-// core.SearchStream lifted to the whole engine, which is exactly what a shard
-// SERVER needs to re-export its locally merged stream as one provider stream
-// a coordinator can merge with strict release (internal/remote).  A nil bound
-// is plain Search.  Returning false from either callback cancels the search.
-//
-// Unlike Search, a single-shard engine also routes through the merge
-// machinery here, so equal-score ties are always released in ascending global
-// sequence index — the canonical merged order a coordinator reproduces.
-func (e *Engine) SearchBounded(query []byte, opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
-	if bound == nil {
-		return e.Search(query, opts, hit)
-	}
-	if err := e.applyStanding(opts); err != nil {
+	p, err := e.plan(query, opts, ext)
+	if err != nil {
 		return err
 	}
-	if err := opts.Scheme.Validate(); err != nil {
-		return err
-	}
-	if len(e.providers) > 0 {
-		return e.searchProviders(query, opts, hit, bound)
-	}
-	if !e.mutable.empty() {
-		if e.mode == PartitionByPrefix && e.nShards > 1 {
-			return e.searchPrefixExtra(query, opts, e.mutable, hit, bound)
-		}
-		return e.searchSequenceExtra(query, opts, e.mutable, hit, bound)
-	}
-	if e.mode == PartitionByPrefix && e.nShards > 1 {
-		return e.searchPrefix(query, opts, hit, bound)
-	}
-	return e.searchSequence(query, opts, hit, bound)
-}
-
-// SearchExtra is Search with the engine layer's mutable context merged in:
-// delta shards stream alongside the base shards, tombstoned sequences are
-// filtered, and the live totals drive E-values and the all-sequences early
-// stop.  With an empty set it is exactly Search.  Extra streams always go
-// through the merge machinery (even on a single-shard engine), so the merged
-// stream keeps the globally decreasing-score property and deterministic tie
-// release.
-func (e *Engine) SearchExtra(query []byte, opts core.Options, ext *ExtraSet, report func(core.Hit) bool) error {
-	if ext.empty() {
-		return e.Search(query, opts, report)
-	}
-	if len(e.providers) > 0 {
-		return fmt.Errorf("shard: provider-backed engines have no mutable layer")
-	}
-	if err := e.applyStanding(opts); err != nil {
-		return err
-	}
-	if err := opts.Scheme.Validate(); err != nil {
-		return err
-	}
-	if e.mode == PartitionByPrefix && e.nShards > 1 {
-		return e.searchPrefixExtra(query, opts, ext, report, nil)
-	}
-	return e.searchSequenceExtra(query, opts, ext, report, nil)
+	return e.fanOutMerge(len(query), opts, p, ext, report, bsink)
 }
 
 // applyStanding folds open-time quarantines into the query: strict mode
@@ -562,85 +444,99 @@ func (e *Engine) applyStanding(opts core.Options) error {
 	return nil
 }
 
-// shardSearchFn runs one shard's search with the prepared per-shard options,
-// forwarding hits (with global sequence indexes) and frontier bounds to the
-// supplied callbacks.
-type shardSearchFn func(s int, shardOpts core.Options, hit func(core.Hit) bool, frontier func(bound int) bool) error
-
-// searchSequence is the PartitionBySequence multi-shard search: independent
-// per-shard indexes, disjoint sequence subsets, no deduplication needed.
-func (e *Engine) searchSequence(query []byte, opts core.Options, report func(core.Hit) bool, bsink func(int) bool) error {
-	bounds := make([]int, e.nShards)
-	rb := e.rootBound(query, opts)
-	for s := range bounds {
-		bounds[s] = rb
-	}
-	return e.fanOutMerge(query, opts, bounds, nil, core.Stats{}, nil, report, nil, bsink,
-		func(s int, shardOpts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
-			globals := e.globals[s]
-			return core.SearchStream(e.indexes[s], query, shardOpts, func(h core.Hit) bool {
-				h.SeqIndex = globals[h.SeqIndex]
-				return hit(h)
-			}, frontier)
-		})
+// stream is the unit the engine fans out and the merger consumes: one
+// decreasing-score hit stream under a decreasing bound.
+type stream struct {
+	// bound caps what the stream may report before it has published a bound
+	// of its own (or even been scheduled): the merger's initial bound for it.
+	bound int
+	// idle marks a stream with no work; it is completed without spending a
+	// goroutine, worker slot or scratch.
+	idle bool
+	// slot is the base shard whose queue-depth counters and affine scratch
+	// the stream uses, or -1 for a mutable layer, which has neither.
+	slot int
+	// run has the Provider.Stream contract (hits carry GLOBAL indexes).
+	run func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error
 }
 
-// rootBound is the strongest f any search over this query can hold (max
-// heuristic among unpruned query positions): the initial frontier bound for
-// every stream the worker pool has not scheduled yet.
-func (e *Engine) rootBound(query []byte, opts core.Options) int {
-	rootBound := score.NegInf
-	if e.queryAl.ValidCodes(query) && opts.Scheme.Matrix.Alphabet() == e.queryAl {
-		for _, hi := range core.HeuristicVector(query, opts.Scheme.Matrix) {
-			if hi >= opts.MinScore && hi > rootBound {
-				rootBound = hi
+// localStream adapts a local index to a stream: core.SearchStream with hits
+// mapped into the global sequence space (globals nil: they already are).
+func localStream(idx core.Index, globals []int, query []byte, bound, slot int) stream {
+	return stream{bound: bound, slot: slot, run: func(opts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
+		if globals == nil {
+			return core.SearchStream(idx, query, opts, hit, frontier)
+		}
+		return core.SearchStream(idx, query, opts, func(h core.Hit) bool {
+			h.SeqIndex = globals[h.SeqIndex]
+			return hit(h)
+		}, frontier)
+	}}
+}
+
+// plan is one query's fan-out: the streams to merge and what the merger must
+// know about them.
+type plan struct {
+	streams []stream
+	// dedup is set when streams may report the same sequence (prefix shards);
+	// the merger then keeps each sequence's first — best — copy.
+	dedup bool
+	// budget reports whether each stream may stop after opts.MaxResults hits
+	// of its own: only when the merger discards nothing.  Where it drops
+	// duplicates or tombstones a stream could exhaust its budget on hits that
+	// are then dropped, starving the merged stream of live hits the stream
+	// never got to report.
+	budget bool
+	// frontier is the work of the shared near-root expansion (prefix mode),
+	// merged into the query's stats beside the per-stream counters.
+	frontier core.Stats
+	// pool is the steal pool feeding the prefix streams, when stealing is on.
+	pool *stealPool
+}
+
+// plan builds the query's stream list: the engine's base shards — expanded
+// from one shared frontier in prefix mode — followed by ext's mutable layers.
+func (e *Engine) plan(query []byte, opts core.Options, ext *ExtraSet) (*plan, error) {
+	var extras []ExtraShard
+	if ext != nil {
+		extras = ext.Shards
+	}
+	prefix := e.prefixes != nil && len(e.base) > 1
+	p := &plan{dedup: prefix, budget: !prefix && (ext == nil || ext.Drop == nil)}
+	p.streams = make([]stream, 0, len(e.base)+len(extras))
+	// Streams that are not seeded from a frontier start at the strongest f
+	// any search over this query can hold.
+	rb := e.rootBound(query, opts)
+	if prefix {
+		if err := e.planPrefix(p, query, opts); err != nil {
+			return nil, err
+		}
+	} else {
+		for s, b := range e.base {
+			if b.provider == nil {
+				p.streams = append(p.streams, localStream(b.index, b.globals, query, rb, s))
+				continue
 			}
+			if ext != nil {
+				return nil, fmt.Errorf("shard: provider-backed engines have no mutable layer")
+			}
+			p.streams = append(p.streams, stream{bound: rb, slot: s, run: func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
+				return b.provider.Stream(query, opts, hit, bound)
+			}})
 		}
 	}
-	return rootBound
-}
-
-// searchSequenceExtra merges the base shards (sequence mode, or the shared
-// index of a single-shard prefix engine) with the delta shards.  All streams
-// are sequence-disjoint, so no deduplication is needed; with tombstones in
-// play the per-shard MaxResults budget is cleared — a shard could otherwise
-// exhaust it on hits the merger then drops, starving live hits it never got
-// to report.
-func (e *Engine) searchSequenceExtra(query []byte, opts core.Options, ext *ExtraSet, report func(core.Hit) bool, bsink func(int) bool) error {
-	rb := e.rootBound(query, opts)
-	bounds := make([]int, e.nShards+len(ext.Shards))
-	for s := range bounds {
-		bounds[s] = rb
+	// Each mutable layer is its own small suffix tree over sequences no other
+	// stream holds.
+	for _, x := range extras {
+		p.streams = append(p.streams, localStream(x.Index, x.Globals, query, rb, -1))
 	}
-	clearMax := ext.Drop != nil
-	return e.fanOutMerge(query, opts, bounds, nil, core.Stats{}, ext, report, nil, bsink,
-		func(s int, shardOpts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
-			if clearMax {
-				shardOpts.MaxResults = 0
-			}
-			idx, globals := e.index(s, ext)
-			return core.SearchStream(idx, query, shardOpts, func(h core.Hit) bool {
-				h.SeqIndex = globals[h.SeqIndex]
-				return hit(h)
-			}, frontier)
-		})
+	return p, nil
 }
 
-// index resolves stream s to its index and global map: base shards first,
-// then the extra (delta) shards.
-func (e *Engine) index(s int, ext *ExtraSet) (core.Index, []int) {
-	if s < e.nShards {
-		return e.indexes[s], e.globals[s]
-	}
-	x := ext.Shards[s-e.nShards]
-	return x.Index, x.Globals
-}
-
-// searchPrefix is the PartitionByPrefix multi-shard search: one shared
-// near-root expansion (columns computed once), then one seeded searcher per
-// shard over its disjoint subtrees, with sequence-level deduplication in the
-// merger.
-func (e *Engine) searchPrefix(query []byte, opts core.Options, report func(core.Hit) bool, bsink func(int) bool) error {
+// planPrefix runs the one shared near-root expansion (columns computed once
+// per query) and appends one seeded stream per prefix shard over its disjoint
+// subtrees.
+func (e *Engine) planPrefix(p *plan, query []byte, opts core.Options) error {
 	frOpts := opts
 	frOpts.KA = nil
 	frOpts.Stats = nil
@@ -659,132 +555,126 @@ func (e *Engine) searchPrefix(query []byte, opts core.Options, report func(core.
 	if err != nil {
 		return err
 	}
-	dedup := e.dedups.Get()
-	dedup.acquire(e.numSeqs)
-	defer e.dedups.Put(dedup)
+	p.frontier = fr.Stats
 	if !e.nosteal {
 		// Work stealing: seeds are claimed from a shared pool on demand
 		// (steal.go) instead of searched as static batches, so a skewed query
-		// cannot strand workers on drained shards.  All merger bounds start at
-		// the global max seed f — any shard may claim the hottest seed.
-		pool := newStealPool(fr.Seeds)
-		defer func() { e.steals.Add(pool.stealCount()) }()
-		return e.fanOutMerge(query, opts, stealBounds(fr.Bounds), dedup, fr.Stats, nil, report,
-			func(int) bool { return pool.empty() }, bsink,
-			func(s int, shardOpts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
-				shardOpts.MaxResults = 0
-				return core.SearchSeedsDynamic(e.views[s], query, shardOpts, claimFunc(pool, s), hit, frontier)
-			})
+		// cannot strand workers on drained shards.
+		p.pool = newStealPool(fr.Seeds)
 	}
-	return e.fanOutMerge(query, opts, fr.Bounds, dedup, fr.Stats, nil, report,
-		func(s int) bool { return len(fr.Seeds[s]) == 0 }, bsink,
-		func(s int, shardOpts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
-			// The merger truncates the merged stream; a per-shard MaxResults
-			// budget could otherwise be exhausted by hits that later
-			// deduplicate away, starving the stream of hits another shard
-			// never got to report.
-			shardOpts.MaxResults = 0
-			return core.SearchSeedsStream(e.views[s], query, shardOpts, fr.Seeds[s], hit, frontier)
-		})
-}
-
-// searchPrefixExtra is searchPrefix with the delta shards merged in: the
-// shared near-root expansion still runs once over the base index only, while
-// each delta (its own small suffix tree) streams through core.SearchStream
-// from the query root bound.  Deduplication covers the full global space —
-// base sequences may repeat across prefix shards; delta sequences appear in
-// exactly one stream but flow through the same set harmlessly.
-func (e *Engine) searchPrefixExtra(query []byte, opts core.Options, ext *ExtraSet, report func(core.Hit) bool, bsink func(int) bool) error {
-	frOpts := opts
-	frOpts.KA = nil
-	frOpts.Stats = nil
-	var pooled *core.Scratch
-	if frOpts.Scratch == nil {
-		pooled = e.scratch.Get()
-		frOpts.Scratch = pooled
-	}
-	fr, err := core.ExpandFrontier(e.frontier, query, frOpts, e.prefixes)
-	if pooled != nil {
-		e.scratch.Put(pooled)
-	}
-	if err != nil {
-		return err
-	}
-	rb := e.rootBound(query, opts)
-	baseBounds := fr.Bounds
-	var pool *stealPool
-	if !e.nosteal {
-		pool = newStealPool(fr.Seeds)
-		defer func() { e.steals.Add(pool.stealCount()) }()
-		baseBounds = stealBounds(fr.Bounds)
-	}
-	bounds := append(append(make([]int, 0, e.nShards+len(ext.Shards)), baseBounds...), make([]int, len(ext.Shards))...)
-	for s := e.nShards; s < len(bounds); s++ {
-		bounds[s] = rb
-	}
-	n := e.numSeqs
-	if ext.NumSeqs > n {
-		n = ext.NumSeqs
-	}
-	dedup := e.dedups.Get()
-	dedup.acquire(n)
-	defer e.dedups.Put(dedup)
-	idle := func(s int) bool { return s < e.nShards && len(fr.Seeds[s]) == 0 }
-	if pool != nil {
-		idle = func(s int) bool { return s < e.nShards && pool.empty() }
-	}
-	return e.fanOutMerge(query, opts, bounds, dedup, fr.Stats, ext, report, idle, bsink,
-		func(s int, shardOpts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
-			shardOpts.MaxResults = 0
-			if s < e.nShards {
-				if pool != nil {
-					return core.SearchSeedsDynamic(e.views[s], query, shardOpts, claimFunc(pool, s), hit, frontier)
-				}
-				return core.SearchSeedsStream(e.views[s], query, shardOpts, fr.Seeds[s], hit, frontier)
+	hottest := slices.Max(fr.Bounds)
+	for s := range e.base {
+		view := e.base[s].index
+		st := stream{bound: fr.Bounds[s], slot: s}
+		if pool := p.pool; pool != nil {
+			// Any shard may claim the hottest pending seed before publishing
+			// its first own bound, so no initial bound weaker than the global
+			// max seed f is sound.
+			st.bound = hottest
+			st.idle = pool.empty()
+			st.run = func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
+				return core.SearchSeedsDynamic(view, query, opts, claimFunc(pool, s), hit, bound)
 			}
-			x := ext.Shards[s-e.nShards]
-			return core.SearchStream(x.Index, query, shardOpts, func(h core.Hit) bool {
-				h.SeqIndex = x.Globals[h.SeqIndex]
-				return hit(h)
-			}, frontier)
-		})
+		} else {
+			// With more prefix shards than prefix groups, seedless shards
+			// would otherwise queue real work behind no-op searcher setup.
+			seeds := fr.Seeds[s]
+			st.idle = len(seeds) == 0
+			st.run = func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
+				return core.SearchSeedsStream(view, query, opts, seeds, hit, bound)
+			}
+		}
+		p.streams = append(p.streams, st)
+	}
+	return nil
 }
 
-// fanOutMerge is the shared fan-out/merge scaffolding of both partition
-// modes: one goroutine per shard on the bounded worker pool, each adapted
-// into merger events by runShardStream, merged by a merger configured with
-// the per-shard initial bounds and (pooled) dedup set.  Shards the idle predicate
-// (optional) marks as workless are completed immediately without spending a
-// goroutine, worker-pool slot or scratch — with more prefix shards than
-// prefix groups, seedless shards would otherwise queue real work behind
-// no-op searcher setup.  extraStats (the prefix mode's shared frontier
-// work) and the per-shard counters are merged into opts.Stats once every
-// shard has unwound.  bsink, when non-nil, receives the merged stream's own
+// rootBound is the strongest f any search over this query can hold (max
+// heuristic among unpruned query positions): the initial frontier bound for
+// every stream the worker pool has not scheduled yet.
+func (e *Engine) rootBound(query []byte, opts core.Options) int {
+	rootBound := score.NegInf
+	if e.queryAl.ValidCodes(query) && opts.Scheme.Matrix.Alphabet() == e.queryAl {
+		for _, hi := range core.HeuristicVector(query, opts.Scheme.Matrix) {
+			if hi >= opts.MinScore && hi > rootBound {
+				rootBound = hi
+			}
+		}
+	}
+	return rootBound
+}
+
+// fanOutMerge runs a plan: one goroutine per stream on the bounded worker
+// pool, each adapted into merger events by runStream, merged by a merger
+// configured with the streams' initial bounds, the (pooled) dedup set and the
+// mutable context's tombstone filter and live totals.  The shared frontier
+// work and the per-stream counters are merged into opts.Stats once every
+// stream has unwound.  bsink, when non-nil, receives the merged stream's own
 // decreasing upper bound (SearchBounded).
-func (e *Engine) fanOutMerge(query []byte, opts core.Options, bounds []int, dedup *dedupSet, extraStats core.Stats, ext *ExtraSet, report func(core.Hit) bool, idle func(s int) bool, bsink func(int) bool, search shardSearchFn) error {
-	// len(bounds) counts every stream: the engine's own shards plus any
-	// extra (delta) shards appended after them.  The buffer holds at least
-	// one event per stream, so the idle-shard completions below never block
-	// before the merger starts draining.
-	nStreams := len(bounds)
-	events := make(chan event, 4*nStreams+16)
+func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, ext *ExtraSet, report func(core.Hit) bool, bsink func(int) bool) error {
+	// The buffer holds at least one event per stream, so the idle-stream
+	// completions below — all sent before any stream starts filling it —
+	// never block ahead of the merger draining.
+	n := len(p.streams)
+	events := make(chan event, 4*n+16)
 	var cancelled atomic.Bool
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.workers)
-	for s := 0; s < nStreams; s++ {
-		if idle != nil && idle(s) {
+	// Without an explicit Workers bound every stream of THIS query runs at
+	// once — mutable layers included: a stream that has not started holds the
+	// merger at its initial bound, so queueing one delays every release.
+	sem := make(chan struct{}, cmp.Or(e.workers, n))
+	// E-values depend on the global database size; they are attached by the
+	// merger, not the stream.
+	streamOpts := opts
+	streamOpts.KA = nil
+	if !p.budget {
+		streamOpts.MaxResults = 0
+	}
+	bounds := make([]int, n)
+	for s, st := range p.streams {
+		bounds[s] = st.bound
+		if st.idle {
 			events <- event{shard: s, kind: evDone}
+		}
+	}
+	for s := range p.streams {
+		st := &p.streams[s]
+		if st.idle {
 			continue
 		}
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			defer e.releaseWorker(s, sem)
-			e.acquireWorker(s, sem)
-			e.runShardStream(s, opts, events, &cancelled, search)
-		}(s)
+			// Queue-depth accounting wraps the worker-pool semaphore; mutable
+			// layers (slot -1) share the semaphore but not the per-shard depth
+			// counters, which size to the engine's own shards.
+			if st.slot >= 0 {
+				e.queued[st.slot].Add(1)
+			}
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			if st.slot >= 0 {
+				e.queued[st.slot].Add(-1)
+				e.active[st.slot].Add(1)
+				defer e.active[st.slot].Add(-1)
+			}
+			e.runStream(s, st, streamOpts, events, &cancelled)
+		}()
 	}
-	m := newMerger(bounds, opts, e.total, len(query), dedup, report)
+	var dedup *dedupSet
+	if p.dedup {
+		// Deduplication covers the full global space: base sequences may
+		// repeat across prefix shards; mutable-layer sequences appear in
+		// exactly one stream but flow through the same set harmlessly.
+		seqs := e.numSeqs
+		if ext != nil && ext.NumSeqs > seqs {
+			seqs = ext.NumSeqs
+		}
+		dedup = e.dedups.Get()
+		dedup.acquire(seqs)
+		defer e.dedups.Put(dedup)
+	}
+	m := newMerger(bounds, opts, e.total, queryLen, dedup, report)
 	m.onBound = bsink
 	if ext != nil {
 		m.drop = ext.Drop
@@ -795,11 +685,12 @@ func (e *Engine) fanOutMerge(query []byte, opts core.Options, bounds []int, dedu
 	}
 	err := m.run(events, &cancelled)
 	wg.Wait()
-	if len(m.degraded) > 0 {
-		e.quarantines.Add(int64(len(m.degraded)))
+	if p.pool != nil {
+		e.steals.Add(p.pool.stealCount())
 	}
+	e.quarantines.Add(int64(len(m.degraded)))
 	if opts.Stats != nil {
-		opts.Stats.Add(extraStats)
+		opts.Stats.Add(p.frontier)
 		for _, st := range m.shardStats {
 			opts.Stats.Add(st)
 		}
@@ -811,61 +702,36 @@ func (e *Engine) fanOutMerge(query []byte, opts core.Options, bounds []int, dedu
 	return err
 }
 
-// acquireWorker/releaseWorker wrap the worker-pool semaphore with the
-// queue-depth accounting.  Extra (delta) streams share the semaphore but not
-// the per-shard depth counters, which size to the engine's own shards.
-func (e *Engine) acquireWorker(s int, sem chan struct{}) {
-	if s < len(e.queued) {
-		e.queued[s].Add(1)
-		defer func() {
-			e.queued[s].Add(-1)
-			e.active[s].Add(1)
-		}()
-	}
-	sem <- struct{}{}
-}
-
-func (e *Engine) releaseWorker(s int, sem chan struct{}) {
-	<-sem
-	if s < len(e.active) {
-		e.active[s].Add(-1)
-	}
-}
-
-// runShardStream executes one shard's search and adapts it into merger
-// events: hits and strictly decreasing frontier bounds are forwarded until
-// cancellation, then completion is signalled with the shard's work counters.
-func (e *Engine) runShardStream(s int, opts core.Options, events chan<- event, cancelled *atomic.Bool, search shardSearchFn) {
+// runStream executes stream s of a query and adapts it into merger events:
+// hits and strictly decreasing frontier bounds are forwarded until
+// cancellation, then completion is signalled with the stream's work counters.
+func (e *Engine) runStream(s int, st *stream, opts core.Options, events chan<- event, cancelled *atomic.Bool) {
 	if err := faultpoint.Hit(faultpoint.SiteShardWorker, fmt.Sprintf("shard-%d", s)); err != nil {
 		events <- event{shard: s, kind: evDone, err: fmt.Errorf("shard %d: %w", s, err)}
 		return
 	}
-	var st core.Stats
-	shardOpts := opts
-	shardOpts.Stats = &st
-	// E-values depend on the global database size; they are attached by the
-	// merger, not the shard.
-	shardOpts.KA = nil
-	// Each shard search gets its own scratch (a Scratch serves one search at
-	// a time); the caller's Scratch cannot be shared by the concurrent shard
+	var stats core.Stats
+	opts.Stats = &stats
+	// Each stream gets its own scratch (a Scratch serves one search at a
+	// time); the caller's Scratch cannot be shared by the concurrent stream
 	// goroutines.  The shard-affine slot is tried first — its buffers were
 	// sized by this very shard's last search — then the shared pool.
 	var sc *core.Scratch
-	if s < len(e.affine) {
-		sc = e.affine[s].Swap(nil)
+	if st.slot >= 0 {
+		sc = e.affine[st.slot].Swap(nil)
 	}
 	if sc == nil {
 		sc = e.scratch.Get()
 	}
-	shardOpts.Scratch = sc
+	opts.Scratch = sc
 	defer func() {
-		if s < len(e.affine) && e.affine[s].CompareAndSwap(nil, sc) {
+		if st.slot >= 0 && e.affine[st.slot].CompareAndSwap(nil, sc) {
 			return
 		}
 		e.scratch.Put(sc)
 	}()
 	lastBound := int(^uint(0) >> 1) // MaxInt
-	err := search(s, shardOpts,
+	err := st.run(opts,
 		func(h core.Hit) bool {
 			if cancelled.Load() {
 				return false
@@ -884,7 +750,7 @@ func (e *Engine) runShardStream(s int, opts core.Options, events chan<- event, c
 			}
 			return true
 		})
-	events <- event{shard: s, kind: evDone, stats: st, err: err}
+	events <- event{shard: s, kind: evDone, stats: stats, err: err}
 }
 
 // SearchAll runs Search and collects every hit.

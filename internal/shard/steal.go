@@ -161,20 +161,3 @@ func claimFunc(pool *stealPool, s int) func(topF int) *core.Seed {
 		return pool.claimFor(s, topF, limit)
 	}
 }
-
-// stealBounds lifts every shard's initial merger bound to the global maximum
-// seed f: with stealing, any shard may claim the hottest pending seed before
-// publishing its first own bound, so no weaker initial bound is sound.
-func stealBounds(own []int) []int {
-	max := score.NegInf
-	for _, b := range own {
-		if b > max {
-			max = b
-		}
-	}
-	bounds := make([]int, len(own))
-	for i := range bounds {
-		bounds[i] = max
-	}
-	return bounds
-}

@@ -1,0 +1,71 @@
+package shard
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/faultpoint"
+	"repro/internal/score"
+	"repro/internal/seq"
+)
+
+// TestExtraStreamsRunConcurrently is the regression test for mutable-layer
+// streams queueing behind the base shards: the worker pool used to be sized
+// to the BASE shard count, so a one-shard engine ran its delta and memtable
+// streams strictly one after another — and since an unstarted stream holds
+// the merger at the query's root bound, nothing was released until the last
+// one started.  With every stream worker stalled 100 ms, one base shard plus
+// three delta streams must finish in about one stall, not four; an explicit
+// Workers bound is still honoured as given.
+func TestExtraStreamsRunConcurrently(t *testing.T) {
+	const stall = 100 * time.Millisecond
+	rng := rand.New(rand.NewSource(12))
+	all := randomShardDB(t, rng, seq.Protein, 8, 40).Sequences()
+	const nDelta = 3
+	nBase := len(all) - nDelta
+	ext := &ExtraSet{NumSeqs: len(all), LiveSeqs: len(all)}
+	for g := nBase; g < len(all); g++ {
+		idx, err := core.BuildMemoryIndex(seq.MustDatabase(seq.Protein, all[g:g+1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext.Shards = append(ext.Shards, ExtraShard{Index: idx, Globals: []int{g}})
+	}
+	query := all[0].Residues
+	opts := core.Options{Scheme: score.MustScheme(score.ByName("PAM30"), -10), MinScore: 5}
+
+	timed := func(workers int) (time.Duration, []core.Hit) {
+		t.Helper()
+		eng, err := NewEngine(seq.MustDatabase(seq.Protein, all[:nBase]), Options{Shards: 1, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		var hits []core.Hit
+		start := time.Now()
+		if err := eng.SearchExtra(query, opts, ext, func(h core.Hit) bool {
+			hits = append(hits, h)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start), hits
+	}
+
+	_, want := timed(0)
+	defer faultpoint.Reset()
+	faultpoint.Enable(faultpoint.SiteShardWorker, faultpoint.Spec{Mode: faultpoint.ModeLatency, Delay: stall})
+	elapsed, got := timed(0)
+	if faultpoint.Fired(faultpoint.SiteShardWorker) != 1+nDelta {
+		t.Fatalf("stall fired %d times, want once per stream (%d)", faultpoint.Fired(faultpoint.SiteShardWorker), 1+nDelta)
+	}
+	if elapsed >= 3*stall {
+		t.Fatalf("1 base + %d delta streams took %s with each stalled %s: the streams ran one after another", nDelta, elapsed, stall)
+	}
+	assertSameHits(t, got, want)
+	if elapsed, _ := timed(1); elapsed < (1+nDelta)*stall {
+		t.Fatalf("Workers=1 finished %d stalled streams in %s: the explicit bound was not honoured", 1+nDelta, elapsed)
+	}
+}

@@ -31,7 +31,7 @@ type EngineOptions struct {
 	// partitioning the database by sequence; see ShardOptions.
 	PartitionByPrefix bool
 	// ShardWorkers bounds how many shard searches run concurrently within
-	// one query (default: one per shard).
+	// one query (default: one per shard, plus one per mutable layer).
 	ShardWorkers int
 	// BatchWorkers bounds how many queries of one batch are in flight at a
 	// time (default GOMAXPROCS).

@@ -25,7 +25,7 @@ type ShardOptions struct {
 	// sequences).
 	Shards int
 	// Workers bounds how many shard searches run concurrently for one
-	// query (default: one worker per shard).
+	// query (default: one per shard, plus one per delta layer merged in).
 	Workers int
 	// PartitionByPrefix selects prefix-partitioned subtree sharding: ONE
 	// shared suffix tree is built and shards search disjoint top-level
