@@ -56,7 +56,7 @@ func main() {
 		bandBaseline = flag.String("band-baseline", "BENCH_oasis.json",
 			"baseline benchmark report the -band-gate check compares against")
 		escapeGate = flag.Bool("escape-gate", false,
-			"recompile internal/core with -gcflags='-m -d=ssa/check_bce/debug=1' and fail if a //oasis:hotpath function gained a heap escape or bounds check not in -escape-allowlist")
+			"recompile the gated packages (internal/core, internal/ndjson) with -gcflags='-m -d=ssa/check_bce/debug=1' and fail if a //oasis:hotpath function gained a heap escape or bounds check not in -escape-allowlist")
 		escapeWrite = flag.Bool("escape-write", false,
 			"with -escape-gate: rewrite the allowlist to the current diagnostics instead of failing")
 		escapeAllowlist = flag.String("escape-allowlist", "internal/analysis/testdata/escape_allowlist.txt",
@@ -101,17 +101,14 @@ func main() {
 	}
 }
 
-// runEscapeGate runs the compiler-output escape gate over internal/core: the
-// hotpathalloc analyzer checks what the source says, this checks what the
+// runEscapeGate runs the compiler-output escape gate over the gated packages:
+// the hotpathalloc analyzer checks what the source says, this checks what the
 // compiler actually decided.  With write=true the baseline is regenerated
 // instead of enforced.
 func runEscapeGate(allowlist string, write bool) error {
-	const (
-		importPath = "repro/internal/core"
-		pkgDir     = "internal/core"
-	)
+	const modulePath = "repro"
 	if write {
-		diags, err := analysis.CollectEscapeDiags(".", importPath, pkgDir)
+		diags, err := analysis.CollectEscapeDiags(".", modulePath, analysis.EscapeGatePackages)
 		if err != nil {
 			return err
 		}
@@ -121,7 +118,7 @@ func runEscapeGate(allowlist string, write bool) error {
 		fmt.Printf("escape-gate: wrote %d baseline entries to %s\n", len(diags), allowlist)
 		return nil
 	}
-	res, err := analysis.RunEscapeGate(".", importPath, pkgDir, allowlist)
+	res, err := analysis.RunEscapeGate(".", modulePath, analysis.EscapeGatePackages, allowlist)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -169,8 +170,26 @@ func TestPrometheusExposition(t *testing.T) {
 		"queries_served_total 1",
 		"hits_reported_total",
 		"request_duration_seconds_bucket{endpoint=\"search\",le=\"+Inf\"} 1",
+		"# TYPE events_written_total counter",
+		"events_written_total{endpoint=\"batch\"} 0",
+		"flushes_total{endpoint=\"batch\"} 0",
 		"# TYPE shard_quarantined gauge",
 		"# TYPE degraded_queries_total counter",
+	} {
+		if !strings.Contains(body, metric) {
+			t.Fatalf("exposition missing %q:\n%s", metric, body)
+		}
+	}
+
+	// One search wrote its hits and its done event in at least one flush and
+	// no more flushes than lines.
+	events, flushes := srv.searchWire.Events.Load(), srv.searchWire.Flushes.Load()
+	if events < 2 || flushes < 1 || flushes > events {
+		t.Fatalf("search wrote %d events in %d flushes", events, flushes)
+	}
+	for _, metric := range []string{
+		fmt.Sprintf("events_written_total{endpoint=\"search\"} %d\n", events),
+		fmt.Sprintf("flushes_total{endpoint=\"search\"} %d\n", flushes),
 	} {
 		if !strings.Contains(body, metric) {
 			t.Fatalf("exposition missing %q:\n%s", metric, body)

@@ -24,8 +24,12 @@
 //	 "min_score":45,           // optional explicit threshold (overrides evalue)
 //	 "top":5}                  // optional top-k truncation
 //
-// The response is an NDJSON stream (Content-Type application/x-ndjson),
-// flushed per line so hits arrive online in decreasing score order:
+// The response is an NDJSON stream (Content-Type application/x-ndjson) of
+// hits in decreasing score order, delivered online: a line is never held back
+// waiting for a later one, a full buffer or a timer, but lines the search
+// produces together (the hits one bound drop releases) travel in one write
+// (internal/ndjson; /metrics reports events_written_total and flushes_total
+// per endpoint).
 //
 //	{"type":"hit","query_id":"q1","rank":1,"seq_id":"SYN|P00063","score":37,"evalue":0.43}
 //	...

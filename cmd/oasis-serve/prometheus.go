@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+
+	"repro/internal/ndjson"
 )
 
 // wantsPrometheus reports whether a /metrics request asked for the Prometheus
@@ -108,6 +110,24 @@ func (s *server) writePrometheus(w http.ResponseWriter) {
 				fmt.Fprintf(w, "remote_replica_up{slice=\"%d\",replica=%q} %s\n", sh.Slice, r.Addr, v)
 			}
 		}
+	}
+
+	// Events per flush is how well the streaming endpoints coalesce: hits
+	// released together share one write.  A ratio near 1 on a slow stream
+	// means the search, not the wire, is pacing it.
+	wire := []struct {
+		endpoint string
+		stats    *ndjson.Stats
+	}{{"batch", &s.batchWire}, {"search", &s.searchWire}}
+	fmt.Fprintf(w, "# HELP events_written_total NDJSON event lines written to result streams.\n")
+	fmt.Fprintf(w, "# TYPE events_written_total counter\n")
+	for _, e := range wire {
+		fmt.Fprintf(w, "events_written_total{endpoint=%q} %d\n", e.endpoint, e.stats.Events.Load())
+	}
+	fmt.Fprintf(w, "# HELP flushes_total Write+flush rounds that carried those lines.\n")
+	fmt.Fprintf(w, "# TYPE flushes_total counter\n")
+	for _, e := range wire {
+		fmt.Fprintf(w, "flushes_total{endpoint=%q} %d\n", e.endpoint, e.stats.Flushes.Load())
 	}
 
 	labels := make([]string, 0, len(s.lat))

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/faultpoint"
+	"repro/internal/ndjson"
 	"repro/oasis"
 )
 
@@ -99,6 +100,9 @@ type server struct {
 	// lat holds one latency histogram per endpoint, keyed by the /metrics
 	// label; populated once in newServer, so reads are lock-free.
 	lat map[string]*latencyHistogram
+	// searchWire and batchWire count the event lines each streaming endpoint
+	// wrote and the write+flush rounds that carried them (Prometheus /metrics).
+	searchWire, batchWire ndjson.Stats
 	// adm is the per-client fair admission controller in front of the
 	// search/batch endpoints (nil when cfg.admissionSlots is 0).
 	adm *admission
@@ -437,7 +441,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.streamBatch(w, r, []oasis.BatchQuery{q})
+	s.streamBatch(w, r, []oasis.BatchQuery{q}, &s.searchWire)
 }
 
 // handleBatch streams many queries' hits over one connection; events carry
@@ -480,12 +484,13 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.streamBatch(w, r, batch)
+	s.streamBatch(w, r, batch, &s.batchWire)
 }
 
-// streamBatch submits the batch to the warm engine and writes each event as
-// one NDJSON line, flushing per line so hits reach the client online.
-func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, batch []oasis.BatchQuery) {
+// streamBatch submits the batch to the warm engine and appends each event as
+// one NDJSON line to the response's coalescing writer: a hit is on the wire
+// without waiting for a later one, and hits released together share a write.
+func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, batch []oasis.BatchQuery, wire *ndjson.Stats) {
 	ctx := r.Context()
 	if s.cfg.queryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -500,22 +505,24 @@ func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, batch []oas
 	if (len(s.eng.Standing()) > 0 || s.deadSlices() > 0) && !s.cfg.strict {
 		w.WriteHeader(http.StatusPartialContent)
 	}
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	// The writer waits on the CLIENT's context, not the query deadline: a
+	// timed-out query still owes its reader an "error" event.
+	ew := ndjson.NewWriter(r.Context(), w, wire)
+	var line []byte
 	counts := make([]int, len(batch))
 	degraded := false
 	for res := range s.eng.SubmitBatch(ctx, batch) {
-		ev := hitEvent{QueryID: res.QueryID}
-		if res.Done {
-			ev.Type = "done"
-			ev.Hits = counts[res.Index]
+		if !res.Done {
+			counts[res.Index]++
+			line = ndjson.AppendHit(line[:0], res.QueryID, res.Hit.Rank, res.Hit.SeqID, res.Hit.Score, res.Hit.EValue)
+		} else {
+			st := res.Stats // a copy: taking res's address would heap-allocate it on every hit too
+			ev := hitEvent{Type: "done", QueryID: res.QueryID, Hits: counts[res.Index], Stats: &st}
 			ev.ElapsedMs = float64(res.Elapsed.Nanoseconds()) / 1e6
 			ev.Degraded = res.Stats.Degraded
 			if res.Stats.Degraded {
 				degraded = true
 			}
-			st := res.Stats
-			ev.Stats = &st
 			if res.Err != nil {
 				ev.Type = "error"
 				ev.Error = res.Err.Error()
@@ -523,23 +530,17 @@ func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, batch []oas
 					ev.Error = fmt.Sprintf("query timeout %s exceeded", s.cfg.queryTimeout)
 				}
 			}
-		} else {
-			counts[res.Index]++
-			ev.Type = "hit"
-			ev.Rank = res.Hit.Rank
-			ev.SeqID = res.Hit.SeqID
-			ev.Score = res.Hit.Score
-			ev.EValue = res.Hit.EValue
+			var err error
+			if line, err = ndjson.AppendJSON(line[:0], ev); err != nil {
+				continue
+			}
 		}
-		if err := enc.Encode(ev); err != nil {
-			// Client gone: the request context is cancelled with it and the
-			// engine unwinds; just drain the channel.
-			continue
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		// A false return means the client is gone: the request context is
+		// cancelled with it and the engine unwinds; just drain the channel.
+		ew.Append(line)
 	}
+	// The writer goroutine owns w until Close returns.
+	_ = ew.Close() // a write error here is the client's absence, already acted on
 	// 206-style partial marker for mid-stream degradation, delivered as an
 	// HTTP trailer since the status line is long gone by the time a shard
 	// fails (per-query detail is on the "done" events themselves).

@@ -124,6 +124,8 @@ func runShardServer(f serveFlags) error {
 			fmt.Fprintf(w, "# HELP shard_streams_total Slice streams served.\n# TYPE shard_streams_total counter\nshard_streams_total %d\n", st.Streams)
 			fmt.Fprintf(w, "# HELP shard_streams_cancelled_total Streams cancelled by the coordinator (hedge losses, early top-k, client disconnects).\n# TYPE shard_streams_cancelled_total counter\nshard_streams_cancelled_total %d\n", st.Cancelled)
 			fmt.Fprintf(w, "# HELP shard_streams_active Streams running right now.\n# TYPE shard_streams_active gauge\nshard_streams_active %d\n", st.Active)
+			fmt.Fprintf(w, "# HELP shard_events_written_total Event lines written to slice streams.\n# TYPE shard_events_written_total counter\nshard_events_written_total %d\n", st.EventsWritten)
+			fmt.Fprintf(w, "# HELP shard_flushes_total Write+flush rounds that carried those lines.\n# TYPE shard_flushes_total counter\nshard_flushes_total %d\n", st.Flushes)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"server": st, "slice": info})

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -17,13 +18,18 @@ import (
 
 // The escape gate closes the loop the hotpathalloc analyzer cannot: source
 // syntax says what MIGHT allocate, but only the compiler knows what DOES.
-// It rebuilds a package with -gcflags='-m -d=ssa/check_bce/debug=1', keeps
-// the escape-analysis and bounds-check diagnostics that land inside
+// It rebuilds each gated package with -gcflags='-m -d=ssa/check_bce/debug=1',
+// keeps the escape-analysis and bounds-check diagnostics that land inside
 // //oasis:hotpath functions, normalizes them to (file, function, message) —
 // line numbers are deliberately dropped so unrelated edits above a function
 // do not churn the baseline — and diffs the set against a checked-in
 // allowlist.  A new escape or a new bounds check in a hot function fails CI;
 // a stale allowlist entry fails too, so the baseline always matches the tree.
+
+// EscapeGatePackages are the packages (directories relative to the module
+// root) whose //oasis:hotpath functions the gate holds to the baseline: the
+// search kernel, and the per-event wire path every streamed hit crosses.
+var EscapeGatePackages = []string{"internal/core", "internal/ndjson"}
 
 // EscapeDiag is one normalized compiler diagnostic inside a hotpath function.
 type EscapeDiag struct {
@@ -126,41 +132,44 @@ func funcDisplayName(fn *ast.FuncDecl) string {
 
 // CollectEscapeDiags compiles the packages with escape-analysis and
 // bounds-check diagnostics enabled and returns the normalized diagnostics
-// that fall inside //oasis:hotpath functions.  importPath is the package's
-// import path (the -gcflags pattern); pkgDir its directory relative to
+// that fall inside //oasis:hotpath functions, sorted.  modulePath is the
+// module's import path; pkgDirs are package directories relative to
 // moduleDir.
-func CollectEscapeDiags(moduleDir, importPath, pkgDir string) ([]EscapeDiag, error) {
-	ranges, err := HotPathRanges(moduleDir, pkgDir)
-	if err != nil {
-		return nil, err
-	}
-	cmd := exec.Command("go", "build",
-		"-gcflags="+importPath+"=-m=1 -d=ssa/check_bce/debug=1",
-		"./"+filepath.ToSlash(pkgDir))
-	cmd.Dir = moduleDir
-	out, err := cmd.CombinedOutput()
-	// The compiler prints diagnostics to stderr and go build exits 0 on
-	// success; a non-zero exit means the package does not compile.
-	if err != nil {
-		return nil, fmt.Errorf("go build %s: %v\n%s", importPath, err, out)
-	}
+func CollectEscapeDiags(moduleDir, modulePath string, pkgDirs []string) ([]EscapeDiag, error) {
 	seen := map[string]bool{}
 	var diags []EscapeDiag
-	for _, line := range strings.Split(string(out), "\n") {
-		m := diagLineRE.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil || !escapeMsgRE.MatchString(m[4]) {
-			continue
+	for _, pkgDir := range pkgDirs {
+		ranges, err := HotPathRanges(moduleDir, pkgDir)
+		if err != nil {
+			return nil, err
 		}
-		file := filepath.ToSlash(m[1])
-		lineNo, _ := strconv.Atoi(m[2])
-		fn, ok := enclosingHotPath(ranges, file, lineNo)
-		if !ok {
-			continue
+		importPath := path.Join(modulePath, filepath.ToSlash(pkgDir))
+		cmd := exec.Command("go", "build",
+			"-gcflags="+importPath+"=-m=1 -d=ssa/check_bce/debug=1",
+			"./"+filepath.ToSlash(pkgDir))
+		cmd.Dir = moduleDir
+		out, err := cmd.CombinedOutput()
+		// The compiler prints diagnostics to stderr and go build exits 0 on
+		// success; a non-zero exit means the package does not compile.
+		if err != nil {
+			return nil, fmt.Errorf("go build %s: %v\n%s", importPath, err, out)
 		}
-		d := EscapeDiag{File: file, Func: fn, Message: normalizeEscapeMsg(m[4])}
-		if !seen[d.Key()] {
-			seen[d.Key()] = true
-			diags = append(diags, d)
+		for _, line := range strings.Split(string(out), "\n") {
+			m := diagLineRE.FindStringSubmatch(strings.TrimSpace(line))
+			if m == nil || !escapeMsgRE.MatchString(m[4]) {
+				continue
+			}
+			file := filepath.ToSlash(m[1])
+			lineNo, _ := strconv.Atoi(m[2])
+			fn, ok := enclosingHotPath(ranges, file, lineNo)
+			if !ok {
+				continue
+			}
+			d := EscapeDiag{File: file, Func: fn, Message: normalizeEscapeMsg(m[4])}
+			if !seen[d.Key()] {
+				seen[d.Key()] = true
+				diags = append(diags, d)
+			}
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Key() < diags[j].Key() })
@@ -230,11 +239,11 @@ type EscapeGateResult struct {
 // OK reports whether the gate passes.
 func (r EscapeGateResult) OK() bool { return len(r.New) == 0 && len(r.Stale) == 0 }
 
-// RunEscapeGate diffs the package's current hotpath diagnostics against the
+// RunEscapeGate diffs the packages' current hotpath diagnostics against the
 // allowlist file.
-func RunEscapeGate(moduleDir, importPath, pkgDir, allowlistPath string) (EscapeGateResult, error) {
+func RunEscapeGate(moduleDir, modulePath string, pkgDirs []string, allowlistPath string) (EscapeGateResult, error) {
 	var res EscapeGateResult
-	current, err := CollectEscapeDiags(moduleDir, importPath, pkgDir)
+	current, err := CollectEscapeDiags(moduleDir, modulePath, pkgDirs)
 	if err != nil {
 		return res, err
 	}

@@ -66,7 +66,7 @@ func Clean(a, b int) int { return a + b }
 `)
 	write("allow.txt", "# empty baseline\n")
 
-	res, err := RunEscapeGate(dir, "tmpesc", ".", filepath.Join(dir, "allow.txt"))
+	res, err := RunEscapeGate(dir, "tmpesc", []string{"."}, filepath.Join(dir, "allow.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func Clean(a, b int) int { return a + b }
 
 	// Baseline the current diagnostics; the gate must then pass.
 	write("allow.txt", FormatAllowlist(res.Current))
-	res, err = RunEscapeGate(dir, "tmpesc", ".", filepath.Join(dir, "allow.txt"))
+	res, err = RunEscapeGate(dir, "tmpesc", []string{"."}, filepath.Join(dir, "allow.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func Clean(a, b int) int { return a + b }
 //oasis:hotpath
 func Clean(a, b int) int { return a + b }
 `)
-	res, err = RunEscapeGate(dir, "tmpesc", ".", filepath.Join(dir, "allow.txt"))
+	res, err = RunEscapeGate(dir, "tmpesc", []string{"."}, filepath.Join(dir, "allow.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,10 @@ func Clean(a, b int) int { return a + b }
 	}
 }
 
-// TestEscapeGateRealTree enforces the checked-in baseline over internal/core,
-// the same check CI runs via oasis-bench -escape-gate.
+// TestEscapeGateRealTree enforces the checked-in baseline over the gated
+// packages, the same check CI runs via oasis-bench -escape-gate.
 func TestEscapeGateRealTree(t *testing.T) {
-	res, err := RunEscapeGate("../..", "repro/internal/core", "internal/core",
-		"testdata/escape_allowlist.txt")
+	res, err := RunEscapeGate("../..", "repro", EscapeGatePackages, "testdata/escape_allowlist.txt")
 	if err != nil {
 		t.Fatal(err)
 	}

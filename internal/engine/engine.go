@@ -315,9 +315,6 @@ func (e *Engine) ShardWorkers() int { return e.cur().base.Workers() }
 // BatchWorkers returns the batch concurrency bound.
 func (e *Engine) BatchWorkers() int { return e.batchWorkers }
 
-// ResultBuffer returns the capacity used for batch result channels.
-func (e *Engine) ResultBuffer() int { return e.resultBuffer }
-
 // Stats returns the engine-wide merged work counters and the number of
 // queries served and hits reported since construction.
 func (e *Engine) Stats() (st core.Stats, queries, hits int64) {

@@ -673,11 +673,26 @@ func (c *Client) consume(cn *conn, st *streamState, opts core.Options, hit func(
 			return fmt.Errorf("remote: %s sent unknown event kind %q", addr, ev.E)
 		}
 		var err error
-		line, err = cn.br.ReadBytes('\n')
+		line, err = readLine(cn.br)
 		if err != nil {
 			return fmt.Errorf("remote: stream from %s broke: %w", addr, err)
 		}
 	}
+}
+
+// readLine returns the next event line of a stream.  The slice aliases br's
+// buffer — valid (and writable: faultpoint.HitBuf may flip a bit in it) until
+// the next read — so the ~1,600 events of a query cost no allocation; only a
+// line longer than the buffer (a "d" event carrying ShardErrors) is
+// accumulated into its own.
+func readLine(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	head := bytes.Clone(line)
+	rest, err := br.ReadBytes('\n')
+	return append(head, rest...), err
 }
 
 // ttfbTracker remembers recent time-to-first-event samples and serves their

@@ -21,7 +21,10 @@
 // # Wire protocol
 //
 // POST /oasis/shard/stream with a StreamRequest body returns an NDJSON event
-// stream, flushed per event:
+// stream.  An event is never held back waiting for a later one — the first
+// bound leaves the moment the search publishes it, which is what the hedge
+// race times — but events produced together travel in one write
+// (internal/ndjson):
 //
 //	{"e":"b","v":57}                        frontier bound: no future hit of
 //	                                        this stream exceeds score 57
@@ -97,7 +100,10 @@ type StreamRequest struct {
 }
 
 // Event is one NDJSON line of a shard stream.  E is "b" (bound), "h" (hit)
-// or "d" (done).
+// or "d" (done).  It is the DECODER's view of every line and the encoder of
+// "d" lines; the server writes "h" and "b" lines with ndjson.AppendShardHit
+// and ndjson.AppendShardBound, so a "b" line is exactly {"e":"b","v":N} (the
+// struct encoding also carried "seq":0,"score":0, which decodes the same).
 type Event struct {
 	E string `json:"e"`
 	// V is the frontier bound of "b" events: no future hit of this stream

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/ndjson"
 	"repro/internal/score"
 	"repro/internal/shard"
 )
@@ -25,6 +26,7 @@ type Server struct {
 	streams   atomic.Int64 // streams opened
 	cancelled atomic.Int64 // streams ended by client cancellation
 	active    atomic.Int64 // streams in flight
+	wire      ndjson.Stats // event lines written and the write+flush rounds that carried them
 }
 
 // ServerStats is a snapshot of a Server's lifetime stream counters.
@@ -32,6 +34,10 @@ type ServerStats struct {
 	Streams   int64 `json:"streams"`
 	Cancelled int64 `json:"cancelled"`
 	Active    int64 `json:"active"`
+	// EventsWritten / Flushes is how many event lines travel per write: hits
+	// released together share one.
+	EventsWritten int64 `json:"events_written"`
+	Flushes       int64 `json:"flushes"`
 }
 
 // NewServer wraps eng as a shard server.
@@ -41,7 +47,10 @@ func NewServer(eng *shard.Engine) *Server {
 
 // Stats returns the server's lifetime stream counters.
 func (s *Server) Stats() ServerStats {
-	return ServerStats{Streams: s.streams.Load(), Cancelled: s.cancelled.Load(), Active: s.active.Load()}
+	return ServerStats{
+		Streams: s.streams.Load(), Cancelled: s.cancelled.Load(), Active: s.active.Load(),
+		EventsWritten: s.wire.Events.Load(), Flushes: s.wire.Flushes.Load(),
+	}
 }
 
 // Info describes the served slice.
@@ -137,37 +146,36 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	clientGone := false
-	emit := func(ev Event) bool {
-		if err := enc.Encode(ev); err != nil {
-			// The coordinator hung up (lost hedge, satisfied top-k, its own
-			// client gone); the request context cancels the search with it.
-			clientGone = true
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
+	// A false Append means the coordinator hung up (lost hedge, satisfied
+	// top-k, its own client gone); the request context cancels the search
+	// with it.
+	ew := ndjson.NewWriter(r.Context(), w, &s.wire)
+	var line []byte
 	err = s.eng.SearchBounded(query, opts,
 		func(h core.Hit) bool {
-			return emit(Event{E: "h", Seq: h.SeqIndex, ID: h.SeqID, Score: h.Score, QEnd: h.QueryEnd, TEnd: h.TargetEnd})
+			line = ndjson.AppendShardHit(line[:0], h.SeqIndex, h.SeqID, h.Score, h.QueryEnd, h.TargetEnd)
+			return ew.Append(line)
 		},
 		func(bound int) bool {
-			return emit(Event{E: "b", V: bound})
+			line = ndjson.AppendShardBound(line[:0], bound)
+			return ew.Append(line)
 		})
-	if clientGone || r.Context().Err() != nil {
+	// Judged before the done event goes out: a coordinator that has read it
+	// hangs up at once, which is completion, not cancellation.
+	gone := r.Context().Err() != nil
+	if !gone {
+		done := Event{E: "d", Stats: &st}
+		if err != nil {
+			done = Event{E: "d", Err: err.Error()}
+		}
+		if line, err = ndjson.AppendJSON(line[:0], done); err == nil {
+			ew.Append(line)
+		}
+	}
+	// The handler must not return before the writer goroutine has.
+	if ew.Close() != nil || gone {
 		s.cancelled.Add(1)
-		return
 	}
-	done := Event{E: "d", Stats: &st}
-	if err != nil {
-		done = Event{E: "d", Err: err.Error()}
-	}
-	emit(done)
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

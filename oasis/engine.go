@@ -2,7 +2,6 @@ package oasis
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/diskst"
@@ -228,64 +227,23 @@ type BatchQuery struct {
 }
 
 // BatchResult is one event of a batch result stream: a hit for one query, or
-// that query's final Done event.  Hits of one query arrive in decreasing
-// score order; events of different queries interleave.  After cancellation,
-// Done events are best-effort (the channel still closes).
-type BatchResult struct {
-	// QueryID and Index identify the query (Index is its position in the
-	// submitted batch).
-	QueryID string
-	Index   int
-	// Hit is valid when Done is false.
-	Hit Hit
-	// Done marks the query's last event; Stats then holds its work
-	// counters, Elapsed its wall-clock duration, and Err its terminal error
-	// (nil on normal completion).
-	Done    bool
-	Stats   SearchStats
-	Elapsed time.Duration
-	Err     error
-}
+// that query's final Done event (QueryID and Index identify the query; Hit is
+// valid when Done is false; a Done event carries Stats, Elapsed and the
+// terminal Err, nil on normal completion).  Hits of one query arrive in
+// decreasing score order; events of different queries interleave.  After
+// cancellation, Done events are best-effort (the channel still closes).
+type BatchResult = engine.Result
 
 // SubmitBatch runs every query over the warm index, at most BatchWorkers
 // concurrently, multiplexing the hit streams onto the returned channel.  The
 // channel closes when every query has produced its Done event.  Cancelling
 // ctx stops all in-flight searches; consumers should drain the channel.
 func (e *Engine) SubmitBatch(ctx context.Context, queries []BatchQuery) <-chan BatchResult {
-	if ctx == nil {
-		ctx = context.Background() //oasis:allow-ctx nil-ctx tolerance for public API callers; any non-nil ctx is threaded through unchanged
-	}
 	in := make([]engine.Query, len(queries))
 	for i, q := range queries {
 		in[i] = engine.Query{ID: q.ID, Residues: q.Residues, Options: coreOptions(q.Options)}
 	}
-	out := make(chan BatchResult, e.eng.ResultBuffer())
-	go func() {
-		defer close(out)
-		for r := range e.eng.SubmitBatch(ctx, in) {
-			br := BatchResult{
-				QueryID: r.QueryID,
-				Index:   r.Index,
-				Hit:     r.Hit,
-				Done:    r.Done,
-				Stats:   r.Stats,
-				Elapsed: r.Elapsed,
-				Err:     r.Err,
-			}
-			select {
-			case out <- br:
-			case <-ctx.Done():
-				// The consumer may have stopped draining; forward
-				// best-effort and keep draining the engine stream so this
-				// goroutine cannot leak.
-				select {
-				case out <- br:
-				default:
-				}
-			}
-		}
-	}()
-	return out
+	return e.eng.SubmitBatch(ctx, in)
 }
 
 // Search runs one query on the warm engine, streaming hits to report in
