@@ -346,16 +346,40 @@ func parseSlices(spec string) ([][]string, error) {
 	return slices, nil
 }
 
+// loadSource validates the -db / -index-dir / -alphabet combination both local
+// serving modes take and loads the FASTA database when -db is the source; a
+// nil database means "serve f.indexDir".
+func loadSource(f serveFlags) (*oasis.Database, error) {
+	if f.indexDir != "" {
+		if f.dbPath != "" {
+			return nil, fmt.Errorf("-db and -index-dir are mutually exclusive")
+		}
+		if f.shards != 0 || f.prefixShards {
+			return nil, fmt.Errorf("-shards/-prefix-sharding come from the -index-dir manifest; do not set them")
+		}
+		return nil, nil
+	}
+	if f.dbPath == "" {
+		return nil, fmt.Errorf("either -db or -index-dir is required")
+	}
+	alpha := oasis.Protein
+	if f.alphabet == "dna" {
+		alpha = oasis.DNA
+	} else if f.alphabet != "protein" {
+		return nil, fmt.Errorf("unknown alphabet %q", f.alphabet)
+	}
+	log.Printf("loading %s ...", f.dbPath)
+	return oasis.LoadFASTA(f.dbPath, alpha)
+}
+
 // buildEngine assembles the warm engine from either source: an in-memory
 // index built from FASTA, or a prebuilt sharded disk index directory.
 func buildEngine(f serveFlags) (*oasis.Engine, string, error) {
-	if f.indexDir != "" {
-		if f.dbPath != "" {
-			return nil, "", fmt.Errorf("-db and -index-dir are mutually exclusive")
-		}
-		if f.shards != 0 || f.prefixShards {
-			return nil, "", fmt.Errorf("-shards/-prefix-sharding come from the -index-dir manifest; do not set them")
-		}
+	db, err := loadSource(f)
+	if err != nil {
+		return nil, "", err
+	}
+	if db == nil {
 		log.Printf("opening sharded disk index %s ...", f.indexDir)
 		eng, err := oasis.OpenEngine(f.indexDir, oasis.EngineOptions{
 			PoolBytes:     f.poolMB << 20,
@@ -371,20 +395,6 @@ func buildEngine(f serveFlags) (*oasis.Engine, string, error) {
 			log.Printf("WARNING: shard %d quarantined at open: %s (serving degraded)", q.Shard, q.Err)
 		}
 		return eng, fmt.Sprintf("disk-backed (%s partition, <=%d MB pool per shard)", eng.Partition(), f.poolMB), nil
-	}
-	if f.dbPath == "" {
-		return nil, "", fmt.Errorf("either -db or -index-dir is required")
-	}
-	alpha := oasis.Protein
-	if f.alphabet == "dna" {
-		alpha = oasis.DNA
-	} else if f.alphabet != "protein" {
-		return nil, "", fmt.Errorf("unknown alphabet %q", f.alphabet)
-	}
-	log.Printf("loading %s ...", f.dbPath)
-	db, err := oasis.LoadFASTA(f.dbPath, alpha)
-	if err != nil {
-		return nil, "", err
 	}
 	eng, err := oasis.NewEngine(db, oasis.EngineOptions{
 		Shards:            f.shards,
@@ -490,38 +500,58 @@ func run(f serveFlags) error {
 		compactAfter:   f.compactAfter,
 		coordinator:    co,
 	})
+	closeEngine := eng.Close
+	if co != nil {
+		closeEngine = co.Close
+	}
+	log.Printf("serving on %s", f.addr)
+	return serveUntilSignal(f, handler, handler.setNotReady, handler.startDrain, func() error {
+		if err := closeEngine(); err != nil {
+			return err
+		}
+		st := eng.Stats()
+		log.Printf("bye: served %d queries, %d hits", st.QueriesServed, st.HitsReported)
+		return nil
+	})
+}
+
+// serveUntilSignal is the serving lifecycle every mode shares: listen on
+// -addr until SIGINT/SIGTERM, then readiness first — onNotReady flips
+// /healthz/ready to 503 while the server keeps accepting work for
+// -drain-grace, so load balancers route new traffic elsewhere before anything
+// is shed — then onDrain (nil for a server that sheds nothing) stops admitting
+// new work so that -shutdown-timeout is spent finishing admitted streams, and
+// closeFn releases the engine once the listener has drained.
+func serveUntilSignal(f serveFlags, handler http.Handler, onNotReady, onDrain func(), closeFn func() error) error {
 	srv := &http.Server{
 		Addr:              f.addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       f.idleTimeout,
 	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("serving on %s", f.addr)
-		errCh <- srv.ListenAndServe()
-	}()
+	go func() { errCh <- srv.ListenAndServe() }()
 
 	select {
 	case err := <-errCh:
 		return err
 	case <-ctx.Done():
 	}
-	// Readiness first: /healthz/ready flips to 503 while the server keeps
-	// accepting work for -drain-grace, so load balancers route new traffic
-	// elsewhere before anything is shed.
-	handler.setNotReady()
+	onNotReady()
 	if f.drainGrace > 0 {
-		log.Printf("not ready; draining for %s before shedding new work ...", f.drainGrace)
+		next := "closing listeners"
+		if onDrain != nil {
+			next = "shedding new work"
+		}
+		log.Printf("not ready; draining for %s before %s ...", f.drainGrace, next)
 		time.Sleep(f.drainGrace)
 	}
 	log.Printf("shutting down (waiting up to %s for in-flight streams) ...", f.shutdownWait)
-	// Drain next: new search/batch requests are shed with 503 immediately,
-	// so the grace period below is spent finishing admitted streams.
-	handler.startDrain()
+	if onDrain != nil {
+		onDrain()
+	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), f.shutdownWait)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
@@ -530,15 +560,5 @@ func run(f serveFlags) error {
 	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	if co != nil {
-		err = co.Close()
-	} else {
-		err = eng.Close()
-	}
-	if err != nil {
-		return err
-	}
-	st := eng.Stats()
-	log.Printf("bye: served %d queries, %d hits", st.QueriesServed, st.HitsReported)
-	return nil
+	return closeFn()
 }

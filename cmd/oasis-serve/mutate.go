@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
@@ -62,8 +61,7 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req insertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	if !decodeBody(w, r, maxMutateBody, &req) {
 		return
 	}
 	if req.ID == "" || req.Sequence == "" {
@@ -96,8 +94,7 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req deleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	if !decodeBody(w, r, maxMutateBody, &req) {
 		return
 	}
 	if req.ID == "" {

@@ -427,8 +427,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req searchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	if !decodeBody(w, r, s.queryBodyLimit(), &req) {
 		return
 	}
 	q, err := s.buildQuery(req, 0)
@@ -452,8 +451,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	if !decodeBody(w, r, int64(s.cfg.maxBatch)*s.queryBodyLimit(), &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -555,6 +553,35 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// queryBodyLimit bounds the JSON body of one query: the longest query the
+// server accepts plus room for its identifier and thresholds.  A /batch body
+// may be -max-batch times that.
+func (s *server) queryBodyLimit() int64 { return int64(s.cfg.maxQueryLen) + 4096 }
+
+// maxMutateBody bounds an /insert or /delete body: one sequence with its
+// identifier.  The longest known protein is ~35,000 residues; 1 MB leaves
+// room for nucleotide contigs while staying below what the memtable can index
+// at all — its leaf-range pass recurses to the depth of the longest repeat,
+// and a 4 MB single-letter run overflows the goroutine stack.
+const maxMutateBody = 1 << 20
+
+// decodeBody decodes a JSON request body of at most limit bytes into v,
+// answering 413 for a longer body and 400 for malformed JSON itself.  The cap
+// is what keeps a hostile client from making the server buffer gigabytes
+// before any of the per-field limits is consulted.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status, err := http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err)
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		status, err = http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", limit)
+	}
+	httpError(w, status, err)
+	return false
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

@@ -1,19 +1,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"log"
 	"net/http"
-	"os"
-	"os/signal"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/remote"
-	"repro/internal/seq"
 	"repro/internal/shard"
 )
 
@@ -37,38 +31,20 @@ func runShardServer(f serveFlags) error {
 	}
 
 	build := time.Now()
-	var (
-		eng  *shard.Engine
-		mode string
-		err  error
-	)
-	switch {
-	case f.indexDir != "":
-		if f.dbPath != "" {
-			return fmt.Errorf("-db and -index-dir are mutually exclusive")
-		}
-		if f.shards != 0 || f.prefixShards {
-			return fmt.Errorf("-shards/-prefix-sharding come from the -index-dir manifest; do not set them")
-		}
+	db, err := loadSource(f)
+	if err != nil {
+		return err
+	}
+	var eng *shard.Engine
+	mode := "in-memory"
+	if db == nil {
 		log.Printf("opening slice index %s ...", f.indexDir)
 		eng, err = shard.OpenDiskEngine(f.indexDir, shard.DiskOptions{
 			Workers:           f.shardWorkers,
 			PoolBytesPerShard: f.poolMB << 20,
 		})
 		mode = fmt.Sprintf("disk-backed (<=%d MB pool per shard)", f.poolMB)
-	case f.dbPath != "":
-		alpha := seq.Protein
-		if f.alphabet == "dna" {
-			alpha = seq.DNA
-		} else if f.alphabet != "protein" {
-			return fmt.Errorf("unknown alphabet %q", f.alphabet)
-		}
-		log.Printf("loading %s ...", f.dbPath)
-		var db *seq.Database
-		db, err = seq.ReadFASTAFile(f.dbPath, alpha)
-		if err != nil {
-			return err
-		}
+	} else {
 		pmode := shard.PartitionBySequence
 		if f.prefixShards {
 			pmode = shard.PartitionByPrefix
@@ -78,9 +54,6 @@ func runShardServer(f serveFlags) error {
 			Workers:   f.shardWorkers,
 			Partition: pmode,
 		})
-		mode = "in-memory"
-	default:
-		return fmt.Errorf("either -db or -index-dir is required")
 	}
 	if err != nil {
 		return err
@@ -131,43 +104,13 @@ func runShardServer(f serveFlags) error {
 		writeJSON(w, http.StatusOK, map[string]any{"server": st, "slice": info})
 	})
 
-	srv := &http.Server{
-		Addr:              f.addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       f.idleTimeout,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("serving slice on %s", f.addr)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	notReady.Store(true)
-	if f.drainGrace > 0 {
-		log.Printf("not ready; draining for %s before closing listeners ...", f.drainGrace)
-		time.Sleep(f.drainGrace)
-	}
-	log.Printf("shutting down (waiting up to %s for in-flight streams) ...", f.shutdownWait)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), f.shutdownWait)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	if err := eng.Close(); err != nil {
-		return err
-	}
-	st := rs.Stats()
-	log.Printf("bye: served %d slice streams (%d cancelled)", st.Streams, st.Cancelled)
-	return nil
+	log.Printf("serving slice on %s", f.addr)
+	return serveUntilSignal(f, mux, func() { notReady.Store(true) }, nil, func() error {
+		if err := eng.Close(); err != nil {
+			return err
+		}
+		st := rs.Stats()
+		log.Printf("bye: served %d slice streams (%d cancelled)", st.Streams, st.Cancelled)
+		return nil
+	})
 }

@@ -52,7 +52,12 @@
 //     so a query's shard fan-out fans out page I/O with no cross-shard
 //     cache thrash, and hit streams are identical to the in-memory
 //     engines (randomized equivalence tests pin this in both partition
-//     modes).  oasis-bench -exp disk measures cold-open latency,
+//     modes).  The opened engine is the view of the manifest's generation:
+//     shard.OpenDiskEngine is the one place that opens the compacted delta
+//     layers and tombstones a directory records, and the warm engine's
+//     writer (internal/engine) publishes each later generation as another
+//     view over the same base shards (shard.Engine.WithLayers).
+//     oasis-bench -exp disk measures cold-open latency,
 //     queries/sec and buffer-pool hit rates against in-memory shards at
 //     matched shard counts (disk/shards=N in BENCH_oasis.json).
 //

@@ -12,7 +12,7 @@ func TestAllowlistRoundTrip(t *testing.T) {
 	diags := []EscapeDiag{
 		{File: "internal/core/kernel.go", Func: "sweepColumnRef", Message: "Found IsInBounds"},
 		{File: "internal/core/search.go", Func: "searcher.allocBand", Message: "escapes to heap"},
-		{File: "internal/core/store.go", Func: "nodeHeap.push", Message: "moved to heap: e"},
+		{File: "internal/core/store.go", Func: "bucketQueue.push", Message: "moved to heap: e"},
 	}
 	path := filepath.Join(t.TempDir(), "allow.txt")
 	if err := os.WriteFile(path, []byte(FormatAllowlist(diags)), 0o644); err != nil {

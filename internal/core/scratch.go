@@ -6,7 +6,7 @@ import "repro/internal/score"
 // engine can run many queries without re-allocating per query: the reported
 // flags, the DP column scratch pair, the heuristic and profile vectors, the
 // structure-of-arrays node stores (see store.go), the recycled band free
-// lists and the priority-queue backing array.
+// lists and the priority queue's lanes and entry arena.
 //
 // A Scratch may be reused across queries of different lengths and across
 // indexes of different sizes (buffers grow on demand and reported flags are
@@ -40,9 +40,8 @@ type Scratch struct {
 	nodes nodeStore
 	acc   accStore
 	// bq is the bucket priority queue (lanes and entry arena reused across
-	// queries); heapItems backs the fallback heap.
-	bq        bucketQueue
-	heapItems []heapEnt
+	// queries).
+	bq bucketQueue
 }
 
 // NewScratch returns an empty Scratch; buffers are allocated and grown by the

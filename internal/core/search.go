@@ -216,19 +216,14 @@ type searcher struct {
 	sc    *Scratch
 	h     []int   // heuristic vector, length m+1
 	h32   []int32 // the kernels' int32 copy of h
-	// The priority queue: bq (O(1) bucket queue over the small f domain
-	// [MinScore, h[0]]) whenever that domain fits maxBucketRange, pq (4-ary
-	// heap) as the fallback for pathologically wide domains.  Both implement
-	// the same total order, so the choice never changes results.
-	useBuckets bool
-	bq         *bucketQueue
-	pq         nodeHeap
-	nodes      *nodeStore // viable-node structure-of-arrays (lives in sc)
-	acc        *accStore  // accepted-node bookkeeping, packed separately
-	reported   []bool
-	nHits      int
-	seqGen     uint32
-	stats      *Stats
+	// bq is the priority queue: O(1) buckets over the f domain
+	// [MinScore, h[0]] (lives in sc).
+	bq       *bucketQueue
+	nodes    *nodeStore // viable-node structure-of-arrays (lives in sc)
+	acc      *accStore  // accepted-node bookkeeping, packed separately
+	reported []bool
+	nHits    int
+	stats    *Stats
 	// frontier, when non-nil, receives the f-value of every popped node
 	// (see SearchStream).
 	frontier func(bound int) bool
@@ -292,8 +287,11 @@ func newSearcher(idx Index, query []byte, opts Options) (*searcher, error) {
 		sc = NewScratch()
 	}
 	sc.acquire(cat.NumSequences(), len(query), mat, query)
-	if len(sc.h) > 0 && sc.h[0] > maxKernelScore {
+	if sc.h[0] > maxKernelScore {
 		return nil, fmt.Errorf("core: query heuristic bound %d exceeds the kernel's score capacity %d", sc.h[0], maxKernelScore)
+	}
+	if sc.h[0]-opts.MinScore >= maxBucketRange {
+		return nil, fmt.Errorf("core: query score range [%d, %d] exceeds the priority queue's capacity of %d values; raise MinScore or shorten the query", opts.MinScore, sc.h[0], maxBucketRange)
 	}
 	s := &searcher{
 		idx:       idx,
@@ -301,6 +299,7 @@ func newSearcher(idx Index, query []byte, opts Options) (*searcher, error) {
 		query:     query,
 		opts:      opts,
 		sc:        sc,
+		bq:        &sc.bq,
 		h:         sc.h,
 		h32:       sc.h32,
 		nodes:     &sc.nodes,
@@ -324,43 +323,21 @@ func newSearcher(idx Index, query []byte, opts Options) (*searcher, error) {
 		}
 		s.pollCountdown = s.pollEvery
 	}
-	if len(sc.h) > 0 && sc.h[0] >= opts.MinScore && sc.h[0]-opts.MinScore+1 <= maxBucketRange {
-		s.useBuckets = true
-		s.bq = &sc.bq
-		s.bq.init(opts.MinScore, sc.h[0])
-	}
-	s.pq.items = sc.heapItems[:0]
+	// When even h[0] cannot reach MinScore nothing is ever pushed and the
+	// queue has no lanes.
+	s.bq.init(opts.MinScore, sc.h[0])
 	return s, nil
-}
-
-// queueTopF returns the highest queued f, or negInf when the queue is empty.
-//
-//oasis:hotpath
-func (s *searcher) queueTopF() int {
-	if s.useBuckets {
-		return s.bq.topF()
-	}
-	if len(s.pq.items) == 0 {
-		return negInf
-	}
-	return s.pq.items[0].f()
 }
 
 // queuePop removes and returns the highest-priority entry, if any.
 //
 //oasis:hotpath
 func (s *searcher) queuePop() (heapEnt, bool) {
-	if s.useBuckets {
-		if s.bq.size == 0 {
-			return heapEnt{}, false
-		}
-		id, f, accepted := s.bq.pop()
-		return heapEnt{key: heapKey(f, accepted), id: id}, true
-	}
-	if len(s.pq.items) == 0 {
+	if s.bq.size == 0 {
 		return heapEnt{}, false
 	}
-	return s.pq.pop(), true
+	id, f, accepted := s.bq.pop()
+	return heapEnt{key: heapKey(f, accepted), id: id}, true
 }
 
 // release hands the searcher's (possibly reallocated) buffers back to the
@@ -371,7 +348,6 @@ func (s *searcher) release() {
 	sc.prevBuf = s.prevBuf
 	sc.curBuf = s.curBuf
 	sc.freeBands = s.freeBands
-	sc.heapItems = s.pq.items[:0]
 	sc.nodes.reset()
 	sc.acc.reset()
 }
@@ -488,14 +464,14 @@ func (s *searcher) runFromRoot(report func(Hit) bool) error {
 func (s *searcher) run(report func(Hit) bool) error {
 	for {
 		if s.claim != nil {
-			topF := s.queueTopF()
+			topF := s.bq.topF()
 			for {
 				seed := s.claim(topF)
 				if seed == nil {
 					break
 				}
 				s.pushSeed(seed)
-				topF = s.queueTopF()
+				topF = s.bq.topF()
 			}
 		}
 		e, ok := s.queuePop()
@@ -923,17 +899,9 @@ func (s *searcher) reportAccepted(id int32, report func(Hit) bool) (bool, error)
 
 func (s *searcher) push(f int, accepted bool, id int32) {
 	s.stats.NodesPushed++
-	if s.useBuckets {
-		s.bq.push(f, accepted, id)
-		if s.bq.size > s.stats.MaxQueueSize {
-			s.stats.MaxQueueSize = s.bq.size
-		}
-		return
-	}
-	s.pq.push(heapEnt{key: heapKey(f, accepted), seq: s.seqGen, id: id})
-	s.seqGen++
-	if s.pq.Len() > s.stats.MaxQueueSize {
-		s.stats.MaxQueueSize = s.pq.Len()
+	s.bq.push(f, accepted, id)
+	if s.bq.size > s.stats.MaxQueueSize {
+		s.stats.MaxQueueSize = s.bq.size
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/align"
@@ -384,26 +385,32 @@ func TestMultiSequenceReporting(t *testing.T) {
 	checkAgainstSW(t, db, idx, q, unitScheme, 2)
 }
 
-func TestNodeHeapOrdering(t *testing.T) {
-	var h nodeHeap
-	h.push(heapEnt{key: heapKey(5, false), seq: 0})
-	h.push(heapEnt{key: heapKey(9, false), seq: 1})
-	h.push(heapEnt{key: heapKey(9, true), seq: 2})
-	h.push(heapEnt{key: heapKey(1, false), seq: 3})
-	h.push(heapEnt{key: heapKey(7, false), seq: 4})
-	// Highest f first; among equal f the accepted node wins.
-	e := h.pop()
-	if e.f() != 9 || !e.accepted() {
-		t.Fatalf("first pop = f %d accepted %v", e.f(), e.accepted())
-	}
-	order := []int{9, 7, 5, 1}
-	for _, want := range order {
-		if got := h.pop().f(); got != want {
-			t.Fatalf("pop order wrong: got %d want %d", got, want)
+func TestBucketQueueOrdering(t *testing.T) {
+	var q bucketQueue
+	q.init(1, 9)
+	q.push(5, false, 0)
+	q.push(9, false, 1)
+	q.push(9, true, 2)
+	q.push(1, false, 3)
+	q.push(7, false, 4)
+	q.push(9, false, 5)
+	// Highest f first; among equal f the accepted node wins, then insertion
+	// order.
+	for _, want := range []struct {
+		id       int32
+		f        int
+		accepted bool
+	}{{2, 9, true}, {1, 9, false}, {5, 9, false}, {4, 7, false}, {0, 5, false}, {3, 1, false}} {
+		if f := q.topF(); f != want.f {
+			t.Fatalf("topF = %d before popping id %d, want %d", f, want.id, want.f)
+		}
+		id, f, accepted := q.pop()
+		if id != want.id || f != want.f || accepted != want.accepted {
+			t.Fatalf("pop = (id %d, f %d, accepted %v), want %+v", id, f, accepted, want)
 		}
 	}
-	if h.Len() != 0 {
-		t.Fatal("heap not empty")
+	if q.size != 0 || q.topF() != negInf {
+		t.Fatal("queue not empty")
 	}
 }
 
@@ -417,11 +424,57 @@ func TestHeapKeyRoundTrip(t *testing.T) {
 		}
 	}
 	// Accepted wins at equal f but never outranks a higher f.
-	if !entLess(heapEnt{key: heapKey(9, true)}, heapEnt{key: heapKey(9, false)}) {
+	if heapKey(9, true) <= heapKey(9, false) {
 		t.Fatal("accepted should outrank viable at equal f")
 	}
-	if entLess(heapEnt{key: heapKey(9, true)}, heapEnt{key: heapKey(10, false)}) {
+	if heapKey(9, true) >= heapKey(10, false) {
 		t.Fatal("higher f must outrank the accepted bit")
+	}
+}
+
+// TestLongQueryWideScoreRange drives Search with a query whose f domain
+// [MinScore, h[0]] is wider than 65,536 values — the point where searches
+// used to leave the bucket queue for a separate heap, and a length the servers
+// admit (10,000 residues) — and checks it against Smith-Waterman.
+func TestLongQueryWideScoreRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(65536))
+	sch := score.MustScheme(score.ByName("PAM30"), -10)
+	q := seq.Protein.MustEncode(randomProteinString(rng, 9000))
+	const minScore = 40
+	if width := HeuristicVector(q, sch.Matrix)[0] - minScore + 1; width <= 1<<16 {
+		t.Fatalf("query's score range spans %d values; the test needs more than 65,536", width)
+	}
+	// Fragments of the query (one mutated, one embedded in noise) give strong
+	// hits far apart in score; an unrelated sequence gives none.
+	frag := func(off, n int) string { return seq.Protein.Decode(q[off : off+n]) }
+	mutated := []byte(frag(4000, 60))
+	for i := 5; i < len(mutated); i += 9 {
+		mutated[i] = 'P'
+	}
+	db, err := seq.DatabaseFromStrings(seq.Protein,
+		frag(100, 120),
+		string(mutated),
+		randomProteinString(rng, 30)+frag(8000, 25)+randomProteinString(rng, 30),
+		randomProteinString(rng, 50),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstSW(t, db, memIndex(t, db), q, sch, minScore)
+}
+
+// TestSearchRefusesScoreRangeBeyondQueue: a query whose score range does not
+// fit the priority queue is refused up front, not served from a second queue.
+func TestSearchRefusesScoreRangeBeyondQueue(t *testing.T) {
+	sch := score.MustScheme(score.ByName("PAM30"), -10)
+	db, err := seq.DatabaseFromStrings(seq.Protein, "ACDEFGHIKLMNPQRSTVWY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := seq.Protein.MustEncode(strings.Repeat("W", maxBucketRange/13+2))
+	_, err = SearchAll(memIndex(t, db), q, Options{Scheme: sch, MinScore: 1})
+	if err == nil || !strings.Contains(err.Error(), "priority queue") {
+		t.Fatalf("err = %v, want the queue-capacity refusal", err)
 	}
 }
 

@@ -21,9 +21,9 @@ package core
 //
 // Accepted nodes never expand and never store a column; their four reporting
 // fields are packed into a separate, much smaller accStore instead of
-// widening every viable node.  The priority queue holds 16-byte value
-// entries (heapEnt) whose primary comparison is a single uint64 compare —
-// no pointer dereference, no per-node allocation.
+// widening every viable node.  The priority queue (bucketQueue) holds 8-byte
+// value entries chained per f value — no pointer dereference, no per-node
+// allocation.
 //
 // Ids are recycled through per-store free lists, and both stores live in the
 // Scratch so a warm engine reuses the arrays across queries.
@@ -123,19 +123,16 @@ func (as *accStore) reset() {
 	as.free = as.free[:0]
 }
 
-// heapEnt is one priority-queue entry: 16 bytes of value state instead of a
-// pointer into a node struct.  key packs the ordering so the primary
-// comparison is one uint64 compare:
+// heapEnt is one popped priority-queue entry: value state instead of a
+// pointer into a node struct.  key packs the queue's ordering:
 //
 //	key = uint64(f - negInf) << 1 | acceptedBit
 //
 // Larger key = higher priority (higher f; accepted before viable at equal f,
-// matching the original nodeLess).  seq breaks remaining ties by insertion
-// order for run-to-run determinism.  id indexes the accStore when the
+// matching the original nodeLess).  id indexes the accStore when the
 // accepted bit is set, the nodeStore otherwise.
 type heapEnt struct {
 	key uint64
-	seq uint32
 	id  int32
 }
 
@@ -153,21 +150,13 @@ func (e heapEnt) f() int { return int(e.key>>1) + negInf }
 // accepted reports whether the entry references the accStore.
 func (e heapEnt) accepted() bool { return e.key&1 != 0 }
 
-func entLess(a, b heapEnt) bool {
-	if a.key != b.key {
-		return a.key > b.key
-	}
-	return a.seq < b.seq
-}
-
-// bucketQueue is the priority queue used when the query's f domain is small
-// enough to index directly (which it virtually always is: every pushed node
-// has f in [minScore, h[0]], and h[0] is bounded by query length times the
-// best substitution score).  One FIFO lane pair — accepted entries first,
-// then viable — per f value reproduces the heap's total order (f descending,
-// accepted before viable, insertion order last) with O(1) pushes and pops
-// instead of cache-missing sift-downs: pops dominate the best-first loop at
-// ~3 DP cells per column.
+// bucketQueue is the search's priority queue.  Every pushed node has f in
+// [minScore, h[0]], and h[0] is bounded by query length times the best
+// substitution score, so the f domain is indexed directly: one FIFO lane pair
+// — accepted entries first, then viable — per f value gives the total order
+// (f descending, accepted before viable, insertion order last) with O(1)
+// pushes and pops instead of a heap's cache-missing sift-downs: pops dominate
+// the best-first loop at ~3 DP cells per column.
 //
 // The pop cursor (top) only ever rescans downward as far as new pushes raise
 // it; with the admissible heuristic f is non-increasing along every search
@@ -196,13 +185,16 @@ type laneHeads struct {
 	viaHead, viaTail int32
 }
 
-// maxBucketRange caps the f domain the bucket queue will index directly
-// (lanes cost 16 bytes per f value); wider domains fall back to the heap.
-const maxBucketRange = 1 << 16
+// maxBucketRange caps the f domain [MinScore, h[0]] a search may have (lanes
+// cost 16 bytes per f value, 16 MB at the cap); newSearcher refuses wider
+// ones.  It is sized so every query the servers admit fits with room to
+// spare: 10,000 residues times the largest entry of any built-in matrix
+// (PAM30's 13) is 130,000.
+const maxBucketRange = 1 << 20
 
-// init prepares the queue for f values in [base, fMax].
+// init prepares the queue for f values in [base, fMax] (none when fMax < base).
 func (q *bucketQueue) init(base, fMax int) {
-	n := fMax - base + 1
+	n := max(fMax-base+1, 0)
 	if cap(q.lanes) < n {
 		q.lanes = make([]laneHeads, n)
 	}
@@ -281,62 +273,4 @@ func (q *bucketQueue) pop() (id int32, f int, accepted bool) {
 	}
 	q.size--
 	return q.ents[e].id, f, accepted
-}
-
-// nodeHeap is a 4-ary max-heap over heapEnt (highest f first; accepted
-// before viable at equal f; then insertion order).  Four children per level
-// halves the sift-down depth of a binary heap, and the four 16-byte entries
-// of one family span a single cache line, so the extra comparisons per level
-// are nearly free next to the saved memory accesses.
-type nodeHeap struct {
-	items []heapEnt
-}
-
-func (h *nodeHeap) Len() int { return len(h.items) }
-
-//oasis:hotpath
-func (h *nodeHeap) push(e heapEnt) {
-	h.items = append(h.items, e) //oasis:allow-alloc amortized heap growth
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if entLess(h.items[i], h.items[parent]) {
-			h.items[i], h.items[parent] = h.items[parent], h.items[i]
-			i = parent
-			continue
-		}
-		break
-	}
-}
-
-//oasis:hotpath
-func (h *nodeHeap) pop() heapEnt {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	n := len(h.items)
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if entLess(h.items[c], h.items[best]) {
-				best = c
-			}
-		}
-		if !entLess(h.items[best], h.items[i]) {
-			break
-		}
-		h.items[i], h.items[best] = h.items[best], h.items[i]
-		i = best
-	}
-	return top
 }

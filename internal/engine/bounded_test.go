@@ -63,9 +63,8 @@ func TestSearchBoundedStandingMutableSet(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer reopened.Close()
-				if m := reopened.Disk().Manifest; len(m.Deltas) != 2 || len(m.Tombstones) != len(deleted) {
-					t.Fatalf("directory holds %d delta layers and %d tombstones, want 2 and %d",
-						len(m.Deltas), len(m.Tombstones), len(deleted))
+				if l, d := len(reopened.Layers()), len(reopened.Tombstones()); l != 2 || d != len(deleted) {
+					t.Fatalf("reopened view holds %d delta layers and %d tombstones, want 2 and %d", l, d, len(deleted))
 				}
 
 				// Whole sequences as queries guarantee hits from a base shard, a

@@ -61,7 +61,7 @@ type Options struct {
 	// shard (see shard.PartitionByPrefix).
 	PartitionByPrefix bool
 	// ShardWorkers bounds how many shard searches run concurrently within
-	// one query (default: one per shard, plus one per mutable layer).
+	// one query (default: one per shard, plus one per delta layer).
 	ShardWorkers int
 	// BatchWorkers bounds how many queries of a batch are in flight at once
 	// (default GOMAXPROCS).
@@ -75,10 +75,6 @@ type Options struct {
 	// Degraded with the per-shard errors instead of the engine refusing to
 	// start (sequence-partitioned directories only).
 	AllowDegraded bool
-	// WarmupPages controls open-time buffer-pool warm-up per disk shard:
-	// 0 pre-faults diskst.DefaultWarmupPages near-root pages, negative
-	// disables warm-up.
-	WarmupPages int
 	// CacheBytes bounds the cross-query result cache (internal/qcache): a
 	// positive budget makes the engine store every completed decreasing-score
 	// hit stream and replay it — without touching the index — when an
@@ -139,33 +135,31 @@ type Engine struct {
 	// zero); it also owns the single-flight table for concurrent duplicates.
 	cache *qcache.Cache
 
-	// state is the published generation snapshot (see mutable.go): the base
-	// sharded index plus any delta layers and tombstones.  Searches pin one
-	// snapshot for their whole run; writers build a new snapshot under wmu
-	// and swap it in atomically.
+	// state is the published generation snapshot (see mutable.go): one
+	// shard-engine view over the base shards, delta layers and tombstones.
+	// Searches pin one snapshot for their whole run; writers build a new
+	// snapshot under wmu and swap it in atomically.
 	state atomic.Pointer[genState]
 
-	// Writer-side mutable-layer fields, all guarded by wmu.  wBase/wDB track
-	// the current base (memory-mode compaction replaces them); retired bases
-	// and opened delta indexes accumulate in closers and are released only at
-	// Close, so pinned snapshots stay valid without per-generation
-	// refcounting.
-	wmu         sync.Mutex
-	wBase       *shard.Engine
-	wDB         *seq.Database
-	wGen        uint64
-	mem         *suffixtree.OnlineBuilder
-	layers      []shard.ExtraShard
-	layerSeqs   int
-	layerRes    int64
-	tombs       map[int]bool // immutable once published; copy-on-write
-	idIndex     map[string]int
-	closers     []io.Closer
-	indexDir    string
-	manifest    *diskst.Manifest
-	poolBytes   int64
-	warmupPages int
-	memOpts     shard.Options
+	// Writer-side fields, all guarded by wmu.  wBase is the DURABLE view —
+	// the base shards plus every compacted delta layer, what reopening the
+	// directory would return — and the parent of every published view; wDB
+	// the base database (memory-mode compaction replaces both).  Retired
+	// bases and delta indexes opened by compactions accumulate in closers and
+	// are released only at Close, so pinned snapshots stay valid without
+	// per-generation refcounting.
+	wmu       sync.Mutex
+	wBase     *shard.Engine
+	wDB       *seq.Database
+	wGen      uint64
+	mem       *suffixtree.OnlineBuilder
+	tombs     map[int]bool // immutable once published; copy-on-write
+	idIndex   map[string]int
+	closers   []io.Closer
+	indexDir  string
+	manifest  *diskst.Manifest
+	poolBytes int64
+	memOpts   shard.Options
 
 	// immutable marks engines whose base index is not writable from this
 	// process (provider-backed coordinator engines: the corpus lives in the
@@ -208,11 +202,6 @@ func New(db *seq.Database, opts Options) (*Engine, error) {
 			Workers:           opts.ShardWorkers,
 			PoolBytesPerShard: opts.PoolBytes,
 			AllowDegraded:     opts.AllowDegraded,
-			WarmupPages:       opts.WarmupPages,
-			// The mutable layer below reopens the manifest's deltas and
-			// tombstones itself (writes must be able to continue); a standing
-			// set on the base engine would search every delta twice.
-			BaseOnly: true,
 		})
 	} else {
 		if db == nil {
@@ -290,27 +279,27 @@ func (e *Engine) DB() *seq.Database { return e.cur().db }
 // both in-memory and disk-backed modes and covers the base corpus plus every
 // inserted sequence; deleted (tombstoned) sequences stay addressable so hits
 // streamed before the delete can still recover alignments.
-func (e *Engine) Catalog() core.Catalog { return e.cur().cat }
+func (e *Engine) Catalog() core.Catalog { return e.cur().view.Catalog() }
 
 // Alphabet returns the residue alphabet of the served database.
-func (e *Engine) Alphabet() *seq.Alphabet { return e.cur().cat.Alphabet() }
+func (e *Engine) Alphabet() *seq.Alphabet { return e.Catalog().Alphabet() }
 
 // NumSequences returns the number of sequences the engine physically holds
 // (base corpus plus inserted sequences, including tombstoned ones); see
 // Metrics().Mutable.LiveSequences for the searchable count.
-func (e *Engine) NumSequences() int { return e.cur().cat.NumSequences() }
+func (e *Engine) NumSequences() int { return e.Catalog().NumSequences() }
 
 // TotalResidues returns the total residue count the engine physically holds.
-func (e *Engine) TotalResidues() int64 { return e.cur().cat.TotalResidues() }
+func (e *Engine) TotalResidues() int64 { return e.Catalog().TotalResidues() }
 
 // NumShards returns the number of partitions actually built.
-func (e *Engine) NumShards() int { return e.cur().base.NumShards() }
+func (e *Engine) NumShards() int { return e.cur().view.NumShards() }
 
 // Partition returns the engine's work-partitioning mode.
-func (e *Engine) Partition() shard.PartitionMode { return e.cur().base.Partition() }
+func (e *Engine) Partition() shard.PartitionMode { return e.cur().view.Partition() }
 
 // ShardWorkers returns the per-query shard concurrency bound.
-func (e *Engine) ShardWorkers() int { return e.cur().base.Workers() }
+func (e *Engine) ShardWorkers() int { return e.cur().view.Workers() }
 
 // BatchWorkers returns the batch concurrency bound.
 func (e *Engine) BatchWorkers() int { return e.batchWorkers }
@@ -363,8 +352,9 @@ type FaultMetrics struct {
 // Metrics returns a point-in-time snapshot of the engine's resource usage.
 func (e *Engine) Metrics() Metrics {
 	st := e.cur()
-	m := Metrics{Scratch: st.base.ScratchStats(), Shards: st.base.QueueDepths()}
-	if disk := st.base.Disk(); disk != nil {
+	v := st.view
+	m := Metrics{Scratch: v.ScratchStats(), Shards: v.QueueDepths()}
+	if disk := v.Disk(); disk != nil {
 		m.Pools = disk.PoolStats()
 	}
 	if e.cache != nil {
@@ -375,7 +365,7 @@ func (e *Engine) Metrics() Metrics {
 	e.mu.Lock()
 	m.Faults.DegradedQueries = e.degradedQueries
 	e.mu.Unlock()
-	m.Faults.ShardsQuarantined = st.base.Quarantines() + int64(len(st.base.Standing()))
+	m.Faults.ShardsQuarantined = v.Quarantines() + int64(len(v.Standing()))
 	m.Faults.ChecksumFailures = fc.ChecksumFailures
 	m.Faults.ReadRetries = fc.ReadRetries
 	m.Mutable = MutableStats{
@@ -385,17 +375,17 @@ func (e *Engine) Metrics() Metrics {
 		Compactions:       e.compactions.Load(),
 		MemtableSequences: st.memSeqs,
 		MemtableResidues:  st.memRes,
-		DeltaLayers:       st.deltaLayers,
-		Tombstones:        st.tombstones,
-		LiveSequences:     st.liveSeqs,
-		LiveResidues:      st.liveRes,
+		DeltaLayers:       len(v.Layers()),
+		Tombstones:        len(v.Tombstones()),
+		LiveSequences:     v.LiveSequences(),
+		LiveResidues:      v.LiveResidues(),
 	}
 	return m
 }
 
 // Standing returns the shards quarantined when the engine opened (nil for a
 // healthy engine).
-func (e *Engine) Standing() []core.ShardError { return e.cur().base.Standing() }
+func (e *Engine) Standing() []core.ShardError { return e.cur().view.Standing() }
 
 // begin registers one unit of in-flight work, failing when the engine is
 // closed.  The counter increment happens under the same lock that Close uses
@@ -548,7 +538,7 @@ func (e *Engine) replay(ctx context.Context, q Query, entry *qcache.Entry, repor
 	return st, err
 }
 
-// searchIndex runs the query on the pinned generation's sharded index (the
+// searchIndex runs the query on the pinned generation's view (the
 // cache-miss path; the only path when the engine has no cache).  The context
 // is observed both at every hit callback and — via core's periodic poll —
 // inside hit-less DP stretches.
@@ -566,12 +556,7 @@ func (e *Engine) searchIndex(ctx context.Context, s *genState, q Query, report f
 		hits++
 		return report(h)
 	}
-	var err error
-	if s.ext == nil {
-		err = s.base.Search(q.Residues, opts, counted)
-	} else {
-		err = s.base.SearchExtra(q.Residues, opts, s.ext, counted)
-	}
+	err := s.view.Search(q.Residues, opts, counted)
 	if err == nil && ctx != nil {
 		err = ctx.Err()
 	}

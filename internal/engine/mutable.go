@@ -1,16 +1,21 @@
 // Mutable layer: LSM-style incremental indexing over the immutable base
 // index.
 //
-// Inserts land in an in-memory delta built with the online Ukkonen
-// construction (internal/suffixtree.OnlineBuilder); every write publishes a
-// new immutable generation snapshot (genState) that searches pin for their
-// whole run.  The delta is searched as one more core.Index provider through
-// shard.ExtraSet, merged into the same score-ordered stream as the base
-// shards.  Deletes write per-sequence tombstones the merger filters (which
-// also shrinks the all-sequences early-stop count).  Compaction folds the
-// frozen memtable into an ordinary single-file disk index and swaps a
+// A generation is a VIEW: one shard.Engine value over the base shards, the
+// compacted delta layers, the memtable snapshot and the tombstone set
+// (shard.Engine.WithLayers), which derives the global catalog and the live
+// totals itself and is searched like any other shard engine.  This file is the
+// WRITER of generations and nothing else.  Inserts land in an in-memory delta
+// built with the online Ukkonen construction
+// (internal/suffixtree.OnlineBuilder); deletes add per-sequence tombstones;
+// every write builds the next view and publishes it as an immutable genState
+// that searches pin for their whole run.  Compaction folds the frozen
+// memtable into an ordinary single-file disk index and swaps a
 // generation-numbered manifest atomically (disk engines), or rebuilds the
-// base in-memory engine over the live corpus (memory engines).
+// base in-memory engine over the live corpus (memory engines).  Reading a
+// directory's generation back — opening its delta layers and tombstones — is
+// shard.OpenDiskEngine's job alone; the writer continues from the view it
+// returns.
 //
 // Durability contract (disk engines): inserts and deletes are memory-only
 // until Compact persists them — the engine is an LSM without a WAL.  A crash
@@ -23,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -33,28 +39,18 @@ import (
 	"repro/internal/suffixtree"
 )
 
-// genState is one immutable generation of the engine's index view.  A search
-// loads the pointer once and uses only the snapshot from then on; writers
-// build a fresh genState under wmu and publish it with one atomic store.
+// genState is one immutable generation of the engine's index.  A search loads
+// the pointer once and uses only the snapshot from then on; writers build a
+// fresh genState under wmu and publish it with one atomic store.
 type genState struct {
-	gen  uint64
-	base *shard.Engine
+	gen uint64
+	// view is the generation's searchable corpus: base shards, delta layers,
+	// memtable snapshot and tombstone filter behind one shard.Engine.
+	view *shard.Engine
 	db   *seq.Database // base database (nil for disk engines)
-	// ext carries the delta layers and tombstone filter for SearchExtra; nil
-	// while the index is pristine, keeping the zero-cost plain-Search path.
-	ext *shard.ExtraSet
-	// cat is the global catalog over base + delta layers (the base catalog
-	// itself when there are no layers).
-	cat core.Catalog
-
-	numSeqs     int
-	totalRes    int64
-	liveSeqs    int
-	liveRes     int64
-	memSeqs     int
-	memRes      int64
-	deltaLayers int
-	tombstones  int
+	// memSeqs/memRes size the uncompacted memtable, the view's last layer.
+	memSeqs int
+	memRes  int64
 }
 
 // MutableStats snapshots the incremental-indexing state for Metrics.
@@ -92,79 +88,35 @@ func (e *Engine) Generation() uint64 { return e.cur().gen }
 // corpus lives in the remote slices' serving processes — write to those).
 var ErrImmutable = fmt.Errorf("engine: index is immutable here; write to the shard servers that own the corpus")
 
-// initMutable wires the mutable layer under a freshly built base engine and
-// publishes the initial generation.  For disk engines it reopens any delta
-// layers and tombstones recorded in the directory's manifest (generation
-// continues from the manifest's).  On error the layers it opened are closed;
-// the caller closes the base.
+// initMutable wires the writer under a freshly opened base view and publishes
+// the initial generation.  For disk engines base already carries the delta
+// layers and tombstones of the directory's manifest, and the generation
+// continues from the manifest's.
 func (e *Engine) initMutable(base *shard.Engine, db *seq.Database, opts Options) error {
 	e.wBase = base
 	e.wDB = db
+	e.tombs = base.Tombstones()
 	e.indexDir = opts.IndexDir
 	e.poolBytes = opts.PoolBytes
-	e.warmupPages = opts.WarmupPages
 	if opts.IndexDir == "" {
 		mode := shard.PartitionBySequence
 		if opts.PartitionByPrefix {
 			mode = shard.PartitionByPrefix
 		}
 		e.memOpts = shard.Options{Shards: opts.Shards, Workers: opts.ShardWorkers, Partition: mode}
-		return e.publishLocked()
+	} else {
+		e.manifest = base.Disk().Manifest
+		e.wGen = e.manifest.Generation
 	}
-	m := base.Disk().Manifest
-	e.manifest = m
-	e.wGen = m.Generation
-	fail := func(err error) error {
-		for _, c := range e.closers {
-			c.Close()
-		}
-		e.closers = nil
-		return err
-	}
-	for _, d := range m.Deltas {
-		idx, err := m.OpenFile(opts.IndexDir, d.File, opts.PoolBytes, opts.WarmupPages)
-		if err != nil {
-			return fail(fmt.Errorf("engine: opening delta layer %s: %w", d.File, err))
-		}
-		e.closers = append(e.closers, idx)
-		e.layers = append(e.layers, shard.ExtraShard{
-			Index:   idx,
-			Globals: append([]int(nil), d.GlobalIndex...),
-		})
-		e.layerSeqs += len(d.GlobalIndex)
-		e.layerRes += d.Residues
-	}
-	if len(m.Tombstones) > 0 {
-		e.tombs = make(map[int]bool, len(m.Tombstones))
-		for _, t := range m.Tombstones {
-			e.tombs[t] = true
-		}
-	}
-	if err := e.publishLocked(); err != nil {
-		return fail(err)
-	}
-	return nil
+	return e.publishLocked()
 }
 
-// baseCountsLocked returns the base corpus's sequence/residue totals.  Disk
-// engines use the manifest's base-only totals (a degraded engine's union
-// catalog can cover less, but the global numbering — and therefore delta
-// global indexes — is defined by the manifest).
-func (e *Engine) baseCountsLocked() (int, int64) {
-	if e.manifest != nil {
-		return e.manifest.NumSequences, e.manifest.TotalResidues
-	}
-	cat := e.wBase.Catalog()
-	return cat.NumSequences(), cat.TotalResidues()
-}
-
-// publishLocked builds and publishes the genState for the writer's current
-// fields.  Caller holds wmu (or is in single-threaded construction).
+// publishLocked builds the view for the writer's current fields — the durable
+// view's layers, the memtable snapshot as one more, the current tombstones —
+// and publishes it.  Caller holds wmu (or is in single-threaded construction).
 func (e *Engine) publishLocked() error {
-	baseSeqs, baseRes := e.baseCountsLocked()
-	extras := append([]shard.ExtraShard(nil), e.layers...)
-	var memSeqs int
-	var memRes int64
+	st := &genState{gen: e.wGen, db: e.wDB}
+	layers := e.wBase.Layers()
 	if e.mem != nil && e.mem.NumSequences() > 0 {
 		tree, mdb, err := e.mem.Snapshot()
 		if err != nil {
@@ -174,48 +126,26 @@ func (e *Engine) publishLocked() error {
 		if err != nil {
 			return err
 		}
-		memSeqs, memRes = e.mem.NumSequences(), e.mem.TotalResidues()
-		globals := make([]int, memSeqs)
-		for i := range globals {
-			globals[i] = baseSeqs + e.layerSeqs + i
-		}
-		extras = append(extras, shard.ExtraShard{Index: idx, Globals: globals})
+		st.memSeqs, st.memRes = e.mem.NumSequences(), e.mem.TotalResidues()
+		layers = append(slices.Clip(layers), shard.Layer{Index: idx, Globals: e.memGlobalsLocked()})
 	}
-	st := &genState{
-		gen:         e.wGen,
-		base:        e.wBase,
-		db:          e.wDB,
-		numSeqs:     baseSeqs + e.layerSeqs + memSeqs,
-		totalRes:    baseRes + e.layerRes + memRes,
-		memSeqs:     memSeqs,
-		memRes:      memRes,
-		deltaLayers: len(extras),
-		tombstones:  len(e.tombs),
-	}
-	st.cat = e.wBase.Catalog()
-	if len(extras) > 0 {
-		st.cat = shard.NewLayeredCatalog(e.wBase.Catalog(), baseSeqs, baseRes, extras)
-	}
-	st.liveSeqs = st.numSeqs - len(e.tombs)
-	st.liveRes = st.totalRes
-	for g := range e.tombs {
-		st.liveRes -= int64(st.cat.SequenceLength(g))
-	}
-	if len(extras) > 0 || len(e.tombs) > 0 {
-		ext := &shard.ExtraSet{
-			Shards:        extras,
-			LiveSeqs:      st.liveSeqs,
-			TotalResidues: st.liveRes,
-			NumSeqs:       st.numSeqs,
-		}
-		if len(e.tombs) > 0 {
-			tombs := e.tombs // published maps are never mutated (copy-on-write)
-			ext.Drop = func(i int) bool { return tombs[i] }
-		}
-		st.ext = ext
+	var err error
+	if st.view, err = e.wBase.WithLayers(layers, e.tombs); err != nil {
+		return err
 	}
 	e.state.Store(st)
 	return nil
+}
+
+// memGlobalsLocked numbers the memtable's sequences: densely after everything
+// the durable view holds.
+func (e *Engine) memGlobalsLocked() []int {
+	first := e.wBase.NumSequences()
+	globals := make([]int, e.mem.NumSequences())
+	for i := range globals {
+		globals[i] = first + i
+	}
+	return globals
 }
 
 // ensureIDIndexLocked lazily builds the live SeqID -> global index map writes
@@ -224,13 +154,14 @@ func (e *Engine) ensureIDIndexLocked() {
 	if e.idIndex != nil {
 		return
 	}
-	st := e.cur() // under wmu this is always the latest published state
-	idx := make(map[string]int, st.liveSeqs)
-	for g := 0; g < st.numSeqs; g++ {
+	v := e.cur().view // under wmu this is always the latest published state
+	cat := v.Catalog()
+	idx := make(map[string]int, v.LiveSequences())
+	for g := 0; g < cat.NumSequences(); g++ {
 		if e.tombs[g] {
 			continue
 		}
-		id := st.cat.SequenceID(g)
+		id := cat.SequenceID(g)
 		if id == "" { // hole left by a quarantined shard
 			continue
 		}
@@ -268,7 +199,7 @@ func (e *Engine) Insert(id string, residues []byte) (uint64, error) {
 		return 0, fmt.Errorf("engine: sequence %q already exists", id)
 	}
 	if e.mem == nil {
-		mem, err := suffixtree.NewOnlineBuilder(e.cur().cat.Alphabet())
+		mem, err := suffixtree.NewOnlineBuilder(e.Alphabet())
 		if err != nil {
 			return 0, err
 		}
@@ -278,8 +209,7 @@ func (e *Engine) Insert(id string, residues []byte) (uint64, error) {
 	if err := e.mem.Append(seq.Sequence{ID: id, Residues: res}); err != nil {
 		return 0, err
 	}
-	baseSeqs, _ := e.baseCountsLocked()
-	e.idIndex[id] = baseSeqs + e.layerSeqs + e.mem.NumSequences() - 1
+	e.idIndex[id] = e.wBase.NumSequences() + e.mem.NumSequences() - 1
 	e.wGen++
 	if err := e.publishLocked(); err != nil {
 		return 0, err
@@ -309,8 +239,8 @@ func (e *Engine) Delete(id string) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("engine: sequence %q is unknown or already deleted", id)
 	}
-	// Copy-on-write: the published Drop closure captures the old map, which
-	// in-flight searches may still be reading.
+	// Copy-on-write: published views hold the old map, which in-flight
+	// searches may still be reading.
 	tombs := make(map[int]bool, len(e.tombs)+1)
 	for k := range e.tombs {
 		tombs[k] = true
@@ -373,15 +303,14 @@ func (e *Engine) compactDiskLocked() (uint64, error) {
 	}
 	sort.Ints(m.Tombstones)
 
-	var newLayer *shard.ExtraShard
-	var memRes int64
+	layers := e.wBase.Layers()
+	var newIdx *diskst.Index
 	if memN > 0 {
 		name := fmt.Sprintf("delta-%06d.oasis", gen)
-		mdb, err := seq.NewDatabase(e.cur().cat.Alphabet(), append([]seq.Sequence(nil), e.mem.Sequences()...))
+		mdb, err := seq.NewDatabase(e.Alphabet(), append([]seq.Sequence(nil), e.mem.Sequences()...))
 		if err != nil {
 			return e.wGen, err
 		}
-		memRes = mdb.TotalResidues()
 		tmp := filepath.Join(e.indexDir, name+".tmp")
 		if _, err := diskst.Build(tmp, mdb, diskst.BuildOptions{
 			WriteOptions: diskst.WriteOptions{BlockSize: m.BlockSize},
@@ -399,33 +328,32 @@ func (e *Engine) compactDiskLocked() (uint64, error) {
 			os.Remove(tmp)
 			return e.wGen, err
 		}
-		baseSeqs, _ := e.baseCountsLocked()
-		globals := make([]int, memN)
-		for i := range globals {
-			globals[i] = baseSeqs + e.layerSeqs + i
-		}
-		m.Deltas = append(m.Deltas, diskst.DeltaRecord{File: name, GlobalIndex: globals, Residues: memRes})
-		idx, err := e.manifest.OpenFile(e.indexDir, name, e.poolBytes, e.warmupPages)
-		if err != nil {
+		globals := e.memGlobalsLocked()
+		m.Deltas = append(m.Deltas, diskst.DeltaRecord{File: name, GlobalIndex: globals, Residues: mdb.TotalResidues()})
+		if newIdx, err = e.manifest.OpenFile(e.indexDir, name, e.poolBytes, 0); err != nil {
 			// Manifest not yet written: the directory is still consistent at
 			// the old generation; the new file is an unreachable orphan.
 			return e.wGen, fmt.Errorf("engine: reopening delta %s: %w", name, err)
 		}
-		newLayer = &shard.ExtraShard{Index: idx, Globals: globals}
+		layers = append(slices.Clip(layers), shard.Layer{Index: newIdx, Globals: globals})
 	}
-	if err := diskst.WriteManifest(e.indexDir, &m); err != nil {
-		if newLayer != nil {
-			newLayer.Index.(*diskst.Index).Close()
+	// The durable view as the new manifest describes it — what reopening the
+	// directory would return.
+	durable, err := e.wBase.WithLayers(layers, e.tombs)
+	if err == nil {
+		err = diskst.WriteManifest(e.indexDir, &m)
+	}
+	if err != nil {
+		if newIdx != nil {
+			newIdx.Close()
 		}
 		return e.wGen, err
 	}
-	// The new manifest is durable; swap the in-memory view to match.
+	// The new manifest is durable; swap the in-memory state to match.
 	e.manifest = &m
-	if newLayer != nil {
-		e.layers = append(e.layers, *newLayer)
-		e.layerSeqs += memN
-		e.layerRes += memRes
-		e.closers = append(e.closers, newLayer.Index.(*diskst.Index))
+	e.wBase = durable
+	if newIdx != nil {
+		e.closers = append(e.closers, newIdx)
 		e.mem = nil
 	}
 	e.wGen = gen
@@ -444,7 +372,7 @@ func (e *Engine) compactMemoryLocked() (uint64, error) {
 	if memN == 0 && len(e.tombs) == 0 {
 		return e.wGen, nil // pristine: nothing to fold
 	}
-	baseSeqs, _ := e.baseCountsLocked()
+	baseSeqs := e.wBase.NumSequences()
 	var live []seq.Sequence
 	for g, s := range e.wDB.Sequences() {
 		if !e.tombs[g] {
@@ -461,7 +389,7 @@ func (e *Engine) compactMemoryLocked() (uint64, error) {
 	if len(live) == 0 {
 		return e.wGen, fmt.Errorf("engine: refusing to compact away the last live sequence; the corpus would be empty")
 	}
-	newDB, err := seq.NewDatabase(e.cur().cat.Alphabet(), live)
+	newDB, err := seq.NewDatabase(e.Alphabet(), live)
 	if err != nil {
 		return e.wGen, err
 	}

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -129,8 +130,15 @@ func (s *Server) buildOptions(r *http.Request, req *StreamRequest) ([]byte, core
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	var req StreamRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	// The body is one query plus a few scalar fields; cap it before decoding
+	// so an oversized request cannot make the replica buffer it.
+	limit := int64(s.maxQueryLen) + 4096
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil {
+		status, err := http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err)
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			status, err = http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", limit)
+		}
+		httpError(w, status, err)
 		return
 	}
 	query, opts, err := s.buildOptions(r, &req)

@@ -14,8 +14,7 @@ import (
 // sequences (global indexes appended after the base) and a tombstone subset,
 // and returns the matching live (rebuilt-from-scratch) database.
 type extraCase struct {
-	base     *Engine
-	ext      *ExtraSet
+	view     *Engine
 	liveDB   *seq.Database
 	liveIDs  map[string]bool
 	tombIdx  map[int]bool
@@ -50,14 +49,7 @@ func buildExtraCase(t *testing.T, rng *rand.Rand, mode PartitionMode, shards int
 			liveRes += int64(len(s.Residues))
 		}
 	}
-	ext := &ExtraSet{
-		LiveSeqs:      len(live),
-		TotalResidues: liveRes,
-		NumSeqs:       len(all),
-	}
-	if len(tomb) > 0 {
-		ext.Drop = func(i int) bool { return tomb[i] }
-	}
+	var layers []Layer
 	if len(deltaSeqs) > 0 {
 		deltaDB := seq.MustDatabase(seq.Protein, deltaSeqs)
 		idx, err := core.BuildMemoryIndex(deltaDB)
@@ -68,21 +60,30 @@ func buildExtraCase(t *testing.T, rng *rand.Rand, mode PartitionMode, shards int
 		for i := range globals {
 			globals[i] = nBase + i
 		}
-		ext.Shards = append(ext.Shards, ExtraShard{Index: idx, Globals: globals})
+		layers = append(layers, Layer{Index: idx, Globals: globals})
+	}
+	view, err := base.WithLayers(layers, tomb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The view derives its totals itself; they must be the live corpus's.
+	if view.NumSequences() != len(all) || view.LiveSequences() != len(live) || view.LiveResidues() != liveRes {
+		t.Fatalf("view totals: %d sequences, %d live, %d live residues; want %d, %d, %d",
+			view.NumSequences(), view.LiveSequences(), view.LiveResidues(), len(all), len(live), liveRes)
 	}
 	return &extraCase{
-		base: base, ext: ext,
+		view:    view,
 		liveDB:  seq.MustDatabase(seq.Protein, live),
 		liveIDs: liveIDs, tombIdx: tomb,
 		numBase: nBase, numDelta: len(deltaSeqs),
 	}
 }
 
-// TestSearchExtraEquivalence: across random corpora, partition modes, shard
-// counts and tombstone subsets, (base + delta + tombstones) through
-// SearchExtra must produce the same (sequence, score, E-value) multiset in
-// non-increasing score order as a plain engine rebuilt over the live corpus.
-func TestSearchExtraEquivalence(t *testing.T) {
+// TestViewEquivalence: across random corpora, partition modes, shard counts
+// and tombstone subsets, a (base + delta + tombstones) view must produce the
+// same (sequence, score, E-value) multiset in non-increasing score order as a
+// plain engine rebuilt over the live corpus.
+func TestViewEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(733))
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
 	for trial := 0; trial < 30; trial++ {
@@ -110,11 +111,11 @@ func TestSearchExtraEquivalence(t *testing.T) {
 		}
 		opts := core.Options{Scheme: scheme, MinScore: 10 + rng.Intn(15)}
 		var got []core.Hit
-		if err := c.base.SearchExtra(query, opts, c.ext, func(h core.Hit) bool {
+		if err := c.view.Search(query, opts, func(h core.Hit) bool {
 			got = append(got, h)
 			return true
 		}); err != nil {
-			t.Fatalf("trial %d: SearchExtra: %v", trial, err)
+			t.Fatalf("trial %d: view search: %v", trial, err)
 		}
 		want, err := rebuilt.SearchAll(query, opts)
 		if err != nil {
@@ -152,9 +153,10 @@ func TestSearchExtraEquivalence(t *testing.T) {
 	}
 }
 
-// TestSearchExtraEmptySetIsPlainSearch: a nil/empty ExtraSet must be exactly
-// Search, including on the single-shard fast path.
-func TestSearchExtraEmptySetIsPlainSearch(t *testing.T) {
+// TestEmptyViewIsPlainSearch: a view with no layers and no tombstones must be
+// exactly the engine it was taken from, including on the single-shard fast
+// path, and must share its parent's pools and counters rather than copy them.
+func TestEmptyViewIsPlainSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db := randomShardDB(t, rng, seq.Protein, 10, 50)
 	eng, err := NewEngine(db, Options{Shards: 1})
@@ -171,20 +173,25 @@ func TestSearchExtraEmptySetIsPlainSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []core.Hit
-	if err := eng.SearchExtra(query, opts, nil, func(h core.Hit) bool {
-		got = append(got, h)
-		return true
-	}); err != nil {
+	view, err := eng.WithLayers(nil, map[int]bool{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := eng.ScratchStats()
+	got, err := view.SearchAll(query, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("empty extra set: %d hits vs %d from Search", len(got), len(want))
+		t.Fatalf("empty view: %d hits vs %d from Search", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("empty extra set: hit %d differs: %+v vs %+v", i, got[i], want[i])
+			t.Fatalf("empty view: hit %d differs: %+v vs %+v", i, got[i], want[i])
 		}
+	}
+	if after := eng.ScratchStats(); after.Gets != before.Gets+1 || after.Reuses != before.Reuses+1 {
+		t.Fatalf("view search did not draw from its parent's warm scratch pool: %+v -> %+v", before, after)
 	}
 }
 
@@ -202,7 +209,7 @@ func TestMergerLiveSequenceEarlyStop(t *testing.T) {
 		emitted = append(emitted, h)
 		return true
 	})
-	m.drop = func(i int) bool { return i == 1 }
+	m.drop = map[int]bool{1: true}
 	m.stopAt = 2 // live sequences: 3 global minus 1 tombstone
 	events := make(chan event, 16)
 	var cancelled atomic.Bool
@@ -223,11 +230,11 @@ func TestMergerLiveSequenceEarlyStop(t *testing.T) {
 	}
 }
 
-// TestSearchExtraDeleteTerminates: engine-level version of the regression —
+// TestViewDeleteTerminates: engine-level version of the regression —
 // delete one sequence from a prefix-sharded corpus where every sequence
 // matches, and assert the merged stream still terminates with exactly the
 // live sequences.
-func TestSearchExtraDeleteTerminates(t *testing.T) {
+func TestViewDeleteTerminates(t *testing.T) {
 	motif := "DKDGDGCITTKELGTV"
 	strs := make([]string, 6)
 	for i := range strs {
@@ -242,17 +249,12 @@ func TestSearchExtraDeleteTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
-	ext := &ExtraSet{
-		Drop:          func(i int) bool { return i == 2 },
-		LiveSeqs:      db.NumSequences() - 1,
-		TotalResidues: db.TotalResidues() - int64(len(strs[2])),
-		NumSeqs:       db.NumSequences(),
+	view, err := eng.WithLayers(nil, map[int]bool{2: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var got []core.Hit
-	if err := eng.SearchExtra([]byte(seq.Protein.MustEncode(motif)), core.Options{Scheme: scheme, MinScore: 20}, ext, func(h core.Hit) bool {
-		got = append(got, h)
-		return true
-	}); err != nil {
+	got, err := view.SearchAll([]byte(seq.Protein.MustEncode(motif)), core.Options{Scheme: scheme, MinScore: 20})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != db.NumSequences()-1 {

@@ -28,16 +28,20 @@ type layeredCatalog struct {
 	concat     int64
 }
 
-// NewLayeredCatalog builds the global catalog over a base catalog plus
-// delta layers appended in order: exactly the numbering the manifest's
-// DeltaRecord.GlobalIndex maps and the engine layer's memtable use.
-func NewLayeredCatalog(base core.Catalog, baseN int, baseRes int64, extras []ExtraShard) core.Catalog {
+// newLayeredCatalog builds the global catalog over a base catalog plus
+// layers appended in order: exactly the numbering the manifest's
+// DeltaRecord.GlobalIndex maps and the engine layer's memtable use.  Only
+// WithLayers calls it, once per view, in O(layers) — which is why this stays a
+// second type beside unionCatalog: that one resolves ARBITRARY global maps
+// through per-sequence tables built once at open, and folding the dense
+// layers into it would make every publish O(corpus).
+func newLayeredCatalog(base core.Catalog, baseN int, baseRes int64, layers []Layer) core.Catalog {
 	lc := &layeredCatalog{
 		base: base, baseN: baseN, baseRes: baseRes,
 		baseConcat: baseRes + int64(baseN),
 	}
 	n, concat, total := baseN, lc.baseConcat, baseRes
-	for _, x := range extras {
+	for _, x := range layers {
 		cat := x.Index.Catalog()
 		lc.layers = append(lc.layers, cat)
 		lc.offsets = append(lc.offsets, n)

@@ -40,9 +40,9 @@ type merger struct {
 	report     func(core.Hit) bool
 	totalRes   int64 // live residue count for E-values
 	queryLen   int
-	// drop filters tombstoned sequences out of the merged stream (nil when
-	// the engine has no deletions in flight).
-	drop func(seqIndex int) bool
+	// drop holds the tombstoned global sequence indexes filtered out of the
+	// merged stream (nil when the view has no deletions).
+	drop map[int]bool
 	// stopAt is the all-sequences early-stop count: once stopAt distinct
 	// sequences have been emitted nothing the shards still hold can survive,
 	// so the stream ends.  It is the LIVE (non-tombstoned) sequence count —
@@ -224,7 +224,7 @@ func (m *merger) emitReady() bool {
 			}
 		}
 		h := m.pending.pop().Hit
-		if m.drop != nil && m.drop(h.SeqIndex) {
+		if m.drop[h.SeqIndex] {
 			continue // tombstoned: the sequence was deleted
 		}
 		if m.dedup != nil && !m.dedup.markNew(h.SeqIndex) {

@@ -53,9 +53,9 @@ func NewEngineFromProviders(set ProviderSet, opts Options) (*Engine, error) {
 	if set.Catalog == nil {
 		return nil, fmt.Errorf("shard: provider set needs a catalog")
 	}
-	e := &Engine{mode: PartitionBySequence, cat: set.Catalog, closers: set.Closers}
+	r := &root{mode: PartitionBySequence, baseCat: set.Catalog, closers: set.Closers}
 	for _, p := range set.Providers {
-		e.base = append(e.base, baseShard{provider: p})
+		r.base = append(r.base, baseShard{provider: p})
 	}
-	return e.finish(opts)
+	return r.finish(opts)
 }

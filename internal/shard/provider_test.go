@@ -182,9 +182,11 @@ func TestProviderFailureQuarantines(t *testing.T) {
 		t.Fatal("strict search over a failing provider must fail")
 	}
 
-	// SearchExtra has no meaning for provider-backed engines.
-	ext := &ExtraSet{Drop: func(int) bool { return false }}
-	if err := pe.SearchExtra(query, opts, ext, func(core.Hit) bool { return true }); err == nil {
-		t.Fatal("SearchExtra on a provider engine must refuse")
+	// Layers and tombstones have no meaning for provider-backed engines.
+	if _, err := pe.WithLayers(nil, map[int]bool{0: true}); err == nil {
+		t.Fatal("WithLayers on a provider engine must refuse")
+	}
+	if _, err := pe.WithLayers(nil, nil); err != nil {
+		t.Fatalf("the pristine view of a provider engine must be available: %v", err)
 	}
 }

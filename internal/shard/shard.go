@@ -14,8 +14,8 @@
 //   - a local index plus a local-to-global sequence map (core.SearchStream).
 //     This serves the base shards of a PartitionBySequence engine — the
 //     database split into independently indexed, sequence-disjoint shards
-//     balanced by residue count — and equally the engine layer's mutable
-//     layers (compacted delta indexes and the memtable snapshot, ExtraSet);
+//     balanced by residue count — and equally a view's layers (compacted
+//     delta indexes and the memtable snapshot; see Layer and WithLayers);
 //   - a prefix shard of a PartitionByPrefix engine: ONE shared suffix tree
 //     whose disjoint top-level subtrees are assigned to shards by suffix
 //     prefix (seq.PartitionByPrefix).  The near-root columns are expanded
@@ -77,7 +77,7 @@ type Options struct {
 	// number of sequences in PartitionBySequence mode).
 	Shards int
 	// Workers bounds how many streams of one query run concurrently
-	// (default: all of them — every shard and every mutable layer).
+	// (default: all of them — every shard and every layer).
 	Workers int
 	// Partition selects the work-partitioning strategy (default
 	// PartitionBySequence).
@@ -102,15 +102,45 @@ var _ core.SubtreeAssigner = (*seq.PrefixPartition)(nil)
 // (internal/diskst) each read through its own buffer pool, so shard
 // parallelism also parallelises I/O, and NewEngineFromProviders takes opaque
 // streams such as remote shard servers.
+//
+// An Engine value is one VIEW of the corpus — one generation: the base shards
+// plus a list of mutable layers and a tombstone set, with the catalog and live
+// totals derived from them (WithLayers).  Everything expensive or long-lived
+// is in the root every view of one engine shares by pointer, so a view costs
+// O(layers + tombstones) to build and lifetime counters stay continuous
+// across generations.
 type Engine struct {
+	*root
+	// layers are searched beside the base shards; tombs are the deleted
+	// global sequence indexes the merger filters.  Neither is ever mutated
+	// once the view exists.
+	layers []Layer
+	tombs  map[int]bool
+	// cat is the global catalog over base + layers (the base catalog itself
+	// when there are none).  numSeqs is the size of the global sequence-index
+	// space, tombstoned sequences included; liveRes the residue count of the
+	// live ones, which E-values are computed against.
+	cat     core.Catalog
+	numSeqs int
+	liveRes int64
+}
+
+// root is what every view of one engine shares: the base shards, the pooled
+// per-query state and the lifetime counters.
+type root struct {
 	mode PartitionMode
 	// workers is the explicit Options.Workers bound; 0 runs every stream of
 	// a query at once.
 	workers int
-	total   int64 // global residue count, for E-values
-	numSeqs int
 	queryAl *seq.Alphabet
-	cat     core.Catalog
+	// baseCat is the catalog over the base shards alone.  baseSeqs/baseRes
+	// are the base corpus's totals as the global numbering defines them: the
+	// catalog's own, except that a disk directory's manifest overrides them
+	// (a degraded engine's union catalog can cover less, but delta layers are
+	// numbered after the manifest's count).
+	baseCat  core.Catalog
+	baseSeqs int
+	baseRes  int64
 	// base is the engine's own shards, one per work partition.
 	base []baseShard
 	// frontier and prefixes drive the shared near-root expansion of a prefix
@@ -146,13 +176,6 @@ type Engine struct {
 	// mid-query over the engine's lifetime (metrics).
 	standing    []core.ShardError
 	quarantines atomic.Int64
-	// mutable is a standing mutable-layer context folded into every search
-	// that brings none of its own: OpenDiskEngine sets it when the
-	// directory's manifest records compacted delta layers or tombstones, so a
-	// reopened index serves the manifest's full live corpus, not just the
-	// base generation.  The engine layer manages its own per-query ExtraSet
-	// instead (DiskOptions.BaseOnly) and leaves this nil.
-	mutable *ExtraSet
 }
 
 // baseShard is one of the engine's own work partitions: a local index, or an
@@ -176,7 +199,7 @@ func NewEngine(db *seq.Database, opts Options) (*Engine, error) {
 	if opts.Shards < 1 {
 		opts.Shards = 1
 	}
-	e := &Engine{mode: opts.Partition, cat: core.NewDatabaseCatalog(db)}
+	r := &root{mode: opts.Partition, baseCat: core.NewDatabaseCatalog(db)}
 	switch opts.Partition {
 	case PartitionBySequence:
 		part, err := seq.PartitionDatabase(db, opts.Shards)
@@ -188,49 +211,112 @@ func NewEngine(db *seq.Database, opts Options) (*Engine, error) {
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: %w", s, err)
 			}
-			e.base = append(e.base, baseShard{index: idx, globals: part.GlobalIndex[s]})
+			r.base = append(r.base, baseShard{index: idx, globals: part.GlobalIndex[s]})
 		}
 	case PartitionByPrefix:
 		idx, err := core.BuildMemoryIndex(db)
 		if err != nil {
 			return nil, err
 		}
-		e.prefixes, err = seq.PartitionByPrefix(db, opts.Shards)
+		r.prefixes, err = seq.PartitionByPrefix(db, opts.Shards)
 		if err != nil {
 			return nil, err
 		}
-		e.frontier = idx
-		for s := 0; s < e.prefixes.NumShards(); s++ {
-			e.base = append(e.base, baseShard{index: idx})
+		r.frontier = idx
+		for s := 0; s < r.prefixes.NumShards(); s++ {
+			r.base = append(r.base, baseShard{index: idx})
 		}
 	default:
 		return nil, fmt.Errorf("shard: unknown partition mode %d", opts.Partition)
 	}
-	return e.finish(opts)
+	return r.finish(opts)
 }
 
 // finish is the constructor tail every engine shape shares, run once the mode,
-// catalog and base shards are set: it derives the catalog totals and sizes the
-// pooled scratch, dedup sets and per-shard accounting.
-func (e *Engine) finish(opts Options) (*Engine, error) {
-	n := len(e.base)
+// base catalog and base shards are set: it derives the base totals, sizes the
+// pooled scratch, dedup sets and per-shard accounting, and returns the
+// pristine view (no layers, no tombstones).
+func (r *root) finish(opts Options) (*Engine, error) {
+	n := len(r.base)
 	if n == 0 {
 		return nil, fmt.Errorf("shard: engine has no shards")
 	}
-	e.numSeqs = e.cat.NumSequences()
-	e.total = e.cat.TotalResidues()
-	e.queryAl = e.cat.Alphabet()
-	e.workers = max(opts.Workers, 0)
-	e.nosteal = opts.NoSteal
+	r.baseSeqs = r.baseCat.NumSequences()
+	r.baseRes = r.baseCat.TotalResidues()
+	r.queryAl = r.baseCat.Alphabet()
+	r.workers = max(opts.Workers, 0)
+	r.nosteal = opts.NoSteal
 	// Hold enough idle scratches for a few concurrent queries, each using
 	// one scratch per stream (plus the frontier expansion in prefix mode).
-	e.scratch = bufferpool.NewFreeList(4*(n+1), core.NewScratch)
-	e.dedups = bufferpool.NewFreeList(8, func() *dedupSet { return &dedupSet{} })
-	e.affine = make([]atomic.Pointer[core.Scratch], n)
-	e.queued = make([]atomic.Int64, n)
-	e.active = make([]atomic.Int64, n)
-	return e, nil
+	r.scratch = bufferpool.NewFreeList(4*(n+1), core.NewScratch)
+	r.dedups = bufferpool.NewFreeList(8, func() *dedupSet { return &dedupSet{} })
+	r.affine = make([]atomic.Pointer[core.Scratch], n)
+	r.queued = make([]atomic.Int64, n)
+	r.active = make([]atomic.Int64, n)
+	return (&Engine{root: r}).WithLayers(nil, nil)
 }
+
+// Layer is one additional index searched alongside the engine's own shards:
+// the engine layer's LSM delta layers (compacted delta files and the
+// in-memory memtable snapshot).  A layer covers a sequence subset disjoint
+// from the base shards and from every other layer; Globals maps its local
+// sequence indexes into the global space, which layers extend densely, in
+// order, after the base corpus (the numbering diskst.DeltaRecord.GlobalIndex
+// records).
+type Layer struct {
+	Index   core.Index
+	Globals []int
+}
+
+// WithLayers returns the view of e's base shards under the given mutable
+// context: layers stream beside the base shards through the one merger,
+// tombstoned sequences (global indexes) are filtered out of the merged stream,
+// and the catalog, the index-space size and the live totals that drive
+// E-values and the all-sequences early stop are derived here, from the layers'
+// catalogs and the tombstone set, and nowhere else.  e's own layers and
+// tombstones are replaced, not extended.  The view shares everything else
+// with e — base shards, scratch and dedup pools, affine slots, lifetime
+// counters, Close — so it costs O(layers + tombstones).  Neither argument may
+// be modified afterwards.  With neither it is the pristine engine.
+func (e *Engine) WithLayers(layers []Layer, tombstones map[int]bool) (*Engine, error) {
+	v := &Engine{root: e.root, layers: layers, tombs: tombstones,
+		cat: e.baseCat, numSeqs: e.baseSeqs, liveRes: e.baseCat.TotalResidues()}
+	if !v.layered() {
+		return v, nil
+	}
+	if e.base[0].provider != nil {
+		return nil, fmt.Errorf("shard: provider-backed engines have no mutable layer")
+	}
+	v.liveRes = e.baseRes
+	for _, l := range layers {
+		cat := l.Index.Catalog()
+		v.numSeqs += cat.NumSequences()
+		v.liveRes += cat.TotalResidues()
+	}
+	if len(layers) > 0 {
+		v.cat = newLayeredCatalog(e.baseCat, e.baseSeqs, e.baseRes, layers)
+	}
+	for g := range tombstones {
+		v.liveRes -= int64(v.cat.SequenceLength(g))
+	}
+	return v, nil
+}
+
+// layered reports whether the view differs from the pristine engine.
+func (e *Engine) layered() bool { return len(e.layers)+len(e.tombs) > 0 }
+
+// Layers and Tombstones return the view's mutable context as WithLayers was
+// given it (OpenDiskEngine: as the manifest records it), so a writer can
+// extend it into the next generation.  Callers must not modify either.
+func (e *Engine) Layers() []Layer          { return e.layers }
+func (e *Engine) Tombstones() map[int]bool { return e.tombs }
+
+// NumSequences is the size of the view's global sequence-index space: base
+// plus layers, tombstoned sequences included.  LiveSequences and LiveResidues
+// describe what a search can reach after tombstone filtering.
+func (e *Engine) NumSequences() int   { return e.numSeqs }
+func (e *Engine) LiveSequences() int  { return e.numSeqs - len(e.tombs) }
+func (e *Engine) LiveResidues() int64 { return e.liveRes }
 
 // Catalog returns the engine's global sequence catalog (hit sequence indexes
 // are global, so alignment recovery and metadata lookups go through it).
@@ -296,43 +382,6 @@ func (e *Engine) NumShards() int { return len(e.base) }
 // shards: Options.Workers when set, otherwise one worker per shard.
 func (e *Engine) Workers() int { return cmp.Or(e.workers, len(e.base)) }
 
-// ExtraShard is one additional index searched alongside the engine's own
-// shards: the engine layer's LSM delta layers (the in-memory memtable
-// snapshot and compacted delta files) plug in here.  An extra shard covers a
-// sequence subset disjoint from the base shards and from every other extra;
-// Globals maps its shard-local sequence indexes into the global space.
-type ExtraShard struct {
-	Index   core.Index
-	Globals []int
-}
-
-// ExtraSet is the per-query mutable-layer context for SearchExtra: the delta
-// shards to merge in, the tombstone filter, and the live corpus totals that
-// replace the engine's static ones.
-type ExtraSet struct {
-	// Shards are the delta providers merged into the base stream.
-	Shards []ExtraShard
-	// Drop reports whether a global sequence index is tombstoned; matching
-	// hits are filtered out of the merged stream.  nil means no deletions.
-	Drop func(seqIndex int) bool
-	// LiveSeqs is the live (non-tombstoned) sequence count across base and
-	// deltas; it replaces the static global count in the merger's
-	// all-sequences early stop.  0 disables the stop.
-	LiveSeqs int
-	// TotalResidues is the live residue count used for E-values (0 keeps the
-	// engine's base total).
-	TotalResidues int64
-	// NumSeqs is the total global sequence-index space (base + deltas,
-	// including tombstoned holes), sizing the deduplication set.  0 keeps the
-	// engine's base count.
-	NumSeqs int
-}
-
-// empty reports whether the set changes anything about a base-only search.
-func (x *ExtraSet) empty() bool {
-	return x == nil || (len(x.Shards) == 0 && x.Drop == nil)
-}
-
 // event is one message from a stream goroutine to the merger.
 type event struct {
 	shard int
@@ -351,13 +400,14 @@ const (
 	evDone
 )
 
-// Search runs the query on every shard and streams the merged hits to
-// report in globally decreasing score order, exactly as core.Search does on
-// a single index.  Per-shard work counters are merged into opts.Stats via
+// Search runs the query on every stream of the view — base shards and layers
+// — and streams the merged hits, tombstoned sequences filtered, to report in
+// globally decreasing score order, exactly as core.Search does on a single
+// index.  Per-shard work counters are merged into opts.Stats via
 // Stats.Add; hit ranks are assigned by the merger.  Returning false from
 // report cancels every shard search.
 func (e *Engine) Search(query []byte, opts core.Options, report func(core.Hit) bool) error {
-	return e.search(query, opts, nil, report, nil)
+	return e.search(query, opts, report, nil)
 }
 
 // SearchBounded is Search with a second online output: alongside the merged
@@ -373,31 +423,16 @@ func (e *Engine) Search(query []byte, opts core.Options, report func(core.Hit) b
 // so equal-score ties are always released in ascending global sequence index
 // — the canonical merged order a coordinator reproduces.
 func (e *Engine) SearchBounded(query []byte, opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
-	return e.search(query, opts, nil, hit, bound)
+	return e.search(query, opts, hit, bound)
 }
 
-// SearchExtra is Search with the engine layer's mutable context merged in:
-// delta shards stream alongside the base shards, tombstoned sequences are
-// filtered, and the live totals drive E-values and the all-sequences early
-// stop.  With an empty set it is exactly Search.  Extra streams always go
-// through the merger (even on a single-shard engine), so the merged stream
-// keeps the globally decreasing-score property and deterministic tie release.
-func (e *Engine) SearchExtra(query []byte, opts core.Options, ext *ExtraSet, report func(core.Hit) bool) error {
-	return e.search(query, opts, ext, report, nil)
-}
-
-// search is the one search path: plan the query's streams, merge them.  ext
-// is the caller's mutable context (nil or empty: the engine's standing one,
-// if the directory it was opened from carried deltas or tombstones); bsink,
-// when non-nil, receives the merged stream's own decreasing bound.
-func (e *Engine) search(query []byte, opts core.Options, ext *ExtraSet, report func(core.Hit) bool, bsink func(int) bool) error {
-	if ext.empty() {
-		ext = e.mutable
-	}
+// search is the one search path: plan the query's streams, merge them.
+// bsink, when non-nil, receives the merged stream's own decreasing bound.
+func (e *Engine) search(query []byte, opts core.Options, report func(core.Hit) bool, bsink func(int) bool) error {
 	if err := e.applyStanding(opts); err != nil {
 		return err
 	}
-	if b := &e.base[0]; len(e.base) == 1 && b.index != nil && ext == nil && bsink == nil {
+	if b := &e.base[0]; len(e.base) == 1 && b.index != nil && !e.layered() && bsink == nil {
 		// One local index and nothing to merge it with is the single-index
 		// search; skip the merge machinery.
 		n := 0
@@ -420,11 +455,11 @@ func (e *Engine) search(query []byte, opts core.Options, ext *ExtraSet, report f
 	if err := opts.Scheme.Validate(); err != nil {
 		return err
 	}
-	p, err := e.plan(query, opts, ext)
+	p, err := e.plan(query, opts)
 	if err != nil {
 		return err
 	}
-	return e.fanOutMerge(len(query), opts, p, ext, report, bsink)
+	return e.fanOutMerge(len(query), opts, p, report, bsink)
 }
 
 // applyStanding folds open-time quarantines into the query: strict mode
@@ -454,7 +489,7 @@ type stream struct {
 	// goroutine, worker slot or scratch.
 	idle bool
 	// slot is the base shard whose queue-depth counters and affine scratch
-	// the stream uses, or -1 for a mutable layer, which has neither.
+	// the stream uses, or -1 for a layer, which has neither.
 	slot int
 	// run has the Provider.Stream contract (hits carry GLOBAL indexes).
 	run func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error
@@ -495,15 +530,11 @@ type plan struct {
 }
 
 // plan builds the query's stream list: the engine's base shards — expanded
-// from one shared frontier in prefix mode — followed by ext's mutable layers.
-func (e *Engine) plan(query []byte, opts core.Options, ext *ExtraSet) (*plan, error) {
-	var extras []ExtraShard
-	if ext != nil {
-		extras = ext.Shards
-	}
+// from one shared frontier in prefix mode — followed by the view's layers.
+func (e *Engine) plan(query []byte, opts core.Options) (*plan, error) {
 	prefix := e.prefixes != nil && len(e.base) > 1
-	p := &plan{dedup: prefix, budget: !prefix && (ext == nil || ext.Drop == nil)}
-	p.streams = make([]stream, 0, len(e.base)+len(extras))
+	p := &plan{dedup: prefix, budget: !prefix && len(e.tombs) == 0}
+	p.streams = make([]stream, 0, len(e.base)+len(e.layers))
 	// Streams that are not seeded from a frontier start at the strongest f
 	// any search over this query can hold.
 	rb := e.rootBound(query, opts)
@@ -517,18 +548,15 @@ func (e *Engine) plan(query []byte, opts core.Options, ext *ExtraSet) (*plan, er
 				p.streams = append(p.streams, localStream(b.index, b.globals, query, rb, s))
 				continue
 			}
-			if ext != nil {
-				return nil, fmt.Errorf("shard: provider-backed engines have no mutable layer")
-			}
 			p.streams = append(p.streams, stream{bound: rb, slot: s, run: func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
 				return b.provider.Stream(query, opts, hit, bound)
 			}})
 		}
 	}
-	// Each mutable layer is its own small suffix tree over sequences no other
-	// stream holds.
-	for _, x := range extras {
-		p.streams = append(p.streams, localStream(x.Index, x.Globals, query, rb, -1))
+	// Each layer is its own small suffix tree over sequences no other stream
+	// holds.
+	for _, l := range e.layers {
+		p.streams = append(p.streams, localStream(l.Index, l.Globals, query, rb, -1))
 	}
 	return p, nil
 }
@@ -607,11 +635,11 @@ func (e *Engine) rootBound(query []byte, opts core.Options) int {
 // fanOutMerge runs a plan: one goroutine per stream on the bounded worker
 // pool, each adapted into merger events by runStream, merged by a merger
 // configured with the streams' initial bounds, the (pooled) dedup set and the
-// mutable context's tombstone filter and live totals.  The shared frontier
+// view's tombstone filter and live totals.  The shared frontier
 // work and the per-stream counters are merged into opts.Stats once every
 // stream has unwound.  bsink, when non-nil, receives the merged stream's own
 // decreasing upper bound (SearchBounded).
-func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, ext *ExtraSet, report func(core.Hit) bool, bsink func(int) bool) error {
+func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, report func(core.Hit) bool, bsink func(int) bool) error {
 	// The buffer holds at least one event per stream, so the idle-stream
 	// completions below — all sent before any stream starts filling it —
 	// never block ahead of the merger draining.
@@ -620,7 +648,7 @@ func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, ext *Extr
 	var cancelled atomic.Bool
 	var wg sync.WaitGroup
 	// Without an explicit Workers bound every stream of THIS query runs at
-	// once — mutable layers included: a stream that has not started holds the
+	// once — layers included: a stream that has not started holds the
 	// merger at its initial bound, so queueing one delays every release.
 	sem := make(chan struct{}, cmp.Or(e.workers, n))
 	// E-values depend on the global database size; they are attached by the
@@ -645,8 +673,8 @@ func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, ext *Extr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Queue-depth accounting wraps the worker-pool semaphore; mutable
-			// layers (slot -1) share the semaphore but not the per-shard depth
+			// Queue-depth accounting wraps the worker-pool semaphore; layers
+			// (slot -1) share the semaphore but not the per-shard depth
 			// counters, which size to the engine's own shards.
 			if st.slot >= 0 {
 				e.queued[st.slot].Add(1)
@@ -664,24 +692,17 @@ func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, ext *Extr
 	var dedup *dedupSet
 	if p.dedup {
 		// Deduplication covers the full global space: base sequences may
-		// repeat across prefix shards; mutable-layer sequences appear in
-		// exactly one stream but flow through the same set harmlessly.
-		seqs := e.numSeqs
-		if ext != nil && ext.NumSeqs > seqs {
-			seqs = ext.NumSeqs
-		}
+		// repeat across prefix shards; layer sequences appear in exactly one
+		// stream but flow through the same set harmlessly.
 		dedup = e.dedups.Get()
-		dedup.acquire(seqs)
+		dedup.acquire(e.numSeqs)
 		defer e.dedups.Put(dedup)
 	}
-	m := newMerger(bounds, opts, e.total, queryLen, dedup, report)
+	m := newMerger(bounds, opts, e.liveRes, queryLen, dedup, report)
 	m.onBound = bsink
-	if ext != nil {
-		m.drop = ext.Drop
-		if ext.TotalResidues > 0 {
-			m.totalRes = ext.TotalResidues
-		}
-		m.stopAt = ext.LiveSeqs
+	if e.layered() {
+		m.drop = e.tombs
+		m.stopAt = e.LiveSequences()
 	}
 	err := m.run(events, &cancelled)
 	wg.Wait()

@@ -25,13 +25,13 @@ func TestExtraStreamsRunConcurrently(t *testing.T) {
 	all := randomShardDB(t, rng, seq.Protein, 8, 40).Sequences()
 	const nDelta = 3
 	nBase := len(all) - nDelta
-	ext := &ExtraSet{NumSeqs: len(all), LiveSeqs: len(all)}
+	var layers []Layer
 	for g := nBase; g < len(all); g++ {
 		idx, err := core.BuildMemoryIndex(seq.MustDatabase(seq.Protein, all[g:g+1]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ext.Shards = append(ext.Shards, ExtraShard{Index: idx, Globals: []int{g}})
+		layers = append(layers, Layer{Index: idx, Globals: []int{g}})
 	}
 	query := all[0].Residues
 	opts := core.Options{Scheme: score.MustScheme(score.ByName("PAM30"), -10), MinScore: 5}
@@ -43,12 +43,13 @@ func TestExtraStreamsRunConcurrently(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		var hits []core.Hit
+		view, err := eng.WithLayers(layers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		start := time.Now()
-		if err := eng.SearchExtra(query, opts, ext, func(h core.Hit) bool {
-			hits = append(hits, h)
-			return true
-		}); err != nil {
+		hits, err := view.SearchAll(query, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start), hits

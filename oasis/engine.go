@@ -30,13 +30,11 @@ type EngineOptions struct {
 	// partitioning the database by sequence; see ShardOptions.
 	PartitionByPrefix bool
 	// ShardWorkers bounds how many shard searches run concurrently within
-	// one query (default: one per shard, plus one per mutable layer).
+	// one query (default: one per shard, plus one per delta layer).
 	ShardWorkers int
 	// BatchWorkers bounds how many queries of one batch are in flight at a
 	// time (default GOMAXPROCS).
 	BatchWorkers int
-	// ResultBuffer is the capacity of batch result channels (default 64).
-	ResultBuffer int
 	// CacheBytes bounds the cross-query result cache: with a positive
 	// budget the engine stores every completed decreasing-score hit stream
 	// and replays it without touching the index when an identical query
@@ -51,10 +49,6 @@ type EngineOptions struct {
 	// every query reports Degraded with the per-shard errors
 	// (sequence-partitioned directories only).
 	AllowDegraded bool
-	// WarmupPages controls open-time buffer-pool warm-up per disk shard
-	// (0 = a small default working set of near-root pages; negative
-	// disables warm-up).
-	WarmupPages int
 }
 
 // Engine is a warm, long-running OASIS query engine: the sharded suffix-tree
@@ -94,10 +88,8 @@ func NewEngine(db *Database, opts EngineOptions) (*Engine, error) {
 		PartitionByPrefix: opts.PartitionByPrefix,
 		ShardWorkers:      opts.ShardWorkers,
 		BatchWorkers:      opts.BatchWorkers,
-		ResultBuffer:      opts.ResultBuffer,
 		CacheBytes:        opts.CacheBytes,
 		AllowDegraded:     opts.AllowDegraded,
-		WarmupPages:       opts.WarmupPages,
 	})
 	if err != nil {
 		return nil, err

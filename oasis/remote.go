@@ -39,11 +39,10 @@ type (
 type CoordinatorOptions struct {
 	// Workers bounds concurrent slice streams per query (0 = one per slice).
 	Workers int
-	// BatchWorkers, ResultBuffer and CacheBytes configure the warm engine in
-	// front of the fan-out exactly as in EngineOptions.  A coordinator-side
-	// result cache short-circuits repeated queries before any network I/O.
+	// BatchWorkers and CacheBytes configure the warm engine in front of the
+	// fan-out exactly as in EngineOptions.  A coordinator-side result cache
+	// short-circuits repeated queries before any network I/O.
 	BatchWorkers int
-	ResultBuffer int
 	CacheBytes   int64
 	// DialTimeout and HeaderTimeout bound each ATTEMPT's connection
 	// establishment and time-to-response-headers (defaults 2s / 10s).  They
@@ -97,7 +96,6 @@ func OpenCoordinator(ctx context.Context, slices [][]string, opts CoordinatorOpt
 	}
 	ieng, err := engine.NewFromShardEngine(co.Engine(), engine.Options{
 		BatchWorkers: opts.BatchWorkers,
-		ResultBuffer: opts.ResultBuffer,
 		CacheBytes:   opts.CacheBytes,
 	})
 	if err != nil {
