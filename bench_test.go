@@ -1,13 +1,12 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (Section 4), plus ablation benchmarks for the design choices called out in
-// DESIGN.md.  Each benchmark prints the reproduced series through
-// testing.B.ReportMetric / b.Log so that `go test -bench` output doubles as
-// the experiment record; cmd/oasis-bench runs the same experiments at larger
-// scale with full tables.
+// (Section 4), plus ablation benchmarks for its design choices (construction
+// algorithm, block size, memory vs disk index, BLAST seeding).  Each benchmark
+// prints the reproduced series through testing.B.ReportMetric / b.Log so that
+// `go test -bench` output doubles as the experiment record; cmd/oasis-bench
+// runs the same experiments at larger scale with full tables.
 package repro
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,9 +18,7 @@ import (
 	"repro/internal/bufferpool"
 	"repro/internal/core"
 	"repro/internal/diskst"
-	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/shard"
 	"repro/internal/suffixtree"
 	"repro/internal/workload"
 	"repro/oasis"
@@ -310,7 +307,7 @@ func BenchmarkFigure9OnlineAllResults(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md Section 7) ---------------------------------------
+// --- Ablations ---------------------------------------------------------------
 
 // BenchmarkAblationIndexConstruction compares the three suffix-tree
 // construction algorithms.
@@ -410,72 +407,7 @@ func BenchmarkAblationBLASTTwoHit(b *testing.B) {
 	}
 }
 
-// --- Sharded parallel search -----------------------------------------------
-
-// BenchmarkShardedSearch measures workload throughput through the sharded
-// engine (one searcher per partition, order-preserving merge) at increasing
-// shard counts, in both partition modes.  The sequence/shards=1 case is the
-// single-index baseline for the speedup comparison; real scaling requires
-// >1 CPU.  The columns/query metric is the point of the comparison:
-// sequence-partitioned shards duplicate near-root expansion (columns grow
-// with the shard count) while prefix-partitioned shards share one frontier
-// (columns stay flat at the 1-shard count).
-func BenchmarkShardedSearch(b *testing.B) {
-	l, _ := benchLab(b)
-	for _, pm := range []struct {
-		name string
-		mode shard.PartitionMode
-	}{{"sequence", shard.PartitionBySequence}, {"prefix", shard.PartitionByPrefix}} {
-		for _, nShards := range []int{1, 2, 4, 8} {
-			pm, nShards := pm, nShards
-			b.Run(fmt.Sprintf("%s/shards=%d", pm.name, nShards), func(b *testing.B) {
-				eng, err := shard.NewEngine(l.DB, shard.Options{Shards: nShards, Partition: pm.mode})
-				if err != nil {
-					b.Fatal(err)
-				}
-				qs := benchScoredQueries(l, l.Config.EValue)
-				var st core.Stats
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					q := qs[i%len(qs)]
-					if _, err := eng.SearchAll(q.residues, core.Options{Scheme: l.Scheme, MinScore: q.minScore, Stats: &st}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(st.ColumnsExpanded)/float64(b.N), "columns/query")
-				b.ReportMetric(float64(st.CellsComputed)/float64(b.N), "cells/query")
-			})
-		}
-	}
-}
-
-// BenchmarkLiveBandKernel quantifies the live-band DP kernel: the band
-// sub-benchmark runs the standard search, full-sweep disables the band and
-// touches every cell of every expanded column (the pre-band behaviour).
-func BenchmarkLiveBandKernel(b *testing.B) {
-	l, mem := benchLab(b)
-	for _, mode := range []struct {
-		name string
-		full bool
-	}{{"band", false}, {"full-sweep", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			qs := benchScoredQueries(l, l.Config.EValue)
-			var st core.Stats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				if _, err := core.SearchAll(mem, q.residues, core.Options{
-					Scheme: l.Scheme, MinScore: q.minScore, Stats: &st, DisableLiveBand: mode.full,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(st.CellsComputed)/float64(b.N), "cells/query")
-			b.ReportMetric(float64(st.ColumnsExpanded)/float64(b.N), "columns/query")
-		})
-	}
-}
+// --- Public API ---------------------------------------------------------------
 
 // BenchmarkPublicAPISearch exercises the public oasis facade end to end
 // (what a downstream user pays per query).  Option assembly is hoisted out
@@ -505,80 +437,6 @@ func BenchmarkPublicAPISearch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- Batch query engine -----------------------------------------------------
-
-// BenchmarkBatchEngine measures the tentpole directly: cold-setup pays full
-// engine construction (index build, shard pool, scratch) per query — the
-// pre-engine serving pattern — while the warm sub-benchmarks reuse one
-// long-lived engine across all iterations, and warm-batch additionally
-// multiplexes the whole workload through SubmitBatch per iteration.
-func BenchmarkBatchEngine(b *testing.B) {
-	l, _ := benchLab(b)
-	qs := benchScoredQueries(l, l.Config.EValue)
-	ctx := context.Background()
-	drain := func(core.Hit) bool { return true }
-	query := func(i int) engine.Query {
-		q := qs[i%len(qs)]
-		return engine.Query{
-			Residues: q.residues,
-			Options:  core.Options{Scheme: l.Scheme, MinScore: q.minScore},
-		}
-	}
-
-	b.Run("cold-setup", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			eng, err := engine.New(l.DB, engine.Options{Shards: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eng.Search(ctx, query(i), drain); err != nil {
-				b.Fatal(err)
-			}
-			if err := eng.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		eng, err := engine.New(l.DB, engine.Options{Shards: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer eng.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Search(ctx, query(i), drain); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm-batch", func(b *testing.B) {
-		eng, err := engine.New(l.DB, engine.Options{Shards: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer eng.Close()
-		batch := make([]engine.Query, len(qs))
-		for i := range qs {
-			batch[i] = query(i)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for r := range eng.SubmitBatch(ctx, batch) {
-				if r.Done && r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-		}
-		b.StopTimer()
-		// One op is the whole workload; report per-query throughput too.
-		perOp := b.Elapsed().Seconds() / float64(b.N)
-		if perOp > 0 {
-			b.ReportMetric(float64(len(batch))/perOp, "queries/sec")
-		}
-	})
 }
 
 func abs(x int) int {

@@ -2,7 +2,7 @@
 // sequence database.
 //
 // The database can come from a FASTA file or be generated synthetically
-// (the SWISS-PROT / Drosophila stand-in workloads described in DESIGN.md):
+// (the SWISS-PROT / Drosophila stand-in workloads of internal/workload):
 //
 //	oasis-build -in swissprot.fasta -alphabet protein -out swissprot.oasis
 //	oasis-build -synthetic 2000000 -alphabet protein -out synthetic.oasis

@@ -562,9 +562,9 @@ func (s *server) queryBodyLimit() int64 { return int64(s.cfg.maxQueryLen) + 4096
 
 // maxMutateBody bounds an /insert or /delete body: one sequence with its
 // identifier.  The longest known protein is ~35,000 residues; 1 MB leaves
-// room for nucleotide contigs while staying below what the memtable can index
-// at all — its leaf-range pass recurses to the depth of the longest repeat,
-// and a 4 MB single-letter run overflows the goroutine stack.
+// room for nucleotide contigs while bounding the memory one request can make
+// the server take: the body, its decoded copy and the memtable's suffix-tree
+// nodes for every residue of it.
 const maxMutateBody = 1 << 20
 
 // decodeBody decodes a JSON request body of at most limit bytes into v,

@@ -2,7 +2,9 @@
 // vet` suite and then the five project-specific invariant analyzers from
 // internal/analysis (hotpathalloc, ctxflow, cachekey, faultsite, atomicstate)
 // over the requested packages, exiting non-zero on any finding.  CI runs it
-// over ./... as a required step.
+// over ./... as a required step.  It also hosts the compiler escape gate,
+// the check of what the compiler decided where hotpathalloc checks what the
+// source says.
 //
 // Usage:
 //
@@ -10,9 +12,11 @@
 //
 // Flags:
 //
-//	-run list   comma-separated analyzer names to run (default all)
-//	-no-std     skip the `go vet` standard-analyzer pass
-//	-list       print the suite's analyzers and exit
+//	-run list       comma-separated analyzer names to run (default all)
+//	-no-std         skip the `go vet` standard-analyzer pass
+//	-list           print the suite's analyzers and exit
+//	-escape-gate    run the escape gate instead of the analyzers
+//	-escape-write   regenerate the escape gate's baseline instead
 //
 // See the internal/analysis package documentation for what each analyzer
 // enforces and how to annotate justified exceptions.
@@ -29,13 +33,29 @@ import (
 	"repro/internal/analysis"
 )
 
+// escapeAllowlist is the escape gate's checked-in baseline, relative to the
+// module root.
+const escapeAllowlist = "internal/analysis/testdata/escape_allowlist.txt"
+
 func main() {
 	var (
 		runList = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 		noStd   = flag.Bool("no-std", false, "skip the `go vet` standard-analyzer pass")
 		list    = flag.Bool("list", false, "list the suite's analyzers and exit")
+		escGate = flag.Bool("escape-gate", false,
+			"instead of the analyzers: recompile the gated packages (internal/core, internal/ndjson) with -gcflags='-m -d=ssa/check_bce/debug=1' and fail if a //oasis:hotpath function gained a heap escape or bounds check not in "+escapeAllowlist)
+		escWrite = flag.Bool("escape-write", false,
+			"instead of the analyzers: rewrite "+escapeAllowlist+" to the current compiler diagnostics")
 	)
 	flag.Parse()
+
+	if *escGate || *escWrite {
+		if err := runEscapeGate(*escWrite); err != nil {
+			fmt.Fprintln(os.Stderr, "oasis-vet:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	suite := analysis.Analyzers()
 	if *list {
@@ -119,4 +139,36 @@ func ciReferenceText(root string) map[string]string {
 		}
 	}
 	return refs
+}
+
+// runEscapeGate runs the compiler-output escape gate over the gated packages.
+// With write=true the baseline is regenerated instead of enforced.
+func runEscapeGate(write bool) error {
+	const modulePath = "repro"
+	if write {
+		diags, err := analysis.CollectEscapeDiags(".", modulePath, analysis.EscapeGatePackages)
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(escapeAllowlist, []byte(analysis.FormatAllowlist(diags)), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("escape-gate: wrote %d baseline entries to %s\n", len(diags), escapeAllowlist)
+		return nil
+	}
+	res, err := analysis.RunEscapeGate(".", modulePath, analysis.EscapeGatePackages, escapeAllowlist)
+	if err != nil {
+		return err
+	}
+	for _, d := range res.New {
+		fmt.Fprintf(os.Stderr, "escape-gate: NEW: %s (not in %s)\n", d, escapeAllowlist)
+	}
+	for _, d := range res.Stale {
+		fmt.Fprintf(os.Stderr, "escape-gate: STALE: %s (in %s but no longer produced; regenerate with -escape-write)\n", d, escapeAllowlist)
+	}
+	if !res.OK() {
+		return fmt.Errorf("escape gate failed: %d new, %d stale (baseline %s)", len(res.New), len(res.Stale), escapeAllowlist)
+	}
+	fmt.Printf("escape-gate: OK (%d baseline diagnostics in //oasis:hotpath functions)\n", len(res.Current))
+	return nil
 }

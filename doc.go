@@ -1,7 +1,7 @@
 // Package repro is the root of the OASIS reproduction (Meek, Patel &
 // Kasetty, VLDB 2003).  The public API lives in the oasis subpackage; the
 // benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation.  See README.md and DESIGN.md for the layout.
+// paper's evaluation.  See README.md for the layout.
 //
 // Beyond the paper, the repository scales the algorithm out and tightens
 // its hot loop:
@@ -47,7 +47,7 @@
 //     shared file plus a suffix-prefix -> shard assignment) and a
 //     manifest.json (internal/diskst.BuildSharded); oasis.OpenEngine /
 //     ShardOptions.IndexDir and the -index-dir flag of
-//     oasis-serve/oasis-search/oasis-bench reopen the directory with one
+//     oasis-serve/oasis-search reopen the directory with one
 //     buffer pool PER SHARD (shard.OpenDiskEngine over diskst indexes),
 //     so a query's shard fan-out fans out page I/O with no cross-shard
 //     cache thrash, and hit streams are identical to the in-memory
@@ -57,9 +57,6 @@
 //     layers and tombstones a directory records, and the warm engine's
 //     writer (internal/engine) publishes each later generation as another
 //     view over the same base shards (shard.Engine.WithLayers).
-//     oasis-bench -exp disk measures cold-open latency,
-//     queries/sec and buffer-pool hit rates against in-memory shards at
-//     matched shard counts (disk/shards=N in BENCH_oasis.json).
 //
 // The search kernels are pinned by a fuzz/golden/race test layer: native Go
 // fuzz targets assert live-band/full-sweep hit identity and the sharded
@@ -68,11 +65,9 @@
 // -race stress test hammers one warm engine with concurrent batches and
 // mid-stream cancellation.
 //
-// cmd/oasis-bench runs the paper's experiments plus the sharded, live-band
-// and batch measurements and writes a machine-readable BENCH_oasis.json so
-// the performance trajectory is tracked across changes (see
-// internal/experiments.BenchRecord for the record-name families, including
-// sharded/prefix/shards=N); its -prefix-budget flag — used as a CI gate —
-// fails the run when prefix-sharded ColumnsExpanded exceeds the given ratio
-// of the 1-shard baseline.
+// cmd/oasis-bench runs the paper's experiments (the Section 4.2 space table
+// and Figures 3-9) at larger scale with full tables.  Everything this
+// repository adds beyond the paper is measured by the program in benchmark/
+// (`go run ./benchmark`): BENCHMARK.json names its four live-server
+// workloads, the end-to-end metrics and the per-layer ones.
 package repro

@@ -219,7 +219,7 @@ func FormatAllowlist(diags []EscapeDiag) string {
 	var b strings.Builder
 	b.WriteString("# Escape-gate baseline: compiler escape/bounds-check diagnostics inside\n")
 	b.WriteString("# //oasis:hotpath functions that are known and accepted.  Regenerate with\n")
-	b.WriteString("#   go run ./cmd/oasis-bench -exp none -escape-gate -escape-write\n")
+	b.WriteString("#   go run ./cmd/oasis-vet -escape-write\n")
 	b.WriteString("# One entry per line: file<TAB>function<TAB>message.\n")
 	for _, d := range diags {
 		b.WriteString(d.Key())

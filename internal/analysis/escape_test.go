@@ -114,7 +114,7 @@ func Clean(a, b int) int { return a + b }
 }
 
 // TestEscapeGateRealTree enforces the checked-in baseline over the gated
-// packages, the same check CI runs via oasis-bench -escape-gate.
+// packages, the same check CI runs via oasis-vet -escape-gate.
 func TestEscapeGateRealTree(t *testing.T) {
 	res, err := RunEscapeGate("../..", "repro", EscapeGatePackages, "testdata/escape_allowlist.txt")
 	if err != nil {
@@ -124,7 +124,7 @@ func TestEscapeGateRealTree(t *testing.T) {
 		t.Errorf("new hotpath compiler diagnostic not in baseline: %v", d)
 	}
 	for _, d := range res.Stale {
-		t.Errorf("stale baseline entry (regenerate with oasis-bench -escape-gate -escape-write): %v", d)
+		t.Errorf("stale baseline entry (regenerate with oasis-vet -escape-write): %v", d)
 	}
 	if len(res.Current) == 0 {
 		t.Fatal("no hotpath diagnostics collected; is internal/core still annotated?")

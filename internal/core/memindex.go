@@ -50,23 +50,40 @@ func NewMemoryIndex(tree *suffixtree.Tree, db *seq.Database) (*MemoryIndex, erro
 		leafLo:  make([]int32, tree.NumNodes()),
 		leafHi:  make([]int32, tree.NumNodes()),
 	}
-	var dfs func(n suffixtree.NodeID)
-	dfs = func(n suffixtree.NodeID) {
-		m.leafLo[n] = int32(len(m.leafPos))
-		tree.VisitEdges(n, func(c suffixtree.NodeID, _ []byte, suffixStart int64) bool {
-			if suffixStart >= 0 {
-				m.leafLo[c] = int32(len(m.leafPos))
-				m.leafPos = append(m.leafPos, suffixStart)
-				m.leafHi[c] = int32(len(m.leafPos))
-			} else {
-				dfs(c)
-			}
-			return true
-		})
-		m.leafHi[n] = int32(len(m.leafPos))
-	}
-	dfs(tree.Root())
+	m.fillLeafRanges()
 	return m, nil
+}
+
+// fillLeafRanges computes the Euler tour in one depth-first pass over the
+// tree's first-child/next-sibling/parent links.  It keeps no stack of its
+// own, explicit or on the goroutine: a database with a long repeat has a
+// tree as deep as the repeat is long.
+func (m *MemoryIndex) fillLeafRanges() {
+	tree, root := m.tree, m.tree.Root()
+	cur := root
+	for {
+		m.leafLo[cur] = int32(len(m.leafPos))
+		if c := tree.FirstChild(cur); c != suffixtree.NoNode {
+			cur = c
+			continue
+		}
+		if cur != root {
+			m.leafPos = append(m.leafPos, tree.SuffixStart(cur))
+		}
+		// Close cur and every ancestor it was the last child of, then move
+		// to the next sibling.
+		for {
+			m.leafHi[cur] = int32(len(m.leafPos))
+			if cur == root {
+				return
+			}
+			if sib := tree.NextSibling(cur); sib != suffixtree.NoNode {
+				cur = sib
+				break
+			}
+			cur = tree.Parent(cur)
+		}
+	}
 }
 
 // BuildMemoryIndex constructs the suffix tree (Ukkonen) for the database and

@@ -8,7 +8,7 @@
 // Section 4.2).
 //
 // Each experiment returns structured rows so callers (cmd/oasis-bench, the
-// repository benchmarks, EXPERIMENTS.md) can render or assert on them.
+// benchmarks in the root bench_test.go) can render or assert on them.
 package experiments
 
 import (

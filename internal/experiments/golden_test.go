@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
@@ -165,9 +167,10 @@ func TestFigure4Golden(t *testing.T) {
 }
 
 // TestFigure4GoldenEngineAgreement cross-checks the committed golden against
-// the warm batch engine: per-query hit counts and the strongest hit must
-// match what the golden records for the single-index search (the engine path
-// must not drift from the core path).
+// the warm batch engine, both one query at a time and multiplexed through
+// SubmitBatch: per-query hit counts and the strongest hit's score must match
+// what the golden records for the single-index search (the engine path must
+// not drift from the core path).
 func TestFigure4GoldenEngineAgreement(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "figure4_golden.json"))
 	if err != nil {
@@ -182,18 +185,58 @@ func TestFigure4GoldenEngineAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lab.Close()
-	rows, err := Batch(lab, 3, 0, 2)
+	if len(lab.Queries) != len(want.Queries) {
+		t.Fatalf("%d queries, golden has %d", len(lab.Queries), len(want.Queries))
+	}
+	eng, err := engine.New(lab.DB, engine.Options{Shards: 3, BatchWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var goldenTotal int64
-	for _, q := range want.Queries {
-		goldenTotal += int64(q.TotalHits)
-	}
-	// rows[1] and rows[2] are the warm modes over the full workload.
-	for _, r := range rows[1:] {
-		if r.Hits != goldenTotal {
-			t.Errorf("%s reported %d hits, golden records %d", r.Mode, r.Hits, goldenTotal)
+	defer eng.Close()
+
+	queries := make([]engine.Query, len(lab.Queries))
+	for i, q := range lab.Queries {
+		queries[i] = engine.Query{
+			ID:       q.ID,
+			Residues: q.Residues,
+			Options:  core.Options{Scheme: lab.Scheme, MinScore: want.Queries[i].MinScore},
 		}
 	}
+	check := func(mode string, hits [][]core.Hit) {
+		t.Helper()
+		for i, wq := range want.Queries {
+			got := hits[i]
+			if len(got) != wq.TotalHits {
+				t.Errorf("%s: query %s reported %d hits, golden records %d", mode, wq.ID, len(got), wq.TotalHits)
+				continue
+			}
+			if len(got) > 0 && got[0].Score != wq.TopHits[0].Score {
+				t.Errorf("%s: query %s strongest score %d, golden records %d", mode, wq.ID, got[0].Score, wq.TopHits[0].Score)
+			}
+		}
+	}
+
+	ctx := context.Background()
+	sequential := make([][]core.Hit, len(queries))
+	for i, q := range queries {
+		if _, err := eng.Search(ctx, q, func(h core.Hit) bool {
+			sequential[i] = append(sequential[i], h)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("warm-sequential", sequential)
+
+	batched := make([][]core.Hit, len(queries))
+	for r := range eng.SubmitBatch(ctx, queries) {
+		if r.Done {
+			if r.Err != nil {
+				t.Fatalf("batch query %s: %v", r.QueryID, r.Err)
+			}
+			continue
+		}
+		batched[r.Index] = append(batched[r.Index], r.Hit)
+	}
+	check("warm-batch", batched)
 }

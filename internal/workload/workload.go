@@ -1,6 +1,6 @@
 // Package workload generates the synthetic data sets that stand in for the
 // paper's evaluation data (SWISS-PROT proteins, ProClass motif queries and
-// the Drosophila nucleotide collection), as documented in DESIGN.md.
+// the Drosophila nucleotide collection).
 //
 // Databases are generated from background residue frequencies with planted,
 // mutated motif homologies so that query workloads have a realistic hit
