@@ -309,14 +309,13 @@ func BenchmarkFigure9OnlineAllResults(b *testing.B) {
 
 // --- Ablations ---------------------------------------------------------------
 
-// BenchmarkAblationIndexConstruction compares the three suffix-tree
+// BenchmarkAblationIndexConstruction compares the two suffix-tree
 // construction algorithms.
 func BenchmarkAblationIndexConstruction(b *testing.B) {
 	l, _ := benchLab(b)
 	for name, build := range map[string]func() error{
-		"ukkonen":     func() error { _, err := suffixtree.BuildUkkonen(l.DB); return err },
-		"sorted":      func() error { _, err := suffixtree.BuildSorted(l.DB); return err },
-		"partitioned": func() error { _, err := suffixtree.BuildPartitioned(l.DB, 1); return err },
+		"ukkonen": func() error { _, err := suffixtree.BuildUkkonen(l.DB); return err },
+		"sorted":  func() error { _, err := suffixtree.BuildSorted(l.DB); return err },
 	} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -337,7 +336,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 		b.Run(fmt.Sprintf("block=%d", bs), func(b *testing.B) {
 			path := filepath.Join(labDir, fmt.Sprintf("abl-%d.oasis", bs))
 			if _, err := os.Stat(path); err != nil {
-				if _, err := diskst.Build(path, l.DB, diskst.BuildOptions{WriteOptions: diskst.WriteOptions{BlockSize: bs}}); err != nil {
+				if _, err := diskst.Build(path, l.DB, diskst.BuildOptions{BlockSize: bs}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,11 +6,11 @@
 //
 //	oasis-build -in swissprot.fasta -alphabet protein -out swissprot.oasis
 //	oasis-build -synthetic 2000000 -alphabet protein -out synthetic.oasis
-//	oasis-build -synthetic 5000000 -alphabet dna -partitioned -out dna.oasis
+//	oasis-build -synthetic 5000000 -alphabet dna -out dna.oasis
 //
 // With -shards N the output is a SHARDED index: -out names a directory that
 // receives one shard-K.oasis file per shard plus a manifest.json recording
-// the partition, and oasis-serve/oasis-search/oasis-bench open it with
+// the partition, and oasis-serve/oasis-search open it with
 // -index-dir — each shard is then searched through its own buffer pool, so
 // shard parallelism also parallelises I/O:
 //
@@ -47,8 +47,6 @@ func main() {
 		outPath     = flag.String("out", "database.oasis", "output index path")
 		alphabet    = flag.String("alphabet", "protein", "sequence alphabet: protein or dna")
 		blockSize   = flag.Int("block", 2048, "index block size in bytes")
-		partitioned = flag.Bool("partitioned", false, "use the partitioned (Hunt-style) construction")
-		prefixLen   = flag.Int("prefix", 1, "partition prefix length (with -partitioned)")
 		shards      = flag.Int("shards", 0, "write a sharded index: -out becomes a directory with one shard file per shard plus manifest.json (0 = single-file index)")
 		prefixShard = flag.Bool("prefix-sharding", false, "with -shards: one shared index file with a suffix-prefix -> shard assignment instead of per-sequence-subset files")
 		seed        = flag.Int64("seed", 1309, "seed for synthetic generation")
@@ -82,9 +80,6 @@ func main() {
 	}
 
 	if *shards > 0 {
-		if *partitioned {
-			fatal(fmt.Errorf("-partitioned applies to single-file builds; sharded builds partition via -prefix-sharding"))
-		}
 		manifest, stats, err := oasis.BuildShardedDiskIndex(*outPath, db, oasis.ShardedIndexBuildOptions{
 			BlockSize:         *blockSize,
 			Shards:            *shards,
@@ -106,11 +101,7 @@ func main() {
 	if *prefixShard {
 		fatal(fmt.Errorf("-prefix-sharding requires -shards"))
 	}
-	buildStats, err := oasis.BuildDiskIndex(*outPath, db, oasis.IndexBuildOptions{
-		BlockSize:   *blockSize,
-		Partitioned: *partitioned,
-		PrefixLen:   *prefixLen,
-	})
+	buildStats, err := oasis.BuildDiskIndex(*outPath, db, oasis.IndexBuildOptions{BlockSize: *blockSize})
 	if err != nil {
 		fatal(err)
 	}

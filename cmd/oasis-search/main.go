@@ -21,8 +21,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -71,13 +73,13 @@ func main() {
 	flag.BoolVar(&cfg.verbose, "v", false, "print full alignments")
 	flag.Parse()
 
-	if err := run(cfg); err != nil {
+	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "oasis-search:", err)
 		os.Exit(1)
 	}
 }
 
-func run(cfg config) error {
+func run(cfg config, w io.Writer) error {
 	alpha := oasis.Protein
 	if cfg.alphabet == "dna" {
 		alpha = oasis.DNA
@@ -104,30 +106,28 @@ func run(cfg config) error {
 		if cfg.shards > 0 || cfg.prefix {
 			return fmt.Errorf("-shards/-prefix-sharding come from the -index-dir manifest; do not set them")
 		}
-		return runDiskSharded(cfg, scheme)
+		return runDiskSharded(cfg, scheme, w)
 	}
 	queries, err := loadQueries(cfg, alpha)
 	if err != nil {
 		return err
 	}
-	if len(queries) == 0 {
-		return fmt.Errorf("no queries: use -query or -queryfile")
-	}
 	switch cfg.algo {
 	case "oasis":
 		if cfg.shards > 0 {
-			return runSharded(cfg, alpha, scheme, queries)
+			return runSharded(cfg, alpha, scheme, queries, w)
 		}
-		return runOASIS(cfg, scheme, queries)
+		return runSingle(cfg, scheme, queries, w)
 	case "sw":
-		return runSW(cfg, alpha, scheme, queries)
+		return runSW(cfg, alpha, scheme, queries, w)
 	case "blast":
-		return runBLAST(cfg, alpha, scheme, queries)
+		return runBLAST(cfg, alpha, scheme, queries, w)
 	default:
 		return fmt.Errorf("unknown algorithm %q", cfg.algo)
 	}
 }
 
+// loadQueries gathers -query and -queryfile; no query at all is an error.
 func loadQueries(cfg config, alpha *oasis.Alphabet) ([]oasis.Sequence, error) {
 	var out []oasis.Sequence
 	if cfg.query != "" {
@@ -144,10 +144,33 @@ func loadQueries(cfg config, alpha *oasis.Alphabet) ([]oasis.Sequence, error) {
 		}
 		out = append(out, db.Sequences()...)
 	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no queries: use -query or -queryfile")
+	}
 	return out, nil
 }
 
-func runOASIS(cfg config, scheme oasis.Scheme, queries []oasis.Sequence) error {
+// target is what the one OASIS query loop searches: the single-file disk
+// index (-index) or a warm engine (-index-dir, -db -shards).  The catalog
+// supplies the database size for E-value thresholds and residues for -v.
+type target struct {
+	catalog oasis.Catalog
+	search  func(query []byte, opts oasis.SearchOptions, report func(oasis.Hit) bool) error
+	recover func(query []byte, scheme oasis.Scheme, h oasis.Hit) (oasis.Alignment, error)
+}
+
+func engineTarget(eng *oasis.Engine) target {
+	return target{
+		catalog: eng.Catalog(),
+		search: func(query []byte, opts oasis.SearchOptions, report func(oasis.Hit) bool) error {
+			return eng.Search(context.Background(), query, opts, report)
+		},
+		recover: eng.RecoverAlignment,
+	}
+}
+
+// runSingle searches the single-file disk index through one buffer pool.
+func runSingle(cfg config, scheme oasis.Scheme, queries []oasis.Sequence, w io.Writer) error {
 	if cfg.indexPath == "" {
 		return fmt.Errorf("-index is required for -algo oasis")
 	}
@@ -156,42 +179,15 @@ func runOASIS(cfg config, scheme oasis.Scheme, queries []oasis.Sequence) error {
 		return err
 	}
 	defer idx.Close()
-	dbLen := idx.Catalog().TotalResidues()
-	for _, q := range queries {
-		minScore := cfg.minScore
-		var ka *oasis.KarlinAltschul
-		if minScore <= 0 {
-			stats, err := oasis.EValueStatistics(scheme.Matrix)
-			if err != nil {
-				return err
-			}
-			ka = &stats
-			minScore = stats.MinScore(cfg.eValue, q.Len(), dbLen)
-		}
-		var st oasis.SearchStats
-		opts := oasis.SearchOptions{Scheme: scheme, MinScore: minScore, MaxResults: cfg.top, KA: ka, Stats: &st}
-		fmt.Printf("# query %s (%d residues), minScore %d\n", q.ID, q.Len(), minScore)
-		start := time.Now()
-		n := 0
-		err := oasis.Search(idx, q.Residues, opts, func(h oasis.Hit) bool {
-			n++
-			fmt.Printf("%4d  %-24s score=%-6d E=%-12.3g qEnd=%-4d tEnd=%-6d t=%s\n",
-				h.Rank, h.SeqID, h.Score, h.EValue, h.QueryEnd, h.TargetEnd, time.Since(start).Round(time.Microsecond))
-			if cfg.verbose {
-				if a, err := oasis.RecoverAlignment(idx, q.Residues, scheme, h); err == nil {
-					res, _ := idx.Catalog().Residues(h.SeqIndex)
-					fmt.Print(a.Format(idx.Catalog().Alphabet(), q.Residues, res))
-				}
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("# %d sequences in %s; %d columns expanded, %d cells, %d nodes expanded\n\n",
-			n, time.Since(start).Round(time.Microsecond), st.ColumnsExpanded, st.CellsComputed, st.NodesExpanded)
-	}
-	return nil
+	return searchAll(cfg, scheme, queries, w, target{
+		catalog: idx.Catalog(),
+		search: func(query []byte, opts oasis.SearchOptions, report func(oasis.Hit) bool) error {
+			return oasis.Search(idx, query, opts, report)
+		},
+		recover: func(query []byte, scheme oasis.Scheme, h oasis.Hit) (oasis.Alignment, error) {
+			return oasis.RecoverAlignment(idx, query, scheme, h)
+		},
+	})
 }
 
 // runDiskSharded opens a prebuilt sharded disk index (oasis-build -shards)
@@ -199,18 +195,17 @@ func runOASIS(cfg config, scheme oasis.Scheme, queries []oasis.Sequence) error {
 // shard reading through its own buffer pool.  Queries are encoded with the
 // MANIFEST's alphabet (the -alphabet flag is ignored here: encoding with the
 // wrong alphabet would silently search for different residues).
-func runDiskSharded(cfg config, scheme oasis.Scheme) error {
+func runDiskSharded(cfg config, scheme oasis.Scheme, w io.Writer) error {
 	open := time.Now()
-	idx, err := oasis.NewShardedIndex(nil, oasis.ShardOptions{
-		IndexDir:  cfg.indexDir,
-		PoolBytes: cfg.poolMB << 20,
-		Workers:   cfg.workers,
+	eng, err := oasis.OpenEngine(cfg.indexDir, oasis.EngineOptions{
+		PoolBytes:    cfg.poolMB << 20,
+		ShardWorkers: cfg.workers,
 	})
 	if err != nil {
 		return err
 	}
-	defer idx.Close()
-	alpha := idx.Catalog().Alphabet()
+	defer eng.Close()
+	alpha := eng.Alphabet()
 	if scheme.Matrix.Alphabet() != alpha {
 		return fmt.Errorf("matrix %q is over the %s alphabet, but the index at %s holds %s sequences",
 			cfg.matrix, scheme.Matrix.Alphabet().Name(), cfg.indexDir, alpha.Name())
@@ -219,17 +214,14 @@ func runDiskSharded(cfg config, scheme oasis.Scheme) error {
 	if err != nil {
 		return err
 	}
-	if len(queries) == 0 {
-		return fmt.Errorf("no queries: use -query or -queryfile")
-	}
-	fmt.Printf("# sharded disk index: %s, %d shards, %d workers, %s alphabet, opened in %s\n",
-		cfg.indexDir, idx.NumShards(), idx.Workers(), alpha.Name(), time.Since(open).Round(time.Millisecond))
-	return searchShardedIndex(cfg, scheme, queries, idx)
+	fmt.Fprintf(w, "# sharded disk index: %s, %d shards, %d workers, %s alphabet, opened in %s\n",
+		cfg.indexDir, eng.NumShards(), eng.ShardWorkers(), alpha.Name(), time.Since(open).Round(time.Millisecond))
+	return searchAll(cfg, scheme, queries, w, engineTarget(eng))
 }
 
 // runSharded builds a sharded in-memory engine from the FASTA database and
 // searches every query through the order-preserving parallel merge.
-func runSharded(cfg config, alpha *oasis.Alphabet, scheme oasis.Scheme, queries []oasis.Sequence) error {
+func runSharded(cfg config, alpha *oasis.Alphabet, scheme oasis.Scheme, queries []oasis.Sequence, w io.Writer) error {
 	if cfg.dbPath == "" {
 		return fmt.Errorf("-db is required for -shards (the sharded engine indexes in memory)")
 	}
@@ -238,54 +230,50 @@ func runSharded(cfg config, alpha *oasis.Alphabet, scheme oasis.Scheme, queries 
 		return err
 	}
 	build := time.Now()
-	idx, err := oasis.NewShardedIndex(db, oasis.ShardOptions{
+	eng, err := oasis.NewEngine(db, oasis.EngineOptions{
 		Shards:            cfg.shards,
-		Workers:           cfg.workers,
+		ShardWorkers:      cfg.workers,
 		PartitionByPrefix: cfg.prefix,
 	})
 	if err != nil {
 		return err
 	}
+	defer eng.Close()
 	partition := "by-sequence"
 	if cfg.prefix {
 		partition = "by-prefix"
 	}
-	fmt.Printf("# sharded index: %d shards (%s), %d workers, built in %s\n",
-		idx.NumShards(), partition, idx.Workers(), time.Since(build).Round(time.Millisecond))
-	return searchShardedIndex(cfg, scheme, queries, idx)
+	fmt.Fprintf(w, "# sharded index: %d shards (%s), %d workers, built in %s\n",
+		eng.NumShards(), partition, eng.ShardWorkers(), time.Since(build).Round(time.Millisecond))
+	return searchAll(cfg, scheme, queries, w, engineTarget(eng))
 }
 
-// searchShardedIndex runs every query against a sharded engine — disk or
-// memory backed — printing hits online and the work-counter footer; the
-// engine's catalog supplies residues for -v alignment recovery and the
-// database size for E-value thresholds.
-func searchShardedIndex(cfg config, scheme oasis.Scheme, queries []oasis.Sequence, idx *oasis.ShardedIndex) error {
-	cat := idx.Catalog()
+// searchAll is the OASIS query loop: every query against one target, hits
+// printed online as they arrive, then the work-counter footer.
+func searchAll(cfg config, scheme oasis.Scheme, queries []oasis.Sequence, w io.Writer, tg target) error {
 	for _, q := range queries {
-		minScore := cfg.minScore
-		var ka *oasis.KarlinAltschul
-		if minScore <= 0 {
-			stats, err := oasis.EValueStatistics(scheme.Matrix)
-			if err != nil {
-				return err
-			}
-			ka = &stats
-			minScore = stats.MinScore(cfg.eValue, q.Len(), idx.TotalResidues())
-		}
 		var st oasis.SearchStats
-		opts := oasis.SearchOptions{Scheme: scheme, MinScore: minScore, MaxResults: cfg.top, KA: ka, Stats: &st}
-		fmt.Printf("# query %s (%d residues), minScore %d\n", q.ID, q.Len(), minScore)
+		threshold := oasis.WithEValue(cfg.eValue)
+		if cfg.minScore > 0 {
+			threshold = oasis.WithMinScore(cfg.minScore)
+		}
+		opts, err := oasis.NewSearchOptionsSized(scheme, tg.catalog.TotalResidues(), q.Residues,
+			threshold, oasis.WithMaxResults(cfg.top), oasis.WithStats(&st))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "# query %s (%d residues), minScore %d\n", q.ID, q.Len(), opts.MinScore)
 		start := time.Now()
 		n := 0
-		err := idx.Search(q.Residues, opts, func(h oasis.Hit) bool {
+		err = tg.search(q.Residues, opts, func(h oasis.Hit) bool {
 			n++
-			fmt.Printf("%4d  %-24s score=%-6d E=%-12.3g qEnd=%-4d tEnd=%-6d t=%s\n",
+			fmt.Fprintf(w, "%4d  %-24s score=%-6d E=%-12.3g qEnd=%-4d tEnd=%-6d t=%s\n",
 				h.Rank, h.SeqID, h.Score, h.EValue, h.QueryEnd, h.TargetEnd, time.Since(start).Round(time.Microsecond))
 			if cfg.verbose {
-				a, aErr := idx.RecoverAlignment(q.Residues, scheme, h)
-				res, rErr := cat.Residues(h.SeqIndex)
+				a, aErr := tg.recover(q.Residues, scheme, h)
+				res, rErr := tg.catalog.Residues(h.SeqIndex)
 				if aErr == nil && rErr == nil {
-					fmt.Print(a.Format(cat.Alphabet(), q.Residues, res))
+					fmt.Fprint(w, a.Format(tg.catalog.Alphabet(), q.Residues, res))
 				}
 			}
 			return true
@@ -293,13 +281,13 @@ func searchShardedIndex(cfg config, scheme oasis.Scheme, queries []oasis.Sequenc
 		if err != nil {
 			return err
 		}
-		fmt.Printf("# %d sequences in %s; %d columns expanded, %d cells, %d nodes expanded\n\n",
+		fmt.Fprintf(w, "# %d sequences in %s; %d columns expanded, %d cells, %d nodes expanded\n\n",
 			n, time.Since(start).Round(time.Microsecond), st.ColumnsExpanded, st.CellsComputed, st.NodesExpanded)
 	}
 	return nil
 }
 
-func runSW(cfg config, alpha *oasis.Alphabet, scheme oasis.Scheme, queries []oasis.Sequence) error {
+func runSW(cfg config, alpha *oasis.Alphabet, scheme oasis.Scheme, queries []oasis.Sequence, w io.Writer) error {
 	if cfg.dbPath == "" {
 		return fmt.Errorf("-db is required for -algo sw")
 	}
@@ -323,16 +311,16 @@ func runSW(cfg config, alpha *oasis.Alphabet, scheme oasis.Scheme, queries []oas
 		if cfg.top > 0 && len(hits) > cfg.top {
 			hits = hits[:cfg.top]
 		}
-		fmt.Printf("# query %s: %d sequences (S-W, %s)\n", q.ID, len(hits), time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "# query %s: %d sequences (S-W, %s)\n", q.ID, len(hits), time.Since(start).Round(time.Millisecond))
 		for i, h := range hits {
-			fmt.Printf("%4d  %-24s score=%d\n", i+1, h.SeqID, h.Score)
+			fmt.Fprintf(w, "%4d  %-24s score=%d\n", i+1, h.SeqID, h.Score)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func runBLAST(cfg config, alpha *oasis.Alphabet, scheme oasis.Scheme, queries []oasis.Sequence) error {
+func runBLAST(cfg config, alpha *oasis.Alphabet, scheme oasis.Scheme, queries []oasis.Sequence, w io.Writer) error {
 	if cfg.dbPath == "" {
 		return fmt.Errorf("-db is required for -algo blast")
 	}
@@ -350,11 +338,11 @@ func runBLAST(cfg config, alpha *oasis.Alphabet, scheme oasis.Scheme, queries []
 		if err != nil {
 			return err
 		}
-		fmt.Printf("# query %s: %d sequences (BLAST-style heuristic, %s)\n", q.ID, len(hits), time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "# query %s: %d sequences (BLAST-style heuristic, %s)\n", q.ID, len(hits), time.Since(start).Round(time.Millisecond))
 		for i, h := range hits {
-			fmt.Printf("%4d  %-24s score=%-6d E=%.3g\n", i+1, h.SeqID, h.Score, h.EValue)
+			fmt.Fprintf(w, "%4d  %-24s score=%-6d E=%.3g\n", i+1, h.SeqID, h.Score, h.EValue)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }

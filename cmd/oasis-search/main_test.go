@@ -1,0 +1,144 @@
+package main
+
+import (
+	"bytes"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/seq"
+	"repro/internal/workload"
+	"repro/oasis"
+)
+
+// hitLine matches the hit lines of every -algo: rank, sequence ID, score.
+var hitLine = regexp.MustCompile(`(?m)^ *\d+  (\S+) +score=(\d+)`)
+
+type idScore struct {
+	id    string
+	score int
+}
+
+// hits extracts the (seq_id, score) list a run printed, checks it is in
+// non-increasing score order, and returns it with equal-score ties ordered by
+// ID (shards may interleave ties differently).
+func hits(t *testing.T, out string) []idScore {
+	t.Helper()
+	var hs []idScore
+	for _, m := range hitLine.FindAllStringSubmatch(out, -1) {
+		score, err := strconv.Atoi(m[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(hs); n > 0 && score > hs[n-1].score {
+			t.Fatalf("score %d after %d: not decreasing\n%s", score, hs[n-1].score, out)
+		}
+		hs = append(hs, idScore{m[1], score})
+	}
+	slices.SortStableFunc(hs, func(a, b idScore) int {
+		if a.score != b.score {
+			return b.score - a.score
+		}
+		return strings.Compare(a.id, b.id)
+	})
+	return hs
+}
+
+// TestSearchPathsAgree drives run over one corpus through every way of
+// searching it — the single-file index, a sequence-sharded and a
+// prefix-sharded index directory, and an in-memory sharded engine — and holds
+// each to the Smith-Waterman baseline's (seq_id, score) list.
+func TestSearchPathsAgree(t *testing.T) {
+	cfg := workload.DefaultProteinConfig(20_000)
+	cfg.Seed = 41
+	db, motifs, err := workload.ProteinDatabase(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fasta := filepath.Join(dir, "corpus.fasta")
+	if err := seq.WriteFASTAFile(fasta, db, 60); err != nil {
+		t.Fatal(err)
+	}
+	single := filepath.Join(dir, "corpus.oasis")
+	if _, err := oasis.BuildDiskIndex(single, db, oasis.IndexBuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	bySequence, byPrefix := filepath.Join(dir, "seq.idx"), filepath.Join(dir, "prefix.idx")
+	for path, prefix := range map[string]bool{bySequence: false, byPrefix: true} {
+		if _, _, err := oasis.BuildShardedDiskIndex(path, db, oasis.ShardedIndexBuildOptions{Shards: 3, PartitionByPrefix: prefix}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	base := config{algo: "oasis", alphabet: "protein", matrix: "PAM30", gap: -10, eValue: 20000, poolMB: 4,
+		query: oasis.Protein.Decode(motifs[0].Residues[:12])}
+	search := func(mod func(*config)) []idScore {
+		t.Helper()
+		c := base
+		mod(&c)
+		var out bytes.Buffer
+		if err := run(c, &out); err != nil {
+			t.Fatal(err)
+		}
+		return hits(t, out.String())
+	}
+	want := search(func(c *config) { c.algo, c.dbPath = "sw", fasta })
+	if len(want) < 3 {
+		t.Fatalf("Smith-Waterman found only %d hits; the comparison needs a real list", len(want))
+	}
+	for name, mod := range map[string]func(*config){
+		"-index":              func(c *config) { c.indexPath = single },
+		"-index-dir sequence": func(c *config) { c.indexDir = bySequence },
+		"-index-dir prefix":   func(c *config) { c.indexDir, c.workers = byPrefix, 2 },
+		"-db -shards 3":       func(c *config) { c.dbPath, c.shards = fasta, 3 },
+	} {
+		if got := search(mod); !slices.Equal(got, want) {
+			t.Errorf("%s: %d hits %v\nSmith-Waterman: %d hits %v", name, len(got), got, len(want), want)
+		}
+	}
+	// -top truncates the same stream.
+	top := search(func(c *config) { c.indexDir, c.top = bySequence, 2 })
+	if len(top) != 2 || top[0].score != want[0].score || top[1].score != want[1].score {
+		t.Errorf("-top 2 printed %v, want the two best scores of %v", top, want[:2])
+	}
+}
+
+// TestFlagConflicts: command lines that contradict themselves are errors that
+// name the flags, before any index is opened.
+func TestFlagConflicts(t *testing.T) {
+	ok := config{algo: "oasis", alphabet: "protein", matrix: "PAM30", gap: -10, query: "DKDGDGCITTKEL"}
+	for _, tc := range []struct {
+		name string
+		mod  func(*config)
+		want string
+	}{
+		{"unknown alphabet", func(c *config) { c.alphabet = "rna" }, "unknown alphabet"},
+		{"unknown matrix", func(c *config) { c.matrix = "PAM31" }, "unknown matrix"},
+		{"unknown algorithm", func(c *config) { c.algo = "fasta" }, "unknown algorithm"},
+		{"-index-dir with sw", func(c *config) { c.indexDir, c.algo = "x.idx", "sw" }, "-index-dir requires -algo oasis"},
+		{"-index-dir with -db", func(c *config) { c.indexDir, c.dbPath = "x.idx", "x.fasta" }, "mutually exclusive"},
+		{"-index-dir with -index", func(c *config) { c.indexDir, c.indexPath = "x.idx", "x.oasis" }, "mutually exclusive"},
+		{"-index-dir with -shards", func(c *config) { c.indexDir, c.shards = "x.idx", 2 }, "come from the -index-dir manifest"},
+		{"-index-dir with -prefix-sharding", func(c *config) { c.indexDir, c.prefix = "x.idx", true }, "come from the -index-dir manifest"},
+		{"no query", func(c *config) { c.query, c.indexPath = "", "x.oasis" }, "no queries"},
+		{"oasis without an index", func(c *config) {}, "-index is required"},
+		{"-shards without -db", func(c *config) { c.shards = 2 }, "-db is required for -shards"},
+		{"sw without -db", func(c *config) { c.algo = "sw" }, "-db is required for -algo sw"},
+		{"blast without -db", func(c *config) { c.algo = "blast" }, "-db is required for -algo blast"},
+	} {
+		c := ok
+		tc.mod(&c)
+		var out bytes.Buffer
+		err := run(c, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%s: printed %q before failing", tc.name, out.String())
+		}
+	}
+}

@@ -61,8 +61,8 @@ type admWaiter struct {
 var errAdmissionQueueFull = errors.New("admission queue full for this client")
 
 // defaultAdmissionQuantum is the DRR credit added per ring visit.  One
-// quantum admits eight single-query requests per round; a full -max-batch
-// batch needs maxBatch/8 rounds of credit.
+// quantum admits eight single-query requests per round; a full batch of
+// maxBatch queries needs maxBatch/8 rounds of credit.
 const defaultAdmissionQuantum = 8
 
 func newAdmission(slots, maxQueued int) *admission {

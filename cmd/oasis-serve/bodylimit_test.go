@@ -57,3 +57,38 @@ func TestOversizedBodiesAnswer413(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeFieldsAnswer400: a negative evalue, min_score or top is refused
+// with 400 naming the field on both query endpoints instead of being read as
+// "not set"; 0 keeps meaning "default".
+func TestNegativeFieldsAnswer400(t *testing.T) {
+	srv := testServer(t)
+	const motif = "DKDGDGTITTKE"
+	for _, tc := range []struct {
+		fields string
+		want   int
+		names  string
+	}{
+		{`"evalue":-1`, http.StatusBadRequest, "evalue"},
+		{`"min_score":-3`, http.StatusBadRequest, "min_score"},
+		{`"top":-5`, http.StatusBadRequest, "top"},
+		{`"evalue":0,"min_score":0,"top":0`, http.StatusOK, ""},
+	} {
+		one := `{"query":"` + motif + `",` + tc.fields + `}`
+		for path, body := range map[string]string{"/search": one, "/batch": `{"queries":[` + one + `]}`} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+			if rec.Code != tc.want {
+				t.Errorf("%s %s: status %d, want %d: %s", path, tc.fields, rec.Code, tc.want, rec.Body.String())
+				continue
+			}
+			if tc.want != http.StatusBadRequest {
+				continue
+			}
+			var reply map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || !strings.Contains(reply["error"], tc.names) {
+				t.Errorf("%s %s: 400 body %q does not name %q", path, tc.fields, rec.Body.String(), tc.names)
+			}
+		}
+	}
+}

@@ -72,7 +72,7 @@ func TestQueryTimeoutErrorEvent(t *testing.T) {
 	}
 }
 
-// TestAdmissionWaitSheds503 pins -admission-wait: a request that cannot be
+// TestAdmissionWaitSheds503 pins the admission wait budget: a request that cannot be
 // admitted within the wait budget is shed with 503 and a Retry-After header,
 // instead of queueing without bound.
 func TestAdmissionWaitSheds503(t *testing.T) {

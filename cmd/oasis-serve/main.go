@@ -41,9 +41,12 @@
 // POST /batch accepts {"queries":[<search request>, ...]} and multiplexes
 // every query's hit stream onto one NDJSON response; events carry query_id
 // so clients demultiplex, each query's hits are decreasing-score, and every
-// query ends with its own "done"/"error" event.  Batches over -max-batch are
-// rejected with HTTP 413 so one huge batch cannot monopolise the worker
-// pool.
+// query ends with its own "done"/"error" event.  Batches of more than 256
+// queries are rejected with HTTP 413 so one huge batch cannot monopolise the
+// worker pool; within a batch at most GOMAXPROCS queries run at once.
+//
+// "evalue", "min_score" and "top" must not be negative (HTTP 400 naming the
+// field); 0 or absent means "use the default".
 //
 // # Growing the served corpus: /insert, /delete, /compact
 //
@@ -91,12 +94,12 @@
 // streams; an LRU evicts by recency when the budget fills.
 //
 // Search and batch requests pass a per-client fair admission controller
-// before reaching the engine: at most -admission-slots requests run at once
-// (default 2x GOMAXPROCS), and when the server is saturated, waiting
-// requests queue PER CLIENT (X-Client-ID header, else remote address) and
-// are admitted by deficit round-robin with cost = query count — so a client
-// streaming maximal batches cannot starve interactive /search users.  A
-// client with -admission-queue requests already waiting gets HTTP 429.
+// before reaching the engine: at most 2x GOMAXPROCS requests run at once, and
+// when the server is saturated, waiting requests queue PER CLIENT
+// (X-Client-ID header, else remote address) and are admitted by deficit
+// round-robin with cost = query count — so a client streaming maximal batches
+// cannot starve interactive /search users.  A client with 64 requests already
+// waiting gets HTTP 429.
 // X-Client-ID is trusted as sent; in front of untrusted callers, strip or
 // overwrite it at the ingress proxy so the remote-address fallback applies.
 //
@@ -141,10 +144,9 @@
 // # Deadlines, overload shedding and partial failure
 //
 // -query-timeout bounds each query's wall clock: a stream that outlives it is
-// cancelled and ends with an "error" event.  -admission-wait bounds how long
-// a request may sit in its admission queue; past it the server sheds the
-// request with HTTP 503 and a Retry-After header instead of letting queues
-// grow without bound.
+// cancelled and ends with an "error" event.  A request may sit in its
+// admission queue for at most 10 s; past that the server sheds it with HTTP
+// 503 and a Retry-After header instead of letting queues grow without bound.
 //
 // When a shard fails mid-query (I/O error, checksum corruption), the shard is
 // QUARANTINED rather than fatal: the stream completes from the surviving
@@ -182,15 +184,18 @@
 // Each query fans out to one replica per slice and the event streams merge
 // through the same strict-release rule a single-process engine uses, so the
 // merged stream is byte-identical to serving the concatenated corpus locally.
-// Per-attempt robustness is client-side: jittered capped-backoff retries,
-// failover to the next replica (resuming the slice's deterministic stream
-// without duplicating or dropping hits), hedged requests against tail-slow
-// replicas (-hedge-after; first byte wins, the loser is cancelled), and
-// degraded completion through the standard quarantine path when every replica
-// of a slice is down (-strict opts out; the response is then an error).
-// -dial-timeout and -header-timeout bound each ATTEMPT, independently of the
-// whole-query -query-timeout.  /metrics gains the fan-out counters (attempts,
-// retries, failovers, hedges, hedge wins, slice failures) and per-replica
+// Per-attempt robustness is client-side, with fixed settings (constants of
+// internal/remote): up to max(3, 2x replicas) attempts per slice per query
+// with jittered 5..250 ms backoff, failover to the next replica (resuming the
+// slice's deterministic stream without duplicating or dropping hits), a hedged
+// request onto a second replica once the first has been silent for the p95 of
+// observed first-event latencies (first byte wins, the loser is cancelled),
+// and degraded completion through the standard quarantine path when every
+// replica of a slice is down (-strict opts out; the response is then an
+// error).  Each ATTEMPT has 2 s to connect and 10 s to produce response
+// headers, independently of the whole-query -query-timeout.  /metrics gains
+// the fan-out counters (attempts, retries, failovers, hedges, hedge wins,
+// slice failures) and per-replica
 // health; the Prometheus rendering adds remote_*_total series and a
 // remote_replica_up gauge.  /insert, /delete and /compact refuse on a
 // coordinator: writes belong to the processes that own the slices.
@@ -204,7 +209,7 @@
 // has no live replica.  GET /healthz (legacy) stays as the one-shot summary.
 // On SIGTERM the server flips not-ready first and waits -drain-grace so load
 // balancers stop routing, then sheds new work and finishes in-flight streams
-// within -shutdown-timeout.
+// within 30 s.  Keep-alive connections idle for 2 minutes are closed.
 //
 // Example:
 //
@@ -213,8 +218,7 @@
 //	curl -sN localhost:8080/search -d '{"query":"DKDGDGCITTKEL","top":5}'
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: listeners close first,
-// in-flight streams finish (bounded by -shutdown-timeout), then the engine
-// drains.
+// in-flight streams finish (bounded by 30 s), then the engine drains.
 package main
 
 import (
@@ -234,6 +238,28 @@ import (
 	"repro/oasis"
 )
 
+// Serving limits no command line has set are constants, not flags.  maxBatch
+// and admissionQueue are what newServer gives a zero serverConfig field; run
+// and serveUntilSignal use the rest by name.
+const (
+	// maxBatch is the most queries one /batch request may carry.
+	maxBatch = 256
+	// admissionQueue is how many requests one client may have waiting for
+	// admission before further ones get HTTP 429.
+	admissionQueue = 64
+	// admissionWait is the longest a request waits for admission before it
+	// is shed with HTTP 503 + Retry-After.
+	admissionWait = 10 * time.Second
+	// shutdownTimeout bounds the graceful drain of in-flight streams.
+	shutdownTimeout = 30 * time.Second
+	// idleTimeout closes keep-alive connections idle this long.
+	idleTimeout = 2 * time.Minute
+)
+
+// admissionSlots is how many search/batch requests run at once across all
+// clients; the rest wait in per-client fair queues.
+func admissionSlots() int { return 2 * runtime.GOMAXPROCS(0) }
+
 // serveFlags bundles the command-line configuration.
 type serveFlags struct {
 	addr         string
@@ -246,30 +272,17 @@ type serveFlags struct {
 	eValue       float64
 	shards       int
 	prefixShards bool
-	shardWorkers int
-	batchWorkers int
-	maxBatch     int
 	cacheMB      int64
-	admSlots     int
-	admQueue     int
-	admWait      time.Duration
 	queryTimeout time.Duration
 	strict       bool
 	allowDegr    bool
-	shutdownWait time.Duration
 	compactAfter int
 
 	// Distributed-serving topology (see the package doc's "Scaling out").
-	shardServer   bool
-	coordinator   bool
-	slices        string
-	dialTimeout   time.Duration
-	headerTimeout time.Duration
-	sliceAttempts int
-	hedgeAfter    time.Duration
-	noHedge       bool
-	drainGrace    time.Duration
-	idleTimeout   time.Duration
+	shardServer bool
+	coordinator bool
+	slices      string
+	drainGrace  time.Duration
 }
 
 func main() {
@@ -284,32 +297,16 @@ func main() {
 	flag.Float64Var(&f.eValue, "evalue", 20000, "default E-value threshold for queries that do not set one")
 	flag.IntVar(&f.shards, "shards", 0, "work partitions (0 = one; with -db only, -index-dir reads it from the manifest)")
 	flag.BoolVar(&f.prefixShards, "prefix-sharding", false, "partition by suffix-tree prefix over one shared index instead of by sequence (near-root work done once per query; with -db only)")
-	flag.IntVar(&f.shardWorkers, "shard-workers", 0, "concurrent shard searches per query (0 = one per shard and mutable layer)")
-	flag.IntVar(&f.batchWorkers, "batch-workers", 0, "concurrent queries per batch (0 = GOMAXPROCS)")
-	flag.IntVar(&f.maxBatch, "max-batch", 256, "maximum queries per /batch request")
 	flag.Int64Var(&f.cacheMB, "cache", 32, "cross-query result cache size in MB (identical queries replay without touching the index; 0 disables)")
-	flag.IntVar(&f.admSlots, "admission-slots", 0, "concurrent search/batch requests across all clients (0 = 2x GOMAXPROCS); excess requests wait in per-client fair queues")
-	flag.IntVar(&f.admQueue, "admission-queue", 64, "waiting requests allowed per client before HTTP 429")
-	flag.DurationVar(&f.admWait, "admission-wait", 10*time.Second, "longest a request may wait for admission before HTTP 503 + Retry-After (0 = wait forever)")
 	flag.DurationVar(&f.queryTimeout, "query-timeout", 0, "per-query wall-clock budget; exceeded queries end with an error event (0 = no limit)")
 	flag.BoolVar(&f.strict, "strict", false, "fail queries outright when a shard fails instead of serving degraded results from the survivors")
 	flag.BoolVar(&f.allowDegr, "allow-degraded", false, "start serving even when shard files fail to open (with -index-dir): failed shards are quarantined and every query reports degraded")
-	flag.DurationVar(&f.shutdownWait, "shutdown-timeout", 30*time.Second, "graceful shutdown deadline")
 	flag.IntVar(&f.compactAfter, "compact-after", 0, "compact the mutable layer in the background once this many inserted sequences accumulate (0 = only explicit POST /compact)")
 	flag.BoolVar(&f.shardServer, "shard-server", false, "serve one corpus slice over the shard wire protocol for a coordinator (bare slice engine: no result cache, no admission control)")
 	flag.BoolVar(&f.coordinator, "coordinator", false, "serve by fanning queries out to the remote shard servers in -slices instead of a local index")
 	flag.StringVar(&f.slices, "slices", "", "coordinator slice topology: one entry per slice, comma-separated, with '|' separating a slice's replica addresses (e.g. 'h1:9001|h1:9002,h2:9003')")
-	flag.DurationVar(&f.dialTimeout, "dial-timeout", 2*time.Second, "per-ATTEMPT connection deadline for coordinator fan-out (a slow dial fails over, not the query)")
-	flag.DurationVar(&f.headerTimeout, "header-timeout", 10*time.Second, "per-ATTEMPT time-to-response-headers deadline for coordinator fan-out")
-	flag.IntVar(&f.sliceAttempts, "slice-attempts", 0, "stream attempts per slice per query, counting the first try (0 = max(3, 2x replicas))")
-	flag.DurationVar(&f.hedgeAfter, "hedge-after", 0, "hedge a slice request onto a second replica when the first has produced no event within this long (0 = adaptive p95 of observed first-event latencies)")
-	flag.BoolVar(&f.noHedge, "no-hedge", false, "disable hedged requests in coordinator fan-out")
 	flag.DurationVar(&f.drainGrace, "drain-grace", 0, "after SIGTERM, stay live but not ready this long before shedding new work, so load balancers stop routing first")
-	flag.DurationVar(&f.idleTimeout, "idle-timeout", 2*time.Minute, "close keep-alive connections idle this long")
 	flag.Parse()
-	if f.admSlots <= 0 {
-		f.admSlots = 2 * runtime.GOMAXPROCS(0)
-	}
 	var err error
 	if f.shardServer {
 		err = runShardServer(f)
@@ -373,7 +370,9 @@ func loadSource(f serveFlags) (*oasis.Database, error) {
 }
 
 // buildEngine assembles the warm engine from either source: an in-memory
-// index built from FASTA, or a prebuilt sharded disk index directory.
+// index built from FASTA, or a prebuilt sharded disk index directory.  The
+// flags fill the engine's options once; the fields of the source not in use
+// are zero (loadSource refused -shards with -index-dir) or do not apply.
 func buildEngine(f serveFlags) (*oasis.Engine, string, error) {
 	db, err := loadSource(f)
 	if err != nil {
@@ -381,36 +380,29 @@ func buildEngine(f serveFlags) (*oasis.Engine, string, error) {
 	}
 	if db == nil {
 		log.Printf("opening sharded disk index %s ...", f.indexDir)
-		eng, err := oasis.OpenEngine(f.indexDir, oasis.EngineOptions{
-			PoolBytes:     f.poolMB << 20,
-			ShardWorkers:  f.shardWorkers,
-			BatchWorkers:  f.batchWorkers,
-			CacheBytes:    f.cacheMB << 20,
-			AllowDegraded: f.allowDegr,
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		for _, q := range eng.Standing() {
-			log.Printf("WARNING: shard %d quarantined at open: %s (serving degraded)", q.Shard, q.Err)
-		}
-		return eng, fmt.Sprintf("disk-backed (%s partition, <=%d MB pool per shard)", eng.Partition(), f.poolMB), nil
 	}
 	eng, err := oasis.NewEngine(db, oasis.EngineOptions{
+		IndexDir:          f.indexDir,
+		PoolBytes:         f.poolMB << 20,
+		AllowDegraded:     f.allowDegr,
 		Shards:            f.shards,
 		PartitionByPrefix: f.prefixShards,
-		ShardWorkers:      f.shardWorkers,
-		BatchWorkers:      f.batchWorkers,
 		CacheBytes:        f.cacheMB << 20,
 	})
 	if err != nil {
 		return nil, "", err
 	}
-	partition := "by-sequence"
-	if f.prefixShards {
-		partition = "by-prefix (shared index)"
+	if db != nil {
+		partition := "by-sequence"
+		if f.prefixShards {
+			partition = "by-prefix (shared index)"
+		}
+		return eng, "in-memory " + partition, nil
 	}
-	return eng, "in-memory " + partition, nil
+	for _, q := range eng.Standing() {
+		log.Printf("WARNING: shard %d quarantined at open: %s (serving degraded)", q.Shard, q.Err)
+	}
+	return eng, fmt.Sprintf("disk-backed (%s partition, <=%d MB pool per shard)", eng.Partition(), f.poolMB), nil
 }
 
 // buildCoordinator opens the remote slice topology and wraps it in a warm
@@ -434,16 +426,8 @@ func buildCoordinator(f serveFlags) (*oasis.Engine, string, *oasis.Coordinator, 
 		return nil, "", nil, err
 	}
 	log.Printf("connecting to %d slices ...", len(slices))
-	co, err := oasis.OpenCoordinator(context.Background(), slices, oasis.CoordinatorOptions{
-		Workers:       f.shardWorkers,
-		BatchWorkers:  f.batchWorkers,
-		CacheBytes:    f.cacheMB << 20,
-		DialTimeout:   f.dialTimeout,
-		HeaderTimeout: f.headerTimeout,
-		MaxAttempts:   f.sliceAttempts,
-		HedgeAfter:    f.hedgeAfter,
-		DisableHedge:  f.noHedge,
-	})
+	co, err := oasis.OpenCoordinator(context.Background(),
+		oasis.CoordinatorOptions{Slices: slices}, oasis.EngineOptions{CacheBytes: f.cacheMB << 20})
 	if err != nil {
 		return nil, "", nil, err
 	}
@@ -491,10 +475,8 @@ func run(f serveFlags) error {
 	handler := newServer(eng, serverConfig{
 		scheme:         scheme,
 		defaultEValue:  f.eValue,
-		maxBatch:       f.maxBatch,
-		admissionSlots: f.admSlots,
-		admissionQueue: f.admQueue,
-		admissionWait:  f.admWait,
+		admissionSlots: admissionSlots(),
+		admissionWait:  admissionWait,
 		queryTimeout:   f.queryTimeout,
 		strict:         f.strict,
 		compactAfter:   f.compactAfter,
@@ -520,14 +502,14 @@ func run(f serveFlags) error {
 // /healthz/ready to 503 while the server keeps accepting work for
 // -drain-grace, so load balancers route new traffic elsewhere before anything
 // is shed — then onDrain (nil for a server that sheds nothing) stops admitting
-// new work so that -shutdown-timeout is spent finishing admitted streams, and
+// new work so that shutdownTimeout is spent finishing admitted streams, and
 // closeFn releases the engine once the listener has drained.
 func serveUntilSignal(f serveFlags, handler http.Handler, onNotReady, onDrain func(), closeFn func() error) error {
 	srv := &http.Server{
 		Addr:              f.addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       f.idleTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -548,11 +530,11 @@ func serveUntilSignal(f serveFlags, handler http.Handler, onNotReady, onDrain fu
 		log.Printf("not ready; draining for %s before %s ...", f.drainGrace, next)
 		time.Sleep(f.drainGrace)
 	}
-	log.Printf("shutting down (waiting up to %s for in-flight streams) ...", f.shutdownWait)
+	log.Printf("shutting down (waiting up to %s for in-flight streams) ...", shutdownTimeout)
 	if onDrain != nil {
 		onDrain()
 	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), f.shutdownWait)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)

@@ -54,7 +54,7 @@ func coordinatorServer(t *testing.T, strict bool) (*server, *oasis.Coordinator, 
 		sliceSrvs = append(sliceSrvs, srv)
 		slices = append(slices, []string{srv.URL})
 	}
-	co, err := oasis.OpenCoordinator(t.Context(), slices, oasis.CoordinatorOptions{DisableHedge: true})
+	co, err := oasis.OpenCoordinator(t.Context(), oasis.CoordinatorOptions{Slices: slices, DisableHedge: true}, oasis.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,21 +20,23 @@ import (
 type serverConfig struct {
 	scheme        oasis.Scheme
 	defaultEValue float64
-	// maxBatch bounds the number of queries accepted per /batch request.
+	// maxBatch bounds the number of queries accepted per /batch request
+	// (0 = the maxBatch constant; tests shrink it).
 	maxBatch int
 	// maxQueryLen bounds accepted query lengths (residues).
 	maxQueryLen int
 	// admissionSlots bounds how many search/batch requests run concurrently
 	// across ALL clients; excess requests wait in per-client fair queues
 	// (deficit round-robin over client keys).  0 disables admission control
-	// (tests; -admission-slots defaults it on in main).
+	// (tests; main passes admissionSlots()).
 	admissionSlots int
 	// admissionQueue bounds each client's waiting queue; requests beyond it
-	// get HTTP 429.
+	// get HTTP 429 (0 = the admissionQueue constant; tests shrink it).
 	admissionQueue int
 	// admissionWait bounds how long a request may sit in its admission queue
 	// before the server sheds it with HTTP 503 + Retry-After (0 = wait
-	// forever, bounded only by the client's patience).
+	// forever, bounded only by the client's patience: tests; main passes the
+	// admissionWait constant).
 	admissionWait time.Duration
 	// queryTimeout is the per-query wall-clock budget: a search or batch
 	// whose stream outlives it is cancelled and its queries end with an
@@ -65,6 +67,7 @@ type searchRequest struct {
 	// MinScore overrides the E-value-derived threshold when > 0.
 	MinScore int `json:"min_score,omitempty"`
 	// Top truncates the stream to the k strongest sequences when > 0.
+	// All three: 0 or absent means "default"; negative is refused.
 	Top int `json:"top,omitempty"`
 }
 
@@ -123,13 +126,13 @@ type server struct {
 // the moment OASIS finds them.
 func newServer(eng *oasis.Engine, cfg serverConfig) *server {
 	if cfg.maxBatch <= 0 {
-		cfg.maxBatch = 256
+		cfg.maxBatch = maxBatch
 	}
 	if cfg.maxQueryLen <= 0 {
 		cfg.maxQueryLen = 10_000
 	}
 	if cfg.admissionQueue <= 0 {
-		cfg.admissionQueue = 64
+		cfg.admissionQueue = admissionQueue
 	}
 	s := &server{eng: eng, cfg: cfg, mux: http.NewServeMux(), lat: map[string]*latencyHistogram{}}
 	if cfg.admissionSlots > 0 {
@@ -367,7 +370,7 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request, cost int) (releas
 }
 
 // errAdmissionSaturated is the cancellation cause distinguishing an
-// admission-wait deadline (shed with 503) from the client going away.
+// admission wait deadline (shed with 503) from the client going away.
 var errAdmissionSaturated = errors.New("admission wait deadline exceeded")
 
 // retryAfter renders a Retry-After header value (whole seconds, minimum 1)
@@ -392,6 +395,16 @@ func (s *server) buildQuery(req searchRequest, index int) (oasis.BatchQuery, err
 	}
 	if len(residues) == 0 || len(residues) > s.cfg.maxQueryLen {
 		return oasis.BatchQuery{}, fmt.Errorf("query %d: length %d outside 1..%d", index, len(residues), s.cfg.maxQueryLen)
+	}
+	// A negative threshold or limit is a client bug, not a way to spell
+	// "default": {"top":-5} would otherwise stream every hit.
+	switch {
+	case req.EValue < 0:
+		return oasis.BatchQuery{}, fmt.Errorf("query %d: evalue %g is negative", index, req.EValue)
+	case req.MinScore < 0:
+		return oasis.BatchQuery{}, fmt.Errorf("query %d: min_score %d is negative", index, req.MinScore)
+	case req.Top < 0:
+		return oasis.BatchQuery{}, fmt.Errorf("query %d: top %d is negative", index, req.Top)
 	}
 	var optFns []oasis.SearchOption
 	switch {
@@ -459,8 +472,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Queries) > s.cfg.maxBatch {
-		// 413: the batch is too large for this deployment (-max-batch); a
-		// single huge batch must not monopolise the worker pool.
+		// 413: a single huge batch must not monopolise the worker pool.
 		httpError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("%d queries exceeds the batch limit %d", len(req.Queries), s.cfg.maxBatch))
 		return
@@ -557,7 +569,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // queryBodyLimit bounds the JSON body of one query: the longest query the
 // server accepts plus room for its identifier and thresholds.  A /batch body
-// may be -max-batch times that.
+// may be maxBatch times that.
 func (s *server) queryBodyLimit() int64 { return int64(s.cfg.maxQueryLen) + 4096 }
 
 // maxMutateBody bounds an /insert or /delete body: one sequence with its

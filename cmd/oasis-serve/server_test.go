@@ -7,7 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/score"
 	"repro/oasis"
 )
 
@@ -172,8 +174,40 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBuildQueryEValueIsCheap: a request that states its threshold as an
+// E-value (the default when min_score is absent) must not pay the numeric
+// Karlin-Altschul solve per query — it is about a millisecond per matrix, so
+// 1,000 buildQuery calls took about a second before score.Params memoised the
+// standard-frequency parameters.  The threshold and statistics must be the
+// ones a from-scratch solve gives.
+func TestBuildQueryEValueIsCheap(t *testing.T) {
+	srv := testServer(t)
+	const motif, eValue = "DKDGDGTITTKE", 500.0
+	lambda, err := score.Lambda(srv.cfg.scheme.Matrix, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	var q oasis.BatchQuery
+	for i := 0; i < 1000; i++ {
+		if q, err = srv.buildQuery(searchRequest{Query: motif, EValue: eValue}, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+		t.Errorf("1,000 buildQuery calls with evalue set took %s, want < 100ms", elapsed)
+	}
+	ka := q.Options.KA
+	if ka == nil || ka.Lambda != lambda {
+		t.Fatalf("KA = %+v, want lambda %v from a fresh solve", ka, lambda)
+	}
+	if want := ka.MinScore(eValue, len(motif), srv.eng.TotalResidues()); q.Options.MinScore != want {
+		t.Fatalf("MinScore = %d, want %d", q.Options.MinScore, want)
+	}
+}
+
 // TestBatchOverLimitIs413 pins the admission-control contract: a batch over
-// the -max-batch limit is rejected with 413 before any query is admitted to
+// the batch limit is rejected with 413 before any query is admitted to
 // the worker pool.
 func TestBatchOverLimitIs413(t *testing.T) {
 	srv := testServer(t) // maxBatch: 8

@@ -39,21 +39,14 @@ func runShardServer(f serveFlags) error {
 	mode := "in-memory"
 	if db == nil {
 		log.Printf("opening slice index %s ...", f.indexDir)
-		eng, err = shard.OpenDiskEngine(f.indexDir, shard.DiskOptions{
-			Workers:           f.shardWorkers,
-			PoolBytesPerShard: f.poolMB << 20,
-		})
+		eng, err = shard.OpenDiskEngine(f.indexDir, shard.DiskOptions{PoolBytesPerShard: f.poolMB << 20})
 		mode = fmt.Sprintf("disk-backed (<=%d MB pool per shard)", f.poolMB)
 	} else {
 		pmode := shard.PartitionBySequence
 		if f.prefixShards {
 			pmode = shard.PartitionByPrefix
 		}
-		eng, err = shard.NewEngine(db, shard.Options{
-			Shards:    f.shards,
-			Workers:   f.shardWorkers,
-			Partition: pmode,
-		})
+		eng, err = shard.NewEngine(db, shard.Options{Shards: f.shards, Partition: pmode})
 	}
 	if err != nil {
 		return err

@@ -6,15 +6,16 @@
 // Beyond the paper, the repository scales the algorithm out and tightens
 // its hot loop:
 //
-//   - oasis.NewShardedIndex searches the database with one worker per
-//     partition on a bounded pool and merges the per-shard hit streams
-//     online in globally decreasing score order (internal/shard), so the
-//     paper's online property — and therefore streaming top-k and early
-//     termination — survives sharding.  Two partition modes exist: the
-//     default splits the database into independently indexed shards
-//     (internal/seq.PartitionDatabase, balanced by residue count), while
-//     ShardOptions.PartitionByPrefix builds ONE shared suffix tree and
-//     assigns disjoint top-level subtrees to shards by suffix prefix
+//   - oasis.NewEngine with EngineOptions.Shards searches the database with
+//     one worker per partition on a bounded pool and merges the per-shard
+//     hit streams online in globally decreasing score order
+//     (internal/shard), so the paper's online property — and therefore
+//     streaming top-k and early termination — survives sharding.  Two
+//     partition modes exist: the default splits the database into
+//     independently indexed shards (internal/seq.PartitionDatabase,
+//     balanced by residue count), while EngineOptions.PartitionByPrefix
+//     builds ONE shared suffix tree and assigns disjoint top-level subtrees
+//     to shards by suffix prefix
 //     (internal/seq.PartitionByPrefix + core.ExpandFrontier).  Prefix
 //     partitioning computes the near-root DP columns exactly once per
 //     query, so total ColumnsExpanded stays ~flat as shards grow instead of
@@ -29,8 +30,8 @@
 //     len(query)+1 vector, and the provably dead row 0 is never computed
 //     below the root.  Stats.MaxBandWidth records the widest band a search
 //     ever stored.
-//   - oasis.NewEngine builds a warm batch query engine (internal/engine):
-//     the sharded index is constructed once, searcher scratch is pooled
+//   - That engine is a warm batch query engine (internal/engine): the
+//     sharded index is constructed once, searcher scratch is pooled
 //     per worker (core.Scratch via bufferpool.FreeList), and SubmitBatch
 //     multiplexes many concurrent queries over the shared index while each
 //     query's hit stream stays decreasing-score and cancellable — build
@@ -38,17 +39,16 @@
 //     one such engine (see examples/server for the lifecycle): /metrics
 //     exposes the scratch free-list stats, per-shard worker-pool queue
 //     depths, per-shard buffer-pool hit rates and per-endpoint latency
-//     histograms for capacity planning, and batches over -max-batch are
-//     rejected with HTTP 413 so one huge batch cannot monopolise the
-//     worker pool.
+//     histograms for capacity planning, and batches of more than 256
+//     queries are rejected with HTTP 413 so one huge batch cannot
+//     monopolise the worker pool.
 //   - The entire sharded serving stack also runs DISK-BACKED, so one warm
 //     engine serves databases bigger than RAM: oasis-build -shards writes
 //     one diskst index file per shard (or, with -prefix-sharding, one
 //     shared file plus a suffix-prefix -> shard assignment) and a
-//     manifest.json (internal/diskst.BuildSharded); oasis.OpenEngine /
-//     ShardOptions.IndexDir and the -index-dir flag of
-//     oasis-serve/oasis-search reopen the directory with one
-//     buffer pool PER SHARD (shard.OpenDiskEngine over diskst indexes),
+//     manifest.json (internal/diskst.BuildSharded); oasis.OpenEngine and
+//     the -index-dir flag of oasis-serve/oasis-search reopen the directory
+//     with one buffer pool PER SHARD (shard.OpenDiskEngine over diskst indexes),
 //     so a query's shard fan-out fans out page I/O with no cross-shard
 //     cache thrash, and hit streams are identical to the in-memory
 //     engines (randomized equivalence tests pin this in both partition

@@ -34,7 +34,7 @@ func buildChecksumFixture(t *testing.T, blockSize int) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "index.oasis")
-	if _, err := Build(path, db, BuildOptions{WriteOptions: WriteOptions{BlockSize: blockSize}}); err != nil {
+	if _, err := Build(path, db, BuildOptions{BlockSize: blockSize}); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -206,8 +206,8 @@ func TestTruncatedShardTypedError(t *testing.T) {
 	}
 	dir := filepath.Join(t.TempDir(), "idx")
 	if _, _, err := BuildSharded(dir, db, ShardedBuildOptions{
-		WriteOptions: WriteOptions{BlockSize: 512},
-		Shards:       3,
+		BlockSize: 512,
+		Shards:    3,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -142,14 +142,11 @@ func TestDiskIndexMatchesMemoryIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, partitioned := range []bool{false, true} {
-			idx, _, _ := buildIndex(t, db, BuildOptions{Partitioned: partitioned, PrefixLen: 1})
-			got := collectTree(t, idx)
-			want := collectTree(t, mem)
-			if got != want {
-				t.Fatalf("case %d (partitioned=%v): disk tree differs from memory tree\n got: %s\nwant: %s",
-					ci, partitioned, got, want)
-			}
+		idx, _, _ := buildIndex(t, db, BuildOptions{})
+		got := collectTree(t, idx)
+		want := collectTree(t, mem)
+		if got != want {
+			t.Fatalf("case %d: disk tree differs from memory tree\n got: %s\nwant: %s", ci, got, want)
 		}
 	}
 }
@@ -256,7 +253,7 @@ func TestSmallBlockSizes(t *testing.T) {
 	for _, bs := range []int{128, 256, 2048, 4096} {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "idx")
-		if _, err := Build(path, db, BuildOptions{WriteOptions: WriteOptions{BlockSize: bs}}); err != nil {
+		if _, err := Build(path, db, BuildOptions{BlockSize: bs}); err != nil {
 			t.Fatalf("block size %d: %v", bs, err)
 		}
 		pool := bufferpool.New(1<<20, bs)
@@ -275,16 +272,16 @@ func TestSmallBlockSizes(t *testing.T) {
 func TestInvalidBlockSizeRejected(t *testing.T) {
 	db, _ := seq.DatabaseFromStrings(seq.DNA, "ACGT")
 	dir := t.TempDir()
-	if _, err := Build(filepath.Join(dir, "x"), db, BuildOptions{WriteOptions: WriteOptions{BlockSize: 100}}); err == nil {
+	if _, err := Build(filepath.Join(dir, "x"), db, BuildOptions{BlockSize: 100}); err == nil {
 		t.Fatal("expected error for non-multiple-of-16 block size")
 	}
-	if _, err := Build(filepath.Join(dir, "y"), db, BuildOptions{WriteOptions: WriteOptions{BlockSize: 48}}); err == nil {
+	if _, err := Build(filepath.Join(dir, "y"), db, BuildOptions{BlockSize: 48}); err == nil {
 		t.Fatal("expected error for block size below header size")
 	}
 	if _, err := Build(filepath.Join(dir, "z"), nil, BuildOptions{}); err == nil {
 		t.Fatal("expected error for nil database")
 	}
-	if _, err := Write(filepath.Join(dir, "w"), nil, WriteOptions{}); err == nil {
+	if _, err := Write(filepath.Join(dir, "w"), nil, BuildOptions{}); err == nil {
 		t.Fatal("expected error for nil tree")
 	}
 }
@@ -363,10 +360,10 @@ func TestWriteFromSortedTreeEquivalent(t *testing.T) {
 	}
 	dir := t.TempDir()
 	p1, p2 := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	if _, err := Write(p1, tr1, WriteOptions{}); err != nil {
+	if _, err := Write(p1, tr1, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Write(p2, tr2, WriteOptions{}); err != nil {
+	if _, err := Write(p2, tr2, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	pool := bufferpool.New(1<<20, 512)

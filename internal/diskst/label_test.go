@@ -20,7 +20,7 @@ func TestLazyLabelChunkedReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, _, _ := buildIndex(t, db, BuildOptions{WriteOptions: WriteOptions{BlockSize: 128}})
+	idx, _, _ := buildIndex(t, db, BuildOptions{BlockSize: 128})
 	mem, err := core.BuildMemoryIndex(db)
 	if err != nil {
 		t.Fatal(err)

@@ -212,7 +212,8 @@ func ReadManifest(dir string) (*Manifest, error) {
 
 // ShardedBuildOptions controls sharded index construction.
 type ShardedBuildOptions struct {
-	WriteOptions
+	// BlockSize is the disk block size of every shard file (default 2048).
+	BlockSize int
 	// Shards is the number of work partitions (>= 1).
 	Shards int
 	// PartitionByPrefix selects prefix-partitioned subtree sharding: ONE
@@ -267,7 +268,7 @@ func BuildSharded(dir string, db *seq.Database, opts ShardedBuildOptions) (*Mani
 		if err != nil {
 			return nil, nil, err
 		}
-		st, err := Write(filepath.Join(dir, "shard-0.oasis"), tree, WriteOptions{BlockSize: blockSize})
+		st, err := Write(filepath.Join(dir, "shard-0.oasis"), tree, BuildOptions{BlockSize: blockSize})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -287,9 +288,7 @@ func BuildSharded(dir string, db *seq.Database, opts ShardedBuildOptions) (*Mani
 		m.GlobalIndex = part.GlobalIndex
 		for s, shardDB := range part.Shards {
 			name := fmt.Sprintf("shard-%d.oasis", s)
-			st, err := Build(filepath.Join(dir, name), shardDB, BuildOptions{
-				WriteOptions: WriteOptions{BlockSize: blockSize},
-			})
+			st, err := Build(filepath.Join(dir, name), shardDB, BuildOptions{BlockSize: blockSize})
 			if err != nil {
 				return nil, nil, fmt.Errorf("shard %d: %w", s, err)
 			}

@@ -11,21 +11,11 @@ import (
 	"repro/internal/suffixtree"
 )
 
-// WriteOptions controls index serialisation.
-type WriteOptions struct {
+// BuildOptions controls index construction and serialisation.
+type BuildOptions struct {
 	// BlockSize is the disk block size (default 2048, the paper's value).
 	// It must be a multiple of the 16-byte internal record size.
 	BlockSize int
-}
-
-// BuildOptions controls end-to-end index construction.
-type BuildOptions struct {
-	WriteOptions
-	// Partitioned selects the Hunt-style partitioned construction instead
-	// of the in-memory Ukkonen construction.
-	Partitioned bool
-	// PrefixLen is the partition prefix length when Partitioned is set.
-	PrefixLen int
 }
 
 // BuildStats summarises a written index; it backs the paper's space
@@ -45,29 +35,21 @@ type BuildStats struct {
 	BytesPerSymbol float64
 }
 
-// Build constructs the suffix tree for the database and writes the index to
-// path, returning size statistics.
+// Build constructs the suffix tree for the database (Ukkonen) and writes the
+// index to path, returning size statistics.
 func Build(path string, db *seq.Database, opts BuildOptions) (*BuildStats, error) {
 	if db == nil {
 		return nil, fmt.Errorf("diskst: nil database")
 	}
-	var (
-		tree *suffixtree.Tree
-		err  error
-	)
-	if opts.Partitioned {
-		tree, err = suffixtree.BuildPartitioned(db, opts.PrefixLen)
-	} else {
-		tree, err = suffixtree.BuildUkkonen(db)
-	}
+	tree, err := suffixtree.BuildUkkonen(db)
 	if err != nil {
 		return nil, err
 	}
-	return Write(path, tree, opts.WriteOptions)
+	return Write(path, tree, opts)
 }
 
 // Write serialises an in-memory suffix tree into the on-disk format.
-func Write(path string, tree *suffixtree.Tree, opts WriteOptions) (*BuildStats, error) {
+func Write(path string, tree *suffixtree.Tree, opts BuildOptions) (*BuildStats, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("diskst: nil tree")
 	}

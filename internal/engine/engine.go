@@ -39,26 +39,30 @@ import (
 	"repro/internal/suffixtree"
 )
 
-// Options configures a warm engine.
+// Options configures a warm engine.  It is the one statement of these
+// decisions: the public oasis.EngineOptions is this type, and the commands'
+// flags fill it directly.
 type Options struct {
-	// IndexDir, when set, serves prebuilt per-shard disk indexes from this
-	// directory (written by diskst.BuildSharded / oasis-build -shards)
-	// instead of building in-memory indexes from a database: each shard
-	// searches its own diskst.Index through its own buffer pool, so one
-	// warm engine can serve databases bigger than RAM.  The shard count and
-	// partition mode come from the directory's manifest; Shards and
-	// PartitionByPrefix must be left zero/false.
+	// IndexDir, when set, serves a prebuilt sharded disk index directory
+	// (written by diskst.BuildSharded / oasis-build -shards) instead of
+	// building in-memory indexes from a database: each shard searches its
+	// own diskst.Index through its own buffer pool, so one warm engine can
+	// serve databases bigger than RAM.  The shard count and partition mode
+	// come from the directory's manifest — Shards and PartitionByPrefix must
+	// be left zero/false — and New must be called with a nil database.
 	IndexDir string
 	// PoolBytes is the per-shard buffer-pool capacity in bytes for IndexDir
-	// engines (default diskst.DefaultPoolBytesPerShard).
+	// engines (default diskst.DefaultPoolBytesPerShard, 64 MB).
 	PoolBytes int64
-	// Shards is the number of database partitions (default 1; capped at the
-	// number of sequences) — see shard.Options.
+	// Shards is the number of work partitions (default 1; capped at the
+	// number of sequences unless PartitionByPrefix is set).
 	Shards int
-	// PartitionByPrefix selects prefix-partitioned subtree sharding: one
+	// PartitionByPrefix selects prefix-partitioned subtree sharding: ONE
 	// shared suffix tree with disjoint top-level subtrees per shard, so
 	// near-root column work is done once per query instead of once per
-	// shard (see shard.PartitionByPrefix).
+	// shard (see shard.PartitionByPrefix).  Hit sets and scores are
+	// identical in both modes; alignment endpoints of equal-score ties may
+	// differ.
 	PartitionByPrefix bool
 	// ShardWorkers bounds how many shard searches run concurrently within
 	// one query (default: one per shard, plus one per delta layer).
@@ -66,10 +70,6 @@ type Options struct {
 	// BatchWorkers bounds how many queries of a batch are in flight at once
 	// (default GOMAXPROCS).
 	BatchWorkers int
-	// ResultBuffer is the capacity of the channel returned by SubmitBatch
-	// (default 64).  A larger buffer decouples slow consumers from the
-	// search workers.
-	ResultBuffer int
 	// AllowDegraded admits an IndexDir whose shard file(s) fail to open:
 	// the failed shards are quarantined at open time and every query reports
 	// Degraded with the per-shard errors instead of the engine refusing to
@@ -84,8 +84,18 @@ type Options struct {
 	// index generation, so a write (Insert/Delete/Compact) retargets the
 	// cache instead of serving stale streams; superseded entries age out of
 	// the LRU, which evicts by recency when the budget fills.  Zero disables
-	// caching.
+	// caching; see Metrics().Cache for hit rates.
 	CacheBytes int64
+}
+
+// shardOptions is the in-memory shard engine the options ask for: what New
+// builds, and what a memory-mode compaction rebuilds over the live corpus.
+func (o Options) shardOptions() shard.Options {
+	so := shard.Options{Shards: o.Shards, Workers: o.ShardWorkers}
+	if o.PartitionByPrefix {
+		so.Partition = shard.PartitionByPrefix
+	}
+	return so
 }
 
 // Query is one unit of work for the engine.
@@ -130,6 +140,9 @@ type Result struct {
 // searcher scratch.  All methods are safe for concurrent use.
 type Engine struct {
 	batchWorkers int
+	// resultBuffer is the capacity of the channels SubmitBatch returns:
+	// defaultResultBuffer, except where a test sets the field to pin
+	// back-pressure.
 	resultBuffer int
 	// cache is the cross-query result cache (nil when Options.CacheBytes is
 	// zero); it also owns the single-flight table for concurrent duplicates.
@@ -148,18 +161,16 @@ type Engine struct {
 	// bases and delta indexes opened by compactions accumulate in closers and
 	// are released only at Close, so pinned snapshots stay valid without
 	// per-generation refcounting.
-	wmu       sync.Mutex
-	wBase     *shard.Engine
-	wDB       *seq.Database
-	wGen      uint64
-	mem       *suffixtree.OnlineBuilder
-	tombs     map[int]bool // immutable once published; copy-on-write
-	idIndex   map[string]int
-	closers   []io.Closer
-	indexDir  string
-	manifest  *diskst.Manifest
-	poolBytes int64
-	memOpts   shard.Options
+	wmu      sync.Mutex
+	wBase    *shard.Engine
+	wDB      *seq.Database
+	wGen     uint64
+	mem      *suffixtree.OnlineBuilder
+	tombs    map[int]bool // immutable once published; copy-on-write
+	idIndex  map[string]int
+	closers  []io.Closer
+	manifest *diskst.Manifest
+	opts     Options // as given to New: compaction reads IndexDir, PoolBytes and shardOptions
 
 	// immutable marks engines whose base index is not writable from this
 	// process (provider-backed coordinator engines: the corpus lives in the
@@ -180,6 +191,12 @@ type Engine struct {
 	// engine is open, so Close's Wait cannot race a starting submission.
 	active sync.WaitGroup
 }
+
+// defaultResultBuffer is the capacity of the channel SubmitBatch returns:
+// enough for a worker to run ahead of a consumer that is busy writing the
+// previous burst of hits, small enough that a stalled consumer back-pressures
+// the searches within one burst.
+const defaultResultBuffer = 64
 
 // cur returns the engine's current published generation snapshot.
 func (e *Engine) cur() *genState { return e.state.Load() }
@@ -207,15 +224,7 @@ func New(db *seq.Database, opts Options) (*Engine, error) {
 		if db == nil {
 			return nil, fmt.Errorf("engine: either a database or IndexDir is required")
 		}
-		mode := shard.PartitionBySequence
-		if opts.PartitionByPrefix {
-			mode = shard.PartitionByPrefix
-		}
-		sharded, err = shard.NewEngine(db, shard.Options{
-			Shards:    opts.Shards,
-			Workers:   opts.ShardWorkers,
-			Partition: mode,
-		})
+		sharded, err = shard.NewEngine(db, opts.shardOptions())
 	}
 	if err != nil {
 		return nil, err
@@ -232,14 +241,11 @@ func New(db *seq.Database, opts Options) (*Engine, error) {
 func newWarm(base *shard.Engine, db *seq.Database, opts Options, immutable bool) (*Engine, error) {
 	e := &Engine{
 		batchWorkers: opts.BatchWorkers,
-		resultBuffer: opts.ResultBuffer,
+		resultBuffer: defaultResultBuffer,
 		immutable:    immutable,
 	}
 	if e.batchWorkers < 1 {
 		e.batchWorkers = runtime.GOMAXPROCS(0)
-	}
-	if e.resultBuffer < 1 {
-		e.resultBuffer = 64
 	}
 	if err := e.initMutable(base, db, opts); err != nil {
 		return nil, err
@@ -255,9 +261,9 @@ func newWarm(base *shard.Engine, db *seq.Database, opts Options, immutable bool)
 // slice streams — as a warm batch engine, so the whole serving stack
 // (SubmitBatch multiplexing, result cache, admission in front) runs unchanged
 // over a distributed corpus.  Only the batch/cache options apply
-// (BatchWorkers, ResultBuffer, CacheBytes); index-construction options must be
-// zero.  The engine is IMMUTABLE: the corpus lives in the remote slices'
-// serving processes, so Insert, Delete and Compact return ErrImmutable.
+// (BatchWorkers, CacheBytes); index-construction options must be zero.  The
+// engine is IMMUTABLE: the corpus lives in the remote slices' serving
+// processes, so Insert, Delete and Compact return ErrImmutable.
 // Close closes base.
 func NewFromShardEngine(base *shard.Engine, opts Options) (*Engine, error) {
 	if base == nil {

@@ -163,10 +163,11 @@ func TestSubmitBatchCancellation(t *testing.T) {
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
 	db := randomEngineDB(t, rng, seq.Protein, 30, 120)
 	queries := randomQueries(rng, seq.Protein, 12, scheme)
-	eng, err := New(db, Options{Shards: 4, BatchWorkers: 4, ResultBuffer: 1})
+	eng, err := New(db, Options{Shards: 4, BatchWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.resultBuffer = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	results := eng.SubmitBatch(ctx, queries)
 	n := 0

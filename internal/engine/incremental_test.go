@@ -254,9 +254,8 @@ func TestIncrementalDiskReopen(t *testing.T) {
 
 // TestDiskReopenShardEngineServesDeltas pins the read-only reopen path: a
 // directory that accumulated compacted delta layers and tombstones must serve
-// the live corpus through plain shard.OpenDiskEngine (the oasis-search
-// -index-dir / oasis.NewShardedIndex route, which never constructs the warm
-// engine's writer).
+// the live corpus through plain shard.OpenDiskEngine (the shard-server route,
+// which never constructs the warm engine's writer).
 func TestDiskReopenShardEngineServesDeltas(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)

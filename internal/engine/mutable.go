@@ -96,15 +96,8 @@ func (e *Engine) initMutable(base *shard.Engine, db *seq.Database, opts Options)
 	e.wBase = base
 	e.wDB = db
 	e.tombs = base.Tombstones()
-	e.indexDir = opts.IndexDir
-	e.poolBytes = opts.PoolBytes
-	if opts.IndexDir == "" {
-		mode := shard.PartitionBySequence
-		if opts.PartitionByPrefix {
-			mode = shard.PartitionByPrefix
-		}
-		e.memOpts = shard.Options{Shards: opts.Shards, Workers: opts.ShardWorkers, Partition: mode}
-	} else {
+	e.opts = opts
+	if opts.IndexDir != "" {
 		e.manifest = base.Disk().Manifest
 		e.wGen = e.manifest.Generation
 	}
@@ -279,7 +272,7 @@ func (e *Engine) Compact() (uint64, error) {
 	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	if e.indexDir != "" {
+	if e.opts.IndexDir != "" {
 		return e.compactDiskLocked()
 	}
 	return e.compactMemoryLocked()
@@ -311,10 +304,8 @@ func (e *Engine) compactDiskLocked() (uint64, error) {
 		if err != nil {
 			return e.wGen, err
 		}
-		tmp := filepath.Join(e.indexDir, name+".tmp")
-		if _, err := diskst.Build(tmp, mdb, diskst.BuildOptions{
-			WriteOptions: diskst.WriteOptions{BlockSize: m.BlockSize},
-		}); err != nil {
+		tmp := filepath.Join(e.opts.IndexDir, name+".tmp")
+		if _, err := diskst.Build(tmp, mdb, diskst.BuildOptions{BlockSize: m.BlockSize}); err != nil {
 			os.Remove(tmp)
 			return e.wGen, fmt.Errorf("engine: building delta %s: %w", name, err)
 		}
@@ -324,13 +315,13 @@ func (e *Engine) compactDiskLocked() (uint64, error) {
 			os.Remove(tmp)
 			return e.wGen, fmt.Errorf("engine: compaction swap: %w", err)
 		}
-		if err := os.Rename(tmp, filepath.Join(e.indexDir, name)); err != nil {
+		if err := os.Rename(tmp, filepath.Join(e.opts.IndexDir, name)); err != nil {
 			os.Remove(tmp)
 			return e.wGen, err
 		}
 		globals := e.memGlobalsLocked()
 		m.Deltas = append(m.Deltas, diskst.DeltaRecord{File: name, GlobalIndex: globals, Residues: mdb.TotalResidues()})
-		if newIdx, err = e.manifest.OpenFile(e.indexDir, name, e.poolBytes, 0); err != nil {
+		if newIdx, err = e.manifest.OpenFile(e.opts.IndexDir, name, e.opts.PoolBytes, 0); err != nil {
 			// Manifest not yet written: the directory is still consistent at
 			// the old generation; the new file is an unreachable orphan.
 			return e.wGen, fmt.Errorf("engine: reopening delta %s: %w", name, err)
@@ -341,7 +332,7 @@ func (e *Engine) compactDiskLocked() (uint64, error) {
 	// directory would return.
 	durable, err := e.wBase.WithLayers(layers, e.tombs)
 	if err == nil {
-		err = diskst.WriteManifest(e.indexDir, &m)
+		err = diskst.WriteManifest(e.opts.IndexDir, &m)
 	}
 	if err != nil {
 		if newIdx != nil {
@@ -393,7 +384,7 @@ func (e *Engine) compactMemoryLocked() (uint64, error) {
 	if err != nil {
 		return e.wGen, err
 	}
-	newBase, err := shard.NewEngine(newDB, e.memOpts)
+	newBase, err := shard.NewEngine(newDB, e.opts.shardOptions())
 	if err != nil {
 		return e.wGen, err
 	}

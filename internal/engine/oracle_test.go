@@ -83,7 +83,7 @@ func checkAgainstSW(t *testing.T, label string, search searchFn, live []seq.Sequ
 // every opener of a generation against the Smith-Waterman oracle: the live
 // warm engine against everything written so far, and the two ways of opening
 // the directory from outside (a second engine.New, and shard.OpenDiskEngine —
-// the path shard servers, oasis.ShardedIndex and oasis-search -index-dir take)
+// the path shard servers take)
 // against everything compacted so far, which is all the directory promises.
 func TestGenerationOracle(t *testing.T) {
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)

@@ -22,10 +22,11 @@ func TestSubmitBatchBoundedGoroutines(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
 	db := randomEngineDB(t, rng, seq.Protein, 4, 30)
-	eng, err := New(db, Options{Shards: 1, BatchWorkers: 4, ResultBuffer: 1})
+	eng, err := New(db, Options{Shards: 1, BatchWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.resultBuffer = 1
 	defer eng.Close()
 	q := Query{Residues: seq.Protein.MustEncode("ACDEFGHIK"), Options: core.Options{Scheme: scheme, MinScore: 1}}
 	queries := make([]Query, 5000)
@@ -35,7 +36,7 @@ func TestSubmitBatchBoundedGoroutines(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	results := eng.SubmitBatch(context.Background(), queries)
-	// Nobody drains yet and ResultBuffer is 1, so the batch is pinned
+	// Nobody drains yet and resultBuffer is 1, so the batch is pinned
 	// in-flight while we sample; give any (buggy) per-query spawning ample
 	// time to happen.
 	time.Sleep(100 * time.Millisecond)

@@ -20,10 +20,11 @@ func TestStressConcurrentBatchesWithCancellation(t *testing.T) {
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
 	setup := rand.New(rand.NewSource(1309))
 	db := randomEngineDB(t, setup, seq.Protein, 40, 120)
-	eng, err := New(db, Options{Shards: 4, ShardWorkers: 2, BatchWorkers: 4, ResultBuffer: 4})
+	eng, err := New(db, Options{Shards: 4, ShardWorkers: 2, BatchWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.resultBuffer = 4
 	queries := randomQueries(setup, seq.Protein, 10, scheme)
 
 	iters := 12
@@ -120,10 +121,11 @@ func TestStressSingleFlightConcurrentDuplicates(t *testing.T) {
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
 	setup := rand.New(rand.NewSource(97))
 	db := randomEngineDB(t, setup, seq.Protein, 40, 120)
-	eng, err := New(db, Options{Shards: 4, BatchWorkers: 4, ResultBuffer: 4, CacheBytes: 4 << 20})
+	eng, err := New(db, Options{Shards: 4, BatchWorkers: 4, CacheBytes: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.resultBuffer = 4
 	defer eng.Close()
 	// Three queries only: nearly every concurrent operation collides on a
 	// key, so the flight table and the replay path stay saturated.

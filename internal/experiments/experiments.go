@@ -109,7 +109,6 @@ func (c *Config) fillDefaults() {
 type Lab struct {
 	Config    Config
 	DB        *seq.Database
-	Motifs    []workload.Motif
 	Queries   []workload.Query
 	Scheme    score.Scheme
 	KA        score.KarlinAltschul
@@ -156,7 +155,6 @@ func NewLab(cfg Config) (*Lab, error) {
 	lab := &Lab{
 		Config:  cfg,
 		DB:      db,
-		Motifs:  motifs,
 		Queries: queries,
 		Scheme:  scheme,
 		KA:      ka,
@@ -173,9 +171,7 @@ func NewLab(cfg Config) (*Lab, error) {
 	}
 	lab.cleanup = cleanup
 	lab.IndexPath = filepath.Join(dir, "experiment.oasis")
-	st, err := diskst.Build(lab.IndexPath, db, diskst.BuildOptions{
-		WriteOptions: diskst.WriteOptions{BlockSize: cfg.BlockSize},
-	})
+	st, err := diskst.Build(lab.IndexPath, db, diskst.BuildOptions{BlockSize: cfg.BlockSize})
 	if err != nil {
 		cleanup()
 		return nil, err

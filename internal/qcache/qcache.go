@@ -279,12 +279,12 @@ func (c *Cache) Get(key Key, maxResults int) (*Entry, bool) {
 	sh.mu.Lock()
 	el, ok := sh.byKey[key]
 	if ok {
-		se := el.Value.(*shardEntry)
-		if se.entry.Serves(maxResults) {
+		// Read the pointer under the lock: a concurrent Put replaces it.
+		if entry := el.Value.(*shardEntry).entry; entry.Serves(maxResults) {
 			sh.order.MoveToFront(el)
 			sh.mu.Unlock()
 			c.hits.Add(1)
-			return se.entry, true
+			return entry, true
 		}
 	}
 	sh.mu.Unlock()

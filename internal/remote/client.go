@@ -163,9 +163,8 @@ type ClientConfig struct {
 	Sequences int
 	// Replicas are the slice's replica addresses (host:port, or full URLs).
 	Replicas []string
-	// HTTPClient issues the stream requests; per-attempt dial and
-	// response-header timeouts belong on its Transport (NewTransport).
-	// nil uses a private default transport.
+	// HTTPClient issues the stream requests; nil uses a private transport
+	// with the same per-attempt timeouts (newTransport).
 	HTTPClient *http.Client
 	// MaxAttempts bounds stream attempts across replicas (0 picks
 	// max(3, 2*len(Replicas))).
@@ -227,7 +226,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c.hedgeCfg.fixed = cfg.HedgeAfter
 	c.hedgeCfg.disabled = cfg.DisableHedge
 	if c.hc == nil {
-		c.hc = &http.Client{Transport: NewTransport(2*time.Second, 10*time.Second)}
+		c.hc = &http.Client{Transport: newTransport()}
 	}
 	if c.policy.Base == 0 {
 		c.policy = retry.Default(c.maxTries, 5*time.Millisecond, 250*time.Millisecond)
@@ -248,13 +247,18 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// NewTransport builds an http.Transport with the coordinator's per-attempt
-// timeouts: dialTimeout bounds the TCP connect of one attempt and
-// headerTimeout the wait for a replica's response headers.  Both are
-// per-attempt knobs, deliberately distinct from the per-query deadline the
-// serving layer applies around the whole fan-out — a slow replica should
-// burn one attempt, not the query.
-func NewTransport(dialTimeout, headerTimeout time.Duration) *http.Transport {
+// Per-attempt transport timeouts: dialTimeout bounds the TCP connect of one
+// attempt and headerTimeout the wait for a replica's response headers.  Both
+// are deliberately distinct from the per-query deadline the serving layer
+// applies around the whole fan-out — a slow replica should burn one attempt,
+// not the query.
+const (
+	dialTimeout   = 2 * time.Second
+	headerTimeout = 10 * time.Second
+)
+
+// newTransport builds the http.Transport every slice client shares.
+func newTransport() *http.Transport {
 	return &http.Transport{
 		DialContext:           (&net.Dialer{Timeout: dialTimeout}).DialContext,
 		ResponseHeaderTimeout: headerTimeout,

@@ -20,16 +20,11 @@ type Config struct {
 	// global sequence index layout (slice s's offset is the sum of the
 	// preceding slices' sequence counts).
 	Slices [][]string
-	// Workers bounds concurrent slice streams per query (0 = one per
-	// slice).
-	Workers int
-	// DialTimeout and HeaderTimeout are the per-attempt transport timeouts
-	// (0 picks 2s / 10s); they are deliberately distinct from any per-query
-	// deadline the serving layer applies around the whole fan-out.
-	DialTimeout   time.Duration
-	HeaderTimeout time.Duration
 	// MaxAttempts, Retry, HedgeAfter and DisableHedge configure every slice
-	// client (see ClientConfig).
+	// client (see ClientConfig).  No command line sets them — the zero
+	// values are the deployed behaviour (max(3, 2 x replicas) attempts,
+	// jittered 5ms..250ms backoff, adaptive p95 hedging) — and the fields
+	// remain for the tests that pace retries and force or forbid hedges.
 	MaxAttempts  int
 	Retry        retry.Policy
 	HedgeAfter   time.Duration
@@ -63,14 +58,7 @@ func Open(ctx context.Context, cfg Config) (*Coordinator, error) {
 	if len(cfg.Slices) == 0 {
 		return nil, fmt.Errorf("remote: no slices configured")
 	}
-	dial, header := cfg.DialTimeout, cfg.HeaderTimeout
-	if dial <= 0 {
-		dial = 2 * time.Second
-	}
-	if header <= 0 {
-		header = 10 * time.Second
-	}
-	hc := &http.Client{Transport: NewTransport(dial, header)}
+	hc := &http.Client{Transport: newTransport()}
 
 	co := &Coordinator{metrics: &Metrics{}, hc: hc}
 	var total int64
@@ -120,7 +108,7 @@ func Open(ctx context.Context, cfg Config) (*Coordinator, error) {
 	eng, err := shard.NewEngineFromProviders(shard.ProviderSet{
 		Providers: providers,
 		Catalog:   &remoteCatalog{alphabet: alphabet, sequences: offset, residues: total},
-	}, shard.Options{Workers: cfg.Workers})
+	}, shard.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/seq"
 )
@@ -31,6 +32,12 @@ type Matrix struct {
 	rowMax   []int // max over each row
 	maxScore int   // max over the whole matrix
 	minScore int   // min over the whole matrix
+
+	// ka memoises Params(m, nil): the matrix is immutable, so its statistics
+	// under the standard background frequencies are solved once.
+	kaOnce sync.Once
+	ka     KarlinAltschul
+	kaErr  error
 }
 
 // NewMatrix builds a matrix from a letter-keyed score table.  Every pair of

@@ -160,7 +160,19 @@ func Entropy(m *Matrix, freqs []float64, lambda float64) float64 {
 // converting between E-values and score thresholds, which is all the paper
 // (and this reproduction) needs.  CalibrateGumbel provides an empirical
 // alternative.
+//
+// With nil freqs (the standard background frequencies) the numeric solve runs
+// once per matrix and is memoised: every query that states its threshold as
+// an E-value asks for these same parameters.
 func Params(m *Matrix, freqs []float64) (KarlinAltschul, error) {
+	if freqs != nil {
+		return solveParams(m, freqs)
+	}
+	m.kaOnce.Do(func() { m.ka, m.kaErr = solveParams(m, nil) })
+	return m.ka, m.kaErr
+}
+
+func solveParams(m *Matrix, freqs []float64) (KarlinAltschul, error) {
 	lambda, err := Lambda(m, freqs)
 	if err != nil {
 		return KarlinAltschul{}, err

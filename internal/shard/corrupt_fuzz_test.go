@@ -40,8 +40,8 @@ func FuzzCorruptIndexDir(f *testing.F) {
 	}
 	template := filepath.Join(f.TempDir(), "idx")
 	manifest, _, err2 := diskst.BuildSharded(template, db, diskst.ShardedBuildOptions{
-		WriteOptions: diskst.WriteOptions{BlockSize: 512},
-		Shards:       2,
+		BlockSize: 512,
+		Shards:    2,
 	})
 	if err2 != nil {
 		f.Fatal(err2)

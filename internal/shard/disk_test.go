@@ -51,7 +51,7 @@ func TestDiskEngineEquivalenceProperty(t *testing.T) {
 					shards := 1 + rng.Intn(5)
 					dir := filepath.Join(t.TempDir(), "idx")
 					manifest, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{
-						WriteOptions:      diskst.WriteOptions{BlockSize: 2048},
+						BlockSize:         2048,
 						Shards:            shards,
 						PartitionByPrefix: prefix,
 					})

@@ -23,8 +23,8 @@ func buildFaultDir(t *testing.T) (dir string, query []byte, opts core.Options) {
 	db := randomShardDB(t, rng, seq.DNA, 18, 90)
 	dir = filepath.Join(t.TempDir(), "idx")
 	if _, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{
-		WriteOptions: diskst.WriteOptions{BlockSize: 2048},
-		Shards:       3,
+		BlockSize: 2048,
+		Shards:    3,
 	}); err != nil {
 		t.Fatal(err)
 	}

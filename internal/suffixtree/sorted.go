@@ -12,9 +12,8 @@ import (
 // rightmost path (the classic suffix-array-to-suffix-tree construction).
 //
 // It is O(n log n * avgLCP) — slower than Ukkonen on large inputs — but
-// simple, and it is the per-partition builder used by BuildPartitioned and
-// by the disk index.  Tests verify it produces exactly the same tree as
-// BuildUkkonen.
+// simple: it is the reference the equivalence tests compare BuildUkkonen's
+// tree against.
 func BuildSorted(db *seq.Database) (*Tree, error) {
 	if db == nil {
 		return nil, fmt.Errorf("suffixtree: nil database")
@@ -23,74 +22,10 @@ func BuildSorted(db *seq.Database) (*Tree, error) {
 	for i := range positions {
 		positions[i] = int64(i)
 	}
-	return buildFromPositions(db, positions)
-}
-
-// BuildPartitioned constructs the tree following the partitioned approach of
-// Hunt et al. (the paper's reference [16]): suffixes are grouped by their
-// leading symbol(s), each partition's subtree is built independently with
-// the sorted-suffix construction, and the partitions are stitched together
-// under a single root.  prefixLen controls the partitioning depth (1 or 2
-// symbols; 0 defaults to 1).
-func BuildPartitioned(db *seq.Database, prefixLen int) (*Tree, error) {
-	if db == nil {
-		return nil, fmt.Errorf("suffixtree: nil database")
-	}
-	if prefixLen <= 0 {
-		prefixLen = 1
-	}
-	if prefixLen > 2 {
-		return nil, fmt.Errorf("suffixtree: prefixLen %d too large (max 2)", prefixLen)
-	}
-	text := db.Concat()
-	// Partition key: the first prefixLen bytes of the suffix (terminators
-	// cut a key short).  Keys are processed in lexicographic order so the
-	// overall insertion order equals the fully sorted order, which lets us
-	// reuse the same rightmost-path builder across partitions.
-	keyOf := func(pos int64) string {
-		end := pos + int64(prefixLen)
-		if end > int64(len(text)) {
-			end = int64(len(text))
-		}
-		for i := pos; i < end; i++ {
-			if text[i] == seq.Terminator {
-				end = i + 1
-				break
-			}
-		}
-		return string(text[pos:end])
-	}
-	partitions := map[string][]int64{}
-	for pos := int64(0); pos < int64(len(text)); pos++ {
-		k := keyOf(pos)
-		partitions[k] = append(partitions[k], pos)
-	}
-	keys := make([]string, 0, len(partitions))
-	for k := range partitions {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
 	b := newRightmostBuilder(db)
-	for _, k := range keys {
-		// Each partition is sorted and inserted independently; one "pass
-		// over the data" per partition, as in the paper's construction.
-		positions := partitions[k]
-		sort.Slice(positions, func(i, j int) bool {
-			return compareSuffixesFast(b.text, b.ends, positions[i], positions[j]) < 0
-		})
-		for _, p := range positions {
-			b.insert(p)
-		}
-	}
-	return b.finish()
-}
-
-// buildFromPositions sorts the given suffix start positions and builds the
-// tree containing exactly those suffixes.
-func buildFromPositions(db *seq.Database, positions []int64) (*Tree, error) {
-	sortSuffixPositions(db, positions)
-	b := newRightmostBuilder(db)
+	sort.Slice(positions, func(i, j int) bool {
+		return compareSuffixesFast(b.text, b.ends, positions[i], positions[j]) < 0
+	})
 	for _, p := range positions {
 		b.insert(p)
 	}
@@ -225,14 +160,6 @@ func suffixLCP(db *seq.Database, a, b int64) int64 {
 		l++
 	}
 	return l
-}
-
-func sortSuffixPositions(db *seq.Database, positions []int64) {
-	text := db.Concat()
-	ends := suffixEnds(db)
-	sort.Slice(positions, func(i, j int) bool {
-		return compareSuffixesFast(text, ends, positions[i], positions[j]) < 0
-	})
 }
 
 // rightmostBuilder incrementally constructs a tree from suffixes supplied in

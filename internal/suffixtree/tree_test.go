@@ -23,10 +23,8 @@ func paperDB(t *testing.T) *seq.Database {
 
 // builders lists every construction algorithm under test.
 var builders = map[string]func(*seq.Database) (*Tree, error){
-	"ukkonen":      BuildUkkonen,
-	"sorted":       BuildSorted,
-	"partitioned1": func(db *seq.Database) (*Tree, error) { return BuildPartitioned(db, 1) },
-	"partitioned2": func(db *seq.Database) (*Tree, error) { return BuildPartitioned(db, 2) },
+	"ukkonen": BuildUkkonen,
+	"sorted":  BuildSorted,
 }
 
 func TestPaperExampleTreeStructure(t *testing.T) {
@@ -297,13 +295,6 @@ func TestNilDatabaseRejected(t *testing.T) {
 	}
 	if _, err := BuildSorted(nil); err == nil {
 		t.Fatal("expected error")
-	}
-	if _, err := BuildPartitioned(nil, 1); err == nil {
-		t.Fatal("expected error")
-	}
-	db, _ := seq.DatabaseFromStrings(seq.DNA, "ACGT")
-	if _, err := BuildPartitioned(db, 9); err == nil {
-		t.Fatal("expected error for oversized prefix length")
 	}
 }
 

@@ -18,30 +18,30 @@ import (
 	"repro/internal/seq"
 )
 
+// The shape of the synthetic SWISS-PROT stand-in.  Only the scale and the
+// seed of a generated database are configuration; these are the workload.
+const (
+	// Sequence lengths (SWISS-PROT: 7..2048, mean ~400; the scaled mean is
+	// smaller to keep benchmarks fast).
+	proteinMinLen, proteinMaxLen, proteinMeanLen = 7, 2048, 256
+	// familySize is the number of sequences that receive a (mutated) copy of
+	// each family motif.
+	familySize = 6
+	// Motif lengths (ProClass: 3..80).
+	motifMinLen, motifMaxLen = 8, 40
+	// Per-residue probabilities that a planted motif copy differs from the
+	// family motif by a substitution, or by an insertion or deletion.
+	motifMutationRate, motifIndelRate = 0.15, 0.02
+)
+
 // ProteinConfig configures the synthetic protein database generator.
 type ProteinConfig struct {
 	// NumSequences is the number of protein sequences (SWISS-PROT has
 	// ~100K; benchmarks use a scaled-down default).
 	NumSequences int
-	// MinLen/MaxLen bound sequence lengths (SWISS-PROT: 7..2048).
-	MinLen, MaxLen int
-	// MeanLen is the target mean sequence length (SWISS-PROT: ~400;
-	// the scaled default is smaller to keep benchmarks fast).
-	MeanLen int
 	// NumFamilies is the number of motif families planted into the
 	// database.
 	NumFamilies int
-	// FamilySize is the number of sequences that receive a (mutated) copy
-	// of each family motif.
-	FamilySize int
-	// MotifMinLen/MotifMaxLen bound motif lengths (ProClass: 3..80).
-	MotifMinLen, MotifMaxLen int
-	// MutationRate is the per-residue probability that a planted motif
-	// copy differs from the family motif.
-	MutationRate float64
-	// IndelRate is the per-residue probability of an insertion or deletion
-	// in a planted motif copy.
-	IndelRate float64
 	// Seed makes generation deterministic.
 	Seed int64
 }
@@ -49,22 +49,13 @@ type ProteinConfig struct {
 // DefaultProteinConfig returns a laptop-scale stand-in for SWISS-PROT with
 // roughly the requested total number of residues.
 func DefaultProteinConfig(totalResidues int64) ProteinConfig {
-	meanLen := 256
-	n := int(totalResidues / int64(meanLen))
+	n := int(totalResidues / proteinMeanLen)
 	if n < 10 {
 		n = 10
 	}
 	return ProteinConfig{
 		NumSequences: n,
-		MinLen:       7,
-		MaxLen:       2048,
-		MeanLen:      meanLen,
 		NumFamilies:  n/20 + 5,
-		FamilySize:   6,
-		MotifMinLen:  8,
-		MotifMaxLen:  40,
-		MutationRate: 0.15,
-		IndelRate:    0.02,
 		Seed:         1309,
 	}
 }
@@ -83,8 +74,8 @@ type Motif struct {
 // ProteinDatabase generates a SWISS-PROT-like database plus the list of
 // planted motifs.
 func ProteinDatabase(cfg ProteinConfig) (*seq.Database, []Motif, error) {
-	if err := validateProteinConfig(&cfg); err != nil {
-		return nil, nil, err
+	if cfg.NumSequences <= 0 || cfg.NumFamilies < 0 {
+		return nil, nil, fmt.Errorf("workload: invalid protein config %+v", cfg)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	freqs := proteinBackground()
@@ -93,7 +84,7 @@ func ProteinDatabase(cfg ProteinConfig) (*seq.Database, []Motif, error) {
 	// Base sequences.
 	seqs := make([]seq.Sequence, cfg.NumSequences)
 	for i := range seqs {
-		n := sampleLength(rng, cfg.MeanLen, cfg.MinLen, cfg.MaxLen)
+		n := sampleLength(rng, proteinMeanLen, proteinMinLen, proteinMaxLen)
 		seqs[i] = seq.Sequence{
 			ID:          fmt.Sprintf("SYN|P%05d", i),
 			Description: "synthetic protein",
@@ -104,14 +95,14 @@ func ProteinDatabase(cfg ProteinConfig) (*seq.Database, []Motif, error) {
 	// Plant motif families.
 	motifs := make([]Motif, 0, cfg.NumFamilies)
 	for f := 0; f < cfg.NumFamilies; f++ {
-		mLen := cfg.MotifMinLen + rng.Intn(cfg.MotifMaxLen-cfg.MotifMinLen+1)
+		mLen := motifMinLen + rng.Intn(motifMaxLen-motifMinLen+1)
 		motif := Motif{
 			ID:       fmt.Sprintf("MOTIF%04d", f),
 			Residues: sampler.sample(rng, mLen),
 		}
-		for k := 0; k < cfg.FamilySize; k++ {
+		for k := 0; k < familySize; k++ {
 			target := rng.Intn(len(seqs))
-			copyRes := mutate(rng, sampler, motif.Residues, cfg.MutationRate, cfg.IndelRate)
+			copyRes := mutate(rng, sampler, motif.Residues, motifMutationRate, motifIndelRate)
 			seqs[target].Residues = insertAt(rng, seqs[target].Residues, copyRes)
 			motif.Members = append(motif.Members, target)
 		}
@@ -125,24 +116,16 @@ func ProteinDatabase(cfg ProteinConfig) (*seq.Database, []Motif, error) {
 	return db, motifs, nil
 }
 
-func validateProteinConfig(cfg *ProteinConfig) error {
-	if cfg.NumSequences <= 0 {
-		return fmt.Errorf("workload: NumSequences must be positive")
-	}
-	if cfg.MinLen < 1 || cfg.MaxLen < cfg.MinLen {
-		return fmt.Errorf("workload: invalid length bounds [%d,%d]", cfg.MinLen, cfg.MaxLen)
-	}
-	if cfg.MeanLen < cfg.MinLen {
-		cfg.MeanLen = cfg.MinLen
-	}
-	if cfg.MotifMinLen < 3 || cfg.MotifMaxLen < cfg.MotifMinLen {
-		return fmt.Errorf("workload: invalid motif length bounds [%d,%d]", cfg.MotifMinLen, cfg.MotifMaxLen)
-	}
-	if cfg.MutationRate < 0 || cfg.MutationRate > 1 || cfg.IndelRate < 0 || cfg.IndelRate > 1 {
-		return fmt.Errorf("workload: rates must be in [0,1]")
-	}
-	return nil
-}
+// The shape of the synthetic Drosophila stand-in.
+const (
+	// Sequence lengths.
+	dnaMeanLen, dnaMinLen, dnaMaxLen = 4096, 512, 4 * 4096
+	// dnaRepeatFraction is the fraction of each sequence built from repeated
+	// segments (genomes are repeat-rich, which stresses the suffix tree).
+	dnaRepeatFraction = 0.2
+	// dnaGCContent is the G+C fraction (Drosophila ~0.42).
+	dnaGCContent = 0.42
+)
 
 // DNAConfig configures the synthetic nucleotide database generator (the
 // Drosophila stand-in).
@@ -150,55 +133,37 @@ type DNAConfig struct {
 	// NumSequences is the number of nucleotide sequences (the Drosophila
 	// set has ~1K).
 	NumSequences int
-	// MeanLen is the target mean sequence length.
-	MeanLen int
-	// MinLen/MaxLen bound sequence lengths.
-	MinLen, MaxLen int
-	// RepeatFraction is the fraction of each sequence built from repeated
-	// segments (genomes are repeat-rich, which stresses the suffix tree).
-	RepeatFraction float64
-	// GCContent is the G+C fraction (Drosophila ~0.42).
-	GCContent float64
 	// Seed makes generation deterministic.
 	Seed int64
 }
 
 // DefaultDNAConfig returns a laptop-scale stand-in for the Drosophila set.
 func DefaultDNAConfig(totalResidues int64) DNAConfig {
-	meanLen := 4096
-	n := int(totalResidues / int64(meanLen))
+	n := int(totalResidues / dnaMeanLen)
 	if n < 4 {
 		n = 4
 	}
-	return DNAConfig{
-		NumSequences:   n,
-		MeanLen:        meanLen,
-		MinLen:         512,
-		MaxLen:         meanLen * 4,
-		RepeatFraction: 0.2,
-		GCContent:      0.42,
-		Seed:           7411,
-	}
+	return DNAConfig{NumSequences: n, Seed: 7411}
 }
 
 // DNADatabase generates a nucleotide database with repeat structure.
 func DNADatabase(cfg DNAConfig) (*seq.Database, error) {
-	if cfg.NumSequences <= 0 || cfg.MinLen < 1 || cfg.MaxLen < cfg.MinLen {
+	if cfg.NumSequences <= 0 {
 		return nil, fmt.Errorf("workload: invalid DNA config %+v", cfg)
 	}
-	if cfg.GCContent <= 0 || cfg.GCContent >= 1 {
-		cfg.GCContent = 0.42
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	// A variable, so the frequencies below are float64 arithmetic rather
+	// than exact constant folding (which can differ in the last bit).
+	gc := float64(dnaGCContent)
 	freqs := make([]float64, seq.DNA.Size())
 	codeA, _ := seq.DNA.Code('A')
 	codeC, _ := seq.DNA.Code('C')
 	codeG, _ := seq.DNA.Code('G')
 	codeT, _ := seq.DNA.Code('T')
-	freqs[codeA] = (1 - cfg.GCContent) / 2
-	freqs[codeT] = (1 - cfg.GCContent) / 2
-	freqs[codeC] = cfg.GCContent / 2
-	freqs[codeG] = cfg.GCContent / 2
+	freqs[codeA] = (1 - gc) / 2
+	freqs[codeT] = (1 - gc) / 2
+	freqs[codeC] = gc / 2
+	freqs[codeG] = gc / 2
 	sampler := newResidueSampler(seq.DNA, freqs)
 
 	// A small library of repeat elements shared across sequences.
@@ -208,10 +173,10 @@ func DNADatabase(cfg DNAConfig) (*seq.Database, error) {
 	}
 	seqs := make([]seq.Sequence, cfg.NumSequences)
 	for i := range seqs {
-		n := sampleLength(rng, cfg.MeanLen, cfg.MinLen, cfg.MaxLen)
+		n := sampleLength(rng, dnaMeanLen, dnaMinLen, dnaMaxLen)
 		var res []byte
 		for len(res) < n {
-			if rng.Float64() < cfg.RepeatFraction {
+			if rng.Float64() < dnaRepeatFraction {
 				res = append(res, repeats[rng.Intn(len(repeats))]...)
 			} else {
 				res = append(res, sampler.sample(rng, 100+rng.Intn(400))...)
@@ -237,22 +202,23 @@ type Query struct {
 	SourceMotif int
 }
 
-// QueryConfig configures motif-derived query generation (the ProClass
-// stand-in: short peptide queries, lengths 6-56, mean ~16).
+// The shape of the ProClass stand-in: short peptide queries.
+const (
+	// Query lengths (the paper: 6-56, mean ~16).
+	queryMinLen, queryMaxLen, queryMeanLen = 6, 56, 16
+	// queryMutationRate is the per-residue probability of mutating a query
+	// away from its source motif.
+	queryMutationRate = 0.10
+	// backgroundFraction is the fraction of queries drawn from the background
+	// distribution instead of a planted motif (these behave like queries with
+	// no strong homolog).
+	backgroundFraction = 0.15
+)
+
+// QueryConfig configures motif-derived query generation.
 type QueryConfig struct {
 	// Num is the number of queries.
 	Num int
-	// MinLen/MaxLen bound query lengths.
-	MinLen, MaxLen int
-	// MeanLen is the target mean query length.
-	MeanLen int
-	// MutationRate is the per-residue probability of mutating the query
-	// away from its source motif.
-	MutationRate float64
-	// BackgroundFraction is the fraction of queries drawn from the
-	// background distribution instead of a planted motif (these behave
-	// like queries with no strong homolog).
-	BackgroundFraction float64
 	// Seed makes generation deterministic.
 	Seed int64
 }
@@ -263,24 +229,16 @@ func DefaultQueryConfig(num int) QueryConfig {
 	if num <= 0 {
 		num = 100
 	}
-	return QueryConfig{
-		Num:                num,
-		MinLen:             6,
-		MaxLen:             56,
-		MeanLen:            16,
-		MutationRate:       0.10,
-		BackgroundFraction: 0.15,
-		Seed:               271,
-	}
+	return QueryConfig{Num: num, Seed: 271}
 }
 
-// MotifQueries draws queries from the planted motifs of a database (plus a
-// configurable fraction of background queries).
+// MotifQueries draws queries from the planted motifs of a database (plus the
+// backgroundFraction of background queries).
 func MotifQueries(db *seq.Database, motifs []Motif, cfg QueryConfig) ([]Query, error) {
 	if db == nil {
 		return nil, fmt.Errorf("workload: nil database")
 	}
-	if cfg.Num <= 0 || cfg.MinLen < 1 || cfg.MaxLen < cfg.MinLen {
+	if cfg.Num <= 0 {
 		return nil, fmt.Errorf("workload: invalid query config %+v", cfg)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -288,9 +246,9 @@ func MotifQueries(db *seq.Database, motifs []Motif, cfg QueryConfig) ([]Query, e
 	sampler := newResidueSampler(db.Alphabet(), stats.Frequencies)
 	queries := make([]Query, 0, cfg.Num)
 	for i := 0; i < cfg.Num; i++ {
-		n := sampleLength(rng, cfg.MeanLen, cfg.MinLen, cfg.MaxLen)
+		n := sampleLength(rng, queryMeanLen, queryMinLen, queryMaxLen)
 		q := Query{ID: fmt.Sprintf("Q%04d", i), SourceMotif: -1}
-		if len(motifs) > 0 && rng.Float64() >= cfg.BackgroundFraction {
+		if len(motifs) > 0 && rng.Float64() >= backgroundFraction {
 			mi := rng.Intn(len(motifs))
 			motif := motifs[mi].Residues
 			q.SourceMotif = mi
@@ -301,12 +259,12 @@ func MotifQueries(db *seq.Database, motifs []Motif, cfg QueryConfig) ([]Query, e
 			if len(motif) > n {
 				start = rng.Intn(len(motif) - n + 1)
 			}
-			q.Residues = mutate(rng, sampler, motif[start:start+n], cfg.MutationRate, 0)
+			q.Residues = mutate(rng, sampler, motif[start:start+n], queryMutationRate, 0)
 		} else {
 			q.Residues = sampler.sample(rng, n)
 		}
-		if len(q.Residues) < cfg.MinLen {
-			q.Residues = append(q.Residues, sampler.sample(rng, cfg.MinLen-len(q.Residues))...)
+		if len(q.Residues) < queryMinLen {
+			q.Residues = append(q.Residues, sampler.sample(rng, queryMinLen-len(q.Residues))...)
 		}
 		queries = append(queries, q)
 	}

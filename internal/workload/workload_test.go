@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/align"
@@ -21,8 +22,8 @@ func TestProteinDatabaseGeneration(t *testing.T) {
 		t.Fatalf("motifs = %d, want %d", len(motifs), cfg.NumFamilies)
 	}
 	st := db.ComputeStats()
-	if st.MinLength < cfg.MinLen {
-		t.Fatalf("MinLength %d below configured %d", st.MinLength, cfg.MinLen)
+	if st.MinLength < proteinMinLen {
+		t.Fatalf("MinLength %d below the generator's %d", st.MinLength, proteinMinLen)
 	}
 	// Total residues should be in the right ballpark (within 4x).
 	if st.TotalResidues < 50_000/4 || st.TotalResidues > 50_000*4 {
@@ -37,10 +38,10 @@ func TestProteinDatabaseGeneration(t *testing.T) {
 		t.Fatalf("L (%v) should be more frequent than W (%v)", st.Frequencies[codeL], st.Frequencies[codeW])
 	}
 	for _, m := range motifs {
-		if len(m.Members) != cfg.FamilySize {
-			t.Fatalf("motif %s has %d members, want %d", m.ID, len(m.Members), cfg.FamilySize)
+		if len(m.Members) != familySize {
+			t.Fatalf("motif %s has %d members, want %d", m.ID, len(m.Members), familySize)
 		}
-		if len(m.Residues) < cfg.MotifMinLen || len(m.Residues) > cfg.MotifMaxLen {
+		if len(m.Residues) < motifMinLen || len(m.Residues) > motifMaxLen {
 			t.Fatalf("motif %s length %d out of bounds", m.ID, len(m.Residues))
 		}
 	}
@@ -83,10 +84,7 @@ func TestProteinDatabaseDeterministic(t *testing.T) {
 }
 
 func TestPlantedMotifsAreFindable(t *testing.T) {
-	cfg := DefaultProteinConfig(30_000)
-	cfg.MutationRate = 0.05
-	cfg.IndelRate = 0
-	db, motifs, err := ProteinDatabase(cfg)
+	db, motifs, err := ProteinDatabase(DefaultProteinConfig(30_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +107,8 @@ func TestPlantedMotifsAreFindable(t *testing.T) {
 func TestProteinConfigValidation(t *testing.T) {
 	bad := []ProteinConfig{
 		{},
-		{NumSequences: 5, MinLen: 0, MaxLen: 10, MotifMinLen: 5, MotifMaxLen: 10},
-		{NumSequences: 5, MinLen: 10, MaxLen: 5, MotifMinLen: 5, MotifMaxLen: 10},
-		{NumSequences: 5, MinLen: 5, MaxLen: 10, MotifMinLen: 1, MotifMaxLen: 2},
-		{NumSequences: 5, MinLen: 5, MaxLen: 10, MotifMinLen: 5, MotifMaxLen: 10, MutationRate: 2},
+		{NumSequences: -1, NumFamilies: 1},
+		{NumSequences: 5, NumFamilies: -1},
 	}
 	for i, cfg := range bad {
 		if _, _, err := ProteinDatabase(cfg); err == nil {
@@ -158,7 +154,7 @@ func TestMotifQueries(t *testing.T) {
 	}
 	var totalLen, fromMotif int
 	for _, q := range queries {
-		if len(q.Residues) < qcfg.MinLen || len(q.Residues) > qcfg.MaxLen+2 {
+		if len(q.Residues) < queryMinLen || len(q.Residues) > queryMaxLen+2 {
 			t.Fatalf("query %s length %d out of bounds", q.ID, len(q.Residues))
 		}
 		totalLen += len(q.Residues)
@@ -196,9 +192,6 @@ func TestMotifQueriesValidation(t *testing.T) {
 	if _, err := MotifQueries(db, motifs, QueryConfig{Num: 0}); err == nil {
 		t.Fatal("zero queries should be rejected")
 	}
-	if _, err := MotifQueries(db, motifs, QueryConfig{Num: 5, MinLen: 10, MaxLen: 5}); err == nil {
-		t.Fatal("bad bounds should be rejected")
-	}
 	// No motifs: all queries are background.
 	qs, err := MotifQueries(db, nil, DefaultQueryConfig(10))
 	if err != nil {
@@ -212,19 +205,17 @@ func TestMotifQueriesValidation(t *testing.T) {
 }
 
 func TestSampleLengthBounds(t *testing.T) {
-	rngDB, _, _ := ProteinDatabase(ProteinConfig{
-		NumSequences: 200, MinLen: 7, MaxLen: 50, MeanLen: 20,
-		NumFamilies: 1, FamilySize: 1, MotifMinLen: 5, MotifMaxLen: 10,
-		MutationRate: 0.1, Seed: 7,
-	})
-	st := rngDB.ComputeStats()
-	// Lengths can exceed MaxLen only through motif insertion (one motif of
-	// at most 10 residues here).
-	if st.MaxLength > 50+10 {
-		t.Fatalf("MaxLength %d exceeds bound", st.MaxLength)
+	rng := rand.New(rand.NewSource(7))
+	sum := 0
+	for i := 0; i < 2000; i++ {
+		n := sampleLength(rng, 20, 7, 50)
+		if n < 7 || n > 50 {
+			t.Fatalf("length %d outside [7,50]", n)
+		}
+		sum += n
 	}
-	if st.MinLength < 7 {
-		t.Fatalf("MinLength %d below bound", st.MinLength)
+	if mean := float64(sum) / 2000; mean < 15 || mean > 25 {
+		t.Fatalf("mean length %v, want ~20", mean)
 	}
 }
 

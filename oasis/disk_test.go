@@ -33,11 +33,11 @@ func buildDiskShardedIndex(t *testing.T, seed int64, prefix bool, shards int) (*
 	return db, dir
 }
 
-// TestDiskShardedIndexPublicAPI mirrors TestPrefixShardedIndexPublicAPI for
-// the disk-backed engine: a sharded index built by BuildShardedDiskIndex and
-// reopened via ShardOptions.IndexDir must report exactly the hits of the
-// in-memory single-index search — same sequences, same scores, same score at
-// every rank — in both partition modes.
+// TestDiskShardedIndexPublicAPI is TestEngineMatchesSingleIndex for the
+// disk-backed engine: a sharded index built by BuildShardedDiskIndex and
+// reopened with OpenEngine must report exactly the hits of the in-memory
+// single-index search — same sequences, same scores, same score at every
+// rank — in both partition modes.
 func TestDiskShardedIndexPublicAPI(t *testing.T) {
 	for _, prefix := range []bool{false, true} {
 		name := "sequence"
@@ -46,72 +46,43 @@ func TestDiskShardedIndexPublicAPI(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			db, dir := buildDiskShardedIndex(t, 91, prefix, 4)
-			queries, err := workload.MotifQueries(db, nil, workload.DefaultQueryConfig(5))
+			qs, err := workload.MotifQueries(db, nil, workload.DefaultQueryConfig(5))
 			if err != nil {
 				t.Fatal(err)
+			}
+			queries := make([][]byte, len(qs))
+			for i, q := range qs {
+				queries[i] = q.Residues
 			}
 			scheme, err := oasis.NewScheme(oasis.MatrixByName("PAM30"), -10)
 			if err != nil {
 				t.Fatal(err)
 			}
-			single, err := oasis.NewMemoryIndex(db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharded, err := oasis.NewShardedIndex(nil, oasis.ShardOptions{
-				IndexDir: dir,
+			eng, err := oasis.OpenEngine(dir, oasis.EngineOptions{
 				// Small pools keep real page traffic (and eviction) in play.
-				PoolBytes: 64 * 2048,
-				Workers:   2,
+				PoolBytes:    64 * 2048,
+				ShardWorkers: 2,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sharded.Close()
-			if sharded.NumShards() != 4 {
-				t.Fatalf("got %d shards, want 4", sharded.NumShards())
+			defer eng.Close()
+			if eng.NumShards() != 4 {
+				t.Fatalf("got %d shards, want 4", eng.NumShards())
 			}
-			if sharded.TotalResidues() != db.TotalResidues() {
-				t.Fatalf("disk engine serves %d residues, db has %d", sharded.TotalResidues(), db.TotalResidues())
+			if eng.TotalResidues() != db.TotalResidues() {
+				t.Fatalf("disk engine serves %d residues, db has %d", eng.TotalResidues(), db.TotalResidues())
 			}
-			for _, q := range queries {
-				opts, err := oasis.NewSearchOptionsSized(scheme, sharded.TotalResidues(), q.Residues, oasis.WithEValue(20000))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := oasis.SearchAll(single, q.Residues, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var st oasis.SearchStats
-				opts.Stats = &st
-				got, err := sharded.SearchAll(q.Residues, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("query %s: disk-sharded reported %d hits, single %d", q.ID, len(got), len(want))
-				}
-				seen := map[int]int{}
-				for _, h := range want {
-					seen[h.SeqIndex] = h.Score
-				}
-				for i, h := range got {
-					if s, ok := seen[h.SeqIndex]; !ok || s != h.Score {
-						t.Fatalf("query %s: hit %d (%s score %d) not in single-index results", q.ID, i, h.SeqID, h.Score)
+			assertMatchesSingleIndex(t, eng, db, scheme, queries,
+				func(t *testing.T, q []byte, got []oasis.Hit, _, _ oasis.SearchStats) {
+					// Alignment recovery must work without the source database:
+					// residues come back through the shard buffer pools.
+					if len(got) > 0 {
+						if _, err := eng.RecoverAlignment(q, scheme, got[0]); err != nil {
+							t.Fatalf("recover alignment: %v", err)
+						}
 					}
-					if h.Score != want[i].Score {
-						t.Fatalf("query %s: score at position %d is %d, single-index has %d", q.ID, i, h.Score, want[i].Score)
-					}
-				}
-				// Alignment recovery must work without the source database:
-				// residues come back through the shard buffer pools.
-				if len(got) > 0 {
-					if _, err := sharded.RecoverAlignment(q.Residues, scheme, got[0]); err != nil {
-						t.Fatalf("query %s: recover alignment: %v", q.ID, err)
-					}
-				}
-			}
+				})
 		})
 	}
 }

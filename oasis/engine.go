@@ -9,47 +9,12 @@ import (
 	"repro/internal/shard"
 )
 
-// EngineOptions configures a warm batch query engine.
-type EngineOptions struct {
-	// IndexDir, when set, serves a prebuilt sharded disk index directory
-	// (written by BuildShardedDiskIndex / oasis-build -shards) instead of
-	// building in-memory indexes: each shard searches its own disk index
-	// through its own buffer pool, so one warm engine serves databases
-	// bigger than RAM.  Shard count and partition mode come from the
-	// manifest (leave Shards and PartitionByPrefix zero/false) and
-	// NewEngine must be called with a nil database.
-	IndexDir string
-	// PoolBytes is the per-shard buffer-pool capacity in bytes for IndexDir
-	// engines (default 64 MB).
-	PoolBytes int64
-	// Shards is the number of work partitions (default 1; capped at the
-	// number of sequences unless PartitionByPrefix is set).
-	Shards int
-	// PartitionByPrefix selects prefix-partitioned subtree sharding (one
-	// shared suffix tree, disjoint subtrees per shard) instead of
-	// partitioning the database by sequence; see ShardOptions.
-	PartitionByPrefix bool
-	// ShardWorkers bounds how many shard searches run concurrently within
-	// one query (default: one per shard, plus one per delta layer).
-	ShardWorkers int
-	// BatchWorkers bounds how many queries of one batch are in flight at a
-	// time (default GOMAXPROCS).
-	BatchWorkers int
-	// CacheBytes bounds the cross-query result cache: with a positive
-	// budget the engine stores every completed decreasing-score hit stream
-	// and replays it without touching the index when an identical query
-	// (same residues, scheme, MinScore, E-value statistics) arrives again;
-	// concurrent identical queries run the DP sweep once (single-flight).
-	// Indexes are immutable after construction, so entries never go stale;
-	// a size-bounded LRU evicts by recency.  Zero disables the cache; see
-	// Metrics().Cache for hit rates.
-	CacheBytes int64
-	// AllowDegraded admits an IndexDir whose shard file(s) fail to open
-	// instead of refusing to start: the failed shards are quarantined and
-	// every query reports Degraded with the per-shard errors
-	// (sequence-partitioned directories only).
-	AllowDegraded bool
-}
+// EngineOptions configures a warm engine: the source (IndexDir with PoolBytes
+// and AllowDegraded, or a database split into Shards, optionally
+// PartitionByPrefix), the two concurrency bounds (ShardWorkers within a query,
+// BatchWorkers across a batch) and the result cache budget (CacheBytes).  The
+// fields are documented on engine.Options, which this is.
+type EngineOptions = engine.Options
 
 // Engine is a warm, long-running OASIS query engine: the sharded suffix-tree
 // index is built once and every subsequent query reuses it together with
@@ -81,16 +46,7 @@ type Engine struct {
 // opts.Shards shards, each indexed once.  With opts.IndexDir (and a nil db)
 // it instead opens the directory's prebuilt per-shard disk indexes.
 func NewEngine(db *Database, opts EngineOptions) (*Engine, error) {
-	eng, err := engine.New(db, engine.Options{
-		IndexDir:          opts.IndexDir,
-		PoolBytes:         opts.PoolBytes,
-		Shards:            opts.Shards,
-		PartitionByPrefix: opts.PartitionByPrefix,
-		ShardWorkers:      opts.ShardWorkers,
-		BatchWorkers:      opts.BatchWorkers,
-		CacheBytes:        opts.CacheBytes,
-		AllowDegraded:     opts.AllowDegraded,
-	})
+	eng, err := engine.New(db, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -132,6 +88,9 @@ func (e *Engine) Partition() string {
 	}
 	return diskst.PartitionSequence
 }
+
+// ShardWorkers returns the per-query shard concurrency bound.
+func (e *Engine) ShardWorkers() int { return e.eng.ShardWorkers() }
 
 // BatchWorkers returns the batch concurrency bound.
 func (e *Engine) BatchWorkers() int { return e.eng.BatchWorkers() }
@@ -260,7 +219,7 @@ func (e *Engine) SearchAll(ctx context.Context, query []byte, opts SearchOptions
 // this engine (disk-backed engines read the residues back through the owning
 // shard's buffer pool).
 func (e *Engine) RecoverAlignment(query []byte, scheme Scheme, h Hit) (Alignment, error) {
-	return recoverAlignmentCatalog(e.eng.Catalog(), query, scheme, h)
+	return core.RecoverAlignmentCatalog(e.eng.Catalog(), query, scheme, h)
 }
 
 // coreOptions translates the public search options into internal ones.

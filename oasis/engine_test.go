@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/workload"
 	"repro/oasis"
 )
 
@@ -27,66 +28,142 @@ func engineTestDB(t *testing.T) *oasis.Database {
 	return db
 }
 
-// TestEngineMatchesSingleIndex pins the warm engine to the one-shot Search
-// API: same hits, same order, across repeated submissions (scratch reuse must
-// not leak state between queries).
-func TestEngineMatchesSingleIndex(t *testing.T) {
-	db := engineTestDB(t)
+// workloadCorpus generates a synthetic protein database with planted motifs
+// and n queries drawn from them.
+func workloadCorpus(t *testing.T, seed int64, n int) (*oasis.Database, [][]byte) {
+	t.Helper()
+	cfg := workload.DefaultProteinConfig(30_000)
+	cfg.Seed = seed
+	db, motifs, err := workload.ProteinDatabase(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := workload.MotifQueries(db, motifs, workload.DefaultQueryConfig(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([][]byte, len(qs))
+	for i, q := range qs {
+		queries[i] = q.Residues
+	}
+	return db, queries
+}
+
+// assertMatchesSingleIndex holds eng to the one-shot Search API over a single
+// in-memory index of db: per query the same number of hits, the same score at
+// every rank and the same (sequence, score) set — equal-score hits may
+// interleave differently across shards.  each, when non-nil, then checks what
+// only the configuration under test promises, given both sides' work counters.
+func assertMatchesSingleIndex(t *testing.T, eng *oasis.Engine, db *oasis.Database, scheme oasis.Scheme, queries [][]byte,
+	each func(t *testing.T, q []byte, got []oasis.Hit, single, sharded oasis.SearchStats)) {
+	t.Helper()
 	idx, err := oasis.NewMemoryIndex(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := oasis.NewEngine(db, oasis.EngineOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
+	for qi, q := range queries {
+		opts, err := oasis.NewSearchOptionsSized(scheme, eng.TotalResidues(), q, oasis.WithEValue(20000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var single, sharded oasis.SearchStats
+		opts.Stats = &single
+		want, err := oasis.SearchAll(idx, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Stats = &sharded
+		got, err := eng.SearchAll(context.Background(), q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("query %d: engine returned %d hits, single index %d", qi, len(got), len(want))
+		}
+		wantSet := map[int]int{}
+		for i := range got {
+			if got[i].Score != want[i].Score {
+				t.Fatalf("query %d hit %d: score %d, want %d", qi, i, got[i].Score, want[i].Score)
+			}
+			wantSet[want[i].SeqIndex] = want[i].Score
+		}
+		for _, h := range got {
+			if s, ok := wantSet[h.SeqIndex]; !ok || s != h.Score {
+				t.Fatalf("query %d: hit %s score %d not in single-index results", qi, h.SeqID, h.Score)
+			}
+		}
+		if each != nil {
+			each(t, q, got, single, sharded)
+		}
 	}
-	defer eng.Close()
+}
 
-	scheme, err := oasis.NewScheme(oasis.MatrixByName("BLOSUM62"), -8)
+// TestEngineMatchesSingleIndex pins the engine to the one-shot Search API in
+// each in-memory configuration: same hits, same score order.
+func TestEngineMatchesSingleIndex(t *testing.T) {
+	blosum, err := oasis.NewScheme(oasis.MatrixByName("BLOSUM62"), -8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := [][]byte{
+	pam, err := oasis.NewScheme(oasis.MatrixByName("PAM30"), -10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tinyDB := engineTestDB(t)
+	tinyQueries := [][]byte{
 		oasis.Protein.MustEncode("DKDGDGTITTKE"),
 		oasis.Protein.MustEncode("KETKMLM"),
 		oasis.Protein.MustEncode("GQNPT"),
 	}
-	for round := 0; round < 3; round++ { // repeat: warm paths must stay correct
-		for _, q := range queries {
-			opts, err := oasis.NewSearchOptions(scheme, db, q, oasis.WithEValue(20000))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := oasis.SearchAll(idx, q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := eng.SearchAll(context.Background(), q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("round %d: engine returned %d hits, single index %d", round, len(got), len(want))
-			}
-			// Equal-score hits may interleave differently across shards; the
-			// score sequence and the hit set must match exactly.
-			wantSet := map[int]int{}
-			for i := range got {
-				if got[i].Score != want[i].Score {
-					t.Fatalf("round %d hit %d: score %d, want %d", round, i, got[i].Score, want[i].Score)
+	seqDB, seqQueries := workloadCorpus(t, 77, 6)
+	prefixDB, prefixQueries := workloadCorpus(t, 78, 5)
+	for _, tc := range []struct {
+		name    string
+		db      *oasis.Database
+		queries [][]byte
+		scheme  oasis.Scheme
+		opts    oasis.EngineOptions
+		// rounds repeats the query list: warm paths (scratch reuse) must not
+		// leak state between queries.
+		rounds int
+		each   func(t *testing.T, q []byte, got []oasis.Hit, single, sharded oasis.SearchStats)
+	}{
+		{name: "tiny-2-shards-warm", db: tinyDB, queries: tinyQueries, scheme: blosum,
+			opts: oasis.EngineOptions{Shards: 2}, rounds: 3},
+		{name: "workload-4-sequence-shards", db: seqDB, queries: seqQueries, scheme: pam,
+			opts: oasis.EngineOptions{Shards: 4, ShardWorkers: 2}, rounds: 1,
+			each: func(t *testing.T, _ []byte, got []oasis.Hit, _, sharded oasis.SearchStats) {
+				if len(got) > 0 && sharded.NodesExpanded == 0 {
+					t.Fatal("per-shard stats were not merged")
 				}
-				wantSet[want[i].SeqIndex] = want[i].Score
-			}
-			for _, h := range got {
-				if wantSet[h.SeqIndex] != h.Score {
-					t.Fatalf("round %d: unexpected hit %+v", round, h)
+			}},
+		// Prefix sharding computes the near-root columns once on the shared
+		// frontier, so total ColumnsExpanded equals the single-index count.
+		{name: "workload-4-prefix-shards", db: prefixDB, queries: prefixQueries, scheme: pam,
+			opts: oasis.EngineOptions{Shards: 4, ShardWorkers: 2, PartitionByPrefix: true}, rounds: 1,
+			each: func(t *testing.T, _ []byte, got []oasis.Hit, single, sharded oasis.SearchStats) {
+				if len(got) < prefixDB.NumSequences() && sharded.ColumnsExpanded != single.ColumnsExpanded {
+					t.Fatalf("prefix-sharded expanded %d columns, single-index %d",
+						sharded.ColumnsExpanded, single.ColumnsExpanded)
 				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := oasis.NewEngine(tc.db, tc.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	st := eng.Stats()
-	if st.QueriesServed != int64(3*len(queries)) {
-		t.Fatalf("engine served %d queries, want %d", st.QueriesServed, 3*len(queries))
+			defer eng.Close()
+			if eng.NumShards() != tc.opts.Shards {
+				t.Fatalf("got %d shards, want %d", eng.NumShards(), tc.opts.Shards)
+			}
+			for round := 0; round < tc.rounds; round++ {
+				assertMatchesSingleIndex(t, eng, tc.db, tc.scheme, tc.queries, tc.each)
+			}
+			if served, want := eng.Stats().QueriesServed, int64(tc.rounds*len(tc.queries)); served != want {
+				t.Fatalf("engine served %d queries, want %d", served, want)
+			}
+		})
 	}
 }
 

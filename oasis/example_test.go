@@ -60,12 +60,12 @@ func ExampleSearch() {
 	// #2 TNNC1_HUMAN score=34
 }
 
-// ExampleNewShardedIndex searches the database with one worker per shard;
+// ExampleNewEngine searches the database with one worker per shard;
 // per-shard hit streams are merged online, so the decreasing-score order
 // (and therefore streaming top-k) survives sharding.
-func ExampleNewShardedIndex() {
+func ExampleNewEngine() {
 	db := exampleDatabase()
-	sharded, err := oasis.NewShardedIndex(db, oasis.ShardOptions{Shards: 2, PartitionByPrefix: true})
+	sharded, err := oasis.NewEngine(db, oasis.EngineOptions{Shards: 2, PartitionByPrefix: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func ExampleNewShardedIndex() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hits, err := sharded.SearchAll(query, opts)
+	hits, err := sharded.SearchAll(context.Background(), query, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,25 +15,31 @@
 //	    return true                    // return false to stop early (online top-k)
 //	})
 //
-// For multi-core scale-out, NewShardedIndex partitions the database into
-// independently indexed shards searched in parallel, with per-shard hit
-// streams merged online so the decreasing-score property (and therefore
-// early termination and top-k) is preserved:
+// For multi-core scale-out and long-running servers, NewEngine partitions the
+// database into shards searched in parallel — per-shard hit streams are merged
+// online, so the decreasing-score property (and therefore early termination
+// and top-k) is preserved — and keeps the index and searcher scratch warm
+// across queries (build once, serve many; see Engine.SubmitBatch):
 //
-//	sharded, _ := oasis.NewShardedIndex(db, oasis.ShardOptions{Shards: 8, Workers: 4})
-//	hits, _ := sharded.SearchAll(query, opts) // same hits, same order guarantee
+//	eng, _ := oasis.NewEngine(db, oasis.EngineOptions{Shards: 8, ShardWorkers: 4})
+//	defer eng.Close()
+//	hits, _ := eng.SearchAll(ctx, query, opts) // same hits, same order guarantee
 //
-// For long-running servers, NewEngine wraps the sharded index in a warm
-// batch engine (build once, serve many; see Engine.SubmitBatch), and for
-// databases bigger than RAM the whole stack runs disk-backed:
-// BuildShardedDiskIndex writes one index file per shard plus a manifest,
-// and OpenEngine / ShardOptions.IndexDir serve that directory with one
-// buffer pool per shard, so shard parallelism also parallelises page I/O
-// and hit streams are identical to the in-memory engines:
+// For databases bigger than RAM the whole stack runs disk-backed:
+// BuildShardedDiskIndex writes one index file per shard plus a manifest, and
+// OpenEngine serves that directory with one buffer pool per shard, so shard
+// parallelism also parallelises page I/O and hit streams are identical to the
+// in-memory engines:
 //
 //	oasis.BuildShardedDiskIndex("swissprot.idx", db, oasis.ShardedIndexBuildOptions{Shards: 8})
 //	eng, _ := oasis.OpenEngine("swissprot.idx", oasis.EngineOptions{PoolBytes: 64 << 20})
 //	defer eng.Close()
+//
+// The option structs of this package are the internal packages' own
+// (EngineOptions is engine.Options, the two build option types are diskst's,
+// CoordinatorOptions is remote.Config): each decision has one field, filled
+// once.  SearchOptions is the one deliberate exception — it narrows
+// core.Options to the fields a caller may set.
 //
 // See the Example functions for runnable versions of each flow.
 //
@@ -120,17 +126,9 @@ func NewDatabase(a *Alphabet, seqs []Sequence) (*Database, error) { return seq.N
 // construction) over the database.
 func NewMemoryIndex(db *Database) (*MemoryIndex, error) { return core.BuildMemoryIndex(db) }
 
-// IndexBuildOptions configures disk-index construction.
-type IndexBuildOptions struct {
-	// BlockSize is the disk block size in bytes (default 2048, the paper's
-	// value).
-	BlockSize int
-	// Partitioned selects the Hunt-style partitioned construction (one
-	// pass per prefix partition) instead of in-memory Ukkonen.
-	Partitioned bool
-	// PrefixLen is the partition prefix length (1 or 2) when Partitioned.
-	PrefixLen int
-}
+// IndexBuildOptions configures disk-index construction: BlockSize, the disk
+// block size in bytes (default 2048, the paper's value).
+type IndexBuildOptions = diskst.BuildOptions
 
 // IndexStats reports the size of a disk index (the paper's space-utilisation
 // table).
@@ -139,24 +137,15 @@ type IndexStats = diskst.BuildStats
 // BuildDiskIndex constructs the suffix tree for db and writes the paper's
 // disk representation to path.
 func BuildDiskIndex(path string, db *Database, opts IndexBuildOptions) (*IndexStats, error) {
-	return diskst.Build(path, db, diskst.BuildOptions{
-		WriteOptions: diskst.WriteOptions{BlockSize: opts.BlockSize},
-		Partitioned:  opts.Partitioned,
-		PrefixLen:    opts.PrefixLen,
-	})
+	return diskst.Build(path, db, opts)
 }
 
-// ShardedIndexBuildOptions configures sharded disk-index construction.
-type ShardedIndexBuildOptions struct {
-	// BlockSize is the disk block size in bytes (default 2048).
-	BlockSize int
-	// Shards is the number of work partitions (>= 1).
-	Shards int
-	// PartitionByPrefix writes ONE shared index file plus a suffix-prefix ->
-	// shard assignment (Hunt-style subtree partitions) instead of one
-	// independently indexed file per disjoint sequence subset.
-	PartitionByPrefix bool
-}
+// ShardedIndexBuildOptions configures sharded disk-index construction:
+// BlockSize as in IndexBuildOptions, Shards (the number of work partitions,
+// >= 1) and PartitionByPrefix, which writes ONE shared index file plus a
+// suffix-prefix -> shard assignment (Hunt-style subtree partitions) instead
+// of one independently indexed file per disjoint sequence subset.
+type ShardedIndexBuildOptions = diskst.ShardedBuildOptions
 
 // IndexManifest describes a sharded disk index directory: partition mode,
 // shard count, file names and the per-shard assignment metadata.
@@ -164,13 +153,9 @@ type IndexManifest = diskst.Manifest
 
 // BuildShardedDiskIndex partitions db and writes one index file per shard
 // (prefix mode: one shared file) plus a manifest.json into dir, ready for
-// EngineOptions.IndexDir / ShardOptions.IndexDir serving without rebuilding.
+// OpenEngine / EngineOptions.IndexDir serving without rebuilding.
 func BuildShardedDiskIndex(dir string, db *Database, opts ShardedIndexBuildOptions) (*IndexManifest, []IndexStats, error) {
-	return diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{
-		WriteOptions:      diskst.WriteOptions{BlockSize: opts.BlockSize},
-		Shards:            opts.Shards,
-		PartitionByPrefix: opts.PartitionByPrefix,
-	})
+	return diskst.BuildSharded(dir, db, opts)
 }
 
 // ReadIndexManifest reads and validates the manifest of a sharded disk index
@@ -264,7 +249,8 @@ func WithMinScore(minScore int) SearchOption {
 
 // WithEValue converts an E-value threshold into the equivalent MinScore
 // using Karlin-Altschul statistics (paper Equation 3) and attaches E-values
-// to reported hits.
+// to reported hits.  The statistics are solved once per matrix (score.Params
+// memoises them), so the option costs a logarithm per query.
 func WithEValue(eValue float64) SearchOption {
 	return func(o *SearchOptions, ctx searchContext) error {
 		ka, err := score.Params(o.Scheme.Matrix, nil)
@@ -350,12 +336,6 @@ func SearchAll(idx Index, query []byte, opts SearchOptions) ([]Hit, error) {
 // identity) for a hit reported by Search.
 func RecoverAlignment(idx Index, query []byte, scheme Scheme, h Hit) (Alignment, error) {
 	return core.RecoverAlignment(idx, query, scheme, h)
-}
-
-// recoverAlignmentCatalog is the catalog-based recovery shared by the
-// sharded and batch engines (their hit sequence indexes are global).
-func recoverAlignmentCatalog(cat Catalog, query []byte, scheme Scheme, h Hit) (Alignment, error) {
-	return core.RecoverAlignmentCatalog(cat, query, scheme, h)
 }
 
 // SmithWaterman runs the exact quadratic-time baseline over every sequence

@@ -113,7 +113,7 @@ func TestDiskAndMemoryIndexesAgree(t *testing.T) {
 	db, queries := testWorkload(t, 10_000, 5)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "idx.oasis")
-	if _, err := BuildDiskIndex(path, db, IndexBuildOptions{Partitioned: true, PrefixLen: 1}); err != nil {
+	if _, err := BuildDiskIndex(path, db, IndexBuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	disk, err := OpenDiskIndex(path, 2<<20)

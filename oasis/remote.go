@@ -2,7 +2,6 @@ package oasis
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/remote"
@@ -35,33 +34,17 @@ type (
 	RemoteMetrics = remote.MetricsSnapshot
 )
 
-// CoordinatorOptions configures a coordinator engine.
-type CoordinatorOptions struct {
-	// Workers bounds concurrent slice streams per query (0 = one per slice).
-	Workers int
-	// BatchWorkers and CacheBytes configure the warm engine in front of the
-	// fan-out exactly as in EngineOptions.  A coordinator-side result cache
-	// short-circuits repeated queries before any network I/O.
-	BatchWorkers int
-	CacheBytes   int64
-	// DialTimeout and HeaderTimeout bound each ATTEMPT's connection
-	// establishment and time-to-response-headers (defaults 2s / 10s).  They
-	// are deliberately distinct from any per-query deadline applied around
-	// the whole fan-out: a slow dial fails one attempt (triggering failover),
-	// not the query.
-	DialTimeout   time.Duration
-	HeaderTimeout time.Duration
-	// MaxAttempts bounds stream attempts per slice per query, counting the
-	// first try (0 = max(3, 2 x replicas)).
-	MaxAttempts int
-	// HedgeAfter is the fixed hedge trigger: when a replica has not produced
-	// its first event within it, a second request races on another replica
-	// and the first byte wins (0 = adaptive, tracking a p95 of observed
-	// first-event latencies).
-	HedgeAfter time.Duration
-	// DisableHedge turns hedging off entirely.
-	DisableHedge bool
-}
+// CoordinatorOptions describes the fan-out: Slices lists each slice's replica
+// addresses ("host:port" or full URLs), and slice order defines the global
+// sequence numbering.  The per-attempt robustness settings are constants of
+// internal/remote — 2 s dial and 10 s response-header timeouts per ATTEMPT
+// (distinct from any per-query deadline around the whole fan-out: a slow dial
+// fails one attempt and triggers failover, not the query), max(3, 2 x
+// replicas) attempts per slice per query, jittered 5..250 ms backoff, and a
+// hedge onto a second replica once the first has been silent for the p95 of
+// observed first-event latencies — and its remaining fields exist for tests
+// that pace retries or force hedges.
+type CoordinatorOptions = remote.Config
 
 // Coordinator owns a warm Engine over remote shard-server slices plus the
 // health and robustness telemetry of the fan-out.  Build one with
@@ -74,30 +57,20 @@ type Coordinator struct {
 
 // OpenCoordinator connects to every slice's replica set, lays out the global
 // sequence index space from the slices' reported sizes, and assembles the
-// warm engine.  slices[s] lists slice s's replica addresses ("host:port" or
-// full URLs); slice order defines the global sequence numbering.  ctx bounds
-// only the startup info fetches.
+// warm engine.  Of warm only BatchWorkers and CacheBytes apply (a
+// coordinator-side result cache short-circuits repeated queries before any
+// network I/O); its index-construction fields must be zero.  ctx bounds only
+// the startup info fetches.
 //
 // The returned engine is immutable from this process (Insert/Delete/Compact
 // return an error): writes belong to the serving processes that own the
 // slices.
-func OpenCoordinator(ctx context.Context, slices [][]string, opts CoordinatorOptions) (*Coordinator, error) {
-	co, err := remote.Open(ctx, remote.Config{
-		Slices:        slices,
-		Workers:       opts.Workers,
-		DialTimeout:   opts.DialTimeout,
-		HeaderTimeout: opts.HeaderTimeout,
-		MaxAttempts:   opts.MaxAttempts,
-		HedgeAfter:    opts.HedgeAfter,
-		DisableHedge:  opts.DisableHedge,
-	})
+func OpenCoordinator(ctx context.Context, fanout CoordinatorOptions, warm EngineOptions) (*Coordinator, error) {
+	co, err := remote.Open(ctx, fanout)
 	if err != nil {
 		return nil, err
 	}
-	ieng, err := engine.NewFromShardEngine(co.Engine(), engine.Options{
-		BatchWorkers: opts.BatchWorkers,
-		CacheBytes:   opts.CacheBytes,
-	})
+	ieng, err := engine.NewFromShardEngine(co.Engine(), warm)
 	if err != nil {
 		co.Close()
 		return nil, err

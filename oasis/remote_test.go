@@ -67,10 +67,9 @@ func TestOpenCoordinator(t *testing.T) {
 		slices = append(slices, []string{srv.URL})
 	}
 
-	co, err := OpenCoordinator(context.Background(), slices, CoordinatorOptions{
-		CacheBytes:   1 << 20,
-		DisableHedge: true,
-	})
+	co, err := OpenCoordinator(context.Background(),
+		CoordinatorOptions{Slices: slices, DisableHedge: true},
+		EngineOptions{CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
