@@ -107,7 +107,7 @@
 //
 //	{"engine":{"scratch":{...free-list reuse...},
 //	           "shards":[{"shard":0,"queued":0,"active":1},...],
-//	           "pools":[{"shard":0,"requests":512,"hits":498,"hit_ratio":0.97},...],
+//	           "pools":[{"shard":0,"file":"shard-0.oasis","requests":512,"hits":498,"hit_ratio":0.97},...],
 //	           "cache":{"entries":12,"bytes":18432,"max_bytes":33554432,
 //	                    "hits":96,"misses":32,"hit_rate":0.75,
 //	                    "insertions":32,"evictions":0,"flight_waits":3}},
@@ -120,8 +120,9 @@
 //	                          "admitted":57,"rejected":4},...]},
 //	 "queries_served":128,"hits_reported":3072,"max_batch":256}
 //
-// "pools" is present only for -index-dir engines (shard -1 is the shared
-// prefix-mode frontier view).  "cache"/"cache_hit_rate" are present when the
+// "pools" is present only for -index-dir engines: one entry per buffer pool —
+// the base shards (shard -1 is the shared prefix-mode frontier view), then
+// every compacted delta layer under its file name.  "cache"/"cache_hit_rate" are present when the
 // result cache is enabled, "admission" when admission control is (always,
 // unless built with slots 0 in tests); "clients" lists currently active or
 // queued clients only.  "latency" holds one histogram per endpoint, measured

@@ -43,7 +43,7 @@ func main() {
 		noStd   = flag.Bool("no-std", false, "skip the `go vet` standard-analyzer pass")
 		list    = flag.Bool("list", false, "list the suite's analyzers and exit")
 		escGate = flag.Bool("escape-gate", false,
-			"instead of the analyzers: recompile the gated packages (internal/core, internal/ndjson) with -gcflags='-m -d=ssa/check_bce/debug=1' and fail if a //oasis:hotpath function gained a heap escape or bounds check not in "+escapeAllowlist)
+			"instead of the analyzers: recompile the gated packages (analysis.EscapeGatePackages) with -gcflags='-m -d=ssa/check_bce/debug=1' and fail if a //oasis:hotpath function gained a heap escape or bounds check not in "+escapeAllowlist)
 		escWrite = flag.Bool("escape-write", false,
 			"instead of the analyzers: rewrite "+escapeAllowlist+" to the current compiler diagnostics")
 	)

@@ -48,7 +48,8 @@
 //     shared file plus a suffix-prefix -> shard assignment) and a
 //     manifest.json (internal/diskst.BuildSharded); oasis.OpenEngine and
 //     the -index-dir flag of oasis-serve/oasis-search reopen the directory
-//     with one buffer pool PER SHARD (shard.OpenDiskEngine over diskst indexes),
+//     with one buffer pool PER SHARD (shard.OpenDiskEngine over diskst indexes;
+//     a pool hit is a few atomic operations and no lock, internal/bufferpool),
 //     so a query's shard fan-out fans out page I/O with no cross-shard
 //     cache thrash, and hit streams are identical to the in-memory
 //     engines (randomized equivalence tests pin this in both partition

@@ -28,8 +28,10 @@ import (
 
 // EscapeGatePackages are the packages (directories relative to the module
 // root) whose //oasis:hotpath functions the gate holds to the baseline: the
-// search kernel, and the per-event wire path every streamed hit crosses.
-var EscapeGatePackages = []string{"internal/core", "internal/ndjson"}
+// search kernel, the per-event wire path every streamed hit crosses, and the
+// per-request path of a disk search (pool hit, record decode, edge label,
+// position lookup).
+var EscapeGatePackages = []string{"internal/core", "internal/ndjson", "internal/bufferpool", "internal/diskst", "internal/seq"}
 
 // EscapeDiag is one normalized compiler diagnostic inside a hotpath function.
 type EscapeDiag struct {

@@ -3,7 +3,10 @@ package bufferpool
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -143,7 +146,7 @@ func TestClockPrefersUnreferencedFrames(t *testing.T) {
 func TestAllFramesPinned(t *testing.T) {
 	p := New(4*64, 64)
 	f := p.Register("data", memFile(64*8), 64*8)
-	var handles []*Handle
+	var handles []Handle
 	for pg := int64(0); pg < 4; pg++ {
 		h, err := p.Get(f, pg)
 		if err != nil {
@@ -157,8 +160,8 @@ func TestAllFramesPinned(t *testing.T) {
 	if err := p.Clear(); err == nil {
 		t.Fatal("Clear should fail while pages are pinned")
 	}
-	for _, h := range handles {
-		h.Release()
+	for i := range handles {
+		handles[i].Release()
 	}
 	if _, err := p.Get(f, 5); err != nil {
 		t.Fatalf("after release: %v", err)
@@ -248,38 +251,132 @@ func TestDefaultsAndMinimumFrames(t *testing.T) {
 	}
 }
 
+// countingReader counts the fills a pool makes from its backing file.
+type countingReader struct {
+	r     *bytes.Reader
+	fills atomic.Int64
+}
+
+func (c *countingReader) ReadAt(p []byte, off int64) (int, error) {
+	c.fills.Add(1)
+	return c.r.ReadAt(p, off)
+}
+
+// TestConcurrentAccess is the lock-free read path's stress (run it under
+// -race): pools far smaller than the file, so readers race evictions
+// constantly, while ReadAt (page-straddling included), Get/Release, Stats and
+// Clear run side by side.  Every byte read must be the file's, no pin may
+// leak, and the counters must come out exact: one request per page asked
+// for, each either a hit or a fill.
 func TestConcurrentAccess(t *testing.T) {
-	p := New(16*256, 256)
-	f := p.Register("data", memFile(256*64), 256*64)
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				pg := int64((g*31 + i*7) % 64)
-				h, err := p.Get(f, pg)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if h.Data[0] != byte((int(pg)*256)%251) {
-					errs <- fmt.Errorf("bad data on page %d", pg)
-					h.Release()
-					return
-				}
-				h.Release()
+	const pageSize, pages, workers, rounds = 64, 64, 8, 2000
+	// Every page's bytes encode its own number.
+	data := make([]byte, pageSize*pages)
+	for i := range data {
+		data[i] = byte(i/pageSize)*3 + byte(i%pageSize)
+	}
+	for _, frames := range []int{4, 8} {
+		t.Run(fmt.Sprintf("frames=%d", frames), func(t *testing.T) {
+			p := New(int64(frames*pageSize), pageSize)
+			src := &countingReader{r: bytes.NewReader(data)}
+			f := p.Register("data", src, int64(len(data)))
+			var issued atomic.Int64 // page requests made
+			var wg sync.WaitGroup
+			for g := 0; g < workers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(g)))
+					buf := make([]byte, 3*pageSize)
+					for i := 0; i < rounds; i++ {
+						switch op := rng.Intn(20); {
+						case op == 0:
+							// Only a page pinned by another worker makes this fail.
+							if err := p.Clear(); err != nil && !strings.Contains(err.Error(), "pinned") {
+								t.Error(err)
+								return
+							}
+						case op == 1:
+							if st := p.Stats(f); st.Hits < 0 || st.Hits > st.Requests {
+								t.Errorf("inconsistent snapshot %+v", st)
+								return
+							}
+						case op < 10:
+							pg := rng.Intn(pages)
+							h, err := p.Get(f, int64(pg))
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							ok := bytes.Equal(h.Data, data[pg*pageSize:(pg+1)*pageSize])
+							h.Release()
+							issued.Add(1)
+							if !ok {
+								t.Errorf("page %d: wrong bytes", pg)
+								return
+							}
+						default:
+							off := rng.Intn(len(data) - len(buf))
+							n := 1 + rng.Intn(len(buf))
+							if err := p.ReadAt(f, buf[:n], int64(off)); err != nil {
+								t.Error(err)
+								return
+							}
+							issued.Add(int64((off+n-1)/pageSize - off/pageSize + 1))
+							if !bytes.Equal(buf[:n], data[off:off+n]) {
+								t.Errorf("ReadAt(%d, %d): wrong bytes", off, n)
+								return
+							}
+						}
+					}
+				}(g)
 			}
-		}(g)
+			wg.Wait()
+			if n := p.PinnedPages(); n != 0 {
+				t.Fatalf("%d pages left pinned", n)
+			}
+			st := p.Stats(f)
+			if st.Requests != issued.Load() || st.Requests != st.Hits+src.fills.Load() {
+				t.Fatalf("stats %+v, want %d requests = hits + %d fills", st, issued.Load(), src.fills.Load())
+			}
+			// The same holds from a reset on, whatever the frames had counted.
+			p.ResetStats()
+			before := src.fills.Load()
+			if err := p.ReadAt(f, make([]byte, len(data)), 0); err != nil {
+				t.Fatal(err)
+			}
+			if st := p.Stats(f); st.Requests != pages || st.Hits+src.fills.Load()-before != pages {
+				t.Fatalf("after ResetStats: %+v with %d fills, want %d requests", st, src.fills.Load()-before, pages)
+			}
+		})
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+}
+
+// TestOutOfRangeRequestEvictsNothing: a request for a page the file does not
+// have must fail without costing a resident page its frame.
+func TestOutOfRangeRequestEvictsNothing(t *testing.T) {
+	p := New(4*64, 64)
+	f := p.Register("data", memFile(64*8), 64*8)
+	for pg := int64(0); pg < 4; pg++ { // fill every frame
+		h, err := p.Get(f, pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
 	}
-	if p.PinnedPages() != 0 {
-		t.Fatal("leaked pins under concurrency")
+	if _, err := p.Get(f, 99); err == nil {
+		t.Fatal("expected out-of-range error")
+	}
+	before := p.Stats(f)
+	for pg := int64(0); pg < 4; pg++ {
+		h, err := p.Get(f, pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}
+	if after := p.Stats(f); after.Hits != before.Hits+4 {
+		t.Fatalf("the bad request evicted a resident page: %+v -> %+v", before, after)
 	}
 }
 

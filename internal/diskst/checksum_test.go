@@ -184,6 +184,22 @@ func TestV1CompatibilityRead(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("structurally clean v1 file failed the scrub: %+v", rep.Problems)
 	}
+
+	// No checksum guards a v1 header, and its counts size the pool's page
+	// tables: a wild node count must be an open error, not an allocation.
+	if f, err = openRW(path); err != nil {
+		t.Fatal(err)
+	}
+	var wild [8]byte
+	binary.LittleEndian.PutUint64(wild[:], 1<<59)
+	if _, err := f.WriteAt(wild[:], 40); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	var oe *OpenError
+	if _, err := Open(path, bufferpool.New(1<<20, 512)); !errors.As(err, &oe) {
+		t.Fatalf("v1 header claiming 2^59 internal nodes opened with %v, want an *OpenError", err)
+	}
 }
 
 // TestTruncatedShardTypedError truncates one shard file of a sharded
@@ -255,32 +271,5 @@ func TestTransientReadErrorRetried(t *testing.T) {
 	}
 	if Counters().ReadRetries <= before {
 		t.Fatal("retry counter did not move")
-	}
-}
-
-// TestWarmupPrefetch pins the open-time warm-up: pages prefetched at open are
-// buffer-pool hits for the first query.
-func TestWarmupPrefetch(t *testing.T) {
-	path := buildChecksumFixture(t, 512)
-	pool := bufferpool.New(1<<20, 512)
-	idx, err := Open(path, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	n := idx.WarmUp(4)
-	if n == 0 {
-		t.Fatal("warm-up prefetched nothing")
-	}
-	st := pool.Stats(idx.InternalFile())
-	if st.Hits != 0 || st.Requests != 0 {
-		t.Fatalf("warm-up must be stats-silent, got %+v", st)
-	}
-	if err := readWholeTree(idx); err != nil {
-		t.Fatal(err)
-	}
-	st = pool.Stats(idx.InternalFile())
-	if st.Hits == 0 {
-		t.Fatalf("first read after warm-up missed the pool: %+v", st)
 	}
 }

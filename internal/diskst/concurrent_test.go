@@ -1,0 +1,180 @@
+package diskst
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"path/filepath"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/bufferpool"
+	"repro/internal/core"
+	"repro/internal/faultpoint"
+	"repro/internal/score"
+	"repro/internal/seq"
+)
+
+// searchFixture builds a random DNA index and opens it behind a pool of the
+// given number of 512-byte frames, beside the memory index over the same
+// database and a handful of queries cut from it.
+func searchFixture(t *testing.T, frames int) (*Index, *core.MemoryIndex, [][]byte, core.Options) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(23))
+	var strs []string
+	for i := 0; i < 24; i++ {
+		strs = append(strs, randomDNA(rng, 60+rng.Intn(120)))
+	}
+	db, err := seq.DatabaseFromStrings(seq.DNA, strs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index.oasis")
+	if _, err := Build(path, db, BuildOptions{BlockSize: 512}); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := Open(path, bufferpool.New(int64(frames)*512, 512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { idx.Close() })
+	mem, err := core.BuildMemoryIndex(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries [][]byte
+	for i := 0; i < 16; i++ {
+		s := strs[rng.Intn(len(strs))]
+		from := rng.Intn(len(s) - 14)
+		queries = append(queries, seq.DNA.MustEncode(s[from:from+14]))
+	}
+	return idx, mem, queries, core.Options{Scheme: score.MustScheme(score.UnitDNA(), -1), MinScore: 7}
+}
+
+// hitKeys reduces a result list to what every correct search agrees on: the
+// (sequence, score) pairs, in a canonical order.
+func hitKeys(hits []core.Hit) [][2]int {
+	out := make([][2]int, len(hits))
+	for i, h := range hits {
+		out[i] = [2]int{h.SeqIndex, h.Score}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i][0] != out[j][0] {
+			return out[i][0] < out[j][0]
+		}
+		return out[i][1] < out[j][1]
+	})
+	return out
+}
+
+// TestConcurrentSearchesTinyPool: 16 searches at once over one index whose
+// pool has 4 frames — every searcher's pinned label page is a quarter of the
+// pool, so misses keep finding every frame pinned and must wait rather than
+// fail — return exactly the memory index's hits and leave nothing pinned.
+func TestConcurrentSearchesTinyPool(t *testing.T) {
+	idx, mem, queries, opts := searchFixture(t, 4)
+	want := make([][][2]int, len(queries))
+	for i, q := range queries {
+		hits, err := core.SearchAll(mem, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hits) == 0 {
+			t.Fatalf("query %d has no hits; the fixture is too selective", i)
+		}
+		want[i] = hitKeys(hits)
+	}
+	var wg sync.WaitGroup
+	for i := range queries {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				hits, err := core.SearchAll(idx, queries[i], opts)
+				if err != nil {
+					t.Errorf("query %d: %v", i, err)
+					return
+				}
+				got := hitKeys(hits)
+				if len(got) != len(want[i]) {
+					t.Errorf("query %d: %d hits, memory index has %d", i, len(got), len(want[i]))
+					return
+				}
+				for k := range got {
+					if got[k] != want[i][k] {
+						t.Errorf("query %d: hit %v, memory index has %v", i, got[k], want[i][k])
+						return
+					}
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if n := idx.Pool().PinnedPages(); n != 0 {
+		t.Fatalf("%d pages left pinned", n)
+	}
+}
+
+// cancelAfter is a context whose Err turns to Canceled at its n-th call:
+// with CancelPollColumns 1 that is the n-th DP column, the middle of an edge.
+type cancelAfter struct {
+	context.Context
+	polls atomic.Int64
+	n     int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSearchExitsHoldNoPin is the pin discipline at the exits: however a
+// traversal ends while an edge label holds its symbol page — the callback
+// fails, the context is cancelled in the middle of an edge, a fill fails —
+// the page is unpinned on the way out.
+func TestSearchExitsHoldNoPin(t *testing.T) {
+	idx, _, queries, opts := searchFixture(t, 8)
+	pool := idx.Pool()
+	check := func(t *testing.T, err, want error) {
+		t.Helper()
+		if !errors.Is(err, want) {
+			t.Fatalf("ended with %v, want %v", err, want)
+		}
+		if n := pool.PinnedPages(); n != 0 {
+			t.Fatalf("%d pages left pinned", n)
+		}
+	}
+	t.Run("callback error", func(t *testing.T) {
+		boom := errors.New("boom")
+		err := idx.VisitChildren(idx.Root(), 0, func(c core.NodeRef, label core.EdgeLabel) error {
+			if _, err := label.Symbols(0, 1); err != nil {
+				return err
+			}
+			if pool.PinnedPages() != 1 {
+				t.Error("a label that has been read should hold its page")
+			}
+			return boom
+		})
+		check(t, err, boom)
+	})
+	t.Run("cancelled mid-edge", func(t *testing.T) {
+		o := opts
+		o.Context = &cancelAfter{Context: context.Background(), n: 40}
+		o.CancelPollColumns = 1
+		_, err := core.SearchAll(idx, queries[0], o)
+		check(t, err, context.Canceled)
+	})
+	t.Run("fill error", func(t *testing.T) {
+		defer faultpoint.Reset()
+		if err := pool.Clear(); err != nil {
+			t.Fatal(err)
+		}
+		faultpoint.Enable(faultpoint.SitePoolFill, faultpoint.Spec{Mode: faultpoint.ModeError, After: 25})
+		_, err := core.SearchAll(idx, queries[0], opts)
+		check(t, err, faultpoint.ErrInjected)
+	})
+}

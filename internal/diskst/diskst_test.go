@@ -223,6 +223,31 @@ func TestCatalogLocate(t *testing.T) {
 	if _, _, err := cat.Locate(100); err == nil {
 		t.Fatal("expected error")
 	}
+
+	// A catalog of 1-residue sequences around one long one, every position
+	// (terminators included) against a plain binary search over the starts.
+	rng := rand.New(rand.NewSource(9))
+	var strs []string
+	for i := 0; i < 60; i++ {
+		strs = append(strs, randomDNA(rng, 1))
+	}
+	strs[17] = randomDNA(rng, 700)
+	db, _ = seq.DatabaseFromStrings(seq.DNA, strs...)
+	idx, _, _ = buildIndex(t, db, BuildOptions{})
+	cat = idx.Catalog()
+	var starts []int64
+	var end int64
+	for _, str := range strs {
+		starts = append(starts, end)
+		end += int64(len(str)) + 1
+	}
+	for pos := int64(0); pos < end; pos++ {
+		want := sort.Search(len(starts), func(i int) bool { return starts[i] > pos }) - 1
+		si, off, err := cat.Locate(pos)
+		if err != nil || si != want || off != pos-starts[want] {
+			t.Fatalf("Locate(%d) = (%d,%d,%v), want (%d,%d)", pos, si, off, err, want, pos-starts[want])
+		}
+	}
 }
 
 func TestBuildStatsSpaceUtilization(t *testing.T) {

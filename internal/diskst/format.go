@@ -74,6 +74,21 @@
 // ("siblings are adjacent ... we must maintain an explicit pointer to
 // siblings" for leaves) without any extra per-node pointers.
 //
+// # Reading through the pool
+//
+// A search reads the file only through internal/bufferpool, whose hits take
+// no lock: pin the page → re-validate it → read → unpin (see that package).
+// Node and leaf records are decoded straight from the pinned page and the
+// pin dropped at once; an edge label hands its symbols out in place, so the
+// label's current symbol page is the ONE pin a search holds between pool
+// calls — taken by the first Symbols call on a child, dropped before
+// VisitChildren asks the pool for anything else and on every way out of it.
+// Because no goroutine requests a page while it holds a pin, a pool whose
+// every frame is pinned can wait for one: whoever holds the pins is not
+// waiting on the pool.  (A callback that itself walks the index after
+// reading its label holds one pin per level; that needs a pool with more
+// frames than the walk is deep, which only tests do.)
+//
 // # Sharded layout (manifest.json)
 //
 // BuildSharded writes a DIRECTORY holding one or more single-file indexes

@@ -1,79 +1,113 @@
 package diskst
 
 import (
+	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/bufferpool"
 	"repro/internal/core"
 	"repro/internal/seq"
 )
 
-// TestLazyLabelChunkedReads exercises the chunk-refill path of the lazy edge
-// labels: a leaf edge much longer than one chunk must be readable both
-// sequentially (as the OASIS column sweep does) and via arbitrary windows,
-// and the bytes must match the in-memory tree's label.
+// TestLazyLabelChunkedReads exercises the lazy edge labels over a symbol
+// region several pages long, at page sizes 512 and 2048 (and the 128-byte
+// blocks behind 512-byte pages the other tests use): every edge of the tree
+// is read in the column sweep's 64-symbol windows — some lie inside one
+// pinned page and are handed out in place, some straddle a page boundary and
+// are copied —, one symbol at a time (the reference kernel's pattern), and
+// whole, and all three must equal the bytes Catalog().Residues returns for
+// that stretch of the sequence.
 func TestLazyLabelChunkedReads(t *testing.T) {
-	// One long sequence with a unique prefix so the root has a leaf child
-	// whose edge spans several chunks.
-	long := "ACGT" + strings.Repeat("GATTACAT", 40) // 324 residues
-	db, err := seq.DatabaseFromStrings(seq.DNA, long)
+	long := "ACGT" + strings.Repeat("GATTACAT", 320) // 2564 residues
+	db, err := seq.DatabaseFromStrings(seq.DNA, long, "CCGGAACC")
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, _, _ := buildIndex(t, db, BuildOptions{BlockSize: 128})
-	mem, err := core.BuildMemoryIndex(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	collectLabels := func(x core.Index) map[string]string {
-		out := map[string]string{}
-		err := x.VisitChildren(x.Root(), 0, func(child core.NodeRef, label core.EdgeLabel) error {
-			if !child.IsLeaf() {
-				return nil
-			}
-			// Read the label one symbol at a time (the expand() access
-			// pattern), then compare against a whole-label read.
-			var sb strings.Builder
-			for j := 0; j < label.Len(); j++ {
-				s, err := label.Symbols(j, j+1)
-				if err != nil {
-					return err
-				}
-				sb.WriteByte(s[0])
-			}
-			whole, err := core.LabelBytes(label)
-			if err != nil {
-				return err
-			}
-			if sb.String() != string(whole) {
-				t.Fatalf("sequential reads disagree with whole-label read for leaf %d", child.LeafPos())
-			}
-			out[keyOf(child)] = sb.String()
-			return nil
-		})
+	for _, tc := range []struct{ blockSize, pageSize int }{{128, 512}, {512, 512}, {2048, 2048}} {
+		path := filepath.Join(t.TempDir(), "index.oasis")
+		if _, err := Build(path, db, BuildOptions{BlockSize: tc.blockSize}); err != nil {
+			t.Fatal(err)
+		}
+		pool := bufferpool.New(1<<20, tc.pageSize)
+		idx, err := Open(path, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	got := collectLabels(idx)
-	want := collectLabels(mem)
-	if len(got) == 0 {
-		t.Fatal("no leaf children under the root")
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("label mismatch for %s: disk %d bytes, memory %d bytes", k, len(got[k]), len(v))
+		cat := idx.Catalog()
+		// want returns the n symbols from global position pos on.
+		want := func(pos int64, n int) []byte {
+			si, off, err := cat.Locate(pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := cat.Residues(si)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return append(res, seq.Terminator)[off : int(off)+n]
 		}
+		edges := 0
+		var walk func(ref core.NodeRef, depth int)
+		walk = func(ref core.NodeRef, depth int) {
+			type child struct {
+				ref   core.NodeRef
+				depth int
+			}
+			var kids []child
+			err := idx.VisitChildren(ref, depth, func(c core.NodeRef, label core.EdgeLabel) error {
+				edges++
+				// Any leaf below the child spells the child's label (asked
+				// for before the label's first read: no pin is held yet).
+				leaf := int64(-1)
+				if err := idx.LeafPositions(c, func(pos int64) bool { leaf = pos; return false }); err != nil {
+					return err
+				}
+				exp := want(leaf+int64(depth), label.Len())
+				if !c.IsLeaf() {
+					kids = append(kids, child{c, depth + label.Len()})
+				}
+				for j := 0; j < label.Len(); j += 64 {
+					to := min(j+64, label.Len())
+					got, err := label.Symbols(j, to)
+					if err != nil {
+						return err
+					}
+					if !bytes.Equal(got, exp[j:to]) {
+						t.Fatalf("page size %d: edge above leaf %d window [%d,%d) differs from the catalog's residues", tc.pageSize, leaf, j, to)
+					}
+				}
+				for j := 0; j < label.Len(); j++ {
+					if got, err := label.Symbols(j, j+1); err != nil || got[0] != exp[j] {
+						t.Fatalf("page size %d: edge above leaf %d symbol %d: %v %v", tc.pageSize, leaf, j, got, err)
+					}
+				}
+				whole, err := core.LabelBytes(label)
+				if err != nil {
+					return err
+				}
+				if !bytes.Equal(whole, exp) {
+					t.Fatalf("page size %d: edge above leaf %d whole-label read differs", tc.pageSize, leaf)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range kids {
+				walk(k.ref, k.depth)
+			}
+		}
+		walk(idx.Root(), 0)
+		if edges < len(long) {
+			t.Fatalf("page size %d: walked %d edges of a %d-residue tree", tc.pageSize, edges, len(long))
+		}
+		if n := pool.PinnedPages(); n != 0 {
+			t.Fatalf("page size %d: %d pages left pinned", tc.pageSize, n)
+		}
+		idx.Close()
 	}
-}
-
-func keyOf(ref core.NodeRef) string {
-	if ref.IsLeaf() {
-		return "L" + string(rune(ref.LeafPos()))
-	}
-	return "N" + string(rune(ref.InternalIndex()))
 }
 
 // TestLazyLabelBoundsChecking verifies the error paths of the lazy label.

@@ -308,11 +308,6 @@ type OpenOptions struct {
 	// (default 64 MB).  Separate pools mean shard searches never thrash each
 	// other's cache and page I/O parallelises across shards.
 	PoolBytesPerShard int64
-	// WarmupPages is how many near-root internal-node pages each shard
-	// prefetches into its pool at open time, cutting the cold-open penalty
-	// of the first queries (0 selects DefaultWarmupPages; negative disables
-	// warm-up).  Prefetched pages do not count toward hit-ratio statistics.
-	WarmupPages int
 	// AllowDegraded opens a sequence-partitioned directory even when some
 	// shard files fail to open (corrupt, truncated, missing): the failed
 	// shards are quarantined (nil Indexes entries, detail in Quarantined)
@@ -321,11 +316,6 @@ type OpenOptions struct {
 	// shards share one file, so there are no survivors).
 	AllowDegraded bool
 }
-
-// DefaultWarmupPages is the per-shard warm-up prefetch depth used when
-// OpenOptions does not set one: 64 pages of BFS-ordered internal nodes cover
-// the near-root levels every query traverses.
-const DefaultWarmupPages = 64
 
 // DefaultPoolBytesPerShard is the per-shard buffer-pool capacity used when
 // OpenOptions does not set one.
@@ -340,19 +330,17 @@ type Sharded struct {
 	// Dir is the index directory and Manifest its parsed manifest.
 	Dir      string
 	Manifest *Manifest
-	// Indexes[s] is shard s's read handle; Pools[s] its buffer pool.
+	// Indexes[s] is shard s's read handle (Index.Pool is its buffer pool).
 	Indexes []*Index
-	Pools   []*bufferpool.Pool
-	// Frontier / FrontierPool (prefix mode with more than one shard) serve
-	// the shared near-root expansion so shard pools only ever see their own
-	// subtree traffic; nil otherwise (a single shard never expands a
-	// shared frontier).
-	Frontier     *Index
-	FrontierPool *bufferpool.Pool
+	// Frontier (prefix mode with more than one shard) serves the shared
+	// near-root expansion so shard pools only ever see their own subtree
+	// traffic; nil otherwise (a single shard never expands a shared
+	// frontier).
+	Frontier *Index
 	// Prefixes is the rebuilt prefix assignment (prefix mode only).
 	Prefixes *seq.PrefixPartition
 	// Quarantined lists shards whose files failed to open under
-	// OpenOptions.AllowDegraded; their Indexes/Pools entries are nil and
+	// OpenOptions.AllowDegraded; their Indexes entries are nil and
 	// every search over this directory is degraded from the start.
 	Quarantined []core.ShardError
 }
@@ -361,9 +349,8 @@ type Sharded struct {
 // a compacted delta) relative to dir, through a fresh buffer pool of up to
 // poolBytes (0 selects DefaultPoolBytesPerShard; small files get
 // proportionally small pools), cross-checking the file's alphabet and block
-// size against the manifest.  warmupPages as in OpenOptions: 0 prefetches
-// DefaultWarmupPages near-root pages, negative disables warm-up.
-func (m *Manifest) OpenFile(dir, name string, poolBytes int64, warmupPages int) (*Index, error) {
+// size against the manifest.
+func (m *Manifest) OpenFile(dir, name string, poolBytes int64) (*Index, error) {
 	if poolBytes <= 0 {
 		poolBytes = DefaultPoolBytesPerShard
 	}
@@ -395,15 +382,6 @@ func (m *Manifest) OpenFile(dir, name string, poolBytes int64, warmupPages int) 
 		idx.Close()
 		return nil, fmt.Errorf("file block size %d, manifest says %d", idx.BlockSize(), m.BlockSize)
 	}
-	// Warm-up: prefetch the near-root internal pages (BFS order puts the
-	// root's vicinity first) so the first queries do not pay a cold pool.
-	if warmupPages >= 0 {
-		pages := warmupPages
-		if pages == 0 {
-			pages = DefaultWarmupPages
-		}
-		idx.WarmUp(pages)
-	}
 	return idx, nil
 }
 
@@ -414,18 +392,7 @@ func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	poolBytes := opts.PoolBytesPerShard
-	if poolBytes <= 0 {
-		poolBytes = DefaultPoolBytesPerShard
-	}
 	s := &Sharded{Dir: dir, Manifest: m}
-	openOne := func(name string) (*Index, *bufferpool.Pool, error) {
-		idx, err := m.OpenFile(dir, name, poolBytes, opts.WarmupPages)
-		if err != nil {
-			return nil, nil, err
-		}
-		return idx, idx.Pool(), nil
-	}
 	fail := func(err error) (*Sharded, error) {
 		s.Close()
 		return nil, err
@@ -436,7 +403,7 @@ func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
 		if m.Partition == PartitionSequence {
 			name = m.ShardFiles[i]
 		}
-		idx, pool, err := openOne(name)
+		idx, err := m.OpenFile(dir, name, opts.PoolBytesPerShard)
 		if err != nil {
 			err = fmt.Errorf("diskst: opening shard %d (%s): %w", i, name, err)
 			// In sequence mode each shard's file is independent, so a bad
@@ -444,14 +411,12 @@ func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
 			// every shard reads the one shared file — no survivors.
 			if opts.AllowDegraded && m.Partition == PartitionSequence && m.Shards > 1 {
 				s.Indexes = append(s.Indexes, nil)
-				s.Pools = append(s.Pools, nil)
 				s.Quarantined = append(s.Quarantined, core.ShardError{Shard: i, Err: err.Error()})
 				continue
 			}
 			return fail(err)
 		}
 		s.Indexes = append(s.Indexes, idx)
-		s.Pools = append(s.Pools, pool)
 	}
 	if len(s.Quarantined) == m.Shards {
 		return fail(fmt.Errorf("diskst: every shard of %s failed to open; first: %s", dir, s.Quarantined[0].Err))
@@ -465,8 +430,7 @@ func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
 		// and never expands a shared frontier, so the extra view (and its
 		// pool frames) would be dead weight.
 		if m.Shards > 1 {
-			s.Frontier, s.FrontierPool, err = openOne(m.ShardFiles[0])
-			if err != nil {
+			if s.Frontier, err = m.OpenFile(dir, m.ShardFiles[0], opts.PoolBytesPerShard); err != nil {
 				return fail(fmt.Errorf("diskst: opening frontier view: %w", err))
 			}
 		}
@@ -512,41 +476,25 @@ func (s *Sharded) Close() error {
 	return first
 }
 
-// PoolStats is one shard's aggregated buffer-pool counters across its three
-// index regions (symbols, internal nodes, leaves).
+// PoolStats is one index's buffer-pool counters summed over its three
+// regions (symbols, internal nodes, leaves), under the number the caller
+// knows the index by and its file name.
 type PoolStats struct {
 	Shard    int     `json:"shard"`
+	File     string  `json:"file"`
 	Requests int64   `json:"requests"`
 	Hits     int64   `json:"hits"`
 	HitRatio float64 `json:"hit_ratio"`
 }
 
-// PoolStats snapshots each shard's buffer-pool hit statistics (plus, in
-// prefix mode, the frontier view's as Shard == -1).
-func (s *Sharded) PoolStats() []PoolStats {
-	out := make([]PoolStats, 0, len(s.Indexes)+1)
-	if s.Frontier != nil {
-		out = append(out, poolStatsFor(-1, s.Frontier))
-	}
-	for i, idx := range s.Indexes {
-		if idx == nil { // quarantined shard
-			continue
-		}
-		out = append(out, poolStatsFor(i, idx))
-	}
-	return out
-}
-
-func poolStatsFor(shard int, idx *Index) PoolStats {
-	pool := idx.Pool()
-	st := PoolStats{Shard: shard}
-	for _, f := range []bufferpool.FileID{idx.SymbolsFile(), idx.InternalFile(), idx.LeavesFile()} {
-		fs := pool.Stats(f)
+// PoolStats snapshots the index's buffer-pool counters.
+func (x *Index) PoolStats(shard int) PoolStats {
+	st := PoolStats{Shard: shard, File: filepath.Base(x.path)}
+	for _, f := range []bufferpool.FileID{x.symbolsFile, x.internalFile, x.leavesFile} {
+		fs := x.pool.Stats(f)
 		st.Requests += fs.Requests
 		st.Hits += fs.Hits
 	}
-	if st.Requests > 0 {
-		st.HitRatio = float64(st.Hits) / float64(st.Requests)
-	}
+	st.HitRatio = bufferpool.FileStats{Requests: st.Requests, Hits: st.Hits}.HitRatio()
 	return st
 }

@@ -67,9 +67,8 @@ func TestBuildShardedSequenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	if len(sh.Indexes) != 3 || len(sh.Pools) != 3 || sh.Frontier != nil {
-		t.Fatalf("sequence mode opened %d indexes / %d pools, frontier %v",
-			len(sh.Indexes), len(sh.Pools), sh.Frontier)
+	if len(sh.Indexes) != 3 || sh.Frontier != nil {
+		t.Fatalf("sequence mode opened %d indexes, frontier %v", len(sh.Indexes), sh.Frontier)
 	}
 	for s, idx := range sh.Indexes {
 		if idx.Catalog().NumSequences() != len(got.GlobalIndex[s]) {

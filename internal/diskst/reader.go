@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"sync"
 
 	"repro/internal/bufferpool"
 	"repro/internal/core"
@@ -27,18 +27,25 @@ type Index struct {
 	symbolsFile  bufferpool.FileID
 	internalFile bufferpool.FileID
 	leavesFile   bufferpool.FileID
+	// pageSize is the pool's page size: a multiple of both record sizes
+	// (Open insists), so no record straddles a page.
+	pageSize int64
 
-	alphabet  *seq.Alphabet
-	seqIDs    []string
-	seqLens   []int64
-	seqStarts []int64 // start offset of each sequence in the symbol region
-	total     int64   // total residues
+	alphabet *seq.Alphabet
+	seqIDs   []string
+	loc      *seq.Locator // the sequences' extents in the symbol region
+
+	// labels recycles the edge-label object of each VisitChildren call.
+	labels sync.Pool
 }
 
 // Open maps an index file through the supplied buffer pool.
 func Open(path string, pool *bufferpool.Pool) (*Index, error) {
 	if pool == nil {
 		return nil, fmt.Errorf("diskst: nil buffer pool")
+	}
+	if pool.PageSize()%internalRecordSize != 0 {
+		return nil, fmt.Errorf("diskst: pool page size %d is not a multiple of the %d-byte node record", pool.PageSize(), internalRecordSize)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -49,26 +56,31 @@ func Open(path string, pool *bufferpool.Pool) (*Index, error) {
 	// are retried, and once the v2 checksum table is loaded every block is
 	// CRC-verified.
 	vr := &verifyingReader{f: f, path: path}
+	fail := func(off uint64, err error) (*Index, error) {
+		f.Close()
+		return nil, &OpenError{Path: path, Offset: int64(off), Err: err}
+	}
 	hdrBuf := make([]byte, headerSize)
 	if _, err := vr.ReadAt(hdrBuf, 0); err != nil {
-		f.Close()
-		return nil, &OpenError{Path: path, Offset: 0, Err: fmt.Errorf("reading header: %w", err)}
+		return fail(0, fmt.Errorf("reading header: %w", err))
 	}
 	hdr, err := decodeHeader(hdrBuf)
 	if err != nil {
-		f.Close()
-		return nil, &OpenError{Path: path, Offset: 0, Err: err}
+		return fail(0, err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return fail(0, err)
+	}
+	// The header's counts size allocations (catalog, locator, page tables):
+	// none may describe more than the file holds.
+	if size := uint64(fi.Size()); hdr.concatLen > size/leafRecordSize || hdr.numInternal > size/internalRecordSize || hdr.catalogLen > size {
+		return fail(0, fmt.Errorf("header describes more than the %d-byte file holds", size))
 	}
 	if hdr.checksumOff != 0 {
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, &OpenError{Path: path, Offset: 0, Err: err}
-		}
 		sums, err := loadChecksumTable(vr, hdr, fi.Size())
 		if err != nil {
-			f.Close()
-			return nil, &OpenError{Path: path, Offset: int64(hdr.checksumOff), Err: err}
+			return fail(hdr.checksumOff, err)
 		}
 		vr.sums = sums
 		vr.blockSize = int64(hdr.blockSize)
@@ -76,19 +88,16 @@ func Open(path string, pool *bufferpool.Pool) (*Index, error) {
 		// Re-read the header block through the now-armed verifier so header
 		// corruption that still decodes is caught at open time.
 		if _, err := vr.ReadAt(hdrBuf, 0); err != nil {
-			f.Close()
-			return nil, &OpenError{Path: path, Offset: 0, Err: err}
+			return fail(0, err)
 		}
 	}
 	catBuf := make([]byte, hdr.catalogLen)
 	if _, err := vr.ReadAt(catBuf, int64(hdr.catalogOff)); err != nil {
-		f.Close()
-		return nil, &OpenError{Path: path, Offset: int64(hdr.catalogOff), Err: fmt.Errorf("reading catalog: %w", err)}
+		return fail(hdr.catalogOff, fmt.Errorf("reading catalog: %w", err))
 	}
 	ids, lens, err := decodeCatalog(catBuf)
 	if err != nil {
-		f.Close()
-		return nil, &OpenError{Path: path, Offset: int64(hdr.catalogOff), Err: err}
+		return fail(hdr.catalogOff, err)
 	}
 	if uint64(len(ids)) != hdr.numSequences {
 		f.Close()
@@ -100,24 +109,23 @@ func Open(path string, pool *bufferpool.Pool) (*Index, error) {
 		vr:       vr,
 		pool:     pool,
 		hdr:      hdr,
+		pageSize: int64(pool.PageSize()),
 		alphabet: seq.Protein,
 		seqIDs:   ids,
-		seqLens:  lens,
 	}
+	idx.labels.New = func() any { return &lazyLabel{idx: idx} }
 	if hdr.alphabetKind == 1 {
 		idx.alphabet = seq.DNA
 	}
-	idx.seqStarts = make([]int64, len(lens))
-	var off int64
-	for i, l := range lens {
-		idx.seqStarts[i] = off
-		off += l + 1 // terminator
-		idx.total += l
+	var concat uint64
+	for _, l := range lens {
+		concat += min(uint64(l), hdr.concatLen) + 1 // terminator; a wild length cannot wrap the sum
 	}
-	if uint64(off) != hdr.concatLen {
+	if concat != hdr.concatLen {
 		f.Close()
-		return nil, fmt.Errorf("diskst: catalog lengths sum to %d, header concatLen is %d", off, hdr.concatLen)
+		return nil, fmt.Errorf("diskst: catalog lengths sum to %d, header concatLen is %d", concat, hdr.concatLen)
 	}
+	idx.loc = seq.NewLocator(len(lens), func(i int) int64 { return lens[i] })
 	symbolsLen := int64(hdr.concatLen)
 	internalLen := int64(hdr.numInternal) * internalRecordSize
 	leavesLen := int64(hdr.concatLen) * leafRecordSize
@@ -131,15 +139,6 @@ func Open(path string, pool *bufferpool.Pool) (*Index, error) {
 // CRC32C table the reader verifies against; false means a v1 file opened in
 // compatibility mode ("checksums unavailable").
 func (x *Index) ChecksumsEnabled() bool { return x.vr.sums != nil }
-
-// WarmUp prefetches up to nPages pages of the internal-node region into the
-// buffer pool.  Internal nodes are laid out in BFS order, so the first pages
-// hold the near-root levels every search traverses; prefetching them removes
-// the cold-open penalty of the first queries.  Returns the number of pages
-// made resident (best-effort; prefetch failures surface on first real use).
-func (x *Index) WarmUp(nPages int) int {
-	return x.pool.Prefetch(x.internalFile, 0, nPages)
-}
 
 // Close releases the underlying file.  Pages already cached in the buffer
 // pool remain until evicted.
@@ -167,122 +166,112 @@ func (x *Index) LeavesFile() bufferpool.FileID   { return x.leavesFile }
 // Pool returns the buffer pool the index reads through.
 func (x *Index) Pool() *bufferpool.Pool { return x.pool }
 
-// readInternal fetches and decodes internal-node record i.
+// readInternal decodes internal-node record i straight from its pinned page.
+//
+//oasis:hotpath
 func (x *Index) readInternal(i int64) (internalRecord, error) {
-	if i < 0 || uint64(i) >= x.hdr.numInternal {
-		return internalRecord{}, fmt.Errorf("diskst: internal node %d out of range", i)
+	if uint64(i) >= x.hdr.numInternal {
+		return internalRecord{}, errOutOfRange("internal node", i)
 	}
-	var buf [internalRecordSize]byte
-	if err := x.pool.ReadAt(x.internalFile, buf[:], i*internalRecordSize); err != nil {
+	off := i * internalRecordSize
+	h, err := x.pool.Get(x.internalFile, off/x.pageSize)
+	if err != nil {
 		return internalRecord{}, err
 	}
-	return decodeInternalRecord(buf[:]), nil
+	rec := decodeInternalRecord(h.Data[off%x.pageSize:])
+	h.Release()
+	return rec, nil
 }
 
 // readLeafNext fetches the tagged next-sibling pointer of the leaf at suffix
 // position pos.
+//
+//oasis:hotpath
 func (x *Index) readLeafNext(pos int64) (uint32, error) {
-	if pos < 0 || uint64(pos) >= x.hdr.concatLen {
-		return 0, fmt.Errorf("diskst: leaf position %d out of range", pos)
+	if uint64(pos) >= x.hdr.concatLen {
+		return 0, errOutOfRange("leaf position", pos)
 	}
-	var buf [leafRecordSize]byte
-	if err := x.pool.ReadAt(x.leavesFile, buf[:], pos*leafRecordSize); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
-}
-
-// readSymbols fetches length symbols starting at global position pos.
-func (x *Index) readSymbols(pos, length int64) ([]byte, error) {
-	if length <= 0 {
-		return nil, nil
-	}
-	if pos < 0 || uint64(pos+length) > x.hdr.concatLen {
-		return nil, fmt.Errorf("diskst: symbol range [%d,%d) out of range", pos, pos+length)
-	}
-	buf := make([]byte, length)
-	if err := x.pool.ReadAt(x.symbolsFile, buf, pos); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// suffixEnd returns the exclusive end (one past the terminator) of the
-// suffix starting at pos.
-func (x *Index) suffixEnd(pos int64) (int64, error) {
-	i, _, err := x.locate(pos)
+	off := pos * leafRecordSize
+	h, err := x.pool.Get(x.leavesFile, off/x.pageSize)
 	if err != nil {
 		return 0, err
 	}
-	return x.seqStarts[i] + x.seqLens[i] + 1, nil
+	next := binary.LittleEndian.Uint32(h.Data[off%x.pageSize:])
+	h.Release()
+	return next, nil
 }
 
-func (x *Index) locate(pos int64) (int, int64, error) {
-	if pos < 0 || uint64(pos) >= x.hdr.concatLen {
-		return 0, 0, fmt.Errorf("diskst: position %d out of range", pos)
-	}
-	i := sort.Search(len(x.seqStarts), func(i int) bool { return x.seqStarts[i] > pos }) - 1
-	return i, pos - x.seqStarts[i], nil
+// errOutOfRange is built out of line (as is errBounds below), so the
+// per-request functions hold no allocation for the escape gate to find.
+//
+//go:noinline
+func errOutOfRange(what string, i int64) error {
+	return fmt.Errorf("diskst: %s %d out of range", what, i)
 }
 
 // Root implements core.Index.
 func (x *Index) Root() core.NodeRef { return core.InternalRef(0) }
 
-// labelChunk is how many symbols a lazy edge label reads per buffer fill.
-// OASIS usually prunes or accepts after a handful of columns, so long leaf
-// edges are rarely read in full.
-const labelChunk = 64
-
-// lazyLabel is a core.EdgeLabel that reads symbols from the symbol region on
-// demand.  One instance is reused for every child visited in a single
-// VisitChildren call (the interface only guarantees validity within the
-// callback).
+// lazyLabel is a core.EdgeLabel that hands out symbols in place from the
+// pinned page of the symbol region they live on: an edge is read only as far
+// as the column sweep gets (OASIS usually prunes or accepts after a handful
+// of columns), and without a copy.  One instance serves every child of a
+// VisitChildren call and goes back to Index.labels afterwards.  page is the
+// one pin a search holds between pool calls (see the package comment).
 type lazyLabel struct {
-	idx     *Index
-	start   int64 // global symbol position of the first label symbol
-	length  int
-	buf     []byte
-	bufFrom int
-	bufTo   int
-}
-
-func (l *lazyLabel) reset(start int64, length int) {
-	l.start = start
-	l.length = length
-	l.bufFrom = 0
-	l.bufTo = 0
+	idx    *Index
+	start  int64 // global symbol position of the first label symbol
+	length int
+	page   bufferpool.Handle
+	pageNo int64  // of page, while it is held
+	buf    []byte // for the ranges that straddle a page boundary
 }
 
 // Len implements core.EdgeLabel.
 func (l *lazyLabel) Len() int { return l.length }
 
 // Symbols implements core.EdgeLabel.
+//
+//oasis:hotpath
 func (l *lazyLabel) Symbols(from, to int) ([]byte, error) {
 	if from < 0 || to > l.length || from > to {
-		return nil, fmt.Errorf("diskst: label range [%d,%d) out of bounds (len %d)", from, to, l.length)
+		return nil, l.errBounds(from, to)
 	}
 	if from == to {
 		return nil, nil
 	}
-	if from < l.bufFrom || to > l.bufTo {
-		readTo := from + labelChunk
-		if readTo < to {
-			readTo = to
+	x := l.idx
+	pos, n := l.start+int64(from), to-from
+	pageNo, inPage := pos/x.pageSize, int(pos%x.pageSize)
+	if inPage+n > int(x.pageSize) {
+		// The range straddles a page boundary: copy it out, holding no pin
+		// while the pool is asked for the pages.
+		l.page.Release()
+		if cap(l.buf) < n {
+			l.buf = make([]byte, n) //oasis:allow-alloc kept with the pooled label, so it grows a handful of times per process
 		}
-		if readTo > l.length {
-			readTo = l.length
-		}
-		need := readTo - from
-		if cap(l.buf) < need {
-			l.buf = make([]byte, need)
-		}
-		buf := l.buf[:need]
-		if err := l.idx.pool.ReadAt(l.idx.symbolsFile, buf, l.start+int64(from)); err != nil {
+		if err := x.pool.ReadAt(x.symbolsFile, l.buf[:n], pos); err != nil {
 			return nil, err
 		}
-		l.bufFrom, l.bufTo = from, readTo
+		return l.buf[:n], nil
 	}
-	return l.buf[from-l.bufFrom : to-l.bufFrom], nil
+	if l.page.Data == nil || l.pageNo != pageNo {
+		l.page.Release()
+		var err error
+		if l.page, err = x.pool.Get(x.symbolsFile, pageNo); err != nil {
+			return nil, err
+		}
+		l.pageNo = pageNo
+	}
+	if inPage+n > len(l.page.Data) {
+		return nil, errOutOfRange("symbol range ending at", pos+int64(n))
+	}
+	return l.page.Data[inPage : inPage+n], nil
+}
+
+//go:noinline
+func (l *lazyLabel) errBounds(from, to int) error {
+	return fmt.Errorf("diskst: label range [%d,%d) out of bounds (len %d)", from, to, l.length)
 }
 
 // VisitChildren implements core.Index: it walks the child chain of an
@@ -297,47 +286,52 @@ func (x *Index) VisitChildren(ref core.NodeRef, parentDepth int, fn func(child c
 	if err != nil {
 		return err
 	}
-	label := &lazyLabel{idx: x}
-	cur := rec.firstChild
-	for cur != ptrNone {
+	label := x.labels.Get().(*lazyLabel)
+	defer func() { // a panicking fn must not leak the pin either
+		label.page.Release()
+		x.labels.Put(label)
+	}()
+	for cur := rec.firstChild; cur != ptrNone; {
+		var child core.NodeRef
+		next := ptrNone
 		if cur&ptrLeafBit != 0 {
 			pos := int64(cur & ptrMask)
-			end, err := x.suffixEnd(pos)
+			// The edge runs from the parent's depth to one past the
+			// terminator of the sequence the suffix lies in.
+			i, _, err := x.loc.Locate(pos)
 			if err != nil {
 				return err
 			}
-			labelStart := pos + int64(parentDepth)
-			if labelStart > end {
+			label.start = pos + int64(parentDepth)
+			label.length = int(x.loc.Start(i+1) - label.start)
+			if label.length < 0 {
 				return fmt.Errorf("diskst: corrupt index: leaf %d shallower than parent depth %d", pos, parentDepth)
 			}
-			label.reset(labelStart, int(end-labelStart))
-			if err := fn(core.LeafRef(pos), label); err != nil {
+			if next, err = x.readLeafNext(pos); err != nil {
 				return err
 			}
-			next, err := x.readLeafNext(pos)
+			child = core.LeafRef(pos)
+		} else {
+			idx := int64(cur & ptrMask)
+			childRec, err := x.readInternal(idx)
 			if err != nil {
 				return err
 			}
-			cur = next
-			continue
+			label.start, label.length = int64(childRec.edgeStart), int(childRec.depth)-parentDepth
+			if label.length <= 0 {
+				return fmt.Errorf("diskst: corrupt index: child %d depth %d <= parent depth %d", idx, childRec.depth, parentDepth)
+			}
+			if childRec.flags&flagLastSibling == 0 {
+				next = taggedInternal(idx + 1)
+			}
+			child = core.InternalRef(idx)
 		}
-		idx := int64(cur & ptrMask)
-		childRec, err := x.readInternal(idx)
+		err := fn(child, label)
+		label.page.Release() // before the pool is asked for the next record
 		if err != nil {
 			return err
 		}
-		edgeLen := int64(childRec.depth) - int64(parentDepth)
-		if edgeLen <= 0 {
-			return fmt.Errorf("diskst: corrupt index: child %d depth %d <= parent depth %d", idx, childRec.depth, parentDepth)
-		}
-		label.reset(int64(childRec.edgeStart), int(edgeLen))
-		if err := fn(core.InternalRef(idx), label); err != nil {
-			return err
-		}
-		if childRec.flags&flagLastSibling != 0 {
-			break
-		}
-		cur = taggedInternal(idx + 1)
+		cur = next
 	}
 	return nil
 }
@@ -382,17 +376,21 @@ func (c *diskCatalog) Alphabet() *seq.Alphabet { return c.alphabet }
 func (c *diskCatalog) NumSequences() int       { return len(c.seqIDs) }
 func (c *diskCatalog) SequenceID(i int) string { return c.seqIDs[i] }
 func (c *diskCatalog) SequenceLength(i int) int {
-	return int(c.seqLens[i])
+	return int(c.loc.Start(i+1)-c.loc.Start(i)) - 1 // terminator
 }
-func (c *diskCatalog) TotalResidues() int64 { return c.total }
+func (c *diskCatalog) TotalResidues() int64 { return c.loc.Len() - int64(len(c.seqIDs)) }
 func (c *diskCatalog) Locate(pos int64) (int, int64, error) {
-	return (*Index)(c).locate(pos)
+	return c.loc.Locate(pos)
 }
 func (c *diskCatalog) Residues(i int) ([]byte, error) {
 	if i < 0 || i >= len(c.seqIDs) {
 		return nil, fmt.Errorf("diskst: sequence index %d out of range", i)
 	}
-	return (*Index)(c).readSymbols(c.seqStarts[i], c.seqLens[i])
+	buf := make([]byte, c.SequenceLength(i))
+	if err := c.pool.ReadAt(c.symbolsFile, buf, c.loc.Start(i)); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Stats summarises the index regions; used by the space-utilisation table.
@@ -401,7 +399,7 @@ func (x *Index) Stats() BuildStats {
 	leavesLen := int64(x.hdr.concatLen) * leafRecordSize
 	st := BuildStats{
 		NumSequences:  len(x.seqIDs),
-		TotalResidues: x.total,
+		TotalResidues: x.Catalog().TotalResidues(),
 		ConcatLen:     int64(x.hdr.concatLen),
 		NumInternal:   int64(x.hdr.numInternal),
 		NumLeaves:     int64(x.hdr.concatLen),
@@ -412,8 +410,8 @@ func (x *Index) Stats() BuildStats {
 	}
 	if fi, err := os.Stat(x.path); err == nil {
 		st.FileBytes = fi.Size()
-		if x.total > 0 {
-			st.BytesPerSymbol = float64(fi.Size()) / float64(x.total)
+		if st.TotalResidues > 0 {
+			st.BytesPerSymbol = float64(fi.Size()) / float64(st.TotalResidues)
 		}
 	}
 	return st

@@ -325,9 +325,10 @@ type Metrics struct {
 	Scratch bufferpool.FreeListStats `json:"scratch"`
 	// Shards holds each shard's queued and active search counts.
 	Shards []shard.QueueDepth `json:"shards"`
-	// Pools holds per-shard buffer-pool hit statistics for disk-backed
-	// engines (nil for in-memory engines; shard -1 is the prefix-mode
-	// frontier view).
+	// Pools holds the buffer-pool hit statistics of a disk-backed engine,
+	// one entry per pool: the base shards (shard -1 is the prefix-mode
+	// frontier view), then every delta layer under its file name.  Nil for
+	// in-memory engines.
 	Pools []diskst.PoolStats `json:"pools,omitempty"`
 	// Cache holds the cross-query result cache counters (nil when the
 	// engine was built without Options.CacheBytes).
@@ -360,9 +361,7 @@ func (e *Engine) Metrics() Metrics {
 	st := e.cur()
 	v := st.view
 	m := Metrics{Scratch: v.ScratchStats(), Shards: v.QueueDepths()}
-	if disk := v.Disk(); disk != nil {
-		m.Pools = disk.PoolStats()
-	}
+	m.Pools = v.PoolStats()
 	if e.cache != nil {
 		cs := e.cache.Stats()
 		m.Cache = &cs

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -222,6 +223,29 @@ func TestIncrementalDiskReopen(t *testing.T) {
 	script = append(script, mutation{op: "compact"})
 	liveSeqs := applyScript(t, eng, db, script)
 	genBefore := eng.Generation()
+	// Every delta layer reads through a pool of its own, and Metrics must
+	// show each one — after the two base shards, under its file name, with
+	// the requests a search made of it — whether a compaction opened the
+	// layer (eng) or the directory was opened with it (reopened).
+	probe := randomQueries(rng, seq.Protein, 1, scheme)[0]
+	requireDeltaPools := func(label string, e *Engine) {
+		t.Helper()
+		collectStream(t, e, probe)
+		m := e.Metrics()
+		pools := m.Pools
+		if len(pools) != 2+m.Mutable.DeltaLayers || m.Mutable.DeltaLayers == 0 {
+			t.Fatalf("%s: %d pools for 2 base shards + %d delta layers", label, len(pools), m.Mutable.DeltaLayers)
+		}
+		for i, p := range pools {
+			switch {
+			case i < 2 && (p.Shard != i || !strings.HasPrefix(p.File, "shard-")):
+				t.Fatalf("%s: base pool %d reported as %+v", label, i, p)
+			case i >= 2 && (!strings.HasPrefix(p.File, "delta-") || p.Requests == 0):
+				t.Fatalf("%s: delta layer pool %d reported as %+v, want its file name and the search's requests", label, i, p)
+			}
+		}
+	}
+	requireDeltaPools("compacting engine", eng)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -237,6 +261,7 @@ func TestIncrementalDiskReopen(t *testing.T) {
 	if got := reopened.Generation(); got != genBefore {
 		t.Fatalf("reopened generation %d, want %d", got, genBefore)
 	}
+	requireDeltaPools("reopened engine", reopened)
 	refDB, err := seq.NewDatabase(seq.Protein, liveSeqs)
 	if err != nil {
 		t.Fatal(err)

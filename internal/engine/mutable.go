@@ -321,7 +321,7 @@ func (e *Engine) compactDiskLocked() (uint64, error) {
 		}
 		globals := e.memGlobalsLocked()
 		m.Deltas = append(m.Deltas, diskst.DeltaRecord{File: name, GlobalIndex: globals, Residues: mdb.TotalResidues()})
-		if newIdx, err = e.manifest.OpenFile(e.opts.IndexDir, name, e.opts.PoolBytes, 0); err != nil {
+		if newIdx, err = e.manifest.OpenFile(e.opts.IndexDir, name, e.opts.PoolBytes); err != nil {
 			// Manifest not yet written: the directory is still consistent at
 			// the old generation; the new file is an unreachable orphan.
 			return e.wGen, fmt.Errorf("engine: reopening delta %s: %w", name, err)

@@ -1,9 +1,6 @@
 package seq
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Database is an immutable collection of sequences over a single alphabet.
 // It maintains a concatenated symbol view in which each sequence is followed
@@ -15,9 +12,8 @@ import (
 type Database struct {
 	alphabet *Alphabet
 	seqs     []Sequence
-	concat   []byte  // seq0 $ seq1 $ ... seqN-1 $
-	starts   []int64 // start offset of each sequence in concat
-	total    int64   // total residues (excluding terminators)
+	concat   []byte   // seq0 $ seq1 $ ... seqN-1 $
+	loc      *Locator // offsets of the sequences in concat
 }
 
 // NewDatabase builds a database from sequences.  The sequence residues are
@@ -30,18 +26,16 @@ func NewDatabase(a *Alphabet, seqs []Sequence) (*Database, error) {
 	var n int64
 	for _, s := range seqs {
 		n += int64(len(s.Residues)) + 1
-		db.total += int64(len(s.Residues))
 	}
 	db.concat = make([]byte, 0, n)
-	db.starts = make([]int64, 0, len(seqs))
 	for i, s := range seqs {
 		if !a.ValidCodes(s.Residues) {
 			return nil, fmt.Errorf("seq: sequence %d (%q) contains codes outside alphabet %q", i, s.ID, a.Name())
 		}
-		db.starts = append(db.starts, int64(len(db.concat)))
 		db.concat = append(db.concat, s.Residues...)
 		db.concat = append(db.concat, Terminator)
 	}
+	db.loc = NewLocator(len(seqs), func(i int) int64 { return int64(len(seqs[i].Residues)) })
 	return db, nil
 }
 
@@ -82,7 +76,7 @@ func (db *Database) Sequences() []Sequence { return db.seqs }
 
 // TotalResidues returns the number of residues across all sequences,
 // excluding terminators.
-func (db *Database) TotalResidues() int64 { return db.total }
+func (db *Database) TotalResidues() int64 { return db.loc.Len() - int64(len(db.seqs)) }
 
 // Concat returns the concatenated symbol view (sequences separated by
 // Terminator bytes).  The returned slice must not be modified.
@@ -93,24 +87,19 @@ func (db *Database) Concat() []byte { return db.concat }
 func (db *Database) ConcatLen() int64 { return int64(len(db.concat)) }
 
 // SequenceStart returns the global offset at which sequence i begins.
-func (db *Database) SequenceStart(i int) int64 { return db.starts[i] }
+func (db *Database) SequenceStart(i int) int64 { return db.loc.Start(i) }
 
 // SequenceEnd returns the global offset one past the last residue of
 // sequence i (i.e. the offset of its terminator).
 func (db *Database) SequenceEnd(i int) int64 {
-	return db.starts[i] + int64(len(db.seqs[i].Residues))
+	return db.loc.Start(i+1) - 1
 }
 
 // Locate maps a global position in the concatenated view to a sequence index
 // and a local offset within that sequence.  Positions holding a terminator
 // map to (i, len(seq_i)).
 func (db *Database) Locate(pos int64) (seqIndex int, local int64, err error) {
-	if pos < 0 || pos >= int64(len(db.concat)) {
-		return 0, 0, fmt.Errorf("seq: position %d out of range [0,%d)", pos, len(db.concat))
-	}
-	// starts is sorted; find the last start <= pos.
-	i := sort.Search(len(db.starts), func(i int) bool { return db.starts[i] > pos }) - 1
-	return i, pos - db.starts[i], nil
+	return db.loc.Locate(pos)
 }
 
 // SymbolAt returns the encoded symbol at a global position (may be
@@ -152,7 +141,7 @@ type Stats struct {
 func (db *Database) ComputeStats() Stats {
 	st := Stats{
 		NumSequences:  len(db.seqs),
-		TotalResidues: db.total,
+		TotalResidues: db.TotalResidues(),
 		Frequencies:   make([]float64, db.alphabet.Size()),
 	}
 	if len(db.seqs) == 0 {
@@ -171,10 +160,10 @@ func (db *Database) ComputeStats() Stats {
 			counts[c]++
 		}
 	}
-	st.MeanLength = float64(db.total) / float64(len(db.seqs))
-	if db.total > 0 {
+	st.MeanLength = float64(st.TotalResidues) / float64(len(db.seqs))
+	if st.TotalResidues > 0 {
 		for i, c := range counts {
-			st.Frequencies[i] = float64(c) / float64(db.total)
+			st.Frequencies[i] = float64(c) / float64(st.TotalResidues)
 		}
 	}
 	return st

@@ -1,6 +1,8 @@
 package seq
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -63,6 +65,49 @@ func TestDatabaseLocate(t *testing.T) {
 	}
 	if _, _, err := db.Locate(db.ConcatLen()); err == nil {
 		t.Fatal("expected error for out-of-range position")
+	}
+
+	// The Locator behind it against a plain binary search, on layouts that
+	// stress the block table: runs of 1-residue sequences, one huge sequence
+	// stretching the blocks, and both at once — every sequence's first
+	// position, its terminator, and random positions in between.
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		lens := make([]int64, 1+rng.Intn(300))
+		for i := range lens {
+			lens[i] = 1
+			if trial%3 != 0 {
+				lens[i] += rng.Int63n(40)
+			}
+		}
+		if trial%2 == 0 {
+			lens[rng.Intn(len(lens))] = 50_000 + rng.Int63n(50_000)
+		}
+		loc := NewLocator(len(lens), func(i int) int64 { return lens[i] })
+		starts := make([]int64, len(lens))
+		for i := 1; i < len(lens); i++ {
+			starts[i] = starts[i-1] + lens[i-1] + 1
+		}
+		end := starts[len(lens)-1] + lens[len(lens)-1] + 1
+		if loc.Len() != end {
+			t.Fatalf("trial %d: Len = %d, want %d", trial, loc.Len(), end)
+		}
+		probes := []int64{0, end - 1}
+		for i := range starts {
+			probes = append(probes, starts[i], starts[i]+lens[i], starts[i]+rng.Int63n(lens[i]+1))
+		}
+		for _, pos := range probes {
+			want := sort.Search(len(starts), func(i int) bool { return starts[i] > pos }) - 1
+			si, off, err := loc.Locate(pos)
+			if err != nil || si != want || off != pos-starts[want] {
+				t.Fatalf("trial %d: Locate(%d) = (%d,%d,%v), want (%d,%d)", trial, pos, si, off, err, want, pos-starts[want])
+			}
+		}
+		for _, pos := range []int64{-1, end, end + 7} {
+			if _, _, err := loc.Locate(pos); err == nil {
+				t.Fatalf("trial %d: Locate(%d) succeeded past the view [0,%d)", trial, pos, end)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/seq"
@@ -16,11 +15,9 @@ import (
 type unionCatalog struct {
 	alphabet *seq.Alphabet
 	cats     []core.Catalog
-	owner    []int   // global sequence index -> shard
-	local    []int   // global sequence index -> shard-local index
-	starts   []int64 // global concatenated start offset per sequence
-	total    int64   // residues across all shards
-	concat   int64   // concatenated length including terminators
+	owner    []int        // global sequence index -> shard
+	local    []int        // global sequence index -> shard-local index
+	loc      *seq.Locator // global concatenated view, in global sequence order
 }
 
 // newUnionCatalog stitches the shard catalogs together under the global maps,
@@ -69,16 +66,7 @@ func newUnionCatalog(shards []baseShard) (*unionCatalog, error) {
 		}
 	}
 	u.alphabet = u.cats[0].Alphabet()
-	u.starts = make([]int64, n)
-	for gi := 0; gi < n; gi++ {
-		u.starts[gi] = u.concat
-		l := int64(0)
-		if u.owner[gi] >= 0 {
-			l = int64(u.cats[u.owner[gi]].SequenceLength(u.local[gi]))
-		}
-		u.concat += l + 1 // terminator
-		u.total += l
-	}
+	u.loc = seq.NewLocator(n, func(gi int) int64 { return int64(u.SequenceLength(gi)) })
 	return u, nil
 }
 
@@ -96,15 +84,9 @@ func (u *unionCatalog) SequenceLength(i int) int {
 	}
 	return u.cats[u.owner[i]].SequenceLength(u.local[i])
 }
-func (u *unionCatalog) TotalResidues() int64 { return u.total }
+func (u *unionCatalog) TotalResidues() int64 { return u.loc.Len() - int64(len(u.owner)) }
 
-func (u *unionCatalog) Locate(pos int64) (int, int64, error) {
-	if pos < 0 || pos >= u.concat {
-		return 0, 0, fmt.Errorf("shard: position %d out of range", pos)
-	}
-	i := sort.Search(len(u.starts), func(i int) bool { return u.starts[i] > pos }) - 1
-	return i, pos - u.starts[i], nil
-}
+func (u *unionCatalog) Locate(pos int64) (int, int64, error) { return u.loc.Locate(pos) }
 
 func (u *unionCatalog) Residues(i int) ([]byte, error) {
 	if i < 0 || i >= len(u.owner) {

@@ -105,7 +105,6 @@ func FuzzCorruptIndexDir(f *testing.F) {
 
 		eng, err := OpenDiskEngine(dir, DiskOptions{
 			PoolBytesPerShard: 8 * 512,
-			WarmupPages:       -1,
 			AllowDegraded:     true,
 		})
 		if err != nil {

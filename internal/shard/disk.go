@@ -19,9 +19,6 @@ type DiskOptions struct {
 	// file(s) fail to open: the failed shards are quarantined and every
 	// search reports Degraded (see diskst.OpenOptions.AllowDegraded).
 	AllowDegraded bool
-	// WarmupPages controls open-time buffer-pool warm-up per shard
-	// (0 = diskst.DefaultWarmupPages, negative = disabled).
-	WarmupPages int
 	// NoSteal disables work stealing between prefix shards, as in
 	// Options.NoSteal.
 	NoSteal bool
@@ -42,7 +39,6 @@ func OpenDiskEngine(dir string, opts DiskOptions) (*Engine, error) {
 	disk, err := diskst.OpenSharded(dir, diskst.OpenOptions{
 		PoolBytesPerShard: opts.PoolBytesPerShard,
 		AllowDegraded:     opts.AllowDegraded,
-		WarmupPages:       opts.WarmupPages,
 	})
 	if err != nil {
 		return nil, err
@@ -88,7 +84,7 @@ func OpenDiskEngine(dir string, opts DiskOptions) (*Engine, error) {
 	r.baseSeqs, r.baseRes = m.NumSequences, m.TotalResidues
 	var layers []Layer
 	for _, d := range m.Deltas {
-		idx, err := m.OpenFile(dir, d.File, opts.PoolBytesPerShard, opts.WarmupPages)
+		idx, err := m.OpenFile(dir, d.File, opts.PoolBytesPerShard)
 		if err != nil {
 			e.Close()
 			return nil, fmt.Errorf("shard: opening delta layer %s: %w", d.File, err)
@@ -106,6 +102,32 @@ func OpenDiskEngine(dir string, opts DiskOptions) (*Engine, error) {
 	return e.WithLayers(layers, tombs)
 }
 
-// Disk returns the engine's on-disk shard set (buffer-pool statistics,
-// manifest), or nil for in-memory engines.
+// Disk returns the engine's on-disk shard set (manifest, base shard files), or
+// nil for in-memory engines.
 func (e *Engine) Disk() *diskst.Sharded { return e.disk }
+
+// PoolStats snapshots the buffer pool of every disk index the view searches,
+// each read through a pool of its own: the prefix-mode frontier view (as shard
+// -1), the base shards under their shard numbers, then the delta layers —
+// opened with the directory or by a compaction since — numbered on from
+// there.  Nil for in-memory engines.
+func (e *Engine) PoolStats() []diskst.PoolStats {
+	if e.disk == nil {
+		return nil
+	}
+	var out []diskst.PoolStats
+	if e.disk.Frontier != nil {
+		out = append(out, e.disk.Frontier.PoolStats(-1))
+	}
+	for i, idx := range e.disk.Indexes {
+		if idx != nil { // nil: quarantined at open
+			out = append(out, idx.PoolStats(i))
+		}
+	}
+	for i, l := range e.layers {
+		if idx, ok := l.Index.(*diskst.Index); ok { // the memtable layer has no pool
+			out = append(out, idx.PoolStats(len(e.disk.Indexes)+i))
+		}
+	}
+	return out
+}

@@ -108,7 +108,7 @@ func TestDiskEngineEquivalenceProperty(t *testing.T) {
 						}
 					}
 					if len(got) > 0 {
-						stats := eng.Disk().PoolStats()
+						stats := eng.PoolStats()
 						var requests int64
 						for _, ps := range stats {
 							requests += ps.Requests

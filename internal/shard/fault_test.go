@@ -33,15 +33,12 @@ func buildFaultDir(t *testing.T) (dir string, query []byte, opts core.Options) {
 	return dir, query, opts
 }
 
-// openFaultEngine opens the directory with buffer-pool warm-up disabled, so
-// every search touches the disk path where faults are injected (a fully
-// warmed pool could serve a tiny index without ever re-reading the fault
-// site).
+// openFaultEngine opens the directory through pools small enough that every
+// search touches the disk path where faults are injected.
 func openFaultEngine(t *testing.T, dir string, allowDegraded bool) *Engine {
 	t.Helper()
 	eng, err := OpenDiskEngine(dir, DiskOptions{
 		PoolBytesPerShard: 16 * 2048,
-		WarmupPages:       -1,
 		AllowDegraded:     allowDegraded,
 	})
 	if err != nil {

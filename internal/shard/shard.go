@@ -151,7 +151,7 @@ type root struct {
 	frontier core.Index
 	prefixes *seq.PrefixPartition
 	// closers are resources the engine owns (disk index files); see Close.
-	// disk is set by OpenDiskEngine for buffer-pool statistics.
+	// disk is set by OpenDiskEngine (manifest, base-shard pools).
 	closers []io.Closer
 	disk    *diskst.Sharded
 	// scratch recycles per-stream searcher state across queries; dedups
