@@ -128,9 +128,6 @@ func runVerify(path string) {
 		fatal(err)
 	}
 	fmt.Printf("verify: %s: %d file(s), %d checksummed block(s)\n", path, rep.Files, rep.Blocks)
-	if rep.ChecksumsUnavailable {
-		fmt.Println("  note: checksums unavailable for at least one file (format v1); structural checks only")
-	}
 	if rep.OK() {
 		fmt.Println("  OK")
 		return

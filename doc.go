@@ -49,7 +49,10 @@
 //     manifest.json (internal/diskst.BuildSharded); oasis.OpenEngine and
 //     the -index-dir flag of oasis-serve/oasis-search reopen the directory
 //     with one buffer pool PER SHARD (shard.OpenDiskEngine over diskst indexes;
-//     a pool hit is a few atomic operations and no lock, internal/bufferpool),
+//     a pool hit is a few atomic operations and no lock, internal/bufferpool;
+//     an index file is level-order CSR, format v3 — a node's leaf children,
+//     its internal children and every level of a subtree are contiguous runs,
+//     so expanding a node and reporting a subtree read sequentially),
 //     so a query's shard fan-out fans out page I/O with no cross-shard
 //     cache thrash, and hit streams are identical to the in-memory
 //     engines (randomized equivalence tests pin this in both partition

@@ -85,6 +85,19 @@ func (e *OpenError) Error() string {
 
 func (e *OpenError) Unwrap() error { return e.Err }
 
+// CorruptError reports records that passed their checksums but do not
+// describe a tree: a search that meets one stops instead of following it (see
+// "Children as runs" in the package comment).
+type CorruptError struct {
+	Path   string
+	Node   int64 // the internal node whose records are inconsistent
+	Detail string
+}
+
+func (e *CorruptError) Error() string {
+	return fmt.Sprintf("diskst: corrupt index %s: node %d: %s", e.Path, e.Node, e.Detail)
+}
+
 // IsChecksumError reports whether err is (or wraps) a ChecksumError.
 func IsChecksumError(err error) bool {
 	var ce *ChecksumError
@@ -92,10 +105,10 @@ func IsChecksumError(err error) bool {
 }
 
 // verifyingReader is an io.ReaderAt over a whole index file that (a) retries
-// transient read errors with capped exponential backoff, and (b) for v2
-// files, verifies the CRC32C of every block it touches — the section readers
-// registered with the buffer pool sit on top of it, so every buffer-pool fill
-// is verified regardless of the pool's page size.
+// transient read errors with capped exponential backoff, and (b) verifies the
+// CRC32C of every block it touches — the section readers registered with the
+// buffer pool sit on top of it, so every buffer-pool fill is verified
+// regardless of the pool's page size.
 //
 // On a mismatch the block is re-read once (a bit flip in transit differs from
 // one at rest); a persistent mismatch returns a ChecksumError.
@@ -103,8 +116,8 @@ type verifyingReader struct {
 	f    io.ReaderAt
 	path string
 
-	// v2 only: per-block CRC32C table covering [0, limit), with limit a
-	// multiple of blockSize.  nil sums disables verification (v1 files).
+	// The per-block CRC32C table covering [0, limit), with limit a multiple
+	// of blockSize; nil only while Open reads the header that locates it.
 	sums      []uint32
 	blockSize int64
 	limit     int64
@@ -146,7 +159,7 @@ func (r *verifyingReader) ReadAt(p []byte, off int64) (int, error) {
 		return 0, nil
 	}
 	if r.sums == nil || off >= r.limit {
-		// v1 file, or a read past the checksummed range (the table itself).
+		// Open's first header read, or one past the checksummed range.
 		if err := r.readRawAt(p, off); err != nil {
 			return 0, err
 		}
@@ -213,7 +226,7 @@ func (r *verifyingReader) verifyBlock(dst []byte, block int64) error {
 	}
 }
 
-// loadChecksumTable reads and validates the v2 checksum table at
+// loadChecksumTable reads and validates the checksum table at
 // hdr.checksumOff, returning the per-block CRC32C values.  fileSize bounds
 // the header-derived geometry BEFORE any allocation: the header itself is
 // unverified at this point, and a corrupted checksumOff must produce an

@@ -3,6 +3,7 @@ package diskst
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,7 +16,7 @@ import (
 	"repro/internal/seq"
 )
 
-// buildChecksumFixture writes a v2 index for a small random database and
+// buildChecksumFixture writes an index for a small random database and
 // returns its path.
 func buildChecksumFixture(t *testing.T, blockSize int) string {
 	t.Helper()
@@ -76,19 +77,18 @@ func openFixture(t *testing.T, path string) *Index {
 	return idx
 }
 
-// TestChecksummedOpenAndScrub pins the happy path: a freshly written v2 file
-// opens with checksums armed, scrubs clean, and reads are verified.
+// TestChecksummedOpenAndScrub pins the happy path: a freshly written file
+// opens, scrubs clean, and reads are verified.
 func TestChecksummedOpenAndScrub(t *testing.T) {
 	path := buildChecksumFixture(t, 512)
-	idx := openFixture(t, path)
-	if !idx.ChecksumsEnabled() {
-		t.Fatal("fresh v2 index opened without checksums")
+	if err := readWholeTree(openFixture(t, path)); err != nil {
+		t.Fatal(err)
 	}
 	rep, err := VerifyIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.OK() || rep.ChecksumsUnavailable || rep.Blocks == 0 {
+	if !rep.OK() || rep.Blocks == 0 {
 		t.Fatalf("clean file scrub: %+v", rep)
 	}
 }
@@ -149,56 +149,53 @@ func TestCorruptionDetectedOnRead(t *testing.T) {
 	}
 }
 
-// TestV1CompatibilityRead rewrites a v2 file's version field to v1 (the
-// legacy format without a checksum region) and requires it to open and read
-// with checksums reported unavailable rather than failing.
-func TestV1CompatibilityRead(t *testing.T) {
+// TestOldFormatRefused rewrites a file's version field to each retired format
+// (1: no checksum region, 2: leaves chained by sibling pointers) and requires
+// Open to refuse it with an *OpenError naming the file, the version and the
+// remedy — not to read it with checksums off, which is what version 1 used to
+// mean — and the scrub to report the same.
+func TestOldFormatRefused(t *testing.T) {
 	path := buildChecksumFixture(t, 512)
-	f, err := openRW(path)
-	if err != nil {
-		t.Fatal(err)
+	patch := func(off int64, b []byte) {
+		t.Helper()
+		f, err := openRW(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt(b, off); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var v [4]byte
-	binary.LittleEndian.PutUint32(v[:], versionNoChecksums)
-	if _, err := f.WriteAt(v[:], 8); err != nil {
-		t.Fatal(err)
+	for _, version := range []uint32{1, 2} {
+		patch(8, binary.LittleEndian.AppendUint32(nil, version))
+		_, err := Open(path, bufferpool.New(1<<20, 512))
+		var oe *OpenError
+		if !errors.As(err, &oe) || oe.Path != path {
+			t.Fatalf("version %d opened with %v, want an *OpenError naming the file", version, err)
+		}
+		for _, want := range []string{fmt.Sprintf("version %d", version), "rebuild the index with oasis-build"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("version %d: error %q does not say %q", version, err, want)
+			}
+		}
+		rep, err := VerifyIndex(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.OK() {
+			t.Fatalf("scrub passed a version %d file", version)
+		}
 	}
-	f.Close()
 
-	idx := openFixture(t, path)
-	if idx.ChecksumsEnabled() {
-		t.Fatal("v1 file claims checksums")
-	}
-	// The suffix tree must still be fully readable (the v2 checksum table at
-	// the tail is simply ignored dead weight for a v1 reader).
-	if err := readWholeTree(idx); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := VerifyIndex(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.ChecksumsUnavailable {
-		t.Fatal("scrub of a v1 file did not flag checksums unavailable")
-	}
-	if !rep.OK() {
-		t.Fatalf("structurally clean v1 file failed the scrub: %+v", rep.Problems)
-	}
-
-	// No checksum guards a v1 header, and its counts size the pool's page
-	// tables: a wild node count must be an open error, not an allocation.
-	if f, err = openRW(path); err != nil {
-		t.Fatal(err)
-	}
-	var wild [8]byte
-	binary.LittleEndian.PutUint64(wild[:], 1<<59)
-	if _, err := f.WriteAt(wild[:], 40); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	// The header's counts size the pool's page tables before any checksum has
+	// been verified: a wild node count must be an open error, not an
+	// allocation.
+	patch(8, binary.LittleEndian.AppendUint32(nil, Version))
+	patch(40, binary.LittleEndian.AppendUint64(nil, 1<<59))
 	var oe *OpenError
 	if _, err := Open(path, bufferpool.New(1<<20, 512)); !errors.As(err, &oe) {
-		t.Fatalf("v1 header claiming 2^59 internal nodes opened with %v, want an *OpenError", err)
+		t.Fatalf("header claiming 2^59 internal nodes opened with %v, want an *OpenError", err)
 	}
 }
 

@@ -10,8 +10,10 @@ import (
 
 	"repro/internal/bufferpool"
 	"repro/internal/core"
+	"repro/internal/score"
 	"repro/internal/seq"
 	"repro/internal/suffixtree"
+	"repro/internal/workload"
 )
 
 func buildIndex(t *testing.T, db *seq.Database, opts BuildOptions) (*Index, *BuildStats, *bufferpool.Pool) {
@@ -274,23 +276,36 @@ func TestBuildStatsSpaceUtilization(t *testing.T) {
 }
 
 func TestSmallBlockSizes(t *testing.T) {
-	db, _ := seq.DatabaseFromStrings(seq.DNA, "GATTACAGATTACA", "CCGG")
-	for _, bs := range []int{128, 256, 2048, 4096} {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "idx")
-		if _, err := Build(path, db, BuildOptions{BlockSize: bs}); err != nil {
-			t.Fatalf("block size %d: %v", bs, err)
+	small, _ := seq.DatabaseFromStrings(seq.DNA, "GATTACAGATTACA", "CCGG")
+	for _, tc := range []struct {
+		db        *seq.Database
+		sizes     []int
+		straddles bool // runs and record pairs of db cross pages at these sizes
+	}{
+		{small, []int{128, 256, 2048, 4096}, false},
+		{straddleCorpus(t), []int{512, 2048}, true},
+	} {
+		mem, _ := core.BuildMemoryIndex(tc.db)
+		want := collectTree(t, mem)
+		for _, bs := range tc.sizes {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "idx")
+			if _, err := Build(path, tc.db, BuildOptions{BlockSize: bs}); err != nil {
+				t.Fatalf("block size %d: %v", bs, err)
+			}
+			pool := bufferpool.New(1<<20, bs)
+			idx, err := Open(path, pool)
+			if err != nil {
+				t.Fatalf("block size %d: %v", bs, err)
+			}
+			if tc.straddles {
+				requireStraddles(t, idx)
+			}
+			if collectTree(t, idx) != want {
+				t.Fatalf("block size %d: tree mismatch", bs)
+			}
+			idx.Close()
 		}
-		pool := bufferpool.New(1<<20, bs)
-		idx, err := Open(path, pool)
-		if err != nil {
-			t.Fatalf("block size %d: %v", bs, err)
-		}
-		mem, _ := core.BuildMemoryIndex(db)
-		if collectTree(t, idx) != collectTree(t, mem) {
-			t.Fatalf("block size %d: tree mismatch", bs)
-		}
-		idx.Close()
 	}
 }
 
@@ -356,6 +371,40 @@ func TestBufferPoolStatsAttribution(t *testing.T) {
 	if pool.Stats(idx.SymbolsFile()).Requests == 0 {
 		t.Fatal("no symbol page requests recorded after reading labels")
 	}
+
+	// The locality the format exists for, on a corpus large enough to have
+	// one (100,000 residues, a 1 MB file): searches behind a pool a quarter
+	// of the file's size find the leaves region resident, because a node's
+	// leaf children are one run and the runs of the shallow nodes every
+	// query expands share the region's first pages.  (Indexed by position
+	// and chained by sibling pointers it was the worst component: 0.38 here.)
+	protein, motifs, err := workload.ProteinDatabase(workload.DefaultProteinConfig(100_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := workload.MotifQueries(protein, motifs, workload.DefaultQueryConfig(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "protein.oasis")
+	st, err := Build(path, protein, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quarter, err := Open(path, bufferpool.New(st.FileBytes/4, DefaultBlockSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer quarter.Close()
+	opts := core.Options{Scheme: score.MustScheme(score.PAM30(), -10), MinScore: 35, MaxResults: 10}
+	for _, q := range queries {
+		if _, err := core.SearchAll(quarter, q.Residues, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := quarter.Pool().Stats(quarter.LeavesFile()); st.HitRatio() < 0.9 {
+		t.Fatalf("leaves region behind a quarter-size pool: hit ratio %.3f over %d requests, want >= 0.9", st.HitRatio(), st.Requests)
+	}
 }
 
 func TestVisitChildrenOnLeafIsNoop(t *testing.T) {
@@ -418,10 +467,5 @@ func corruptFile(path string) error {
 }
 
 func randomDNA(rng *rand.Rand, n int) string {
-	letters := "ACGT"
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = letters[rng.Intn(4)]
-	}
-	return string(b)
+	return randomStrings(rng, "ACGT", 1, func() int { return n })[0]
 }

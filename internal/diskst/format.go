@@ -2,16 +2,17 @@
 // paper Section 3.4 and the machinery to build it, write it, and search it
 // through a buffer pool.
 //
-// # Single-file layout
+// # Single-file layout (format version 3)
 //
 // The index file contains four regions, each aligned to the block size:
 //
 //	symbols   — the encoded concatenated database (1 byte per symbol, a
 //	            Terminator byte after each sequence)
-//	internal  — fixed 16-byte internal-node records in level (BFS) order so
-//	            sibling internal nodes are physically adjacent
-//	leaves    — fixed 4-byte leaf records indexed by suffix start position
-//	            (the array index IS the symbol-array offset, as in the paper)
+//	internal  — fixed 16-byte internal-node records in level (BFS) order,
+//	            plus one sentinel record, so the children of consecutive
+//	            nodes are consecutive records
+//	leaves    — fixed 4-byte suffix start positions, grouped by parent in the
+//	            parents' BFS order
 //	catalog   — sequence identifiers and lengths
 //
 // Byte layout (every region starts on a BlockSize boundary; offsets and
@@ -20,69 +21,100 @@
 //	offset 0                                         1 block
 //	┌─────────────────────────────────────────────────────┐
 //	│ header (128 bytes used, rest of the block zero)     │
-//	│  0  magic "OASISIDX"        8  version    u32       │
+//	│  0  magic "OASISIDX"        8  version    u32 (= 3) │
 //	│ 12  blockSize   u32        16  alphabet   u32 (0=aa,│
 //	│ 24  numSeqs     u64        32  concatLen  u64  1=nt)│
 //	│ 40  numInternal u64        48  symbolsOff u64       │
 //	│ 56  internalOff u64        64  leavesOff  u64       │
 //	│ 72  catalogOff  u64        80  catalogLen u64       │
-//	│ 88  checksumOff u64 (v2; 0 in v1 files)             │
+//	│ 88  checksumOff u64                                 │
 //	├─────────────────────────────────────────────────────┤
 //	│ symbols: concatLen bytes, one symbol code per byte, │
 //	│          terminator after each sequence             │
 //	├─────────────────────────────────────────────────────┤
-//	│ internal: numInternal × 16-byte records (BFS order) │
-//	│   0 depth u32   4 edgeStart u32                     │
-//	│   8 firstChild u32 (tagged)  12 flags u32 (bit 0 =  │
-//	│                                 last sibling)       │
+//	│ internal: (numInternal + 1) × 16-byte records, node │
+//	│   i at record i in BFS order (the root is 0)        │
+//	│   0 depth u32        4 edgeStart u32                │
+//	│   8 firstChild u32  12 leafStart u32                │
+//	│   record numInternal is the sentinel                │
+//	│   (0, 0, numInternal, concatLen)                    │
 //	├─────────────────────────────────────────────────────┤
-//	│ leaves: concatLen × 4-byte tagged next-sibling      │
-//	│         pointers, indexed by suffix start position  │
+//	│ leaves: concatLen × u32 suffix start positions; the │
+//	│   leaf children of node i are entries               │
+//	│   [leafStart[i], leafStart[i+1]), ascending         │
 //	├─────────────────────────────────────────────────────┤
 //	│ catalog: u32 count, then per sequence               │
 //	│          u32 idLen, id bytes, u64 length            │
 //	├─────────────────────────────────────────────────────┤
-//	│ checksums (v2): one u32 CRC32C (Castagnoli) per     │
+//	│ checksums: one u32 CRC32C (Castagnoli) per          │
 //	│   blockSize-byte block of [0, checksumOff), in      │
 //	│   block order, followed by one u32 CRC32C of the    │
 //	│   table bytes themselves                            │
 //	└─────────────────────────────────────────────────────┘
 //
-// # Checksums (format v2)
+// # Children as runs (CSR)
 //
-// Version 2 appends a checksum region after the catalog.  checksumOff (header
-// byte 88) is block-aligned, so [0, checksumOff) is a whole number of
-// blockSize-byte blocks; the region holds checksumOff/blockSize little-endian
-// u32 CRC32C values — one per block, covering header, symbols, internal,
-// leaves and catalog including their padding — then a final u32 CRC32C of the
-// table itself (so table corruption is distinguishable from data corruption
+// Level order makes the children of consecutive nodes consecutive, so a node
+// needs no child count, no sibling pointer and no end-of-family flag: node
+// i's internal children are records [firstChild[i], firstChild[i+1]) and its
+// leaf children are leaves-region entries [leafStart[i], leafStart[i+1]) —
+// both ends come from the ADJACENT record, which is why the region ends with
+// a sentinel.  Children of a node are enumerated as: one read of the record
+// pair (i, i+1), one sequential copy of the leaf run, one of the child
+// records; then the leaf children ascending by position, then the internal
+// children in sibling order.  The same property holds a level at a time for
+// whole subtrees: the descendants of a node at each level are one run of
+// records [lo, hi), their leaf children one run of the leaves region
+// [leafStart[lo], leafStart[hi]), and the next level is
+// [firstChild[lo], firstChild[hi]) — so LeafPositions is two record reads and
+// one sequential scan per level, with no recursion.
+//
+// Where this departs from the paper (§3.4): there the leaf array is indexed
+// by suffix position — the array index is the symbol offset — and each leaf
+// holds an explicit pointer to its next sibling.  Here the array index is the
+// leaf's rank in its parent's run and the entry is the suffix position, so
+// siblings are adjacent and the sibling pointer is gone; a leaf still costs 4
+// bytes and an internal node 16, and sibling internal nodes are still
+// physically adjacent, as in the paper.
+//
+// Every traversal step moves strictly forward in the file.  On each record
+// pair the reader checks
+//
+//	i < firstChild[i] ≤ firstChild[i+1] ≤ numInternal
+//	leafStart[i] ≤ leafStart[i+1] ≤ concatLen
+//
+// (and, per level of LeafPositions, that the next level starts at or after
+// the end of this one) and returns a *CorruptError otherwise, so a file whose
+// checksums are valid but whose records are crafted cannot make a search
+// loop, recurse or index out of range.  VerifyIndex proves the whole
+// structure in one sequential pass (see verify.go).
+//
+// # Checksums
+//
+// The checksum region follows the catalog.  checksumOff (header byte 88) is
+// block-aligned, so [0, checksumOff) is a whole number of blockSize-byte
+// blocks; the region holds checksumOff/blockSize little-endian u32 CRC32C
+// values — one per block, covering header, symbols, internal, leaves and
+// catalog including their padding — then a final u32 CRC32C of the table
+// itself (so table corruption is distinguishable from data corruption
 // without a circular header dependency).  The writer stamps checksums from a
 // read-back of the finished file; the reader verifies every block as it is
 // read, i.e. on every buffer-pool fill, retrying transient read errors with
-// capped exponential backoff first (see checksum.go).  Version 1 files have
-// no table (checksumOff = 0) and still open, with ChecksumsEnabled reporting
-// false ("checksums unavailable").
+// capped exponential backoff first (see checksum.go).
 //
-// Tagged pointers pack a leaf/internal discriminator into the high bit
-// (ptrLeafBit): leaf targets are addressed by suffix position, internal
-// targets by BFS index; 0xFFFFFFFF (ptrNone) ends a sibling chain.
-//
-// Children of a node are enumerated as: the node's leaf children first,
-// chained through each leaf's tagged next-sibling pointer, followed by its
-// internal children, which are contiguous in the internal region and
-// delimited by a last-sibling flag.  This reproduces the paper's design
-// ("siblings are adjacent ... we must maintain an explicit pointer to
-// siblings" for leaves) without any extra per-node pointers.
+// Files of format versions 1 (no checksum region) and 2 (leaves indexed by
+// position and chained by sibling pointers) are refused at Open with an
+// *OpenError naming the file and its version; rebuild them with oasis-build.
 //
 // # Reading through the pool
 //
 // A search reads the file only through internal/bufferpool, whose hits take
 // no lock: pin the page → re-validate it → read → unpin (see that package).
-// Node and leaf records are decoded straight from the pinned page and the
-// pin dropped at once; an edge label hands its symbols out in place, so the
-// label's current symbol page is the ONE pin a search holds between pool
-// calls — taken by the first Symbols call on a child, dropped before
-// VisitChildren asks the pool for anything else and on every way out of it.
+// Records and leaf runs are copied out of their pages — each page's pin
+// dropped before the next is asked for — before the first callback; an edge
+// label hands its symbols out in place, so the label's current symbol page is
+// the ONE pin a search holds between pool calls — taken by the first Symbols
+// call on a child, dropped when its callback returns and on every way out.
 // Because no goroutine requests a page while it holds a pin, a pool whose
 // every frame is pinned can wait for one: whoever holds the pins is not
 // waiting on the pool.  (A callback that itself walks the index after
@@ -159,12 +191,9 @@ import (
 const (
 	// Magic identifies an OASIS index file.
 	Magic = "OASISIDX"
-	// Version is the current format version: 2 adds the per-block CRC32C
-	// checksum region (see the package comment).
-	Version = 2
-	// versionNoChecksums is the legacy format without a checksum region;
-	// still readable, reported via Index.ChecksumsEnabled.
-	versionNoChecksums = 1
+	// Version is the one format version this package writes and reads: 3, the
+	// level-order CSR layout (see the package comment).
+	Version = 3
 	// DefaultBlockSize matches the paper's 2 KB disk blocks.
 	DefaultBlockSize = 2048
 	// internalRecordSize is the size of an internal-node record in bytes.
@@ -174,20 +203,6 @@ const (
 	// headerSize is the fixed on-disk header size (always occupies the
 	// first block regardless of block size).
 	headerSize = 128
-)
-
-// Tagged child/sibling pointer encoding: the high bit marks leaf targets
-// (addressed by suffix position), the remaining 31 bits hold the index;
-// ptrNone marks the end of a chain.
-const (
-	ptrNone    = uint32(0xFFFFFFFF)
-	ptrLeafBit = uint32(0x80000000)
-	ptrMask    = uint32(0x7FFFFFFF)
-)
-
-// flag bits of internal-node records.
-const (
-	flagLastSibling = uint32(1 << 0)
 )
 
 // header is the decoded index-file header.
@@ -203,7 +218,7 @@ type header struct {
 	leavesOff    uint64
 	catalogOff   uint64
 	catalogLen   uint64
-	checksumOff  uint64 // 0 in v1 files: no checksum region
+	checksumOff  uint64
 }
 
 func (h *header) encode() []byte {
@@ -245,15 +260,10 @@ func decodeHeader(buf []byte) (*header, error) {
 		leavesOff:    le.Uint64(buf[64:]),
 		catalogOff:   le.Uint64(buf[72:]),
 		catalogLen:   le.Uint64(buf[80:]),
+		checksumOff:  le.Uint64(buf[88:]),
 	}
-	switch h.version {
-	case Version:
-		h.checksumOff = le.Uint64(buf[88:])
-	case versionNoChecksums:
-		// Legacy file: readable, but no checksum region to verify against.
-		h.checksumOff = 0
-	default:
-		return nil, fmt.Errorf("diskst: unsupported version %d", h.version)
+	if h.version != Version {
+		return nil, fmt.Errorf("diskst: format version %d, this build reads only version %d: rebuild the index with oasis-build", h.version, Version)
 	}
 	if h.blockSize == 0 {
 		return nil, fmt.Errorf("diskst: zero block size")
@@ -261,20 +271,21 @@ func decodeHeader(buf []byte) (*header, error) {
 	return h, nil
 }
 
-// internalRecord is the decoded form of an internal-node record.
+// internalRecord is the decoded form of an internal-node record: node i's
+// internal children are records [firstChild, next record's firstChild), its
+// leaf children leaves-region entries [leafStart, next record's leafStart).
 type internalRecord struct {
 	depth      uint32
 	edgeStart  uint32
-	firstChild uint32 // tagged pointer
-	flags      uint32
+	firstChild uint32
+	leafStart  uint32
 }
 
-func (r internalRecord) encode(buf []byte) {
-	le := binary.LittleEndian
-	le.PutUint32(buf[0:], r.depth)
-	le.PutUint32(buf[4:], r.edgeStart)
-	le.PutUint32(buf[8:], r.firstChild)
-	le.PutUint32(buf[12:], r.flags)
+func (r internalRecord) appendTo(buf []byte) []byte {
+	for _, field := range [...]uint32{r.depth, r.edgeStart, r.firstChild, r.leafStart} {
+		buf = binary.LittleEndian.AppendUint32(buf, field)
+	}
+	return buf
 }
 
 func decodeInternalRecord(buf []byte) internalRecord {
@@ -283,15 +294,9 @@ func decodeInternalRecord(buf []byte) internalRecord {
 		depth:      le.Uint32(buf[0:]),
 		edgeStart:  le.Uint32(buf[4:]),
 		firstChild: le.Uint32(buf[8:]),
-		flags:      le.Uint32(buf[12:]),
+		leafStart:  le.Uint32(buf[12:]),
 	}
 }
-
-// taggedLeaf returns the tagged pointer to the leaf at suffix position pos.
-func taggedLeaf(pos int64) uint32 { return ptrLeafBit | uint32(pos) }
-
-// taggedInternal returns the tagged pointer to internal node idx.
-func taggedInternal(idx int64) uint32 { return uint32(idx) }
 
 // alignUp rounds n up to the next multiple of block.
 func alignUp(n, block int64) int64 {

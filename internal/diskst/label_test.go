@@ -18,22 +18,29 @@ import (
 // pinned page and are handed out in place, some straddle a page boundary and
 // are copied —, one symbol at a time (the reference kernel's pattern), and
 // whole, and all three must equal the bytes Catalog().Residues returns for
-// that stretch of the sequence.
+// that stretch of the sequence.  The same over straddleCorpus, whose leaf and
+// child-record runs cross page boundaries too.
 func TestLazyLabelChunkedReads(t *testing.T) {
 	long := "ACGT" + strings.Repeat("GATTACAT", 320) // 2564 residues
 	db, err := seq.DatabaseFromStrings(seq.DNA, long, "CCGGAACC")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ blockSize, pageSize int }{{128, 512}, {512, 512}, {2048, 2048}} {
+	for _, tc := range []struct {
+		db                  *seq.Database
+		blockSize, pageSize int
+	}{{db, 128, 512}, {db, 512, 512}, {db, 2048, 2048}, {straddleCorpus(t), 512, 512}, {straddleCorpus(t), 2048, 2048}} {
 		path := filepath.Join(t.TempDir(), "index.oasis")
-		if _, err := Build(path, db, BuildOptions{BlockSize: tc.blockSize}); err != nil {
+		if _, err := Build(path, tc.db, BuildOptions{BlockSize: tc.blockSize}); err != nil {
 			t.Fatal(err)
 		}
 		pool := bufferpool.New(1<<20, tc.pageSize)
 		idx, err := Open(path, pool)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.db != db {
+			requireStraddles(t, idx)
 		}
 		cat := idx.Catalog()
 		// want returns the n symbols from global position pos on.
@@ -100,8 +107,8 @@ func TestLazyLabelChunkedReads(t *testing.T) {
 			}
 		}
 		walk(idx.Root(), 0)
-		if edges < len(long) {
-			t.Fatalf("page size %d: walked %d edges of a %d-residue tree", tc.pageSize, edges, len(long))
+		if residues := int(tc.db.TotalResidues()); edges < residues {
+			t.Fatalf("page size %d: walked %d edges of a %d-residue tree", tc.pageSize, edges, residues)
 		}
 		if n := pool.PinnedPages(); n != 0 {
 			t.Fatalf("page size %d: %d pages left pinned", tc.pageSize, n)

@@ -60,8 +60,8 @@ type Manifest struct {
 	// PrefixAssignment (prefix mode) is the suffix-prefix -> shard owner
 	// tables computed at build time.
 	PrefixAssignment *seq.PrefixAssignment `json:"prefix_assignment,omitempty"`
-	// Checksums records that every shard file carries a v2 per-block CRC32C
-	// table (false for v1 manifests: checksums unavailable).
+	// Checksums records that every shard file carries a per-block CRC32C
+	// table (absent from v1 manifests; every file that opens has one).
 	Checksums bool `json:"checksums,omitempty"`
 	// Generation numbers this manifest within the directory's lifetime (v3).
 	// Every compaction writes a new manifest with a higher generation and

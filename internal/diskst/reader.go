@@ -53,7 +53,7 @@ func Open(path string, pool *bufferpool.Pool) (*Index, error) {
 	}
 	// All reads — including the header and catalog here, and every later
 	// buffer-pool fill — go through the verifying reader: transient errors
-	// are retried, and once the v2 checksum table is loaded every block is
+	// are retried, and once the checksum table is loaded every block is
 	// CRC-verified.
 	vr := &verifyingReader{f: f, path: path}
 	fail := func(off uint64, err error) (*Index, error) {
@@ -74,22 +74,20 @@ func Open(path string, pool *bufferpool.Pool) (*Index, error) {
 	}
 	// The header's counts size allocations (catalog, locator, page tables):
 	// none may describe more than the file holds.
-	if size := uint64(fi.Size()); hdr.concatLen > size/leafRecordSize || hdr.numInternal > size/internalRecordSize || hdr.catalogLen > size {
+	if size := uint64(fi.Size()); hdr.concatLen > size/leafRecordSize || hdr.numInternal >= size/internalRecordSize || hdr.catalogLen > size {
 		return fail(0, fmt.Errorf("header describes more than the %d-byte file holds", size))
 	}
-	if hdr.checksumOff != 0 {
-		sums, err := loadChecksumTable(vr, hdr, fi.Size())
-		if err != nil {
-			return fail(hdr.checksumOff, err)
-		}
-		vr.sums = sums
-		vr.blockSize = int64(hdr.blockSize)
-		vr.limit = int64(hdr.checksumOff)
-		// Re-read the header block through the now-armed verifier so header
-		// corruption that still decodes is caught at open time.
-		if _, err := vr.ReadAt(hdrBuf, 0); err != nil {
-			return fail(0, err)
-		}
+	sums, err := loadChecksumTable(vr, hdr, fi.Size())
+	if err != nil {
+		return fail(hdr.checksumOff, err)
+	}
+	vr.sums = sums
+	vr.blockSize = int64(hdr.blockSize)
+	vr.limit = int64(hdr.checksumOff)
+	// Re-read the header block through the now-armed verifier so header
+	// corruption that still decodes is caught at open time.
+	if _, err := vr.ReadAt(hdrBuf, 0); err != nil {
+		return fail(0, err)
 	}
 	catBuf := make([]byte, hdr.catalogLen)
 	if _, err := vr.ReadAt(catBuf, int64(hdr.catalogOff)); err != nil {
@@ -127,18 +125,13 @@ func Open(path string, pool *bufferpool.Pool) (*Index, error) {
 	}
 	idx.loc = seq.NewLocator(len(lens), func(i int) int64 { return lens[i] })
 	symbolsLen := int64(hdr.concatLen)
-	internalLen := int64(hdr.numInternal) * internalRecordSize
+	internalLen := int64(hdr.numInternal+1) * internalRecordSize // the sentinel
 	leavesLen := int64(hdr.concatLen) * leafRecordSize
 	idx.symbolsFile = pool.Register(path+"#symbols", io.NewSectionReader(vr, int64(hdr.symbolsOff), symbolsLen), symbolsLen)
 	idx.internalFile = pool.Register(path+"#internal", io.NewSectionReader(vr, int64(hdr.internalOff), internalLen), internalLen)
 	idx.leavesFile = pool.Register(path+"#leaves", io.NewSectionReader(vr, int64(hdr.leavesOff), leavesLen), leavesLen)
 	return idx, nil
 }
-
-// ChecksumsEnabled reports whether the index file carries a v2 per-block
-// CRC32C table the reader verifies against; false means a v1 file opened in
-// compatibility mode ("checksums unavailable").
-func (x *Index) ChecksumsEnabled() bool { return x.vr.sums != nil }
 
 // Close releases the underlying file.  Pages already cached in the buffer
 // pool remain until evicted.
@@ -166,39 +159,58 @@ func (x *Index) LeavesFile() bufferpool.FileID   { return x.leavesFile }
 // Pool returns the buffer pool the index reads through.
 func (x *Index) Pool() *bufferpool.Pool { return x.pool }
 
-// readInternal decodes internal-node record i straight from its pinned page.
+// readPair decodes internal-node records i and j (i < j; j may be the
+// sentinel) straight from their pinned pages — one request when both lie on
+// one page, as the (i, i+1) of a node's expansion nearly always do — and
+// holds them to checkRuns.
 //
 //oasis:hotpath
-func (x *Index) readInternal(i int64) (internalRecord, error) {
-	if uint64(i) >= x.hdr.numInternal {
-		return internalRecord{}, errOutOfRange("internal node", i)
+func (x *Index) readPair(i, j int64) (a, b internalRecord, err error) {
+	if uint64(i) >= x.hdr.numInternal || uint64(j) > x.hdr.numInternal {
+		return a, b, errOutOfRange("internal node", i)
 	}
-	off := i * internalRecordSize
-	h, err := x.pool.Get(x.internalFile, off/x.pageSize)
+	offA, offB := i*internalRecordSize, j*internalRecordSize
+	h, err := x.pool.Get(x.internalFile, offA/x.pageSize)
 	if err != nil {
-		return internalRecord{}, err
+		return a, b, err
 	}
-	rec := decodeInternalRecord(h.Data[off%x.pageSize:])
+	a = decodeInternalRecord(h.Data[offA%x.pageSize:])
+	if offB/x.pageSize != offA/x.pageSize {
+		h.Release()
+		if h, err = x.pool.Get(x.internalFile, offB/x.pageSize); err != nil {
+			return a, b, err
+		}
+	}
+	b = decodeInternalRecord(h.Data[offB%x.pageSize:])
 	h.Release()
-	return rec, nil
+	return a, b, x.checkRuns(i, j, a, b)
 }
 
-// readLeafNext fetches the tagged next-sibling pointer of the leaf at suffix
-// position pos.
+// checkRuns is the forward-progress invariant of the format (see the package
+// comment) on records lo and hi, lo < hi: the records' children — internal
+// [a.firstChild, b.firstChild), leaf [a.leafStart, b.leafStart) — are runs
+// inside their regions, and the internal ones start at or after hi.
+func (x *Index) checkRuns(lo, hi int64, a, b internalRecord) error {
+	if int64(a.firstChild) < hi || a.firstChild > b.firstChild || uint64(b.firstChild) > x.hdr.numInternal ||
+		a.leafStart > b.leafStart || uint64(b.leafStart) > x.hdr.concatLen {
+		return &CorruptError{Path: x.path, Node: lo, Detail: fmt.Sprintf(
+			"children [%d,%d) and leaves [%d,%d) of nodes [%d,%d) do not lie ahead of them inside %d nodes and %d leaves",
+			a.firstChild, b.firstChild, a.leafStart, b.leafStart, lo, hi, x.hdr.numInternal, x.hdr.concatLen)}
+	}
+	return nil
+}
+
+// copyRun copies the n bytes at off of a region into *buf, grown to fit — a
+// node's leaf run, its child records or a label range, any of which may
+// straddle pages: one pin per page, each dropped before the next (Pool.ReadAt).
 //
 //oasis:hotpath
-func (x *Index) readLeafNext(pos int64) (uint32, error) {
-	if uint64(pos) >= x.hdr.concatLen {
-		return 0, errOutOfRange("leaf position", pos)
+func (x *Index) copyRun(buf *[]byte, file bufferpool.FileID, off, n int64) ([]byte, error) {
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n) //oasis:allow-alloc kept with the pooled label, so it grows a handful of times per process
 	}
-	off := pos * leafRecordSize
-	h, err := x.pool.Get(x.leavesFile, off/x.pageSize)
-	if err != nil {
-		return 0, err
-	}
-	next := binary.LittleEndian.Uint32(h.Data[off%x.pageSize:])
-	h.Release()
-	return next, nil
+	run := (*buf)[:n]
+	return run, x.pool.ReadAt(file, run, off)
 }
 
 // errOutOfRange is built out of line (as is errBounds below), so the
@@ -225,6 +237,9 @@ type lazyLabel struct {
 	page   bufferpool.Handle
 	pageNo int64  // of page, while it is held
 	buf    []byte // for the ranges that straddle a page boundary
+	// The expanded node's leaf run and child records, copied out of their
+	// pages before the first callback.
+	leaves, kids []byte
 }
 
 // Len implements core.EdgeLabel.
@@ -247,13 +262,7 @@ func (l *lazyLabel) Symbols(from, to int) ([]byte, error) {
 		// The range straddles a page boundary: copy it out, holding no pin
 		// while the pool is asked for the pages.
 		l.page.Release()
-		if cap(l.buf) < n {
-			l.buf = make([]byte, n) //oasis:allow-alloc kept with the pooled label, so it grows a handful of times per process
-		}
-		if err := x.pool.ReadAt(x.symbolsFile, l.buf[:n], pos); err != nil {
-			return nil, err
-		}
-		return l.buf[:n], nil
+		return x.copyRun(&l.buf, x.symbolsFile, pos, int64(n))
 	}
 	if l.page.Data == nil || l.pageNo != pageNo {
 		l.page.Release()
@@ -274,15 +283,16 @@ func (l *lazyLabel) errBounds(from, to int) error {
 	return fmt.Errorf("diskst: label range [%d,%d) out of bounds (len %d)", from, to, l.length)
 }
 
-// VisitChildren implements core.Index: it walks the child chain of an
-// internal node — leaf children first (linked through the leaf array),
-// then internal children (physically adjacent, ended by the last-sibling
-// flag) — handing each child's edge label to fn.
+// VisitChildren implements core.Index: one read of the node's record pair,
+// one copy of its leaf run and one of its child records, then the callbacks —
+// leaf children ascending by position, then internal children in sibling
+// order — handing each child's edge label to fn.
 func (x *Index) VisitChildren(ref core.NodeRef, parentDepth int, fn func(child core.NodeRef, label core.EdgeLabel) error) error {
 	if ref.IsLeaf() {
 		return nil // leaves have no children
 	}
-	rec, err := x.readInternal(ref.InternalIndex())
+	node := ref.InternalIndex()
+	rec, next, err := x.readPair(node, node+1)
 	if err != nil {
 		return err
 	}
@@ -291,79 +301,84 @@ func (x *Index) VisitChildren(ref core.NodeRef, parentDepth int, fn func(child c
 		label.page.Release()
 		x.labels.Put(label)
 	}()
-	for cur := rec.firstChild; cur != ptrNone; {
-		var child core.NodeRef
-		next := ptrNone
-		if cur&ptrLeafBit != 0 {
-			pos := int64(cur & ptrMask)
-			// The edge runs from the parent's depth to one past the
-			// terminator of the sequence the suffix lies in.
-			i, _, err := x.loc.Locate(pos)
-			if err != nil {
-				return err
-			}
-			label.start = pos + int64(parentDepth)
-			label.length = int(x.loc.Start(i+1) - label.start)
-			if label.length < 0 {
-				return fmt.Errorf("diskst: corrupt index: leaf %d shallower than parent depth %d", pos, parentDepth)
-			}
-			if next, err = x.readLeafNext(pos); err != nil {
-				return err
-			}
-			child = core.LeafRef(pos)
-		} else {
-			idx := int64(cur & ptrMask)
-			childRec, err := x.readInternal(idx)
-			if err != nil {
-				return err
-			}
-			label.start, label.length = int64(childRec.edgeStart), int(childRec.depth)-parentDepth
-			if label.length <= 0 {
-				return fmt.Errorf("diskst: corrupt index: child %d depth %d <= parent depth %d", idx, childRec.depth, parentDepth)
-			}
-			if childRec.flags&flagLastSibling == 0 {
-				next = taggedInternal(idx + 1)
-			}
-			child = core.InternalRef(idx)
-		}
-		err := fn(child, label)
-		label.page.Release() // before the pool is asked for the next record
+	leaves, err := x.copyRun(&label.leaves, x.leavesFile, int64(rec.leafStart)*leafRecordSize, int64(next.leafStart-rec.leafStart)*leafRecordSize)
+	if err != nil {
+		return err
+	}
+	kids, err := x.copyRun(&label.kids, x.internalFile, int64(rec.firstChild)*internalRecordSize, int64(next.firstChild-rec.firstChild)*internalRecordSize)
+	if err != nil {
+		return err
+	}
+	for ; len(leaves) > 0; leaves = leaves[leafRecordSize:] {
+		pos := int64(binary.LittleEndian.Uint32(leaves))
+		// The edge runs from the parent's depth to one past the terminator
+		// of the sequence the suffix lies in.
+		i, _, err := x.loc.Locate(pos)
 		if err != nil {
 			return err
 		}
-		cur = next
+		label.start = pos + int64(parentDepth)
+		label.length = int(x.loc.Start(i+1) - label.start)
+		if label.length <= 0 {
+			return &CorruptError{Path: x.path, Node: node, Detail: fmt.Sprintf("leaf %d is not deeper than parent depth %d", pos, parentDepth)}
+		}
+		err = fn(core.LeafRef(pos), label)
+		label.page.Release() // the one pin a search holds ends with its callback
+		if err != nil {
+			return err
+		}
+	}
+	for child := int64(rec.firstChild); len(kids) > 0; child, kids = child+1, kids[internalRecordSize:] {
+		childRec := decodeInternalRecord(kids)
+		label.start, label.length = int64(childRec.edgeStart), int(childRec.depth)-parentDepth
+		if label.length <= 0 {
+			return &CorruptError{Path: x.path, Node: node, Detail: fmt.Sprintf("child %d depth %d <= parent depth %d", child, childRec.depth, parentDepth)}
+		}
+		err := fn(core.InternalRef(child), label)
+		label.page.Release()
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// LeafPositions implements core.Index.
+// leafChunk is how many bytes of the leaves region LeafPositions copies out
+// at a time: a page of the default size, on the goroutine's stack.
+const leafChunk = 2048
+
+// LeafPositions implements core.Index.  The descendants of a node at each
+// level are one run of records [lo, hi) whose leaf children are one run of
+// the leaves region, so the walk is two record reads and one sequential scan
+// per level; lo strictly increases, so it ends however the records are
+// crafted.  Positions are copied out a chunk at a time: fn runs with no page
+// pinned.
 func (x *Index) LeafPositions(ref core.NodeRef, fn func(pos int64) bool) error {
-	stop := false
-	var walk func(ref core.NodeRef, depth int) error
-	walk = func(ref core.NodeRef, depth int) error {
-		if stop {
-			return nil
-		}
-		if ref.IsLeaf() {
-			if !fn(ref.LeafPos()) {
-				stop = true
-			}
-			return nil
-		}
-		return x.VisitChildren(ref, depth, func(child core.NodeRef, label core.EdgeLabel) error {
-			return walk(child, depth+label.Len())
-		})
-	}
 	if ref.IsLeaf() {
-		return walk(ref, 0)
+		fn(ref.LeafPos())
+		return nil
 	}
-	// The traversal needs the starting node's true path depth so that edge
-	// lengths (derived from depth differences) are computed correctly.
-	rec, err := x.readInternal(ref.InternalIndex())
-	if err != nil {
-		return err
+	var chunk [leafChunk]byte
+	for lo, hi := ref.InternalIndex(), ref.InternalIndex()+1; lo < hi; {
+		first, end, err := x.readPair(lo, hi)
+		if err != nil {
+			return err
+		}
+		for off, stop := int64(first.leafStart)*leafRecordSize, int64(end.leafStart)*leafRecordSize; off < stop; {
+			run := chunk[:min(stop-off, leafChunk-off%leafChunk)] // chunks end where pages do
+			if err := x.pool.ReadAt(x.leavesFile, run, off); err != nil {
+				return err
+			}
+			off += int64(len(run))
+			for ; len(run) > 0; run = run[leafRecordSize:] {
+				if !fn(int64(binary.LittleEndian.Uint32(run))) {
+					return nil
+				}
+			}
+		}
+		lo, hi = int64(first.firstChild), int64(end.firstChild)
 	}
-	return walk(ref, int(rec.depth))
+	return nil
 }
 
 // Catalog implements core.Index.
@@ -395,26 +410,11 @@ func (c *diskCatalog) Residues(i int) ([]byte, error) {
 
 // Stats summarises the index regions; used by the space-utilisation table.
 func (x *Index) Stats() BuildStats {
-	internalLen := int64(x.hdr.numInternal) * internalRecordSize
-	leavesLen := int64(x.hdr.concatLen) * leafRecordSize
-	st := BuildStats{
-		NumSequences:  len(x.seqIDs),
-		TotalResidues: x.Catalog().TotalResidues(),
-		ConcatLen:     int64(x.hdr.concatLen),
-		NumInternal:   int64(x.hdr.numInternal),
-		NumLeaves:     int64(x.hdr.concatLen),
-		SymbolsBytes:  int64(x.hdr.concatLen),
-		InternalBytes: internalLen,
-		LeafBytes:     leavesLen,
-		CatalogBytes:  int64(x.hdr.catalogLen),
-	}
+	var size int64
 	if fi, err := os.Stat(x.path); err == nil {
-		st.FileBytes = fi.Size()
-		if st.TotalResidues > 0 {
-			st.BytesPerSymbol = float64(fi.Size()) / float64(st.TotalResidues)
-		}
+		size = fi.Size()
 	}
-	return st
+	return x.hdr.stats(x.Catalog().TotalResidues(), size)
 }
 
 var _ core.Index = (*Index)(nil)

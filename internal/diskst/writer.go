@@ -4,8 +4,9 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/seq"
 	"repro/internal/suffixtree"
@@ -63,23 +64,16 @@ func Write(path string, tree *suffixtree.Tree, opts BuildOptions) (*BuildStats, 
 	}
 	db := tree.DB()
 	concat := db.Concat()
-	if int64(len(concat)) > int64(ptrMask) {
-		return nil, fmt.Errorf("diskst: database too large for 31-bit node pointers (%d symbols)", len(concat))
+	if int64(len(concat)) > math.MaxUint32 {
+		return nil, fmt.Errorf("diskst: database too large for 32-bit positions (%d symbols)", len(concat))
 	}
-
-	layoutNodes, err := layoutTree(tree)
-	if err != nil {
-		return nil, err
-	}
+	internal, leaves := layoutTree(tree)
 
 	// Region offsets.
 	symbolsOff := int64(blockSize)
-	symbolsLen := int64(len(concat))
-	internalOff := alignUp(symbolsOff+symbolsLen, int64(blockSize))
-	internalLen := int64(len(layoutNodes.internal)) * internalRecordSize
-	leavesOff := alignUp(internalOff+internalLen, int64(blockSize))
-	leavesLen := int64(len(concat)) * leafRecordSize
-	catalogOff := alignUp(leavesOff+leavesLen, int64(blockSize))
+	internalOff := alignUp(symbolsOff+int64(len(concat)), int64(blockSize))
+	leavesOff := alignUp(internalOff+int64(len(internal)), int64(blockSize))
+	catalogOff := alignUp(leavesOff+int64(len(leaves)), int64(blockSize))
 	catalog := encodeCatalog(db)
 	// The checksum region starts on the block boundary after the catalog, so
 	// [0, checksumOff) is a whole number of blocks and the offset is known
@@ -103,7 +97,7 @@ func Write(path string, tree *suffixtree.Tree, opts BuildOptions) (*BuildStats, 
 		alphabetKind: kind,
 		numSequences: uint64(db.NumSequences()),
 		concatLen:    uint64(len(concat)),
-		numInternal:  uint64(len(layoutNodes.internal)),
+		numInternal:  uint64(tree.NumInternal()),
 		symbolsOff:   uint64(symbolsOff),
 		internalOff:  uint64(internalOff),
 		leavesOff:    uint64(leavesOff),
@@ -133,43 +127,16 @@ func Write(path string, tree *suffixtree.Tree, opts BuildOptions) (*BuildStats, 
 		return nil
 	}
 
-	if err := writeBytes(h.encode()); err != nil {
-		return nil, err
-	}
-	if err := pad(symbolsOff); err != nil {
-		return nil, err
-	}
-	if err := writeBytes(concat); err != nil {
-		return nil, err
-	}
-	if err := pad(internalOff); err != nil {
-		return nil, err
-	}
-	recBuf := make([]byte, internalRecordSize)
-	for _, rec := range layoutNodes.internal {
-		rec.encode(recBuf)
-		if err := writeBytes(recBuf); err != nil {
+	for _, region := range []struct {
+		off  int64
+		data []byte
+	}{{0, h.encode()}, {symbolsOff, concat}, {internalOff, internal}, {leavesOff, leaves}, {catalogOff, catalog}, {checksumOff, nil}} {
+		if err := pad(region.off); err != nil {
 			return nil, err
 		}
-	}
-	if err := pad(leavesOff); err != nil {
-		return nil, err
-	}
-	leafBuf := make([]byte, leafRecordSize)
-	for _, next := range layoutNodes.leafNext {
-		binary.LittleEndian.PutUint32(leafBuf, next)
-		if err := writeBytes(leafBuf); err != nil {
+		if err := writeBytes(region.data); err != nil {
 			return nil, err
 		}
-	}
-	if err := pad(catalogOff); err != nil {
-		return nil, err
-	}
-	if err := writeBytes(catalog); err != nil {
-		return nil, err
-	}
-	if err := pad(checksumOff); err != nil {
-		return nil, err
 	}
 	if err := w.Flush(); err != nil {
 		return nil, err
@@ -191,128 +158,65 @@ func Write(path string, tree *suffixtree.Tree, opts BuildOptions) (*BuildStats, 
 		return nil, err
 	}
 
-	st := &BuildStats{
-		NumSequences:  db.NumSequences(),
-		TotalResidues: db.TotalResidues(),
-		ConcatLen:     int64(len(concat)),
-		NumInternal:   int64(len(layoutNodes.internal)),
-		NumLeaves:     int64(len(concat)),
-		SymbolsBytes:  symbolsLen,
-		InternalBytes: internalLen,
-		LeafBytes:     leavesLen,
-		CatalogBytes:  int64(len(catalog)),
-		ChecksumBytes: int64(len(table)),
-		FileBytes:     written,
-	}
-	if db.TotalResidues() > 0 {
-		st.BytesPerSymbol = float64(written) / float64(db.TotalResidues())
-	}
-	return st, nil
+	st := h.stats(db.TotalResidues(), written)
+	return &st, nil
 }
 
-// treeLayout holds the computed on-disk node layout.
-type treeLayout struct {
-	internal []internalRecord
-	leafNext []uint32 // indexed by suffix position
+// stats is the BuildStats of a file with this header: what Write returns and
+// what Index.Stats reports, so the two agree by construction.
+func (h *header) stats(totalResidues, fileBytes int64) BuildStats {
+	st := BuildStats{
+		NumSequences:  int(h.numSequences),
+		TotalResidues: totalResidues,
+		ConcatLen:     int64(h.concatLen),
+		NumInternal:   int64(h.numInternal),
+		NumLeaves:     int64(h.concatLen),
+		SymbolsBytes:  int64(h.concatLen),
+		InternalBytes: int64(h.numInternal+1) * internalRecordSize, // the sentinel
+		LeafBytes:     int64(h.concatLen) * leafRecordSize,
+		CatalogBytes:  int64(h.catalogLen),
+		ChecksumBytes: max(fileBytes-int64(h.checksumOff), 0),
+		FileBytes:     fileBytes,
+	}
+	if totalResidues > 0 {
+		st.BytesPerSymbol = float64(fileBytes) / float64(totalResidues)
+	}
+	return st
 }
 
-// layoutTree numbers internal nodes in BFS order, builds their records, and
-// computes every leaf's next-sibling pointer.
-func layoutTree(tree *suffixtree.Tree) (*treeLayout, error) {
-	db := tree.DB()
-	concatLen := db.ConcatLen()
-	lo := &treeLayout{leafNext: make([]uint32, concatLen)}
-	for i := range lo.leafNext {
-		lo.leafNext[i] = ptrNone
-	}
-
-	// BFS numbering of internal nodes.
-	type qEntry struct {
-		node suffixtree.NodeID
-	}
-	indexOf := map[suffixtree.NodeID]int64{}
-	var order []suffixtree.NodeID
-	queue := []qEntry{{node: tree.Root()}}
-	indexOf[tree.Root()] = 0
-	order = append(order, tree.Root())
-	for head := 0; head < len(queue); head++ {
-		n := queue[head].node
-		for _, c := range tree.Children(n) {
-			if !tree.IsLeaf(c) {
-				indexOf[c] = int64(len(order))
-				order = append(order, c)
-				queue = append(queue, qEntry{node: c})
-			}
-		}
-	}
-	if int64(len(order)) > int64(ptrMask) {
-		return nil, fmt.Errorf("diskst: too many internal nodes (%d)", len(order))
-	}
-
-	lo.internal = make([]internalRecord, len(order))
-	for idx, n := range order {
-		var leafKids []int64
-		var internalKids []int64
-		for _, c := range tree.Children(n) {
+// layoutTree numbers the internal nodes in BFS order and encodes the internal
+// and leaves regions in one pass: visiting node i appends its internal
+// children to the queue — so they take the next record numbers, right after
+// the children of node i-1 — and its leaf children, ascending, to the leaves
+// region; both run starts are known by then, so record i is written whole.
+func layoutTree(tree *suffixtree.Tree) (internal, leaves []byte) {
+	internal = make([]byte, 0, (tree.NumInternal()+1)*internalRecordSize)
+	leaves = make([]byte, 0, tree.NumLeaves()*leafRecordSize)
+	queue := make([]suffixtree.NodeID, 1, tree.NumInternal()) // queue[i] is the node of record i
+	queue[0] = tree.Root()
+	var run []uint32 // the visited node's leaf children
+	for i := 0; i < len(queue); i++ {
+		internal = internalRecord{
+			depth:      uint32(tree.Depth(queue[i])),
+			edgeStart:  uint32(tree.EdgeStart(queue[i])),
+			firstChild: uint32(len(queue)),
+			leafStart:  uint32(len(leaves) / leafRecordSize),
+		}.appendTo(internal)
+		run = run[:0]
+		for c := tree.FirstChild(queue[i]); c != suffixtree.NoNode; c = tree.NextSibling(c) {
 			if tree.IsLeaf(c) {
-				leafKids = append(leafKids, tree.SuffixStart(c))
+				run = append(run, uint32(tree.SuffixStart(c)))
 			} else {
-				internalKids = append(internalKids, indexOf[c])
+				queue = append(queue, c)
 			}
 		}
-		sort.Slice(leafKids, func(a, b int) bool { return leafKids[a] < leafKids[b] })
-		sort.Slice(internalKids, func(a, b int) bool { return internalKids[a] < internalKids[b] })
-		// Sanity: BFS assigns the internal children of a node consecutive
-		// indexes, which the reader's adjacency walk relies on.
-		for i := 1; i < len(internalKids); i++ {
-			if internalKids[i] != internalKids[i-1]+1 {
-				return nil, fmt.Errorf("diskst: internal children of node %d not contiguous", idx)
-			}
-		}
-
-		first := ptrNone
-		if len(leafKids) > 0 {
-			first = taggedLeaf(leafKids[0])
-			for i := range leafKids {
-				next := ptrNone
-				if i+1 < len(leafKids) {
-					next = taggedLeaf(leafKids[i+1])
-				} else if len(internalKids) > 0 {
-					next = taggedInternal(internalKids[0])
-				}
-				lo.leafNext[leafKids[i]] = next
-			}
-		} else if len(internalKids) > 0 {
-			first = taggedInternal(internalKids[0])
-		}
-
-		rec := internalRecord{
-			depth:      uint32(tree.Depth(n)),
-			edgeStart:  uint32(tree.EdgeStart(n)),
-			firstChild: first,
-		}
-		lo.internal[idx] = rec
-	}
-	// Last-sibling flags: internal node i is the last sibling when it is the
-	// final internal child of its parent.  We recompute from the parent's
-	// child lists.
-	for idx, n := range order {
-		_ = idx
-		var internalKids []int64
-		for _, c := range tree.Children(n) {
-			if !tree.IsLeaf(c) {
-				internalKids = append(internalKids, indexOf[c])
-			}
-		}
-		if len(internalKids) > 0 {
-			sort.Slice(internalKids, func(a, b int) bool { return internalKids[a] < internalKids[b] })
-			last := internalKids[len(internalKids)-1]
-			lo.internal[last].flags |= flagLastSibling
+		slices.Sort(run)
+		for _, pos := range run {
+			leaves = binary.LittleEndian.AppendUint32(leaves, pos)
 		}
 	}
-	// The root has no siblings.
-	lo.internal[0].flags |= flagLastSibling
-	return lo, nil
+	sentinel := internalRecord{firstChild: uint32(len(queue)), leafStart: uint32(len(leaves) / leafRecordSize)}
+	return sentinel.appendTo(internal), leaves
 }
 
 // encodeCatalog serialises sequence identifiers and lengths.

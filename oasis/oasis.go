@@ -164,9 +164,8 @@ func ReadIndexManifest(dir string) (*IndexManifest, error) { return diskst.ReadM
 
 // VerifyReport summarises a deep scrub of an index file or directory: every
 // checksummed block is re-read and compared against the stored CRC32C table,
-// then the index is structurally opened.  Problems is empty when the scrub
-// passed; ChecksumsUnavailable flags pre-checksum (format v1) files that
-// could only be structurally checked.
+// then the index is opened and its tree structure checked record by record.
+// Problems is empty when the scrub passed.
 type VerifyReport = diskst.VerifyReport
 
 // VerifyDiskIndex deep-scrubs a single index file (oasis-build -verify).
