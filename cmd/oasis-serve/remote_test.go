@@ -6,8 +6,11 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/diskst"
 	"repro/internal/remote"
 	"repro/internal/shard"
 	"repro/oasis"
@@ -166,6 +169,49 @@ func TestCoordinatorReadyAndMetrics(t *testing.T) {
 	for _, series := range []string{"remote_attempts_total", "remote_failovers_total", "remote_hedge_wins_total", "remote_replica_up{slice=\"0\""} {
 		if !strings.Contains(text, series) {
 			t.Fatalf("prometheus output missing %s:\n%s", series, text)
+		}
+	}
+}
+
+// TestShardServerMetricsShowPools: a disk-backed shard server's JSON /metrics
+// lists the buffer pool of every index file of its slice, with the requests a
+// slice stream made of them — a slice's pool behaviour seen from outside.
+func TestShardServerMetricsShowPools(t *testing.T) {
+	path := t.TempDir()
+	if _, _, err := oasis.BuildShardedDiskIndex(path, corpusDB(t, 0, len(corpusStrings)), oasis.ShardedIndexBuildOptions{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := diskst.OpenDir(path, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := shard.OpenDiskEngine(dir, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = eng.Close() })
+	scheme, err := oasis.NewScheme(oasis.MatrixByName("BLOSUM62"), -8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.SearchAll(oasis.Protein.MustEncode("DKDGDGTITTKE"), core.Options{Scheme: scheme, MinScore: 20}); err != nil {
+		t.Fatal(err)
+	}
+	var notReady atomic.Bool
+	rec := httptest.NewRecorder()
+	shardServerMux(remote.NewServer(eng), dir, &notReady).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var metrics struct {
+		Pools []diskst.PoolStats `json:"pools"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &metrics); err != nil {
+		t.Fatal(err)
+	}
+	if len(metrics.Pools) != 2 {
+		t.Fatalf("shard server /metrics lists %d pools for a two-shard slice: %s", len(metrics.Pools), rec.Body.String())
+	}
+	for i, p := range metrics.Pools {
+		if p.Shard != i || !strings.HasPrefix(p.File, "shard-") || p.Requests == 0 {
+			t.Fatalf("pool %d reported as %+v, want its shard, file and the search's requests", i, p)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/diskst"
 	"repro/internal/remote"
 	"repro/internal/shard"
 )
@@ -36,10 +37,13 @@ func runShardServer(f serveFlags) error {
 		return err
 	}
 	var eng *shard.Engine
+	var dir *diskst.Dir // nil for an in-memory slice
 	mode := "in-memory"
 	if db == nil {
 		log.Printf("opening slice index %s ...", f.indexDir)
-		eng, err = shard.OpenDiskEngine(f.indexDir, shard.DiskOptions{PoolBytesPerShard: f.poolMB << 20})
+		if dir, err = diskst.OpenDir(f.indexDir, f.poolMB<<20, false); err == nil {
+			eng, err = shard.OpenDiskEngine(dir, shard.Options{})
+		}
 		mode = fmt.Sprintf("disk-backed (<=%d MB pool per shard)", f.poolMB)
 	} else {
 		pmode := shard.PartitionBySequence
@@ -58,6 +62,24 @@ func runShardServer(f serveFlags) error {
 		info.Sequences, info.Residues, info.Shards, mode, info.Partition, time.Since(build).Round(time.Millisecond))
 
 	var notReady atomic.Bool
+	mux := shardServerMux(rs, dir, &notReady)
+
+	log.Printf("serving slice on %s", f.addr)
+	return serveUntilSignal(f, mux, func() { notReady.Store(true) }, nil, func() error {
+		if err := eng.Close(); err != nil {
+			return err
+		}
+		st := rs.Stats()
+		log.Printf("bye: served %d slice streams (%d cancelled)", st.Streams, st.Cancelled)
+		return nil
+	})
+}
+
+// shardServerMux is a shard server's whole HTTP surface: the wire protocol,
+// health, and metrics — with the buffer pools of the slice's index directory
+// when it is served from disk (dir nil: an in-memory slice).
+func shardServerMux(rs *remote.Server, dir *diskst.Dir, notReady *atomic.Bool) *http.ServeMux {
+	info := rs.Info()
 	mux := http.NewServeMux()
 	rs.Register(mux)
 	mux.HandleFunc("GET /healthz/live", func(w http.ResponseWriter, _ *http.Request) {
@@ -94,16 +116,11 @@ func runShardServer(f serveFlags) error {
 			fmt.Fprintf(w, "# HELP shard_flushes_total Write+flush rounds that carried those lines.\n# TYPE shard_flushes_total counter\nshard_flushes_total %d\n", st.Flushes)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"server": st, "slice": info})
-	})
-
-	log.Printf("serving slice on %s", f.addr)
-	return serveUntilSignal(f, mux, func() { notReady.Store(true) }, nil, func() error {
-		if err := eng.Close(); err != nil {
-			return err
+		m := map[string]any{"server": st, "slice": info}
+		if dir != nil {
+			m["pools"] = dir.PoolStats()
 		}
-		st := rs.Stats()
-		log.Printf("bye: served %d slice streams (%d cancelled)", st.Streams, st.Cancelled)
-		return nil
+		writeJSON(w, http.StatusOK, m)
 	})
+	return mux
 }

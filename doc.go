@@ -48,7 +48,8 @@
 //     shared file plus a suffix-prefix -> shard assignment) and a
 //     manifest.json (internal/diskst.BuildSharded); oasis.OpenEngine and
 //     the -index-dir flag of oasis-serve/oasis-search reopen the directory
-//     with one buffer pool PER SHARD (shard.OpenDiskEngine over diskst indexes;
+//     with one buffer pool PER FILE (diskst.OpenDir, arranged into an engine
+//     by shard.OpenDiskEngine;
 //     a pool hit is a few atomic operations and no lock, internal/bufferpool;
 //     an index file is level-order CSR, format v3 — a node's leaf children,
 //     its internal children and every level of a subtree are contiguous runs,
@@ -56,11 +57,14 @@
 //     so a query's shard fan-out fans out page I/O with no cross-shard
 //     cache thrash, and hit streams are identical to the in-memory
 //     engines (randomized equivalence tests pin this in both partition
-//     modes).  The opened engine is the view of the manifest's generation:
-//     shard.OpenDiskEngine is the one place that opens the compacted delta
-//     layers and tombstones a directory records, and the warm engine's
-//     writer (internal/engine) publishes each later generation as another
-//     view over the same base shards (shard.Engine.WithLayers).
+//     modes).  The directory is one object, diskst.Dir: it opens the
+//     generation the manifest records — base shards, compacted delta layers,
+//     tombstones — and alone writes the next one (Dir.Commit: what a crashed
+//     commit left swept first, then temp + fsync + rename + directory fsync
+//     for the delta and for the manifest), so no other package names a file, a
+//     manifest or a pool.  The warm engine's writer (internal/engine)
+//     publishes each later generation as another view over the same base
+//     shards (shard.Engine.WithLayers).
 //
 // The search kernels are pinned by a fuzz/golden/race test layer: native Go
 // fuzz targets assert live-band/full-sweep hit identity and the sharded

@@ -98,12 +98,6 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("diskst: corrupt index %s: node %d: %s", e.Path, e.Node, e.Detail)
 }
 
-// IsChecksumError reports whether err is (or wraps) a ChecksumError.
-func IsChecksumError(err error) bool {
-	var ce *ChecksumError
-	return errors.As(err, &ce)
-}
-
 // verifyingReader is an io.ReaderAt over a whole index file that (a) retries
 // transient read errors with capped exponential backoff, and (b) verifies the
 // CRC32C of every block it touches — the section readers registered with the

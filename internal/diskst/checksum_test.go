@@ -200,7 +200,7 @@ func TestOldFormatRefused(t *testing.T) {
 }
 
 // TestTruncatedShardTypedError truncates one shard file of a sharded
-// directory and requires OpenSharded to fail with a typed OpenError naming
+// directory and requires OpenDir to fail with a typed OpenError naming
 // the file and byte offset.
 func TestTruncatedShardTypedError(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -229,9 +229,9 @@ func TestTruncatedShardTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = OpenSharded(dir, OpenOptions{PoolBytesPerShard: 1 << 20})
+	_, err = OpenDir(dir, 1<<20, false)
 	if err == nil {
-		t.Fatal("OpenSharded succeeded on a truncated shard")
+		t.Fatal("OpenDir succeeded on a truncated shard")
 	}
 	var oe *OpenError
 	if !errors.As(err, &oe) {
@@ -245,7 +245,7 @@ func TestTruncatedShardTypedError(t *testing.T) {
 	}
 
 	// AllowDegraded turns the same failure into a quarantine.
-	sh, err := OpenSharded(dir, OpenOptions{PoolBytesPerShard: 1 << 20, AllowDegraded: true})
+	sh, err := OpenDir(dir, 1<<20, true)
 	if err != nil {
 		t.Fatalf("AllowDegraded open failed: %v", err)
 	}

@@ -125,19 +125,18 @@
 //
 // BuildSharded writes a DIRECTORY holding one or more single-file indexes
 // plus a manifest.json that describes how they compose into one logical
-// database (see Manifest; OpenSharded reverses it, giving every shard its
-// own buffer pool so shard parallelism also parallelises page I/O):
+// database (see Manifest; OpenDir reverses it, giving every file its own
+// buffer pool so shard parallelism also parallelises page I/O):
 //
 //	{
-//	  "version": 3,               // v1/v2 manifests still open (new fields
-//	                              // read as zero/absent)
+//	  "version": 3,               // the only version read (1 and 2 could
+//	                              // only name index files Open refuses)
 //	  "partition": "sequence" | "prefix",
 //	  "shards": 4,
 //	  "alphabet": "protein" | "dna",
 //	  "block_size": 2048,
-//	  "num_sequences": 117,          // whole logical database
-//	  "total_residues": 29076,
-//	  "checksums": true,             // v2: shard files carry CRC32C tables
+//	  "num_sequences": 117,          // the BASE shard files only, so the
+//	  "total_residues": 29076,       // open-time cross-check stays exact
 //	  "shard_files": ["shard-0.oasis", ...],
 //	  // partition=sequence: one file per shard over a disjoint sequence
 //	  // subset, with shard-local -> global index maps
@@ -146,9 +145,8 @@
 //	  // through its own pool) plus the suffix-prefix -> shard owner tables
 //	  "prefix_assignment": {"shards":4, "width":20,
 //	                        "owner_l1":[...], "owner_l2":[...]},
-//	  // v3 mutable layer (all optional; absent on a freshly built index):
-//	  "generation": 7,               // bumped by every compaction; readers
-//	                                 // pin the generation they opened
+//	  // the generation (all optional; absent on a freshly built index):
+//	  "generation": 7,               // the number of the last Commit
 //	  "deltas": [                    // compacted delta indexes, oldest first
 //	    {"file": "delta-000007.oasis",
 //	     "global_index": [117, 118], // dense append order: global indexes
@@ -158,29 +156,48 @@
 //	  "tombstones": [3, 118]         // deleted global sequence indexes
 //	}
 //
-// # Mutable layer (manifest v3)
+// File names are bare names resolved relative to the manifest's directory,
+// so an index directory can be moved or mounted anywhere.
 //
-// Version 3 adds LSM-style incremental indexing on top of the immutable
-// base files.  Inserted sequences live in an in-memory delta until a
-// compaction folds them into an ordinary single-file index
-// ("delta-<generation>.oasis", same byte layout as any shard file) and
-// swaps in a new manifest with a bumped "generation".  The swap is atomic
-// (write manifest.json.tmp, fsync, rename), so a crash mid-compaction
-// leaves the previous manifest — and every file it references — intact.
+// # Directory protocol
 //
-// Delta "global_index" entries must be DENSE: each delta's sequences
-// continue the global numbering exactly where base + earlier deltas left
-// off (Validate enforces this), which keeps merged result streams
-// deterministic across restarts.  "num_sequences"/"total_residues" keep
-// describing the BASE shard files only, so the open-time cross-check
-// against those files stays exact; live-corpus totals are derived by
-// adding delta "residues" and subtracting tombstoned sequences.
-// "tombstones" lists deleted global indexes (base and delta alike) — the
-// sequences stay physically present in their files and search filters
-// them during the merge.
+// A directory is always at one GENERATION: its manifest, the files the
+// manifest names, and nothing else that matters.  The base shard files never
+// change.  Inserted sequences live in the engine's memory until a compaction
+// commits them as one more ordinary single-file index, "delta-<gen>.oasis",
+// whose sequences continue the global numbering densely where the base and
+// the earlier deltas left off (Validate enforces it, which keeps merged
+// result streams deterministic across restarts); deleted sequences stay in
+// their files and are listed as tombstones, which search filters in the merge.
+// One type owns all of it — Dir: OpenDir opens a generation, Commit writes
+// the next, and no other package names a file in the directory.  There is no
+// write-ahead log, so the contract is that of an LSM without one: a crash
+// anywhere leaves the directory at some previously acknowledged generation,
+// and an acknowledged Commit survives power loss.  Commit's order of steps is
+// what holds it:
 //
-// Shard file names are bare names resolved relative to the manifest's
-// directory, so an index directory can be moved or mounted anywhere.
+//  1. build delta-<gen>.oasis.tmp and fsync it.  A crash leaves a temporary
+//     file nothing names.
+//  2. rename it into place, then fsync the directory: a rename is atomic but
+//     not durable, and POSIX lets a power cut keep a later rename and lose an
+//     earlier one, so the delta's name must be on disk before a manifest
+//     refers to it.  A crash leaves a delta nothing names.
+//  3. open it through its own pool — a file that does not read back is never
+//     named.
+//  4. write manifest.json.tmp and fsync it.
+//  5. rename it over manifest.json — the commit point — and fsync the
+//     directory again, after which the generation is acknowledged.
+//
+// A step that fails undoes the ones before it; a crash cannot, so every
+// Commit first sweeps the directory of exactly what steps 1–4 of an earlier
+// one can have left: "*.tmp" files and "delta-*.oasis" files the manifest
+// does not name.  It removes nothing else — never a file the manifest names,
+// never one it cannot classify.  Only the writer sweeps, and opening never
+// changes a directory: a reader in another process cannot tell a crashed
+// commit's files from those of one in flight.  A directory has one writing
+// process; any number may read it beside the writer.
+// BuildSharded ends the same way: the manifest is written last (steps 4–5),
+// and its directory fsync makes the shard files' names durable with it.
 package diskst
 
 import (

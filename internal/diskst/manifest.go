@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
-	"repro/internal/bufferpool"
-	"repro/internal/core"
 	"repro/internal/seq"
 	"repro/internal/suffixtree"
 )
@@ -16,10 +15,11 @@ import (
 // directory.
 const ManifestName = "manifest.json"
 
-// ManifestVersion is the current manifest schema version: 3 adds the mutable
-// layer's bookkeeping — a generation number, compacted delta index files and
-// per-sequence tombstones.  Version 2 added per-block checksums.  Version 1
-// and 2 manifests still open (their new fields read as zero/absent).
+// ManifestVersion is the one manifest schema version this package writes and
+// reads: 3, which carries the mutable layer's bookkeeping — a generation
+// number, compacted delta index files and per-sequence tombstones.  Versions 1
+// and 2 can only name index files of format 2 or older, which Open refuses, so
+// Validate refuses them too.
 const ManifestVersion = 3
 
 // Partition-mode names used in the manifest (string-typed so the manifest
@@ -60,21 +60,18 @@ type Manifest struct {
 	// PrefixAssignment (prefix mode) is the suffix-prefix -> shard owner
 	// tables computed at build time.
 	PrefixAssignment *seq.PrefixAssignment `json:"prefix_assignment,omitempty"`
-	// Checksums records that every shard file carries a per-block CRC32C
-	// table (absent from v1 manifests; every file that opens has one).
-	Checksums bool `json:"checksums,omitempty"`
-	// Generation numbers this manifest within the directory's lifetime (v3).
+	// Generation numbers this manifest within the directory's lifetime.
 	// Every compaction writes a new manifest with a higher generation and
 	// swaps it in atomically; readers pin the generation they opened.
 	Generation uint64 `json:"generation,omitempty"`
-	// Deltas lists compacted delta index files (v3), in the order they were
+	// Deltas lists compacted delta index files, in the order they were
 	// compacted.  Each is an ordinary single-shard index file over the
 	// sequences inserted since the previous compaction; its global sequence
 	// indexes continue AFTER the base corpus and earlier deltas.
 	// NumSequences/TotalResidues above keep describing the BASE files only,
 	// so the open-time cross-check against the base shard files stays exact.
 	Deltas []DeltaRecord `json:"deltas,omitempty"`
-	// Tombstones lists deleted global sequence indexes (v3), covering base
+	// Tombstones lists deleted global sequence indexes, covering base
 	// and delta sequences alike.  Tombstoned sequences stay physically
 	// present in their files; search filters them in the merger.
 	Tombstones []int `json:"tombstones,omitempty"`
@@ -95,8 +92,8 @@ type DeltaRecord struct {
 
 // Validate checks the manifest's internal consistency.
 func (m *Manifest) Validate() error {
-	if m.Version < 1 || m.Version > ManifestVersion {
-		return fmt.Errorf("diskst: unsupported manifest version %d", m.Version)
+	if m.Version != ManifestVersion {
+		return fmt.Errorf("diskst: manifest version %d, this build reads only version %d: rebuild the index with oasis-build", m.Version, ManifestVersion)
 	}
 	if m.Shards < 1 {
 		return fmt.Errorf("diskst: manifest has %d shards", m.Shards)
@@ -155,12 +152,20 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// WriteManifest validates and writes the manifest into dir atomically:
-// write-temp + fsync + rename, so a crash at any point leaves either the old
-// manifest or the new one, never a torn file.  The previous generation's
-// delta files are still referenced by the old manifest until the rename
-// lands, which is what makes compaction crash-safe.
-func WriteManifest(dir string, m *Manifest) error {
+// files lists the index files the manifest names: the base shard files (one
+// in prefix mode, shared by its shards), then the deltas in append order.
+func (m *Manifest) files() []string {
+	files := slices.Clone(m.ShardFiles)
+	for _, d := range m.Deltas {
+		files = append(files, d.File)
+	}
+	return files
+}
+
+// stageManifest validates the manifest and writes it, fsynced, to the
+// temporary name beside dir's manifest; renaming that over ManifestName is
+// what swaps it in.
+func stageManifest(dir string, m *Manifest) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
@@ -168,30 +173,35 @@ func WriteManifest(dir string, m *Manifest) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, ManifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, ManifestName+tmpSuffix), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	if _, err := f.Write(append(data, '\n')); err != nil {
 		f.Close()
-		os.Remove(tmp)
 		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	return f.Close()
+}
+
+// writeManifest writes the manifest into dir atomically and durably —
+// write-temp + fsync + rename + directory fsync — so a crash at any point
+// leaves either the old manifest or the new one, never a torn file.  The
+// directory fsync also makes durable every file created in dir before the
+// call, which is what BuildSharded relies on.
+func writeManifest(dir string, m *Manifest) error {
+	err := stageManifest(dir, m)
+	if err == nil {
+		err = install(dir, ManifestName)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, ManifestName)); err != nil {
-		os.Remove(tmp)
-		return err
+	if err != nil {
+		os.Remove(filepath.Join(dir, ManifestName+tmpSuffix))
 	}
-	return nil
+	return err
 }
 
 // ReadManifest reads and validates the manifest in dir.
@@ -252,7 +262,6 @@ func BuildSharded(dir string, db *seq.Database, opts ShardedBuildOptions) (*Mani
 	}
 	m := &Manifest{
 		Version:       ManifestVersion,
-		Checksums:     true,
 		Alphabet:      alphabet,
 		BlockSize:     blockSize,
 		NumSequences:  db.NumSequences(),
@@ -296,205 +305,8 @@ func BuildSharded(dir string, db *seq.Database, opts ShardedBuildOptions) (*Mani
 			m.ShardFiles = append(m.ShardFiles, name)
 		}
 	}
-	if err := WriteManifest(dir, m); err != nil {
+	if err := writeManifest(dir, m); err != nil {
 		return nil, nil, err
 	}
 	return m, stats, nil
-}
-
-// OpenOptions controls how a sharded index directory is opened.
-type OpenOptions struct {
-	// PoolBytesPerShard is each shard's buffer-pool capacity in bytes
-	// (default 64 MB).  Separate pools mean shard searches never thrash each
-	// other's cache and page I/O parallelises across shards.
-	PoolBytesPerShard int64
-	// AllowDegraded opens a sequence-partitioned directory even when some
-	// shard files fail to open (corrupt, truncated, missing): the failed
-	// shards are quarantined (nil Indexes entries, detail in Quarantined)
-	// and searches complete from the survivors with Degraded set.  Opening
-	// still fails when every shard is unusable, or in prefix mode (all
-	// shards share one file, so there are no survivors).
-	AllowDegraded bool
-}
-
-// DefaultPoolBytesPerShard is the per-shard buffer-pool capacity used when
-// OpenOptions does not set one.
-const DefaultPoolBytesPerShard = 64 << 20
-
-// Sharded is a sharded on-disk index opened for searching: one Index (and
-// one buffer pool) per shard, plus the partition metadata from the manifest.
-// In prefix mode all shard handles read the same file, each through its own
-// pool, and Frontier is one more handle reserved for the shared near-root
-// expansion.
-type Sharded struct {
-	// Dir is the index directory and Manifest its parsed manifest.
-	Dir      string
-	Manifest *Manifest
-	// Indexes[s] is shard s's read handle (Index.Pool is its buffer pool).
-	Indexes []*Index
-	// Frontier (prefix mode with more than one shard) serves the shared
-	// near-root expansion so shard pools only ever see their own subtree
-	// traffic; nil otherwise (a single shard never expands a shared
-	// frontier).
-	Frontier *Index
-	// Prefixes is the rebuilt prefix assignment (prefix mode only).
-	Prefixes *seq.PrefixPartition
-	// Quarantined lists shards whose files failed to open under
-	// OpenOptions.AllowDegraded; their Indexes entries are nil and
-	// every search over this directory is degraded from the start.
-	Quarantined []core.ShardError
-}
-
-// OpenFile opens one index file named by the manifest (a base shard file or
-// a compacted delta) relative to dir, through a fresh buffer pool of up to
-// poolBytes (0 selects DefaultPoolBytesPerShard; small files get
-// proportionally small pools), cross-checking the file's alphabet and block
-// size against the manifest.
-func (m *Manifest) OpenFile(dir, name string, poolBytes int64) (*Index, error) {
-	if poolBytes <= 0 {
-		poolBytes = DefaultPoolBytesPerShard
-	}
-	// The buffer pool's frames are allocated eagerly, so cap each pool
-	// at what its file could ever fill — a small index must not pin
-	// poolBytes of frames per file.
-	bytes := poolBytes
-	if fi, err := os.Stat(filepath.Join(dir, name)); err == nil && fi.Size() < bytes {
-		bytes = alignUp(fi.Size(), int64(m.BlockSize))
-	}
-	pool := bufferpool.New(bytes, m.BlockSize)
-	idx, err := Open(filepath.Join(dir, name), pool)
-	if err != nil {
-		return nil, err
-	}
-	// Cross-check the file against the manifest that named it: a file
-	// built over a different alphabet or block size would silently
-	// return wrong results if it were searched.
-	wantAlphabet := seq.Protein
-	if m.Alphabet == "dna" {
-		wantAlphabet = seq.DNA
-	}
-	if idx.Catalog().Alphabet() != wantAlphabet {
-		idx.Close()
-		return nil, fmt.Errorf("file alphabet %s, manifest says %s",
-			idx.Catalog().Alphabet().Name(), m.Alphabet)
-	}
-	if idx.BlockSize() != m.BlockSize {
-		idx.Close()
-		return nil, fmt.Errorf("file block size %d, manifest says %d", idx.BlockSize(), m.BlockSize)
-	}
-	return idx, nil
-}
-
-// OpenSharded opens every shard of the index directory written by
-// BuildSharded, one buffer pool per shard.
-func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
-	m, err := ReadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	s := &Sharded{Dir: dir, Manifest: m}
-	fail := func(err error) (*Sharded, error) {
-		s.Close()
-		return nil, err
-	}
-	for i := 0; i < m.Shards; i++ {
-		// Prefix mode has one shared file; sequence mode one per shard.
-		name := m.ShardFiles[0]
-		if m.Partition == PartitionSequence {
-			name = m.ShardFiles[i]
-		}
-		idx, err := m.OpenFile(dir, name, opts.PoolBytesPerShard)
-		if err != nil {
-			err = fmt.Errorf("diskst: opening shard %d (%s): %w", i, name, err)
-			// In sequence mode each shard's file is independent, so a bad
-			// shard can be quarantined and the rest served; in prefix mode
-			// every shard reads the one shared file — no survivors.
-			if opts.AllowDegraded && m.Partition == PartitionSequence && m.Shards > 1 {
-				s.Indexes = append(s.Indexes, nil)
-				s.Quarantined = append(s.Quarantined, core.ShardError{Shard: i, Err: err.Error()})
-				continue
-			}
-			return fail(err)
-		}
-		s.Indexes = append(s.Indexes, idx)
-	}
-	if len(s.Quarantined) == m.Shards {
-		return fail(fmt.Errorf("diskst: every shard of %s failed to open; first: %s", dir, s.Quarantined[0].Err))
-	}
-	if m.Partition == PartitionPrefix {
-		s.Prefixes, err = seq.PrefixPartitionFromAssignment(*m.PrefixAssignment)
-		if err != nil {
-			return fail(err)
-		}
-		// A single-shard engine routes through the single-index fast path
-		// and never expands a shared frontier, so the extra view (and its
-		// pool frames) would be dead weight.
-		if m.Shards > 1 {
-			if s.Frontier, err = m.OpenFile(dir, m.ShardFiles[0], opts.PoolBytesPerShard); err != nil {
-				return fail(fmt.Errorf("diskst: opening frontier view: %w", err))
-			}
-		}
-	}
-	// Cross-check the manifest's totals against the shard files it names
-	// (meaningless when shards are quarantined: survivors cover less).
-	if len(s.Quarantined) == 0 {
-		var total int64
-		numSeqs := 0
-		for _, idx := range s.Indexes {
-			if m.Partition == PartitionPrefix {
-				total = idx.Catalog().TotalResidues()
-				numSeqs = idx.Catalog().NumSequences()
-				break
-			}
-			total += idx.Catalog().TotalResidues()
-			numSeqs += idx.Catalog().NumSequences()
-		}
-		if total != m.TotalResidues || numSeqs != m.NumSequences {
-			return fail(fmt.Errorf("diskst: shard files hold %d sequences / %d residues, manifest says %d / %d",
-				numSeqs, total, m.NumSequences, m.TotalResidues))
-		}
-	}
-	return s, nil
-}
-
-// Close releases every shard's file handle.
-func (s *Sharded) Close() error {
-	var first error
-	for _, idx := range s.Indexes {
-		if idx == nil {
-			continue
-		}
-		if err := idx.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if s.Frontier != nil {
-		if err := s.Frontier.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// PoolStats is one index's buffer-pool counters summed over its three
-// regions (symbols, internal nodes, leaves), under the number the caller
-// knows the index by and its file name.
-type PoolStats struct {
-	Shard    int     `json:"shard"`
-	File     string  `json:"file"`
-	Requests int64   `json:"requests"`
-	Hits     int64   `json:"hits"`
-	HitRatio float64 `json:"hit_ratio"`
-}
-
-// PoolStats snapshots the index's buffer-pool counters.
-func (x *Index) PoolStats(shard int) PoolStats {
-	st := PoolStats{Shard: shard, File: filepath.Base(x.path)}
-	for _, f := range []bufferpool.FileID{x.symbolsFile, x.internalFile, x.leavesFile} {
-		fs := x.pool.Stats(f)
-		st.Requests += fs.Requests
-		st.Hits += fs.Hits
-	}
-	st.HitRatio = bufferpool.FileStats{Requests: st.Requests, Hits: st.Hits}.HitRatio()
-	return st
 }

@@ -2,8 +2,10 @@ package diskst
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/seq"
@@ -62,7 +64,7 @@ func TestBuildShardedSequenceRoundTrip(t *testing.T) {
 		t.Fatalf("global maps cover %d sequences, db has %d", len(covered), db.NumSequences())
 	}
 
-	sh, err := OpenSharded(dir, OpenOptions{})
+	sh, err := OpenDir(dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestBuildShardedPrefixRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := OpenSharded(dir, OpenOptions{})
+	sh, err := OpenDir(dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +171,16 @@ func TestManifestValidation(t *testing.T) {
 	if err := base().Validate(); err != nil {
 		t.Fatalf("valid manifest rejected: %v", err)
 	}
+	// Versions 1 and 2 can only name index files Open refuses: they are
+	// refused here, in Open's words, not half-read.
+	for _, v := range []int{1, 2} {
+		m := base()
+		m.Version = v
+		want := fmt.Sprintf("manifest version %d, this build reads only version 3: rebuild the index with oasis-build", v)
+		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d manifest: Validate returned %v, want %q", v, err, want)
+		}
+	}
 }
 
 // TestManifestV3MutableFields covers the v3 delta/tombstone invariants: delta
@@ -212,7 +224,7 @@ func TestManifestV3MutableFields(t *testing.T) {
 	}
 	dir := t.TempDir()
 	m := base()
-	if err := WriteManifest(dir, m); err != nil {
+	if err := writeManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, ManifestName+".tmp")); !os.IsNotExist(err) {
@@ -232,9 +244,9 @@ func TestManifestV3MutableFields(t *testing.T) {
 	}
 }
 
-// TestOpenShardedRejectsTamperedManifest covers the open-time cross-check of
+// TestOpenDirRejectsTamperedManifest covers the open-time cross-check of
 // manifest totals against the shard files.
-func TestOpenShardedRejectsTamperedManifest(t *testing.T) {
+func TestOpenDirRejectsTamperedManifest(t *testing.T) {
 	db := manifestTestDB(t)
 	dir := t.TempDir()
 	m, _, err := BuildSharded(dir, db, ShardedBuildOptions{Shards: 2})
@@ -242,11 +254,11 @@ func TestOpenShardedRejectsTamperedManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.TotalResidues++
-	if err := WriteManifest(dir, m); err != nil {
+	if err := writeManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSharded(dir, OpenOptions{}); err == nil {
-		t.Fatal("OpenSharded accepted a manifest whose totals disagree with the shard files")
+	if _, err := OpenDir(dir, 0, false); err == nil {
+		t.Fatal("OpenDir accepted a manifest whose totals disagree with the shard files")
 	}
 }
 
@@ -279,7 +291,7 @@ func FuzzManifestRoundTrip(f *testing.F) {
 			return
 		}
 		dir := t.TempDir()
-		if err := WriteManifest(dir, &m); err != nil {
+		if err := writeManifest(dir, &m); err != nil {
 			t.Fatalf("valid manifest failed to write: %v", err)
 		}
 		got, err := ReadManifest(dir)

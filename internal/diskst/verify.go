@@ -202,17 +202,8 @@ func VerifyIndexDir(dir string) (*VerifyReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	files := append([]string(nil), m.ShardFiles...)
-	for _, d := range m.Deltas {
-		files = append(files, d.File)
-	}
 	rep := &VerifyReport{}
-	seen := map[string]bool{} // prefix mode shares one file across shards
-	for _, name := range files {
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
+	for _, name := range m.files() {
 		one, err := VerifyIndex(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err

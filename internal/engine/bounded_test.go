@@ -11,7 +11,6 @@ import (
 	"repro/internal/diskst"
 	"repro/internal/score"
 	"repro/internal/seq"
-	"repro/internal/shard"
 )
 
 // TestSearchBoundedStandingMutableSet drives shard.Engine.SearchBounded on an
@@ -58,7 +57,7 @@ func TestSearchBoundedStandingMutableSet(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				reopened, err := shard.OpenDiskEngine(dir, shard.DiskOptions{})
+				reopened, err := openShardView(dir)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -157,20 +157,22 @@ type Engine struct {
 	// Writer-side fields, all guarded by wmu.  wBase is the DURABLE view —
 	// the base shards plus every compacted delta layer, what reopening the
 	// directory would return — and the parent of every published view; wDB
-	// the base database (memory-mode compaction replaces both).  Retired
-	// bases and delta indexes opened by compactions accumulate in closers and
-	// are released only at Close, so pinned snapshots stay valid without
+	// the base database (memory-mode compaction replaces both).  dir is the
+	// open index directory of a disk engine (nil otherwise): it writes each
+	// compaction and owns every file handle, so wBase.Close releases them.
+	// Bases retired by memory-mode compactions accumulate in closers and are
+	// released only at Close, so pinned snapshots stay valid without
 	// per-generation refcounting.
-	wmu      sync.Mutex
-	wBase    *shard.Engine
-	wDB      *seq.Database
-	wGen     uint64
-	mem      *suffixtree.OnlineBuilder
-	tombs    map[int]bool // immutable once published; copy-on-write
-	idIndex  map[string]int
-	closers  []io.Closer
-	manifest *diskst.Manifest
-	opts     Options // as given to New: compaction reads IndexDir, PoolBytes and shardOptions
+	wmu     sync.Mutex
+	wBase   *shard.Engine
+	wDB     *seq.Database
+	wGen    uint64
+	mem     *suffixtree.OnlineBuilder
+	tombs   map[int]bool // immutable once published; copy-on-write
+	idIndex map[string]int
+	closers []io.Closer
+	dir     *diskst.Dir
+	opts    Options // as given to New: memory-mode compaction rebuilds from shardOptions
 
 	// immutable marks engines whose base index is not writable from this
 	// process (provider-backed coordinator engines: the corpus lives in the
@@ -207,6 +209,7 @@ func (e *Engine) cur() *genState { return e.state.Load() }
 // shard.
 func New(db *seq.Database, opts Options) (*Engine, error) {
 	var sharded *shard.Engine
+	var dir *diskst.Dir
 	var err error
 	if opts.IndexDir != "" {
 		if db != nil {
@@ -215,11 +218,9 @@ func New(db *seq.Database, opts Options) (*Engine, error) {
 		if opts.Shards != 0 || opts.PartitionByPrefix {
 			return nil, fmt.Errorf("engine: Shards/PartitionByPrefix come from the IndexDir manifest; do not set them")
 		}
-		sharded, err = shard.OpenDiskEngine(opts.IndexDir, shard.DiskOptions{
-			Workers:           opts.ShardWorkers,
-			PoolBytesPerShard: opts.PoolBytes,
-			AllowDegraded:     opts.AllowDegraded,
-		})
+		if dir, err = diskst.OpenDir(opts.IndexDir, opts.PoolBytes, opts.AllowDegraded); err == nil {
+			sharded, err = shard.OpenDiskEngine(dir, shard.Options{Workers: opts.ShardWorkers})
+		}
 	} else {
 		if db == nil {
 			return nil, fmt.Errorf("engine: either a database or IndexDir is required")
@@ -229,7 +230,7 @@ func New(db *seq.Database, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := newWarm(sharded, db, opts, false)
+	e, err := newWarm(sharded, db, dir, opts)
 	if err != nil {
 		sharded.Close()
 	}
@@ -237,17 +238,29 @@ func New(db *seq.Database, opts Options) (*Engine, error) {
 }
 
 // newWarm is the constructor tail New and NewFromShardEngine share: the batch
-// and cache defaults, and the first published generation over base.
-func newWarm(base *shard.Engine, db *seq.Database, opts Options, immutable bool) (*Engine, error) {
+// and cache defaults, the writer wired under the freshly opened base view, and
+// the first published generation.  For disk engines base already carries the
+// delta layers and tombstones of the directory's generation, and the
+// generation number continues from the directory's.  An engine with neither a
+// database nor a directory behind it has nothing to write to.
+func newWarm(base *shard.Engine, db *seq.Database, dir *diskst.Dir, opts Options) (*Engine, error) {
 	e := &Engine{
 		batchWorkers: opts.BatchWorkers,
 		resultBuffer: defaultResultBuffer,
-		immutable:    immutable,
+		immutable:    db == nil && dir == nil,
+		wBase:        base,
+		wDB:          db,
+		tombs:        base.Tombstones(),
+		dir:          dir,
+		opts:         opts,
 	}
 	if e.batchWorkers < 1 {
 		e.batchWorkers = runtime.GOMAXPROCS(0)
 	}
-	if err := e.initMutable(base, db, opts); err != nil {
+	if dir != nil {
+		e.wGen = dir.Generation()
+	}
+	if err := e.publishLocked(); err != nil {
 		return nil, err
 	}
 	if opts.CacheBytes > 0 {
@@ -272,7 +285,7 @@ func NewFromShardEngine(base *shard.Engine, opts Options) (*Engine, error) {
 	if opts.IndexDir != "" || opts.Shards != 0 || opts.PartitionByPrefix {
 		return nil, fmt.Errorf("engine: NewFromShardEngine wraps an existing engine; index-construction options must be zero")
 	}
-	return newWarm(base, nil, opts, true)
+	return newWarm(base, nil, nil, opts)
 }
 
 // DB returns the database the engine's base index was built over, or nil for
@@ -361,7 +374,9 @@ func (e *Engine) Metrics() Metrics {
 	st := e.cur()
 	v := st.view
 	m := Metrics{Scratch: v.ScratchStats(), Shards: v.QueueDepths()}
-	m.Pools = v.PoolStats()
+	if e.dir != nil {
+		m.Pools = e.dir.PoolStats()
+	}
 	if e.cache != nil {
 		cs := e.cache.Stats()
 		m.Cache = &cs
@@ -408,8 +423,9 @@ func (e *Engine) begin() bool {
 // Close marks the engine closed; subsequent submissions and writes fail.  It
 // does not interrupt in-flight queries (cancel their contexts for that) but
 // waits for them to drain, then releases every resource any generation ever
-// owned: the current base engine, retired bases from memory-mode compactions,
-// and opened delta index files.
+// owned: the current base engine — with it the index directory and every
+// delta layer a compaction opened — and retired bases from memory-mode
+// compactions.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	e.closed = true

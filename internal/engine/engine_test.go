@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/diskst"
 	"repro/internal/score"
 	"repro/internal/seq"
+	"repro/internal/shard"
 )
 
 func randomEngineDB(t testing.TB, rng *rand.Rand, a *seq.Alphabet, nSeqs, maxLen int) *seq.Database {
@@ -37,6 +39,17 @@ func randomEngineDB(t testing.TB, rng *rand.Rand, a *seq.Alphabet, nSeqs, maxLen
 		t.Fatal(err)
 	}
 	return db
+}
+
+// openShardView opens an index directory the way a shard server does: the
+// directory, then a shard engine over its handles, with no warm engine (and no
+// writer) on top.
+func openShardView(path string) (*shard.Engine, error) {
+	dir, err := diskst.OpenDir(path, 0, false)
+	if err != nil {
+		return nil, err
+	}
+	return shard.OpenDiskEngine(dir, shard.Options{})
 }
 
 func randomQueries(rng *rand.Rand, a *seq.Alphabet, n int, scheme score.Scheme) []Query {

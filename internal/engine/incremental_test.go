@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +16,6 @@ import (
 	"repro/internal/faultpoint"
 	"repro/internal/score"
 	"repro/internal/seq"
-	"repro/internal/shard"
 )
 
 // hitIDScores projects a hit stream to a (SeqID, Score) multiset.  Incremental
@@ -301,7 +302,7 @@ func TestDiskReopenShardEngineServesDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := shard.OpenDiskEngine(dir, shard.DiskOptions{})
+	reopened, err := openShardView(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,91 +379,128 @@ func TestInsertInvalidatesCache(t *testing.T) {
 	}
 }
 
-// TestCompactionCrashSafety kills a disk compaction between the delta
-// temp-write and the manifest swap (the SiteCompactSwap failpoint) and
-// asserts the crash contract: the failed compaction leaves the engine
-// serving the memtable at the old generation, a retry succeeds, and a
-// directory that "crashed" mid-compaction reopens cleanly at the old
-// generation.
+// TestCompactionCrashSafety fails a disk compaction after each step of
+// diskst.Dir.Commit in turn — the SiteCompactSwap failpoint, matched on its
+// step tag: the delta built under its temporary name, renamed into place,
+// reopened, and the next manifest staged — and asserts the crash contract at
+// every one: the engine keeps serving the memtable at the old generation, the
+// directory holds exactly the files the old manifest names and scrubs clean,
+// a second engine opens it at the old generation without the lost insert, and
+// a retry succeeds.
 func TestCompactionCrashSafety(t *testing.T) {
 	defer faultpoint.Reset()
-	rng := rand.New(rand.NewSource(47))
-	db := randomEngineDB(t, rng, seq.Protein, 8, 50)
-	dir := filepath.Join(t.TempDir(), "idx")
-	if _, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(nil, Options{IndexDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inserted := seq.Protein.MustEncode("AAWWWWHHHHWWWWAA")
-	if _, err := eng.Insert("fresh", inserted); err != nil {
-		t.Fatal(err)
-	}
-	genAfterInsert := eng.Generation()
-
-	faultpoint.Enable(faultpoint.SiteCompactSwap, faultpoint.Spec{Mode: faultpoint.ModeError, Times: 1})
-	if _, err := eng.Compact(); err == nil {
-		t.Fatal("compaction swallowed the injected swap failure")
-	}
-	if got := eng.Generation(); got != genAfterInsert {
-		t.Fatalf("failed compaction moved the generation: %d, want %d", got, genAfterInsert)
-	}
-	// The memtable must still serve the insert.
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
 	q := Query{Residues: seq.Protein.MustEncode("WWWWHHHHWWWW"), Options: core.Options{Scheme: scheme, MinScore: 40}}
-	if hits := collectStream(t, eng, q); len(hits) == 0 || hits[0].SeqID != "fresh" {
-		t.Fatalf("insert lost after failed compaction: %v", hits)
-	}
-	// The spec was Times=1, so the retry must succeed and fold the memtable.
-	gen, err := eng.Compact()
-	if err != nil {
-		t.Fatalf("retry compaction: %v", err)
-	}
-	if gen <= genAfterInsert {
-		t.Fatalf("retry compaction did not advance the generation: %d", gen)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := diskst.VerifyIndexDir(dir); err != nil {
-		t.Fatalf("scrub after crash + retry: %v", err)
-	}
-
-	// Crash WITHOUT a successful retry: the directory must reopen at the old
-	// generation with the un-compacted insert lost (the documented
-	// LSM-without-WAL contract) and pass a scrub.
-	eng2, err := New(nil, Options{IndexDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	genStable := eng2.Generation()
-	if _, err := eng2.Insert("doomed", inserted); err != nil {
-		t.Fatal(err)
-	}
-	faultpoint.Enable(faultpoint.SiteCompactSwap, faultpoint.Spec{Mode: faultpoint.ModeError, Times: 1})
-	if _, err := eng2.Compact(); err == nil {
-		t.Fatal("compaction swallowed the injected swap failure")
-	}
-	if err := eng2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := diskst.VerifyIndexDir(dir); err != nil {
-		t.Fatalf("scrub after crash: %v", err)
-	}
-	eng3, err := New(nil, Options{IndexDir: dir})
-	if err != nil {
-		t.Fatalf("reopen after crash: %v", err)
-	}
-	defer eng3.Close()
-	if got := eng3.Generation(); got != genStable {
-		t.Fatalf("crashed directory reopened at generation %d, want %d", got, genStable)
-	}
-	for _, h := range collectStream(t, eng3, q) {
-		if h.SeqID == "doomed" {
-			t.Fatal("un-compacted insert survived the crash; the manifest swap leaked")
+	serves := func(e *Engine, id string) bool {
+		for _, h := range collectStream(t, e, q) {
+			if h.SeqID == id {
+				return true
+			}
 		}
+		return false
+	}
+	scrub := func(dir, when string) {
+		t.Helper()
+		if rep, err := diskst.VerifyIndexDir(dir); err != nil || !rep.OK() {
+			t.Fatalf("scrub %s: %v, report %+v", when, err, rep)
+		}
+	}
+	for _, step := range []string{"build", "rename", "open", "manifest"} {
+		t.Run(step, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(47))
+			db := randomEngineDB(t, rng, seq.Protein, 8, 50)
+			dir := filepath.Join(t.TempDir(), "idx")
+			if _, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{Shards: 2}); err != nil {
+				t.Fatal(err)
+			}
+			eng, err := New(nil, Options{IndexDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			// One good compaction first, so the old manifest names a delta too.
+			if _, err := eng.Insert("settled", seq.Protein.MustEncode("AAWWWWHHHHWWWWAA")); err != nil {
+				t.Fatal(err)
+			}
+			genDurable, err := eng.Compact()
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Insert("fresh", seq.Protein.MustEncode("CCWWWWHHHHWWWWCC")); err != nil {
+				t.Fatal(err)
+			}
+			genAfterInsert := eng.Generation()
+
+			faultpoint.Enable(faultpoint.SiteCompactSwap, faultpoint.Spec{Mode: faultpoint.ModeError, Match: step, Times: 1})
+			if _, err := eng.Compact(); err == nil {
+				t.Fatal("compaction swallowed the injected failure")
+			}
+			if got := faultpoint.Fired(faultpoint.SiteCompactSwap); got != 1 {
+				t.Fatalf("the %q step fired %d times, want 1", step, got)
+			}
+			if got := eng.Generation(); got != genAfterInsert {
+				t.Fatalf("failed compaction moved the generation: %d, want %d", got, genAfterInsert)
+			}
+			if !serves(eng, "fresh") || !serves(eng, "settled") {
+				t.Fatal("insert lost after failed compaction")
+			}
+			after, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names := func(es []os.DirEntry) (out []string) {
+				for _, e := range es {
+					out = append(out, e.Name())
+				}
+				return out
+			}
+			if !slices.Equal(names(after), names(before)) {
+				t.Fatalf("failed compaction left the directory holding %v, want %v", names(after), names(before))
+			}
+			scrub(dir, "after the failed compaction")
+
+			// What a crash here would leave: the directory reopens at the
+			// durable generation, the un-compacted insert lost (the documented
+			// LSM-without-WAL contract).
+			crashed, err := New(nil, Options{IndexDir: dir})
+			if err != nil {
+				t.Fatalf("reopen after crash: %v", err)
+			}
+			if got := crashed.Generation(); got != genDurable {
+				t.Fatalf("crashed directory reopened at generation %d, want %d", got, genDurable)
+			}
+			if serves(crashed, "fresh") || !serves(crashed, "settled") {
+				t.Fatal("crashed directory does not serve exactly the durable generation")
+			}
+			if err := crashed.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// The spec was Times=1, so the retry must succeed and fold the memtable.
+			gen, err := eng.Compact()
+			if err != nil {
+				t.Fatalf("retry compaction: %v", err)
+			}
+			if gen <= genAfterInsert {
+				t.Fatalf("retry compaction did not advance the generation: %d", gen)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			scrub(dir, "after crash + retry")
+			retried, err := New(nil, Options{IndexDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer retried.Close()
+			if got := retried.Generation(); got != gen || !serves(retried, "fresh") {
+				t.Fatalf("retried compaction reopened at generation %d (want %d), serving fresh: %v", got, gen, serves(retried, "fresh"))
+			}
+		})
 	}
 }
 

@@ -9,31 +9,24 @@
 // built with the online Ukkonen construction
 // (internal/suffixtree.OnlineBuilder); deletes add per-sequence tombstones;
 // every write builds the next view and publishes it as an immutable genState
-// that searches pin for their whole run.  Compaction folds the frozen
-// memtable into an ordinary single-file disk index and swaps a
-// generation-numbered manifest atomically (disk engines), or rebuilds the
-// base in-memory engine over the live corpus (memory engines).  Reading a
-// directory's generation back — opening its delta layers and tombstones — is
-// shard.OpenDiskEngine's job alone; the writer continues from the view it
-// returns.
+// that searches pin for their whole run.  Compaction hands the frozen memtable
+// and the tombstones to the index directory (diskst.Dir.Commit — the on-disk
+// protocol and its crash contract are stated there and nowhere else) and
+// continues from the layer it returns (disk engines), or rebuilds the base
+// in-memory engine over the live corpus (memory engines).
 //
-// Durability contract (disk engines): inserts and deletes are memory-only
-// until Compact persists them — the engine is an LSM without a WAL.  A crash
-// between a write and the next Compact loses the uncompacted writes but never
-// the on-disk index: the manifest swap is write-temp + fsync + rename, so the
-// directory always opens at its last durable generation.
+// Durability (disk engines): inserts and deletes are memory-only until Compact
+// persists them — the engine is an LSM without a WAL.  A crash between a write
+// and the next Compact loses the uncompacted writes but never the on-disk
+// index.
 package engine
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
+	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/diskst"
-	"repro/internal/faultpoint"
 	"repro/internal/seq"
 	"repro/internal/shard"
 	"repro/internal/suffixtree"
@@ -85,24 +78,10 @@ func (e *Engine) Generation() uint64 { return e.cur().gen }
 
 // ErrImmutable is returned by Insert, Delete and Compact on engines whose
 // base index is not writable from this process (NewFromShardEngine: the
-// corpus lives in the remote slices' serving processes — write to those).
-var ErrImmutable = fmt.Errorf("engine: index is immutable here; write to the shard servers that own the corpus")
-
-// initMutable wires the writer under a freshly opened base view and publishes
-// the initial generation.  For disk engines base already carries the delta
-// layers and tombstones of the directory's manifest, and the generation
-// continues from the manifest's.
-func (e *Engine) initMutable(base *shard.Engine, db *seq.Database, opts Options) error {
-	e.wBase = base
-	e.wDB = db
-	e.tombs = base.Tombstones()
-	e.opts = opts
-	if opts.IndexDir != "" {
-		e.manifest = base.Disk().Manifest
-		e.wGen = e.manifest.Generation
-	}
-	return e.publishLocked()
-}
+// corpus lives in the remote slices' serving processes, which serve their
+// index directories read-only — a distributed corpus changes by rebuilding a
+// slice's index and redeploying its replicas).
+var ErrImmutable = fmt.Errorf("engine: index is immutable here; rebuild the slice's index with oasis-build and redeploy its shard servers")
 
 // publishLocked builds the view for the writer's current fields — the durable
 // view's layers, the memtable snapshot as one more, the current tombstones —
@@ -110,7 +89,7 @@ func (e *Engine) initMutable(base *shard.Engine, db *seq.Database, opts Options)
 func (e *Engine) publishLocked() error {
 	st := &genState{gen: e.wGen, db: e.wDB}
 	layers := e.wBase.Layers()
-	if e.mem != nil && e.mem.NumSequences() > 0 {
+	if e.memLen() > 0 {
 		tree, mdb, err := e.mem.Snapshot()
 		if err != nil {
 			return err
@@ -120,7 +99,7 @@ func (e *Engine) publishLocked() error {
 			return err
 		}
 		st.memSeqs, st.memRes = e.mem.NumSequences(), e.mem.TotalResidues()
-		layers = append(slices.Clip(layers), shard.Layer{Index: idx, Globals: e.memGlobalsLocked()})
+		layers = append(slices.Clip(layers), idx)
 	}
 	var err error
 	if st.view, err = e.wBase.WithLayers(layers, e.tombs); err != nil {
@@ -130,15 +109,21 @@ func (e *Engine) publishLocked() error {
 	return nil
 }
 
-// memGlobalsLocked numbers the memtable's sequences: densely after everything
-// the durable view holds.
-func (e *Engine) memGlobalsLocked() []int {
-	first := e.wBase.NumSequences()
-	globals := make([]int, e.mem.NumSequences())
-	for i := range globals {
-		globals[i] = first + i
+// memLen is the number of sequences in the memtable.  Caller holds wmu.
+func (e *Engine) memLen() int {
+	if e.mem == nil {
+		return 0
 	}
-	return globals
+	return e.mem.NumSequences()
+}
+
+// frozenMemLocked copies the memtable's sequences into a database of their
+// own, what a compaction persists; nil when the memtable is empty.
+func (e *Engine) frozenMemLocked() (*seq.Database, error) {
+	if e.memLen() == 0 {
+		return nil, nil
+	}
+	return seq.NewDatabase(e.Alphabet(), slices.Clone(e.mem.Sequences()))
 }
 
 // ensureIDIndexLocked lazily builds the live SeqID -> global index map writes
@@ -252,12 +237,12 @@ func (e *Engine) Delete(id string) (uint64, error) {
 // Compact folds the mutable state down a level and returns the resulting
 // generation (unchanged when there was nothing to do).
 //
-// Disk engines write the frozen memtable as an ordinary single-file delta
-// index next to the base shards — build to a temporary name, fsync, rename —
-// then swap in a manifest with a bumped generation (also atomically), reopen
-// the delta through its own buffer pool and reset the memtable.  A crash (or
-// injected fault at faultpoint.SiteCompactSwap) at any point leaves the
-// previous manifest and files intact.
+// Disk engines commit the frozen memtable and the tombstones to the index
+// directory as its next generation (diskst.Dir.Commit: one more delta layer
+// beside the base shards, crash-safe at every step), then search the layer it
+// returns in place of the memtable.  A failed commit, injected faults
+// included, changes nothing: the memtable keeps serving at the old generation
+// and a retry starts over.
 //
 // Memory engines rebuild the base engine over the live corpus (dropping
 // tombstoned sequences and folding in the delta, renumbering globals) and
@@ -272,95 +257,40 @@ func (e *Engine) Compact() (uint64, error) {
 	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	if e.opts.IndexDir != "" {
+	if e.dir != nil {
 		return e.compactDiskLocked()
 	}
 	return e.compactMemoryLocked()
 }
 
 func (e *Engine) compactDiskLocked() (uint64, error) {
-	memN := 0
-	if e.mem != nil {
-		memN = e.mem.NumSequences()
-	}
-	if memN == 0 && len(e.tombs) == len(e.manifest.Tombstones) {
+	if e.memLen() == 0 && len(e.tombs) == len(e.dir.Tombstones()) {
 		return e.wGen, nil // nothing new to fold or persist
 	}
-	gen := e.wGen + 1
-	m := *e.manifest
-	m.Generation = gen
-	m.Deltas = append([]diskst.DeltaRecord(nil), e.manifest.Deltas...)
-	m.Tombstones = make([]int, 0, len(e.tombs))
-	for g := range e.tombs {
-		m.Tombstones = append(m.Tombstones, g)
-	}
-	sort.Ints(m.Tombstones)
-
-	layers := e.wBase.Layers()
-	var newIdx *diskst.Index
-	if memN > 0 {
-		name := fmt.Sprintf("delta-%06d.oasis", gen)
-		mdb, err := seq.NewDatabase(e.Alphabet(), append([]seq.Sequence(nil), e.mem.Sequences()...))
-		if err != nil {
-			return e.wGen, err
-		}
-		tmp := filepath.Join(e.opts.IndexDir, name+".tmp")
-		if _, err := diskst.Build(tmp, mdb, diskst.BuildOptions{BlockSize: m.BlockSize}); err != nil {
-			os.Remove(tmp)
-			return e.wGen, fmt.Errorf("engine: building delta %s: %w", name, err)
-		}
-		// The swap site models a crash after the delta is written but before
-		// it becomes reachable: the old manifest stays authoritative.
-		if err := faultpoint.Hit(faultpoint.SiteCompactSwap, name); err != nil {
-			os.Remove(tmp)
-			return e.wGen, fmt.Errorf("engine: compaction swap: %w", err)
-		}
-		if err := os.Rename(tmp, filepath.Join(e.opts.IndexDir, name)); err != nil {
-			os.Remove(tmp)
-			return e.wGen, err
-		}
-		globals := e.memGlobalsLocked()
-		m.Deltas = append(m.Deltas, diskst.DeltaRecord{File: name, GlobalIndex: globals, Residues: mdb.TotalResidues()})
-		if newIdx, err = e.manifest.OpenFile(e.opts.IndexDir, name, e.opts.PoolBytes); err != nil {
-			// Manifest not yet written: the directory is still consistent at
-			// the old generation; the new file is an unreachable orphan.
-			return e.wGen, fmt.Errorf("engine: reopening delta %s: %w", name, err)
-		}
-		layers = append(slices.Clip(layers), shard.Layer{Index: newIdx, Globals: globals})
-	}
-	// The durable view as the new manifest describes it — what reopening the
-	// directory would return.
-	durable, err := e.wBase.WithLayers(layers, e.tombs)
-	if err == nil {
-		err = diskst.WriteManifest(e.opts.IndexDir, &m)
-	}
+	frozen, err := e.frozenMemLocked()
 	if err != nil {
-		if newIdx != nil {
-			newIdx.Close()
-		}
 		return e.wGen, err
 	}
-	// The new manifest is durable; swap the in-memory state to match.
-	e.manifest = &m
-	e.wBase = durable
-	if newIdx != nil {
-		e.closers = append(e.closers, newIdx)
+	idx, err := e.dir.Commit(e.wGen+1, frozen, slices.Collect(maps.Keys(e.tombs)))
+	if err != nil {
+		return e.wGen, fmt.Errorf("engine: compaction: %w", err)
+	}
+	layers := e.wBase.Layers()
+	if idx != nil {
+		layers = append(slices.Clip(layers), idx)
 		e.mem = nil
 	}
-	e.wGen = gen
-	if err := e.publishLocked(); err != nil {
-		return e.wGen, err
-	}
+	// The durable view as the directory now records it.  Nothing from here on
+	// can fail: WithLayers refuses only provider-backed engines, which Compact
+	// turned away as immutable, and publishing has no memtable to freeze.
+	e.wBase, _ = e.wBase.WithLayers(layers, e.tombs)
+	e.wGen++
 	e.compactions.Add(1)
-	return e.wGen, nil
+	return e.wGen, e.publishLocked()
 }
 
 func (e *Engine) compactMemoryLocked() (uint64, error) {
-	memN := 0
-	if e.mem != nil {
-		memN = e.mem.NumSequences()
-	}
-	if memN == 0 && len(e.tombs) == 0 {
+	if e.memLen() == 0 && len(e.tombs) == 0 {
 		return e.wGen, nil // pristine: nothing to fold
 	}
 	baseSeqs := e.wBase.NumSequences()

@@ -12,7 +12,6 @@ import (
 	"repro/internal/diskst"
 	"repro/internal/score"
 	"repro/internal/seq"
-	"repro/internal/shard"
 )
 
 // searchFn is any way of running one query over an opened generation.
@@ -209,7 +208,7 @@ func TestGenerationOracle(t *testing.T) {
 					if err := reopened.Close(); err != nil {
 						t.Fatal(err)
 					}
-					view, err := shard.OpenDiskEngine(dir, shard.DiskOptions{})
+					view, err := openShardView(dir)
 					if err != nil {
 						t.Fatalf("%s: shard.OpenDiskEngine: %v", step, err)
 					}

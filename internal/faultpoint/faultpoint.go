@@ -72,12 +72,14 @@ const (
 	// SiteServeSearch runs at the start of oasis-serve's search and batch
 	// handlers; error specs model handler-level failures (HTTP 500).
 	SiteServeSearch = "serve.search"
-	// SiteCompactSwap fires during delta compaction, after the new delta
-	// index file has been written to its temporary name but before it is
-	// renamed into place and the new manifest generation lands.  Error specs
-	// model a crash mid-compaction: the old manifest (and every file it
-	// references) must stay intact and openable.  The detail string is the
-	// delta file name.
+	// SiteCompactSwap fires during delta compaction (diskst.Dir.Commit), after
+	// each step that leaves something behind: the new delta index file
+	// written to its temporary name, renamed into place, reopened, and the
+	// next manifest written to its temporary name.  Error specs model a crash
+	// mid-compaction: the old manifest (and every file it references) must
+	// stay intact and openable, and nothing else may remain.  The detail
+	// string is the step — "build", "rename", "open" or "manifest" — then the
+	// file name, so Match can pick one step.
 	SiteCompactSwap = "compact.swap"
 	// SiteRemoteDial fires in the coordinator's shard client before each
 	// stream request is issued to a replica; error specs model a dead or
@@ -190,16 +192,6 @@ func Enable(name string, spec Spec) {
 		nActive.Add(1)
 	}
 	sites[name] = &site{spec: spec, rng: rand.New(rand.NewSource(seedFor(name)))}
-}
-
-// Disable deactivates the named site.
-func Disable(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := sites[name]; ok {
-		delete(sites, name)
-		nActive.Add(-1)
-	}
 }
 
 // Reset deactivates every site (deferred by tests).

@@ -175,9 +175,6 @@ func (co *Coordinator) Engine() *shard.Engine { return co.eng }
 // Infos returns the per-slice descriptions fetched at startup.
 func (co *Coordinator) Infos() []Info { return co.infos }
 
-// Offsets returns each slice's global sequence index offset.
-func (co *Coordinator) Offsets() []int { return co.offsets }
-
 // Health snapshots every slice's replica health.
 func (co *Coordinator) Health() []SliceHealth {
 	out := make([]SliceHealth, len(co.clients))

@@ -63,9 +63,8 @@ func buildBuiltins() {
 	// the published NCBI PAM30 diagonal; off-diagonal entries are derived
 	// from BLOSUM62 by an affine rescaling that reproduces the PAM
 	// matrices' stringency (strongly negative mismatch scores, negative
-	// expected score, positive diagonal).  Exact NCBI tables can be loaded
-	// with ParseMatrix when byte-for-byte score parity with NCBI tools is
-	// required; every algorithm in this repository is matrix-agnostic.
+	// expected score, positive diagonal).  Every algorithm in this repository
+	// is matrix-agnostic.
 	pam30 = derivePAM("PAM30", 2, -3, -17, pam30Diagonal[:])
 	pam70 = derivePAM("PAM70", 2, -2, -11, scaleDiag(pam30Diagonal[:], -1))
 	pam250 = derivePAM("PAM250", 1, 0, -8, scaleDiag(pam30Diagonal[:], -3))

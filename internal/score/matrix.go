@@ -5,10 +5,7 @@
 package score
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -201,51 +198,4 @@ func (m *Matrix) String() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// ParseMatrix reads a matrix in the NCBI text format (a header row of
-// letters followed by one row per letter).  Letters absent from the
-// alphabet are ignored; alphabet letters absent from the file default to
-// defaultScore.
-func ParseMatrix(r io.Reader, name string, a *seq.Alphabet, defaultScore int) (*Matrix, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	var cols []byte
-	table := map[byte]map[byte]int{}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if cols == nil {
-			for _, f := range fields {
-				if len(f) != 1 {
-					return nil, fmt.Errorf("score: bad matrix header field %q", f)
-				}
-				cols = append(cols, f[0])
-			}
-			continue
-		}
-		if len(fields) != len(cols)+1 || len(fields[0]) != 1 {
-			return nil, fmt.Errorf("score: bad matrix row %q", line)
-		}
-		rowLetter := fields[0][0]
-		row := map[byte]int{}
-		for i, f := range fields[1:] {
-			v, err := strconv.Atoi(f)
-			if err != nil {
-				return nil, fmt.Errorf("score: bad matrix value %q: %w", f, err)
-			}
-			row[cols[i]] = v
-		}
-		table[rowLetter] = row
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if cols == nil {
-		return nil, fmt.Errorf("score: empty matrix input")
-	}
-	return NewMatrix(name, a, table, defaultScore)
 }

@@ -1,7 +1,6 @@
 package score
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -116,36 +115,6 @@ func TestByName(t *testing.T) {
 	}
 	if ByName("nosuch") != nil {
 		t.Fatal("ByName(nosuch) should be nil")
-	}
-}
-
-func TestParseMatrixRoundTrip(t *testing.T) {
-	text := BLOSUM62().String()
-	m, err := ParseMatrix(strings.NewReader(text), "BLOSUM62-copy", seq.Protein, -4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < m.Size(); i++ {
-		for j := 0; j < m.Size(); j++ {
-			if m.Score(byte(i), byte(j)) != BLOSUM62().Score(byte(i), byte(j)) {
-				t.Fatalf("parse round trip mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestParseMatrixErrors(t *testing.T) {
-	if _, err := ParseMatrix(strings.NewReader(""), "x", seq.DNA, 0); err == nil {
-		t.Fatal("expected error for empty input")
-	}
-	if _, err := ParseMatrix(strings.NewReader("A C\nA 1\n"), "x", seq.DNA, 0); err == nil {
-		t.Fatal("expected error for short row")
-	}
-	if _, err := ParseMatrix(strings.NewReader("A C\nA 1 z\n"), "x", seq.DNA, 0); err == nil {
-		t.Fatal("expected error for non-numeric value")
-	}
-	if _, err := ParseMatrix(strings.NewReader("AB C\nA 1 2\n"), "x", seq.DNA, 0); err == nil {
-		t.Fatal("expected error for multi-char header")
 	}
 }
 

@@ -7,8 +7,7 @@ import "fmt"
 // contributes k*Gap to the alignment score, with Gap < 0.
 //
 // The paper notes that its OASIS and S-W implementations do not support
-// affine gaps; AffineScheme models the parameters so the extension is
-// additive, but the aligners in this repository accept only Scheme.
+// affine gaps; neither do the aligners in this repository.
 type Scheme struct {
 	Matrix *Matrix
 	// Gap is the per-symbol insertion/deletion penalty (must be negative).
@@ -50,28 +49,3 @@ func (s Scheme) Validate() error {
 
 // GapCost returns the penalty of a gap of length k (k >= 0).
 func (s Scheme) GapCost(k int) int { return k * s.Gap }
-
-// AffineScheme describes an affine gap model (open + extend); provided for
-// API completeness and future work, as discussed in the paper's Section 6.
-type AffineScheme struct {
-	Matrix *Matrix
-	// Open is the penalty charged when a gap is opened (negative).
-	Open int
-	// Extend is the penalty charged per gap symbol (negative).
-	Extend int
-}
-
-// GapCost returns the penalty of a gap of length k under the affine model.
-func (s AffineScheme) GapCost(k int) int {
-	if k <= 0 {
-		return 0
-	}
-	return s.Open + k*s.Extend
-}
-
-// Linear converts the affine scheme into the nearest linear scheme (the one
-// the paper's implementation supports), by folding the open cost into the
-// per-symbol cost for gaps of length one.
-func (s AffineScheme) Linear() Scheme {
-	return Scheme{Matrix: s.Matrix, Gap: s.Open + s.Extend}
-}

@@ -200,11 +200,6 @@ func (ka KarlinAltschul) EValue(s int, queryLen int, dbLen int64) float64 {
 	return ka.K * float64(queryLen) * float64(dbLen) * math.Exp(-ka.Lambda*float64(s))
 }
 
-// BitScore converts a raw score into a bit score.
-func (ka KarlinAltschul) BitScore(s int) float64 {
-	return (ka.Lambda*float64(s) - math.Log(ka.K)) / math.Ln2
-}
-
 // MinScore converts an E-value threshold into the minimum raw alignment
 // score, rounding up (paper Equation 3).  The result is never below 1.
 func (ka KarlinAltschul) MinScore(eValue float64, queryLen int, dbLen int64) int {

@@ -120,16 +120,6 @@ func TestMinScoreMonotonicInE(t *testing.T) {
 	}
 }
 
-func TestBitScoreIncreasing(t *testing.T) {
-	ka, err := Params(BLOSUM62(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ka.BitScore(50) <= ka.BitScore(40) {
-		t.Fatal("bit score must increase with raw score")
-	}
-}
-
 func TestNormalizeFrequencies(t *testing.T) {
 	m := UnitDNA()
 	got := NormalizeFrequencies(m, []float64{2, 2, 2, 2, 0})
@@ -231,19 +221,5 @@ func TestSchemeValidation(t *testing.T) {
 	s := MustScheme(UnitDNA(), -1)
 	if s.GapCost(4) != -4 {
 		t.Fatalf("GapCost(4) = %d", s.GapCost(4))
-	}
-}
-
-func TestAffineScheme(t *testing.T) {
-	a := AffineScheme{Matrix: BLOSUM62(), Open: -10, Extend: -1}
-	if a.GapCost(0) != 0 {
-		t.Fatal("zero-length gap must cost nothing")
-	}
-	if a.GapCost(3) != -13 {
-		t.Fatalf("GapCost(3) = %d", a.GapCost(3))
-	}
-	lin := a.Linear()
-	if lin.Gap != -11 {
-		t.Fatalf("Linear().Gap = %d", lin.Gap)
 	}
 }

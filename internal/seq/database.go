@@ -102,10 +102,6 @@ func (db *Database) Locate(pos int64) (seqIndex int, local int64, err error) {
 	return db.loc.Locate(pos)
 }
 
-// SymbolAt returns the encoded symbol at a global position (may be
-// Terminator).
-func (db *Database) SymbolAt(pos int64) byte { return db.concat[pos] }
-
 // SuffixEnd returns the global offset of the terminator that ends the
 // sequence containing pos; the suffix starting at pos spans [pos, SuffixEnd).
 func (db *Database) SuffixEnd(pos int64) int64 {

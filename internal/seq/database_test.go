@@ -32,7 +32,7 @@ func TestDatabaseConcatLayout(t *testing.T) {
 	}
 	// Terminators in the right places.
 	for _, i := range []int{0, 1, 2} {
-		if db.SymbolAt(db.SequenceEnd(i)) != Terminator {
+		if db.Concat()[db.SequenceEnd(i)] != Terminator {
 			t.Fatalf("expected terminator at end of sequence %d", i)
 		}
 	}

@@ -103,10 +103,7 @@ func FuzzCorruptIndexDir(f *testing.F) {
 			return // unreadable enough that even the scrub refuses: fine
 		}
 
-		eng, err := OpenDiskEngine(dir, DiskOptions{
-			PoolBytesPerShard: 8 * 512,
-			AllowDegraded:     true,
-		})
+		eng, err := openDisk(dir, 8*512, true, Options{})
 		if err != nil {
 			return // detected at open: fine
 		}

@@ -58,10 +58,12 @@ func TestDiskEngineEquivalenceProperty(t *testing.T) {
 					if err != nil {
 						t.Fatalf("trial %d prefix=%v: BuildSharded: %v", trial, prefix, err)
 					}
-					eng, err := OpenDiskEngine(dir, DiskOptions{
-						// Tiny pools force real page traffic and eviction.
-						PoolBytesPerShard: 16 * 2048,
-					})
+					// Tiny pools force real page traffic and eviction.
+					opened, err := diskst.OpenDir(dir, 16*2048, false)
+					if err != nil {
+						t.Fatalf("trial %d prefix=%v: OpenDir: %v", trial, prefix, err)
+					}
+					eng, err := OpenDiskEngine(opened, Options{})
 					if err != nil {
 						t.Fatalf("trial %d prefix=%v: OpenDiskEngine: %v", trial, prefix, err)
 					}
@@ -108,9 +110,8 @@ func TestDiskEngineEquivalenceProperty(t *testing.T) {
 						}
 					}
 					if len(got) > 0 {
-						stats := eng.PoolStats()
 						var requests int64
-						for _, ps := range stats {
+						for _, ps := range opened.PoolStats() {
 							requests += ps.Requests
 						}
 						if requests == 0 {
@@ -126,6 +127,16 @@ func TestDiskEngineEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// openDisk is the two calls every disk consumer makes: open the directory,
+// arrange its handles into an engine (which owns the directory from then on).
+func openDisk(path string, poolBytes int64, allowDegraded bool, opts Options) (*Engine, error) {
+	dir, err := diskst.OpenDir(path, poolBytes, allowDegraded)
+	if err != nil {
+		return nil, err
+	}
+	return OpenDiskEngine(dir, opts)
+}
+
 // TestDiskEngineUnionCatalogLocate pins the union catalog's concatenated
 // coordinate view: positions locate to the same (sequence, offset) pairs as
 // the source database.
@@ -138,7 +149,7 @@ func TestDiskEngineUnionCatalogLocate(t *testing.T) {
 	if _, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{Shards: 3}); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := OpenDiskEngine(dir, DiskOptions{})
+	eng, err := openDisk(dir, 0, false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,18 +49,14 @@ func buildExtraCase(t *testing.T, rng *rand.Rand, mode PartitionMode, shards int
 			liveRes += int64(len(s.Residues))
 		}
 	}
-	var layers []Layer
+	var layers []core.Index
 	if len(deltaSeqs) > 0 {
 		deltaDB := seq.MustDatabase(seq.Protein, deltaSeqs)
 		idx, err := core.BuildMemoryIndex(deltaDB)
 		if err != nil {
 			t.Fatal(err)
 		}
-		globals := make([]int, len(deltaSeqs))
-		for i := range globals {
-			globals[i] = nBase + i
-		}
-		layers = append(layers, Layer{Index: idx, Globals: globals})
+		layers = append(layers, idx)
 	}
 	view, err := base.WithLayers(layers, tomb)
 	if err != nil {

@@ -37,10 +37,7 @@ func buildFaultDir(t *testing.T) (dir string, query []byte, opts core.Options) {
 // search touches the disk path where faults are injected.
 func openFaultEngine(t *testing.T, dir string, allowDegraded bool) *Engine {
 	t.Helper()
-	eng, err := OpenDiskEngine(dir, DiskOptions{
-		PoolBytesPerShard: 16 * 2048,
-		AllowDegraded:     allowDegraded,
-	})
+	eng, err := openDisk(dir, 16*2048, allowDegraded, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,14 +35,14 @@ type layeredCatalog struct {
 // second type beside unionCatalog: that one resolves ARBITRARY global maps
 // through per-sequence tables built once at open, and folding the dense
 // layers into it would make every publish O(corpus).
-func newLayeredCatalog(base core.Catalog, baseN int, baseRes int64, layers []Layer) core.Catalog {
+func newLayeredCatalog(base core.Catalog, baseN int, baseRes int64, layers []core.Index) core.Catalog {
 	lc := &layeredCatalog{
 		base: base, baseN: baseN, baseRes: baseRes,
 		baseConcat: baseRes + int64(baseN),
 	}
 	n, concat, total := baseN, lc.baseConcat, baseRes
 	for _, x := range layers {
-		cat := x.Index.Catalog()
+		cat := x.Catalog()
 		lc.layers = append(lc.layers, cat)
 		lc.offsets = append(lc.offsets, n)
 		lc.starts = append(lc.starts, concat)

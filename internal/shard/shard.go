@@ -15,7 +15,7 @@
 //     This serves the base shards of a PartitionBySequence engine — the
 //     database split into independently indexed, sequence-disjoint shards
 //     balanced by residue count — and equally a view's layers (compacted
-//     delta indexes and the memtable snapshot; see Layer and WithLayers);
+//     delta indexes and the memtable snapshot; see WithLayers);
 //   - a prefix shard of a PartitionByPrefix engine: ONE shared suffix tree
 //     whose disjoint top-level subtrees are assigned to shards by suffix
 //     prefix (seq.PartitionByPrefix).  The near-root columns are expanded
@@ -52,7 +52,6 @@ import (
 
 	"repro/internal/bufferpool"
 	"repro/internal/core"
-	"repro/internal/diskst"
 	"repro/internal/faultpoint"
 	"repro/internal/score"
 	"repro/internal/seq"
@@ -71,7 +70,9 @@ const (
 	PartitionByPrefix
 )
 
-// Options configures a sharded engine.
+// Options configures a sharded engine.  Shards and Partition say how NewEngine
+// divides a database; a directory or a provider set arrives divided, and
+// OpenDiskEngine and NewEngineFromProviders ignore them.
 type Options struct {
 	// Shards is the number of work partitions (default 1; capped at the
 	// number of sequences in PartitionBySequence mode).
@@ -97,9 +98,10 @@ var _ core.SubtreeAssigner = (*seq.PrefixPartition)(nil)
 // a long-running engine (internal/engine) can multiplex many queries over
 // one warm Engine without per-query allocation.
 //
-// The engine does not care where its shards live: NewEngine builds in-memory
-// suffix trees from a database, OpenDiskEngine opens disk-resident indexes
-// (internal/diskst) each read through its own buffer pool, so shard
+// The engine does not care where its shards live; its three constructors are
+// three sources under one Options: NewEngine builds in-memory suffix trees
+// from a database, OpenDiskEngine arranges the disk-resident indexes of an
+// open directory (diskst.Dir), each read through its own buffer pool, so shard
 // parallelism also parallelises I/O, and NewEngineFromProviders takes opaque
 // streams such as remote shard servers.
 //
@@ -114,7 +116,7 @@ type Engine struct {
 	// layers are searched beside the base shards; tombs are the deleted
 	// global sequence indexes the merger filters.  Neither is ever mutated
 	// once the view exists.
-	layers []Layer
+	layers []core.Index
 	tombs  map[int]bool
 	// cat is the global catalog over base + layers (the base catalog itself
 	// when there are none).  numSeqs is the size of the global sequence-index
@@ -150,10 +152,9 @@ type root struct {
 	// searched like any other local index.
 	frontier core.Index
 	prefixes *seq.PrefixPartition
-	// closers are resources the engine owns (disk index files); see Close.
-	// disk is set by OpenDiskEngine (manifest, base-shard pools).
+	// closers are resources the engine owns (an index directory, provider
+	// connections); see Close.
 	closers []io.Closer
-	disk    *diskst.Sharded
 	// scratch recycles per-stream searcher state across queries; dedups
 	// recycles the merger's emitted-sequence sets (prefix mode only).
 	scratch *bufferpool.FreeList[*core.Scratch]
@@ -256,29 +257,23 @@ func (r *root) finish(opts Options) (*Engine, error) {
 	return (&Engine{root: r}).WithLayers(nil, nil)
 }
 
-// Layer is one additional index searched alongside the engine's own shards:
-// the engine layer's LSM delta layers (compacted delta files and the
-// in-memory memtable snapshot).  A layer covers a sequence subset disjoint
-// from the base shards and from every other layer; Globals maps its local
-// sequence indexes into the global space, which layers extend densely, in
-// order, after the base corpus (the numbering diskst.DeltaRecord.GlobalIndex
-// records).
-type Layer struct {
-	Index   core.Index
-	Globals []int
-}
-
 // WithLayers returns the view of e's base shards under the given mutable
-// context: layers stream beside the base shards through the one merger,
-// tombstoned sequences (global indexes) are filtered out of the merged stream,
-// and the catalog, the index-space size and the live totals that drive
-// E-values and the all-sequences early stop are derived here, from the layers'
-// catalogs and the tombstone set, and nowhere else.  e's own layers and
-// tombstones are replaced, not extended.  The view shares everything else
-// with e — base shards, scratch and dedup pools, affine slots, lifetime
-// counters, Close — so it costs O(layers + tombstones).  Neither argument may
-// be modified afterwards.  With neither it is the pristine engine.
-func (e *Engine) WithLayers(layers []Layer, tombstones map[int]bool) (*Engine, error) {
+// context.  A layer is one additional index searched alongside the engine's own
+// shards — the engine layer's LSM delta layers: compacted delta files and the
+// in-memory memtable snapshot — over a sequence subset disjoint from the base
+// shards and from every other layer; its sequences take the global indexes
+// that follow the base corpus and the layers before it, densely, in order (the
+// numbering diskst.DeltaRecord.GlobalIndex records).  Layers stream beside the
+// base shards through the one merger, tombstoned sequences (global indexes)
+// are filtered out of the merged stream, and the catalog, the index-space size
+// and the live totals that drive E-values and the all-sequences early stop are
+// derived here, from the layers' catalogs and the tombstone set, and nowhere
+// else.  e's own layers and tombstones are replaced, not extended.  The view
+// shares everything else with e — base shards, scratch and dedup pools, affine
+// slots, lifetime counters, Close — so it costs O(layers + tombstones).
+// Neither argument may be modified afterwards.  With neither it is the
+// pristine engine.
+func (e *Engine) WithLayers(layers []core.Index, tombstones map[int]bool) (*Engine, error) {
 	v := &Engine{root: e.root, layers: layers, tombs: tombstones,
 		cat: e.baseCat, numSeqs: e.baseSeqs, liveRes: e.baseCat.TotalResidues()}
 	if !v.layered() {
@@ -289,7 +284,7 @@ func (e *Engine) WithLayers(layers []Layer, tombstones map[int]bool) (*Engine, e
 	}
 	v.liveRes = e.baseRes
 	for _, l := range layers {
-		cat := l.Index.Catalog()
+		cat := l.Catalog()
 		v.numSeqs += cat.NumSequences()
 		v.liveRes += cat.TotalResidues()
 	}
@@ -306,9 +301,9 @@ func (e *Engine) WithLayers(layers []Layer, tombstones map[int]bool) (*Engine, e
 func (e *Engine) layered() bool { return len(e.layers)+len(e.tombs) > 0 }
 
 // Layers and Tombstones return the view's mutable context as WithLayers was
-// given it (OpenDiskEngine: as the manifest records it), so a writer can
+// given it (OpenDiskEngine: as the directory records it), so a writer can
 // extend it into the next generation.  Callers must not modify either.
-func (e *Engine) Layers() []Layer          { return e.layers }
+func (e *Engine) Layers() []core.Index     { return e.layers }
 func (e *Engine) Tombstones() map[int]bool { return e.tombs }
 
 // NumSequences is the size of the view's global sequence-index space: base
@@ -496,14 +491,19 @@ type stream struct {
 }
 
 // localStream adapts a local index to a stream: core.SearchStream with hits
-// mapped into the global sequence space (globals nil: they already are).
-func localStream(idx core.Index, globals []int, query []byte, bound, slot int) stream {
+// mapped into the global sequence space — through globals, or, without a map,
+// by adding first, the global index of the index's first sequence.
+func localStream(idx core.Index, globals []int, first int, query []byte, bound, slot int) stream {
 	return stream{bound: bound, slot: slot, run: func(opts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
-		if globals == nil {
+		if globals == nil && first == 0 {
 			return core.SearchStream(idx, query, opts, hit, frontier)
 		}
 		return core.SearchStream(idx, query, opts, func(h core.Hit) bool {
-			h.SeqIndex = globals[h.SeqIndex]
+			if globals != nil {
+				h.SeqIndex = globals[h.SeqIndex]
+			} else {
+				h.SeqIndex += first
+			}
 			return hit(h)
 		}, frontier)
 	}}
@@ -545,7 +545,7 @@ func (e *Engine) plan(query []byte, opts core.Options) (*plan, error) {
 	} else {
 		for s, b := range e.base {
 			if b.provider == nil {
-				p.streams = append(p.streams, localStream(b.index, b.globals, query, rb, s))
+				p.streams = append(p.streams, localStream(b.index, b.globals, 0, query, rb, s))
 				continue
 			}
 			p.streams = append(p.streams, stream{bound: rb, slot: s, run: func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
@@ -554,9 +554,11 @@ func (e *Engine) plan(query []byte, opts core.Options) (*plan, error) {
 		}
 	}
 	// Each layer is its own small suffix tree over sequences no other stream
-	// holds.
+	// holds, numbered on from the base corpus.
+	first := e.baseSeqs
 	for _, l := range e.layers {
-		p.streams = append(p.streams, localStream(l.Index, l.Globals, query, rb, -1))
+		p.streams = append(p.streams, localStream(l, nil, first, query, rb, -1))
+		first += l.Catalog().NumSequences()
 	}
 	return p, nil
 }

@@ -192,7 +192,7 @@ func TestStealingStreamEquivalence(t *testing.T) {
 }
 
 // TestStealingDiskEngineEquivalence runs the same on/off differential over a
-// prefix-partitioned index directory: DiskOptions.NoSteal must reach the
+// prefix-partitioned index directory: Options.NoSteal must reach the
 // engine, and the disk-backed stolen stream must equal its static twin.
 func TestStealingDiskEngineEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
@@ -203,12 +203,12 @@ func TestStealingDiskEngineEquivalence(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	stealEng, err := OpenDiskEngine(dir, DiskOptions{Workers: 2})
+	stealEng, err := openDisk(dir, 0, false, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stealEng.Close()
-	noStealEng, err := OpenDiskEngine(dir, DiskOptions{Workers: 2, NoSteal: true})
+	noStealEng, err := openDisk(dir, 0, false, Options{Workers: 2, NoSteal: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,13 +25,13 @@ func TestExtraStreamsRunConcurrently(t *testing.T) {
 	all := randomShardDB(t, rng, seq.Protein, 8, 40).Sequences()
 	const nDelta = 3
 	nBase := len(all) - nDelta
-	var layers []Layer
+	var layers []core.Index
 	for g := nBase; g < len(all); g++ {
 		idx, err := core.BuildMemoryIndex(seq.MustDatabase(seq.Protein, all[g:g+1]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		layers = append(layers, Layer{Index: idx, Globals: []int{g}})
+		layers = append(layers, idx)
 	}
 	query := all[0].Residues
 	opts := core.Options{Scheme: score.MustScheme(score.ByName("PAM30"), -10), MinScore: 5}

@@ -47,68 +47,15 @@ func suffixEnds(db *seq.Database) []int64 {
 	return ends
 }
 
-// compareSuffixesFast is CompareSuffixes using a precomputed end table.
+// compareSuffixesFast lexicographically compares the suffixes starting at
+// positions a and b, using a precomputed end table (suffixEnds) and treating
+// terminators as distinct symbols that never match each other (ties are
+// broken by position so the order is total).
 func compareSuffixesFast(text []byte, ends []int64, a, b int64) int {
 	if a == b {
 		return 0
 	}
 	endA, endB := ends[a], ends[b]
-	i, j := a, b
-	for i < endA && j < endB {
-		ca, cb := text[i], text[j]
-		if ca == seq.Terminator && cb == seq.Terminator {
-			if a < b {
-				return -1
-			}
-			return 1
-		}
-		if ca != cb {
-			if ca < cb {
-				return -1
-			}
-			return 1
-		}
-		i++
-		j++
-	}
-	la, lb := endA-a, endB-b
-	switch {
-	case la < lb:
-		return -1
-	case la > lb:
-		return 1
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func suffixLCPFast(text []byte, ends []int64, a, b int64) int64 {
-	endA, endB := ends[a], ends[b]
-	var l int64
-	for a+l < endA && b+l < endB {
-		ca, cb := text[a+l], text[b+l]
-		if ca != cb || ca == seq.Terminator {
-			break
-		}
-		l++
-	}
-	return l
-}
-
-// CompareSuffixes lexicographically compares the suffixes starting at
-// positions a and b, treating terminators as distinct symbols that never
-// match each other (ties are broken by position so the order is total).
-func CompareSuffixes(db *seq.Database, a, b int64) int {
-	if a == b {
-		return 0
-	}
-	text := db.Concat()
-	endA := db.SuffixEnd(a) + 1
-	endB := db.SuffixEnd(b) + 1
 	i, j := a, b
 	for i < endA && j < endB {
 		ca, cb := text[i], text[j]
@@ -145,12 +92,10 @@ func CompareSuffixes(db *seq.Database, a, b int64) int {
 	}
 }
 
-// suffixLCP returns the number of leading symbols the suffixes at positions
-// a and b share, never matching one terminator with another.
-func suffixLCP(db *seq.Database, a, b int64) int64 {
-	text := db.Concat()
-	endA := db.SuffixEnd(a) + 1
-	endB := db.SuffixEnd(b) + 1
+// suffixLCPFast returns the number of leading symbols the suffixes at
+// positions a and b share, never matching one terminator with another.
+func suffixLCPFast(text []byte, ends []int64, a, b int64) int64 {
+	endA, endB := ends[a], ends[b]
 	var l int64
 	for a+l < endA && b+l < endB {
 		ca, cb := text[a+l], text[b+l]

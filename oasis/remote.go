@@ -62,9 +62,11 @@ type Coordinator struct {
 // network I/O); its index-construction fields must be zero.  ctx bounds only
 // the startup info fetches.
 //
-// The returned engine is immutable from this process (Insert/Delete/Compact
-// return an error): writes belong to the serving processes that own the
-// slices.
+// The returned engine is immutable (Insert/Delete/Compact return an error),
+// and so is the corpus behind it: shard servers serve their slice read-only
+// and mount no write endpoint.  A distributed corpus changes by rebuilding a
+// slice's index (BuildShardedDiskIndex, oasis-build) and redeploying its
+// replicas.
 func OpenCoordinator(ctx context.Context, fanout CoordinatorOptions, warm EngineOptions) (*Coordinator, error) {
 	co, err := remote.Open(ctx, fanout)
 	if err != nil {
