@@ -70,17 +70,20 @@
 //
 // POST /delete tombstones one live sequence by id ({"id":"SYN|NEW1"}); the
 // response has the same shape as /insert.  Deleted sequences are filtered
-// from result streams at merge time and reclaimed at the next compaction.
+// from result streams at merge time; they stay physically present, since no
+// compaction reclaims them.
 //
-// POST /compact (empty body) folds the mutable layer down a level and
-// responds {"status":"ok","generation":8,"compacted":true,...}
-// ("compacted":false when there was nothing to fold).  For -index-dir
-// engines this persists the memtable as a delta shard file and atomically
-// swaps a new manifest generation — until then, inserts live only in memory
+// POST /compact (empty body) seals the memtable's index as one more layer
+// beside the base shards and responds
+// {"status":"ok","generation":8,"compacted":true,...} ("compacted":false when
+// there was nothing to do).  Hits do not change, and sealed layers and
+// deleted sequences accumulate (-db: until restart).  For -index-dir engines
+// this writes the memtable as a delta shard file and atomically swaps a new
+// manifest generation — until then, inserts and deletes live only in memory
 // (there is no write-ahead log), so ingest pipelines should compact after a
-// bulk load.  -compact-after N triggers the same fold automatically in the
-// background once the memtable holds N sequences.  Mutations during
-// graceful shutdown are shed with HTTP 503.
+// bulk load.  -compact-after N triggers the same seal automatically in the
+// background once the memtable holds N sequences.  Mutations during graceful
+// shutdown are shed with HTTP 503.
 //
 // # Result cache and fair admission
 //

@@ -31,11 +31,11 @@ type mutateResponse struct {
 	ID     string `json:"id,omitempty"`
 	// Generation is the index generation after the operation.
 	Generation uint64 `json:"generation"`
-	// MemtableSequences counts inserts not yet folded to disk; Tombstones
-	// counts deletes not yet compacted away.
+	// MemtableSequences counts inserts not yet compacted; Tombstones counts
+	// deleted sequences, which stay physically present.
 	MemtableSequences int `json:"memtable_sequences"`
 	Tombstones        int `json:"tombstones"`
-	// Compacted marks a /compact response that actually folded state (false
+	// Compacted marks a /compact response that actually sealed state (false
 	// when there was nothing to do).
 	Compacted bool `json:"compacted,omitempty"`
 }
@@ -113,7 +113,7 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCompact folds the mutable layer down a level synchronously (see
+// handleCompact seals the memtable as a layer synchronously (see
 // Engine.Compact); ingest pipelines call it after a bulk load, and
 // -compact-after triggers the same operation automatically in the
 // background.

@@ -64,7 +64,9 @@
 //     for the delta and for the manifest), so no other package names a file, a
 //     manifest or a pool.  The warm engine's writer (internal/engine)
 //     publishes each later generation as another view over the same base
-//     shards (shard.Engine.WithLayers).
+//     shards (shard.Engine.WithLayers), and its one compaction, memory or
+//     disk, seals the memtable's own suffix tree as a layer: kept in memory,
+//     or written once to the directory by Dir.Commit.
 //
 // The search kernels are pinned by a fuzz/golden/race test layer: native Go
 // fuzz targets assert live-band/full-sweep hit identity and the sharded

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultpoint"
 	"repro/internal/seq"
+	"repro/internal/suffixtree"
 )
 
 // DefaultPoolBytesPerShard is the buffer-pool capacity of each index file of
@@ -230,11 +231,11 @@ func (d *Dir) Generation() uint64 { return d.gen.Load().m.Generation }
 func (d *Dir) Deltas() []*Index  { return d.gen.Load().deltas }
 func (d *Dir) Tombstones() []int { return d.gen.Load().m.Tombstones }
 
-// Commit writes the directory's next generation and adopts it: the sequences
-// of delta (nil: none) become one more delta layer, tombstones replaces the
-// persisted tombstone set, and gen — above every generation committed before —
-// numbers the new manifest and names the new file.  It returns the new
-// layer's open index (nil without a delta), which the Dir owns.
+// Commit writes the directory's next generation and adopts it: tree (nil:
+// none) is written as it stands as one more delta layer, tombstones replaces
+// the persisted tombstone set, and gen — above every generation committed
+// before — numbers the new manifest and names the new file.  It returns the
+// new layer's open index (nil without a tree), which the Dir owns.
 //
 // This is the crash contract of the mutable index, an LSM without a WAL: a
 // crash anywhere leaves the directory at some previously acknowledged
@@ -249,7 +250,7 @@ func (d *Dir) Tombstones() []int { return d.gen.Load().m.Tombstones }
 // lost, may or may not outlive a power cut; a retry supersedes it.
 // faultpoint.SiteCompactSwap fires after each step but the last, with the
 // detail "build", "rename", "open" or "manifest" and the file name.
-func (d *Dir) Commit(gen uint64, delta *seq.Database, tombstones []int) (idx *Index, err error) {
+func (d *Dir) Commit(gen uint64, tree *suffixtree.Tree, tombstones []int) (idx *Index, err error) {
 	cur := d.gen.Load()
 	sweep(d.path, cur.m)
 	next := &generation{deltas: cur.deltas}
@@ -275,11 +276,11 @@ func (d *Dir) Commit(gen uint64, delta *seq.Database, tombstones []int) (idx *In
 		}
 		return nil
 	}
-	if delta != nil {
+	if tree != nil {
 		name := fmt.Sprintf("delta-%06d.oasis", gen)
 		made = append(made, name+tmpSuffix, name)
-		if _, err = Build(filepath.Join(d.path, name+tmpSuffix), delta, BuildOptions{BlockSize: m.BlockSize}); err != nil {
-			return nil, fmt.Errorf("diskst: building delta %s: %w", name, err)
+		if _, err = Write(filepath.Join(d.path, name+tmpSuffix), tree, BuildOptions{BlockSize: m.BlockSize}); err != nil {
+			return nil, fmt.Errorf("diskst: writing delta %s: %w", name, err)
 		}
 		if err = step("build", name); err != nil {
 			return nil, err
@@ -300,11 +301,11 @@ func (d *Dir) Commit(gen uint64, delta *seq.Database, tombstones []int) (idx *In
 		for _, rec := range m.Deltas {
 			first += len(rec.GlobalIndex)
 		}
-		globals := make([]int, delta.NumSequences())
+		globals := make([]int, tree.DB().NumSequences())
 		for i := range globals {
 			globals[i] = first + i
 		}
-		m.Deltas = append(slices.Clip(m.Deltas), DeltaRecord{File: name, GlobalIndex: globals, Residues: delta.TotalResidues()})
+		m.Deltas = append(slices.Clip(m.Deltas), DeltaRecord{File: name, GlobalIndex: globals, Residues: tree.DB().TotalResidues()})
 		next.deltas = append(slices.Clip(next.deltas), idx)
 	}
 	made = append(made, ManifestName+tmpSuffix)

@@ -8,7 +8,18 @@ import (
 	"testing"
 
 	"repro/internal/seq"
+	"repro/internal/suffixtree"
 )
+
+// treeOf is the suffix tree Commit writes for a database of delta sequences.
+func treeOf(t *testing.T, db *seq.Database) *suffixtree.Tree {
+	t.Helper()
+	tree, err := suffixtree.BuildUkkonen(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
 
 // compactedTestDir builds a two-shard directory and commits one generation
 // with a delta layer and a tombstone into it.
@@ -27,7 +38,7 @@ func compactedTestDir(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := d.Commit(3, delta, []int{4, 1})
+	idx, err := d.Commit(3, treeOf(t, delta), []int{4, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +146,7 @@ func TestDirCommitBesideReaders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Commit(gen, delta, []int{1, 4}); err != nil {
+		if _, err := d.Commit(gen, treeOf(t, delta), []int{1, 4}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -164,11 +164,12 @@
 // A directory is always at one GENERATION: its manifest, the files the
 // manifest names, and nothing else that matters.  The base shard files never
 // change.  Inserted sequences live in the engine's memory until a compaction
-// commits them as one more ordinary single-file index, "delta-<gen>.oasis",
-// whose sequences continue the global numbering densely where the base and
-// the earlier deltas left off (Validate enforces it, which keeps merged
-// result streams deterministic across restarts); deleted sequences stay in
-// their files and are listed as tombstones, which search filters in the merge.
+// writes their suffix tree, the one searches read, as one more ordinary
+// single-file index, "delta-<gen>.oasis", whose sequences continue the global
+// numbering densely where the base and the earlier deltas left off (Validate
+// enforces it, which keeps merged result streams deterministic across
+// restarts); deleted sequences stay in their files and are listed as
+// tombstones, which search filters in the merge.
 // One type owns all of it — Dir: OpenDir opens a generation, Commit writes
 // the next, and no other package names a file in the directory.  There is no
 // write-ahead log, so the contract is that of an LSM without one: a crash
@@ -176,8 +177,8 @@
 // and an acknowledged Commit survives power loss.  Commit's order of steps is
 // what holds it:
 //
-//  1. build delta-<gen>.oasis.tmp and fsync it.  A crash leaves a temporary
-//     file nothing names.
+//  1. write the tree to delta-<gen>.oasis.tmp and fsync it ("build").  A
+//     crash leaves a temporary file nothing names.
 //  2. rename it into place, then fsync the directory: a rename is atomic but
 //     not durable, and POSIX lets a power cut keep a later rename and lose an
 //     earlier one, so the delta's name must be on disk before a manifest

@@ -24,7 +24,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -88,16 +87,6 @@ type Options struct {
 	CacheBytes int64
 }
 
-// shardOptions is the in-memory shard engine the options ask for: what New
-// builds, and what a memory-mode compaction rebuilds over the live corpus.
-func (o Options) shardOptions() shard.Options {
-	so := shard.Options{Shards: o.Shards, Workers: o.ShardWorkers}
-	if o.PartitionByPrefix {
-		so.Partition = shard.PartitionByPrefix
-	}
-	return so
-}
-
 // Query is one unit of work for the engine.
 type Query struct {
 	// ID identifies the query in the multiplexed result stream (batch
@@ -155,24 +144,18 @@ type Engine struct {
 	state atomic.Pointer[genState]
 
 	// Writer-side fields, all guarded by wmu.  wBase is the DURABLE view —
-	// the base shards plus every compacted delta layer, what reopening the
-	// directory would return — and the parent of every published view; wDB
-	// the base database (memory-mode compaction replaces both).  dir is the
-	// open index directory of a disk engine (nil otherwise): it writes each
-	// compaction and owns every file handle, so wBase.Close releases them.
-	// Bases retired by memory-mode compactions accumulate in closers and are
-	// released only at Close, so pinned snapshots stay valid without
-	// per-generation refcounting.
+	// the base shards plus every sealed layer (disk engines: what reopening
+	// the directory would return) — and the parent of every published view.
+	// dir is the open index directory of a disk engine (nil otherwise): it
+	// writes each compaction and owns every file handle, so wBase.Close
+	// releases them.
 	wmu     sync.Mutex
 	wBase   *shard.Engine
-	wDB     *seq.Database
 	wGen    uint64
 	mem     *suffixtree.OnlineBuilder
 	tombs   map[int]bool // immutable once published; copy-on-write
 	idIndex map[string]int
-	closers []io.Closer
 	dir     *diskst.Dir
-	opts    Options // as given to New: memory-mode compaction rebuilds from shardOptions
 
 	// immutable marks engines whose base index is not writable from this
 	// process (provider-backed coordinator engines: the corpus lives in the
@@ -225,12 +208,16 @@ func New(db *seq.Database, opts Options) (*Engine, error) {
 		if db == nil {
 			return nil, fmt.Errorf("engine: either a database or IndexDir is required")
 		}
-		sharded, err = shard.NewEngine(db, opts.shardOptions())
+		so := shard.Options{Shards: opts.Shards, Workers: opts.ShardWorkers}
+		if opts.PartitionByPrefix {
+			so.Partition = shard.PartitionByPrefix
+		}
+		sharded, err = shard.NewEngine(db, so)
 	}
 	if err != nil {
 		return nil, err
 	}
-	e, err := newWarm(sharded, db, dir, opts)
+	e, err := newWarm(sharded, dir, opts, false)
 	if err != nil {
 		sharded.Close()
 	}
@@ -241,18 +228,16 @@ func New(db *seq.Database, opts Options) (*Engine, error) {
 // and cache defaults, the writer wired under the freshly opened base view, and
 // the first published generation.  For disk engines base already carries the
 // delta layers and tombstones of the directory's generation, and the
-// generation number continues from the directory's.  An engine with neither a
-// database nor a directory behind it has nothing to write to.
-func newWarm(base *shard.Engine, db *seq.Database, dir *diskst.Dir, opts Options) (*Engine, error) {
+// generation number continues from the directory's.  An immutable engine has
+// nothing to write to.
+func newWarm(base *shard.Engine, dir *diskst.Dir, opts Options, immutable bool) (*Engine, error) {
 	e := &Engine{
 		batchWorkers: opts.BatchWorkers,
 		resultBuffer: defaultResultBuffer,
-		immutable:    db == nil && dir == nil,
+		immutable:    immutable,
 		wBase:        base,
-		wDB:          db,
 		tombs:        base.Tombstones(),
 		dir:          dir,
-		opts:         opts,
 	}
 	if e.batchWorkers < 1 {
 		e.batchWorkers = runtime.GOMAXPROCS(0)
@@ -285,13 +270,8 @@ func NewFromShardEngine(base *shard.Engine, opts Options) (*Engine, error) {
 	if opts.IndexDir != "" || opts.Shards != 0 || opts.PartitionByPrefix {
 		return nil, fmt.Errorf("engine: NewFromShardEngine wraps an existing engine; index-construction options must be zero")
 	}
-	return newWarm(base, nil, nil, opts)
+	return newWarm(base, nil, opts, true)
 }
-
-// DB returns the database the engine's base index was built over, or nil for
-// disk-backed engines (Options.IndexDir) — use Catalog for metadata that must
-// work in both modes.  Inserted sequences live in delta layers, not here.
-func (e *Engine) DB() *seq.Database { return e.cur().db }
 
 // Catalog returns the global sequence catalog the engine serves: sequence
 // identifiers, lengths, residues for alignment recovery.  It is valid in
@@ -423,9 +403,8 @@ func (e *Engine) begin() bool {
 // Close marks the engine closed; subsequent submissions and writes fail.  It
 // does not interrupt in-flight queries (cancel their contexts for that) but
 // waits for them to drain, then releases every resource any generation ever
-// owned: the current base engine — with it the index directory and every
-// delta layer a compaction opened — and retired bases from memory-mode
-// compactions.
+// owned: the base engine — with it the index directory and every delta layer
+// a compaction opened.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	e.closed = true
@@ -433,14 +412,7 @@ func (e *Engine) Close() error {
 	e.active.Wait()
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	first := e.wBase.Close()
-	for _, c := range e.closers {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	e.closers = nil
-	return first
+	return e.wBase.Close()
 }
 
 // ErrClosed is returned for submissions after Close.

@@ -20,7 +20,7 @@ import (
 
 // hitIDScores projects a hit stream to a (SeqID, Score) multiset.  Incremental
 // engines and from-scratch rebuilds number sequences differently (tombstoned
-// slots keep their global index until compaction), so SeqIndex-keyed
+// slots keep their global index), so SeqIndex-keyed
 // comparison helpers from cache_test do not apply across them.
 func hitIDScores(hits []core.Hit) map[string]int {
 	out := map[string]int{}

@@ -9,11 +9,14 @@
 // built with the online Ukkonen construction
 // (internal/suffixtree.OnlineBuilder); deletes add per-sequence tombstones;
 // every write builds the next view and publishes it as an immutable genState
-// that searches pin for their whole run.  Compaction hands the frozen memtable
-// and the tombstones to the index directory (diskst.Dir.Commit — the on-disk
-// protocol and its crash contract are stated there and nowhere else) and
-// continues from the layer it returns (disk engines), or rebuilds the base
-// in-memory engine over the live corpus (memory engines).
+// that searches pin for their whole run.  Compaction seals the memtable's
+// index, the one the last publish built, as a layer of the durable view —
+// kept as it is (memory engines), or written with the tombstones to the index
+// directory (diskst.Dir.Commit — the on-disk protocol and its crash contract
+// are stated there and nowhere else) and continued from the layer it returns
+// (disk engines) — so hits and their global sequence indexes survive it
+// unchanged, and deleted sequences and sealed layers stay physically present
+// (a memory engine's until it restarts).
 //
 // Durability (disk engines): inserts and deletes are memory-only until Compact
 // persists them — the engine is an LSM without a WAL.  A crash between a write
@@ -40,8 +43,9 @@ type genState struct {
 	// view is the generation's searchable corpus: base shards, delta layers,
 	// memtable snapshot and tombstone filter behind one shard.Engine.
 	view *shard.Engine
-	db   *seq.Database // base database (nil for disk engines)
-	// memSeqs/memRes size the uncompacted memtable, the view's last layer.
+	// mem is the memtable's index, the view's last layer (nil when the
+	// memtable is empty): what Compact seals.  memSeqs/memRes size it.
+	mem     *core.MemoryIndex
 	memSeqs int
 	memRes  int64
 }
@@ -62,10 +66,12 @@ type MutableStats struct {
 	// in-memory delta.
 	MemtableSequences int   `json:"memtable_sequences"`
 	MemtableResidues  int64 `json:"memtable_residues"`
-	// DeltaLayers counts searchable delta layers (compacted disk deltas plus
-	// the memtable snapshot, when non-empty).
+	// DeltaLayers counts searchable layers over the base shards: one per
+	// compaction that sealed a memtable (a delta file, or the sealed index in
+	// memory; nothing merges them yet) plus the memtable, when non-empty.
 	DeltaLayers int `json:"delta_layers"`
-	// Tombstones counts deleted sequences still physically present.
+	// Tombstones counts deleted sequences, all still physically present:
+	// compaction reclaims none, and every search filters them.
 	Tombstones int `json:"tombstones"`
 	// LiveSequences / LiveResidues describe the searchable corpus after
 	// tombstone filtering.
@@ -87,7 +93,7 @@ var ErrImmutable = fmt.Errorf("engine: index is immutable here; rebuild the slic
 // view's layers, the memtable snapshot as one more, the current tombstones —
 // and publishes it.  Caller holds wmu (or is in single-threaded construction).
 func (e *Engine) publishLocked() error {
-	st := &genState{gen: e.wGen, db: e.wDB}
+	st := &genState{gen: e.wGen}
 	layers := e.wBase.Layers()
 	if e.memLen() > 0 {
 		tree, mdb, err := e.mem.Snapshot()
@@ -98,7 +104,7 @@ func (e *Engine) publishLocked() error {
 		if err != nil {
 			return err
 		}
-		st.memSeqs, st.memRes = e.mem.NumSequences(), e.mem.TotalResidues()
+		st.mem, st.memSeqs, st.memRes = idx, e.mem.NumSequences(), e.mem.TotalResidues()
 		layers = append(slices.Clip(layers), idx)
 	}
 	var err error
@@ -115,15 +121,6 @@ func (e *Engine) memLen() int {
 		return 0
 	}
 	return e.mem.NumSequences()
-}
-
-// frozenMemLocked copies the memtable's sequences into a database of their
-// own, what a compaction persists; nil when the memtable is empty.
-func (e *Engine) frozenMemLocked() (*seq.Database, error) {
-	if e.memLen() == 0 {
-		return nil, nil
-	}
-	return seq.NewDatabase(e.Alphabet(), slices.Clone(e.mem.Sequences()))
 }
 
 // ensureIDIndexLocked lazily builds the live SeqID -> global index map writes
@@ -234,19 +231,21 @@ func (e *Engine) Delete(id string) (uint64, error) {
 	return e.wGen, nil
 }
 
-// Compact folds the mutable state down a level and returns the resulting
-// generation (unchanged when there was nothing to do).
+// Compact seals the memtable as a layer of the durable view and returns the
+// resulting generation (unchanged when there was nothing to do).  The sealed
+// layer is the index the last publish built, the one every search since has
+// read, so no reader can tell a compaction happened: hits keep their global
+// sequence indexes, deleted sequences stay physically present (tombstoned,
+// filtered by every search) and layers accumulate — nothing merges them yet.
 //
-// Disk engines commit the frozen memtable and the tombstones to the index
-// directory as its next generation (diskst.Dir.Commit: one more delta layer
-// beside the base shards, crash-safe at every step), then search the layer it
-// returns in place of the memtable.  A failed commit, injected faults
-// included, changes nothing: the memtable keeps serving at the old generation
-// and a retry starts over.
-//
-// Memory engines rebuild the base engine over the live corpus (dropping
-// tombstoned sequences and folding in the delta, renumbering globals) and
-// reset the mutable state entirely.
+// A memory engine keeps the sealed index as it is; with an empty memtable
+// there is nothing to do, as its tombstones have nothing to persist to.  A
+// disk engine writes the sealed tree and the tombstones to the index directory
+// as its next generation (diskst.Dir.Commit: one more delta layer beside the
+// base shards, crash-safe at every step) and searches the layer it returns in
+// the sealed index's place.  A failed commit, injected faults included,
+// changes nothing: the memtable keeps serving at the old generation and a
+// retry starts over.
 func (e *Engine) Compact() (uint64, error) {
 	if !e.begin() {
 		return 0, ErrClosed
@@ -257,79 +256,37 @@ func (e *Engine) Compact() (uint64, error) {
 	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
+	if e.memLen() == 0 && (e.dir == nil || len(e.tombs) == len(e.dir.Tombstones())) {
+		return e.wGen, nil // nothing new to seal or persist
+	}
+	if e.cur().memSeqs != e.memLen() { // a publish failed after an Append
+		if err := e.publishLocked(); err != nil {
+			return e.wGen, err
+		}
+	}
+	layers, sealed := e.wBase.Layers(), e.cur().mem
 	if e.dir != nil {
-		return e.compactDiskLocked()
+		var tree *suffixtree.Tree // nil: the tombstones alone
+		if sealed != nil {
+			tree = sealed.Tree()
+		}
+		idx, err := e.dir.Commit(e.wGen+1, tree, slices.Collect(maps.Keys(e.tombs)))
+		if err != nil {
+			return e.wGen, fmt.Errorf("engine: compaction: %w", err)
+		}
+		if idx != nil {
+			layers = append(slices.Clip(layers), idx)
+		}
+	} else {
+		layers = append(slices.Clip(layers), sealed)
 	}
-	return e.compactMemoryLocked()
-}
-
-func (e *Engine) compactDiskLocked() (uint64, error) {
-	if e.memLen() == 0 && len(e.tombs) == len(e.dir.Tombstones()) {
-		return e.wGen, nil // nothing new to fold or persist
-	}
-	frozen, err := e.frozenMemLocked()
-	if err != nil {
-		return e.wGen, err
-	}
-	idx, err := e.dir.Commit(e.wGen+1, frozen, slices.Collect(maps.Keys(e.tombs)))
-	if err != nil {
-		return e.wGen, fmt.Errorf("engine: compaction: %w", err)
-	}
-	layers := e.wBase.Layers()
-	if idx != nil {
-		layers = append(slices.Clip(layers), idx)
-		e.mem = nil
-	}
-	// The durable view as the directory now records it.  Nothing from here on
-	// can fail: WithLayers refuses only provider-backed engines, which Compact
-	// turned away as immutable, and publishing has no memtable to freeze.
+	e.mem = nil
+	// The durable view as the directory now records it (memory engines: as
+	// this process holds it).  Nothing from here on can fail: WithLayers
+	// refuses only provider-backed engines, which Compact turned away as
+	// immutable, and publishing has no memtable to freeze.
 	e.wBase, _ = e.wBase.WithLayers(layers, e.tombs)
 	e.wGen++
 	e.compactions.Add(1)
 	return e.wGen, e.publishLocked()
-}
-
-func (e *Engine) compactMemoryLocked() (uint64, error) {
-	if e.memLen() == 0 && len(e.tombs) == 0 {
-		return e.wGen, nil // pristine: nothing to fold
-	}
-	baseSeqs := e.wBase.NumSequences()
-	var live []seq.Sequence
-	for g, s := range e.wDB.Sequences() {
-		if !e.tombs[g] {
-			live = append(live, s)
-		}
-	}
-	if e.mem != nil {
-		for i, s := range e.mem.Sequences() {
-			if !e.tombs[baseSeqs+i] {
-				live = append(live, s)
-			}
-		}
-	}
-	if len(live) == 0 {
-		return e.wGen, fmt.Errorf("engine: refusing to compact away the last live sequence; the corpus would be empty")
-	}
-	newDB, err := seq.NewDatabase(e.Alphabet(), live)
-	if err != nil {
-		return e.wGen, err
-	}
-	newBase, err := shard.NewEngine(newDB, e.opts.shardOptions())
-	if err != nil {
-		return e.wGen, err
-	}
-	// Retire the old base: in-flight searches pinned it, so it is closed
-	// only when the engine closes.
-	e.closers = append(e.closers, e.wBase)
-	e.wBase = newBase
-	e.wDB = newDB
-	e.mem = nil
-	e.tombs = nil
-	e.idIndex = nil // renumbered: rebuild lazily
-	e.wGen++
-	if err := e.publishLocked(); err != nil {
-		return e.wGen, err
-	}
-	e.compactions.Add(1)
-	return e.wGen, nil
 }

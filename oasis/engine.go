@@ -154,17 +154,17 @@ func (e *Engine) Insert(id string, residues []byte) (uint64, error) {
 
 // Delete removes the live sequence with the given ID from search results by
 // writing a tombstone; the sequence stays physically present (and addressable
-// through Catalog) until a compaction folds it away.  Returns the new
-// generation.
+// through Catalog) — no compaction reclaims it.  Returns the new generation.
 func (e *Engine) Delete(id string) (uint64, error) { return e.eng.Delete(id) }
 
-// Compact folds the mutable state down a level: disk-backed engines write the
-// frozen in-memory delta as an ordinary single-file delta index next to the
-// base shards and atomically swap in a manifest with a bumped generation
+// Compact seals the in-memory delta index, the one searches have been
+// reading, as one more layer beside the base shards: in-memory engines keep it
+// as it is; disk-backed engines write it as an ordinary single-file delta
+// index and atomically swap in a manifest with a bumped generation
 // (crash-safe: the old manifest and every file it references stay intact
-// until the rename lands); in-memory engines rebuild the base index over the
-// live corpus.  Returns the resulting generation (unchanged when there was
-// nothing to do).
+// until the rename lands).  Hits, and the global indexes they carry, do not
+// change; deleted sequences and sealed layers stay physically present.
+// Returns the resulting generation (unchanged when there was nothing to do).
 func (e *Engine) Compact() (uint64, error) { return e.eng.Compact() }
 
 // BatchQuery is one query of a batch.
