@@ -9,17 +9,15 @@
 //	oasis-build -synthetic 5000000 -alphabet dna -out dna.oasis
 //
 // With -shards N the output is a SHARDED index: -out names a directory that
-// receives one shard-K.oasis file per shard plus a manifest.json recording
-// the partition, and oasis-serve/oasis-search open it with
-// -index-dir — each shard is then searched through its own buffer pool, so
-// shard parallelism also parallelises I/O:
+// receives one shard-K.oasis file per disjoint sequence subset plus a
+// manifest.json recording the partition, and oasis-serve/oasis-search open it
+// with -index-dir — each shard is then searched through its own buffer pool,
+// so shard parallelism also parallelises I/O:
 //
 //	oasis-build -in swissprot.fasta -shards 4 -out swissprot.idx
-//	oasis-build -synthetic 2000000 -shards 4 -prefix-sharding -out synthetic.idx
 //
-// -prefix-sharding writes one SHARED index file plus a suffix-prefix ->
-// shard assignment (Hunt-style subtree partitions) instead of one
-// independently indexed file per sequence subset.
+// A prefix-partitioned directory, which older builds could write, is refused
+// by every reader, -verify included; rebuild it with -shards N.
 //
 // -verify deep-scrubs an existing index instead of building one: every
 // checksummed block is re-read and compared against the stored CRC32C table,
@@ -42,16 +40,15 @@ import (
 
 func main() {
 	var (
-		inPath      = flag.String("in", "", "input FASTA file (mutually exclusive with -synthetic)")
-		synthetic   = flag.Int64("synthetic", 0, "generate a synthetic database with ~this many residues")
-		outPath     = flag.String("out", "database.oasis", "output index path")
-		alphabet    = flag.String("alphabet", "protein", "sequence alphabet: protein or dna")
-		blockSize   = flag.Int("block", 2048, "index block size in bytes")
-		shards      = flag.Int("shards", 0, "write a sharded index: -out becomes a directory with one shard file per shard plus manifest.json (0 = single-file index)")
-		prefixShard = flag.Bool("prefix-sharding", false, "with -shards: one shared index file with a suffix-prefix -> shard assignment instead of per-sequence-subset files")
-		seed        = flag.Int64("seed", 1309, "seed for synthetic generation")
-		fastaOut    = flag.String("fasta-out", "", "also write the (synthetic) database as FASTA to this path")
-		verify      = flag.String("verify", "", "deep-scrub an existing index file or sharded index directory instead of building (exit 1 on corruption)")
+		inPath    = flag.String("in", "", "input FASTA file (mutually exclusive with -synthetic)")
+		synthetic = flag.Int64("synthetic", 0, "generate a synthetic database with ~this many residues")
+		outPath   = flag.String("out", "database.oasis", "output index path")
+		alphabet  = flag.String("alphabet", "protein", "sequence alphabet: protein or dna")
+		blockSize = flag.Int("block", 2048, "index block size in bytes")
+		shards    = flag.Int("shards", 0, "write a sharded index: -out becomes a directory with one shard file per shard plus manifest.json (0 = single-file index)")
+		seed      = flag.Int64("seed", 1309, "seed for synthetic generation")
+		fastaOut  = flag.String("fasta-out", "", "also write the (synthetic) database as FASTA to this path")
+		verify    = flag.String("verify", "", "deep-scrub an existing index file or sharded index directory instead of building (exit 1 on corruption)")
 	)
 	flag.Parse()
 
@@ -81,14 +78,13 @@ func main() {
 
 	if *shards > 0 {
 		manifest, stats, err := oasis.BuildShardedDiskIndex(*outPath, db, oasis.ShardedIndexBuildOptions{
-			BlockSize:         *blockSize,
-			Shards:            *shards,
-			PartitionByPrefix: *prefixShard,
+			BlockSize: *blockSize,
+			Shards:    *shards,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("sharded index: %s (%d shards, %s partition)\n", *outPath, manifest.Shards, manifest.Partition)
+		fmt.Printf("sharded index: %s (%d shards)\n", *outPath, manifest.Shards)
 		var total int64
 		for i, st := range stats {
 			fmt.Printf("  %-16s %d internal nodes, %d leaves, %d bytes\n",
@@ -97,9 +93,6 @@ func main() {
 		}
 		fmt.Printf("  total:           %d bytes; serve with -index-dir %s\n", total, *outPath)
 		return
-	}
-	if *prefixShard {
-		fatal(fmt.Errorf("-prefix-sharding requires -shards"))
 	}
 	buildStats, err := oasis.BuildDiskIndex(*outPath, db, oasis.IndexBuildOptions{BlockSize: *blockSize})
 	if err != nil {

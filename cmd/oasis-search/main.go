@@ -48,7 +48,6 @@ type config struct {
 	poolMB    int64
 	shards    int
 	workers   int
-	prefix    bool
 	verbose   bool
 }
 
@@ -69,7 +68,6 @@ func main() {
 	flag.Int64Var(&cfg.poolMB, "pool", 256, "buffer pool size in MB (for -algo oasis; with -index-dir the size is per shard)")
 	flag.IntVar(&cfg.shards, "shards", 0, "search a sharded in-memory index with this many partitions (requires -db; 0 = use -index)")
 	flag.IntVar(&cfg.workers, "workers", 0, "concurrent shard searches for -shards (0 = one per shard)")
-	flag.BoolVar(&cfg.prefix, "prefix-sharding", false, "partition -shards by suffix-tree prefix over one shared index instead of by sequence")
 	flag.BoolVar(&cfg.verbose, "v", false, "print full alignments")
 	flag.Parse()
 
@@ -103,8 +101,8 @@ func run(cfg config, w io.Writer) error {
 		if cfg.dbPath != "" || cfg.indexPath != "" {
 			return fmt.Errorf("-index-dir and -db/-index are mutually exclusive")
 		}
-		if cfg.shards > 0 || cfg.prefix {
-			return fmt.Errorf("-shards/-prefix-sharding come from the -index-dir manifest; do not set them")
+		if cfg.shards > 0 {
+			return fmt.Errorf("-shards comes from the -index-dir manifest; do not set it")
 		}
 		return runDiskSharded(cfg, scheme, w)
 	}
@@ -230,21 +228,13 @@ func runSharded(cfg config, alpha *oasis.Alphabet, scheme oasis.Scheme, queries 
 		return err
 	}
 	build := time.Now()
-	eng, err := oasis.NewEngine(db, oasis.EngineOptions{
-		Shards:            cfg.shards,
-		ShardWorkers:      cfg.workers,
-		PartitionByPrefix: cfg.prefix,
-	})
+	eng, err := oasis.NewEngine(db, oasis.EngineOptions{Shards: cfg.shards, ShardWorkers: cfg.workers})
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
-	partition := "by-sequence"
-	if cfg.prefix {
-		partition = "by-prefix"
-	}
-	fmt.Fprintf(w, "# sharded index: %d shards (%s), %d workers, built in %s\n",
-		eng.NumShards(), partition, eng.ShardWorkers(), time.Since(build).Round(time.Millisecond))
+	fmt.Fprintf(w, "# sharded index: %d shards, %d workers, built in %s\n",
+		eng.NumShards(), eng.ShardWorkers(), time.Since(build).Round(time.Millisecond))
 	return searchAll(cfg, scheme, queries, w, engineTarget(eng))
 }
 

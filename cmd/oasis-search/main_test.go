@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -48,9 +49,9 @@ func hits(t *testing.T, out string) []idScore {
 }
 
 // TestSearchPathsAgree drives run over one corpus through every way of
-// searching it — the single-file index, a sequence-sharded and a
-// prefix-sharded index directory, and an in-memory sharded engine — and holds
-// each to the Smith-Waterman baseline's (seq_id, score) list.
+// searching it — the single-file index, a sharded index directory (with one
+// worker per shard and with fewer), and an in-memory sharded engine — and
+// holds each to the Smith-Waterman baseline's (seq_id, score) list.
 func TestSearchPathsAgree(t *testing.T) {
 	cfg := workload.DefaultProteinConfig(20_000)
 	cfg.Seed = 41
@@ -67,11 +68,9 @@ func TestSearchPathsAgree(t *testing.T) {
 	if _, err := oasis.BuildDiskIndex(single, db, oasis.IndexBuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	bySequence, byPrefix := filepath.Join(dir, "seq.idx"), filepath.Join(dir, "prefix.idx")
-	for path, prefix := range map[string]bool{bySequence: false, byPrefix: true} {
-		if _, _, err := oasis.BuildShardedDiskIndex(path, db, oasis.ShardedIndexBuildOptions{Shards: 3, PartitionByPrefix: prefix}); err != nil {
-			t.Fatal(err)
-		}
+	bySequence := filepath.Join(dir, "seq.idx")
+	if _, _, err := oasis.BuildShardedDiskIndex(bySequence, db, oasis.ShardedIndexBuildOptions{Shards: 3}); err != nil {
+		t.Fatal(err)
 	}
 
 	base := config{algo: "oasis", alphabet: "protein", matrix: "PAM30", gap: -10, eValue: 20000, poolMB: 4,
@@ -91,10 +90,10 @@ func TestSearchPathsAgree(t *testing.T) {
 		t.Fatalf("Smith-Waterman found only %d hits; the comparison needs a real list", len(want))
 	}
 	for name, mod := range map[string]func(*config){
-		"-index":              func(c *config) { c.indexPath = single },
-		"-index-dir sequence": func(c *config) { c.indexDir = bySequence },
-		"-index-dir prefix":   func(c *config) { c.indexDir, c.workers = byPrefix, 2 },
-		"-db -shards 3":       func(c *config) { c.dbPath, c.shards = fasta, 3 },
+		"-index":                func(c *config) { c.indexPath = single },
+		"-index-dir":            func(c *config) { c.indexDir = bySequence },
+		"-index-dir -workers 2": func(c *config) { c.indexDir, c.workers = bySequence, 2 },
+		"-db -shards 3":         func(c *config) { c.dbPath, c.shards = fasta, 3 },
 	} {
 		if got := search(mod); !slices.Equal(got, want) {
 			t.Errorf("%s: %d hits %v\nSmith-Waterman: %d hits %v", name, len(got), got, len(want), want)
@@ -122,8 +121,7 @@ func TestFlagConflicts(t *testing.T) {
 		{"-index-dir with sw", func(c *config) { c.indexDir, c.algo = "x.idx", "sw" }, "-index-dir requires -algo oasis"},
 		{"-index-dir with -db", func(c *config) { c.indexDir, c.dbPath = "x.idx", "x.fasta" }, "mutually exclusive"},
 		{"-index-dir with -index", func(c *config) { c.indexDir, c.indexPath = "x.idx", "x.oasis" }, "mutually exclusive"},
-		{"-index-dir with -shards", func(c *config) { c.indexDir, c.shards = "x.idx", 2 }, "come from the -index-dir manifest"},
-		{"-index-dir with -prefix-sharding", func(c *config) { c.indexDir, c.prefix = "x.idx", true }, "come from the -index-dir manifest"},
+		{"-index-dir with -shards", func(c *config) { c.indexDir, c.shards = "x.idx", 2 }, "comes from the -index-dir manifest"},
 		{"no query", func(c *config) { c.query, c.indexPath = "", "x.oasis" }, "no queries"},
 		{"oasis without an index", func(c *config) {}, "-index is required"},
 		{"-shards without -db", func(c *config) { c.shards = 2 }, "-db is required for -shards"},
@@ -140,5 +138,35 @@ func TestFlagConflicts(t *testing.T) {
 		if out.Len() > 0 {
 			t.Errorf("%s: printed %q before failing", tc.name, out.String())
 		}
+	}
+}
+
+// TestIndexDirRefusesPrefixDirectory: -index-dir over a directory an older
+// build wrote with prefix partitioning fails before printing anything, naming
+// the rebuild.
+func TestIndexDirRefusesPrefixDirectory(t *testing.T) {
+	db, err := seq.DatabaseFromStrings(seq.Protein, "DKDGDGCITTKEL", "ACDEFGHIKLMNPQRSTVWY", "MKTAYIAKQR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "prefix.idx")
+	if _, _, err := oasis.BuildShardedDiskIndex(dir, db, oasis.ShardedIndexBuildOptions{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "manifest.json")
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, bytes.Replace(data, []byte(`"sequence"`), []byte(`"prefix"`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = run(config{algo: "oasis", alphabet: "protein", matrix: "PAM30", gap: -10, query: "DKDGDGCITTKEL", indexDir: dir}, &out)
+	if want := "rebuild the index with oasis-build -shards 2"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("-index-dir over a prefix directory: %v, want an error containing %q", err, want)
+	}
+	if out.Len() > 0 {
+		t.Fatalf("printed %q before failing", out.String())
 	}
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -156,5 +158,38 @@ func TestMetricsLatencyHistograms(t *testing.T) {
 	}
 	if requests == 0 {
 		t.Fatal("pools saw no requests after a search")
+	}
+}
+
+// TestIndexDirRefusesPrefixDirectory: oasis-serve -index-dir, as a server and
+// as a shard server, refuses to start over a directory an older build wrote
+// with prefix partitioning, naming the rebuild.
+func TestIndexDirRefusesPrefixDirectory(t *testing.T) {
+	db, err := oasis.NewDatabase(oasis.Protein, []oasis.Sequence{
+		{ID: "A", Residues: oasis.Protein.MustEncode("DKDGDGCITTKEL")},
+		{ID: "B", Residues: oasis.Protein.MustEncode("ACDEFGHIKLMNPQRSTVWY")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "idx")
+	if _, _, err := oasis.BuildShardedDiskIndex(dir, db, oasis.ShardedIndexBuildOptions{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "manifest.json")
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, bytes.Replace(data, []byte(`"sequence"`), []byte(`"prefix"`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f := serveFlags{addr: "127.0.0.1:0", indexDir: dir, poolMB: 1, matrix: "PAM30", gap: -10, eValue: 20000}
+	const want = "rebuild the index with oasis-build -shards 2"
+	if err := run(f); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("-index-dir: %v, want an error containing %q", err, want)
+	}
+	if err := runShardServer(f); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("-shard-server -index-dir: %v, want an error containing %q", err, want)
 	}
 }

@@ -8,11 +8,15 @@
 //
 //	-db swissprot.fasta      load FASTA and index it in memory at startup
 //	-index-dir swissprot.idx open a prebuilt sharded DISK index directory
-//	                         (oasis-build -shards N [-prefix-sharding]); each
-//	                         shard is searched through its own buffer pool
-//	                         (-pool MB per shard), so the server can serve
-//	                         databases bigger than RAM and shard parallelism
-//	                         also parallelises page I/O
+//	                         (oasis-build -shards N); each shard is searched
+//	                         through its own buffer pool (-pool MB per
+//	                         shard), so the server can serve databases
+//	                         bigger than RAM and shard parallelism also
+//	                         parallelises page I/O
+//
+// The -db engine's -shards split the database by sequence, as oasis-build
+// does; a prefix-partitioned directory an older build wrote is refused at
+// startup, naming the rebuild (oasis-build -shards N).
 //
 // # Endpoints
 //
@@ -124,11 +128,10 @@
 //	 "queries_served":128,"hits_reported":3072,"max_batch":256}
 //
 // "pools" is present only for -index-dir engines: one entry per buffer pool —
-// the base shards (shard -1 is the shared prefix-mode frontier view), then
-// every compacted delta layer under its file name.  "cache"/"cache_hit_rate" are present when the
-// result cache is enabled, "admission" when admission control is (always,
-// unless built with slots 0 in tests); "clients" lists currently active or
-// queued clients only.  "latency" holds one histogram per endpoint, measured
+// the base shards, then every compacted delta layer under its file name.
+// "cache"/"cache_hit_rate" are present when the result cache is enabled,
+// "admission" when admission control is (always, unless built with slots 0 in
+// tests); "clients" lists currently active or queued clients only.  "latency" holds one histogram per endpoint, measured
 // from request decode through the last streamed event; bucket counts are
 // cumulative with upper bounds in milliseconds and le_ms -1 marking the
 // unbounded bucket.
@@ -275,7 +278,6 @@ type serveFlags struct {
 	gap          int
 	eValue       float64
 	shards       int
-	prefixShards bool
 	cacheMB      int64
 	queryTimeout time.Duration
 	strict       bool
@@ -300,7 +302,6 @@ func main() {
 	flag.IntVar(&f.gap, "gap", -10, "linear gap penalty (negative)")
 	flag.Float64Var(&f.eValue, "evalue", 20000, "default E-value threshold for queries that do not set one")
 	flag.IntVar(&f.shards, "shards", 0, "work partitions (0 = one; with -db only, -index-dir reads it from the manifest)")
-	flag.BoolVar(&f.prefixShards, "prefix-sharding", false, "partition by suffix-tree prefix over one shared index instead of by sequence (near-root work done once per query; with -db only)")
 	flag.Int64Var(&f.cacheMB, "cache", 32, "cross-query result cache size in MB (identical queries replay without touching the index; 0 disables)")
 	flag.DurationVar(&f.queryTimeout, "query-timeout", 0, "per-query wall-clock budget; exceeded queries end with an error event (0 = no limit)")
 	flag.BoolVar(&f.strict, "strict", false, "fail queries outright when a shard fails instead of serving degraded results from the survivors")
@@ -355,8 +356,8 @@ func loadSource(f serveFlags) (*oasis.Database, error) {
 		if f.dbPath != "" {
 			return nil, fmt.Errorf("-db and -index-dir are mutually exclusive")
 		}
-		if f.shards != 0 || f.prefixShards {
-			return nil, fmt.Errorf("-shards/-prefix-sharding come from the -index-dir manifest; do not set them")
+		if f.shards != 0 {
+			return nil, fmt.Errorf("-shards comes from the -index-dir manifest; do not set it")
 		}
 		return nil, nil
 	}
@@ -386,27 +387,22 @@ func buildEngine(f serveFlags) (*oasis.Engine, string, error) {
 		log.Printf("opening sharded disk index %s ...", f.indexDir)
 	}
 	eng, err := oasis.NewEngine(db, oasis.EngineOptions{
-		IndexDir:          f.indexDir,
-		PoolBytes:         f.poolMB << 20,
-		AllowDegraded:     f.allowDegr,
-		Shards:            f.shards,
-		PartitionByPrefix: f.prefixShards,
-		CacheBytes:        f.cacheMB << 20,
+		IndexDir:      f.indexDir,
+		PoolBytes:     f.poolMB << 20,
+		AllowDegraded: f.allowDegr,
+		Shards:        f.shards,
+		CacheBytes:    f.cacheMB << 20,
 	})
 	if err != nil {
 		return nil, "", err
 	}
 	if db != nil {
-		partition := "by-sequence"
-		if f.prefixShards {
-			partition = "by-prefix (shared index)"
-		}
-		return eng, "in-memory " + partition, nil
+		return eng, "in-memory", nil
 	}
 	for _, q := range eng.Standing() {
 		log.Printf("WARNING: shard %d quarantined at open: %s (serving degraded)", q.Shard, q.Err)
 	}
-	return eng, fmt.Sprintf("disk-backed (%s partition, <=%d MB pool per shard)", eng.Partition(), f.poolMB), nil
+	return eng, fmt.Sprintf("disk-backed (<=%d MB pool per shard)", f.poolMB), nil
 }
 
 // buildCoordinator opens the remote slice topology and wraps it in a warm
@@ -416,8 +412,8 @@ func buildCoordinator(f serveFlags) (*oasis.Engine, string, *oasis.Coordinator, 
 	if f.dbPath != "" || f.indexDir != "" {
 		return nil, "", nil, fmt.Errorf("-coordinator serves remote slices; it takes no -db or -index-dir")
 	}
-	if f.shards != 0 || f.prefixShards {
-		return nil, "", nil, fmt.Errorf("-shards/-prefix-sharding are properties of the slice indexes, not the coordinator")
+	if f.shards != 0 {
+		return nil, "", nil, fmt.Errorf("-shards is a property of the slice indexes, not the coordinator")
 	}
 	if f.allowDegr {
 		return nil, "", nil, fmt.Errorf("-allow-degraded applies to -index-dir engines; a coordinator degrades per query when a whole slice is down (use -strict to refuse instead)")

@@ -29,7 +29,7 @@ func testServer(t *testing.T) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := oasis.NewEngine(db, oasis.EngineOptions{Shards: 2, PartitionByPrefix: true})
+	eng, err := oasis.NewEngine(db, oasis.EngineOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

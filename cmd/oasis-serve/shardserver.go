@@ -46,11 +46,7 @@ func runShardServer(f serveFlags) error {
 		}
 		mode = fmt.Sprintf("disk-backed (<=%d MB pool per shard)", f.poolMB)
 	} else {
-		pmode := shard.PartitionBySequence
-		if f.prefixShards {
-			pmode = shard.PartitionByPrefix
-		}
-		eng, err = shard.NewEngine(db, shard.Options{Shards: f.shards, Partition: pmode})
+		eng, err = shard.NewEngine(db, shard.Options{Shards: f.shards})
 	}
 	if err != nil {
 		return err
@@ -58,8 +54,8 @@ func runShardServer(f serveFlags) error {
 
 	rs := remote.NewServer(eng)
 	info := rs.Info()
-	log.Printf("shard server ready: %d sequences (%d residues), %d shards %s (%s partition), ready in %s",
-		info.Sequences, info.Residues, info.Shards, mode, info.Partition, time.Since(build).Round(time.Millisecond))
+	log.Printf("shard server ready: %d sequences (%d residues), %d shards %s, ready in %s",
+		info.Sequences, info.Residues, info.Shards, mode, time.Since(build).Round(time.Millisecond))
 
 	var notReady atomic.Bool
 	mux := shardServerMux(rs, dir, &notReady)

@@ -10,17 +10,14 @@
 //     one worker per partition on a bounded pool and merges the per-shard
 //     hit streams online in globally decreasing score order
 //     (internal/shard), so the paper's online property — and therefore
-//     streaming top-k and early termination — survives sharding.  Two
-//     partition modes exist: the default splits the database into
-//     independently indexed shards (internal/seq.PartitionDatabase,
-//     balanced by residue count), while EngineOptions.PartitionByPrefix
-//     builds ONE shared suffix tree and assigns disjoint top-level subtrees
-//     to shards by suffix prefix
-//     (internal/seq.PartitionByPrefix + core.ExpandFrontier).  Prefix
-//     partitioning computes the near-root DP columns exactly once per
-//     query, so total ColumnsExpanded stays ~flat as shards grow instead of
-//     multiplying (~1.9x at 8 sequence-partitioned shards on the Figure-4
-//     workload).
+//     streaming top-k and early termination — survives sharding.  Shards
+//     split the database into independently indexed, sequence-disjoint
+//     parts (internal/seq.PartitionDatabase, balanced by residue count),
+//     on disk and in memory alike.  internal/shard can also partition one
+//     shared suffix tree by suffix prefix (shard.Options.Partition), which
+//     computes the near-root DP columns once per query; the benchmark still
+//     measures it, but no command, engine option or index directory offers
+//     it.
 //   - The dynamic-programming column sweep in internal/core tracks the
 //     live (non-pruned) band of each column and computes only those cells,
 //     which typically cuts Stats.CellsComputed to a fraction of the
@@ -44,9 +41,8 @@
 //     monopolise the worker pool.
 //   - The entire sharded serving stack also runs DISK-BACKED, so one warm
 //     engine serves databases bigger than RAM: oasis-build -shards writes
-//     one diskst index file per shard (or, with -prefix-sharding, one
-//     shared file plus a suffix-prefix -> shard assignment) and a
-//     manifest.json (internal/diskst.BuildSharded); oasis.OpenEngine and
+//     one diskst index file per shard and a manifest.json
+//     (internal/diskst.BuildSharded); oasis.OpenEngine and
 //     the -index-dir flag of oasis-serve/oasis-search reopen the directory
 //     with one buffer pool PER FILE (diskst.OpenDir, arranged into an engine
 //     by shard.OpenDiskEngine;
@@ -56,8 +52,8 @@
 //     so expanding a node and reporting a subtree read sequentially),
 //     so a query's shard fan-out fans out page I/O with no cross-shard
 //     cache thrash, and hit streams are identical to the in-memory
-//     engines (randomized equivalence tests pin this in both partition
-//     modes).  The directory is one object, diskst.Dir: it opens the
+//     engines (randomized equivalence tests pin this).  The directory is
+//     one object, diskst.Dir: it opens the
 //     generation the manifest records — base shards, compacted delta layers,
 //     tombstones — and alone writes the next one (Dir.Commit: what a crashed
 //     commit left swept first, then temp + fsync + rename + directory fsync

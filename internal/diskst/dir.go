@@ -34,17 +34,9 @@ type Dir struct {
 	path      string
 	poolBytes int64
 	// Indexes[s] is base shard s's read handle, nil for a shard quarantined at
-	// open.  In sequence mode Globals[s] maps its local sequence indexes to
-	// global ones; in prefix mode every handle reads the one shared file,
-	// whose indexes are global already, and Globals is nil.
+	// open, and Globals[s] maps its local sequence indexes to global ones.
 	Indexes []*Index
 	Globals [][]int
-	// Prefixes (prefix mode only) is the suffix-prefix -> shard assignment,
-	// and Frontier, with more than one shard, one more handle on the shared
-	// file reserved for the near-root expansion, so shard pools only ever see
-	// their own subtree traffic (a single shard never expands a frontier).
-	Prefixes *seq.PrefixPartition
-	Frontier *Index
 	// Quarantined lists the shards whose files failed to open under
 	// allowDegraded; every search over the directory is degraded by them.
 	Quarantined []core.ShardError
@@ -67,42 +59,36 @@ type generation struct {
 }
 
 // OpenDir opens the index directory at path at the generation its manifest
-// records: every base shard, the prefix-mode frontier view, every delta layer
-// and the tombstones, each file through its own buffer pool of up to poolBytes
-// (0 selects DefaultPoolBytesPerShard; a small file gets a proportionally
-// small pool).  Opening never changes the directory.
+// records: every base shard, every delta layer and the tombstones, each file
+// through its own buffer pool of up to poolBytes (0 selects
+// DefaultPoolBytesPerShard; a small file gets a proportionally small pool).
+// Opening never changes the directory.
 //
-// allowDegraded opens a sequence-partitioned directory even when some base
-// shard files fail to open (corrupt, truncated, missing): those shards are
-// quarantined and searches complete from the survivors with Degraded set.
-// Opening still fails when every shard is unusable, in prefix mode (all
-// shards share one file, so there are no survivors), and for a delta layer:
-// its sequences are in no other file.
+// allowDegraded opens the directory even when some base shard files fail to
+// open (corrupt, truncated, missing): those shards are quarantined and
+// searches complete from the survivors with Degraded set.  Opening still
+// fails when every shard is unusable, and for a delta layer: its sequences
+// are in no other file.
 func OpenDir(path string, poolBytes int64, allowDegraded bool) (*Dir, error) {
 	m, err := ReadManifest(path)
 	if err != nil {
 		return nil, err
 	}
-	d := &Dir{path: path, poolBytes: poolBytes, NumSequences: m.NumSequences, TotalResidues: m.TotalResidues}
+	d := &Dir{path: path, poolBytes: poolBytes, Globals: m.GlobalIndex,
+		NumSequences: m.NumSequences, TotalResidues: m.TotalResidues}
 	gen := &generation{m: m} // extended in place below, before anyone shares d
 	d.gen.Store(gen)
 	fail := func(err error) (*Dir, error) {
 		d.Close()
 		return nil, err
 	}
-	for i := 0; i < m.Shards; i++ {
-		// Prefix mode has one shared file; sequence mode one per shard.
-		name := m.ShardFiles[0]
-		if m.Partition == PartitionSequence {
-			name = m.ShardFiles[i]
-		}
+	for i, name := range m.ShardFiles {
 		idx, err := m.openFile(path, name, poolBytes)
 		if err != nil {
 			err = fmt.Errorf("diskst: opening shard %d (%s): %w", i, name, err)
-			// In sequence mode each shard's file is independent, so a bad
-			// shard can be quarantined and the rest served; in prefix mode
-			// every shard reads the one shared file — no survivors.
-			if allowDegraded && m.Partition == PartitionSequence && m.Shards > 1 {
+			// Each shard's file is independent, so a bad shard can be
+			// quarantined and the rest served.
+			if allowDegraded && m.Shards > 1 {
 				d.Indexes = append(d.Indexes, nil)
 				d.Quarantined = append(d.Quarantined, core.ShardError{Shard: i, Err: err.Error()})
 				continue
@@ -114,29 +100,12 @@ func OpenDir(path string, poolBytes int64, allowDegraded bool) (*Dir, error) {
 	if len(d.Quarantined) == m.Shards {
 		return fail(fmt.Errorf("diskst: every shard of %s failed to open; first: %s", path, d.Quarantined[0].Err))
 	}
-	if m.Partition == PartitionPrefix {
-		if d.Prefixes, err = seq.PrefixPartitionFromAssignment(*m.PrefixAssignment); err != nil {
-			return fail(err)
-		}
-		if m.Shards > 1 {
-			if d.Frontier, err = m.openFile(path, m.ShardFiles[0], poolBytes); err != nil {
-				return fail(fmt.Errorf("diskst: opening frontier view: %w", err))
-			}
-		}
-	} else {
-		d.Globals = m.GlobalIndex
-	}
 	// Cross-check the manifest's totals against the shard files it names
 	// (meaningless when shards are quarantined: survivors cover less).
 	if len(d.Quarantined) == 0 {
 		var total int64
 		numSeqs := 0
 		for _, idx := range d.Indexes {
-			if m.Partition == PartitionPrefix {
-				total = idx.Catalog().TotalResidues()
-				numSeqs = idx.Catalog().NumSequences()
-				break
-			}
 			total += idx.Catalog().TotalResidues()
 			numSeqs += idx.Catalog().NumSequences()
 		}
@@ -359,13 +328,10 @@ type PoolStats struct {
 }
 
 // each visits every index the directory holds open, under the number
-// PoolStats reports it by: the prefix-mode frontier view as shard -1, the
-// base shards under their shard numbers, then the delta layers — opened with
-// the directory or by a Commit since — numbered on from there.
+// PoolStats reports it by: the base shards under their shard numbers, then the
+// delta layers — opened with the directory or by a Commit since — numbered on
+// from there.
 func (d *Dir) each(visit func(shard int, x *Index)) {
-	if d.Frontier != nil {
-		visit(-1, d.Frontier)
-	}
 	for i, x := range d.Indexes {
 		if x != nil { // nil: quarantined at open
 			visit(i, x)

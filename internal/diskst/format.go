@@ -131,20 +131,18 @@
 //	{
 //	  "version": 3,               // the only version read (1 and 2 could
 //	                              // only name index files Open refuses)
-//	  "partition": "sequence" | "prefix",
+//	  "partition": "sequence",       // the only mode; "prefix", written by
+//	                                 // older builds, is refused with the
+//	                                 // remedy (oasis-build -shards N)
 //	  "shards": 4,
 //	  "alphabet": "protein" | "dna",
 //	  "block_size": 2048,
 //	  "num_sequences": 117,          // the BASE shard files only, so the
 //	  "total_residues": 29076,       // open-time cross-check stays exact
+//	  // one file per shard over a disjoint sequence subset, with shard-local
+//	  // -> global index maps
 //	  "shard_files": ["shard-0.oasis", ...],
-//	  // partition=sequence: one file per shard over a disjoint sequence
-//	  // subset, with shard-local -> global index maps
 //	  "global_index": [[0,3,9,...], ...],
-//	  // partition=prefix: exactly one shared file (every shard opens it
-//	  // through its own pool) plus the suffix-prefix -> shard owner tables
-//	  "prefix_assignment": {"shards":4, "width":20,
-//	                        "owner_l1":[...], "owner_l2":[...]},
 //	  // the generation (all optional; absent on a freshly built index):
 //	  "generation": 7,               // the number of the last Commit
 //	  "deltas": [                    // compacted delta indexes, oldest first

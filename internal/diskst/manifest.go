@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"repro/internal/seq"
-	"repro/internal/suffixtree"
 )
 
 // ManifestName is the file name of the sharded-index manifest within its
@@ -22,12 +21,11 @@ const ManifestName = "manifest.json"
 // Validate refuses them too.
 const ManifestVersion = 3
 
-// Partition-mode names used in the manifest (string-typed so the manifest
-// stays self-describing without importing the shard package).
-const (
-	PartitionSequence = "sequence"
-	PartitionPrefix   = "prefix"
-)
+// PartitionSequence is the one partition mode a manifest may name: independent
+// per-shard indexes over disjoint sequence subsets.  Older builds could also
+// write "prefix" (one shared index file, disjoint top-level subtrees per
+// shard); Validate refuses such a directory, naming the rebuild.
+const PartitionSequence = "sequence"
 
 // Manifest describes a sharded on-disk index: which files hold which shards,
 // how the logical database was partitioned, and the metadata a serving
@@ -36,9 +34,7 @@ const (
 type Manifest struct {
 	// Version is the manifest schema version (ManifestVersion).
 	Version int `json:"version"`
-	// Partition is "sequence" (independent per-shard indexes over disjoint
-	// sequence subsets) or "prefix" (one shared index file, disjoint
-	// top-level subtrees per shard).
+	// Partition is PartitionSequence.
 	Partition string `json:"partition"`
 	// Shards is the number of work partitions.
 	Shards int `json:"shards"`
@@ -49,17 +45,12 @@ type Manifest struct {
 	// NumSequences / TotalResidues describe the whole logical database.
 	NumSequences  int   `json:"num_sequences"`
 	TotalResidues int64 `json:"total_residues"`
-	// ShardFiles are the index file names, relative to the manifest's
-	// directory: one per shard in sequence mode, exactly one shared file in
-	// prefix mode (every shard opens it through its own buffer pool).
+	// ShardFiles are the index file names, one per shard, relative to the
+	// manifest's directory.
 	ShardFiles []string `json:"shard_files"`
-	// GlobalIndex (sequence mode) maps shard-local sequence indexes back to
-	// global ones: GlobalIndex[s][i] is the global index of shard s's i-th
-	// sequence.
+	// GlobalIndex maps shard-local sequence indexes back to global ones:
+	// GlobalIndex[s][i] is the global index of shard s's i-th sequence.
 	GlobalIndex [][]int `json:"global_index,omitempty"`
-	// PrefixAssignment (prefix mode) is the suffix-prefix -> shard owner
-	// tables computed at build time.
-	PrefixAssignment *seq.PrefixAssignment `json:"prefix_assignment,omitempty"`
 	// Generation numbers this manifest within the directory's lifetime.
 	// Every compaction writes a new manifest with a higher generation and
 	// swaps it in atomically; readers pin the generation they opened.
@@ -103,25 +94,16 @@ func (m *Manifest) Validate() error {
 	}
 	switch m.Partition {
 	case PartitionSequence:
-		if len(m.ShardFiles) != m.Shards {
-			return fmt.Errorf("diskst: manifest lists %d shard files for %d shards", len(m.ShardFiles), m.Shards)
-		}
-		if len(m.GlobalIndex) != m.Shards {
-			return fmt.Errorf("diskst: manifest has %d global maps for %d shards", len(m.GlobalIndex), m.Shards)
-		}
-	case PartitionPrefix:
-		if len(m.ShardFiles) != 1 {
-			return fmt.Errorf("diskst: prefix manifest lists %d shard files, want 1 shared file", len(m.ShardFiles))
-		}
-		if m.PrefixAssignment == nil {
-			return fmt.Errorf("diskst: prefix manifest has no prefix assignment")
-		}
-		if m.PrefixAssignment.Shards != m.Shards {
-			return fmt.Errorf("diskst: prefix assignment covers %d shards, manifest says %d",
-				m.PrefixAssignment.Shards, m.Shards)
-		}
+	case "prefix":
+		return fmt.Errorf("diskst: manifest partition %q, this build serves sequence-partitioned directories only: rebuild the index with oasis-build -shards %d", m.Partition, m.Shards)
 	default:
 		return fmt.Errorf("diskst: unknown manifest partition %q", m.Partition)
+	}
+	if len(m.ShardFiles) != m.Shards {
+		return fmt.Errorf("diskst: manifest lists %d shard files for %d shards", len(m.ShardFiles), m.Shards)
+	}
+	if len(m.GlobalIndex) != m.Shards {
+		return fmt.Errorf("diskst: manifest has %d global maps for %d shards", len(m.GlobalIndex), m.Shards)
 	}
 	for _, f := range m.ShardFiles {
 		if f == "" || filepath.IsAbs(f) || f != filepath.Base(f) {
@@ -152,8 +134,8 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// files lists the index files the manifest names: the base shard files (one
-// in prefix mode, shared by its shards), then the deltas in append order.
+// files lists the index files the manifest names: the base shard files, then
+// the deltas in append order.
 func (m *Manifest) files() []string {
 	files := slices.Clone(m.ShardFiles)
 	for _, d := range m.Deltas {
@@ -226,22 +208,13 @@ type ShardedBuildOptions struct {
 	BlockSize int
 	// Shards is the number of work partitions (>= 1).
 	Shards int
-	// PartitionByPrefix selects prefix-partitioned subtree sharding: ONE
-	// shared index file plus a suffix-prefix -> shard assignment, instead of
-	// one independently indexed file per sequence subset.
-	PartitionByPrefix bool
 }
 
-// BuildSharded partitions db, writes the per-shard index files and the
-// manifest into dir (created if needed), and returns the manifest along with
-// one BuildStats per written file.
-//
-// Sequence mode writes shard-0.oasis .. shard-(N-1).oasis, each an ordinary
-// single-shard index over its disjoint sequence subset, and records the
-// local -> global sequence maps.  Prefix mode builds ONE suffix tree over
-// the whole database, writes it as shard-0.oasis, and records the prefix
-// assignment; at open time every shard reads that shared file through its
-// own buffer pool.
+// BuildSharded partitions db by sequence, writes the per-shard index files and
+// the manifest into dir (created if needed), and returns the manifest along
+// with one BuildStats per written file: shard-0.oasis .. shard-(N-1).oasis,
+// each an ordinary single-shard index over its disjoint sequence subset, and
+// the local -> global sequence maps.
 func BuildSharded(dir string, db *seq.Database, opts ShardedBuildOptions) (*Manifest, []BuildStats, error) {
 	if db == nil {
 		return nil, nil, fmt.Errorf("diskst: nil database")
@@ -260,50 +233,29 @@ func BuildSharded(dir string, db *seq.Database, opts ShardedBuildOptions) (*Mani
 	if db.Alphabet().Kind() == seq.KindDNA {
 		alphabet = "dna"
 	}
+	part, err := seq.PartitionDatabase(db, opts.Shards)
+	if err != nil {
+		return nil, nil, err
+	}
 	m := &Manifest{
 		Version:       ManifestVersion,
+		Partition:     PartitionSequence,
+		Shards:        part.NumShards(),
 		Alphabet:      alphabet,
 		BlockSize:     blockSize,
 		NumSequences:  db.NumSequences(),
 		TotalResidues: db.TotalResidues(),
+		GlobalIndex:   part.GlobalIndex,
 	}
 	var stats []BuildStats
-	if opts.PartitionByPrefix {
-		prefixes, err := seq.PartitionByPrefix(db, opts.Shards)
+	for s, shardDB := range part.Shards {
+		name := fmt.Sprintf("shard-%d.oasis", s)
+		st, err := Build(filepath.Join(dir, name), shardDB, BuildOptions{BlockSize: blockSize})
 		if err != nil {
-			return nil, nil, err
-		}
-		tree, err := suffixtree.BuildUkkonen(db)
-		if err != nil {
-			return nil, nil, err
-		}
-		st, err := Write(filepath.Join(dir, "shard-0.oasis"), tree, BuildOptions{BlockSize: blockSize})
-		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		stats = append(stats, *st)
-		assign := prefixes.Assignment()
-		m.Partition = PartitionPrefix
-		m.Shards = prefixes.NumShards()
-		m.ShardFiles = []string{"shard-0.oasis"}
-		m.PrefixAssignment = &assign
-	} else {
-		part, err := seq.PartitionDatabase(db, opts.Shards)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Partition = PartitionSequence
-		m.Shards = part.NumShards()
-		m.GlobalIndex = part.GlobalIndex
-		for s, shardDB := range part.Shards {
-			name := fmt.Sprintf("shard-%d.oasis", s)
-			st, err := Build(filepath.Join(dir, name), shardDB, BuildOptions{BlockSize: blockSize})
-			if err != nil {
-				return nil, nil, fmt.Errorf("shard %d: %w", s, err)
-			}
-			stats = append(stats, *st)
-			m.ShardFiles = append(m.ShardFiles, name)
-		}
+		m.ShardFiles = append(m.ShardFiles, name)
 	}
 	if err := writeManifest(dir, m); err != nil {
 		return nil, nil, err

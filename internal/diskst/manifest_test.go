@@ -1,8 +1,8 @@
 package diskst
 
 import (
+	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,8 +69,8 @@ func TestBuildShardedSequenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	if len(sh.Indexes) != 3 || sh.Frontier != nil {
-		t.Fatalf("sequence mode opened %d indexes, frontier %v", len(sh.Indexes), sh.Frontier)
+	if len(sh.Indexes) != 3 {
+		t.Fatalf("opened %d indexes, want 3", len(sh.Indexes))
 	}
 	for s, idx := range sh.Indexes {
 		if idx.Catalog().NumSequences() != len(got.GlobalIndex[s]) {
@@ -80,63 +80,11 @@ func TestBuildShardedSequenceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBuildShardedPrefixRoundTrip builds a prefix-partitioned directory and
-// checks the single shared file, the restored assignment, and that every
-// shard handle reads through its own pool.
-func TestBuildShardedPrefixRoundTrip(t *testing.T) {
-	db := manifestTestDB(t)
-	dir := t.TempDir()
-	m, stats, err := BuildSharded(dir, db, ShardedBuildOptions{Shards: 4, PartitionByPrefix: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Partition != PartitionPrefix || m.Shards != 4 {
-		t.Fatalf("manifest partition %q shards %d, want prefix/4", m.Partition, m.Shards)
-	}
-	if len(stats) != 1 || len(m.ShardFiles) != 1 {
-		t.Fatalf("prefix mode wrote %d stats / %d files, want one shared file", len(stats), len(m.ShardFiles))
-	}
-	if m.PrefixAssignment == nil {
-		t.Fatal("prefix manifest has no assignment")
-	}
-	want, err := seq.PartitionByPrefix(db, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := OpenDir(dir, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-	if len(sh.Indexes) != 4 || sh.Frontier == nil || sh.Prefixes == nil {
-		t.Fatalf("prefix mode opened %d indexes, frontier %v, prefixes %v",
-			len(sh.Indexes), sh.Frontier, sh.Prefixes)
-	}
-	// The restored assignment must route every (first, second) pair to the
-	// same shard as the build-time partition.
-	width := db.Alphabet().Size()
-	for first := 0; first <= width; first++ {
-		for second := 0; second <= width; second++ {
-			if got, w := sh.Prefixes.Owner(byte(first), byte(second)), want.Owner(byte(first), byte(second)); got != w {
-				t.Fatalf("Owner(%d,%d) = %d after round trip, want %d", first, second, got, w)
-			}
-		}
-		if first < width {
-			if got, w := sh.Prefixes.Split(byte(first)), want.Split(byte(first)); got != w {
-				t.Fatalf("Split(%d) = %v after round trip, want %v", first, got, w)
-			}
-		}
-	}
-	seen := map[*Index]bool{}
-	for _, idx := range sh.Indexes {
-		if seen[idx] {
-			t.Fatal("two shards share one index handle; each must have its own pool")
-		}
-		seen[idx] = true
-	}
-}
-
-// TestManifestValidation exercises the manifest's rejection paths.
+// TestManifestValidation exercises the manifest's rejection paths.  Where a
+// row names the error, the refusal must say it: manifests of versions 1 and 2
+// can only name index files Open refuses, and a prefix-partitioned directory
+// is a layout this build no longer serves, so both are refused with the
+// rebuild that fixes them, not half-read.
 func TestManifestValidation(t *testing.T) {
 	base := func() *Manifest {
 		return &Manifest{
@@ -146,40 +94,80 @@ func TestManifestValidation(t *testing.T) {
 			GlobalIndex: [][]int{{0}, {1}},
 		}
 	}
-	cases := map[string]func(*Manifest){
-		"bad version":      func(m *Manifest) { m.Version = 99 },
-		"no shards":        func(m *Manifest) { m.Shards = 0 },
-		"bad alphabet":     func(m *Manifest) { m.Alphabet = "klingon" },
-		"bad partition":    func(m *Manifest) { m.Partition = "hash" },
-		"file count":       func(m *Manifest) { m.ShardFiles = m.ShardFiles[:1] },
-		"global maps":      func(m *Manifest) { m.GlobalIndex = nil },
-		"absolute file":    func(m *Manifest) { m.ShardFiles[0] = "/etc/passwd" },
-		"path in file":     func(m *Manifest) { m.ShardFiles[0] = "../shard-0.oasis" },
-		"prefix no assign": func(m *Manifest) { m.Partition = PartitionPrefix; m.ShardFiles = m.ShardFiles[:1] },
-		"prefix file count": func(m *Manifest) {
-			m.Partition = PartitionPrefix
-			m.PrefixAssignment = &seq.PrefixAssignment{Shards: 2}
-		},
+	const prefixRemedy = `manifest partition "prefix", this build serves sequence-partitioned directories only: rebuild the index with oasis-build -shards 2`
+	cases := []struct {
+		name   string
+		mutate func(*Manifest)
+		want   string // a substring of the error; "" accepts any
+	}{
+		{"bad version", func(m *Manifest) { m.Version = 99 }, ""},
+		{"version 1", func(m *Manifest) { m.Version = 1 }, "manifest version 1, this build reads only version 3: rebuild the index with oasis-build"},
+		{"version 2", func(m *Manifest) { m.Version = 2 }, "manifest version 2, this build reads only version 3: rebuild the index with oasis-build"},
+		{"no shards", func(m *Manifest) { m.Shards = 0 }, ""},
+		{"bad alphabet", func(m *Manifest) { m.Alphabet = "klingon" }, ""},
+		{"bad partition", func(m *Manifest) { m.Partition = "hash" }, ""},
+		{"file count", func(m *Manifest) { m.ShardFiles = m.ShardFiles[:1] }, ""},
+		{"global maps", func(m *Manifest) { m.GlobalIndex = nil }, ""},
+		{"absolute file", func(m *Manifest) { m.ShardFiles[0] = "/etc/passwd" }, ""},
+		{"path in file", func(m *Manifest) { m.ShardFiles[0] = "../shard-0.oasis" }, ""},
+		{"prefix partition", func(m *Manifest) { m.Partition = "prefix" }, prefixRemedy},
+		// What an older build wrote: one shared file and no global maps.
+		{"prefix shared file", func(m *Manifest) {
+			m.Partition, m.ShardFiles, m.GlobalIndex = "prefix", m.ShardFiles[:1], nil
+		}, prefixRemedy},
 	}
-	for name, mutate := range cases {
+	for _, tc := range cases {
 		m := base()
-		mutate(m)
-		if err := m.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted %+v", name, m)
+		tc.mutate(m)
+		err := m.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate returned %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("valid manifest rejected: %v", err)
 	}
-	// Versions 1 and 2 can only name index files Open refuses: they are
-	// refused here, in Open's words, not half-read.
-	for _, v := range []int{1, 2} {
-		m := base()
-		m.Version = v
-		want := fmt.Sprintf("manifest version %d, this build reads only version 3: rebuild the index with oasis-build", v)
-		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("version %d manifest: Validate returned %v, want %q", v, err, want)
+}
+
+// markPrefix rewrites the manifest of the sequence-partitioned directory at
+// dir to say "partition":"prefix", as an older build's prefix directory did.
+func markPrefix(t testing.TB, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, ManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marked := bytes.Replace(data, []byte(`"partition": "sequence"`), []byte(`"partition": "prefix"`), 1)
+	if bytes.Equal(marked, data) {
+		t.Fatalf("%s names no sequence partition:\n%s", path, data)
+	}
+	if err := os.WriteFile(path, marked, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPrefixDirectoryRefused: every reader of a directory — ReadManifest,
+// OpenDir, VerifyIndexDir (oasis-build -verify) — refuses a prefix-partitioned
+// one, naming the rebuild.
+func TestPrefixDirectoryRefused(t *testing.T) {
+	dir := t.TempDir()
+	if _, _, err := BuildSharded(dir, manifestTestDB(t), ShardedBuildOptions{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	markPrefix(t, dir)
+	const want = "rebuild the index with oasis-build -shards 2"
+	if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ReadManifest: %v, want an error containing %q", err, want)
+	}
+	if d, err := OpenDir(dir, 0, true); err == nil || !strings.Contains(err.Error(), want) {
+		if d != nil {
+			d.Close()
 		}
+		t.Errorf("OpenDir: %v, want an error containing %q", err, want)
+	}
+	if _, err := VerifyIndexDir(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("VerifyIndexDir: %v, want an error containing %q", err, want)
 	}
 }
 
@@ -264,23 +252,27 @@ func TestOpenDirRejectsTamperedManifest(t *testing.T) {
 
 // FuzzManifestRoundTrip feeds arbitrary bytes through the manifest parser
 // and, for inputs that validate, asserts the write/read round trip is
-// lossless.  The seed corpus includes both partition modes.
+// lossless.  The seed corpus holds a built manifest, the same manifest marked
+// "prefix" as an older build wrote it (refused), and an old version.
 func FuzzManifestRoundTrip(f *testing.F) {
 	db, err := seq.DatabaseFromStrings(seq.Protein, "ACDEFGHIKL", "MNPQRSTVWY", "ACAC")
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, prefix := range []bool{false, true} {
-		dir := f.TempDir()
-		if _, _, err := BuildSharded(dir, db, ShardedBuildOptions{Shards: 2, PartitionByPrefix: prefix}); err != nil {
-			f.Fatal(err)
-		}
+	dir := f.TempDir()
+	if _, _, err := BuildSharded(dir, db, ShardedBuildOptions{Shards: 2}); err != nil {
+		f.Fatal(err)
+	}
+	addManifest := func() {
 		data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
 	}
+	addManifest()
+	markPrefix(f, dir)
+	addManifest()
 	f.Add([]byte(`{"version":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Manifest

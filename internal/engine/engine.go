@@ -46,23 +46,16 @@ type Options struct {
 	// (written by diskst.BuildSharded / oasis-build -shards) instead of
 	// building in-memory indexes from a database: each shard searches its
 	// own diskst.Index through its own buffer pool, so one warm engine can
-	// serve databases bigger than RAM.  The shard count and partition mode
-	// come from the directory's manifest — Shards and PartitionByPrefix must
-	// be left zero/false — and New must be called with a nil database.
+	// serve databases bigger than RAM.  The shard count comes from the
+	// directory's manifest — Shards must be left zero — and New must be
+	// called with a nil database.
 	IndexDir string
 	// PoolBytes is the per-shard buffer-pool capacity in bytes for IndexDir
 	// engines (default diskst.DefaultPoolBytesPerShard, 64 MB).
 	PoolBytes int64
-	// Shards is the number of work partitions (default 1; capped at the
-	// number of sequences unless PartitionByPrefix is set).
+	// Shards is the number of sequence-disjoint work partitions, each its own
+	// suffix tree (default 1; capped at the number of sequences).
 	Shards int
-	// PartitionByPrefix selects prefix-partitioned subtree sharding: ONE
-	// shared suffix tree with disjoint top-level subtrees per shard, so
-	// near-root column work is done once per query instead of once per
-	// shard (see shard.PartitionByPrefix).  Hit sets and scores are
-	// identical in both modes; alignment endpoints of equal-score ties may
-	// differ.
-	PartitionByPrefix bool
 	// ShardWorkers bounds how many shard searches run concurrently within
 	// one query (default: one per shard, plus one per delta layer).
 	ShardWorkers int
@@ -72,7 +65,7 @@ type Options struct {
 	// AllowDegraded admits an IndexDir whose shard file(s) fail to open:
 	// the failed shards are quarantined at open time and every query reports
 	// Degraded with the per-shard errors instead of the engine refusing to
-	// start (sequence-partitioned directories only).
+	// start.
 	AllowDegraded bool
 	// CacheBytes bounds the cross-query result cache (internal/qcache): a
 	// positive budget makes the engine store every completed decreasing-score
@@ -198,8 +191,8 @@ func New(db *seq.Database, opts Options) (*Engine, error) {
 		if db != nil {
 			return nil, fmt.Errorf("engine: IndexDir and a database are mutually exclusive")
 		}
-		if opts.Shards != 0 || opts.PartitionByPrefix {
-			return nil, fmt.Errorf("engine: Shards/PartitionByPrefix come from the IndexDir manifest; do not set them")
+		if opts.Shards != 0 {
+			return nil, fmt.Errorf("engine: Shards comes from the IndexDir manifest; do not set it")
 		}
 		if dir, err = diskst.OpenDir(opts.IndexDir, opts.PoolBytes, opts.AllowDegraded); err == nil {
 			sharded, err = shard.OpenDiskEngine(dir, shard.Options{Workers: opts.ShardWorkers})
@@ -208,11 +201,7 @@ func New(db *seq.Database, opts Options) (*Engine, error) {
 		if db == nil {
 			return nil, fmt.Errorf("engine: either a database or IndexDir is required")
 		}
-		so := shard.Options{Shards: opts.Shards, Workers: opts.ShardWorkers}
-		if opts.PartitionByPrefix {
-			so.Partition = shard.PartitionByPrefix
-		}
-		sharded, err = shard.NewEngine(db, so)
+		sharded, err = shard.NewEngine(db, shard.Options{Shards: opts.Shards, Workers: opts.ShardWorkers})
 	}
 	if err != nil {
 		return nil, err
@@ -267,7 +256,7 @@ func NewFromShardEngine(base *shard.Engine, opts Options) (*Engine, error) {
 	if base == nil {
 		return nil, fmt.Errorf("engine: nil shard engine")
 	}
-	if opts.IndexDir != "" || opts.Shards != 0 || opts.PartitionByPrefix {
+	if opts.IndexDir != "" || opts.Shards != 0 {
 		return nil, fmt.Errorf("engine: NewFromShardEngine wraps an existing engine; index-construction options must be zero")
 	}
 	return newWarm(base, nil, opts, true)
@@ -294,9 +283,6 @@ func (e *Engine) TotalResidues() int64 { return e.Catalog().TotalResidues() }
 // NumShards returns the number of partitions actually built.
 func (e *Engine) NumShards() int { return e.cur().view.NumShards() }
 
-// Partition returns the engine's work-partitioning mode.
-func (e *Engine) Partition() shard.PartitionMode { return e.cur().view.Partition() }
-
 // ShardWorkers returns the per-query shard concurrency bound.
 func (e *Engine) ShardWorkers() int { return e.cur().view.Workers() }
 
@@ -319,9 +305,8 @@ type Metrics struct {
 	// Shards holds each shard's queued and active search counts.
 	Shards []shard.QueueDepth `json:"shards"`
 	// Pools holds the buffer-pool hit statistics of a disk-backed engine,
-	// one entry per pool: the base shards (shard -1 is the prefix-mode
-	// frontier view), then every delta layer under its file name.  Nil for
-	// in-memory engines.
+	// one entry per pool: the base shards, then every delta layer under its
+	// file name.  Nil for in-memory engines.
 	Pools []diskst.PoolStats `json:"pools,omitempty"`
 	// Cache holds the cross-query result cache counters (nil when the
 	// engine was built without Options.CacheBytes).

@@ -52,6 +52,20 @@ func openShardView(path string) (*shard.Engine, error) {
 	return shard.OpenDiskEngine(dir, shard.Options{})
 }
 
+// newMemoryEngine builds a mutable in-memory engine as New does, except that
+// byPrefix partitions it by suffix prefix: a mode Options does not offer,
+// reachable only through shard.Options.Partition.
+func newMemoryEngine(db *seq.Database, byPrefix bool, opts Options) (*Engine, error) {
+	if !byPrefix {
+		return New(db, opts)
+	}
+	base, err := shard.NewEngine(db, shard.Options{Shards: opts.Shards, Workers: opts.ShardWorkers, Partition: shard.PartitionByPrefix})
+	if err != nil {
+		return nil, err
+	}
+	return newWarm(base, nil, opts, false)
+}
+
 func randomQueries(rng *rand.Rand, a *seq.Alphabet, n int, scheme score.Scheme) []Query {
 	letters := a.Letters()
 	out := make([]Query, n)
@@ -317,7 +331,7 @@ func TestPrefixEngineBatchAndMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	db := randomEngineDB(t, rng, seq.DNA, 24, 80)
 	scheme := score.MustScheme(score.UnitDNA(), -1)
-	eng, err := New(db, Options{Shards: 4, PartitionByPrefix: true, BatchWorkers: 3})
+	eng, err := newMemoryEngine(db, true, Options{Shards: 4, BatchWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

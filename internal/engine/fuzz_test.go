@@ -29,7 +29,7 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 		if base == nil || insertDB == nil || query == nil {
 			t.Skip()
 		}
-		eng, err := New(base, Options{Shards: 1 + int(shardByte%4), PartitionByPrefix: shardByte%2 == 1})
+		eng, err := newMemoryEngine(base, shardByte%2 == 1, Options{Shards: 1 + int(shardByte%4)})
 		if err != nil {
 			t.Fatalf("engine build: %v", err)
 		}

@@ -1,0 +1,110 @@
+package engine
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/diskst"
+	"repro/internal/score"
+	"repro/internal/seq"
+)
+
+// TestNewRefusesPrefixDirectory: a directory an older build wrote with
+// prefix partitioning is refused at New, naming the rebuild.
+func TestNewRefusesPrefixDirectory(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	dir := filepath.Join(t.TempDir(), "idx")
+	if _, _, err := diskst.BuildSharded(dir, randomEngineDB(t, rng, seq.Protein, 6, 40), diskst.ShardedBuildOptions{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, diskst.ManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.Replace(data, []byte(`"sequence"`), []byte(`"prefix"`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(nil, Options{IndexDir: dir})
+	if err == nil {
+		eng.Close()
+	}
+	if want := "rebuild the index with oasis-build -shards 2"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("New over a prefix directory: %v, want an error containing %q", err, want)
+	}
+}
+
+// TestDegradedEngineKeepsItsCorpusSize: an index directory opened with a shard
+// quarantined sizes E-values by one base total in every generation, so the
+// engine's first write — which gives the view a layer — moves an unchanged
+// base hit's E-value by exactly the residues that write added, and nothing
+// else.
+func TestDegradedEngineKeepsItsCorpusSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	db := randomEngineDB(t, rng, seq.Protein, 18, 60)
+	dir := filepath.Join(t.TempDir(), "idx")
+	if _, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{Shards: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, "shard-1.oasis"), 16); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(nil, Options{IndexDir: dir, AllowDegraded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if len(eng.Standing()) != 1 {
+		t.Fatalf("%d shards quarantined at open, want 1", len(eng.Standing()))
+	}
+
+	// Query with a whole surviving sequence, so it finds at least itself.
+	var query []byte
+	for g := 0; query == nil; g++ {
+		if eng.Catalog().SequenceID(g) != "" {
+			query = db.Sequence(g).Residues
+		}
+	}
+	scheme := score.MustScheme(score.ByName("PAM30"), -10)
+	ka, err := score.Params(scheme.Matrix, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Residues: query, Options: core.Options{Scheme: scheme, MinScore: 8, KA: &ka}}
+	search := func() map[string]core.Hit {
+		hits := map[string]core.Hit{}
+		for _, h := range collectStream(t, eng, q) {
+			hits[h.SeqID] = h
+		}
+		return hits
+	}
+
+	before, baseRes := search(), eng.TotalResidues()
+	if len(before) == 0 {
+		t.Fatal("the query found nothing")
+	}
+	inserted := seq.Protein.MustEncode("GGGGSSSSPPPPGGGGSSSSPPPP")
+	if _, err := eng.Insert("unrelated", inserted); err != nil {
+		t.Fatal(err)
+	}
+	after, afterRes := search(), eng.TotalResidues()
+	if afterRes != baseRes+int64(len(inserted)) {
+		t.Fatalf("the engine serves %d residues after inserting %d onto %d", afterRes, len(inserted), baseRes)
+	}
+	scale := float64(afterRes) / float64(baseRes)
+	for id, b := range before {
+		a, ok := after[id]
+		if !ok || a.Score != b.Score {
+			t.Fatalf("base hit %s (score %d) became %+v after an unrelated insert", id, b.Score, a)
+		}
+		if got := a.EValue / b.EValue; math.Abs(got-scale) > 1e-9*scale {
+			t.Fatalf("%s: E-value went %g -> %g (x%.6f); the insert grew the corpus x%.6f", id, b.EValue, a.EValue, got, scale)
+		}
+	}
+}

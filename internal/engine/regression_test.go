@@ -63,7 +63,7 @@ func TestShardedTopKDeterministic(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			db := randomEngineDB(t, rng, seq.Protein, 12+rng.Intn(12), 70)
 			queries := cacheTestQueries(t, rng, scheme, 6)
-			eng, err := New(db, Options{Shards: 3, PartitionByPrefix: prefix})
+			eng, err := newMemoryEngine(db, prefix, Options{Shards: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestSearchObservesCancelWithoutHits(t *testing.T) {
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
 	db := randomEngineDB(t, rng, seq.Protein, 60, 200)
 	for _, prefix := range []bool{false, true} {
-		eng, err := New(db, Options{Shards: 2, PartitionByPrefix: prefix})
+		eng, err := newMemoryEngine(db, prefix, Options{Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

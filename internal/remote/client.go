@@ -150,37 +150,6 @@ func (r *replicaState) snapshot() ReplicaHealth {
 	}
 }
 
-// ClientConfig configures one slice's client.
-type ClientConfig struct {
-	// Slice is the slice's position in the coordinator's layout (labels
-	// errors and metrics).
-	Slice int
-	// Offset is the slice's global sequence index offset, added to every
-	// hit's slice-local index.
-	Offset int
-	// Sequences is the slice's sequence count when known (> 0 enables the
-	// out-of-range guard that catches corrupted hit indexes on the wire).
-	Sequences int
-	// Replicas are the slice's replica addresses (host:port, or full URLs).
-	Replicas []string
-	// HTTPClient issues the stream requests; nil uses a private transport
-	// with the same per-attempt timeouts (newTransport).
-	HTTPClient *http.Client
-	// MaxAttempts bounds stream attempts across replicas (0 picks
-	// max(3, 2*len(Replicas))).
-	MaxAttempts int
-	// Retry is the backoff between attempts (zero Base selects a jittered
-	// 5ms..250ms default).
-	Retry retry.Policy
-	// HedgeAfter fixes the hedge trigger delay; 0 adapts it to the p95 of
-	// observed first-event latencies.
-	HedgeAfter time.Duration
-	// DisableHedge turns tail-latency hedging off.
-	DisableHedge bool
-	// Metrics receives the client's counters (nil allocates a private set).
-	Metrics *Metrics
-}
-
 // Client streams one shard slice from its replica set, implementing
 // shard.Provider with retry, failover, hedging and health tracking.  A
 // mid-stream replica failure resumes on another replica by skipping the hits
@@ -199,52 +168,13 @@ type Client struct {
 	hc        *http.Client
 	policy    retry.Policy
 	maxTries  int
-	hedgeCfg  struct {
-		fixed    time.Duration
-		disabled bool
-	}
-	metrics *Metrics
-	ttfb    ttfbTracker
-	rr      atomic.Int64 // round-robin start for load spreading
-}
-
-// NewClient builds a slice client.
-func NewClient(cfg ClientConfig) (*Client, error) {
-	if len(cfg.Replicas) == 0 {
-		return nil, fmt.Errorf("remote: slice %d has no replicas", cfg.Slice)
-	}
-	c := &Client{
-		slice:     cfg.Slice,
-		offset:    cfg.Offset,
-		sequences: cfg.Sequences,
-		replicas:  cfg.Replicas,
-		hc:        cfg.HTTPClient,
-		policy:    cfg.Retry,
-		maxTries:  cfg.MaxAttempts,
-		metrics:   cfg.Metrics,
-	}
-	c.hedgeCfg.fixed = cfg.HedgeAfter
-	c.hedgeCfg.disabled = cfg.DisableHedge
-	if c.hc == nil {
-		c.hc = &http.Client{Transport: newTransport()}
-	}
-	if c.policy.Base == 0 {
-		c.policy = retry.Default(c.maxTries, 5*time.Millisecond, 250*time.Millisecond)
-	}
-	if c.maxTries < 1 {
-		c.maxTries = 2 * len(cfg.Replicas)
-		if c.maxTries < 3 {
-			c.maxTries = 3
-		}
-	}
-	if c.metrics == nil {
-		c.metrics = &Metrics{}
-	}
-	c.health = make([]*replicaState, len(cfg.Replicas))
-	for i, addr := range cfg.Replicas {
-		c.health[i] = &replicaState{addr: addr}
-	}
-	return c, nil
+	// hedgeAfter fixes the hedge trigger (0 adapts it to the observed p95);
+	// noHedge turns hedging off.
+	hedgeAfter time.Duration
+	noHedge    bool
+	metrics    *Metrics
+	ttfb       ttfbTracker
+	rr         atomic.Int64 // round-robin start for load spreading
 }
 
 // Per-attempt transport timeouts: dialTimeout bounds the TCP connect of one
@@ -275,10 +205,6 @@ func (c *Client) Health() []ReplicaHealth {
 	}
 	return out
 }
-
-// Metrics returns the client's counter set (shared when the coordinator
-// injected one).
-func (c *Client) Metrics() *Metrics { return c.metrics }
 
 // streamState carries forwarding progress across failover attempts.
 type streamState struct {
@@ -392,27 +318,11 @@ func (c *Client) nextReplica(cur int) int {
 	return (cur + 1) % n
 }
 
-// hedgeCandidate picks the replica a hedge request races against primary
-// (-1 when there is no distinct candidate).
-func (c *Client) hedgeCandidate(primary int) int {
-	n := len(c.replicas)
-	if n == 1 {
-		return -1
-	}
-	for i := 1; i < n; i++ {
-		r := (primary + i) % n
-		if !c.health[r].down() {
-			return r
-		}
-	}
-	return (primary + 1) % n
-}
-
 // hedgeDelay is how long the first attempt may go without a first event
 // before a hedge launches.
 func (c *Client) hedgeDelay() time.Duration {
-	if c.hedgeCfg.fixed > 0 {
-		return c.hedgeCfg.fixed
+	if c.hedgeAfter > 0 {
+		return c.hedgeAfter
 	}
 	if d, ok := c.ttfb.p95(); ok {
 		if d < minHedgeDelay {
@@ -458,13 +368,14 @@ type openResult struct {
 	ttfb    time.Duration
 }
 
-// openHedged opens a stream on primary, racing a hedge attempt on the next
-// healthy replica if the first event has not arrived within hedgeDelay.  The
+// openHedged opens a stream on primary, racing a hedge attempt on the
+// replica a failover would pick (nextReplica) if the first event has not
+// arrived within hedgeDelay; a slice with no other replica is not hedged.  The
 // first successful open wins; every other in-flight open is cancelled (the
 // loser's request context aborts its replica's search) and reaped.
 func (c *Client) openHedged(parent context.Context, primary int, body []byte) (*conn, error) {
-	secondary := c.hedgeCandidate(primary)
-	if c.hedgeCfg.disabled {
+	secondary := c.nextReplica(primary)
+	if secondary == primary || c.noHedge {
 		secondary = -1
 	}
 	results := make(chan openResult, 2)
@@ -630,7 +541,7 @@ func (c *Client) consume(cn *conn, st *streamState, opts core.Options, hit func(
 				}
 			}
 		case "h":
-			if ev.Seq < 0 || (c.sequences > 0 && ev.Seq >= c.sequences) {
+			if ev.Seq < 0 || ev.Seq >= c.sequences {
 				return fmt.Errorf("remote: %s sent out-of-range sequence index %d (slice has %d)", addr, ev.Seq, c.sequences)
 			}
 			if skipped < replay {

@@ -20,11 +20,13 @@ type Config struct {
 	// global sequence index layout (slice s's offset is the sum of the
 	// preceding slices' sequence counts).
 	Slices [][]string
-	// MaxAttempts, Retry, HedgeAfter and DisableHedge configure every slice
-	// client (see ClientConfig).  No command line sets them — the zero
-	// values are the deployed behaviour (max(3, 2 x replicas) attempts,
-	// jittered 5ms..250ms backoff, adaptive p95 hedging) — and the fields
-	// remain for the tests that pace retries and force or forbid hedges.
+	// MaxAttempts, Retry, HedgeAfter and DisableHedge pace every slice
+	// client: the stream attempts across a slice's replicas, the backoff
+	// between them, a fixed hedge trigger, and no hedging at all.  No command
+	// line sets them — the zero values are the deployed behaviour (max(3, 2 x
+	// replicas) attempts, jittered 5ms..250ms backoff, hedging at the p95 of
+	// observed first-event latencies) — and the fields remain for the tests
+	// that pace retries and force or forbid hedges.
 	MaxAttempts  int
 	Retry        retry.Policy
 	HedgeAfter   time.Duration
@@ -79,20 +81,21 @@ func Open(ctx context.Context, cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("remote: slice %d serves %s sequences, slice 0 serves %s",
 				s, al.Name(), alphabet.Name())
 		}
-		client, err := NewClient(ClientConfig{
-			Slice:        s,
-			Offset:       offset,
-			Sequences:    info.Sequences,
-			Replicas:     replicas,
-			HTTPClient:   hc,
-			MaxAttempts:  cfg.MaxAttempts,
-			Retry:        cfg.Retry,
-			HedgeAfter:   cfg.HedgeAfter,
-			DisableHedge: cfg.DisableHedge,
-			Metrics:      co.metrics,
-		})
-		if err != nil {
-			return nil, err
+		// Every slice client shares the transport, the counters and cfg's
+		// pacing; the attempt budget and backoff default per replica count.
+		client := &Client{
+			slice: s, offset: offset, sequences: info.Sequences, replicas: replicas,
+			hc: hc, policy: cfg.Retry, maxTries: cfg.MaxAttempts,
+			hedgeAfter: cfg.HedgeAfter, noHedge: cfg.DisableHedge, metrics: co.metrics,
+		}
+		if client.maxTries < 1 {
+			client.maxTries = max(3, 2*len(replicas))
+		}
+		if client.policy.Base == 0 {
+			client.policy = retry.Default(client.maxTries, 5*time.Millisecond, 250*time.Millisecond)
+		}
+		for _, addr := range replicas {
+			client.health = append(client.health, &replicaState{addr: addr})
 		}
 		co.clients = append(co.clients, client)
 		co.infos = append(co.infos, info)

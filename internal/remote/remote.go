@@ -11,12 +11,12 @@
 // Database order): slice s owns a contiguous global sequence index range
 // starting at the sum of the preceding slices' sequence counts.  Each slice
 // is served by one or more REPLICA processes (oasis-serve -shard-server),
-// each holding a full copy of the slice's index; a replica's engine may
-// internally shard its slice in either partition mode — the exported stream
-// is its merged, canonical (score desc, sequence asc) order either way
-// (shard.Engine.SearchBounded).  The coordinator owns the global sequence
-// index space: it adds the slice's offset to every hit and attaches E-values
-// with the global residue totals, so the fan-out is invisible to clients.
+// each holding a full copy of the slice's index; however a replica's engine
+// shards its slice internally, the exported stream is its merged, canonical
+// (score desc, sequence asc) order (shard.Engine.SearchBounded).  The
+// coordinator owns the global sequence index space: it adds the slice's
+// offset to every hit and attaches E-values with the global residue totals,
+// so the fan-out is invisible to clients.
 //
 // # Wire protocol
 //
@@ -134,10 +134,9 @@ type Info struct {
 	// Alphabet names the residue alphabet ("protein" or "dna"); all slices
 	// of one deployment must agree.
 	Alphabet string `json:"alphabet"`
-	// Shards and Partition describe the replica's internal layout
-	// (diagnostic; the exported stream is identical either way).
-	Shards    int    `json:"shards"`
-	Partition string `json:"partition"`
+	// Shards is the replica's internal shard count (diagnostic; the exported
+	// stream does not depend on it).
+	Shards int `json:"shards"`
 }
 
 // alphabetByName resolves an Info.Alphabet name to the singleton alphabet
@@ -151,12 +150,4 @@ func alphabetByName(name string) (*seq.Alphabet, error) {
 		return seq.DNA, nil
 	}
 	return nil, fmt.Errorf("remote: unknown alphabet %q", name)
-}
-
-// partitionName renders a shard.PartitionMode for Info.
-func partitionName(prefix bool) string {
-	if prefix {
-		return "prefix"
-	}
-	return "sequence"
 }

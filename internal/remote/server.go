@@ -62,7 +62,6 @@ func (s *Server) Info() Info {
 		Residues:  cat.TotalResidues(),
 		Alphabet:  cat.Alphabet().Name(),
 		Shards:    s.eng.NumShards(),
-		Partition: partitionName(s.eng.Partition() == shard.PartitionByPrefix),
 	}
 }
 

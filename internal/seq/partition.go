@@ -113,8 +113,7 @@ type PrefixPartition struct {
 	NumGroups int
 	// counts1[first] / counts2[first*(width+1)+bucket(second)] are the exact
 	// per-prefix-group suffix counts the partition was balanced with; they
-	// back PrefixCost.  Partitions rebuilt from a serialized assignment have
-	// no counts (PrefixCost then reports 0 = unknown).
+	// back PrefixCost.
 	counts1 []int64
 	counts2 []int64
 }
@@ -122,10 +121,10 @@ type PrefixPartition struct {
 // PrefixCost implements core.PrefixCoster: the exact number of indexed
 // suffixes in a prefix group — every suffix starting with first when
 // second < 0, or with the two-symbol prefix (first, second) otherwise
-// (second may be the terminator).  Returns 0 (unknown) for partitions
-// rebuilt from a serialized assignment, which carry no counts.
+// (second may be the terminator).  Returns 0 (unknown) for a first symbol
+// outside the alphabet, which no alignment can start with.
 func (p *PrefixPartition) PrefixCost(first byte, second int) int64 {
-	if len(p.counts1) == 0 || int(first) >= p.width {
+	if int(first) >= p.width {
 		return 0
 	}
 	if second < 0 {
@@ -163,67 +162,6 @@ func (p *PrefixPartition) Owner(first, second byte) int {
 		return o
 	}
 	return p.ownerL2[int(first)*(p.width+1)+p.bucket(second)]
-}
-
-// PrefixAssignment is the serializable form of a PrefixPartition: the
-// flattened owner tables plus the dimensions needed to rebuild them.  It is
-// what the sharded disk-index manifest stores so a search process can
-// recreate the exact build-time partition without re-counting suffixes (see
-// internal/diskst's manifest).
-type PrefixAssignment struct {
-	// Shards is the partition's shard count.
-	Shards int `json:"shards"`
-	// Width is the alphabet size the owner tables were sized for.
-	Width int `json:"width"`
-	// OwnerL1[first] is the shard owning all suffixes starting with first,
-	// or -1 when that group is split by second symbol.
-	OwnerL1 []int `json:"owner_l1"`
-	// OwnerL2[first*(Width+1)+bucket(second)] owns a split group's
-	// two-symbol prefix (the terminator bucket is last).
-	OwnerL2 []int `json:"owner_l2"`
-}
-
-// Assignment returns the partition's serializable owner tables.
-func (p *PrefixPartition) Assignment() PrefixAssignment {
-	return PrefixAssignment{
-		Shards:  p.nShards,
-		Width:   p.width,
-		OwnerL1: append([]int(nil), p.ownerL1...),
-		OwnerL2: append([]int(nil), p.ownerL2...),
-	}
-}
-
-// PrefixPartitionFromAssignment rebuilds a PrefixPartition from its
-// serialized owner tables.  The per-shard Load counters and NumGroups are not
-// part of the assignment (they are build-time diagnostics) and are left zero.
-func PrefixPartitionFromAssignment(a PrefixAssignment) (*PrefixPartition, error) {
-	if a.Shards < 1 {
-		return nil, fmt.Errorf("seq: prefix assignment has %d shards", a.Shards)
-	}
-	if a.Width < 1 {
-		return nil, fmt.Errorf("seq: prefix assignment has alphabet width %d", a.Width)
-	}
-	if len(a.OwnerL1) != a.Width || len(a.OwnerL2) != a.Width*(a.Width+1) {
-		return nil, fmt.Errorf("seq: prefix assignment owner tables sized %d/%d, want %d/%d",
-			len(a.OwnerL1), len(a.OwnerL2), a.Width, a.Width*(a.Width+1))
-	}
-	for _, o := range a.OwnerL1 {
-		if o < -1 || o >= a.Shards {
-			return nil, fmt.Errorf("seq: prefix assignment L1 owner %d out of range [-1,%d)", o, a.Shards)
-		}
-	}
-	for _, o := range a.OwnerL2 {
-		if o < 0 || o >= a.Shards {
-			return nil, fmt.Errorf("seq: prefix assignment L2 owner %d out of range [0,%d)", o, a.Shards)
-		}
-	}
-	return &PrefixPartition{
-		nShards: a.Shards,
-		width:   a.Width,
-		ownerL1: append([]int(nil), a.OwnerL1...),
-		ownerL2: append([]int(nil), a.OwnerL2...),
-		Load:    make([]int64, a.Shards),
-	}, nil
 }
 
 // PartitionByPrefix builds a prefix partition of db's suffixes into nShards

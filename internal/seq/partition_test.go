@@ -347,9 +347,9 @@ func TestPrefixCostMatchesSuffixCounts(t *testing.T) {
 	}
 }
 
-// TestPrefixCostDeterministicAndUnavailable pins that costs are identical
-// across runs, and that a partition rebuilt from a serialized assignment —
-// which carries no counts — reports 0 (= unknown) for every prefix.
+// TestPrefixCostDeterministicAndUnavailable pins that costs and owners are
+// identical across runs, and that a first symbol outside the alphabet reports
+// 0 (= unknown).
 func TestPrefixCostDeterministicAndUnavailable(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	db := randomPartitionDB(t, rng, 50, 120)
@@ -372,22 +372,15 @@ func TestPrefixCostDeterministicAndUnavailable(t *testing.T) {
 			}
 		}
 	}
-	rebuilt, err := PrefixPartitionFromAssignment(a.Assignment())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f := 0; f < width; f++ {
-		if c := rebuilt.PrefixCost(byte(f), -1); c != 0 {
-			t.Fatalf("rebuilt partition PrefixCost(%d,-1)=%d, want 0 (counts unavailable)", f, c)
-		}
-	}
-	// Rebuilt owner tables must still match the original exactly.
 	for f := 0; f < width; f++ {
 		for s := 0; s <= width; s++ {
-			if a.Owner(byte(f), byte(s)) != rebuilt.Owner(byte(f), byte(s)) {
-				t.Fatalf("rebuilt Owner(%d,%d) differs from original", f, s)
+			if a.Owner(byte(f), byte(s)) != b.Owner(byte(f), byte(s)) {
+				t.Fatalf("Owner(%d,%d) differs between identical runs", f, s)
 			}
 		}
+	}
+	if c := a.PrefixCost(byte(width), 0); c != 0 {
+		t.Fatalf("PrefixCost outside the alphabet = %d, want 0 (unknown)", c)
 	}
 }
 

@@ -18,31 +18,25 @@ type unionCatalog struct {
 	owner    []int        // global sequence index -> shard
 	local    []int        // global sequence index -> shard-local index
 	loc      *seq.Locator // global concatenated view, in global sequence order
+	residues int64        // TotalResidues, as the caller states it
 }
 
-// newUnionCatalog stitches the shard catalogs together under the global maps,
-// verifying that no global index is covered twice.  A degraded engine (some
-// shards quarantined at open time) passes only the surviving shards, so the
-// global index space may have holes: those entries keep the original global
-// numbering but answer metadata lookups with zero values (owner -1).
-func newUnionCatalog(shards []baseShard) (*unionCatalog, error) {
-	// Quarantined shards leave holes: the surviving maps keep their original
-	// global numbering, so the index space extends to the largest index seen.
-	n := 0
-	for _, b := range shards {
-		for _, gi := range b.globals {
-			if gi+1 > n {
-				n = gi + 1
-			}
-		}
-	}
-	if n == 0 {
+// newUnionCatalog stitches the shard catalogs together under the global maps
+// into a catalog of numSeqs sequences and residues residues, verifying that no
+// global index is covered twice or lies outside.  A degraded engine (some
+// shards quarantined at open time) passes only the surviving shards but the
+// whole corpus's totals, so the global index space has holes: those entries
+// keep the original global numbering but answer metadata lookups with zero
+// values (owner -1), while the totals still count them.
+func newUnionCatalog(shards []baseShard, numSeqs int, residues int64) (*unionCatalog, error) {
+	if numSeqs == 0 {
 		return nil, fmt.Errorf("shard: index set covers no sequences")
 	}
 	u := &unionCatalog{
-		cats:  make([]core.Catalog, len(shards)),
-		owner: make([]int, n),
-		local: make([]int, n),
+		cats:     make([]core.Catalog, len(shards)),
+		owner:    make([]int, numSeqs),
+		local:    make([]int, numSeqs),
+		residues: residues,
 	}
 	for gi := range u.owner {
 		u.owner[gi] = -1
@@ -55,8 +49,8 @@ func newUnionCatalog(shards []baseShard) (*unionCatalog, error) {
 				s, u.cats[s].NumSequences(), len(g))
 		}
 		for i, gi := range g {
-			if gi < 0 {
-				return nil, fmt.Errorf("shard %d: negative global index %d", s, gi)
+			if gi < 0 || gi >= numSeqs {
+				return nil, fmt.Errorf("shard %d: global index %d outside [0,%d)", s, gi, numSeqs)
 			}
 			if u.owner[gi] >= 0 {
 				return nil, fmt.Errorf("shard: global sequence %d assigned to more than one shard", gi)
@@ -66,7 +60,7 @@ func newUnionCatalog(shards []baseShard) (*unionCatalog, error) {
 		}
 	}
 	u.alphabet = u.cats[0].Alphabet()
-	u.loc = seq.NewLocator(n, func(gi int) int64 { return int64(u.SequenceLength(gi)) })
+	u.loc = seq.NewLocator(numSeqs, func(gi int) int64 { return int64(u.SequenceLength(gi)) })
 	return u, nil
 }
 
@@ -84,7 +78,7 @@ func (u *unionCatalog) SequenceLength(i int) int {
 	}
 	return u.cats[u.owner[i]].SequenceLength(u.local[i])
 }
-func (u *unionCatalog) TotalResidues() int64 { return u.loc.Len() - int64(len(u.owner)) }
+func (u *unionCatalog) TotalResidues() int64 { return u.residues }
 
 func (u *unionCatalog) Locate(pos int64) (int, int64, error) { return u.loc.Locate(pos) }
 

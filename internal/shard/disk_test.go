@@ -12,8 +12,8 @@ import (
 )
 
 // TestDiskEngineEquivalenceProperty is the randomized disk-vs-memory
-// equivalence property: across random databases, queries, shard counts and
-// both partition modes, a sharded engine serving per-shard DISK indexes
+// equivalence property: across random databases, queries and shard counts, a
+// sharded engine serving per-shard DISK indexes
 // through per-shard buffer pools must report the same sequences with the
 // same scores, in globally non-increasing score order and with the same
 // score at every rank, as the single in-memory index search.
@@ -47,80 +47,77 @@ func TestDiskEngineEquivalenceProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				for _, prefix := range []bool{false, true} {
-					shards := 1 + rng.Intn(5)
-					dir := filepath.Join(t.TempDir(), "idx")
-					manifest, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{
-						BlockSize:         2048,
-						Shards:            shards,
-						PartitionByPrefix: prefix,
-					})
+				shards := 1 + rng.Intn(5)
+				dir := filepath.Join(t.TempDir(), "idx")
+				manifest, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{
+					BlockSize: 2048,
+					Shards:    shards,
+				})
+				if err != nil {
+					t.Fatalf("trial %d: BuildSharded: %v", trial, err)
+				}
+				// Tiny pools force real page traffic and eviction.
+				opened, err := diskst.OpenDir(dir, 16*2048, false)
+				if err != nil {
+					t.Fatalf("trial %d: OpenDir: %v", trial, err)
+				}
+				eng, err := OpenDiskEngine(opened, Options{})
+				if err != nil {
+					t.Fatalf("trial %d: OpenDiskEngine: %v", trial, err)
+				}
+				if eng.NumShards() != manifest.Shards {
+					t.Fatalf("engine has %d shards, manifest %d", eng.NumShards(), manifest.Shards)
+				}
+				got, err := eng.SearchAll(query, opts)
+				if err != nil {
+					t.Fatalf("trial %d: search: %v", trial, err)
+				}
+				checkOrderAndRanks(t, got, "disk")
+				if len(got) != len(baseline) {
+					t.Fatalf("trial %d shards=%d: disk reported %d hits, memory single %d",
+						trial, shards, len(got), len(baseline))
+				}
+				want := multiset(baseline)
+				for i, h := range got {
+					if want[keyOf(h)] == 0 {
+						t.Fatalf("trial %d: hit %+v not in single-index results", trial, h)
+					}
+					want[keyOf(h)]--
+					if h.Score != baseline[i].Score {
+						t.Fatalf("trial %d: rank %d score %d, single-index %d",
+							trial, i+1, h.Score, baseline[i].Score)
+					}
+				}
+				// The global catalog must describe the source database so
+				// alignment recovery and metadata lookups agree with it.
+				cat := eng.Catalog()
+				if cat.NumSequences() != db.NumSequences() || cat.TotalResidues() != db.TotalResidues() {
+					t.Fatalf("catalog reports %d seqs / %d residues, db has %d / %d",
+						cat.NumSequences(), cat.TotalResidues(), db.NumSequences(), db.TotalResidues())
+				}
+				for i := 0; i < db.NumSequences(); i++ {
+					if cat.SequenceID(i) != db.Sequence(i).ID {
+						t.Fatalf("catalog sequence %d is %q, db has %q", i, cat.SequenceID(i), db.Sequence(i).ID)
+					}
+					res, err := cat.Residues(i)
 					if err != nil {
-						t.Fatalf("trial %d prefix=%v: BuildSharded: %v", trial, prefix, err)
-					}
-					// Tiny pools force real page traffic and eviction.
-					opened, err := diskst.OpenDir(dir, 16*2048, false)
-					if err != nil {
-						t.Fatalf("trial %d prefix=%v: OpenDir: %v", trial, prefix, err)
-					}
-					eng, err := OpenDiskEngine(opened, Options{})
-					if err != nil {
-						t.Fatalf("trial %d prefix=%v: OpenDiskEngine: %v", trial, prefix, err)
-					}
-					if eng.NumShards() != manifest.Shards {
-						t.Fatalf("engine has %d shards, manifest %d", eng.NumShards(), manifest.Shards)
-					}
-					got, err := eng.SearchAll(query, opts)
-					if err != nil {
-						t.Fatalf("trial %d prefix=%v: search: %v", trial, prefix, err)
-					}
-					checkOrderAndRanks(t, got, "disk")
-					if len(got) != len(baseline) {
-						t.Fatalf("trial %d prefix=%v shards=%d: disk reported %d hits, memory single %d",
-							trial, prefix, shards, len(got), len(baseline))
-					}
-					want := multiset(baseline)
-					for i, h := range got {
-						if want[keyOf(h)] == 0 {
-							t.Fatalf("trial %d prefix=%v: hit %+v not in single-index results", trial, prefix, h)
-						}
-						want[keyOf(h)]--
-						if h.Score != baseline[i].Score {
-							t.Fatalf("trial %d prefix=%v: rank %d score %d, single-index %d",
-								trial, prefix, i+1, h.Score, baseline[i].Score)
-						}
-					}
-					// The global catalog must describe the source database so
-					// alignment recovery and metadata lookups agree with it.
-					cat := eng.Catalog()
-					if cat.NumSequences() != db.NumSequences() || cat.TotalResidues() != db.TotalResidues() {
-						t.Fatalf("catalog reports %d seqs / %d residues, db has %d / %d",
-							cat.NumSequences(), cat.TotalResidues(), db.NumSequences(), db.TotalResidues())
-					}
-					for i := 0; i < db.NumSequences(); i++ {
-						if cat.SequenceID(i) != db.Sequence(i).ID {
-							t.Fatalf("catalog sequence %d is %q, db has %q", i, cat.SequenceID(i), db.Sequence(i).ID)
-						}
-						res, err := cat.Residues(i)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if string(res) != string(db.Sequence(i).Residues) {
-							t.Fatalf("catalog residues for sequence %d differ from the database", i)
-						}
-					}
-					if len(got) > 0 {
-						var requests int64
-						for _, ps := range opened.PoolStats() {
-							requests += ps.Requests
-						}
-						if requests == 0 {
-							t.Fatalf("trial %d prefix=%v: search reported hits without touching any buffer pool", trial, prefix)
-						}
-					}
-					if err := eng.Close(); err != nil {
 						t.Fatal(err)
 					}
+					if string(res) != string(db.Sequence(i).Residues) {
+						t.Fatalf("catalog residues for sequence %d differ from the database", i)
+					}
+				}
+				if len(got) > 0 {
+					var requests int64
+					for _, ps := range opened.PoolStats() {
+						requests += ps.Requests
+					}
+					if requests == 0 {
+						t.Fatalf("trial %d: search reported hits without touching any buffer pool", trial)
+					}
+				}
+				if err := eng.Close(); err != nil {
+					t.Fatal(err)
 				}
 			}
 		})

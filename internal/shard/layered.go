@@ -13,9 +13,8 @@ import (
 // sequences remain addressable (hits streamed before a delete can still
 // recover alignments).
 type layeredCatalog struct {
-	base    core.Catalog
-	baseN   int
-	baseRes int64
+	base  core.Catalog
+	baseN int
 	// concat starts: base occupies [0, baseConcat); layer i occupies
 	// [starts[i], starts[i]+span) in the virtual concatenated view, where
 	// every sequence is followed by one terminator.
@@ -35,11 +34,9 @@ type layeredCatalog struct {
 // second type beside unionCatalog: that one resolves ARBITRARY global maps
 // through per-sequence tables built once at open, and folding the dense
 // layers into it would make every publish O(corpus).
-func newLayeredCatalog(base core.Catalog, baseN int, baseRes int64, layers []core.Index) core.Catalog {
-	lc := &layeredCatalog{
-		base: base, baseN: baseN, baseRes: baseRes,
-		baseConcat: baseRes + int64(baseN),
-	}
+func newLayeredCatalog(base core.Catalog, layers []core.Index) core.Catalog {
+	baseN, baseRes := base.NumSequences(), base.TotalResidues()
+	lc := &layeredCatalog{base: base, baseN: baseN, baseConcat: baseRes + int64(baseN)}
 	n, concat, total := baseN, lc.baseConcat, baseRes
 	for _, x := range layers {
 		cat := x.Catalog()
@@ -55,15 +52,12 @@ func newLayeredCatalog(base core.Catalog, baseN int, baseRes int64, layers []cor
 }
 
 // resolve maps a global sequence index to its owning catalog and local index
-// (nil when the index falls into a quarantined-shard hole).
+// (nil when the index is out of range).
 func (c *layeredCatalog) resolve(g int) (core.Catalog, int) {
 	if g < 0 || g >= c.numSeqs {
 		return nil, 0
 	}
 	if g < c.baseN {
-		if g >= c.base.NumSequences() {
-			return nil, 0 // degraded base: hole past the union catalog
-		}
 		return c.base, g
 	}
 	for i := len(c.layers) - 1; i >= 0; i-- {

@@ -53,7 +53,7 @@ func NewEngineFromProviders(set ProviderSet, opts Options) (*Engine, error) {
 	if set.Catalog == nil {
 		return nil, fmt.Errorf("shard: provider set needs a catalog")
 	}
-	r := &root{mode: PartitionBySequence, baseCat: set.Catalog, closers: set.Closers}
+	r := &root{baseCat: set.Catalog, closers: set.Closers}
 	for _, p := range set.Providers {
 		r.base = append(r.base, baseShard{provider: p})
 	}

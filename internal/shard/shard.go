@@ -119,30 +119,24 @@ type Engine struct {
 	layers []core.Index
 	tombs  map[int]bool
 	// cat is the global catalog over base + layers (the base catalog itself
-	// when there are none).  numSeqs is the size of the global sequence-index
-	// space, tombstoned sequences included; liveRes the residue count of the
-	// live ones, which E-values are computed against.
+	// when there are none), whose sequence count is the size of the global
+	// sequence-index space, tombstoned sequences included; liveRes is the
+	// residue count of the live ones, which E-values are computed against.
 	cat     core.Catalog
-	numSeqs int
 	liveRes int64
 }
 
 // root is what every view of one engine shares: the base shards, the pooled
 // per-query state and the lifetime counters.
 type root struct {
-	mode PartitionMode
 	// workers is the explicit Options.Workers bound; 0 runs every stream of
 	// a query at once.
 	workers int
 	queryAl *seq.Alphabet
-	// baseCat is the catalog over the base shards alone.  baseSeqs/baseRes
-	// are the base corpus's totals as the global numbering defines them: the
-	// catalog's own, except that a disk directory's manifest overrides them
-	// (a degraded engine's union catalog can cover less, but delta layers are
-	// numbered after the manifest's count).
-	baseCat  core.Catalog
-	baseSeqs int
-	baseRes  int64
+	// baseCat is the catalog over the base shards alone; its totals are the
+	// base corpus's as the global numbering defines them (for a degraded disk
+	// engine they count the quarantined shards too, see OpenDiskEngine).
+	baseCat core.Catalog
 	// base is the engine's own shards, one per work partition.
 	base []baseShard
 	// frontier and prefixes drive the shared near-root expansion of a prefix
@@ -184,9 +178,8 @@ type root struct {
 type baseShard struct {
 	// Sequence mode: index is the shard's own suffix tree over a disjoint
 	// sequence subset and globals maps its local sequence indexes to global
-	// ones.  Prefix mode: index is the shard's read handle on the one shared
-	// tree (on disk one handle per shard, so each reads through its own
-	// buffer pool) and globals is nil — its indexes are global already.
+	// ones.  Prefix mode: index is the one shared tree and globals is nil —
+	// its indexes are global already.
 	index   core.Index
 	globals []int
 	// provider, when set, replaces the local index (NewEngineFromProviders).
@@ -200,7 +193,7 @@ func NewEngine(db *seq.Database, opts Options) (*Engine, error) {
 	if opts.Shards < 1 {
 		opts.Shards = 1
 	}
-	r := &root{mode: opts.Partition, baseCat: core.NewDatabaseCatalog(db)}
+	r := &root{baseCat: core.NewDatabaseCatalog(db)}
 	switch opts.Partition {
 	case PartitionBySequence:
 		part, err := seq.PartitionDatabase(db, opts.Shards)
@@ -233,17 +226,15 @@ func NewEngine(db *seq.Database, opts Options) (*Engine, error) {
 	return r.finish(opts)
 }
 
-// finish is the constructor tail every engine shape shares, run once the mode,
-// base catalog and base shards are set: it derives the base totals, sizes the
-// pooled scratch, dedup sets and per-shard accounting, and returns the
-// pristine view (no layers, no tombstones).
+// finish is the constructor tail every engine shape shares, run once the base
+// catalog and base shards are set: it sizes the pooled scratch, dedup sets and
+// per-shard accounting, and returns the pristine view (no layers, no
+// tombstones).
 func (r *root) finish(opts Options) (*Engine, error) {
 	n := len(r.base)
 	if n == 0 {
 		return nil, fmt.Errorf("shard: engine has no shards")
 	}
-	r.baseSeqs = r.baseCat.NumSequences()
-	r.baseRes = r.baseCat.TotalResidues()
 	r.queryAl = r.baseCat.Alphabet()
 	r.workers = max(opts.Workers, 0)
 	r.nosteal = opts.NoSteal
@@ -274,23 +265,14 @@ func (r *root) finish(opts Options) (*Engine, error) {
 // Neither argument may be modified afterwards.  With neither it is the
 // pristine engine.
 func (e *Engine) WithLayers(layers []core.Index, tombstones map[int]bool) (*Engine, error) {
-	v := &Engine{root: e.root, layers: layers, tombs: tombstones,
-		cat: e.baseCat, numSeqs: e.baseSeqs, liveRes: e.baseCat.TotalResidues()}
-	if !v.layered() {
-		return v, nil
-	}
-	if e.base[0].provider != nil {
+	v := &Engine{root: e.root, layers: layers, tombs: tombstones, cat: e.baseCat}
+	if v.layered() && e.base[0].provider != nil {
 		return nil, fmt.Errorf("shard: provider-backed engines have no mutable layer")
 	}
-	v.liveRes = e.baseRes
-	for _, l := range layers {
-		cat := l.Catalog()
-		v.numSeqs += cat.NumSequences()
-		v.liveRes += cat.TotalResidues()
-	}
 	if len(layers) > 0 {
-		v.cat = newLayeredCatalog(e.baseCat, e.baseSeqs, e.baseRes, layers)
+		v.cat = newLayeredCatalog(e.baseCat, layers)
 	}
+	v.liveRes = v.cat.TotalResidues()
 	for g := range tombstones {
 		v.liveRes -= int64(v.cat.SequenceLength(g))
 	}
@@ -309,8 +291,8 @@ func (e *Engine) Tombstones() map[int]bool { return e.tombs }
 // NumSequences is the size of the view's global sequence-index space: base
 // plus layers, tombstoned sequences included.  LiveSequences and LiveResidues
 // describe what a search can reach after tombstone filtering.
-func (e *Engine) NumSequences() int   { return e.numSeqs }
-func (e *Engine) LiveSequences() int  { return e.numSeqs - len(e.tombs) }
+func (e *Engine) NumSequences() int   { return e.cat.NumSequences() }
+func (e *Engine) LiveSequences() int  { return e.NumSequences() - len(e.tombs) }
 func (e *Engine) LiveResidues() int64 { return e.liveRes }
 
 // Catalog returns the engine's global sequence catalog (hit sequence indexes
@@ -352,9 +334,6 @@ func (e *Engine) QueueDepths() []QueueDepth {
 	}
 	return out
 }
-
-// Partition returns the engine's partition mode.
-func (e *Engine) Partition() PartitionMode { return e.mode }
 
 // Standing returns the shards quarantined at open time (nil for a healthy
 // engine).  Every search over an engine with standing quarantines reports
@@ -555,7 +534,7 @@ func (e *Engine) plan(query []byte, opts core.Options) (*plan, error) {
 	}
 	// Each layer is its own small suffix tree over sequences no other stream
 	// holds, numbered on from the base corpus.
-	first := e.baseSeqs
+	first := e.baseCat.NumSequences()
 	for _, l := range e.layers {
 		p.streams = append(p.streams, localStream(l, nil, first, query, rb, -1))
 		first += l.Catalog().NumSequences()
@@ -697,7 +676,7 @@ func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, report fu
 		// repeat across prefix shards; layer sequences appear in exactly one
 		// stream but flow through the same set harmlessly.
 		dedup = e.dedups.Get()
-		dedup.acquire(e.numSeqs)
+		dedup.acquire(e.NumSequences())
 		defer e.dedups.Put(dedup)
 	}
 	m := newMerger(bounds, opts, e.liveRes, queryLen, dedup, report)

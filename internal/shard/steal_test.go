@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/diskst"
 	"repro/internal/score"
 	"repro/internal/seq"
 )
@@ -113,9 +112,8 @@ func requireSameStream(t *testing.T, label string, got, want []core.Hit) {
 // random corpora, shard/worker counts, alphabets and query knobs, an engine
 // with work stealing must emit exactly the stream its NoSteal twin emits —
 // same sequences, ids, scores, E-values and ranks, in the same order — and
-// spend the same total column work, for both in-memory and on-disk prefix
-// engines.  (Sequence-partitioned engines have no seeds to steal; the flag
-// must be a byte-exact no-op there.)
+// spend the same total column work.  (Sequence-partitioned engines have no
+// seeds to steal; the flag must be a byte-exact no-op there.)
 func TestStealingStreamEquivalence(t *testing.T) {
 	cases := map[string]struct {
 		a      *seq.Alphabet
@@ -188,48 +186,6 @@ func TestStealingStreamEquivalence(t *testing.T) {
 				noStealEng.Close()
 			}
 		})
-	}
-}
-
-// TestStealingDiskEngineEquivalence runs the same on/off differential over a
-// prefix-partitioned index directory: Options.NoSteal must reach the
-// engine, and the disk-backed stolen stream must equal its static twin.
-func TestStealingDiskEngineEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(311))
-	db := randomShardDB(t, rng, seq.DNA, 20, 80)
-	dir := t.TempDir()
-	if _, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{
-		Shards: 4, PartitionByPrefix: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	stealEng, err := openDisk(dir, 0, false, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stealEng.Close()
-	noStealEng, err := openDisk(dir, 0, false, Options{Workers: 2, NoSteal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noStealEng.Close()
-	letters := seq.DNA.Letters()
-	for q := 0; q < 8; q++ {
-		qb := make([]byte, 4+rng.Intn(10))
-		for i := range qb {
-			qb[i] = letters[rng.Intn(len(letters))]
-		}
-		query := seq.DNA.MustEncode(string(qb))
-		opts := core.Options{Scheme: score.MustScheme(score.UnitDNA(), -1), MinScore: 2 + rng.Intn(6)}
-		got, err := stealEng.SearchAll(query, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := noStealEng.SearchAll(query, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameStream(t, fmt.Sprintf("disk query %d", q), normalizeHits(got), normalizeHits(want))
 	}
 }
 

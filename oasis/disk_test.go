@@ -11,7 +11,7 @@ import (
 
 // buildDiskShardedIndex generates a workload database, writes it as a
 // sharded disk index, and returns the database plus the index directory.
-func buildDiskShardedIndex(t *testing.T, seed int64, prefix bool, shards int) (*oasis.Database, string) {
+func buildDiskShardedIndex(t *testing.T, seed int64, shards int) (*oasis.Database, string) {
 	t.Helper()
 	cfg := workload.DefaultProteinConfig(30_000)
 	cfg.Seed = seed
@@ -20,10 +20,7 @@ func buildDiskShardedIndex(t *testing.T, seed int64, prefix bool, shards int) (*
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "idx")
-	manifest, _, err := oasis.BuildShardedDiskIndex(dir, db, oasis.ShardedIndexBuildOptions{
-		Shards:            shards,
-		PartitionByPrefix: prefix,
-	})
+	manifest, _, err := oasis.BuildShardedDiskIndex(dir, db, oasis.ShardedIndexBuildOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,61 +34,55 @@ func buildDiskShardedIndex(t *testing.T, seed int64, prefix bool, shards int) (*
 // disk-backed engine: a sharded index built by BuildShardedDiskIndex and
 // reopened with OpenEngine must report exactly the hits of the in-memory
 // single-index search — same sequences, same scores, same score at every
-// rank — in both partition modes.
+// rank.
 func TestDiskShardedIndexPublicAPI(t *testing.T) {
-	for _, prefix := range []bool{false, true} {
-		name := "sequence"
-		if prefix {
-			name = "prefix"
+	t.Run("sequence", func(t *testing.T) {
+		db, dir := buildDiskShardedIndex(t, 91, 4)
+		qs, err := workload.MotifQueries(db, nil, workload.DefaultQueryConfig(5))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			db, dir := buildDiskShardedIndex(t, 91, prefix, 4)
-			qs, err := workload.MotifQueries(db, nil, workload.DefaultQueryConfig(5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			queries := make([][]byte, len(qs))
-			for i, q := range qs {
-				queries[i] = q.Residues
-			}
-			scheme, err := oasis.NewScheme(oasis.MatrixByName("PAM30"), -10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := oasis.OpenEngine(dir, oasis.EngineOptions{
-				// Small pools keep real page traffic (and eviction) in play.
-				PoolBytes:    64 * 2048,
-				ShardWorkers: 2,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			if eng.NumShards() != 4 {
-				t.Fatalf("got %d shards, want 4", eng.NumShards())
-			}
-			if eng.TotalResidues() != db.TotalResidues() {
-				t.Fatalf("disk engine serves %d residues, db has %d", eng.TotalResidues(), db.TotalResidues())
-			}
-			assertMatchesSingleIndex(t, eng, db, scheme, queries,
-				func(t *testing.T, q []byte, got []oasis.Hit, _, _ oasis.SearchStats) {
-					// Alignment recovery must work without the source database:
-					// residues come back through the shard buffer pools.
-					if len(got) > 0 {
-						if _, err := eng.RecoverAlignment(q, scheme, got[0]); err != nil {
-							t.Fatalf("recover alignment: %v", err)
-						}
-					}
-				})
+		queries := make([][]byte, len(qs))
+		for i, q := range qs {
+			queries[i] = q.Residues
+		}
+		scheme, err := oasis.NewScheme(oasis.MatrixByName("PAM30"), -10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := oasis.OpenEngine(dir, oasis.EngineOptions{
+			// Small pools keep real page traffic (and eviction) in play.
+			PoolBytes:    64 * 2048,
+			ShardWorkers: 2,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if eng.NumShards() != 4 {
+			t.Fatalf("got %d shards, want 4", eng.NumShards())
+		}
+		if eng.TotalResidues() != db.TotalResidues() {
+			t.Fatalf("disk engine serves %d residues, db has %d", eng.TotalResidues(), db.TotalResidues())
+		}
+		assertMatchesSingleIndex(t, eng, db, scheme, queries,
+			func(t *testing.T, q []byte, got []oasis.Hit, _, _ oasis.SearchStats) {
+				// Alignment recovery must work without the source database:
+				// residues come back through the shard buffer pools.
+				if len(got) > 0 {
+					if _, err := eng.RecoverAlignment(q, scheme, got[0]); err != nil {
+						t.Fatalf("recover alignment: %v", err)
+					}
+				}
+			})
+	})
 }
 
 // TestDiskEngineServesBatches drives the warm batch engine over a disk index
 // directory through the public facade (OpenEngine + SubmitBatch) and checks
 // the multiplexed results against per-query in-memory searches.
 func TestDiskEngineServesBatches(t *testing.T) {
-	db, dir := buildDiskShardedIndex(t, 92, true, 3)
+	db, dir := buildDiskShardedIndex(t, 92, 3)
 	queries, err := workload.MotifQueries(db, nil, workload.DefaultQueryConfig(4))
 	if err != nil {
 		t.Fatal(err)

@@ -4,16 +4,14 @@ import (
 	"context"
 
 	"repro/internal/core"
-	"repro/internal/diskst"
 	"repro/internal/engine"
-	"repro/internal/shard"
 )
 
 // EngineOptions configures a warm engine: the source (IndexDir with PoolBytes
-// and AllowDegraded, or a database split into Shards, optionally
-// PartitionByPrefix), the two concurrency bounds (ShardWorkers within a query,
-// BatchWorkers across a batch) and the result cache budget (CacheBytes).  The
-// fields are documented on engine.Options, which this is.
+// and AllowDegraded, or a database split into Shards by sequence), the two
+// concurrency bounds (ShardWorkers within a query, BatchWorkers across a
+// batch) and the result cache budget (CacheBytes).  The fields are documented
+// on engine.Options, which this is.
 type EngineOptions = engine.Options
 
 // Engine is a warm, long-running OASIS query engine: the sharded suffix-tree
@@ -78,16 +76,6 @@ func (e *Engine) TotalResidues() int64 { return e.eng.TotalResidues() }
 
 // NumShards returns the number of partitions actually built.
 func (e *Engine) NumShards() int { return e.eng.NumShards() }
-
-// Partition returns the engine's work-partitioning mode as the manifest
-// spells it: "sequence" (independent per-shard indexes) or "prefix" (one
-// shared index, disjoint subtrees per shard).
-func (e *Engine) Partition() string {
-	if e.eng.Partition() == shard.PartitionByPrefix {
-		return diskst.PartitionPrefix
-	}
-	return diskst.PartitionSequence
-}
 
 // ShardWorkers returns the per-query shard concurrency bound.
 func (e *Engine) ShardWorkers() int { return e.eng.ShardWorkers() }

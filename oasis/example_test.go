@@ -65,7 +65,7 @@ func ExampleSearch() {
 // (and therefore streaming top-k) survives sharding.
 func ExampleNewEngine() {
 	db := exampleDatabase()
-	sharded, err := oasis.NewEngine(db, oasis.EngineOptions{Shards: 2, PartitionByPrefix: true})
+	sharded, err := oasis.NewEngine(db, oasis.EngineOptions{Shards: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -141,19 +141,17 @@ func BuildDiskIndex(path string, db *Database, opts IndexBuildOptions) (*IndexSt
 }
 
 // ShardedIndexBuildOptions configures sharded disk-index construction:
-// BlockSize as in IndexBuildOptions, Shards (the number of work partitions,
-// >= 1) and PartitionByPrefix, which writes ONE shared index file plus a
-// suffix-prefix -> shard assignment (Hunt-style subtree partitions) instead
-// of one independently indexed file per disjoint sequence subset.
+// BlockSize as in IndexBuildOptions and Shards, the number of disjoint
+// sequence subsets (>= 1), each written as its own index file.
 type ShardedIndexBuildOptions = diskst.ShardedBuildOptions
 
-// IndexManifest describes a sharded disk index directory: partition mode,
-// shard count, file names and the per-shard assignment metadata.
+// IndexManifest describes a sharded disk index directory: shard count, file
+// names and the per-shard local -> global sequence maps.
 type IndexManifest = diskst.Manifest
 
-// BuildShardedDiskIndex partitions db and writes one index file per shard
-// (prefix mode: one shared file) plus a manifest.json into dir, ready for
-// OpenEngine / EngineOptions.IndexDir serving without rebuilding.
+// BuildShardedDiskIndex partitions db by sequence and writes one index file
+// per shard plus a manifest.json into dir, ready for OpenEngine /
+// EngineOptions.IndexDir serving without rebuilding.
 func BuildShardedDiskIndex(dir string, db *Database, opts ShardedIndexBuildOptions) (*IndexManifest, []IndexStats, error) {
 	return diskst.BuildSharded(dir, db, opts)
 }
