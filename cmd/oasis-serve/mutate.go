@@ -78,7 +78,7 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	mm := s.eng.Metrics().Mutable
+	mm := s.eng.Mutable()
 	writeJSON(w, http.StatusOK, mutateResponse{
 		Status: "ok", ID: req.ID, Generation: gen,
 		MemtableSequences: mm.MemtableSequences, Tombstones: mm.Tombstones,
@@ -106,7 +106,7 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	mm := s.eng.Metrics().Mutable
+	mm := s.eng.Mutable()
 	writeJSON(w, http.StatusOK, mutateResponse{
 		Status: "ok", ID: req.ID, Generation: gen,
 		MemtableSequences: mm.MemtableSequences, Tombstones: mm.Tombstones,
@@ -127,7 +127,7 @@ func (s *server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	mm := s.eng.Metrics().Mutable
+	mm := s.eng.Mutable()
 	writeJSON(w, http.StatusOK, mutateResponse{
 		Status: "ok", Generation: gen, Compacted: gen != before,
 		MemtableSequences: mm.MemtableSequences, Tombstones: mm.Tombstones,

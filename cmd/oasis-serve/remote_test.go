@@ -57,7 +57,7 @@ func coordinatorServer(t *testing.T, strict bool) (*server, *oasis.Coordinator, 
 		sliceSrvs = append(sliceSrvs, srv)
 		slices = append(slices, []string{srv.URL})
 	}
-	co, err := oasis.OpenCoordinator(t.Context(), oasis.CoordinatorOptions{Slices: slices, DisableHedge: true}, oasis.EngineOptions{})
+	co, err := oasis.OpenCoordinator(t.Context(), oasis.CoordinatorOptions{Slices: slices}, oasis.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func scriptedTopology(t *testing.T, p *scriptedProvider) (rs *remote.Server, sha
 	rs = remote.NewServer(eng)
 	shardSrv := httptest.NewServer(rs)
 	t.Cleanup(shardSrv.Close)
-	co, err := oasis.OpenCoordinator(t.Context(), oasis.CoordinatorOptions{Slices: [][]string{{shardSrv.URL}}, DisableHedge: true}, oasis.EngineOptions{})
+	co, err := oasis.OpenCoordinator(t.Context(), oasis.CoordinatorOptions{Slices: [][]string{{shardSrv.URL}}}, oasis.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,9 @@ type Hit struct {
 	// TargetStart/TargetEnd delimit the aligned region within the target
 	// sequence (local coordinates).
 	TargetStart, TargetEnd int
-	// EValue is the expectation value for the hit when statistics were
-	// requested, otherwise 0.
+	// EValue is the expectation value of an alignment recovered for a hit
+	// that carried one (an OASIS hit searched with E-value statistics),
+	// otherwise 0.
 	EValue float64
 }
 

@@ -160,10 +160,6 @@ type Options struct {
 	MinScore int
 	// Stats, when non-nil, receives work counters.
 	Stats *Stats
-	// KA, when non-nil, is used to attach E-values to hits.
-	KA *score.KarlinAltschul
-	// MaxHits limits the number of hits returned (0 = unlimited).
-	MaxHits int
 }
 
 // SearchDatabase runs Smith-Waterman between the query and every database
@@ -191,16 +187,9 @@ func SearchDatabase(db *seq.Database, query []byte, sch score.Scheme, opts Optio
 		if s < opts.MinScore {
 			continue
 		}
-		h := Hit{SeqIndex: i, SeqID: db.Sequence(i).ID, Score: s}
-		if opts.KA != nil {
-			h.EValue = opts.KA.EValue(s, len(query), db.TotalResidues())
-		}
-		hits = append(hits, h)
+		hits = append(hits, Hit{SeqIndex: i, SeqID: db.Sequence(i).ID, Score: s})
 	}
 	SortHits(hits)
-	if opts.MaxHits > 0 && len(hits) > opts.MaxHits {
-		hits = hits[:opts.MaxHits]
-	}
 	return hits, nil
 }
 

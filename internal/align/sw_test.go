@@ -230,34 +230,6 @@ func TestSearchDatabaseMinScoreFilter(t *testing.T) {
 	}
 }
 
-func TestSearchDatabaseMaxHits(t *testing.T) {
-	db, _ := seq.DatabaseFromStrings(seq.DNA, "TACG", "TACG", "TACG")
-	q := seq.DNA.MustEncode("TACG")
-	hits, err := SearchDatabase(db, q, unitScheme, Options{MinScore: 1, MaxHits: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 2 {
-		t.Fatalf("MaxHits not applied: %d hits", len(hits))
-	}
-}
-
-func TestSearchDatabaseEValues(t *testing.T) {
-	db, _ := seq.DatabaseFromStrings(seq.DNA, "AGTACGCCTAG", "GGGGGG")
-	q := seq.DNA.MustEncode("TACG")
-	ka, err := score.Params(score.UnitDNA(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, err := SearchDatabase(db, q, unitScheme, Options{MinScore: 1, KA: &ka})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) == 0 || hits[0].EValue <= 0 {
-		t.Fatalf("expected positive E-values, got %+v", hits)
-	}
-}
-
 func TestSearchDatabaseErrors(t *testing.T) {
 	db, _ := seq.DatabaseFromStrings(seq.DNA, "ACGT")
 	q := seq.DNA.MustEncode("ACG")

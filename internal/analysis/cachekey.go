@@ -35,12 +35,11 @@ func DefaultCacheKeyConfig() CacheKeyConfig {
 		KeyFuncPkgName:   "qcache",
 		KeyFunc:          "NewKey",
 		Exempt: map[string]string{
-			"MaxResults":        "entries remember Complete vs truncated; any top-k request is served by truncating the stored stream",
-			"Stats":             "output-only work counters; never change which hits are produced",
-			"Scratch":           "reusable buffers; results are identical with or without one",
-			"Context":           "cancellation handle; a cancelled search is never cached",
-			"CancelPollColumns": "poll cadence for cancellation; does not change results",
-			"StrictShards":      "degraded streams are never cached, and strict mode only turns degradation into an error",
+			"MaxResults":   "entries remember Complete vs truncated; any top-k request is served by truncating the stored stream",
+			"Stats":        "output-only work counters; never change which hits are produced",
+			"Scratch":      "reusable buffers; results are identical with or without one",
+			"Context":      "cancellation handle; a cancelled search is never cached",
+			"StrictShards": "degraded streams are never cached, and strict mode only turns degradation into an error",
 		},
 	}
 }

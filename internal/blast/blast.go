@@ -21,57 +21,35 @@ import (
 	"repro/internal/seq"
 )
 
+// The BLAST 2 parameters every search runs with.
+const (
+	// proteinWordSize and dnaWordSize are the seed word lengths.
+	proteinWordSize = 3
+	dnaWordSize     = 11
+	// neighborThreshold is the minimum word score T for a database word to
+	// be a seed match of a query word (protein only; DNA words must match
+	// exactly).
+	neighborThreshold = 11
+	// windowSize is the two-hit window along one diagonal.
+	windowSize = 40
+	// xDrop is the score drop-off that terminates ungapped extension.
+	xDrop = 7
+	// gapTrigger is the ungapped score required before a gapped extension
+	// is attempted.
+	gapTrigger = 18
+	// defaultEValue is the reporting threshold when Options.EValue is zero.
+	defaultEValue = 10
+)
+
 // Options configures a BLAST-style search.
 type Options struct {
-	// WordSize is the seed word length (default: 3 for protein, 11 for
-	// DNA).
-	WordSize int
-	// NeighborThreshold is the minimum word score T for a database word to
-	// be considered a seed match of a query word (protein only; DNA words
-	// must match exactly).  Default 11.
-	NeighborThreshold int
-	// TwoHit requires two seed hits on the same diagonal within WindowSize
-	// before extension is triggered (the BLAST 2 protein default).
+	// TwoHit requires two seed hits on the same diagonal within the two-hit
+	// window before extension is triggered (the BLAST 2 protein default).
 	TwoHit bool
-	// WindowSize is the two-hit window (default 40).
-	WindowSize int
-	// XDrop is the score drop-off that terminates ungapped extension
-	// (default 7).
-	XDrop int
-	// GapTrigger is the ungapped score required before a gapped extension
-	// is attempted (default 18).
-	GapTrigger int
 	// EValue is the reporting threshold (default 10).
 	EValue float64
 	// MaxHits caps the number of reported sequences (0 = unlimited).
 	MaxHits int
-}
-
-// Defaults fills unset fields with BLAST-like defaults for the alphabet.
-func (o Options) Defaults(kind seq.AlphabetKind) Options {
-	if o.WordSize == 0 {
-		if kind == seq.KindDNA {
-			o.WordSize = 11
-		} else {
-			o.WordSize = 3
-		}
-	}
-	if o.NeighborThreshold == 0 {
-		o.NeighborThreshold = 11
-	}
-	if o.WindowSize == 0 {
-		o.WindowSize = 40
-	}
-	if o.XDrop == 0 {
-		o.XDrop = 7
-	}
-	if o.GapTrigger == 0 {
-		o.GapTrigger = 18
-	}
-	if o.EValue == 0 {
-		o.EValue = 10
-	}
-	return o
 }
 
 // Stats counts the work done by a search.
@@ -128,9 +106,12 @@ func NewSearcher(db *seq.Database, sch score.Scheme, opts Options) (*Searcher, e
 	if sch.Matrix.Alphabet() != db.Alphabet() {
 		return nil, fmt.Errorf("blast: matrix %q is over a different alphabet than the database", sch.Matrix.Name())
 	}
-	opts = opts.Defaults(db.Alphabet().Kind())
-	if opts.WordSize < 2 || opts.WordSize > 12 {
-		return nil, fmt.Errorf("blast: word size %d out of range [2,12]", opts.WordSize)
+	if opts.EValue == 0 {
+		opts.EValue = defaultEValue
+	}
+	wordSize := proteinWordSize
+	if db.Alphabet().Kind() == seq.KindDNA {
+		wordSize = dnaWordSize
 	}
 	stats := db.ComputeStats()
 	ka, err := score.Params(sch.Matrix, stats.Frequencies)
@@ -148,7 +129,7 @@ func NewSearcher(db *seq.Database, sch score.Scheme, opts Options) (*Searcher, e
 		scheme:   sch,
 		ka:       ka,
 		opts:     opts,
-		wordSize: opts.WordSize,
+		wordSize: wordSize,
 		alphaN:   db.Alphabet().Size(),
 		index:    map[uint32][]int32{},
 	}
@@ -162,9 +143,6 @@ func NewSearcher(db *seq.Database, sch score.Scheme, opts Options) (*Searcher, e
 // experiments can convert its E-value threshold into the equivalent OASIS
 // minScore (paper Equation 3).
 func (s *Searcher) KA() score.KarlinAltschul { return s.ka }
-
-// Options returns the effective (defaulted) options.
-func (s *Searcher) Options() Options { return s.opts }
 
 // encodeWord packs w symbols into a uint32 (base alphabet-size).
 func (s *Searcher) encodeWord(symbols []byte) (uint32, bool) {
@@ -225,7 +203,7 @@ func (s *Searcher) Search(query []byte, st *Stats) ([]Hit, error) {
 	for _, sd := range triggered {
 		st.Extensions++
 		ungapped := s.ungappedExtend(query, sd)
-		if ungapped < s.opts.GapTrigger {
+		if ungapped < gapTrigger {
 			continue
 		}
 		st.GappedExtensions++
@@ -290,7 +268,8 @@ func (s *Searcher) findSeeds(query []byte, st *Stats) []seed {
 }
 
 // enumerateNeighborhood calls fn with the encoded form of every word whose
-// substitution score against qWord reaches the neighbourhood threshold T.
+// substitution score against qWord reaches the neighbourhood threshold T
+// (neighborThreshold).
 // The enumeration prunes with the per-position row maxima so it does not
 // visit the entire |alphabet|^w space.
 func (s *Searcher) enumerateNeighborhood(qWord []byte, fn func(code uint32)) {
@@ -304,7 +283,7 @@ func (s *Searcher) enumerateNeighborhood(qWord []byte, fn func(code uint32)) {
 	word := make([]byte, w)
 	var rec func(i, scoreSoFar int)
 	rec = func(i, scoreSoFar int) {
-		if scoreSoFar+bestRemaining[i] < s.opts.NeighborThreshold {
+		if scoreSoFar+bestRemaining[i] < neighborThreshold {
 			return
 		}
 		if i == w {
@@ -350,7 +329,7 @@ func (s *Searcher) filterSeeds(query []byte, seeds []seed) []seed {
 		sort.Slice(group, func(i, j int) bool { return group[i].dbPos < group[j].dbPos })
 		for i := 1; i < len(group); i++ {
 			gap := int(group[i].dbPos - group[i-1].dbPos)
-			if gap > 0 && gap <= s.opts.WindowSize {
+			if gap > 0 && gap <= windowSize {
 				out = append(out, group[i])
 			}
 		}
@@ -371,7 +350,7 @@ func dedupeSeeds(seeds []seed) []seed {
 }
 
 // ungappedExtend extends a seed in both directions along its diagonal,
-// stopping when the running score drops XDrop below the best seen.
+// stopping when the running score drops xDrop below the best seen.
 func (s *Searcher) ungappedExtend(query []byte, sd seed) int {
 	concat := s.db.Concat()
 	mat := s.scheme.Matrix
@@ -390,7 +369,7 @@ func (s *Searcher) ungappedExtend(query []byte, sd seed) int {
 		if run > best {
 			best = run
 		}
-		if best-run > s.opts.XDrop {
+		if best-run > xDrop {
 			break
 		}
 		qi++
@@ -404,7 +383,7 @@ func (s *Searcher) ungappedExtend(query []byte, sd seed) int {
 		if run > best {
 			best = run
 		}
-		if best-run > s.opts.XDrop {
+		if best-run > xDrop {
 			break
 		}
 		qi--
@@ -422,7 +401,7 @@ func (s *Searcher) gappedExtend(query []byte, sd seed) (Hit, bool) {
 		return Hit{}, false
 	}
 	target := s.db.Sequence(seqIdx).Residues
-	margin := len(query) + s.opts.WindowSize
+	margin := len(query) + windowSize
 	lo := int(local) - margin
 	if lo < 0 {
 		lo = 0

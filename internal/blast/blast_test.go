@@ -157,8 +157,8 @@ func TestBlastDNAExactWordSeeding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Options().WordSize != 11 {
-		t.Fatalf("DNA default word size = %d", s.Options().WordSize)
+	if s.wordSize != 11 {
+		t.Fatalf("DNA word size = %d", s.wordSize)
 	}
 	hits, err := s.Search(seq.DNA.MustEncode(core), nil)
 	if err != nil {
@@ -202,7 +202,7 @@ func TestTwoHitIsMoreSelectiveThanOneHit(t *testing.T) {
 
 func TestNeighborhoodEnumeration(t *testing.T) {
 	db, _ := seq.DatabaseFromStrings(seq.Protein, "ARNDCQEGHILKMFPSTWYV")
-	s, err := NewSearcher(db, proteinScheme(), Options{NeighborThreshold: 13})
+	s, err := NewSearcher(db, proteinScheme(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,13 +222,6 @@ func TestNeighborhoodEnumeration(t *testing.T) {
 	if count == 0 || count > 23*23*23 {
 		t.Fatalf("implausible neighbourhood size %d", count)
 	}
-	// A higher threshold must shrink the neighbourhood.
-	s2, _ := NewSearcher(db, proteinScheme(), Options{NeighborThreshold: 30})
-	count2 := 0
-	s2.enumerateNeighborhood(qWord, func(uint32) { count2++ })
-	if count2 >= count {
-		t.Fatalf("raising T did not shrink neighbourhood: %d vs %d", count2, count)
-	}
 }
 
 func TestSearchValidation(t *testing.T) {
@@ -242,9 +235,6 @@ func TestSearchValidation(t *testing.T) {
 	dnaDB, _ := seq.DatabaseFromStrings(seq.DNA, "ACGT")
 	if _, err := NewSearcher(dnaDB, proteinScheme(), Options{}); err == nil {
 		t.Fatal("expected error for alphabet mismatch")
-	}
-	if _, err := NewSearcher(db, proteinScheme(), Options{WordSize: 1}); err == nil {
-		t.Fatal("expected error for tiny word size")
 	}
 	s, err := NewSearcher(db, proteinScheme(), Options{})
 	if err != nil {
@@ -265,13 +255,21 @@ func TestSearchValidation(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	o := Options{}.Defaults(seq.KindProtein)
-	if o.WordSize != 3 || o.NeighborThreshold != 11 || o.EValue != 10 || o.XDrop != 7 || o.WindowSize != 40 || o.GapTrigger != 18 {
-		t.Fatalf("protein defaults wrong: %+v", o)
+	db, _ := seq.DatabaseFromStrings(seq.Protein, "ARNDCQEGHILKMFPSTWYV")
+	s, err := NewSearcher(db, proteinScheme(), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	o = Options{}.Defaults(seq.KindDNA)
-	if o.WordSize != 11 {
-		t.Fatalf("dna defaults wrong: %+v", o)
+	if s.wordSize != 3 || s.opts.EValue != 10 {
+		t.Fatalf("protein defaults wrong: word size %d, E-value %g", s.wordSize, s.opts.EValue)
+	}
+	dnaDB, _ := seq.DatabaseFromStrings(seq.DNA, "ACGTACGTACGTACGT")
+	s, err = NewSearcher(dnaDB, score.MustScheme(score.BLASTDNA(), -5), Options{EValue: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.wordSize != 11 || s.opts.EValue != 5 {
+		t.Fatalf("dna defaults wrong: word size %d, E-value %g", s.wordSize, s.opts.EValue)
 	}
 }
 

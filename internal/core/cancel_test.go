@@ -29,10 +29,10 @@ func cancelTestWorkload(t *testing.T) (*MemoryIndex, []byte, score.Scheme, int) 
 	// exploration, while the clean query never reaches a perfect-match score
 	// — so minScore can sit strictly between the best achievable score and
 	// the root heuristic bound, keeping the hit-less sweep busy.
-	motif := randStr(16)
+	motif := randStr(32)
 	mutate := func(s string) string {
 		b := []byte(s)
-		for k := 0; k < 4; k++ {
+		for k := 0; k < 12; k++ {
 			b[rng.Intn(len(b))] = letters[rng.Intn(len(letters))]
 		}
 		return string(b)
@@ -66,7 +66,7 @@ func cancelTestWorkload(t *testing.T) (*MemoryIndex, []byte, score.Scheme, int) 
 
 // TestContextCancelsHitlessSearchPromptly pins the fix for cancellation only
 // being observed at hit callbacks: a search with a cancelled context must
-// return the context error within CancelPollColumns DP columns even when it
+// return the context error within cancelPollColumns DP columns even when it
 // never reports a hit.
 func TestContextCancelsHitlessSearchPromptly(t *testing.T) {
 	idx, query, scheme, minScore := cancelTestWorkload(t)
@@ -80,7 +80,7 @@ func TestContextCancelsHitlessSearchPromptly(t *testing.T) {
 	if base.SequencesReported != 0 {
 		t.Fatalf("workload is not hit-less: %d sequences reported", base.SequencesReported)
 	}
-	if base.ColumnsExpanded < 200 {
+	if base.ColumnsExpanded < 8*cancelPollColumns {
 		t.Fatalf("workload too small to be meaningful: only %d columns expanded", base.ColumnsExpanded)
 	}
 
@@ -88,8 +88,7 @@ func TestContextCancelsHitlessSearchPromptly(t *testing.T) {
 	cancel()
 	var st Stats
 	err = Search(idx, query, Options{
-		Scheme: scheme, MinScore: minScore, Stats: &st,
-		Context: ctx, CancelPollColumns: 16,
+		Scheme: scheme, MinScore: minScore, Stats: &st, Context: ctx,
 	}, func(Hit) bool { return true })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled hit-less search returned %v, want context.Canceled", err)
@@ -97,17 +96,17 @@ func TestContextCancelsHitlessSearchPromptly(t *testing.T) {
 	if st.SequencesReported != 0 {
 		t.Fatalf("cancelled search reported %d sequences", st.SequencesReported)
 	}
-	// The first poll fires within 16 columns; allow generous slack for the
-	// abort path's bookkeeping, still orders of magnitude under the full run.
-	if st.ColumnsExpanded > 64 {
-		t.Fatalf("cancelled search expanded %d columns (full run: %d), want <= 64",
-			st.ColumnsExpanded, base.ColumnsExpanded)
+	// The first poll fires after exactly cancelPollColumns columns; nothing
+	// is swept past it, a small fraction of the full run.
+	if st.ColumnsExpanded > cancelPollColumns {
+		t.Fatalf("cancelled search expanded %d columns (full run: %d), want <= %d",
+			st.ColumnsExpanded, base.ColumnsExpanded, cancelPollColumns)
 	}
 }
 
 // TestContextPollingDoesNotChangeResults runs the same query with and without
-// an (uncancelled) context at the tightest poll interval and requires
-// byte-identical hit streams and work counters.
+// an (uncancelled) context and requires byte-identical hit streams and work
+// counters: the poll splits kernel calls every cancelPollColumns columns.
 func TestContextPollingDoesNotChangeResults(t *testing.T) {
 	idx, query, scheme, _ := cancelTestWorkload(t)
 	opts := Options{Scheme: scheme, MinScore: 20}
@@ -120,7 +119,7 @@ func TestContextPollingDoesNotChangeResults(t *testing.T) {
 	var polledStats Stats
 	polled, err := SearchAll(idx, query, Options{
 		Scheme: scheme, MinScore: 20, Stats: &polledStats,
-		Context: context.Background(), CancelPollColumns: 1,
+		Context: context.Background(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,17 +135,7 @@ func TestContextPollingDoesNotChangeResults(t *testing.T) {
 	if !reflect.DeepEqual(plainStats, polledStats) {
 		t.Fatalf("polling changed the work counters:\n plain: %+v\npolled: %+v", plainStats, polledStats)
 	}
-	// Disabling polling with a context set must also be honoured.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	disabled, err := SearchAll(idx, query, Options{
-		Scheme: scheme, MinScore: 20,
-		Context: ctx, CancelPollColumns: -1,
-	})
-	if err != nil {
-		t.Fatalf("polling-disabled search returned %v", err)
-	}
-	if len(disabled) != len(plain) {
-		t.Fatalf("polling-disabled search returned %d hits, want %d", len(disabled), len(plain))
+	if plainStats.ColumnsExpanded <= cancelPollColumns {
+		t.Fatalf("only %d columns expanded: the poll never split a kernel call", plainStats.ColumnsExpanded)
 	}
 }

@@ -22,7 +22,7 @@ func fuzzQuery(a *seq.Alphabet, data []byte) []byte {
 // FuzzLiveBandEquivalence asserts the live-band DP kernel's core contract on
 // arbitrary inputs: searching with the band must report exactly the hits —
 // same sequences, same scores, same endpoints, same order — as the
-// exhaustive full-column sweep (Options.DisableLiveBand).  Both runs share
+// exhaustive full-column sweep (searchAllFull).  Both runs share
 // long-lived Scratches across fuzz iterations, so stale-buffer bugs in the
 // band bookkeeping (cells outside [cLo, cHi] must never be read) surface as
 // mismatches.
@@ -51,9 +51,8 @@ func FuzzLiveBandEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("band search: %v", err)
 		}
-		full, err := SearchAll(idx, q, Options{
-			Scheme: scheme, MinScore: minScore, Stats: &fullStats,
-			DisableLiveBand: true, Scratch: fullScratch,
+		full, err := searchAllFull(idx, q, Options{
+			Scheme: scheme, MinScore: minScore, Stats: &fullStats, Scratch: fullScratch,
 		})
 		if err != nil {
 			t.Fatalf("full-sweep search: %v", err)
@@ -158,9 +157,9 @@ func TestFuzzHelpersRejectDegenerateInput(t *testing.T) {
 // accept/unviable decision.  Any divergence in the band arithmetic — a
 // clamped interval off by one, a select that revives a dead cell — shows up
 // as a cell-count or band-width mismatch even when the hits happen to agree.
-// Both live-band modes are exercised: DisableLiveBand widens the band to the
-// full column, which pins the kernels' full-column code paths against each
-// other too.
+// Both live-band modes are exercised: the full sweep (searchAllFull) widens
+// the band to the full column, which pins the kernels' full-column code paths
+// against each other too.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte("ACGTACGTTTACGGACGT\x00GGGTTTACGT\x00ACACACAC"), []byte("ACGTAC"), uint8(3), uint8(1), false)
 	f.Add([]byte("TTTTTTTTTT\x00TTTTT"), []byte("TTTT"), uint8(1), uint8(2), true)
@@ -179,15 +178,18 @@ func FuzzKernelEquivalence(f *testing.F) {
 			t.Fatalf("index build: %v", err)
 		}
 		opts := Options{
-			Scheme:          score.MustScheme(score.UnitDNA(), -1-int(gapByte%4)),
-			MinScore:        1 + int(minByte%12),
-			DisableLiveBand: disableBand,
+			Scheme:   score.MustScheme(score.UnitDNA(), -1-int(gapByte%4)),
+			MinScore: 1 + int(minByte%12),
+		}
+		searchAll := SearchAll
+		if disableBand {
+			searchAll = searchAllFull
 		}
 		var fastStats, refStats Stats
 		fastOpts := opts
 		fastOpts.Stats = &fastStats
 		fastOpts.Scratch = fastScratch
-		fast, err := SearchAll(idx, q, fastOpts)
+		fast, err := searchAll(idx, q, fastOpts)
 		if err != nil {
 			t.Fatalf("fast kernel: %v", err)
 		}
@@ -195,7 +197,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 		refOpts.Stats = &refStats
 		refOpts.Scratch = refScratch
 		refOpts.ReferenceKernel = true
-		ref, err := SearchAll(idx, q, refOpts)
+		ref, err := searchAll(idx, q, refOpts)
 		if err != nil {
 			t.Fatalf("reference kernel: %v", err)
 		}

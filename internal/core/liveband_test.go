@@ -38,6 +38,23 @@ func randomDB(t *testing.T, rng *rand.Rand, a *seq.Alphabet, nSeqs, maxLen int) 
 	return db
 }
 
+// searchAllFull is SearchAll over the exhaustive full-column sweep (the
+// searcher's full switch): the oracle the live band is compared against.
+func searchAllFull(idx Index, query []byte, opts Options) ([]Hit, error) {
+	s, err := newSearcher(idx, query, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer s.release()
+	s.full = true
+	var hits []Hit
+	err = s.runFromRoot(func(h Hit) bool {
+		hits = append(hits, h)
+		return true
+	})
+	return hits, err
+}
+
 func sameHits(t *testing.T, got, want []Hit, label string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -82,9 +99,8 @@ func TestLiveBandEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fullSweep, err := SearchAll(idx, query, Options{
+				fullSweep, err := searchAllFull(idx, query, Options{
 					Scheme: cfg.scheme, MinScore: minScore, Stats: &fullStats,
-					DisableLiveBand: true,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -116,7 +132,7 @@ func TestLiveBandReducesCells(t *testing.T) {
 	if _, err := SearchAll(idx, query, Options{Scheme: scheme, MinScore: 25, Stats: &bandStats}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SearchAll(idx, query, Options{Scheme: scheme, MinScore: 25, Stats: &fullStats, DisableLiveBand: true}); err != nil {
+	if _, err := searchAllFull(idx, query, Options{Scheme: scheme, MinScore: 25, Stats: &fullStats}); err != nil {
 		t.Fatal(err)
 	}
 	if fullStats.CellsComputed == 0 {
@@ -152,7 +168,7 @@ func TestCompactColumnsBandSized(t *testing.T) {
 			st.MaxBandWidth, len(query)+1)
 	}
 	var full Stats
-	if _, err := SearchAll(idx, query, Options{Scheme: scheme, MinScore: 25, Stats: &full, DisableLiveBand: true}); err != nil {
+	if _, err := searchAllFull(idx, query, Options{Scheme: scheme, MinScore: 25, Stats: &full}); err != nil {
 		t.Fatal(err)
 	}
 	if full.MaxBandWidth != len(query)+1 {

@@ -36,13 +36,6 @@ type Options struct {
 	KA *score.KarlinAltschul
 	// Stats, when non-nil, accumulates work counters.
 	Stats *Stats
-	// DisableLiveBand turns off the live-band DP kernel and sweeps every
-	// cell of every column (rows 1..m; row 0 is provably dead below the
-	// root and is never computed in either mode), as the original
-	// implementation did.  The search result is identical either way; the
-	// flag exists so tests and benchmarks can quantify the band's
-	// CellsComputed reduction.
-	DisableLiveBand bool
 	// ReferenceKernel selects the original scalar column sweep (per-cell
 	// band-bound guards, sentinel-guarded adds, branchy bookkeeping) instead
 	// of the branch-free structure-of-arrays kernel.  Results and work
@@ -54,15 +47,11 @@ type Options struct {
 	// search at a time; results are identical with or without it.
 	Scratch *Scratch
 	// Context, when non-nil, cancels an in-flight search from inside the DP
-	// sweep: the searcher polls Context.Err() every CancelPollColumns
+	// sweep: the searcher polls Context.Err() every cancelPollColumns
 	// columns, so even a long hit-less stretch (where no report callback
 	// runs that a caller could cancel from) observes cancellation promptly.
 	// A cancelled search returns the context's error.
 	Context context.Context
-	// CancelPollColumns is how many DP columns may be swept between
-	// cancellation polls (0 selects DefaultCancelPollColumns; negative
-	// disables polling).  Smaller values cancel faster but poll more.
-	CancelPollColumns int
 	// StrictShards makes a sharded search fail outright when any shard
 	// fails, instead of quarantining the shard and completing a degraded
 	// stream from the survivors (see Stats.Degraded).  Single-index searches
@@ -70,10 +59,10 @@ type Options struct {
 	StrictShards bool
 }
 
-// DefaultCancelPollColumns is the default cancellation poll interval: one
-// Context.Err() call per this many DP columns keeps poll overhead well under
-// the column sweep cost while bounding the work done after cancellation.
-const DefaultCancelPollColumns = 256
+// cancelPollColumns is the cancellation poll interval: one Context.Err() call
+// per this many DP columns keeps poll overhead well under the column sweep
+// cost while bounding the work done after cancellation.
+const cancelPollColumns = 256
 
 // Hit is one reported sequence: the strongest local alignment between the
 // query and that sequence (OASIS duplicates S-W's one-hit-per-sequence
@@ -232,11 +221,10 @@ type searcher struct {
 	// current queue-top f and may hand back one more seed to push, until it
 	// returns nil.
 	claim func(topF int) *Seed
-	// ctx/pollEvery/pollCountdown implement Options.Context: the countdown
-	// decrements once per DP column across expansions, and each time it hits
-	// zero the context is polled (ctx is nil when polling is disabled).
+	// ctx/pollCountdown implement Options.Context: the countdown decrements
+	// once per DP column across expansions, and each time it hits zero the
+	// context is polled (ctx is nil when the search has no context).
 	ctx           context.Context
-	pollEvery     int
 	pollCountdown int
 	// prevBuf/curBuf are scratch columns (m+2 cells: one sentinel above the
 	// band, see kernel.go) reused across expansions.
@@ -254,7 +242,12 @@ type searcher struct {
 	profT     []int32
 	profWidth int
 	refKernel bool
-	full      bool
+	// full widens every live band to the whole column (rows 1..m; row 0 is
+	// provably dead below the root and never computed), the exhaustive
+	// sweep of the original implementation.  Results are identical either
+	// way; no search sets it — it is the oracle this package's live-band
+	// tests compare the band against.
+	full bool
 }
 
 func newSearcher(idx Index, query []byte, opts Options) (*searcher, error) {
@@ -313,15 +306,9 @@ func newSearcher(idx Index, query []byte, opts Options) (*searcher, error) {
 		profT:     sc.profT,
 		profWidth: mat.Size(),
 		refKernel: opts.ReferenceKernel,
-		full:      opts.DisableLiveBand,
-	}
-	if opts.Context != nil && opts.CancelPollColumns >= 0 {
-		s.ctx = opts.Context
-		s.pollEvery = opts.CancelPollColumns
-		if s.pollEvery == 0 {
-			s.pollEvery = DefaultCancelPollColumns
-		}
-		s.pollCountdown = s.pollEvery
+		ctx:       opts.Context,
+
+		pollCountdown: cancelPollColumns,
 	}
 	// When even h[0] cannot reach MinScore nothing is ever pushed and the
 	// queue has no lanes.
@@ -580,7 +567,7 @@ type expandResult struct {
 // live interval [lo, hi] of non-negInf cells (cells outside it are never
 // revived by later columns except through the insertion chain immediately
 // above hi), so only cells reachable from the previous column's band are
-// computed.  Options.DisableLiveBand widens the band to the full column,
+// computed.  The searcher's full switch widens the band to the full column,
 // restoring the original exhaustive sweep; Options.ReferenceKernel selects
 // the original guarded scalar sweep (see kernel.go for both kernels).
 func (s *searcher) expand(parentID int32, child NodeRef, label EdgeLabel) (expandResult, error) {
@@ -669,12 +656,9 @@ func (s *searcher) expandFast(parentID int32, child NodeRef, label EdgeLabel) (e
 			part := chunk
 			// Cancellation poll (Options.Context): cap the kernel call at the
 			// remaining poll budget so a query stuck in a long hit-less DP
-			// stretch still observes ctx within pollEvery columns instead of
-			// only at the next hit callback.
+			// stretch still observes ctx within cancelPollColumns columns
+			// instead of only at the next hit callback.
 			if s.ctx != nil && s.pollCountdown < len(part) {
-				if s.pollCountdown < 1 {
-					s.pollCountdown = 1
-				}
 				part = part[:s.pollCountdown]
 			}
 			r := sweepEdgeFast(prev, cur, s.profT, s.h32, s.profWidth, part, plo, phi, m, gap, maxScore, minScore, s.full)
@@ -688,6 +672,19 @@ func (s *searcher) expandFast(parentID int32, child NodeRef, label EdgeLabel) (e
 			terminator = r.terminator
 			if r.swapped {
 				prev, cur = cur, prev
+			}
+			// Columns of an edge that closes or dies count toward the poll
+			// too, so hit-less stretches of short-lived nodes are polled.
+			if s.ctx != nil {
+				s.pollCountdown -= int(r.columns)
+				if s.pollCountdown <= 0 {
+					s.pollCountdown = cancelPollColumns
+					if err := s.ctx.Err(); err != nil {
+						s.recordColumns(consumed, cells)
+						s.prevBuf, s.curBuf = prev, cur
+						return expandResult{}, err
+					}
+				}
 			}
 			switch r.status {
 			case sweepClosed:
@@ -707,17 +704,6 @@ func (s *searcher) expandFast(parentID int32, child NodeRef, label EdgeLabel) (e
 				fBound = int(r.colBest)
 			}
 			chunk = chunk[r.columns:]
-			if s.ctx != nil {
-				s.pollCountdown -= int(r.columns)
-				if s.pollCountdown <= 0 {
-					s.pollCountdown = s.pollEvery
-					if err := s.ctx.Err(); err != nil {
-						s.recordColumns(consumed, cells)
-						s.prevBuf, s.curBuf = prev, cur
-						return expandResult{}, err
-					}
-				}
-			}
 		}
 	}
 	s.recordColumns(consumed, cells)
@@ -767,7 +753,7 @@ func (s *searcher) expandRef(parentID int32, child NodeRef, label EdgeLabel) (ex
 		if s.ctx != nil {
 			s.pollCountdown--
 			if s.pollCountdown <= 0 {
-				s.pollCountdown = s.pollEvery
+				s.pollCountdown = cancelPollColumns
 				if err := s.ctx.Err(); err != nil {
 					s.recordColumns(columns, cells)
 					s.prevBuf, s.curBuf = prev, cur

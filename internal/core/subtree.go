@@ -102,7 +102,7 @@ type Frontier struct {
 // the single-searcher would discard them.
 //
 // opts must equal the options later passed to SearchSeedsStream (MinScore,
-// Scheme, DisableLiveBand) or the seeds' pruning would be inconsistent.
+// Scheme) or the seeds' pruning would be inconsistent.
 // opts.Stats is ignored; the expansion work is returned in Frontier.Stats.
 func ExpandFrontier(idx Index, query []byte, opts Options, assign SubtreeAssigner) (*Frontier, error) {
 	nShards := assign.NumShards()

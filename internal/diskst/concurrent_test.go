@@ -117,16 +117,21 @@ func TestConcurrentSearchesTinyPool(t *testing.T) {
 	}
 }
 
-// cancelAfter is a context whose Err turns to Canceled at its n-th call:
-// with CancelPollColumns 1 that is the n-th DP column, the middle of an edge.
+// cancelAfter is a context whose Err turns to Canceled at its n-th call.  The
+// searcher polls after every 256th DP column, in the middle of an edge
+// whenever that column is not the edge's last; pinned records how many pages
+// were pinned when the cancellation was seen.
 type cancelAfter struct {
 	context.Context
-	polls atomic.Int64
-	n     int64
+	pool   *bufferpool.Pool
+	polls  atomic.Int64
+	n      int64
+	pinned int
 }
 
 func (c *cancelAfter) Err() error {
 	if c.polls.Add(1) >= c.n {
+		c.pinned = c.pool.PinnedPages()
 		return context.Canceled
 	}
 	return nil
@@ -163,10 +168,13 @@ func TestSearchExitsHoldNoPin(t *testing.T) {
 	})
 	t.Run("cancelled mid-edge", func(t *testing.T) {
 		o := opts
-		o.Context = &cancelAfter{Context: context.Background(), n: 40}
-		o.CancelPollColumns = 1
+		ctx := &cancelAfter{Context: context.Background(), pool: pool, n: 1}
+		o.Context = ctx
 		_, err := core.SearchAll(idx, queries[0], o)
 		check(t, err, context.Canceled)
+		if ctx.pinned == 0 {
+			t.Fatal("the search was not inside an edge label when it saw the cancellation")
+		}
 	})
 	t.Run("fill error", func(t *testing.T) {
 		defer faultpoint.Reset()

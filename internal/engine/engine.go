@@ -88,10 +88,11 @@ type Query struct {
 	ID string
 	// Residues is the encoded query sequence.
 	Residues []byte
-	// Options configures this query's search (MinScore, MaxResults, KA,
-	// DisableLiveBand).  Stats may be nil; the engine accumulates per-query
-	// and engine-wide counters regardless.  Scratch is managed by the
-	// engine and must be nil.
+	// Options configures this query's search (Scheme, MinScore, MaxResults,
+	// KA, StrictShards).  Stats may be nil; the engine accumulates per-query
+	// and engine-wide counters regardless.  Scratch and Context are managed
+	// by the engine: Scratch must be nil, and the query's context is the one
+	// passed to Search or SubmitBatch.
 	Options core.Options
 }
 
@@ -290,7 +291,9 @@ func (e *Engine) ShardWorkers() int { return e.cur().view.Workers() }
 func (e *Engine) BatchWorkers() int { return e.batchWorkers }
 
 // Stats returns the engine-wide merged work counters and the number of
-// queries served and hits reported since construction.
+// queries served and hits reported since construction.  It carries no
+// per-query detail: Degraded and ShardErrors stay unset (Metrics counts
+// degraded queries).
 func (e *Engine) Stats() (st core.Stats, queries, hits int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -353,18 +356,7 @@ func (e *Engine) Metrics() Metrics {
 	m.Faults.ShardsQuarantined = v.Quarantines() + int64(len(v.Standing()))
 	m.Faults.ChecksumFailures = fc.ChecksumFailures
 	m.Faults.ReadRetries = fc.ReadRetries
-	m.Mutable = MutableStats{
-		Generation:        st.gen,
-		Inserts:           e.inserts.Load(),
-		Deletes:           e.deletes.Load(),
-		Compactions:       e.compactions.Load(),
-		MemtableSequences: st.memSeqs,
-		MemtableResidues:  st.memRes,
-		DeltaLayers:       len(v.Layers()),
-		Tombstones:        len(v.Tombstones()),
-		LiveSequences:     v.LiveSequences(),
-		LiveResidues:      v.LiveResidues(),
-	}
+	m.Mutable = e.mutableStats(st)
 	return m
 }
 
@@ -538,8 +530,13 @@ func (e *Engine) searchIndex(ctx context.Context, s *genState, q Query, report f
 	if err == nil && ctx != nil {
 		err = ctx.Err()
 	}
+	// The lifetime total keeps counters only: a degraded query's flag and
+	// shard errors stay with that query (degradedQueries counts it), so
+	// Stats does not grow by one error per degraded query.
+	counters := st
+	counters.Degraded, counters.ShardErrors = false, nil
 	e.mu.Lock()
-	e.stats.Add(st)
+	e.stats.Add(counters)
 	e.queriesServed++
 	e.hitsReported += hits
 	if st.Degraded {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -46,37 +47,7 @@ func TestNewRefusesPrefixDirectory(t *testing.T) {
 // base hit's E-value by exactly the residues that write added, and nothing
 // else.
 func TestDegradedEngineKeepsItsCorpusSize(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	db := randomEngineDB(t, rng, seq.Protein, 18, 60)
-	dir := filepath.Join(t.TempDir(), "idx")
-	if _, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{Shards: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(filepath.Join(dir, "shard-1.oasis"), 16); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(nil, Options{IndexDir: dir, AllowDegraded: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if len(eng.Standing()) != 1 {
-		t.Fatalf("%d shards quarantined at open, want 1", len(eng.Standing()))
-	}
-
-	// Query with a whole surviving sequence, so it finds at least itself.
-	var query []byte
-	for g := 0; query == nil; g++ {
-		if eng.Catalog().SequenceID(g) != "" {
-			query = db.Sequence(g).Residues
-		}
-	}
-	scheme := score.MustScheme(score.ByName("PAM30"), -10)
-	ka, err := score.Params(scheme.Matrix, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Query{Residues: query, Options: core.Options{Scheme: scheme, MinScore: 8, KA: &ka}}
+	eng, q := degradedEngine(t)
 	search := func() map[string]core.Hit {
 		hits := map[string]core.Hit{}
 		for _, h := range collectStream(t, eng, q) {
@@ -106,5 +77,74 @@ func TestDegradedEngineKeepsItsCorpusSize(t *testing.T) {
 		if got := a.EValue / b.EValue; math.Abs(got-scale) > 1e-9*scale {
 			t.Fatalf("%s: E-value went %g -> %g (x%.6f); the insert grew the corpus x%.6f", id, b.EValue, a.EValue, got, scale)
 		}
+	}
+}
+
+// degradedEngine opens a three-shard index directory with shard 1 truncated
+// (quarantined at open under AllowDegraded) and returns a query made of a
+// whole surviving sequence, so it finds at least itself.
+func degradedEngine(t *testing.T) (*Engine, Query) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(61))
+	db := randomEngineDB(t, rng, seq.Protein, 18, 60)
+	dir := filepath.Join(t.TempDir(), "idx")
+	if _, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{Shards: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, "shard-1.oasis"), 16); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(nil, Options{IndexDir: dir, AllowDegraded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	if len(eng.Standing()) != 1 {
+		t.Fatalf("%d shards quarantined at open, want 1", len(eng.Standing()))
+	}
+	var query []byte
+	for g := 0; query == nil; g++ {
+		if eng.Catalog().SequenceID(g) != "" {
+			query = db.Sequence(g).Residues
+		}
+	}
+	scheme := score.MustScheme(score.ByName("PAM30"), -10)
+	ka, err := score.Params(scheme.Matrix, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, Query{Residues: query, Options: core.Options{Scheme: scheme, MinScore: 8, KA: &ka}}
+}
+
+// TestLifetimeStatsKeepCountersOnly: every query over a degraded engine
+// reports its shard errors, but the lifetime total Stats returns keeps the
+// work counters only — it does not grow by one error per degraded query.
+func TestLifetimeStatsKeepCountersOnly(t *testing.T) {
+	eng, q := degradedEngine(t)
+	const n = 5
+	var sum core.Stats
+	for i := 0; i < n; i++ {
+		st, err := eng.Search(context.Background(), q, func(core.Hit) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Degraded || len(st.ShardErrors) != 1 {
+			t.Fatalf("query %d: degraded=%v with %d shard errors, want one error", i, st.Degraded, len(st.ShardErrors))
+		}
+		sum.Add(st)
+	}
+	lifetime, queries, _ := eng.Stats()
+	if queries != n {
+		t.Fatalf("%d queries served, want %d", queries, n)
+	}
+	if lifetime.Degraded || len(lifetime.ShardErrors) != 0 {
+		t.Fatalf("lifetime stats carry per-query detail after %d degraded queries: degraded=%v, %d shard errors",
+			n, lifetime.Degraded, len(lifetime.ShardErrors))
+	}
+	if lifetime.ColumnsExpanded != sum.ColumnsExpanded || lifetime.SequencesReported != sum.SequencesReported {
+		t.Fatalf("lifetime counters %+v do not sum the queries' %+v", lifetime, sum)
+	}
+	if got := eng.Metrics().Faults.DegradedQueries; got != n {
+		t.Fatalf("%d degraded queries counted, want %d", got, n)
 	}
 }

@@ -50,7 +50,8 @@ type genState struct {
 	memRes  int64
 }
 
-// MutableStats snapshots the incremental-indexing state for Metrics.
+// MutableStats snapshots the incremental-indexing state (Metrics.Mutable,
+// Engine.Mutable).
 type MutableStats struct {
 	// Generation is the current index generation; every successful Insert,
 	// Delete and state-changing Compact bumps it, which retargets the result
@@ -77,6 +78,27 @@ type MutableStats struct {
 	// tombstone filtering.
 	LiveSequences int   `json:"live_sequences"`
 	LiveResidues  int64 `json:"live_residues"`
+}
+
+// Mutable snapshots the current generation's incremental-indexing state: the
+// Mutable part of Metrics, without Metrics' scans of every buffer pool and
+// cache stripe, for callers on the write path.
+func (e *Engine) Mutable() MutableStats { return e.mutableStats(e.cur()) }
+
+func (e *Engine) mutableStats(st *genState) MutableStats {
+	v := st.view
+	return MutableStats{
+		Generation:        st.gen,
+		Inserts:           e.inserts.Load(),
+		Deletes:           e.deletes.Load(),
+		Compactions:       e.compactions.Load(),
+		MemtableSequences: st.memSeqs,
+		MemtableResidues:  st.memRes,
+		DeltaLayers:       len(v.Layers()),
+		Tombstones:        len(v.Tombstones()),
+		LiveSequences:     v.LiveSequences(),
+		LiveResidues:      v.LiveResidues(),
+	}
 }
 
 // Generation returns the engine's current index generation.

@@ -109,7 +109,7 @@ func hitMultiset(t *testing.T, eng *Engine, q Query) map[[2]int]int {
 func TestSearchObservesCancelWithoutHits(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
-	db := randomEngineDB(t, rng, seq.Protein, 60, 200)
+	db := randomEngineDB(t, rng, seq.Protein, 300, 200)
 	for _, prefix := range []bool{false, true} {
 		eng, err := newMemoryEngine(db, prefix, Options{Shards: 2})
 		if err != nil {
@@ -117,7 +117,7 @@ func TestSearchObservesCancelWithoutHits(t *testing.T) {
 		}
 		q := Query{
 			Residues: seq.Protein.MustEncode("DKDGDGTITTKELGTVMRSL"),
-			Options:  core.Options{Scheme: scheme, MinScore: 5, CancelPollColumns: 8},
+			Options:  core.Options{Scheme: scheme, MinScore: 5},
 		}
 		var baseline core.Stats
 		if _, err := eng.Search(context.Background(), q, func(core.Hit) bool { return true }); err != nil {

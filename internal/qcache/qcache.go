@@ -64,10 +64,9 @@ type Key struct {
 	// fields, so they must not share an entry.
 	KA    score.KarlinAltschul
 	HasKA bool
-	// DisableLiveBand and ReferenceKernel do not change results, but they
-	// are kept in the key so ablation runs never serve each other's streams
-	// (their Stats-shaped expectations differ).
-	DisableLiveBand bool
+	// ReferenceKernel does not change results, but it is kept in the key so
+	// ablation runs never serve each other's streams (their Stats-shaped
+	// expectations differ).
 	ReferenceKernel bool
 }
 
@@ -82,7 +81,6 @@ func NewKey(residues []byte, opts core.Options, gen uint64) Key {
 		Matrix:          opts.Scheme.Matrix,
 		Gap:             opts.Scheme.Gap,
 		MinScore:        opts.MinScore,
-		DisableLiveBand: opts.DisableLiveBand,
 		ReferenceKernel: opts.ReferenceKernel,
 	}
 	if opts.KA != nil {

@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -33,9 +34,9 @@ func TestKeyNormalization(t *testing.T) {
 	}
 	var st core.Stats
 	base := core.Options{Scheme: scheme, MinScore: 7, KA: &ka}
-	// MaxResults, Stats, Scratch and cancellation knobs must not split keys.
+	// MaxResults, Stats, Scratch and the cancellation handle must not split keys.
 	kaCopy := ka
-	same := core.Options{Scheme: scheme, MinScore: 7, KA: &kaCopy, MaxResults: 3, Stats: &st, CancelPollColumns: 8}
+	same := core.Options{Scheme: scheme, MinScore: 7, KA: &kaCopy, MaxResults: 3, Stats: &st, Context: context.Background()}
 	if NewKey([]byte("AC"), base, 0) != NewKey([]byte("AC"), same, 0) {
 		t.Fatal("result-equivalent options produced different keys")
 	}

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultpoint"
-	"repro/internal/retry"
 )
 
 // Defaults of the client's robustness knobs.
@@ -166,15 +165,10 @@ type Client struct {
 	replicas  []string
 	health    []*replicaState
 	hc        *http.Client
-	policy    retry.Policy
-	maxTries  int
-	// hedgeAfter fixes the hedge trigger (0 adapts it to the observed p95);
-	// noHedge turns hedging off.
-	hedgeAfter time.Duration
-	noHedge    bool
-	metrics    *Metrics
-	ttfb       ttfbTracker
-	rr         atomic.Int64 // round-robin start for load spreading
+	pacing
+	metrics *Metrics
+	ttfb    ttfbTracker
+	rr      atomic.Int64 // round-robin start for load spreading
 }
 
 // Per-attempt transport timeouts: dialTimeout bounds the TCP connect of one
@@ -276,13 +270,12 @@ func (c *Client) encodeRequest(query []byte, opts core.Options) ([]byte, error) 
 		return nil, fmt.Errorf("remote: slice %d: options carry no scoring matrix", c.slice)
 	}
 	req := StreamRequest{
-		Query:           matrix.Alphabet().Decode(query),
-		Matrix:          matrix.Name(),
-		Gap:             opts.Scheme.Gap,
-		MinScore:        opts.MinScore,
-		MaxResults:      opts.MaxResults,
-		DisableLiveBand: opts.DisableLiveBand,
-		Strict:          opts.StrictShards,
+		Query:      matrix.Alphabet().Decode(query),
+		Matrix:     matrix.Name(),
+		Gap:        opts.Scheme.Gap,
+		MinScore:   opts.MinScore,
+		MaxResults: opts.MaxResults,
+		Strict:     opts.StrictShards,
 	}
 	return json.Marshal(req)
 }

@@ -13,24 +13,26 @@ import (
 	"repro/internal/shard"
 )
 
-// Config lays out a coordinator: the slice topology plus the robustness
-// knobs shared by every slice client.
+// Config lays out a coordinator: the slice topology.  How every slice client
+// retries, fails over and hedges is fixed (see the package doc).
 type Config struct {
 	// Slices lists each slice's replica addresses; slice order defines the
 	// global sequence index layout (slice s's offset is the sum of the
 	// preceding slices' sequence counts).
 	Slices [][]string
-	// MaxAttempts, Retry, HedgeAfter and DisableHedge pace every slice
-	// client: the stream attempts across a slice's replicas, the backoff
-	// between them, a fixed hedge trigger, and no hedging at all.  No command
-	// line sets them — the zero values are the deployed behaviour (max(3, 2 x
-	// replicas) attempts, jittered 5ms..250ms backoff, hedging at the p95 of
-	// observed first-event latencies) — and the fields remain for the tests
-	// that pace retries and force or forbid hedges.
-	MaxAttempts  int
-	Retry        retry.Policy
-	HedgeAfter   time.Duration
-	DisableHedge bool
+}
+
+// pacing is a slice client's attempt budget, backoff and hedge trigger.  Open
+// gives every client the zero value, which stands for the deployed pacing the
+// package doc lists.  Only this package's tests set fields, to pace retries
+// quickly and to force or forbid hedges.
+type pacing struct {
+	maxTries int          // stream attempts across the slice's replicas
+	policy   retry.Policy // backoff between attempts
+	// hedgeAfter fixes the hedge trigger (0 adapts it to the observed p95);
+	// noHedge turns hedging off.
+	hedgeAfter time.Duration
+	noHedge    bool
 }
 
 // Coordinator owns a provider-backed shard engine whose shards are remote
@@ -57,6 +59,12 @@ type SliceHealth struct {
 // from the slices' Info, and assembles the provider-backed engine.  ctx
 // bounds the startup info fetches only.
 func Open(ctx context.Context, cfg Config) (*Coordinator, error) {
+	return open(ctx, cfg, pacing{})
+}
+
+// open is Open with every slice client paced by pace, defaulted field by
+// field.
+func open(ctx context.Context, cfg Config, pace pacing) (*Coordinator, error) {
 	if len(cfg.Slices) == 0 {
 		return nil, fmt.Errorf("remote: no slices configured")
 	}
@@ -81,12 +89,11 @@ func Open(ctx context.Context, cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("remote: slice %d serves %s sequences, slice 0 serves %s",
 				s, al.Name(), alphabet.Name())
 		}
-		// Every slice client shares the transport, the counters and cfg's
+		// Every slice client shares the transport, the counters and the
 		// pacing; the attempt budget and backoff default per replica count.
 		client := &Client{
 			slice: s, offset: offset, sequences: info.Sequences, replicas: replicas,
-			hc: hc, policy: cfg.Retry, maxTries: cfg.MaxAttempts,
-			hedgeAfter: cfg.HedgeAfter, noHedge: cfg.DisableHedge, metrics: co.metrics,
+			hc: hc, pacing: pace, metrics: co.metrics,
 		}
 		if client.maxTries < 1 {
 			client.maxTries = max(3, 2*len(replicas))

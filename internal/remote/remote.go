@@ -55,6 +55,11 @@
 // the provider callbacks' false return cancels the in-flight HTTP request,
 // which cancels the replica's server-side search context.
 //
+// The pacing is fixed, not configured: max(3, 2 x replicas) stream attempts
+// per slice, jittered 5 ms..250 ms backoff between them, hedging at the p95
+// of observed first-event latencies, a 2 s dial and a 10 s wait for response
+// headers.  Only this package's tests pace a client differently (pacing).
+//
 // Fault injection for all of the above lives at the faultpoint sites
 // remote.dial, remote.stream and remote.hedge.
 package remote
@@ -76,7 +81,9 @@ const (
 
 // StreamRequest is the JSON body of POST /oasis/shard/stream.  The scoring
 // scheme travels by matrix NAME so coordinator and replicas need no shared
-// configuration beyond the built-in matrix registry.
+// configuration beyond the built-in matrix registry.  A replica ignores
+// fields it does not know, so the search switch older coordinators still send
+// (which never changed a result) is accepted and has no effect.
 type StreamRequest struct {
 	// Query is the residue string (letters over the slice's alphabet).
 	Query string `json:"query"`
@@ -89,8 +96,6 @@ type StreamRequest struct {
 	// when > 0 (a valid per-slice prune: the global top k is a subset of the
 	// union of per-slice top k's).
 	MaxResults int `json:"max_results,omitempty"`
-	// DisableLiveBand forwards core.Options.DisableLiveBand.
-	DisableLiveBand bool `json:"disable_live_band,omitempty"`
 	// Strict forwards core.Options.StrictShards: the replica fails the
 	// stream when one of its internal shards fails, instead of completing a
 	// silently thinner stream the coordinator could not tell apart from a

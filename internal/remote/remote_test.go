@@ -1,8 +1,11 @@
 package remote
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -101,21 +104,18 @@ func newSliceFixture(t *testing.T, db *seq.Database, engOpts shard.Options, repl
 	return f
 }
 
-// fastConfig is a coordinator config with test-friendly retry pacing.
-func fastConfig(slices [][]string) Config {
-	return Config{
-		Slices:       slices,
-		MaxAttempts:  3,
-		Retry:        retry.Default(3, time.Millisecond, 5*time.Millisecond),
-		DisableHedge: true,
-	}
+// fastPacing is test-friendly retry pacing with hedging off.
+var fastPacing = pacing{
+	maxTries: 3,
+	policy:   retry.Default(3, time.Millisecond, 5*time.Millisecond),
+	noHedge:  true,
 }
 
-func openCoordinator(t *testing.T, cfg Config) *Coordinator {
+func openCoordinator(t *testing.T, slices [][]string, pace pacing) *Coordinator {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	co, err := Open(ctx, cfg)
+	co, err := open(ctx, Config{Slices: slices}, pace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestCoordinatorEquivalence(t *testing.T) {
 					}, 1)
 					slices = append(slices, fx.urls)
 				}
-				co := openCoordinator(t, fastConfig(slices))
+				co := openCoordinator(t, slices, fastPacing)
 
 				for q := 0; q < 3; q++ {
 					qb := make([]byte, 3+rng.Intn(14))
@@ -314,6 +314,51 @@ func faultFixture(t *testing.T, seed int64) (*sliceFixture, *shard.Engine, []byt
 	return fx, baseline, query, opts
 }
 
+// TestStreamAcceptsRetiredLiveBandField: a coordinator built before the
+// live-band switch left the wire still sends "disable_live_band":true.  A
+// replica answers that body 200 with exactly the hit and bound lines of the
+// same request without the field.
+func TestStreamAcceptsRetiredLiveBandField(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	db := dbOf(t, seq.DNA, randomSeqs(t, rng, seq.DNA, 30, 120))
+	// One internal shard: the replica's bound sequence is then deterministic.
+	fx := newSliceFixture(t, db, shard.Options{Shards: 1}, 1)
+	body, err := json.Marshal(StreamRequest{Query: "ACGTACGTACG", Matrix: score.UnitDNA().Name(), Gap: -1, MinScore: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append([]byte(`{"disable_live_band":true,`), body[1:]...)
+	stream := func(body []byte) []string {
+		t.Helper()
+		resp, err := http.Post(fx.urls[0]+PathStream, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", body, resp.StatusCode, data)
+		}
+		var events []string
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, `{"e":"h"`) || strings.HasPrefix(line, `{"e":"b"`) {
+				events = append(events, line)
+			}
+		}
+		return events
+	}
+	want := stream(body)
+	if len(want) < 4 {
+		t.Fatalf("fixture too small: %d hit and bound lines", len(want))
+	}
+	if got := stream(legacy); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the retired field changed the stream\n got: %q\nwant: %q", got, want)
+	}
+}
+
 // TestFailoverMidStream kills replica A's connection mid-stream (after 3
 // event lines, via the remote.stream faultpoint) and verifies the resumed
 // stream from replica B is exactly the baseline stream: no duplicated and no
@@ -327,7 +372,7 @@ func TestFailoverMidStream(t *testing.T) {
 	if len(want) < 4 {
 		t.Fatalf("fixture too small: %d baseline hits", len(want))
 	}
-	co := openCoordinator(t, fastConfig([][]string{fx.urls}))
+	co := openCoordinator(t, [][]string{fx.urls}, fastPacing)
 
 	defer faultpoint.Reset()
 	faultpoint.Enable(faultpoint.SiteRemoteStream, faultpoint.Spec{
@@ -368,7 +413,7 @@ func TestDialFaultFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := openCoordinator(t, fastConfig([][]string{fx.urls}))
+	co := openCoordinator(t, [][]string{fx.urls}, fastPacing)
 
 	defer faultpoint.Reset()
 	faultpoint.Enable(faultpoint.SiteRemoteDial, faultpoint.Spec{
@@ -402,7 +447,7 @@ func TestCorruptWireFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := openCoordinator(t, fastConfig([][]string{fx.urls}))
+	co := openCoordinator(t, [][]string{fx.urls}, fastPacing)
 
 	defer faultpoint.Reset()
 	faultpoint.Enable(faultpoint.SiteRemoteStream, faultpoint.Spec{
@@ -443,9 +488,9 @@ func TestDeadSliceDegrades(t *testing.T) {
 	}
 	defer survivor.Close()
 
-	cfg := fastConfig([][]string{liveFx.urls, deadFx.urls})
-	cfg.MaxAttempts = 2
-	co := openCoordinator(t, cfg)
+	pace := fastPacing
+	pace.maxTries = 2
+	co := openCoordinator(t, [][]string{liveFx.urls, deadFx.urls}, pace)
 	for _, hs := range deadFx.https {
 		hs.Close()
 	}
@@ -522,13 +567,10 @@ func TestHedgeWinsAndCancelsLoser(t *testing.T) {
 	fastB := httptest.NewServer(srvB)
 	defer fastB.Close()
 
-	cfg := Config{
-		Slices:      [][]string{{slowA.URL, fastB.URL}},
-		MaxAttempts: 3,
-		Retry:       retry.Default(3, time.Millisecond, 5*time.Millisecond),
-		HedgeAfter:  15 * time.Millisecond,
-	}
-	co := openCoordinator(t, cfg)
+	pace := fastPacing
+	pace.noHedge = false
+	pace.hedgeAfter = 15 * time.Millisecond
+	co := openCoordinator(t, [][]string{{slowA.URL, fastB.URL}}, pace)
 
 	baseline, err := shard.NewEngine(db, shard.Options{Shards: 2})
 	if err != nil {
@@ -567,10 +609,10 @@ func TestHedgeWinsAndCancelsLoser(t *testing.T) {
 // the hedge from launching.
 func TestHedgeSuppressedByFaultpoint(t *testing.T) {
 	fx, _, query, opts := faultFixture(t, 31)
-	cfg := fastConfig([][]string{fx.urls})
-	cfg.DisableHedge = false
-	cfg.HedgeAfter = time.Nanosecond // would hedge immediately
-	co := openCoordinator(t, cfg)
+	pace := fastPacing
+	pace.noHedge = false
+	pace.hedgeAfter = time.Nanosecond // would hedge immediately
+	co := openCoordinator(t, [][]string{fx.urls}, pace)
 
 	defer faultpoint.Reset()
 	faultpoint.Enable(faultpoint.SiteRemoteHedge, faultpoint.Spec{Mode: faultpoint.ModeError})
@@ -590,7 +632,7 @@ func TestHedgeSuppressedByFaultpoint(t *testing.T) {
 // server-side streams rather than leaving searches running.
 func TestCancellationPropagates(t *testing.T) {
 	fx, _, query, opts := faultFixture(t, 53)
-	co := openCoordinator(t, fastConfig([][]string{fx.urls}))
+	co := openCoordinator(t, [][]string{fx.urls}, fastPacing)
 
 	topK := opts
 	topK.MaxResults = 2
@@ -636,7 +678,7 @@ func TestCancellationPropagates(t *testing.T) {
 // fast (no attempt-budget burn) with the replica's complaint.
 func TestStreamBadRequestIsPermanent(t *testing.T) {
 	fx, _, query, opts := faultFixture(t, 13)
-	co := openCoordinator(t, fastConfig([][]string{fx.urls}))
+	co := openCoordinator(t, [][]string{fx.urls}, fastPacing)
 	bad := opts
 	bad.MinScore = 0 // engine-level validation happens replica-side too
 	_, _, err := collect(co.Engine(), query, bad)
@@ -667,10 +709,10 @@ func TestConcurrentFanOutStress(t *testing.T) {
 	}
 	defer baseline.Close()
 
-	cfg := fastConfig([][]string{fx1.urls, fx2.urls})
-	cfg.DisableHedge = false
-	cfg.HedgeAfter = 2 * time.Millisecond // hedge aggressively under -race
-	co := openCoordinator(t, cfg)
+	pace := fastPacing
+	pace.noHedge = false
+	pace.hedgeAfter = 2 * time.Millisecond // hedge aggressively under -race
+	co := openCoordinator(t, [][]string{fx1.urls, fx2.urls}, pace)
 
 	query := a.MustEncode("ACGTACGTAC")
 	opts := core.Options{Scheme: score.MustScheme(score.UnitDNA(), -1), MinScore: 4}

@@ -118,12 +118,11 @@ func (s *Server) buildOptions(r *http.Request, req *StreamRequest) ([]byte, core
 		return nil, core.Options{}, fmt.Errorf("min_score %d must be >= 1", req.MinScore)
 	}
 	return query, core.Options{
-		Scheme:          scheme,
-		MinScore:        req.MinScore,
-		MaxResults:      req.MaxResults,
-		DisableLiveBand: req.DisableLiveBand,
-		StrictShards:    req.Strict,
-		Context:         r.Context(),
+		Scheme:       scheme,
+		MinScore:     req.MinScore,
+		MaxResults:   req.MaxResults,
+		StrictShards: req.Strict,
+		Context:      r.Context(),
 	}, nil
 }
 

@@ -122,6 +122,10 @@ func (e *Engine) Standing() []ShardError { return e.eng.Standing() }
 // (see EngineMetrics.Mutable).
 type MutableStats = engine.MutableStats
 
+// Mutable returns the engine's current incremental-indexing state, the
+// Mutable part of Metrics without its buffer-pool and cache scans.
+func (e *Engine) Mutable() MutableStats { return e.eng.Mutable() }
+
 // Generation returns the engine's current index generation: every successful
 // Insert, Delete and state-changing Compact bumps it.  Result-cache entries
 // are keyed by generation, so a bump atomically retargets the cache — streams
@@ -213,12 +217,11 @@ func (e *Engine) RecoverAlignment(query []byte, scheme Scheme, h Hit) (Alignment
 // coreOptions translates the public search options into internal ones.
 func coreOptions(opts SearchOptions) core.Options {
 	return core.Options{
-		Scheme:          opts.Scheme,
-		MinScore:        opts.MinScore,
-		MaxResults:      opts.MaxResults,
-		KA:              opts.KA,
-		Stats:           opts.Stats,
-		DisableLiveBand: opts.DisableLiveBand,
-		StrictShards:    opts.StrictShards,
+		Scheme:       opts.Scheme,
+		MinScore:     opts.MinScore,
+		MaxResults:   opts.MaxResults,
+		KA:           opts.KA,
+		Stats:        opts.Stats,
+		StrictShards: opts.StrictShards,
 	}
 }

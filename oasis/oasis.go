@@ -218,10 +218,6 @@ type SearchOptions struct {
 	KA *KarlinAltschul
 	// Stats accumulates work counters when non-nil.
 	Stats *SearchStats
-	// DisableLiveBand turns off the banded DP kernel and sweeps every
-	// column cell (for measuring the band's CellsComputed reduction;
-	// results are identical either way).
-	DisableLiveBand bool
 	// StrictShards fails a sharded search outright when any shard fails,
 	// instead of quarantining the shard and completing a Degraded stream
 	// from the survivors (the default).

@@ -34,16 +34,15 @@ type (
 	RemoteMetrics = remote.MetricsSnapshot
 )
 
-// CoordinatorOptions describes the fan-out: Slices lists each slice's replica
-// addresses ("host:port" or full URLs), and slice order defines the global
-// sequence numbering.  The per-attempt robustness settings are constants of
-// internal/remote — 2 s dial and 10 s response-header timeouts per ATTEMPT
-// (distinct from any per-query deadline around the whole fan-out: a slow dial
-// fails one attempt and triggers failover, not the query), max(3, 2 x
-// replicas) attempts per slice per query, jittered 5..250 ms backoff, and a
-// hedge onto a second replica once the first has been silent for the p95 of
-// observed first-event latencies — and its remaining fields exist for tests
-// that pace retries or force hedges.
+// CoordinatorOptions describes the fan-out, and Slices is all of it: each
+// slice's replica addresses ("host:port" or full URLs), in the slice order
+// that defines the global sequence numbering.  The robustness settings are
+// constants of internal/remote — 2 s dial and 10 s response-header timeouts
+// per ATTEMPT (distinct from any per-query deadline around the whole fan-out:
+// a slow dial fails one attempt and triggers failover, not the query), max(3,
+// 2 x replicas) attempts per slice per query, jittered 5..250 ms backoff, and
+// a hedge onto a second replica once the first has been silent for the p95 of
+// observed first-event latencies.
 type CoordinatorOptions = remote.Config
 
 // Coordinator owns a warm Engine over remote shard-server slices plus the

@@ -68,7 +68,7 @@ func TestOpenCoordinator(t *testing.T) {
 	}
 
 	co, err := OpenCoordinator(context.Background(),
-		CoordinatorOptions{Slices: slices, DisableHedge: true},
+		CoordinatorOptions{Slices: slices},
 		EngineOptions{CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
