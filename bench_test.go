@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -409,16 +410,21 @@ func BenchmarkAblationBLASTTwoHit(b *testing.B) {
 // --- Public API ---------------------------------------------------------------
 
 // BenchmarkPublicAPISearch exercises the public oasis facade end to end
-// (what a downstream user pays per query).  Option assembly is hoisted out
-// of the timed loop: rebuilding SearchOptions per iteration re-solves the
-// Karlin-Altschul threshold and pollutes ns/op.
+// (what a downstream user pays per query): a one-shard index directory served
+// by OpenEngine.  Index build and option assembly are hoisted out of the timed
+// loop: rebuilding SearchOptions per iteration re-solves the Karlin-Altschul
+// threshold and pollutes ns/op.
 func BenchmarkPublicAPISearch(b *testing.B) {
 	l, _ := benchLab(b)
-	idx, err := oasis.OpenDiskIndex(l.IndexPath, l.Config.BufferPoolBytes)
+	dir := filepath.Join(b.TempDir(), "bench.idx")
+	if _, _, err := oasis.BuildShardedDiskIndex(dir, l.DB, oasis.ShardedIndexBuildOptions{BlockSize: l.Config.BlockSize, Shards: 1}); err != nil {
+		b.Fatal(err)
+	}
+	eng, err := oasis.OpenEngine(dir, oasis.EngineOptions{PoolBytes: l.Config.BufferPoolBytes})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer idx.Close()
+	defer eng.Close()
 	scheme := l.Scheme
 	qs := benchQueries(l, 0)
 	opts := make([]oasis.SearchOptions, len(qs))
@@ -432,7 +438,7 @@ func BenchmarkPublicAPISearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
-		if _, err := oasis.SearchAll(idx, q.Residues, opts[i%len(qs)]); err != nil {
+		if _, err := eng.SearchAll(context.Background(), q.Residues, opts[i%len(qs)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,28 +4,28 @@
 // The database can come from a FASTA file or be generated synthetically
 // (the SWISS-PROT / Drosophila stand-in workloads of internal/workload):
 //
-//	oasis-build -in swissprot.fasta -alphabet protein -out swissprot.oasis
-//	oasis-build -synthetic 2000000 -alphabet protein -out synthetic.oasis
-//	oasis-build -synthetic 5000000 -alphabet dna -out dna.oasis
+//	oasis-build -in swissprot.fasta -alphabet protein -out swissprot.idx
+//	oasis-build -synthetic 2000000 -alphabet protein -out synthetic.idx
+//	oasis-build -synthetic 5000000 -alphabet dna -out dna.idx
 //
-// With -shards N the output is a SHARDED index: -out names a directory that
-// receives one shard-K.oasis file per disjoint sequence subset plus a
-// manifest.json recording the partition, and oasis-serve/oasis-search open it
-// with -index-dir — each shard is then searched through its own buffer pool,
-// so shard parallelism also parallelises I/O:
+// The output is an index DIRECTORY: one shard-K.oasis file per disjoint
+// sequence subset plus a manifest.json recording the partition, which
+// oasis-serve and oasis-search open with -index-dir.  -shards N (default 1,
+// the paper's single suffix tree) is the one place a shard count is chosen:
+// every reader takes it from the manifest, and each shard is searched through
+// its own buffer pool, so shard parallelism also parallelises I/O:
 //
 //	oasis-build -in swissprot.fasta -shards 4 -out swissprot.idx
 //
 // A prefix-partitioned directory, which older builds could write, is refused
 // by every reader, -verify included; rebuild it with -shards N.
 //
-// -verify deep-scrubs an existing index instead of building one: every
-// checksummed block is re-read and compared against the stored CRC32C table,
-// and the index is structurally opened.  The exit status is non-zero when
-// corruption is found:
+// -verify deep-scrubs an existing index directory instead of building one:
+// every checksummed block is re-read and compared against the stored CRC32C
+// table, and the index is structurally opened.  The exit status is non-zero
+// when corruption is found:
 //
-//	oasis-build -verify swissprot.oasis
-//	oasis-build -verify swissprot.idx      # sharded directory
+//	oasis-build -verify swissprot.idx
 package main
 
 import (
@@ -42,19 +42,22 @@ func main() {
 	var (
 		inPath    = flag.String("in", "", "input FASTA file (mutually exclusive with -synthetic)")
 		synthetic = flag.Int64("synthetic", 0, "generate a synthetic database with ~this many residues")
-		outPath   = flag.String("out", "database.oasis", "output index path")
+		outPath   = flag.String("out", "database.idx", "output index directory")
 		alphabet  = flag.String("alphabet", "protein", "sequence alphabet: protein or dna")
 		blockSize = flag.Int("block", 2048, "index block size in bytes")
-		shards    = flag.Int("shards", 0, "write a sharded index: -out becomes a directory with one shard file per shard plus manifest.json (0 = single-file index)")
+		shards    = flag.Int("shards", 1, "number of sequence-disjoint shards, one index file each (every reader takes the count from the directory's manifest)")
 		seed      = flag.Int64("seed", 1309, "seed for synthetic generation")
 		fastaOut  = flag.String("fasta-out", "", "also write the (synthetic) database as FASTA to this path")
-		verify    = flag.String("verify", "", "deep-scrub an existing index file or sharded index directory instead of building (exit 1 on corruption)")
+		verify    = flag.String("verify", "", "deep-scrub an existing index directory instead of building (exit 1 on corruption)")
 	)
 	flag.Parse()
 
 	if *verify != "" {
 		runVerify(*verify)
 		return
+	}
+	if *shards < 1 {
+		fatal(fmt.Errorf("-shards must be at least 1, got %d", *shards))
 	}
 
 	alpha, err := alphabetByName(*alphabet)
@@ -76,47 +79,27 @@ func main() {
 		fmt.Printf("wrote database FASTA to %s\n", *fastaOut)
 	}
 
-	if *shards > 0 {
-		manifest, stats, err := oasis.BuildShardedDiskIndex(*outPath, db, oasis.ShardedIndexBuildOptions{
-			BlockSize: *blockSize,
-			Shards:    *shards,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("sharded index: %s (%d shards)\n", *outPath, manifest.Shards)
-		var total int64
-		for i, st := range stats {
-			fmt.Printf("  %-16s %d internal nodes, %d leaves, %d bytes\n",
-				manifest.ShardFiles[i], st.NumInternal, st.NumLeaves, st.FileBytes)
-			total += st.FileBytes
-		}
-		fmt.Printf("  total:           %d bytes; serve with -index-dir %s\n", total, *outPath)
-		return
-	}
-	buildStats, err := oasis.BuildDiskIndex(*outPath, db, oasis.IndexBuildOptions{BlockSize: *blockSize})
+	manifest, stats, err := oasis.BuildShardedDiskIndex(*outPath, db, oasis.ShardedIndexBuildOptions{
+		BlockSize: *blockSize,
+		Shards:    *shards,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("index: %s\n", *outPath)
-	fmt.Printf("  internal nodes: %d\n", buildStats.NumInternal)
-	fmt.Printf("  leaves:         %d\n", buildStats.NumLeaves)
-	fmt.Printf("  file size:      %d bytes (%.2f bytes per symbol)\n", buildStats.FileBytes, buildStats.BytesPerSymbol)
+	fmt.Printf("index: %s (%d shards)\n", *outPath, manifest.Shards)
+	var total int64
+	for i, st := range stats {
+		fmt.Printf("  %-16s %d internal nodes, %d leaves, %d bytes (%.2f bytes per symbol)\n",
+			manifest.ShardFiles[i], st.NumInternal, st.NumLeaves, st.FileBytes, st.BytesPerSymbol)
+		total += st.FileBytes
+	}
+	fmt.Printf("  total:           %d bytes; serve with -index-dir %s\n", total, *outPath)
 }
 
-// runVerify deep-scrubs an index file or sharded index directory and exits
-// non-zero when corruption is found.
+// runVerify deep-scrubs an index directory and exits non-zero when corruption
+// is found.
 func runVerify(path string) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		fatal(err)
-	}
-	var rep *oasis.VerifyReport
-	if fi.IsDir() {
-		rep, err = oasis.VerifyIndexDir(path)
-	} else {
-		rep, err = oasis.VerifyDiskIndex(path)
-	}
+	rep, err := oasis.VerifyIndexDir(path)
 	if err != nil {
 		fatal(err)
 	}

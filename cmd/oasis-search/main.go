@@ -1,10 +1,16 @@
 // Command oasis-search runs local-alignment searches against an OASIS disk
-// index (or, for the baselines, against a FASTA database).
+// index directory (or an in-memory index built from a FASTA database, which
+// the baselines search too).
 //
 // Examples:
 //
-//	# OASIS search of a peptide against a prebuilt index, top 10 results
-//	oasis-search -index swissprot.oasis -query DKDGDGCITTKEL -evalue 20000 -top 10
+//	# OASIS search of a peptide against a prebuilt index directory
+//	# (oasis-build -out swissprot.idx), top 10 results; the directory's
+//	# shards are searched at once, each through its own buffer pool
+//	oasis-search -index-dir swissprot.idx -query DKDGDGCITTKEL -evalue 20000 -top 10
+//
+//	# OASIS over an in-memory index built from FASTA
+//	oasis-search -db swissprot.fasta -query DKDGDGCITTKEL
 //
 //	# Exact Smith-Waterman baseline over a FASTA database
 //	oasis-search -db swissprot.fasta -algo sw -query DKDGDGCITTKEL -minscore 45
@@ -12,12 +18,7 @@
 //	# Heuristic BLAST-style baseline
 //	oasis-search -db swissprot.fasta -algo blast -queryfile peptides.fasta
 //
-//	# Sharded parallel OASIS over an in-memory index built from FASTA
-//	oasis-search -db swissprot.fasta -shards 8 -workers 4 -query DKDGDGCITTKEL
-//
-//	# Sharded parallel OASIS over a prebuilt sharded DISK index
-//	# (oasis-build -shards 4 -out swissprot.idx), one buffer pool per shard
-//	oasis-search -index-dir swissprot.idx -query DKDGDGCITTKEL -top 10
+// The shard count is the index directory's, chosen by oasis-build -shards.
 package main
 
 import (
@@ -33,7 +34,6 @@ import (
 )
 
 type config struct {
-	indexPath string
 	indexDir  string
 	dbPath    string
 	algo      string
@@ -46,16 +46,13 @@ type config struct {
 	minScore  int
 	top       int
 	poolMB    int64
-	shards    int
-	workers   int
 	verbose   bool
 }
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.indexPath, "index", "", "OASIS index file (for -algo oasis)")
-	flag.StringVar(&cfg.indexDir, "index-dir", "", "sharded OASIS index directory (oasis-build -shards); searched with one buffer pool per shard")
-	flag.StringVar(&cfg.dbPath, "db", "", "FASTA database (required for -algo sw/blast)")
+	flag.StringVar(&cfg.indexDir, "index-dir", "", "OASIS index directory (oasis-build); searched with one buffer pool per shard")
+	flag.StringVar(&cfg.dbPath, "db", "", "FASTA database (required for -algo sw/blast; with -algo oasis, indexed in memory)")
 	flag.StringVar(&cfg.algo, "algo", "oasis", "search algorithm: oasis, sw or blast")
 	flag.StringVar(&cfg.query, "query", "", "query residues on the command line")
 	flag.StringVar(&cfg.queryFile, "queryfile", "", "FASTA file of queries")
@@ -65,9 +62,7 @@ func main() {
 	flag.Float64Var(&cfg.eValue, "evalue", 20000, "E-value threshold (paper Equation 2)")
 	flag.IntVar(&cfg.minScore, "minscore", 0, "explicit minimum score (overrides -evalue)")
 	flag.IntVar(&cfg.top, "top", 0, "report only the top-k sequences (0 = all)")
-	flag.Int64Var(&cfg.poolMB, "pool", 256, "buffer pool size in MB (for -algo oasis; with -index-dir the size is per shard)")
-	flag.IntVar(&cfg.shards, "shards", 0, "search a sharded in-memory index with this many partitions (requires -db; 0 = use -index)")
-	flag.IntVar(&cfg.workers, "workers", 0, "concurrent shard searches for -shards (0 = one per shard)")
+	flag.Int64Var(&cfg.poolMB, "pool", 256, "buffer pool size in MB per shard (with -index-dir)")
 	flag.BoolVar(&cfg.verbose, "v", false, "print full alignments")
 	flag.Parse()
 
@@ -92,19 +87,26 @@ func run(cfg config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// A negative count would otherwise mean "no limit" (-top), "use the
+	// E-value" (-minscore) or "the default pool" (-pool).
+	for _, f := range []struct {
+		name  string
+		value int64
+	}{{"-top", int64(cfg.top)}, {"-minscore", int64(cfg.minScore)}, {"-pool", cfg.poolMB}} {
+		if f.value < 0 {
+			return fmt.Errorf("%s must not be negative, got %d", f.name, f.value)
+		}
+	}
 	// The -index-dir path defers query loading: the manifest, not the
 	// -alphabet flag, determines the encoding alphabet there.
 	if cfg.indexDir != "" {
 		if cfg.algo != "oasis" {
 			return fmt.Errorf("-index-dir requires -algo oasis")
 		}
-		if cfg.dbPath != "" || cfg.indexPath != "" {
-			return fmt.Errorf("-index-dir and -db/-index are mutually exclusive")
+		if cfg.dbPath != "" {
+			return fmt.Errorf("-index-dir and -db are mutually exclusive")
 		}
-		if cfg.shards > 0 {
-			return fmt.Errorf("-shards comes from the -index-dir manifest; do not set it")
-		}
-		return runDiskSharded(cfg, scheme, w)
+		return runDisk(cfg, scheme, w)
 	}
 	queries, err := loadQueries(cfg, alpha)
 	if err != nil {
@@ -112,10 +114,7 @@ func run(cfg config, w io.Writer) error {
 	}
 	switch cfg.algo {
 	case "oasis":
-		if cfg.shards > 0 {
-			return runSharded(cfg, alpha, scheme, queries, w)
-		}
-		return runSingle(cfg, scheme, queries, w)
+		return runMemory(cfg, alpha, scheme, queries, w)
 	case "sw":
 		return runSW(cfg, alpha, scheme, queries, w)
 	case "blast":
@@ -148,57 +147,14 @@ func loadQueries(cfg config, alpha *oasis.Alphabet) ([]oasis.Sequence, error) {
 	return out, nil
 }
 
-// target is what the one OASIS query loop searches: the single-file disk
-// index (-index) or a warm engine (-index-dir, -db -shards).  The catalog
-// supplies the database size for E-value thresholds and residues for -v.
-type target struct {
-	catalog oasis.Catalog
-	search  func(query []byte, opts oasis.SearchOptions, report func(oasis.Hit) bool) error
-	recover func(query []byte, scheme oasis.Scheme, h oasis.Hit) (oasis.Alignment, error)
-}
-
-func engineTarget(eng *oasis.Engine) target {
-	return target{
-		catalog: eng.Catalog(),
-		search: func(query []byte, opts oasis.SearchOptions, report func(oasis.Hit) bool) error {
-			return eng.Search(context.Background(), query, opts, report)
-		},
-		recover: eng.RecoverAlignment,
-	}
-}
-
-// runSingle searches the single-file disk index through one buffer pool.
-func runSingle(cfg config, scheme oasis.Scheme, queries []oasis.Sequence, w io.Writer) error {
-	if cfg.indexPath == "" {
-		return fmt.Errorf("-index is required for -algo oasis")
-	}
-	idx, err := oasis.OpenDiskIndex(cfg.indexPath, cfg.poolMB<<20)
-	if err != nil {
-		return err
-	}
-	defer idx.Close()
-	return searchAll(cfg, scheme, queries, w, target{
-		catalog: idx.Catalog(),
-		search: func(query []byte, opts oasis.SearchOptions, report func(oasis.Hit) bool) error {
-			return oasis.Search(idx, query, opts, report)
-		},
-		recover: func(query []byte, scheme oasis.Scheme, h oasis.Hit) (oasis.Alignment, error) {
-			return oasis.RecoverAlignment(idx, query, scheme, h)
-		},
-	})
-}
-
-// runDiskSharded opens a prebuilt sharded disk index (oasis-build -shards)
-// and searches every query through the order-preserving parallel merge, each
-// shard reading through its own buffer pool.  Queries are encoded with the
-// MANIFEST's alphabet (the -alphabet flag is ignored here: encoding with the
-// wrong alphabet would silently search for different residues).
-func runDiskSharded(cfg config, scheme oasis.Scheme, w io.Writer) error {
+// runDisk opens a prebuilt index directory (oasis-build) and searches every
+// query through the order-preserving merge of its shards, each reading
+// through its own buffer pool.  Queries are encoded with the MANIFEST's
+// alphabet (the -alphabet flag is ignored here: encoding with the wrong
+// alphabet would silently search for different residues).
+func runDisk(cfg config, scheme oasis.Scheme, w io.Writer) error {
 	open := time.Now()
-	eng, err := oasis.OpenEngine(cfg.indexDir, oasis.EngineOptions{
-		PoolBytes:    cfg.poolMB << 20,
-		ShardWorkers: cfg.workers,
-	})
+	eng, err := oasis.OpenEngine(cfg.indexDir, oasis.EngineOptions{PoolBytes: cfg.poolMB << 20})
 	if err != nil {
 		return err
 	}
@@ -212,42 +168,43 @@ func runDiskSharded(cfg config, scheme oasis.Scheme, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "# sharded disk index: %s, %d shards, %d workers, %s alphabet, opened in %s\n",
-		cfg.indexDir, eng.NumShards(), eng.ShardWorkers(), alpha.Name(), time.Since(open).Round(time.Millisecond))
-	return searchAll(cfg, scheme, queries, w, engineTarget(eng))
+	fmt.Fprintf(w, "# disk index: %s, %d shards, %s alphabet, opened in %s\n",
+		cfg.indexDir, eng.NumShards(), alpha.Name(), time.Since(open).Round(time.Millisecond))
+	return searchAll(cfg, scheme, queries, w, eng)
 }
 
-// runSharded builds a sharded in-memory engine from the FASTA database and
-// searches every query through the order-preserving parallel merge.
-func runSharded(cfg config, alpha *oasis.Alphabet, scheme oasis.Scheme, queries []oasis.Sequence, w io.Writer) error {
+// runMemory builds a one-shard in-memory engine from the FASTA database and
+// searches every query with it.
+func runMemory(cfg config, alpha *oasis.Alphabet, scheme oasis.Scheme, queries []oasis.Sequence, w io.Writer) error {
 	if cfg.dbPath == "" {
-		return fmt.Errorf("-db is required for -shards (the sharded engine indexes in memory)")
+		return fmt.Errorf("-index-dir or -db is required for -algo oasis")
 	}
 	db, err := oasis.LoadFASTA(cfg.dbPath, alpha)
 	if err != nil {
 		return err
 	}
 	build := time.Now()
-	eng, err := oasis.NewEngine(db, oasis.EngineOptions{Shards: cfg.shards, ShardWorkers: cfg.workers})
+	eng, err := oasis.NewEngine(db, oasis.EngineOptions{})
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
-	fmt.Fprintf(w, "# sharded index: %d shards, %d workers, built in %s\n",
-		eng.NumShards(), eng.ShardWorkers(), time.Since(build).Round(time.Millisecond))
-	return searchAll(cfg, scheme, queries, w, engineTarget(eng))
+	fmt.Fprintf(w, "# in-memory index built in %s\n", time.Since(build).Round(time.Millisecond))
+	return searchAll(cfg, scheme, queries, w, eng)
 }
 
-// searchAll is the OASIS query loop: every query against one target, hits
-// printed online as they arrive, then the work-counter footer.
-func searchAll(cfg config, scheme oasis.Scheme, queries []oasis.Sequence, w io.Writer, tg target) error {
+// searchAll is the OASIS query loop: every query against the engine, hits
+// printed online as they arrive, then the work-counter footer.  The catalog
+// supplies the database size for E-value thresholds and residues for -v.
+func searchAll(cfg config, scheme oasis.Scheme, queries []oasis.Sequence, w io.Writer, eng *oasis.Engine) error {
+	cat := eng.Catalog()
 	for _, q := range queries {
 		var st oasis.SearchStats
 		threshold := oasis.WithEValue(cfg.eValue)
 		if cfg.minScore > 0 {
 			threshold = oasis.WithMinScore(cfg.minScore)
 		}
-		opts, err := oasis.NewSearchOptionsSized(scheme, tg.catalog.TotalResidues(), q.Residues,
+		opts, err := oasis.NewSearchOptionsSized(scheme, cat.TotalResidues(), q.Residues,
 			threshold, oasis.WithMaxResults(cfg.top), oasis.WithStats(&st))
 		if err != nil {
 			return err
@@ -255,15 +212,15 @@ func searchAll(cfg config, scheme oasis.Scheme, queries []oasis.Sequence, w io.W
 		fmt.Fprintf(w, "# query %s (%d residues), minScore %d\n", q.ID, q.Len(), opts.MinScore)
 		start := time.Now()
 		n := 0
-		err = tg.search(q.Residues, opts, func(h oasis.Hit) bool {
+		err = eng.Search(context.Background(), q.Residues, opts, func(h oasis.Hit) bool {
 			n++
 			fmt.Fprintf(w, "%4d  %-24s score=%-6d E=%-12.3g qEnd=%-4d tEnd=%-6d t=%s\n",
 				h.Rank, h.SeqID, h.Score, h.EValue, h.QueryEnd, h.TargetEnd, time.Since(start).Round(time.Microsecond))
 			if cfg.verbose {
-				a, aErr := tg.recover(q.Residues, scheme, h)
-				res, rErr := tg.catalog.Residues(h.SeqIndex)
+				a, aErr := eng.RecoverAlignment(q.Residues, scheme, h)
+				res, rErr := cat.Residues(h.SeqIndex)
 				if aErr == nil && rErr == nil {
-					fmt.Fprint(w, a.Format(tg.catalog.Alphabet(), q.Residues, res))
+					fmt.Fprint(w, a.Format(cat.Alphabet(), q.Residues, res))
 				}
 			}
 			return true

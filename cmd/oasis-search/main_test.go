@@ -48,10 +48,10 @@ func hits(t *testing.T, out string) []idScore {
 	return hs
 }
 
-// TestSearchPathsAgree drives run over one corpus through every way of
-// searching it — the single-file index, a sharded index directory (with one
-// worker per shard and with fewer), and an in-memory sharded engine — and
-// holds each to the Smith-Waterman baseline's (seq_id, score) list.
+// TestSearchPathsAgree drives run over one corpus through both ways of
+// searching it with OASIS — a sharded index directory and an in-memory engine
+// built from the FASTA — and holds each to the Smith-Waterman baseline's
+// (seq_id, score) list.
 func TestSearchPathsAgree(t *testing.T) {
 	cfg := workload.DefaultProteinConfig(20_000)
 	cfg.Seed = 41
@@ -62,10 +62,6 @@ func TestSearchPathsAgree(t *testing.T) {
 	dir := t.TempDir()
 	fasta := filepath.Join(dir, "corpus.fasta")
 	if err := seq.WriteFASTAFile(fasta, db, 60); err != nil {
-		t.Fatal(err)
-	}
-	single := filepath.Join(dir, "corpus.oasis")
-	if _, err := oasis.BuildDiskIndex(single, db, oasis.IndexBuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	bySequence := filepath.Join(dir, "seq.idx")
@@ -90,10 +86,8 @@ func TestSearchPathsAgree(t *testing.T) {
 		t.Fatalf("Smith-Waterman found only %d hits; the comparison needs a real list", len(want))
 	}
 	for name, mod := range map[string]func(*config){
-		"-index":                func(c *config) { c.indexPath = single },
-		"-index-dir":            func(c *config) { c.indexDir = bySequence },
-		"-index-dir -workers 2": func(c *config) { c.indexDir, c.workers = bySequence, 2 },
-		"-db -shards 3":         func(c *config) { c.dbPath, c.shards = fasta, 3 },
+		"-index-dir": func(c *config) { c.indexDir = bySequence },
+		"-db":        func(c *config) { c.dbPath = fasta },
 	} {
 		if got := search(mod); !slices.Equal(got, want) {
 			t.Errorf("%s: %d hits %v\nSmith-Waterman: %d hits %v", name, len(got), got, len(want), want)
@@ -120,13 +114,13 @@ func TestFlagConflicts(t *testing.T) {
 		{"unknown algorithm", func(c *config) { c.algo = "fasta" }, "unknown algorithm"},
 		{"-index-dir with sw", func(c *config) { c.indexDir, c.algo = "x.idx", "sw" }, "-index-dir requires -algo oasis"},
 		{"-index-dir with -db", func(c *config) { c.indexDir, c.dbPath = "x.idx", "x.fasta" }, "mutually exclusive"},
-		{"-index-dir with -index", func(c *config) { c.indexDir, c.indexPath = "x.idx", "x.oasis" }, "mutually exclusive"},
-		{"-index-dir with -shards", func(c *config) { c.indexDir, c.shards = "x.idx", 2 }, "comes from the -index-dir manifest"},
-		{"no query", func(c *config) { c.query, c.indexPath = "", "x.oasis" }, "no queries"},
-		{"oasis without an index", func(c *config) {}, "-index is required"},
-		{"-shards without -db", func(c *config) { c.shards = 2 }, "-db is required for -shards"},
+		{"no query", func(c *config) { c.query, c.dbPath = "", "x.fasta" }, "no queries"},
+		{"oasis without an index", func(c *config) {}, "-index-dir or -db is required"},
 		{"sw without -db", func(c *config) { c.algo = "sw" }, "-db is required for -algo sw"},
 		{"blast without -db", func(c *config) { c.algo = "blast" }, "-db is required for -algo blast"},
+		{"negative -top", func(c *config) { c.indexDir, c.top = "x.idx", -5 }, "-top must not be negative"},
+		{"negative -minscore", func(c *config) { c.indexDir, c.minScore = "x.idx", -3 }, "-minscore must not be negative"},
+		{"negative -pool", func(c *config) { c.indexDir, c.poolMB = "x.idx", -1 }, "-pool must not be negative"},
 	} {
 		c := ok
 		tc.mod(&c)

@@ -14,9 +14,10 @@
 //	                         bigger than RAM and shard parallelism also
 //	                         parallelises page I/O
 //
-// The -db engine's -shards split the database by sequence, as oasis-build
-// does; a prefix-partitioned directory an older build wrote is refused at
-// startup, naming the rebuild (oasis-build -shards N).
+// The shard count is the index directory's, chosen once by oasis-build
+// -shards N; a -db engine is one in-memory shard.  A prefix-partitioned
+// directory an older build wrote is refused at startup, naming the rebuild
+// (oasis-build -shards N).
 //
 // # Endpoints
 //
@@ -113,7 +114,7 @@
 // GET /metrics returns a JSON resource snapshot for capacity planning:
 //
 //	{"engine":{"scratch":{...free-list reuse...},
-//	           "shards":[{"shard":0,"queued":0,"active":1},...],
+//	           "shards":[{"shard":0,"active":1},...],
 //	           "pools":[{"shard":0,"file":"shard-0.oasis","requests":512,"hits":498,"hit_ratio":0.97},...],
 //	           "cache":{"entries":12,"bytes":18432,"max_bytes":33554432,
 //	                    "hits":96,"misses":32,"hit_rate":0.75,
@@ -220,7 +221,7 @@
 //
 // Example:
 //
-//	oasis-serve -db swissprot.fasta -shards 8 -addr :8080
+//	oasis-serve -db swissprot.fasta -addr :8080
 //	oasis-serve -index-dir swissprot.idx -pool 64 -cache 128 -addr :8080
 //	curl -sN localhost:8080/search -d '{"query":"DKDGDGCITTKEL","top":5}'
 //
@@ -277,7 +278,6 @@ type serveFlags struct {
 	matrix       string
 	gap          int
 	eValue       float64
-	shards       int
 	cacheMB      int64
 	queryTimeout time.Duration
 	strict       bool
@@ -301,7 +301,6 @@ func main() {
 	flag.StringVar(&f.matrix, "matrix", "PAM30", "substitution matrix")
 	flag.IntVar(&f.gap, "gap", -10, "linear gap penalty (negative)")
 	flag.Float64Var(&f.eValue, "evalue", 20000, "default E-value threshold for queries that do not set one")
-	flag.IntVar(&f.shards, "shards", 0, "work partitions (0 = one; with -db only, -index-dir reads it from the manifest)")
 	flag.Int64Var(&f.cacheMB, "cache", 32, "cross-query result cache size in MB (identical queries replay without touching the index; 0 disables)")
 	flag.DurationVar(&f.queryTimeout, "query-timeout", 0, "per-query wall-clock budget; exceeded queries end with an error event (0 = no limit)")
 	flag.BoolVar(&f.strict, "strict", false, "fail queries outright when a shard fails instead of serving degraded results from the survivors")
@@ -356,9 +355,6 @@ func loadSource(f serveFlags) (*oasis.Database, error) {
 		if f.dbPath != "" {
 			return nil, fmt.Errorf("-db and -index-dir are mutually exclusive")
 		}
-		if f.shards != 0 {
-			return nil, fmt.Errorf("-shards comes from the -index-dir manifest; do not set it")
-		}
 		return nil, nil
 	}
 	if f.dbPath == "" {
@@ -374,10 +370,10 @@ func loadSource(f serveFlags) (*oasis.Database, error) {
 	return oasis.LoadFASTA(f.dbPath, alpha)
 }
 
-// buildEngine assembles the warm engine from either source: an in-memory
-// index built from FASTA, or a prebuilt sharded disk index directory.  The
-// flags fill the engine's options once; the fields of the source not in use
-// are zero (loadSource refused -shards with -index-dir) or do not apply.
+// buildEngine assembles the warm engine from either source: a one-shard
+// in-memory index built from FASTA, or a prebuilt sharded disk index
+// directory.  The flags fill the engine's options once; the fields of the
+// source not in use do not apply.
 func buildEngine(f serveFlags) (*oasis.Engine, string, error) {
 	db, err := loadSource(f)
 	if err != nil {
@@ -390,7 +386,6 @@ func buildEngine(f serveFlags) (*oasis.Engine, string, error) {
 		IndexDir:      f.indexDir,
 		PoolBytes:     f.poolMB << 20,
 		AllowDegraded: f.allowDegr,
-		Shards:        f.shards,
 		CacheBytes:    f.cacheMB << 20,
 	})
 	if err != nil {
@@ -411,9 +406,6 @@ func buildEngine(f serveFlags) (*oasis.Engine, string, error) {
 func buildCoordinator(f serveFlags) (*oasis.Engine, string, *oasis.Coordinator, error) {
 	if f.dbPath != "" || f.indexDir != "" {
 		return nil, "", nil, fmt.Errorf("-coordinator serves remote slices; it takes no -db or -index-dir")
-	}
-	if f.shards != 0 {
-		return nil, "", nil, fmt.Errorf("-shards is a property of the slice indexes, not the coordinator")
 	}
 	if f.allowDegr {
 		return nil, "", nil, fmt.Errorf("-allow-degraded applies to -index-dir engines; a coordinator degrades per query when a whole slice is down (use -strict to refuse instead)")
@@ -439,7 +431,24 @@ func buildCoordinator(f serveFlags) (*oasis.Engine, string, *oasis.Coordinator, 
 	return co.Engine(), mode, co, nil
 }
 
+// checkSizes refuses negative sizes, which would otherwise mean something else
+// (-cache: no cache; -pool: the default pool), before anything is opened.
+func checkSizes(f serveFlags) error {
+	for _, fl := range []struct {
+		name string
+		mb   int64
+	}{{"-cache", f.cacheMB}, {"-pool", f.poolMB}} {
+		if fl.mb < 0 {
+			return fmt.Errorf("%s must not be negative, got %d", fl.name, fl.mb)
+		}
+	}
+	return nil
+}
+
 func run(f serveFlags) error {
+	if err := checkSizes(f); err != nil {
+		return err
+	}
 	matrix := oasis.MatrixByName(f.matrix)
 	if matrix == nil {
 		return fmt.Errorf("unknown matrix %q", f.matrix)

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
+
+	"repro/internal/engine"
 )
 
 // insertRequest is the JSON body of POST /insert.
@@ -124,7 +127,13 @@ func (s *server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	before := s.eng.Generation()
 	gen, err := s.eng.Compact()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		// An engine that cannot write (a coordinator) is the caller's
+		// mistake, as on /insert and /delete; any other failure is ours.
+		code := http.StatusInternalServerError
+		if errors.Is(err, engine.ErrImmutable) {
+			code = http.StatusBadRequest
+		}
+		httpError(w, code, err)
 		return
 	}
 	mm := s.eng.Mutable()

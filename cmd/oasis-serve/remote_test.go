@@ -185,7 +185,7 @@ func TestShardServerMetricsShowPools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := shard.OpenDiskEngine(dir, shard.Options{})
+	eng, err := shard.OpenDiskEngine(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,17 +332,19 @@ func TestParseSlices(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsWrites: /insert must refuse on a coordinator — the
-// corpus is owned by the slice servers.
+// TestCoordinatorRejectsWrites: /insert, /delete and /compact answer 400 on a
+// coordinator — the corpus is owned by the slice servers.
 func TestCoordinatorRejectsWrites(t *testing.T) {
 	srv, _, _ := coordinatorServer(t, false)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/insert",
-		strings.NewReader(`{"id":"NEW1","sequence":"DKDGDGTITTKE"}`)))
-	if rec.Code == http.StatusOK {
-		t.Fatalf("insert on a coordinator succeeded: %s", rec.Body.String())
-	}
-	if !strings.Contains(rec.Body.String(), "immutable") {
-		t.Fatalf("insert error = %s", rec.Body.String())
+	for _, tc := range []struct{ path, body string }{
+		{"/insert", `{"id":"NEW1","sequence":"DKDGDGTITTKE"}`},
+		{"/delete", `{"id":"NEW1"}`},
+		{"/compact", ``},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "immutable") {
+			t.Errorf("%s on a coordinator: %d %s, want 400 naming the immutable index", tc.path, rec.Code, rec.Body.String())
+		}
 	}
 }

@@ -261,7 +261,6 @@ func TestMetricsEndpoint(t *testing.T) {
 			} `json:"scratch"`
 			Shards []struct {
 				Shard  int   `json:"shard"`
-				Queued int64 `json:"queued"`
 				Active int64 `json:"active"`
 			} `json:"shards"`
 		} `json:"engine"`
@@ -275,7 +274,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("metrics list %d shards, want 2", len(body.Engine.Shards))
 	}
 	for i, sh := range body.Engine.Shards {
-		if sh.Shard != i || sh.Queued != 0 || sh.Active != 0 {
+		if sh.Shard != i || sh.Active != 0 {
 			t.Fatalf("idle engine shard %d metrics = %+v", i, sh)
 		}
 	}

@@ -12,14 +12,18 @@ import (
 	"repro/internal/shard"
 )
 
-// runShardServer serves one corpus slice over the shard wire protocol
-// (package repro/internal/remote) for a coordinator to fan out to.  The
+// runShardServer serves one corpus slice — an index directory — over the
+// shard wire protocol (package repro/internal/remote) for a coordinator to
+// fan out to.  The
 // serving surface is deliberately bare: a slice engine behind POST
 // /oasis/shard/stream and GET /oasis/shard/info, plus health and metrics.
 // No result cache and no admission control run here — a shard server sees
 // per-slice fragments of queries, so caching and fairness belong to the
 // coordinator, which sees whole queries and whole clients.
 func runShardServer(f serveFlags) error {
+	if err := checkSizes(f); err != nil {
+		return err
+	}
 	if f.coordinator || f.slices != "" {
 		return fmt.Errorf("-shard-server and -coordinator are mutually exclusive: a coordinator connects TO shard servers")
 	}
@@ -31,31 +35,25 @@ func runShardServer(f serveFlags) error {
 		return fmt.Errorf("-allow-degraded is not supported with -shard-server: a partial slice would be merged as if complete; let this replica fail so the coordinator fails over")
 	}
 
+	if f.dbPath != "" || f.indexDir == "" {
+		return fmt.Errorf("-shard-server serves one slice index directory (oasis-build -out): give -index-dir, not -db")
+	}
+
 	build := time.Now()
-	db, err := loadSource(f)
+	log.Printf("opening slice index %s ...", f.indexDir)
+	dir, err := diskst.OpenDir(f.indexDir, f.poolMB<<20, false)
 	if err != nil {
 		return err
 	}
-	var eng *shard.Engine
-	var dir *diskst.Dir // nil for an in-memory slice
-	mode := "in-memory"
-	if db == nil {
-		log.Printf("opening slice index %s ...", f.indexDir)
-		if dir, err = diskst.OpenDir(f.indexDir, f.poolMB<<20, false); err == nil {
-			eng, err = shard.OpenDiskEngine(dir, shard.Options{})
-		}
-		mode = fmt.Sprintf("disk-backed (<=%d MB pool per shard)", f.poolMB)
-	} else {
-		eng, err = shard.NewEngine(db, shard.Options{Shards: f.shards})
-	}
+	eng, err := shard.OpenDiskEngine(dir)
 	if err != nil {
 		return err
 	}
 
 	rs := remote.NewServer(eng)
 	info := rs.Info()
-	log.Printf("shard server ready: %d sequences (%d residues), %d shards %s, ready in %s",
-		info.Sequences, info.Residues, info.Shards, mode, time.Since(build).Round(time.Millisecond))
+	log.Printf("shard server ready: %d sequences (%d residues), %d shards disk-backed (<=%d MB pool per shard), ready in %s",
+		info.Sequences, info.Residues, info.Shards, f.poolMB, time.Since(build).Round(time.Millisecond))
 
 	var notReady atomic.Bool
 	mux := shardServerMux(rs, dir, &notReady)
@@ -72,8 +70,7 @@ func runShardServer(f serveFlags) error {
 }
 
 // shardServerMux is a shard server's whole HTTP surface: the wire protocol,
-// health, and metrics — with the buffer pools of the slice's index directory
-// when it is served from disk (dir nil: an in-memory slice).
+// health, and metrics with the buffer pools of the slice's index directory.
 func shardServerMux(rs *remote.Server, dir *diskst.Dir, notReady *atomic.Bool) *http.ServeMux {
 	info := rs.Info()
 	mux := http.NewServeMux()
@@ -112,11 +109,7 @@ func shardServerMux(rs *remote.Server, dir *diskst.Dir, notReady *atomic.Bool) *
 			fmt.Fprintf(w, "# HELP shard_flushes_total Write+flush rounds that carried those lines.\n# TYPE shard_flushes_total counter\nshard_flushes_total %d\n", st.Flushes)
 			return
 		}
-		m := map[string]any{"server": st, "slice": info}
-		if dir != nil {
-			m["pools"] = dir.PoolStats()
-		}
-		writeJSON(w, http.StatusOK, m)
+		writeJSON(w, http.StatusOK, map[string]any{"server": st, "slice": info, "pools": dir.PoolStats()})
 	})
 	return mux
 }

@@ -56,7 +56,7 @@ func scriptedTopology(t *testing.T, p *scriptedProvider) (rs *remote.Server, sha
 	eng, err := shard.NewEngineFromProviders(shard.ProviderSet{
 		Providers: []shard.Provider{p},
 		Catalog:   scriptedCatalog{sequences: 1000},
-	}, shard.Options{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,10 @@
 // Beyond the paper, the repository scales the algorithm out and tightens
 // its hot loop:
 //
-//   - oasis.NewEngine with EngineOptions.Shards searches the database with
-//     one worker per partition on a bounded pool and merges the per-shard
-//     hit streams online in globally decreasing score order
+//   - A sharded engine (an index directory oasis-build -shards wrote, opened
+//     with oasis.OpenEngine) searches every partition of a query at once and
+//     merges the per-shard hit streams online in globally decreasing score
+//     order
 //     (internal/shard), so the paper's online property — and therefore
 //     streaming top-k and early termination — survives sharding.  Shards
 //     split the database into independently indexed, sequence-disjoint
@@ -34,14 +35,15 @@
 //     query's hit stream stays decreasing-score and cancellable — build
 //     once, serve many.  cmd/oasis-serve is the HTTP/NDJSON front end over
 //     one such engine (see examples/server for the lifecycle): /metrics
-//     exposes the scratch free-list stats, per-shard worker-pool queue
-//     depths, per-shard buffer-pool hit rates and per-endpoint latency
+//     exposes the scratch free-list stats, per-shard active searches,
+//     per-shard buffer-pool hit rates and per-endpoint latency
 //     histograms for capacity planning, and batches of more than 256
 //     queries are rejected with HTTP 413 so one huge batch cannot
 //     monopolise the worker pool.
 //   - The entire sharded serving stack also runs DISK-BACKED, so one warm
-//     engine serves databases bigger than RAM: oasis-build -shards writes
-//     one diskst index file per shard and a manifest.json
+//     engine serves databases bigger than RAM: oasis-build writes an index
+//     directory — one diskst index file per shard (-shards, default 1, the
+//     only place a shard count is chosen) and a manifest.json
 //     (internal/diskst.BuildSharded); oasis.OpenEngine and
 //     the -index-dir flag of oasis-serve/oasis-search reopen the directory
 //     with one buffer pool PER FILE (diskst.OpenDir, arranged into an engine

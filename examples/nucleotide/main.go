@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -39,17 +40,17 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	indexPath := filepath.Join(dir, "dna.oasis")
-	st, err := oasis.BuildDiskIndex(indexPath, db, oasis.IndexBuildOptions{})
+	indexDir := filepath.Join(dir, "dna.idx")
+	_, st, err := oasis.BuildShardedDiskIndex(indexDir, db, oasis.ShardedIndexBuildOptions{Shards: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("index: %.2f bytes/base\n\n", st.BytesPerSymbol)
-	idx, err := oasis.OpenDiskIndex(indexPath, 64<<20)
+	fmt.Printf("index: %.2f bytes/base\n\n", st[0].BytesPerSymbol)
+	eng, err := oasis.OpenEngine(indexDir, oasis.EngineOptions{PoolBytes: 64 << 20})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer idx.Close()
+	defer eng.Close()
 
 	// Probes: short subsequences of the database with a couple of mutations,
 	// like primer / probe design workloads.
@@ -77,7 +78,7 @@ func main() {
 		opts := oasis.SearchOptions{Scheme: scheme, MinScore: minScore, Stats: &ost}
 
 		startT := time.Now()
-		oh, err := oasis.SearchAll(idx, probe, opts)
+		oh, err := eng.SearchAll(context.Background(), probe, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -45,18 +46,18 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	indexPath := filepath.Join(dir, "proteins.oasis")
+	indexDir := filepath.Join(dir, "proteins.idx")
 	buildStart := time.Now()
-	st, err := oasis.BuildDiskIndex(indexPath, db, oasis.IndexBuildOptions{})
+	_, bst, err := oasis.BuildShardedDiskIndex(indexDir, db, oasis.ShardedIndexBuildOptions{Shards: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("index: %.2f bytes/symbol, built in %s\n\n", st.BytesPerSymbol, time.Since(buildStart).Round(time.Millisecond))
-	idx, err := oasis.OpenDiskIndex(indexPath, 64<<20)
+	fmt.Printf("index: %.2f bytes/symbol, built in %s\n\n", bst[0].BytesPerSymbol, time.Since(buildStart).Round(time.Millisecond))
+	eng, err := oasis.OpenEngine(indexDir, oasis.EngineOptions{PoolBytes: 64 << 20})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer idx.Close()
+	defer eng.Close()
 
 	scheme, err := oasis.NewScheme(oasis.MatrixByName("PAM30"), -10)
 	if err != nil {
@@ -78,7 +79,7 @@ func main() {
 		}
 
 		start := time.Now()
-		oh, err := oasis.SearchAll(idx, q.Residues, opts)
+		oh, err := eng.SearchAll(context.Background(), q.Residues, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -54,11 +54,9 @@ type Options struct {
 	// engines (default diskst.DefaultPoolBytesPerShard, 64 MB).
 	PoolBytes int64
 	// Shards is the number of sequence-disjoint work partitions, each its own
-	// suffix tree (default 1; capped at the number of sequences).
+	// suffix tree (default 1; capped at the number of sequences).  Every
+	// shard and delta layer of a query is searched at once.
 	Shards int
-	// ShardWorkers bounds how many shard searches run concurrently within
-	// one query (default: one per shard, plus one per delta layer).
-	ShardWorkers int
 	// BatchWorkers bounds how many queries of a batch are in flight at once
 	// (default GOMAXPROCS).
 	BatchWorkers int
@@ -196,13 +194,13 @@ func New(db *seq.Database, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("engine: Shards comes from the IndexDir manifest; do not set it")
 		}
 		if dir, err = diskst.OpenDir(opts.IndexDir, opts.PoolBytes, opts.AllowDegraded); err == nil {
-			sharded, err = shard.OpenDiskEngine(dir, shard.Options{Workers: opts.ShardWorkers})
+			sharded, err = shard.OpenDiskEngine(dir)
 		}
 	} else {
 		if db == nil {
 			return nil, fmt.Errorf("engine: either a database or IndexDir is required")
 		}
-		sharded, err = shard.NewEngine(db, shard.Options{Shards: opts.Shards, Workers: opts.ShardWorkers})
+		sharded, err = shard.NewEngine(db, shard.Options{Shards: opts.Shards})
 	}
 	if err != nil {
 		return nil, err
@@ -284,9 +282,6 @@ func (e *Engine) TotalResidues() int64 { return e.Catalog().TotalResidues() }
 // NumShards returns the number of partitions actually built.
 func (e *Engine) NumShards() int { return e.cur().view.NumShards() }
 
-// ShardWorkers returns the per-query shard concurrency bound.
-func (e *Engine) ShardWorkers() int { return e.cur().view.Workers() }
-
 // BatchWorkers returns the batch concurrency bound.
 func (e *Engine) BatchWorkers() int { return e.batchWorkers }
 
@@ -301,11 +296,11 @@ func (e *Engine) Stats() (st core.Stats, queries, hits int64) {
 }
 
 // Metrics is a snapshot of the engine's resource counters for capacity
-// planning: scratch free-list reuse and per-shard worker-pool queue depths.
+// planning: scratch free-list reuse and per-shard active searches.
 type Metrics struct {
 	// Scratch reports pooled searcher-scratch reuse.
 	Scratch bufferpool.FreeListStats `json:"scratch"`
-	// Shards holds each shard's queued and active search counts.
+	// Shards holds each shard's active search count.
 	Shards []shard.QueueDepth `json:"shards"`
 	// Pools holds the buffer-pool hit statistics of a disk-backed engine,
 	// one entry per pool: the base shards, then every delta layer under its

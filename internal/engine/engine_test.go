@@ -49,7 +49,7 @@ func openShardView(path string) (*shard.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return shard.OpenDiskEngine(dir, shard.Options{})
+	return shard.OpenDiskEngine(dir)
 }
 
 // newMemoryEngine builds a mutable in-memory engine as New does, except that
@@ -59,7 +59,7 @@ func newMemoryEngine(db *seq.Database, byPrefix bool, opts Options) (*Engine, er
 	if !byPrefix {
 		return New(db, opts)
 	}
-	base, err := shard.NewEngine(db, shard.Options{Shards: opts.Shards, Workers: opts.ShardWorkers, Partition: shard.PartitionByPrefix})
+	base, err := shard.NewEngine(db, shard.Options{Shards: opts.Shards, Partition: shard.PartitionByPrefix})
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +325,7 @@ func TestEngineClose(t *testing.T) {
 // TestPrefixEngineBatchAndMetrics drives a prefix-partitioned warm engine
 // through SubmitBatch and checks the metrics snapshot: per-query hit streams
 // must match the sequential search (as (sequence, score) sets), and Metrics
-// must report one queue-depth entry per shard, all idle after the batch
+// must report one active-search entry per shard, all idle after the batch
 // drains, with scratch reuse on the second batch.
 func TestPrefixEngineBatchAndMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
@@ -380,7 +380,7 @@ func TestPrefixEngineBatchAndMetrics(t *testing.T) {
 		t.Fatalf("metrics list %d shards, want 4", len(m.Shards))
 	}
 	for _, sh := range m.Shards {
-		if sh.Queued != 0 || sh.Active != 0 {
+		if sh.Active != 0 {
 			t.Fatalf("idle engine reports busy shard: %+v", sh)
 		}
 	}

@@ -20,7 +20,7 @@ func TestStressConcurrentBatchesWithCancellation(t *testing.T) {
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
 	setup := rand.New(rand.NewSource(1309))
 	db := randomEngineDB(t, setup, seq.Protein, 40, 120)
-	eng, err := New(db, Options{Shards: 4, ShardWorkers: 2, BatchWorkers: 4})
+	eng, err := New(db, Options{Shards: 4, BatchWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

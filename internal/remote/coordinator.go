@@ -118,7 +118,7 @@ func open(ctx context.Context, cfg Config, pace pacing) (*Coordinator, error) {
 	eng, err := shard.NewEngineFromProviders(shard.ProviderSet{
 		Providers: providers,
 		Catalog:   &remoteCatalog{alphabet: alphabet, sequences: offset, residues: total},
-	}, shard.Options{})
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -103,7 +103,7 @@ func FuzzCorruptIndexDir(f *testing.F) {
 			return // unreadable enough that even the scrub refuses: fine
 		}
 
-		eng, err := openDisk(dir, 8*512, true, Options{})
+		eng, err := openDisk(dir, 8*512, true)
 		if err != nil {
 			return // detected at open: fine
 		}

@@ -15,9 +15,9 @@ import (
 // the view of the GENERATION the directory is at, so every consumer serves the
 // live corpus, compacted inserts included and deleted sequences filtered, and
 // a writer continues from Layers and Tombstones.  The shard count is the
-// directory's; opts.Shards and opts.Partition are ignored.  The engine takes
-// ownership of dir, here on failure and in Close otherwise.
-func OpenDiskEngine(dir *diskst.Dir, opts Options) (*Engine, error) {
+// directory's.  The engine takes ownership of dir, here on failure and in
+// Close otherwise.
+func OpenDiskEngine(dir *diskst.Dir) (*Engine, error) {
 	r := &root{closers: []io.Closer{dir}, standing: dir.Quarantined}
 	// Quarantined shards hold nil entries; the engine runs over the survivors,
 	// whose global maps keep the original global numbering.
@@ -35,7 +35,7 @@ func OpenDiskEngine(dir *diskst.Dir, opts Options) (*Engine, error) {
 		dir.Close()
 		return nil, err
 	}
-	e, err := r.finish(opts)
+	e, err := r.finish()
 	if err != nil {
 		dir.Close()
 		return nil, err

@@ -61,7 +61,7 @@ func TestDiskEngineEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d: OpenDir: %v", trial, err)
 				}
-				eng, err := OpenDiskEngine(opened, Options{})
+				eng, err := OpenDiskEngine(opened)
 				if err != nil {
 					t.Fatalf("trial %d: OpenDiskEngine: %v", trial, err)
 				}
@@ -126,12 +126,12 @@ func TestDiskEngineEquivalenceProperty(t *testing.T) {
 
 // openDisk is the two calls every disk consumer makes: open the directory,
 // arrange its handles into an engine (which owns the directory from then on).
-func openDisk(path string, poolBytes int64, allowDegraded bool, opts Options) (*Engine, error) {
+func openDisk(path string, poolBytes int64, allowDegraded bool) (*Engine, error) {
 	dir, err := diskst.OpenDir(path, poolBytes, allowDegraded)
 	if err != nil {
 		return nil, err
 	}
-	return OpenDiskEngine(dir, opts)
+	return OpenDiskEngine(dir)
 }
 
 // TestDiskEngineUnionCatalogLocate pins the union catalog's concatenated
@@ -146,7 +146,7 @@ func TestDiskEngineUnionCatalogLocate(t *testing.T) {
 	if _, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{Shards: 3}); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := openDisk(dir, 0, false, Options{})
+	eng, err := openDisk(dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func buildFaultDir(t *testing.T) (dir string, query []byte, opts core.Options) {
 // search touches the disk path where faults are injected.
 func openFaultEngine(t *testing.T, dir string, allowDegraded bool) *Engine {
 	t.Helper()
-	eng, err := openDisk(dir, 16*2048, allowDegraded, Options{})
+	eng, err := openDisk(dir, 16*2048, allowDegraded)
 	if err != nil {
 		t.Fatal(err)
 	}

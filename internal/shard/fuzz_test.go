@@ -10,18 +10,18 @@ import (
 )
 
 // FuzzShardMergeOrder asserts the sharded engine's merge contract on
-// arbitrary databases, queries, shard counts and worker bounds, in BOTH
+// arbitrary databases, queries and shard counts, in BOTH
 // partition modes (sequence-partitioned indexes and prefix-partitioned
 // subtrees over a shared index): the merged stream must be non-increasing in
 // score with consecutive ranks, and must contain exactly the hits the
 // single-index search reports (equal-score hits may interleave differently,
 // nothing may appear, vanish or change score).
 func FuzzShardMergeOrder(f *testing.F) {
-	f.Add([]byte("ACGTACGTTTACGGACGT\x00GGGTTTACGT\x00ACACACAC\x00TTGGAACC"), []byte("ACGTAC"), uint8(3), uint8(2), uint8(0))
-	f.Add([]byte("TTTTTTTTTT\x00TTTTT\x00TTTT"), []byte("TTTT"), uint8(8), uint8(1), uint8(2))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 11, 12, 13, 14, 0, 3, 3, 3}, []byte{5, 6, 7}, uint8(2), uint8(3), uint8(0))
+	f.Add([]byte("ACGTACGTTTACGGACGT\x00GGGTTTACGT\x00ACACACAC\x00TTGGAACC"), []byte("ACGTAC"), uint8(3), uint8(0))
+	f.Add([]byte("TTTTTTTTTT\x00TTTTT\x00TTTT"), []byte("TTTT"), uint8(8), uint8(2))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 11, 12, 13, 14, 0, 3, 3, 3}, []byte{5, 6, 7}, uint8(2), uint8(0))
 	scheme := score.MustScheme(score.UnitDNA(), -1)
-	f.Fuzz(func(t *testing.T, dbData, queryData []byte, shardByte, workerByte, maxResByte uint8) {
+	f.Fuzz(func(t *testing.T, dbData, queryData []byte, shardByte, maxResByte uint8) {
 		db := fuzzutil.DatabaseFromBytes(seq.DNA, dbData)
 		query := fuzzutil.QueryFromBytes(seq.DNA, queryData, 48)
 		if db == nil || query == nil {
@@ -41,11 +41,7 @@ func FuzzShardMergeOrder(f *testing.F) {
 		}
 
 		for _, mode := range []PartitionMode{PartitionBySequence, PartitionByPrefix} {
-			engine, err := NewEngine(db, Options{
-				Shards:    1 + int(shardByte%8),
-				Workers:   1 + int(workerByte%4),
-				Partition: mode,
-			})
+			engine, err := NewEngine(db, Options{Shards: 1 + int(shardByte%8), Partition: mode})
 			if err != nil {
 				t.Fatalf("engine build (mode %d): %v", mode, err)
 			}

@@ -47,9 +47,8 @@ type ProviderSet struct {
 // stream is ordered, deduplicated (not needed — providers are disjoint) and
 // tie-broken exactly like a local multi-shard engine's.  Provider failures
 // quarantine the provider's slice through the standard degraded-completion
-// path (core.Options.StrictShards opts out).  opts.Shards and opts.Partition
-// are ignored; opts.Workers bounds concurrent provider streams as usual.
-func NewEngineFromProviders(set ProviderSet, opts Options) (*Engine, error) {
+// path (core.Options.StrictShards opts out).  Every provider streams at once.
+func NewEngineFromProviders(set ProviderSet) (*Engine, error) {
 	if set.Catalog == nil {
 		return nil, fmt.Errorf("shard: provider set needs a catalog")
 	}
@@ -57,5 +56,5 @@ func NewEngineFromProviders(set ProviderSet, opts Options) (*Engine, error) {
 	for _, p := range set.Providers {
 		r.base = append(r.base, baseShard{provider: p})
 	}
-	return r.finish(opts)
+	return r.finish()
 }

@@ -99,7 +99,7 @@ func TestProviderEngineEquivalence(t *testing.T) {
 		pe, err := NewEngineFromProviders(ProviderSet{
 			Providers: providers,
 			Catalog:   &catalogStub{alphabet: a, sequences: n, residues: residues},
-		}, Options{})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestProviderFailureQuarantines(t *testing.T) {
 			&engineProvider{fail: bad},
 		},
 		Catalog: &catalogStub{alphabet: a, sequences: db.NumSequences() * 2, residues: db.TotalResidues() * 2},
-	}, Options{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,6 @@
 package shard
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -70,16 +69,13 @@ const (
 	PartitionByPrefix
 )
 
-// Options configures a sharded engine.  Shards and Partition say how NewEngine
-// divides a database; a directory or a provider set arrives divided, and
-// OpenDiskEngine and NewEngineFromProviders ignore them.
+// Options says how NewEngine divides a database; a directory or a provider
+// set arrives divided, and OpenDiskEngine and NewEngineFromProviders take
+// none.  Every stream of a query — every shard and every layer — runs at once.
 type Options struct {
 	// Shards is the number of work partitions (default 1; capped at the
 	// number of sequences in PartitionBySequence mode).
 	Shards int
-	// Workers bounds how many streams of one query run concurrently
-	// (default: all of them — every shard and every layer).
-	Workers int
 	// Partition selects the work-partitioning strategy (default
 	// PartitionBySequence).
 	Partition PartitionMode
@@ -99,8 +95,8 @@ var _ core.SubtreeAssigner = (*seq.PrefixPartition)(nil)
 // one warm Engine without per-query allocation.
 //
 // The engine does not care where its shards live; its three constructors are
-// three sources under one Options: NewEngine builds in-memory suffix trees
-// from a database, OpenDiskEngine arranges the disk-resident indexes of an
+// three sources: NewEngine builds in-memory suffix trees from a database
+// divided as Options says, OpenDiskEngine arranges the disk-resident indexes of an
 // open directory (diskst.Dir), each read through its own buffer pool, so shard
 // parallelism also parallelises I/O, and NewEngineFromProviders takes opaque
 // streams such as remote shard servers.
@@ -129,9 +125,6 @@ type Engine struct {
 // root is what every view of one engine shares: the base shards, the pooled
 // per-query state and the lifetime counters.
 type root struct {
-	// workers is the explicit Options.Workers bound; 0 runs every stream of
-	// a query at once.
-	workers int
 	queryAl *seq.Alphabet
 	// baseCat is the catalog over the base shards alone; its totals are the
 	// base corpus's as the global numbering defines them (for a degraded disk
@@ -161,9 +154,7 @@ type root struct {
 	// claimed by a non-owner shard over the engine's lifetime.
 	nosteal bool
 	steals  atomic.Int64
-	// queued/active count, per shard, searches waiting for a worker slot and
-	// searches running (see QueueDepths).
-	queued []atomic.Int64
+	// active counts, per shard, the searches running (see QueueDepths).
 	active []atomic.Int64
 	// standing lists shards that were quarantined at open time (e.g. an
 	// unreadable disk shard admitted with AllowDegraded); every search over
@@ -223,27 +214,25 @@ func NewEngine(db *seq.Database, opts Options) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("shard: unknown partition mode %d", opts.Partition)
 	}
-	return r.finish(opts)
+	r.nosteal = opts.NoSteal
+	return r.finish()
 }
 
 // finish is the constructor tail every engine shape shares, run once the base
 // catalog and base shards are set: it sizes the pooled scratch, dedup sets and
 // per-shard accounting, and returns the pristine view (no layers, no
 // tombstones).
-func (r *root) finish(opts Options) (*Engine, error) {
+func (r *root) finish() (*Engine, error) {
 	n := len(r.base)
 	if n == 0 {
 		return nil, fmt.Errorf("shard: engine has no shards")
 	}
 	r.queryAl = r.baseCat.Alphabet()
-	r.workers = max(opts.Workers, 0)
-	r.nosteal = opts.NoSteal
 	// Hold enough idle scratches for a few concurrent queries, each using
 	// one scratch per stream (plus the frontier expansion in prefix mode).
 	r.scratch = bufferpool.NewFreeList(4*(n+1), core.NewScratch)
 	r.dedups = bufferpool.NewFreeList(8, func() *dedupSet { return &dedupSet{} })
 	r.affine = make([]atomic.Pointer[core.Scratch], n)
-	r.queued = make([]atomic.Int64, n)
 	r.active = make([]atomic.Int64, n)
 	return (&Engine{root: r}).WithLayers(nil, nil)
 }
@@ -317,20 +306,18 @@ func (e *Engine) Close() error {
 // buffers instead of allocating fresh ones.
 func (e *Engine) ScratchStats() bufferpool.FreeListStats { return e.scratch.Stats() }
 
-// QueueDepth is one shard's instantaneous load: searches waiting for a
-// worker-pool slot and searches currently running.
+// QueueDepth is one shard's instantaneous load: the searches running on it.
 type QueueDepth struct {
 	Shard  int   `json:"shard"`
-	Queued int64 `json:"queued"`
 	Active int64 `json:"active"`
 }
 
-// QueueDepths returns a snapshot of every shard's queued and active search
-// counts (capacity-planning metric; see cmd/oasis-serve's /metrics).
+// QueueDepths returns a snapshot of every shard's active search count
+// (capacity-planning metric; see cmd/oasis-serve's /metrics).
 func (e *Engine) QueueDepths() []QueueDepth {
 	out := make([]QueueDepth, len(e.base))
 	for s := range out {
-		out[s] = QueueDepth{Shard: s, Queued: e.queued[s].Load(), Active: e.active[s].Load()}
+		out[s] = QueueDepth{Shard: s, Active: e.active[s].Load()}
 	}
 	return out
 }
@@ -351,10 +338,6 @@ func (e *Engine) Steals() int64 { return e.steals.Load() }
 
 // NumShards returns the number of work partitions.
 func (e *Engine) NumShards() int { return len(e.base) }
-
-// Workers returns the concurrency bound for a query over the engine's own
-// shards: Options.Workers when set, otherwise one worker per shard.
-func (e *Engine) Workers() int { return cmp.Or(e.workers, len(e.base)) }
 
 // event is one message from a stream goroutine to the merger.
 type event struct {
@@ -403,6 +386,12 @@ func (e *Engine) SearchBounded(query []byte, opts core.Options, hit func(core.Hi
 // search is the one search path: plan the query's streams, merge them.
 // bsink, when non-nil, receives the merged stream's own decreasing bound.
 func (e *Engine) search(query []byte, opts core.Options, report func(core.Hit) bool, bsink func(int) bool) error {
+	// A query cancelled before it starts runs nothing: the frontier expansion
+	// and every stream's searcher would each sweep a poll interval of columns
+	// before noticing.
+	if ctx := opts.Context; ctx != nil && ctx.Err() != nil {
+		return ctx.Err()
+	}
 	if err := e.applyStanding(opts); err != nil {
 		return err
 	}
@@ -460,10 +449,10 @@ type stream struct {
 	// of its own (or even been scheduled): the merger's initial bound for it.
 	bound int
 	// idle marks a stream with no work; it is completed without spending a
-	// goroutine, worker slot or scratch.
+	// goroutine or scratch.
 	idle bool
-	// slot is the base shard whose queue-depth counters and affine scratch
-	// the stream uses, or -1 for a layer, which has neither.
+	// slot is the base shard whose active counter and affine scratch the
+	// stream uses, or -1 for a layer, which has neither.
 	slot int
 	// run has the Provider.Stream contract (hits carry GLOBAL indexes).
 	run func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error
@@ -600,7 +589,7 @@ func (e *Engine) planPrefix(p *plan, query []byte, opts core.Options) error {
 
 // rootBound is the strongest f any search over this query can hold (max
 // heuristic among unpruned query positions): the initial frontier bound for
-// every stream the worker pool has not scheduled yet.
+// every stream that has not published a bound of its own yet.
 func (e *Engine) rootBound(query []byte, opts core.Options) int {
 	rootBound := score.NegInf
 	if e.queryAl.ValidCodes(query) && opts.Scheme.Matrix.Alphabet() == e.queryAl {
@@ -613,8 +602,9 @@ func (e *Engine) rootBound(query []byte, opts core.Options) int {
 	return rootBound
 }
 
-// fanOutMerge runs a plan: one goroutine per stream on the bounded worker
-// pool, each adapted into merger events by runStream, merged by a merger
+// fanOutMerge runs a plan: one goroutine per stream, all at once — a stream
+// that has not started holds the merger at its initial bound, so queueing one
+// would delay every release — each adapted into merger events by runStream, merged by a merger
 // configured with the streams' initial bounds, the (pooled) dedup set and the
 // view's tombstone filter and live totals.  The shared frontier
 // work and the per-stream counters are merged into opts.Stats once every
@@ -628,10 +618,6 @@ func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, report fu
 	events := make(chan event, 4*n+16)
 	var cancelled atomic.Bool
 	var wg sync.WaitGroup
-	// Without an explicit Workers bound every stream of THIS query runs at
-	// once — layers included: a stream that has not started holds the
-	// merger at its initial bound, so queueing one delays every release.
-	sem := make(chan struct{}, cmp.Or(e.workers, n))
 	// E-values depend on the global database size; they are attached by the
 	// merger, not the stream.
 	streamOpts := opts
@@ -654,16 +640,9 @@ func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, report fu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Queue-depth accounting wraps the worker-pool semaphore; layers
-			// (slot -1) share the semaphore but not the per-shard depth
-			// counters, which size to the engine's own shards.
+			// Layers (slot -1) have no active counter: those size to the
+			// engine's own shards.
 			if st.slot >= 0 {
-				e.queued[st.slot].Add(1)
-			}
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if st.slot >= 0 {
-				e.queued[st.slot].Add(-1)
 				e.active[st.slot].Add(1)
 				defer e.active[st.slot].Add(-1)
 			}

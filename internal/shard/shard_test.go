@@ -68,7 +68,7 @@ func checkOrderAndRanks(t *testing.T, hits []core.Hit, label string) {
 }
 
 // TestShardedEquivalenceProperty is the randomized shard-vs-single
-// equivalence property: across random databases, queries, shard/worker
+// equivalence property: across random databases, queries, shard
 // counts, MinScore thresholds, MaxResults limits and early cancellation, the
 // sharded engine must report the same sequences with the same scores in
 // globally non-increasing score order as the single-index search.
@@ -107,10 +107,7 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				engine, err := NewEngine(db, Options{
-					Shards:  1 + rng.Intn(8),
-					Workers: 1 + rng.Intn(4),
-				})
+				engine, err := NewEngine(db, Options{Shards: 1 + rng.Intn(8)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -204,7 +201,7 @@ func checkTruncated(t *testing.T, trial int, label string, got, baseline []core.
 
 // TestPrefixShardedEquivalenceProperty is the randomized prefix-vs-single
 // equivalence property, mirroring TestShardedEquivalenceProperty: across
-// random databases, queries, shard/worker counts, MinScore thresholds,
+// random databases, queries, shard counts, MinScore thresholds,
 // MaxResults limits and early cancellation, the prefix-partitioned engine
 // must report the same sequences with the same scores in globally
 // non-increasing score order as the single-index search.  Alignment
@@ -246,11 +243,7 @@ func TestPrefixShardedEquivalenceProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				engine, err := NewEngine(db, Options{
-					Shards:    1 + rng.Intn(8),
-					Workers:   1 + rng.Intn(4),
-					Partition: PartitionByPrefix,
-				})
+				engine, err := NewEngine(db, Options{Shards: 1 + rng.Intn(8), Partition: PartitionByPrefix})
 				if err != nil {
 					t.Fatal(err)
 				}

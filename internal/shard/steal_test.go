@@ -109,7 +109,7 @@ func requireSameStream(t *testing.T, label string, got, want []core.Hit) {
 }
 
 // TestStealingStreamEquivalence is the stealing on/off differential: across
-// random corpora, shard/worker counts, alphabets and query knobs, an engine
+// random corpora, shard counts, alphabets and query knobs, an engine
 // with work stealing must emit exactly the stream its NoSteal twin emits —
 // same sequences, ids, scores, E-values and ranks, in the same order — and
 // spend the same total column work.  (Sequence-partitioned engines have no
@@ -130,7 +130,6 @@ func TestStealingStreamEquivalence(t *testing.T) {
 				db := randomShardDB(t, rng, cfg.a, 4+rng.Intn(24), 90)
 				base := Options{
 					Shards:    2 + rng.Intn(6),
-					Workers:   1 + rng.Intn(4),
 					Partition: PartitionByPrefix,
 				}
 				noSteal := base
@@ -165,8 +164,7 @@ func TestStealingStreamEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("trial %d query %d (%d shards, %d workers)",
-						trial, q, base.Shards, base.Workers)
+					label := fmt.Sprintf("trial %d query %d (%d shards)", trial, q, base.Shards)
 					requireSameStream(t, label, normalizeHits(got), normalizeHits(want))
 					// The expansion set is a property of the f-thresholds, not
 					// of who searches which subtree: total column work must
@@ -224,12 +222,12 @@ func skewedStealDB(t *testing.T, rng *rand.Rand, nSeqs int) *seq.Database {
 func TestStealingSkewedQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	db := skewedStealDB(t, rng, 24)
-	stealEng, err := NewEngine(db, Options{Shards: 8, Workers: 2, Partition: PartitionByPrefix})
+	stealEng, err := NewEngine(db, Options{Shards: 8, Partition: PartitionByPrefix})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stealEng.Close()
-	noStealEng, err := NewEngine(db, Options{Shards: 8, Workers: 2, Partition: PartitionByPrefix, NoSteal: true})
+	noStealEng, err := NewEngine(db, Options{Shards: 8, Partition: PartitionByPrefix, NoSteal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +260,7 @@ func TestStealingSkewedQuery(t *testing.T) {
 func TestStealingConcurrentStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(7717))
 	db := randomShardDB(t, rng, seq.DNA, 24, 90)
-	eng, err := NewEngine(db, Options{Shards: 6, Workers: 3, Partition: PartitionByPrefix})
+	eng, err := NewEngine(db, Options{Shards: 6, Partition: PartitionByPrefix})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,7 @@ import (
 // streams strictly one after another — and since an unstarted stream holds
 // the merger at the query's root bound, nothing was released until the last
 // one started.  With every stream worker stalled 100 ms, one base shard plus
-// three delta streams must finish in about one stall, not four; an explicit
-// Workers bound is still honoured as given.
+// three delta streams must finish in about one stall, not four.
 func TestExtraStreamsRunConcurrently(t *testing.T) {
 	const stall = 100 * time.Millisecond
 	rng := rand.New(rand.NewSource(12))
@@ -36,9 +35,9 @@ func TestExtraStreamsRunConcurrently(t *testing.T) {
 	query := all[0].Residues
 	opts := core.Options{Scheme: score.MustScheme(score.ByName("PAM30"), -10), MinScore: 5}
 
-	timed := func(workers int) (time.Duration, []core.Hit) {
+	timed := func() (time.Duration, []core.Hit) {
 		t.Helper()
-		eng, err := NewEngine(seq.MustDatabase(seq.Protein, all[:nBase]), Options{Shards: 1, Workers: workers})
+		eng, err := NewEngine(seq.MustDatabase(seq.Protein, all[:nBase]), Options{Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,10 +54,10 @@ func TestExtraStreamsRunConcurrently(t *testing.T) {
 		return time.Since(start), hits
 	}
 
-	_, want := timed(0)
+	_, want := timed()
 	defer faultpoint.Reset()
 	faultpoint.Enable(faultpoint.SiteShardWorker, faultpoint.Spec{Mode: faultpoint.ModeLatency, Delay: stall})
-	elapsed, got := timed(0)
+	elapsed, got := timed()
 	if faultpoint.Fired(faultpoint.SiteShardWorker) != 1+nDelta {
 		t.Fatalf("stall fired %d times, want once per stream (%d)", faultpoint.Fired(faultpoint.SiteShardWorker), 1+nDelta)
 	}
@@ -66,7 +65,4 @@ func TestExtraStreamsRunConcurrently(t *testing.T) {
 		t.Fatalf("1 base + %d delta streams took %s with each stalled %s: the streams ran one after another", nDelta, elapsed, stall)
 	}
 	assertSameHits(t, got, want)
-	if elapsed, _ := timed(1); elapsed < (1+nDelta)*stall {
-		t.Fatalf("Workers=1 finished %d stalled streams in %s: the explicit bound was not honoured", 1+nDelta, elapsed)
-	}
 }

@@ -52,8 +52,7 @@ func TestDiskShardedIndexPublicAPI(t *testing.T) {
 		}
 		eng, err := oasis.OpenEngine(dir, oasis.EngineOptions{
 			// Small pools keep real page traffic (and eviction) in play.
-			PoolBytes:    64 * 2048,
-			ShardWorkers: 2,
+			PoolBytes: 64 * 2048,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -8,10 +8,10 @@ import (
 )
 
 // EngineOptions configures a warm engine: the source (IndexDir with PoolBytes
-// and AllowDegraded, or a database split into Shards by sequence), the two
-// concurrency bounds (ShardWorkers within a query, BatchWorkers across a
-// batch) and the result cache budget (CacheBytes).  The fields are documented
-// on engine.Options, which this is.
+// and AllowDegraded, or a database split into Shards by sequence), the batch
+// concurrency bound (BatchWorkers; within one query every shard runs at once)
+// and the result cache budget (CacheBytes).  The fields are documented on
+// engine.Options, which this is.
 type EngineOptions = engine.Options
 
 // Engine is a warm, long-running OASIS query engine: the sharded suffix-tree
@@ -77,9 +77,6 @@ func (e *Engine) TotalResidues() int64 { return e.eng.TotalResidues() }
 // NumShards returns the number of partitions actually built.
 func (e *Engine) NumShards() int { return e.eng.NumShards() }
 
-// ShardWorkers returns the per-query shard concurrency bound.
-func (e *Engine) ShardWorkers() int { return e.eng.ShardWorkers() }
-
 // BatchWorkers returns the batch concurrency bound.
 func (e *Engine) BatchWorkers() int { return e.eng.BatchWorkers() }
 
@@ -102,7 +99,7 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // EngineMetrics is a point-in-time snapshot of an engine's resource usage:
-// pooled-scratch reuse (FreeListStats), per-shard worker-pool queue depths,
+// pooled-scratch reuse (FreeListStats), per-shard active searches,
 // per-shard buffer-pool hit rates (disk-backed engines) and the cross-query
 // result-cache counters (engines built with CacheBytes).  Unlike EngineStats
 // (lifetime totals), metrics describe the current load and are meant for

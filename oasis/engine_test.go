@@ -130,7 +130,7 @@ func TestEngineMatchesSingleIndex(t *testing.T) {
 		{name: "tiny-2-shards-warm", db: tinyDB, queries: tinyQueries, scheme: blosum,
 			opts: oasis.EngineOptions{Shards: 2}, rounds: 3},
 		{name: "workload-4-sequence-shards", db: seqDB, queries: seqQueries, scheme: pam,
-			opts: oasis.EngineOptions{Shards: 4, ShardWorkers: 2}, rounds: 1,
+			opts: oasis.EngineOptions{Shards: 4}, rounds: 1,
 			each: func(t *testing.T, _ []byte, got []oasis.Hit, _, sharded oasis.SearchStats) {
 				if len(got) > 0 && sharded.NodesExpanded == 0 {
 					t.Fatal("per-shard stats were not merged")

@@ -7,7 +7,7 @@
 // Typical use:
 //
 //	db, _ := oasis.LoadFASTA("swissprot.fasta", oasis.Protein)
-//	idx, _ := oasis.NewMemoryIndex(db)                 // or BuildDiskIndex/OpenDiskIndex
+//	idx, _ := oasis.NewMemoryIndex(db)
 //	scheme := oasis.Scheme{Matrix: oasis.MatrixByName("PAM30"), Gap: -10}
 //	opts, _ := oasis.NewSearchOptions(scheme, db, query, oasis.WithEValue(20000))
 //	err := oasis.Search(idx, query, opts, func(h oasis.Hit) bool {
@@ -21,22 +21,24 @@
 // and top-k) is preserved — and keeps the index and searcher scratch warm
 // across queries (build once, serve many; see Engine.SubmitBatch):
 //
-//	eng, _ := oasis.NewEngine(db, oasis.EngineOptions{Shards: 8, ShardWorkers: 4})
+//	eng, _ := oasis.NewEngine(db, oasis.EngineOptions{Shards: 8})
 //	defer eng.Close()
 //	hits, _ := eng.SearchAll(ctx, query, opts) // same hits, same order guarantee
 //
-// For databases bigger than RAM the whole stack runs disk-backed:
-// BuildShardedDiskIndex writes one index file per shard plus a manifest, and
-// OpenEngine serves that directory with one buffer pool per shard, so shard
-// parallelism also parallelises page I/O and hit streams are identical to the
-// in-memory engines:
+// For databases bigger than RAM the whole stack runs disk-backed, the paper's
+// disk-resident suffix tree read through a buffer pool: BuildShardedDiskIndex
+// writes an index directory — one index file per shard (Shards: 1 for the
+// paper's single tree) plus a manifest — and OpenEngine serves it with one
+// buffer pool per shard, so shard parallelism also parallelises page I/O and
+// hit streams are identical to the in-memory engines.  The shard count is the
+// directory's, chosen once when it is built:
 //
 //	oasis.BuildShardedDiskIndex("swissprot.idx", db, oasis.ShardedIndexBuildOptions{Shards: 8})
 //	eng, _ := oasis.OpenEngine("swissprot.idx", oasis.EngineOptions{PoolBytes: 64 << 20})
 //	defer eng.Close()
 //
 // The option structs of this package are the internal packages' own
-// (EngineOptions is engine.Options, the two build option types are diskst's,
+// (EngineOptions is engine.Options, ShardedIndexBuildOptions is diskst's,
 // CoordinatorOptions is remote.Config): each decision has one field, filled
 // once.  SearchOptions is the one deliberate exception — it narrows
 // core.Options to the fields a caller may set.
@@ -53,7 +55,6 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/blast"
-	"repro/internal/bufferpool"
 	"repro/internal/core"
 	"repro/internal/diskst"
 	"repro/internal/score"
@@ -126,23 +127,14 @@ func NewDatabase(a *Alphabet, seqs []Sequence) (*Database, error) { return seq.N
 // construction) over the database.
 func NewMemoryIndex(db *Database) (*MemoryIndex, error) { return core.BuildMemoryIndex(db) }
 
-// IndexBuildOptions configures disk-index construction: BlockSize, the disk
-// block size in bytes (default 2048, the paper's value).
-type IndexBuildOptions = diskst.BuildOptions
-
-// IndexStats reports the size of a disk index (the paper's space-utilisation
-// table).
+// IndexStats reports the size of one index file (the paper's
+// space-utilisation table).
 type IndexStats = diskst.BuildStats
 
-// BuildDiskIndex constructs the suffix tree for db and writes the paper's
-// disk representation to path.
-func BuildDiskIndex(path string, db *Database, opts IndexBuildOptions) (*IndexStats, error) {
-	return diskst.Build(path, db, opts)
-}
-
-// ShardedIndexBuildOptions configures sharded disk-index construction:
-// BlockSize as in IndexBuildOptions and Shards, the number of disjoint
-// sequence subsets (>= 1), each written as its own index file.
+// ShardedIndexBuildOptions configures disk-index construction: BlockSize, the
+// disk block size in bytes (default 2048, the paper's value), and Shards, the
+// number of disjoint sequence subsets (>= 1), each written as its own index
+// file.
 type ShardedIndexBuildOptions = diskst.ShardedBuildOptions
 
 // IndexManifest describes a sharded disk index directory: shard count, file
@@ -160,50 +152,15 @@ func BuildShardedDiskIndex(dir string, db *Database, opts ShardedIndexBuildOptio
 // directory.
 func ReadIndexManifest(dir string) (*IndexManifest, error) { return diskst.ReadManifest(dir) }
 
-// VerifyReport summarises a deep scrub of an index file or directory: every
+// VerifyReport summarises a deep scrub of an index directory: every
 // checksummed block is re-read and compared against the stored CRC32C table,
 // then the index is opened and its tree structure checked record by record.
 // Problems is empty when the scrub passed.
 type VerifyReport = diskst.VerifyReport
 
-// VerifyDiskIndex deep-scrubs a single index file (oasis-build -verify).
-func VerifyDiskIndex(path string) (*VerifyReport, error) { return diskst.VerifyIndex(path) }
-
-// VerifyIndexDir deep-scrubs every shard file of a sharded index directory.
+// VerifyIndexDir deep-scrubs every index file of an index directory
+// (oasis-build -verify).
 func VerifyIndexDir(dir string) (*VerifyReport, error) { return diskst.VerifyIndexDir(dir) }
-
-// DiskIndex is a disk-resident index read through a buffer pool.
-type DiskIndex struct {
-	*diskst.Index
-	pool *bufferpool.Pool
-}
-
-// OpenDiskIndex opens an index file with a buffer pool of the given capacity
-// in bytes (the paper's default block size is used for the pool's pages).
-func OpenDiskIndex(path string, bufferPoolBytes int64) (*DiskIndex, error) {
-	if bufferPoolBytes <= 0 {
-		bufferPoolBytes = 256 << 20 // the paper's default 256 MB pool
-	}
-	pool := bufferpool.New(bufferPoolBytes, 0)
-	idx, err := diskst.Open(path, pool)
-	if err != nil {
-		return nil, err
-	}
-	return &DiskIndex{Index: idx, pool: pool}, nil
-}
-
-// OpenDiskIndexWithPool opens an index through an existing buffer pool
-// (several indexes may share one pool).
-func OpenDiskIndexWithPool(path string, pool *bufferpool.Pool) (*DiskIndex, error) {
-	idx, err := diskst.Open(path, pool)
-	if err != nil {
-		return nil, err
-	}
-	return &DiskIndex{Index: idx, pool: pool}, nil
-}
-
-// BufferPool returns the pool the index reads through (for statistics).
-func (d *DiskIndex) BufferPool() *bufferpool.Pool { return d.pool }
 
 // SearchOptions configures an OASIS search.
 type SearchOptions struct {

@@ -1,6 +1,7 @@
 package oasis
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -63,20 +64,19 @@ func TestEndToEndMemoryIndexMatchesSW(t *testing.T) {
 
 func TestEndToEndDiskIndexMatchesSW(t *testing.T) {
 	db, queries := testWorkload(t, 15_000, 6)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "proteins.oasis")
-	st, err := BuildDiskIndex(path, db, IndexBuildOptions{})
+	path := filepath.Join(t.TempDir(), "proteins.idx")
+	_, st, err := BuildShardedDiskIndex(path, db, ShardedIndexBuildOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.BytesPerSymbol <= 0 {
+	if len(st) != 1 || st[0].BytesPerSymbol <= 0 {
 		t.Fatalf("bad build stats: %+v", st)
 	}
-	idx, err := OpenDiskIndex(path, 4<<20)
+	eng, err := OpenEngine(path, EngineOptions{PoolBytes: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer idx.Close()
+	defer eng.Close()
 	scheme, err := NewScheme(MatrixByName("BLOSUM62"), -8)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestEndToEndDiskIndexMatchesSW(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits, err := SearchAll(idx, q.Residues, opts)
+		hits, err := eng.SearchAll(context.Background(), q.Residues, opts)
 		if err != nil {
 			t.Fatalf("query %s: %v", q.ID, err)
 		}
@@ -111,12 +111,11 @@ func TestEndToEndDiskIndexMatchesSW(t *testing.T) {
 
 func TestDiskAndMemoryIndexesAgree(t *testing.T) {
 	db, queries := testWorkload(t, 10_000, 5)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "idx.oasis")
-	if _, err := BuildDiskIndex(path, db, IndexBuildOptions{}); err != nil {
+	path := filepath.Join(t.TempDir(), "idx")
+	if _, _, err := BuildShardedDiskIndex(path, db, ShardedIndexBuildOptions{Shards: 1}); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := OpenDiskIndex(path, 2<<20)
+	disk, err := OpenEngine(path, EngineOptions{PoolBytes: 2 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestDiskAndMemoryIndexesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := SearchAll(disk, q.Residues, opts)
+		b, err := disk.SearchAll(context.Background(), q.Residues, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
