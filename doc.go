@@ -42,8 +42,8 @@
 //     monopolise the worker pool.
 //   - The entire sharded serving stack also runs DISK-BACKED, so one warm
 //     engine serves databases bigger than RAM: oasis-build writes an index
-//     directory — one diskst index file per shard (-shards, default 1, the
-//     only place a shard count is chosen) and a manifest.json
+//     directory — one diskst index file per shard (-shards, default 1; no
+//     other command chooses a shard count) and a manifest.json
 //     (internal/diskst.BuildSharded); oasis.OpenEngine and
 //     the -index-dir flag of oasis-serve/oasis-search reopen the directory
 //     with one buffer pool PER FILE (diskst.OpenDir, arranged into an engine

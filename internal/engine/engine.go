@@ -14,7 +14,7 @@
 // below what the algorithm allows.  The engine amortises all of that across
 // the query stream: build once, serve many.
 //
-//	eng, _ := engine.New(db, engine.Options{Shards: 8})
+//	eng, _ := engine.New(db, engine.Options{})
 //	results := eng.SubmitBatch(ctx, queries)
 //	for r := range results {
 //	    if r.Done { ... } else { use r.Hit (per-query decreasing score) }

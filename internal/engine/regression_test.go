@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultpoint"
 	"repro/internal/score"
 	"repro/internal/seq"
 )
@@ -102,10 +103,11 @@ func hitMultiset(t *testing.T, eng *Engine, q Query) map[[2]int]int {
 	return m
 }
 
-// TestSearchObservesCancelWithoutHits pins the hit-less cancellation fix at
-// the engine level: a pre-cancelled context must abort the search from
-// inside the DP sweep (core's periodic poll) rather than running the whole
-// query and only noticing at the end.
+// TestSearchObservesCancelWithoutHits pins the check a query makes before it
+// starts: with its context already cancelled it returns context.Canceled
+// having run nothing — no hits, and not one cell computed by the prefix
+// engine's frontier expansion or any stream.  Cancellation from inside a
+// running sweep is TestSearchObservesCancelMidSweep.
 func TestSearchObservesCancelWithoutHits(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
@@ -139,9 +141,86 @@ func TestSearchObservesCancelWithoutHits(t *testing.T) {
 			t.Fatalf("prefix=%v: cancelled search still delivered %d hits", prefix, hits)
 		}
 		after, _, _ := eng.Stats()
-		if cancelledCells := after.CellsComputed - baseline.CellsComputed; cancelledCells*10 > baseline.CellsComputed {
-			t.Fatalf("prefix=%v: cancelled search computed %d cells, over 10%% of the %d-cell baseline",
-				prefix, cancelledCells, baseline.CellsComputed)
+		if cancelledCells := after.CellsComputed - baseline.CellsComputed; cancelledCells != 0 {
+			t.Fatalf("prefix=%v: cancelled search computed %d cells, want 0", prefix, cancelledCells)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSearchObservesCancelMidSweep pins cancellation from inside each
+// stream's DP sweep (core's periodic poll).  The context is cancelled once
+// the query is planned and its streams launched, while each stream stalls at
+// the shard-worker faultpoint, so the check before planning cannot see it;
+// the query is hit-less, so no hit callback can see it either.  Each stream
+// must stop within one poll interval of columns.
+func TestSearchObservesCancelMidSweep(t *testing.T) {
+	const pollColumns = 256 // core's cancellation poll interval
+	const stall = 200 * time.Millisecond
+	rng := rand.New(rand.NewSource(29))
+	scheme := score.MustScheme(score.ByName("PAM30"), -10)
+	db := randomEngineDB(t, rng, seq.Protein, 300, 200)
+	residues := seq.Protein.MustEncode("DKDGDGTITTKELGTVMRSL")
+	defer faultpoint.Reset()
+	for _, prefix := range []bool{false, true} {
+		eng, err := newMemoryEngine(db, prefix, Options{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// MinScore one above the best hit makes the sweep hit-less.
+		top := 0
+		if _, err := eng.Search(context.Background(), Query{Residues: residues, Options: core.Options{Scheme: scheme, MinScore: 1}},
+			func(h core.Hit) bool { top = h.Score; return false }); err != nil {
+			t.Fatal(err)
+		}
+		q := Query{Residues: residues, Options: core.Options{Scheme: scheme, MinScore: top + 1}}
+		hits := 0
+		count := func(core.Hit) bool { hits++; return true }
+		full, err := eng.Search(context.Background(), q, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// With every stream failed at the faultpoint only the work done
+		// before the streams start remains: the prefix frontier expansion.
+		faultpoint.Enable(faultpoint.SiteShardWorker, faultpoint.Spec{Mode: faultpoint.ModeError})
+		planned, _ := eng.Search(context.Background(), q, count)
+		if hits != 0 {
+			t.Fatalf("prefix=%v: hit-less query reported %d hits", prefix, hits)
+		}
+
+		faultpoint.Enable(faultpoint.SiteShardWorker, faultpoint.Spec{Mode: faultpoint.ModeLatency, Delay: stall})
+		ctx, cancel := context.WithCancel(context.Background())
+		type outcome struct {
+			st  core.Stats
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			st, err := eng.Search(ctx, q, count)
+			done <- outcome{st, err}
+		}()
+		for faultpoint.Fired(faultpoint.SiteShardWorker) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		r := <-done
+		streams := faultpoint.Fired(faultpoint.SiteShardWorker)
+		faultpoint.Reset()
+		if !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("prefix=%v: search cancelled mid-flight returned %v, want context.Canceled", prefix, r.err)
+		}
+		if hits != 0 {
+			t.Fatalf("prefix=%v: cancelled search delivered %d hits", prefix, hits)
+		}
+		limit := streams * pollColumns
+		if run := full.ColumnsExpanded - planned.ColumnsExpanded; run <= 2*limit {
+			t.Fatalf("prefix=%v: the full run's streams expand only %d columns; workload too small", prefix, run)
+		}
+		if swept := r.st.ColumnsExpanded - planned.ColumnsExpanded; swept > limit {
+			t.Fatalf("prefix=%v: %d cancelled streams expanded %d columns, want <= %d (full run: %d)",
+				prefix, streams, swept, limit, full.ColumnsExpanded-planned.ColumnsExpanded)
 		}
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)

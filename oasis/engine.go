@@ -25,7 +25,7 @@ type EngineOptions = engine.Options
 // returning false from the report callback).
 //
 //	db, _ := oasis.LoadFASTA("swissprot.fasta", oasis.Protein)
-//	eng, _ := oasis.NewEngine(db, oasis.EngineOptions{Shards: 8})
+//	eng, _ := oasis.NewEngine(db, oasis.EngineOptions{})
 //	defer eng.Close()
 //	for r := range eng.SubmitBatch(ctx, batch) {
 //	    if !r.Done {

@@ -15,13 +15,13 @@
 //	    return true                    // return false to stop early (online top-k)
 //	})
 //
-// For multi-core scale-out and long-running servers, NewEngine partitions the
-// database into shards searched in parallel — per-shard hit streams are merged
-// online, so the decreasing-score property (and therefore early termination
-// and top-k) is preserved — and keeps the index and searcher scratch warm
-// across queries (build once, serve many; see Engine.SubmitBatch):
+// For long-running servers, NewEngine keeps the index and searcher scratch
+// warm across queries (build once, serve many; see Engine.SubmitBatch); the
+// hit streams of its shards and delta layers are merged online, so the
+// decreasing-score property (and therefore early termination and top-k) is
+// preserved:
 //
-//	eng, _ := oasis.NewEngine(db, oasis.EngineOptions{Shards: 8})
+//	eng, _ := oasis.NewEngine(db, oasis.EngineOptions{})
 //	defer eng.Close()
 //	hits, _ := eng.SearchAll(ctx, query, opts) // same hits, same order guarantee
 //
