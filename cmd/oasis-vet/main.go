@@ -1,10 +1,11 @@
 // Command oasis-vet is the project's multichecker: it runs the standard `go
-// vet` suite and then the five project-specific invariant analyzers from
-// internal/analysis (hotpathalloc, ctxflow, cachekey, faultsite, atomicstate)
-// over the requested packages, exiting non-zero on any finding.  CI runs it
-// over ./... as a required step.  It also hosts the compiler escape gate,
-// the check of what the compiler decided where hotpathalloc checks what the
-// source says.
+// vet` suite and then the four project-specific invariant analyzers from
+// internal/analysis (ctxflow, cachekey, faultsite, atomicstate) over the
+// requested packages, exiting non-zero on any finding.  CI runs it over ./...
+// as a required step.  The escape gate, which holds //oasis:hotpath functions
+// to the allocator and bounds-check calls in their compiled code, runs as
+// TestEscapeGateRealTree in internal/analysis; -escape-write regenerates its
+// baseline.
 //
 // Usage:
 //
@@ -15,7 +16,6 @@
 //	-run list       comma-separated analyzer names to run (default all)
 //	-no-std         skip the `go vet` standard-analyzer pass
 //	-list           print the suite's analyzers and exit
-//	-escape-gate    run the escape gate instead of the analyzers
 //	-escape-write   regenerate the escape gate's baseline instead
 //
 // See the internal/analysis package documentation for what each analyzer
@@ -39,18 +39,16 @@ const escapeAllowlist = "internal/analysis/testdata/escape_allowlist.txt"
 
 func main() {
 	var (
-		runList = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-		noStd   = flag.Bool("no-std", false, "skip the `go vet` standard-analyzer pass")
-		list    = flag.Bool("list", false, "list the suite's analyzers and exit")
-		escGate = flag.Bool("escape-gate", false,
-			"instead of the analyzers: recompile the gated packages (analysis.EscapeGatePackages) with -gcflags='-m -d=ssa/check_bce/debug=1' and fail if a //oasis:hotpath function gained a heap escape or bounds check not in "+escapeAllowlist)
+		runList  = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
+		noStd    = flag.Bool("no-std", false, "skip the `go vet` standard-analyzer pass")
+		list     = flag.Bool("list", false, "list the suite's analyzers and exit")
 		escWrite = flag.Bool("escape-write", false,
-			"instead of the analyzers: rewrite "+escapeAllowlist+" to the current compiler diagnostics")
+			"instead of the analyzers: rewrite "+escapeAllowlist+" to the allocator, fmt and bounds-check calls in the compiled code of every //oasis:hotpath function")
 	)
 	flag.Parse()
 
-	if *escGate || *escWrite {
-		if err := runEscapeGate(*escWrite); err != nil {
+	if *escWrite {
+		if err := writeEscapeBaseline(); err != nil {
 			fmt.Fprintln(os.Stderr, "oasis-vet:", err)
 			os.Exit(1)
 		}
@@ -141,34 +139,16 @@ func ciReferenceText(root string) map[string]string {
 	return refs
 }
 
-// runEscapeGate runs the compiler-output escape gate over the gated packages.
-// With write=true the baseline is regenerated instead of enforced.
-func runEscapeGate(write bool) error {
-	const modulePath = "repro"
-	if write {
-		diags, err := analysis.CollectEscapeDiags(".", modulePath, analysis.EscapeGatePackages)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(escapeAllowlist, []byte(analysis.FormatAllowlist(diags)), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("escape-gate: wrote %d baseline entries to %s\n", len(diags), escapeAllowlist)
-		return nil
-	}
-	res, err := analysis.RunEscapeGate(".", modulePath, analysis.EscapeGatePackages, escapeAllowlist)
+// writeEscapeBaseline rewrites the escape gate's baseline to the tree's
+// current hotpath calls.
+func writeEscapeBaseline() error {
+	calls, err := analysis.CollectHotCalls(".", "repro")
 	if err != nil {
 		return err
 	}
-	for _, d := range res.New {
-		fmt.Fprintf(os.Stderr, "escape-gate: NEW: %s (not in %s)\n", d, escapeAllowlist)
+	if err := os.WriteFile(escapeAllowlist, []byte(analysis.FormatAllowlist(calls)), 0o644); err != nil {
+		return err
 	}
-	for _, d := range res.Stale {
-		fmt.Fprintf(os.Stderr, "escape-gate: STALE: %s (in %s but no longer produced; regenerate with -escape-write)\n", d, escapeAllowlist)
-	}
-	if !res.OK() {
-		return fmt.Errorf("escape gate failed: %d new, %d stale (baseline %s)", len(res.New), len(res.Stale), escapeAllowlist)
-	}
-	fmt.Printf("escape-gate: OK (%d baseline diagnostics in //oasis:hotpath functions)\n", len(res.Current))
+	fmt.Printf("escape gate: wrote %d baseline entries to %s\n", len(calls), escapeAllowlist)
 	return nil
 }

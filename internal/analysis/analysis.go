@@ -6,19 +6,9 @@
 //
 // The analyzers (run by cmd/oasis-vet over ./...):
 //
-//   - hotpathalloc: functions annotated //oasis:hotpath (the DP kernel sweep,
-//     the scratch/free-list operations, the merger release loop) must contain
-//     no heap-allocating constructs: make/new/append, composite literals
-//     behind &, slice/map/function literals, string<->[]byte conversions,
-//     implicit interface conversions at call sites or assignments, and any
-//     fmt call.  //oasis:allow-alloc <reason> on (or immediately above) the
-//     offending line accepts a justified exception, e.g. amortized arena
-//     growth into buffers reused across queries.
-//
 //   - ctxflow: a function that takes a context.Context must not manufacture
 //     context.Background() or context.TODO() inside its body — that silently
 //     detaches the callee from cancellation and deadlines the caller set.
-//     //oasis:allow-ctx <reason> accepts deliberate detachment.
 //
 //   - cachekey: every result-affecting field of core.Options must be consumed
 //     by qcache.NewKey.  A field missing from both the key and the
@@ -35,23 +25,16 @@
 //   - atomicstate: a struct field accessed through sync/atomic anywhere must
 //     never be read or written plainly elsewhere; mixed access is a data race
 //     the race detector only finds when both sides happen to run.
-//     //oasis:allow-atomic <reason> accepts provably pre-publication access.
 //
-// The package also hosts the escape gate (escape.go): a compiler-output
-// regression check that rebuilds internal/core with -gcflags='-m
-// -d=ssa/check_bce/debug=1' and fails when a heap escape or bounds check
-// appears inside an //oasis:hotpath function that the checked-in allowlist
-// (testdata/escape_allowlist.txt) does not accept.
+// The package also hosts the escape gate (escape.go), the one allocation
+// guard: it finds every package with a function marked //oasis:hotpath (the
+// kernel's column sweep, the node and accumulator stores, the bucket queue,
+// the shard merge, the NDJSON encoders and a disk search's per-request path),
+// compiles those packages with -gcflags=-S, and counts each hotpath function's
+// calls to runtime allocators, fmt and bounds-check panics.  Any count that
+// differs from testdata/escape_allowlist.txt fails TestEscapeGateRealTree.
 //
-// Annotation reference:
-//
-//	//oasis:hotpath                  mark a function for hotpathalloc + the escape gate
-//	//oasis:allow-alloc <reason>     accept one allocating construct in a hotpath
-//	//oasis:allow-ctx <reason>       accept a deliberate context detach
-//	//oasis:allow-atomic <reason>    accept a plain access to atomic state
-//
-// Every allow directive requires a reason; a bare directive is itself a
-// finding.  Run the suite locally with:
+// Run the suite locally with:
 //
 //	go run ./cmd/oasis-vet ./...
 package analysis
@@ -91,7 +74,6 @@ type Pass struct {
 	Dir string
 
 	report func(Diagnostic)
-	dirs   *directiveIndex
 }
 
 // Reportf records a finding at pos.
@@ -129,7 +111,6 @@ type Analyzer struct {
 // accumulate cross-package facts inside their closures.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NewHotPathAlloc(),
 		NewCtxFlow(),
 		NewCacheKey(DefaultCacheKeyConfig()),
 		NewFaultSite(nil),

@@ -7,10 +7,6 @@ import (
 	"repro/internal/analysis/analysistest"
 )
 
-func TestHotPathAlloc(t *testing.T) {
-	analysistest.Run(t, "testdata", []*analysis.Analyzer{analysis.NewHotPathAlloc()}, "hotalloc")
-}
-
 func TestCtxFlow(t *testing.T) {
 	analysistest.Run(t, "testdata", []*analysis.Analyzer{analysis.NewCtxFlow()}, "ctxflow")
 }

@@ -25,9 +25,7 @@ var atomicFuncs = map[string]bool{
 // precisely the kind of latent serving bug that surfaces under production
 // load.  (Fields of the typed atomic.Int64/Pointer/... wrappers cannot be
 // accessed plainly at all, which is why new code should prefer them; this
-// analyzer polices the raw-function escape hatch.)  //oasis:allow-atomic
-// <reason> accepts provably pre-publication access, e.g. in a constructor
-// before the value is shared.
+// analyzer polices the raw-function escape hatch.)
 func NewAtomicState() *Analyzer {
 	// fieldKey is "pkgpath.RecvType.Field"; positions are kept so Finish can
 	// report plain accesses recorded before the atomic use was discovered.
@@ -88,9 +86,6 @@ func NewAtomicState() *Analyzer {
 				if !ok {
 					return true
 				}
-				if pass.allowed(sel.Pos(), DirAllowAtomic) {
-					return true
-				}
 				plains = append(plains, plainUse{key: key, pos: pass.Fset.Position(sel.Pos())})
 				return true
 			})
@@ -100,7 +95,7 @@ func NewAtomicState() *Analyzer {
 	a.Finish = func(report func(Diagnostic)) error {
 		for _, p := range plains {
 			if _, ok := atomicFields[p.key]; ok {
-				report(Diagnostic{Pos: p.pos, Message: p.key + " is accessed via sync/atomic elsewhere; this plain access races with it (use the atomic op, or annotate " + DirAllowAtomic + " <reason> if provably pre-publication)"})
+				report(Diagnostic{Pos: p.pos, Message: p.key + " is accessed via sync/atomic elsewhere; this plain access races with it (use the atomic op)"})
 			}
 		}
 		return nil

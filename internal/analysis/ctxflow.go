@@ -10,9 +10,7 @@ import (
 // inside its body.  Doing so silently detaches the work from the caller's
 // cancellation and deadline — exactly the bug class the serving path's
 // end-to-end ctx plumbing (query timeouts, client disconnects, hedged-request
-// cancellation) exists to prevent.  //oasis:allow-ctx <reason> accepts a
-// deliberate detach (e.g. a background lifecycle task whose lifetime is the
-// process, not the request).
+// cancellation) exists to prevent.
 func NewCtxFlow() *Analyzer {
 	a := &Analyzer{
 		Name: "ctxflow",
@@ -77,12 +75,9 @@ func checkCtxBody(pass *Pass, fn *ast.FuncDecl) {
 		if sel.Sel.Name != "Background" && sel.Sel.Name != "TODO" {
 			return true
 		}
-		if pass.allowed(call.Pos(), DirAllowCtx) {
-			return true
-		}
 		pass.Reportf(call.Pos(),
-			"%s: context.%s() inside a function that takes a ctx detaches the callee from the caller's cancellation; thread the ctx parameter through (or annotate %s <reason>)",
-			name, sel.Sel.Name, DirAllowCtx)
+			"%s: context.%s() inside a function that takes a ctx detaches the callee from the caller's cancellation; thread the ctx parameter through",
+			name, sel.Sel.Name)
 		return true
 	})
 }

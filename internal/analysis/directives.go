@@ -2,99 +2,12 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"strings"
 )
 
-// Directive prefixes.  A directive comment is a //-comment whose text starts
-// with one of these (no space between // and oasis:, like //go: directives).
-const (
-	// DirHotPath marks a function for hotpathalloc and the escape gate.
-	DirHotPath = "//oasis:hotpath"
-	// DirAllowAlloc accepts one allocating construct inside a hotpath
-	// function; a reason is required.
-	DirAllowAlloc = "//oasis:allow-alloc"
-	// DirAllowCtx accepts a deliberate context.Background/TODO inside a
-	// ctx-taking function; a reason is required.
-	DirAllowCtx = "//oasis:allow-ctx"
-	// DirAllowAtomic accepts a plain access to a field otherwise accessed
-	// through sync/atomic; a reason is required.
-	DirAllowAtomic = "//oasis:allow-atomic"
-)
-
-// directiveIndex locates //oasis: directives by file line, so analyzers can
-// ask "is the line of this finding (or the line above it) annotated".
-type directiveIndex struct {
-	// byLine maps file name -> line -> full directive text of every //oasis:
-	// comment ON that line (directives above a statement land on their own
-	// line; trailing directives share the statement's line).
-	byLine map[string]map[int]string
-}
-
-func buildDirectiveIndex(fset *token.FileSet, files []*ast.File) *directiveIndex {
-	ix := &directiveIndex{byLine: map[string]map[int]string{}}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, "//oasis:") {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				m := ix.byLine[pos.Filename]
-				if m == nil {
-					m = map[int]string{}
-					ix.byLine[pos.Filename] = m
-				}
-				m[pos.Line] = c.Text
-			}
-		}
-	}
-	return ix
-}
-
-// directives returns the pass's lazily built directive index.
-func (p *Pass) directives() *directiveIndex {
-	if p.dirs == nil {
-		p.dirs = buildDirectiveIndex(p.Fset, p.Files)
-	}
-	return p.dirs
-}
-
-// lookup returns the directive text covering pos: a directive on the same
-// line, or on the line immediately above.
-func (ix *directiveIndex) lookup(fset *token.FileSet, pos token.Pos, dir string) (string, bool) {
-	p := fset.Position(pos)
-	m := ix.byLine[p.Filename]
-	if m == nil {
-		return "", false
-	}
-	for _, line := range [2]int{p.Line, p.Line - 1} {
-		if text, ok := m[line]; ok && strings.HasPrefix(text, dir) {
-			return text, true
-		}
-	}
-	return "", false
-}
-
-// allowed reports whether the finding at pos is suppressed by the given allow
-// directive.  A directive without a reason does not suppress: it is reported
-// itself, so escape hatches always document why.
-func (p *Pass) allowed(pos token.Pos, dir string) bool {
-	text, ok := p.directives().lookup(p.Fset, pos, dir)
-	if !ok {
-		return false
-	}
-	if directiveReason(text, dir) == "" {
-		p.Reportf(pos, "%s needs a reason: %s <why this is safe>", dir, dir)
-		return true // suppress the original finding; the bare directive is the finding
-	}
-	return true
-}
-
-// directiveReason extracts the free-text reason following a directive.
-func directiveReason(text, dir string) string {
-	return strings.TrimSpace(strings.TrimPrefix(text, dir))
-}
+// DirHotPath marks a function for the escape gate.  A directive comment is a
+// //-comment with no space between // and oasis:, like //go: directives.
+const DirHotPath = "//oasis:hotpath"
 
 // isHotPath reports whether the function declaration carries //oasis:hotpath
 // in its doc comment.

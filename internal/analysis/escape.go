@@ -2,10 +2,12 @@ package analysis
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path"
@@ -16,105 +18,80 @@ import (
 	"strings"
 )
 
-// The escape gate closes the loop the hotpathalloc analyzer cannot: source
-// syntax says what MIGHT allocate, but only the compiler knows what DOES.
-// It rebuilds each gated package with -gcflags='-m -d=ssa/check_bce/debug=1',
-// keeps the escape-analysis and bounds-check diagnostics that land inside
-// //oasis:hotpath functions, normalizes them to (file, function, message) —
-// line numbers are deliberately dropped so unrelated edits above a function
-// do not churn the baseline — and diffs the set against a checked-in
-// allowlist.  A new escape or a new bounds check in a hot function fails CI;
-// a stale allowlist entry fails too, so the baseline always matches the tree.
+// The escape gate holds //oasis:hotpath functions to the code the compiler
+// emits for them.  It finds every package with a hotpath function, compiles
+// those packages with -gcflags=-S, and counts, per hotpath function (its
+// closures included), the calls to a runtime allocator, to fmt, and to a
+// bounds-check panic.  Function names, not line numbers, identify the counts,
+// so unrelated edits do not churn the baseline.  Any count that differs from
+// the checked-in baseline fails: a higher one is a new allocation or bounds
+// check, a lower one a stale baseline.
 
-// EscapeGatePackages are the packages (directories relative to the module
-// root) whose //oasis:hotpath functions the gate holds to the baseline: the
-// search kernel, the per-event wire path every streamed hit crosses, and the
-// per-request path of a disk search (pool hit, record decode, edge label,
-// position lookup).
-var EscapeGatePackages = []string{"internal/core", "internal/ndjson", "internal/bufferpool", "internal/diskst", "internal/seq"}
+// gatedCallRE matches the callees the gate counts: the runtime's allocation
+// entry points (make, append growth, new and escaping values, interface
+// boxing, maps, channels, go, defer, string building and conversion), any fmt
+// function, and the bounds-check panics.
+var gatedCallRE = regexp.MustCompile(`^(runtime\.(makeslice\w*|growslice|newobject|mallocgc|convT\w*|makemap\w*|makechan|newproc|deferproc\w*|concatstring\w*|stringtoslicebyte|slicebytetostring|panicIndex\w*|panicSlice\w*)|fmt\..+)$`)
 
-// EscapeDiag is one normalized compiler diagnostic inside a hotpath function.
-type EscapeDiag struct {
-	File    string // module-relative path as printed by the compiler
-	Func    string // enclosing //oasis:hotpath function ("recv.name" for methods)
-	Message string // normalized compiler message
+// callRE extracts the callee of a direct call from one line of -S output.
+var callRE = regexp.MustCompile(`\tCALL\t(\S+)\(SB\)`)
+
+// HotCall counts the calls to one gated callee in the compiled code of one
+// hotpath function.
+type HotCall struct {
+	Pkg    string // package directory relative to the module root
+	Func   string // "name", or "Recv.name" for methods
+	Callee string // e.g. runtime.growslice, fmt.Sprint, runtime.panicIndex
+	Count  int
 }
 
-// Key is the canonical allowlist form: file<TAB>func<TAB>message.
-func (d EscapeDiag) Key() string {
-	return d.File + "\t" + d.Func + "\t" + d.Message
+func (c HotCall) key() string { return c.Pkg + "\t" + c.Func + "\t" + c.Callee }
+
+func (c HotCall) String() string {
+	return fmt.Sprintf("%s: %s: %d call(s) to %s", c.Pkg, c.Func, c.Count, c.Callee)
 }
 
-func (d EscapeDiag) String() string {
-	return fmt.Sprintf("%s: %s: %s", d.File, d.Func, d.Message)
-}
-
-// escapeMsgRE matches the diagnostic classes the gate tracks.  "escapes to
-// heap" and "moved to heap" are escape-analysis verdicts; "Found IsInBounds"
-// and "Found IsSliceInBounds" are bounds checks the compiler could not
-// eliminate (-d=ssa/check_bce/debug=1).
-var escapeMsgRE = regexp.MustCompile(`escapes to heap|moved to heap|Found Is(Slice)?InBounds`)
-
-// diagLineRE parses the compiler's "path:line:col: message" output lines.
-var diagLineRE = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*)$`)
-
-// normalizeEscapeMsg strips the expression text from escape verdicts so the
-// allowlist key survives cosmetic refactors of the allocating expression:
-// "make([]int32, width, 1<<class) escapes to heap" -> "escapes to heap".
-func normalizeEscapeMsg(msg string) string {
-	if i := strings.Index(msg, "escapes to heap"); i >= 0 {
-		return "escapes to heap"
-	}
-	if strings.HasPrefix(msg, "moved to heap:") {
-		return strings.TrimSpace(msg) // keep the variable name; it is the identity
-	}
-	return strings.TrimSpace(msg)
-}
-
-// FuncRange is the source span of one //oasis:hotpath function.
-type FuncRange struct {
-	File       string // path relative to the module directory, slash-separated
-	Name       string // "recv.name" for methods
-	Start, End int
-}
-
-// HotPathRanges parses every .go file of the package directories (relative to
-// moduleDir) and returns the line ranges of //oasis:hotpath functions.
-func HotPathRanges(moduleDir string, pkgDirs ...string) ([]FuncRange, error) {
-	var out []FuncRange
+// hotPathFuncs walks the module for non-test Go files, skipping testdata and
+// the directories the go command ignores, and returns the //oasis:hotpath
+// function names of each package directory (relative to moduleDir).
+func hotPathFuncs(moduleDir string) (map[string][]string, error) {
+	out := map[string][]string{}
 	fset := token.NewFileSet()
-	for _, dir := range pkgDirs {
-		abs := filepath.Join(moduleDir, dir)
-		entries, err := os.ReadDir(abs)
+	err := filepath.WalkDir(moduleDir, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
+		name := d.Name()
+		if d.IsDir() {
+			if p != moduleDir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
 			}
-			path := filepath.Join(abs, name)
-			file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-			if err != nil {
-				return nil, err
-			}
-			rel := filepath.ToSlash(filepath.Join(dir, name))
-			for _, decl := range file.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || !isHotPath(fn) {
-					continue
-				}
-				out = append(out, FuncRange{
-					File:  rel,
-					Name:  funcDisplayName(fn),
-					Start: fset.Position(fn.Pos()).Line,
-					End:   fset.Position(fn.End()).Line,
-				})
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		if err != nil || !bytes.Contains(src, []byte(DirHotPath)) {
+			return err
+		}
+		file, err := parser.ParseFile(fset, p, src, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(moduleDir, filepath.Dir(p))
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && isHotPath(fn) {
+				out[rel] = append(out[rel], funcDisplayName(fn))
 			}
 		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // funcDisplayName renders "name" for functions and "Recv.name" for methods.
@@ -132,143 +109,158 @@ func funcDisplayName(fn *ast.FuncDecl) string {
 	return fn.Name.Name
 }
 
-// CollectEscapeDiags compiles the packages with escape-analysis and
-// bounds-check diagnostics enabled and returns the normalized diagnostics
-// that fall inside //oasis:hotpath functions, sorted.  modulePath is the
-// module's import path; pkgDirs are package directories relative to
-// moduleDir.
-func CollectEscapeDiags(moduleDir, modulePath string, pkgDirs []string) ([]EscapeDiag, error) {
-	seen := map[string]bool{}
-	var diags []EscapeDiag
-	for _, pkgDir := range pkgDirs {
-		ranges, err := HotPathRanges(moduleDir, pkgDir)
-		if err != nil {
-			return nil, err
+// CollectHotCalls compiles every package that has a //oasis:hotpath function
+// with -gcflags=-S and returns the gated calls in each hotpath function,
+// sorted.  modulePath is the module's import path.
+func CollectHotCalls(moduleDir, modulePath string) ([]HotCall, error) {
+	funcs, err := hotPathFuncs(moduleDir)
+	if err != nil {
+		return nil, err
+	}
+	args := []string{"build", "-gcflags=-S"}
+	prefixes := map[string]string{} // symbol prefix ("import/path.") -> package dir
+	for dir := range funcs {
+		args = append(args, "./"+dir)
+		prefixes[path.Join(modulePath, dir)+"."] = dir
+	}
+	cmd := exec.Command("go", args...)
+	cmd.Dir = moduleDir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return nil, fmt.Errorf("go build -gcflags=-S: %v\n%s", err, out)
+	}
+
+	counts := map[HotCall]int{} // Count unset: the key is (Pkg, Func, Callee)
+	compiled := map[HotCall]bool{}
+	var cur HotCall // the hotpath function whose code is being read; Func "" for none
+	for _, line := range strings.Split(string(out), "\n") {
+		if sym, _, ok := strings.Cut(line, " STEXT"); ok && !strings.HasPrefix(line, "\t") {
+			cur = hotPathOwner(sym, prefixes, funcs)
+			compiled[cur] = true
+			continue
 		}
-		importPath := path.Join(modulePath, filepath.ToSlash(pkgDir))
-		cmd := exec.Command("go", "build",
-			"-gcflags="+importPath+"=-m=1 -d=ssa/check_bce/debug=1",
-			"./"+filepath.ToSlash(pkgDir))
-		cmd.Dir = moduleDir
-		out, err := cmd.CombinedOutput()
-		// The compiler prints diagnostics to stderr and go build exits 0 on
-		// success; a non-zero exit means the package does not compile.
-		if err != nil {
-			return nil, fmt.Errorf("go build %s: %v\n%s", importPath, err, out)
+		if cur.Func == "" {
+			continue
 		}
-		for _, line := range strings.Split(string(out), "\n") {
-			m := diagLineRE.FindStringSubmatch(strings.TrimSpace(line))
-			if m == nil || !escapeMsgRE.MatchString(m[4]) {
-				continue
-			}
-			file := filepath.ToSlash(m[1])
-			lineNo, _ := strconv.Atoi(m[2])
-			fn, ok := enclosingHotPath(ranges, file, lineNo)
-			if !ok {
-				continue
-			}
-			d := EscapeDiag{File: file, Func: fn, Message: normalizeEscapeMsg(m[4])}
-			if !seen[d.Key()] {
-				seen[d.Key()] = true
-				diags = append(diags, d)
+		if m := callRE.FindStringSubmatch(line); m != nil && gatedCallRE.MatchString(m[1]) {
+			counts[HotCall{Pkg: cur.Pkg, Func: cur.Func, Callee: m[1]}]++
+		}
+	}
+	for dir, names := range funcs {
+		for _, name := range names {
+			if !compiled[HotCall{Pkg: dir, Func: name}] {
+				return nil, fmt.Errorf("%s: hotpath function %s has no compiled code in the -S output (generic functions are not gated)", dir, name)
 			}
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Key() < diags[j].Key() })
-	return diags, nil
+	calls := make([]HotCall, 0, len(counts))
+	for c, n := range counts {
+		c.Count = n
+		calls = append(calls, c)
+	}
+	sort.Slice(calls, func(i, j int) bool { return calls[i].key() < calls[j].key() })
+	return calls, nil
 }
 
-// enclosingHotPath finds the hotpath function containing file:line, if any.
-// Compiler paths may be module-relative or absolute depending on invocation;
-// match by path suffix.
-func enclosingHotPath(ranges []FuncRange, file string, line int) (string, bool) {
-	for _, r := range ranges {
-		if line >= r.Start && line <= r.End && strings.HasSuffix(file, r.File) {
-			return r.Name, true
+// hotPathOwner maps a compiled symbol ("import/path.(*Recv).name.func1") to
+// the hotpath function whose code it is, or the zero HotCall.  A closure
+// belongs to the function that declares it.
+func hotPathOwner(sym string, prefixes map[string]string, funcs map[string][]string) HotCall {
+	for prefix, dir := range prefixes {
+		rest, ok := strings.CutPrefix(sym, prefix)
+		if !ok {
+			continue
+		}
+		rest = strings.NewReplacer("(*", "", ")", "").Replace(rest)
+		for _, name := range funcs[dir] {
+			if rest == name || strings.HasPrefix(rest, name+".") {
+				return HotCall{Pkg: dir, Func: name}
+			}
 		}
 	}
-	return "", false
+	return HotCall{}
 }
 
-// ParseAllowlist reads an escape allowlist: one EscapeDiag key per line
-// (file<TAB>func<TAB>message), '#' comments and blank lines ignored.
-func ParseAllowlist(path string) ([]EscapeDiag, error) {
+// parseAllowlist reads the escape gate's baseline: one HotCall per line
+// (pkg<TAB>func<TAB>callee<TAB>count), '#' comments and blank lines ignored.
+func parseAllowlist(path string) ([]HotCall, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var out []EscapeDiag
+	var out []HotCall
 	sc := bufio.NewScanner(f)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		parts := strings.SplitN(sc.Text(), "\t", 3)
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("%s:%d: want file<TAB>func<TAB>message, got %q", path, lineNo, line)
+		parts := strings.Split(line, "\t")
+		var n int
+		if len(parts) == 4 {
+			n, err = strconv.Atoi(parts[3])
 		}
-		out = append(out, EscapeDiag{File: parts[0], Func: parts[1], Message: parts[2]})
+		if len(parts) != 4 || err != nil || n <= 0 {
+			return nil, fmt.Errorf("%s:%d: want pkg<TAB>func<TAB>callee<TAB>count, got %q", path, lineNo, line)
+		}
+		out = append(out, HotCall{Pkg: parts[0], Func: parts[1], Callee: parts[2], Count: n})
 	}
 	return out, sc.Err()
 }
 
-// FormatAllowlist renders diagnostics in the ParseAllowlist file format.
-func FormatAllowlist(diags []EscapeDiag) string {
+// FormatAllowlist renders calls in the parseAllowlist file format.
+func FormatAllowlist(calls []HotCall) string {
 	var b strings.Builder
-	b.WriteString("# Escape-gate baseline: compiler escape/bounds-check diagnostics inside\n")
-	b.WriteString("# //oasis:hotpath functions that are known and accepted.  Regenerate with\n")
+	b.WriteString("# Escape gate baseline: calls to runtime allocators, fmt and bounds-check\n")
+	b.WriteString("# panics in the compiled code of //oasis:hotpath functions.  Regenerate with\n")
 	b.WriteString("#   go run ./cmd/oasis-vet -escape-write\n")
-	b.WriteString("# One entry per line: file<TAB>function<TAB>message.\n")
-	for _, d := range diags {
-		b.WriteString(d.Key())
-		b.WriteByte('\n')
+	b.WriteString("# One entry per line: package<TAB>function<TAB>callee<TAB>count.\n")
+	for _, c := range calls {
+		fmt.Fprintf(&b, "%s\t%d\n", c.key(), c.Count)
 	}
 	return b.String()
 }
 
-// EscapeGateResult is the diff between the tree's current hotpath compiler
-// diagnostics and the checked-in allowlist.
-type EscapeGateResult struct {
-	Current []EscapeDiag
-	New     []EscapeDiag // in the tree, not in the allowlist: new escapes — fail
-	Stale   []EscapeDiag // in the allowlist, no longer in the tree — fail (regenerate)
+// countDrift is one (function, callee) whose call count in the tree differs
+// from the baseline's.
+type countDrift struct {
+	HotCall      // Count is the tree's
+	Baseline int // 0 when the baseline has no entry
 }
 
-// OK reports whether the gate passes.
-func (r EscapeGateResult) OK() bool { return len(r.New) == 0 && len(r.Stale) == 0 }
+func (d countDrift) String() string {
+	if d.Count > d.Baseline {
+		return fmt.Sprintf("%v; the baseline allows %d", d.HotCall, d.Baseline)
+	}
+	return fmt.Sprintf("%v; the baseline's %d is stale (regenerate with oasis-vet -escape-write)", d.HotCall, d.Baseline)
+}
 
-// RunEscapeGate diffs the packages' current hotpath diagnostics against the
-// allowlist file.
-func RunEscapeGate(moduleDir, modulePath string, pkgDirs []string, allowlistPath string) (EscapeGateResult, error) {
-	var res EscapeGateResult
-	current, err := CollectEscapeDiags(moduleDir, modulePath, pkgDirs)
+// runEscapeGate compares the tree's hotpath calls with the baseline file and
+// returns the current calls and every count that differs.  Any difference
+// fails the gate (TestEscapeGateRealTree).
+func runEscapeGate(moduleDir, modulePath, allowlistPath string) (current []HotCall, drift []countDrift, err error) {
+	current, err = CollectHotCalls(moduleDir, modulePath)
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
-	res.Current = current
-	allowed, err := ParseAllowlist(allowlistPath)
+	allowed, err := parseAllowlist(allowlistPath)
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
-	allowedSet := map[string]bool{}
-	for _, d := range allowed {
-		allowedSet[d.Key()] = true
+	baseline := map[string]HotCall{}
+	for _, c := range allowed {
+		baseline[c.key()] = c
 	}
-	currentSet := map[string]bool{}
-	for _, d := range current {
-		currentSet[d.Key()] = true
-		if !allowedSet[d.Key()] {
-			res.New = append(res.New, d)
+	for _, c := range current {
+		if b := baseline[c.key()]; c.Count != b.Count {
+			drift = append(drift, countDrift{HotCall: c, Baseline: b.Count})
 		}
+		delete(baseline, c.key())
 	}
-	for _, d := range allowed {
-		if !currentSet[d.Key()] {
-			res.Stale = append(res.Stale, d)
-		}
+	for _, b := range baseline {
+		drift = append(drift, countDrift{HotCall: HotCall{Pkg: b.Pkg, Func: b.Func, Callee: b.Callee}, Baseline: b.Count})
 	}
-	return res, nil
+	sort.Slice(drift, func(i, j int) bool { return drift[i].key() < drift[j].key() })
+	return current, drift, nil
 }

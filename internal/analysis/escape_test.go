@@ -4,42 +4,51 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
 func TestAllowlistRoundTrip(t *testing.T) {
-	diags := []EscapeDiag{
-		{File: "internal/core/kernel.go", Func: "sweepColumnRef", Message: "Found IsInBounds"},
-		{File: "internal/core/search.go", Func: "searcher.allocBand", Message: "escapes to heap"},
-		{File: "internal/core/store.go", Func: "bucketQueue.push", Message: "moved to heap: e"},
+	calls := []HotCall{
+		{Pkg: "internal/core", Func: "sweepColumnRef", Callee: "runtime.panicIndex", Count: 7},
+		{Pkg: "internal/core", Func: "searcher.allocBand", Callee: "runtime.makeslice", Count: 1},
+		{Pkg: "internal/shard", Func: "hitQueue.push", Callee: "runtime.growslice", Count: 1},
 	}
 	path := filepath.Join(t.TempDir(), "allow.txt")
-	if err := os.WriteFile(path, []byte(FormatAllowlist(diags)), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(FormatAllowlist(calls)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseAllowlist(path)
+	got, err := parseAllowlist(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, diags) {
-		t.Fatalf("round trip mismatch:\n got %v\nwant %v", got, diags)
+	if !reflect.DeepEqual(got, calls) {
+		t.Fatalf("round trip mismatch:\n got %v\nwant %v", got, calls)
 	}
 }
 
 func TestParseAllowlistRejectsMalformed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "allow.txt")
-	if err := os.WriteFile(path, []byte("# comment\nno tabs here\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseAllowlist(path); err == nil {
-		t.Fatal("malformed line parsed without error")
+	for _, body := range []string{
+		"# comment\nno tabs here\n",
+		"internal/core\tf\truntime.growslice\n",
+		"internal/core\tf\truntime.growslice\tmany\n",
+		"internal/core\tf\truntime.growslice\t0\n",
+	} {
+		path := filepath.Join(t.TempDir(), "allow.txt")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := parseAllowlist(path); err == nil {
+			t.Errorf("malformed baseline %q parsed without error", body)
+		}
 	}
 }
 
-// TestEscapeGateSyntheticEscape demonstrates the gate end to end on a
-// throwaway module: a //oasis:hotpath function that leaks a pointer fails
-// against an empty allowlist, and passes once the diagnostic is baselined.
+// TestEscapeGateSyntheticEscape runs the gate end to end on a throwaway
+// module.  Against an empty baseline it must flag every hotpath function that
+// allocates, and only those; a non-escaping &T{} or closure stays on the
+// stack and must pass.  Baselined, the tree passes; a second make in a
+// function whose first is baselined fails on the count; a removed allocation
+// leaves a stale entry, which fails too.
 func TestEscapeGateSyntheticEscape(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) {
@@ -48,85 +57,112 @@ func TestEscapeGateSyntheticEscape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write("go.mod", "module tmpesc\n\ngo 1.24\n")
-	write("hot.go", `package hot
+	allow := filepath.Join(dir, "allow.txt")
+	gate := func() ([]HotCall, map[string]countDrift) {
+		t.Helper()
+		current, drift, err := runEscapeGate(dir, "tmpesc", allow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byFunc := map[string]countDrift{}
+		for _, d := range drift {
+			byFunc[d.Func+" "+d.Callee] = d
+		}
+		return current, byFunc
+	}
+	const header = `package hot
 
-// Leak forces a heap escape inside a hotpath function.
-//
+import "fmt"
+
+type pt struct{ x, y int }
+
 //oasis:hotpath
 func Leak() *int {
 	x := 42
 	return &x
 }
 
-// Clean allocates nothing.
-//
 //oasis:hotpath
-func Clean(a, b int) int { return a + b }
+func Fresh(n int) int {
+	var t []int
+	t = append(t, n)
+	return t[0]
+}
+
+//oasis:hotpath
+func Print(n int) string { return fmt.Sprint(n) }
+
+//oasis:hotpath
+func Stack(a, b int) int {
+	p := &pt{a, b}
+	f := func() int { return p.x + p.y }
+	return f()
+}
+
+var sink []byte
+
+`
+	write("go.mod", "module tmpesc\n\ngo 1.24\n")
+	write("hot.go", header+`//oasis:hotpath
+func Grow(n int) { sink = make([]byte, n) }
 `)
 	write("allow.txt", "# empty baseline\n")
 
-	res, err := RunEscapeGate(dir, "tmpesc", []string{"."}, filepath.Join(dir, "allow.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OK() {
-		t.Fatalf("gate passed with an unbaselined escape; current=%v", res.Current)
-	}
-	found := false
-	for _, d := range res.New {
-		if d.Func == "Leak" && strings.Contains(d.Message, "moved to heap") {
-			found = true
-		}
-		if d.Func == "Clean" {
-			t.Errorf("alloc-free hotpath function flagged: %v", d)
+	current, drift := gate()
+	for _, want := range []string{
+		"Leak runtime.newobject",
+		"Fresh runtime.growslice",
+		"Print fmt.Sprint",
+		"Grow runtime.makeslice",
+	} {
+		if d, ok := drift[want]; !ok || d.Count == 0 || d.Baseline != 0 {
+			t.Errorf("%s not flagged against an empty baseline; drift=%v", want, drift)
 		}
 	}
-	if !found {
-		t.Fatalf("synthetic escape in Leak not reported; new=%v", res.New)
+	for _, c := range current {
+		if c.Func == "Stack" {
+			t.Errorf("non-escaping &T{} and closure flagged: %v", c)
+		}
 	}
 
-	// Baseline the current diagnostics; the gate must then pass.
-	write("allow.txt", FormatAllowlist(res.Current))
-	res, err = RunEscapeGate(dir, "tmpesc", []string{"."}, filepath.Join(dir, "allow.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK() {
-		t.Fatalf("gate failed against its own baseline: new=%v stale=%v", res.New, res.Stale)
+	// Baseline the current calls; the gate must then pass.
+	write("allow.txt", FormatAllowlist(current))
+	if _, drift := gate(); len(drift) != 0 {
+		t.Fatalf("gate failed against its own baseline: %v", drift)
 	}
 
-	// A baseline entry for a diagnostic the compiler no longer emits is stale.
-	write("hot.go", `package hot
-
-// Clean allocates nothing.
-//
-//oasis:hotpath
-func Clean(a, b int) int { return a + b }
+	// A second make in Grow fails on the count, though makeslice is baselined.
+	write("hot.go", header+`//oasis:hotpath
+func Grow(n int) { sink = make([]byte, n); sink = append(make([]byte, n+1), sink...) }
 `)
-	res, err = RunEscapeGate(dir, "tmpesc", []string{"."}, filepath.Join(dir, "allow.txt"))
-	if err != nil {
-		t.Fatal(err)
+	if _, drift := gate(); drift["Grow runtime.makeslice"].Count < 2 {
+		t.Fatalf("second make in Grow not flagged; drift=%v", drift)
 	}
-	if len(res.Stale) == 0 {
-		t.Fatal("removing the escape did not mark the baseline entry stale")
+
+	// A baseline entry for a call the compiler no longer emits is stale.
+	write("hot.go", header+`//oasis:hotpath
+func Grow(n int) {}
+`)
+	if _, drift := gate(); drift["Grow runtime.makeslice"].Baseline != 1 || drift["Grow runtime.makeslice"].Count != 0 {
+		t.Fatalf("removing the make did not mark the baseline entry stale; drift=%v", drift)
 	}
 }
 
-// TestEscapeGateRealTree enforces the checked-in baseline over the gated
-// packages, the same check CI runs via oasis-vet -escape-gate.
+// TestEscapeGateRealTree enforces the checked-in baseline over every package
+// with an //oasis:hotpath function.
 func TestEscapeGateRealTree(t *testing.T) {
-	res, err := RunEscapeGate("../..", "repro", EscapeGatePackages, "testdata/escape_allowlist.txt")
+	current, drift, err := runEscapeGate("../..", "repro", "testdata/escape_allowlist.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range res.New {
-		t.Errorf("new hotpath compiler diagnostic not in baseline: %v", d)
+	for _, d := range drift {
+		t.Error(d)
 	}
-	for _, d := range res.Stale {
-		t.Errorf("stale baseline entry (regenerate with oasis-vet -escape-write): %v", d)
+	pkgs := map[string]bool{}
+	for _, c := range current {
+		pkgs[c.Pkg] = true
 	}
-	if len(res.Current) == 0 {
-		t.Fatal("no hotpath diagnostics collected; is internal/core still annotated?")
+	if !pkgs["internal/core"] || !pkgs["internal/shard"] {
+		t.Fatalf("no hotpath calls collected in internal/core or internal/shard: %v", current)
 	}
 }

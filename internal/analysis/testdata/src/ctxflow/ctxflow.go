@@ -16,14 +16,9 @@ func free() context.Context {
 	return context.Background()
 }
 
-// allowed detaches deliberately, with a reason.
-func allowed(ctx context.Context) context.Context {
-	//oasis:allow-ctx lifecycle task whose lifetime is the process, not the request
-	return context.Background()
-}
-
-// bare shows that an allow directive without a reason is itself reported.
-func bare(ctx context.Context) context.Context {
-	//oasis:allow-ctx
-	return context.Background() // want `needs a reason`
+// detached manufactures a root context despite taking one: no comment
+// excuses it.
+func detached(ctx context.Context) context.Context {
+	// lifecycle task whose lifetime is the process, not the request
+	return context.Background() // want `detaches the callee`
 }

@@ -349,6 +349,8 @@ func bandClass(width int) int {
 // allocBand returns a band buffer of the given width (in cells), reusing a
 // recycled slice of the same size class when available.  Band buffers are
 // arena-style: capacity is the class's power of two, length the live width.
+// The class table grows to log2 of the widest band, and make runs only while
+// a class's free list is empty, so the arena warms up once per size class.
 //
 //oasis:hotpath
 func (s *searcher) allocBand(width int) []int32 {
@@ -357,7 +359,7 @@ func (s *searcher) allocBand(width int) []int32 {
 	}
 	class := bandClass(width)
 	for len(s.freeBands) <= class {
-		s.freeBands = append(s.freeBands, nil) //oasis:allow-alloc free-list table growth, bounded by log2(max band width)
+		s.freeBands = append(s.freeBands, nil)
 	}
 	if n := len(s.freeBands[class]); n > 0 {
 		b := s.freeBands[class][n-1]
@@ -365,10 +367,11 @@ func (s *searcher) allocBand(width int) []int32 {
 		s.freeBands[class] = s.freeBands[class][:n-1]
 		return b[:width]
 	}
-	return make([]int32, width, 1<<class) //oasis:allow-alloc cold path: free list empty, arena warms up once per size class
+	return make([]int32, width, 1<<class)
 }
 
-// recycleBand returns a node's band buffer to its size-class free list.
+// recycleBand returns a node's band buffer to its size-class free list, which
+// grows amortized and is capped at 256 entries.
 //
 //oasis:hotpath
 func (s *searcher) recycleBand(b []int32) {
@@ -381,22 +384,23 @@ func (s *searcher) recycleBand(b []int32) {
 		return
 	}
 	for len(s.freeBands) <= class {
-		s.freeBands = append(s.freeBands, nil) //oasis:allow-alloc free-list table growth, bounded by log2(max band width)
+		s.freeBands = append(s.freeBands, nil)
 	}
 	if len(s.freeBands[class]) < 256 {
-		s.freeBands[class] = append(s.freeBands[class], b) //oasis:allow-alloc amortized free-list growth, capped at 256 entries
+		s.freeBands[class] = append(s.freeBands[class], b)
 	}
 }
 
 // releaseViable recycles a fully processed viable node: its band goes back to
-// the size-class free lists and its id to the store.
+// the size-class free lists and its id to the store's free list (amortized
+// growth).
 //
 //oasis:hotpath
 func (s *searcher) releaseViable(id int32) {
 	ns := s.nodes
 	s.recycleBand(ns.band[id])
 	ns.band[id] = nil
-	ns.free = append(ns.free, id) //oasis:allow-alloc amortized free-list growth
+	ns.free = append(ns.free, id)
 }
 
 // recycleEnt recycles whichever store a popped entry references.

@@ -44,7 +44,8 @@ type nodeStore struct {
 }
 
 // alloc returns a free viable-node id, growing the arrays when the free list
-// is empty.  The caller overwrites every field, so entries are not zeroed.
+// is empty (amortized arena growth; steady-state ids come from the free list).
+// The caller overwrites every field, so entries are not zeroed.
 //
 //oasis:hotpath
 func (ns *nodeStore) alloc() int32 {
@@ -54,15 +55,14 @@ func (ns *nodeStore) alloc() int32 {
 		return id
 	}
 	id := int32(len(ns.ref))
-	//oasis:allow-alloc amortized arena growth; steady-state allocs come from the free list
 	ns.ref = append(ns.ref, 0)
-	ns.depth = append(ns.depth, 0) //oasis:allow-alloc amortized arena growth
-	ns.cLo = append(ns.cLo, 0)     //oasis:allow-alloc amortized arena growth
-	ns.cHi = append(ns.cHi, 0)     //oasis:allow-alloc amortized arena growth
-	ns.maxSc = append(ns.maxSc, 0) //oasis:allow-alloc amortized arena growth
-	ns.qEnd = append(ns.qEnd, 0)   //oasis:allow-alloc amortized arena growth
-	ns.pDep = append(ns.pDep, 0)   //oasis:allow-alloc amortized arena growth
-	ns.band = append(ns.band, nil) //oasis:allow-alloc amortized arena growth
+	ns.depth = append(ns.depth, 0)
+	ns.cLo = append(ns.cLo, 0)
+	ns.cHi = append(ns.cHi, 0)
+	ns.maxSc = append(ns.maxSc, 0)
+	ns.qEnd = append(ns.qEnd, 0)
+	ns.pDep = append(ns.pDep, 0)
+	ns.band = append(ns.band, nil)
 	return id
 }
 
@@ -95,6 +95,9 @@ type accStore struct {
 	free  []int32
 }
 
+// alloc returns a free accumulator id, growing the arrays (amortized) when the
+// free list is empty.
+//
 //oasis:hotpath
 func (as *accStore) alloc() int32 {
 	if n := len(as.free); n > 0 {
@@ -103,16 +106,18 @@ func (as *accStore) alloc() int32 {
 		return id
 	}
 	id := int32(len(as.ref))
-	as.ref = append(as.ref, 0)     //oasis:allow-alloc amortized arena growth
-	as.score = append(as.score, 0) //oasis:allow-alloc amortized arena growth
-	as.qEnd = append(as.qEnd, 0)   //oasis:allow-alloc amortized arena growth
-	as.pDep = append(as.pDep, 0)   //oasis:allow-alloc amortized arena growth
+	as.ref = append(as.ref, 0)
+	as.score = append(as.score, 0)
+	as.qEnd = append(as.qEnd, 0)
+	as.pDep = append(as.pDep, 0)
 	return id
 }
 
+// release returns id to the free list, which grows amortized.
+//
 //oasis:hotpath
 func (as *accStore) release(id int32) {
-	as.free = append(as.free, id) //oasis:allow-alloc amortized free-list growth
+	as.free = append(as.free, id)
 }
 
 func (as *accStore) reset() {
@@ -208,11 +213,14 @@ func (q *bucketQueue) init(base, fMax int) {
 	q.base = base
 }
 
+// push links entry id into lane f; the entry array grows amortized and reset
+// keeps its capacity.
+//
 //oasis:hotpath
 func (q *bucketQueue) push(f int, accepted bool, id int32) {
 	off := f - q.base
 	e := int32(len(q.ents))
-	q.ents = append(q.ents, bucketEnt{id: id, next: -1}) //oasis:allow-alloc amortized queue growth
+	q.ents = append(q.ents, bucketEnt{id: id, next: -1})
 	ln := &q.lanes[off]
 	if accepted {
 		if ln.accTail < 0 {

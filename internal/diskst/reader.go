@@ -203,11 +203,13 @@ func (x *Index) checkRuns(lo, hi int64, a, b internalRecord) error {
 // copyRun copies the n bytes at off of a region into *buf, grown to fit — a
 // node's leaf run, its child records or a label range, any of which may
 // straddle pages: one pin per page, each dropped before the next (Pool.ReadAt).
+// *buf is kept with the pooled label, so it grows a handful of times per
+// process.
 //
 //oasis:hotpath
 func (x *Index) copyRun(buf *[]byte, file bufferpool.FileID, off, n int64) ([]byte, error) {
 	if int64(cap(*buf)) < n {
-		*buf = make([]byte, n) //oasis:allow-alloc kept with the pooled label, so it grows a handful of times per process
+		*buf = make([]byte, n)
 	}
 	run := (*buf)[:n]
 	return run, x.pool.ReadAt(file, run, off)

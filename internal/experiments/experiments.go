@@ -168,6 +168,8 @@ func NewLab(cfg Config) (*Lab, error) {
 		}
 		dir = tmp
 		cleanup = func() { os.RemoveAll(tmp) }
+	} else if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
 	}
 	lab.cleanup = cleanup
 	lab.IndexPath = filepath.Join(dir, "experiment.oasis")

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -26,7 +27,9 @@ func tinyConfig() Config {
 func newTinyLab(t *testing.T) *Lab {
 	t.Helper()
 	cfg := tinyConfig()
-	cfg.Dir = t.TempDir()
+	// A directory that does not exist yet: NewLab creates it, as oasis-bench
+	// -dir may ask.
+	cfg.Dir = filepath.Join(t.TempDir(), "missing", "dir")
 	lab, err := NewLab(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,8 @@ func NewWriter(ctx context.Context, w http.ResponseWriter, stats *Stats) *Writer
 // Append queues one encoded line (terminating newline included; the bytes are
 // copied) and reports whether the stream is still worth feeding: false after a
 // write error, after Close, or when the client went away while Append was
-// blocked at the pending-bytes cap.
+// blocked at the pending-bytes cap.  The pending buffer is reused for the
+// whole stream and grows amortized up to maxPending.
 //
 //oasis:hotpath
 func (ew *Writer) Append(line []byte) bool {
@@ -90,7 +91,7 @@ func (ew *Writer) Append(line []byte) bool {
 		}
 		idle := len(ew.pending) == 0
 		if idle || len(ew.pending)+len(line) <= maxPending {
-			ew.pending = append(ew.pending, line...) //oasis:allow-alloc amortized growth of a buffer reused for the whole stream, capped at maxPending
+			ew.pending = append(ew.pending, line...)
 			ew.lines++
 			ew.mu.Unlock()
 			if idle {

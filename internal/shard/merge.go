@@ -115,7 +115,8 @@ func (d *dedupSet) acquire(n int) {
 }
 
 // markNew records a sequence's first emission, reporting false when the
-// sequence was already emitted.
+// sequence was already emitted.  The touched list grows amortized; reset
+// reuses its capacity.
 //
 //oasis:hotpath
 func (d *dedupSet) markNew(seqIndex int) bool {
@@ -123,7 +124,7 @@ func (d *dedupSet) markNew(seqIndex int) bool {
 		return false
 	}
 	d.seen[seqIndex] = true
-	d.touched = append(d.touched, seqIndex) //oasis:allow-alloc amortized touched-list growth, reset reuses capacity
+	d.touched = append(d.touched, seqIndex)
 	return true
 }
 
@@ -315,9 +316,11 @@ func (q *hitQueue) less(i, j int) bool {
 	return q.hits[i].shard < q.hits[j].shard
 }
 
+// push adds a pending hit; the heap's buffer grows amortized.
+//
 //oasis:hotpath
 func (q *hitQueue) push(h shardHit) {
-	q.hits = append(q.hits, h) //oasis:allow-alloc amortized pending-buffer growth
+	q.hits = append(q.hits, h)
 	i := len(q.hits) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
