@@ -81,9 +81,10 @@ func TestDiskBackedSearchStreams(t *testing.T) {
 	if !seen["CALM_HUMAN"] {
 		t.Fatalf("calmodulin not reported: %v", seen)
 	}
-	// A disk-backed server's /healthz must describe the manifest's database.
+	// A disk-backed server's /healthz/ready must describe the manifest's
+	// database.
 	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz/ready", nil))
 	var health map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
 		t.Fatal(err)
@@ -106,13 +107,13 @@ type metricsDoc struct {
 }
 
 // TestMetricsLatencyHistograms asserts the per-endpoint latency histograms:
-// after one /search and one /healthz request, /metrics must report one
+// after one /search and one /healthz/ready request, /metrics must report one
 // observation for each, with monotone cumulative buckets summing to the
 // count, and the disk-backed engine must expose per-shard pool stats.
 func TestMetricsLatencyHistograms(t *testing.T) {
 	srv := diskTestServer(t)
 	srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/search", strings.NewReader(`{"query":"DKDGDGTITTKE"}`)))
-	srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
+	srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz/ready", nil))
 
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -123,7 +124,7 @@ func TestMetricsLatencyHistograms(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	for endpoint, want := range map[string]int64{"search": 1, "healthz": 1, "metrics": 0} {
+	for endpoint, want := range map[string]int64{"search": 1, "healthz_ready": 1, "metrics": 0} {
 		h, ok := doc.Latency[endpoint]
 		if !ok {
 			t.Fatalf("no latency histogram for %q: %v", endpoint, doc.Latency)

@@ -107,7 +107,7 @@ func TestAdmissionWaitSheds503(t *testing.T) {
 }
 
 // TestDrainSheds503 pins graceful shutdown: after startDrain, new queries are
-// shed immediately with 503 while /healthz reports draining.
+// shed immediately with 503 while /healthz/ready reports draining.
 func TestDrainSheds503(t *testing.T) {
 	srv := faultTestServer(t, nil)
 	srv.startDrain()
@@ -120,13 +120,13 @@ func TestDrainSheds503(t *testing.T) {
 		t.Fatalf("Retry-After = %q", ra)
 	}
 	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz/ready", nil))
 	var health map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
 		t.Fatal(err)
 	}
-	if health["serving"] != "draining" {
-		t.Fatalf("healthz serving = %v, want draining", health["serving"])
+	if rec.Code != http.StatusServiceUnavailable || health["reason"] != "draining" {
+		t.Fatalf("healthz/ready = %d %v, want 503 draining", rec.Code, health)
 	}
 }
 
@@ -252,8 +252,8 @@ func degradedDiskServer(t *testing.T, strict bool) *server {
 
 // TestDegradedServing206 pins partial-failure serving end to end: with one of
 // two shard files destroyed at open, searches answer 206 from the survivors,
-// every done event is marked degraded with per-shard detail, and /healthz
-// reports the quarantine.
+// every done event is marked degraded with per-shard detail, and
+// /healthz/ready reports the quarantine while staying ready.
 func TestDegradedServing206(t *testing.T) {
 	srv := degradedDiskServer(t, false)
 	rec := httptest.NewRecorder()
@@ -276,13 +276,13 @@ func TestDegradedServing206(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz/ready", nil))
 	var health map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
 		t.Fatal(err)
 	}
-	if health["serving"] != "degraded" || health["shards_quarantined"].(float64) != 1 {
-		t.Fatalf("healthz = %v, want degraded with 1 quarantine", health)
+	if rec.Code != http.StatusOK || health["shards_quarantined"].(float64) != 1 {
+		t.Fatalf("healthz/ready = %d %v, want ready with 1 quarantine", rec.Code, health)
 	}
 }
 

@@ -121,7 +121,7 @@
 //	                    "insertions":32,"evictions":0,"flight_waits":3}},
 //	 "latency":{"search":{"count":42,"mean_ms":3.1,"max_ms":17.8,
 //	            "buckets":[{"le_ms":0.25,"count":0},...,{"le_ms":-1,"count":42}]},
-//	            "batch":{...},"healthz":{...},"stats":{...},"metrics":{...}},
+//	            "batch":{...},"healthz_ready":{...},"metrics":{...}},
 //	 "cache_hit_rate":0.75,
 //	 "admission":{"slots":8,"active":2,"admitted":130,"rejected":4,
 //	              "clients":[{"client":"10.0.0.7","queued":3,"active":1,
@@ -146,9 +146,6 @@
 // delta_layers, tombstones, live_sequences) and per-endpoint
 // request_duration_seconds histograms.
 //
-// GET /healthz returns liveness plus the database shape; GET /stats returns
-// the engine's lifetime counters (queries, hits, merged work counters).
-//
 // # Deadlines, overload shedding and partial failure
 //
 // -query-timeout bounds each query's wall clock: a stream that outlives it is
@@ -163,7 +160,7 @@
 // X-Oasis-Partial trailer).  -strict fails such queries outright instead.
 // -allow-degraded extends the same policy to startup: an -index-dir whose
 // shard file(s) cannot be opened serves the surviving shards, every response
-// uses HTTP 206 and /healthz reports "degraded".
+// uses HTTP 206 and /healthz/ready reports the quarantined shard count.
 //
 // # Scaling out: -shard-server and -coordinator
 //
@@ -212,9 +209,11 @@
 //
 // GET /healthz/live answers 200 whenever the process can serve HTTP at all.
 // GET /healthz/ready answers 200 only when the server should receive traffic:
-// 503 while draining for shutdown, and in coordinator mode the body carries
-// per-slice replica health ("up"/"degraded"/"down") with 503 when any slice
-// has no live replica.  GET /healthz (legacy) stays as the one-shot summary.
+// 503 while draining for shutdown, and in coordinator mode 503 when any slice
+// has no live replica.  Its body describes the database (shards,
+// shards_quarantined, sequences, residues) and, on a coordinator, per-slice
+// replica health ("up"/"degraded"/"down"); a shard server's names its slice.
+// The lifetime query and hit counters are on /metrics.
 // On SIGTERM the server flips not-ready first and waits -drain-grace so load
 // balancers stop routing, then sheds new work and finishes in-flight streams
 // within 30 s.  Keep-alive connections idle for 2 minutes are closed.

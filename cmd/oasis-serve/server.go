@@ -138,10 +138,8 @@ func newServer(eng *oasis.Engine, cfg serverConfig) *server {
 	if cfg.admissionSlots > 0 {
 		s.adm = newAdmission(cfg.admissionSlots, cfg.admissionQueue)
 	}
-	s.handle("GET /healthz", "healthz", s.handleHealth)
 	s.handle("GET /healthz/live", "healthz_live", s.handleHealthLive)
 	s.handle("GET /healthz/ready", "healthz_ready", s.handleHealthReady)
-	s.handle("GET /stats", "stats", s.handleStats)
 	s.handle("GET /metrics", "metrics", s.handleMetrics)
 	s.handle("POST /search", "search", s.handleSearch)
 	s.handle("POST /batch", "batch", s.handleBatch)
@@ -180,24 +178,6 @@ func (s *server) startDrain() {
 	s.draining.Store(true)
 }
 
-func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	status := "ok"
-	if len(s.eng.Standing()) > 0 {
-		status = "degraded"
-	}
-	if s.notReady.Load() {
-		status = "draining"
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":             "ok",
-		"serving":            status,
-		"shards":             s.eng.NumShards(),
-		"shards_quarantined": len(s.eng.Standing()),
-		"sequences":          s.eng.NumSequences(),
-		"residues":           s.eng.TotalResidues(),
-	})
-}
-
 // handleHealthLive is pure liveness: 200 whenever the process can serve HTTP
 // at all, even while draining.  Orchestrators restart on liveness failures,
 // so this must not flap during graceful shutdown — that is readiness's job.
@@ -208,12 +188,19 @@ func (s *server) handleHealthLive(w http.ResponseWriter, _ *http.Request) {
 // handleHealthReady reports whether this server should receive traffic: 503
 // while draining for shutdown, and in coordinator mode 503 when any slice
 // has no live replica (queries would degrade or, with -strict, fail).  The
-// body carries per-slice replica health either way, so operators can see a
-// brown-out forming before it takes readiness down.
+// body describes the database either way, with the quarantined shard count
+// and, on a coordinator, per-slice replica health, so operators can see a
+// brown-out forming before it takes readiness down.  Quarantined shards
+// alone leave the server ready: it still serves (degraded) results.
 func (s *server) handleHealthReady(w http.ResponseWriter, _ *http.Request) {
 	ready := !s.notReady.Load()
-	body := map[string]any{}
-	if s.notReady.Load() {
+	body := map[string]any{
+		"shards":             s.eng.NumShards(),
+		"shards_quarantined": len(s.eng.Standing()),
+		"sequences":          s.eng.NumSequences(),
+		"residues":           s.eng.TotalResidues(),
+	}
+	if !ready {
 		body["reason"] = "draining"
 	}
 	if co := s.cfg.coordinator; co != nil {
@@ -222,10 +209,6 @@ func (s *server) handleHealthReady(w http.ResponseWriter, _ *http.Request) {
 			ready = false
 			body["reason"] = fmt.Sprintf("%d slice(s) have no live replica", dead)
 		}
-	} else if len(s.eng.Standing()) > 0 {
-		// Quarantined local shards leave the server READY — it still serves
-		// (degraded) results — but worth surfacing to whoever is probing.
-		body["degraded_shards"] = len(s.eng.Standing())
 	}
 	status := http.StatusOK
 	body["status"] = "ready"
@@ -259,10 +242,6 @@ func (s *server) deadSlices() int {
 		}
 	}
 	return dead
-}
-
-func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.eng.Stats())
 }
 
 // handleMetrics exposes the engine's resource snapshot for capacity

@@ -61,7 +61,7 @@ func decodeNDJSON(t *testing.T, body string) []hitEvent {
 func TestHealthz(t *testing.T) {
 	srv := testServer(t)
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz/ready", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -69,8 +69,15 @@ func TestHealthz(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	if body["status"] != "ok" || body["shards"].(float64) != 2 {
-		t.Fatalf("healthz = %v", body)
+	if body["status"] != "ready" || body["shards"].(float64) != 2 || body["shards_quarantined"].(float64) != 0 {
+		t.Fatalf("healthz/ready = %v", body)
+	}
+	for _, gone := range []string{"/healthz", "/stats"} {
+		rec = httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", gone, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", gone, rec.Code)
+		}
 	}
 }
 
@@ -283,20 +290,5 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if body.QueriesServed != 1 || body.MaxBatch != 8 {
 		t.Fatalf("metrics = served %d, max_batch %d; want 1, 8", body.QueriesServed, body.MaxBatch)
-	}
-}
-
-func TestStatsEndpoint(t *testing.T) {
-	srv := testServer(t)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/search", strings.NewReader(`{"query":"DKDGDGTITTKE"}`)))
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
-	var st oasis.EngineStats
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.QueriesServed != 1 {
-		t.Fatalf("stats = %+v, want 1 query served", st)
 	}
 }

@@ -85,19 +85,6 @@ func shardServerMux(rs *remote.Server, dir *diskst.Dir, notReady *atomic.Bool) *
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "slice": info})
 	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		status := "ok"
-		if notReady.Load() {
-			status = "draining"
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":    "ok",
-			"serving":   status,
-			"shards":    info.Shards,
-			"sequences": info.Sequences,
-			"residues":  info.Residues,
-		})
-	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		st := rs.Stats()
 		if wantsPrometheus(r) {

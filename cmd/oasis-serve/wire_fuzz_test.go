@@ -14,8 +14,10 @@ import (
 // FuzzEventLineEncoding holds the append encoders to the structs the decoders
 // use: a "hit" line equals json.Marshal(hitEvent) and an "h" line equals
 // json.Marshal(remote.Event) byte for byte (field order, omitempty, HTML-safe
-// escaping, float formatting), and every line — the trimmed "b" line included
-// — decodes back to the event it was made from.
+// escaping, float formatting), and a "hit" line decodes back to the event it
+// was made from.  remote's FuzzDecodeEvent checks how the shard lines decode;
+// the last argument (a bound) is unused here and kept so the seed corpus
+// keeps its shape.
 func FuzzEventLineEncoding(f *testing.F) {
 	f.Add("q0", "SYN|B0012", 1, 55, 1.2e-7, 12, 13, 118, 57)
 	f.Add("", "", 0, 0, 0.0, 0, 0, 0, 0)
@@ -26,7 +28,7 @@ func FuzzEventLineEncoding(f *testing.F) {
 	f.Add("q", "s", 1, 1, 2.2250738585072009e-308, 5, 2, 2, 3) // largest denormal
 	f.Add("q", "\x7f\x00", 1, 1, 1e-6, 6, 2, 2, 3)
 	f.Add("q", "s", 1, 1, 123456.789, 7, 2, 2, 3)
-	f.Fuzz(func(t *testing.T, queryID, seqID string, rank, score int, evalue float64, seq, qe, te, bound int) {
+	f.Fuzz(func(t *testing.T, queryID, seqID string, rank, score int, evalue float64, seq, qe, te, _ int) {
 		if math.IsNaN(evalue) || math.IsInf(evalue, 0) {
 			t.Skip("E-values are finite; JSON has no spelling for the rest")
 		}
@@ -46,21 +48,6 @@ func FuzzEventLineEncoding(f *testing.F) {
 		line = ndjson.AppendShardHit(nil, seq, seqID, score, qe, te)
 		if want := marshalLine(t, shardHit); !bytes.Equal(line, want) {
 			t.Fatalf("h line\n got %s\nwant %s", line, want)
-		}
-		if utf8.ValidString(seqID) {
-			var back remote.Event
-			if err := json.Unmarshal(line, &back); err != nil || back != shardHit {
-				t.Fatalf("h line %s decoded to %+v (%v), want %+v", line, back, err, shardHit)
-			}
-		}
-
-		// The b line drops the seq/score zeros the struct encoding carried;
-		// the decoder must read both spellings as the same event.
-		for _, spelling := range [][]byte{ndjson.AppendShardBound(nil, bound), marshalLine(t, remote.Event{E: "b", V: bound})} {
-			var back remote.Event
-			if err := json.Unmarshal(spelling, &back); err != nil || back != (remote.Event{E: "b", V: bound}) {
-				t.Fatalf("b line %s decoded to %+v (%v), want bound %d", spelling, back, err, bound)
-			}
 		}
 	})
 }

@@ -22,17 +22,18 @@
 //     must be exercised by a test or CI reference — so failpoints cannot rot
 //     into untested names.
 //
-//   - atomicstate: a struct field accessed through sync/atomic anywhere must
-//     never be read or written plainly elsewhere; mixed access is a data race
-//     the race detector only finds when both sides happen to run.
+//   - atomicstate: no raw sync/atomic function calls; shared words use the
+//     typed wrappers, which cannot also be read or written plainly — the data
+//     race the race detector only finds when both sides happen to run.
 //
 // The package also hosts the escape gate (escape.go), the one allocation
 // guard: it finds every package with a function marked //oasis:hotpath (the
 // kernel's column sweep, the node and accumulator stores, the bucket queue,
-// the shard merge, the NDJSON encoders and a disk search's per-request path),
-// compiles those packages with -gcflags=-S, and counts each hotpath function's
-// calls to runtime allocators, fmt and bounds-check panics.  Any count that
-// differs from testdata/escape_allowlist.txt fails TestEscapeGateRealTree.
+// the shard merge, the NDJSON encoders, the shard-line decoder and a disk
+// search's per-request path), compiles those packages with -gcflags=-S, and
+// counts each hotpath function's calls to runtime allocators, fmt and
+// bounds-check panics.  Any count that differs from
+// testdata/escape_allowlist.txt fails TestEscapeGateRealTree.
 //
 // Run the suite locally with:
 //
@@ -88,8 +89,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzer is one invariant checker.  Run is required; Collect (a gathering
 // phase executed over every package before any Run) and Finish (a global
 // reconciliation executed after every Run) are optional and let an analyzer
-// check whole-program invariants (faultsite, atomicstate) while still
-// reporting per-file positions.
+// check whole-program invariants (faultsite) while still reporting per-file
+// positions.
 //
 // Analyzers with cross-package state are constructed fresh per suite run (see
 // Analyzers); Run/Collect/Finish closures own that state, so two concurrent
@@ -107,8 +108,8 @@ type Analyzer struct {
 }
 
 // Analyzers returns a fresh instance of the full suite, in the order
-// cmd/oasis-vet runs them.  Fresh instances matter: faultsite and atomicstate
-// accumulate cross-package facts inside their closures.
+// cmd/oasis-vet runs them.  Fresh instances matter: faultsite accumulates
+// cross-package facts inside its closures.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NewCtxFlow(),

@@ -10,8 +10,10 @@ import (
 // event of a stream.  Their output is byte-identical to encoding/json over
 // the structs the decoders use (cmd/oasis-serve's hitEvent, remote.Event):
 // field order, omitempty, HTML-safe string escaping and float formatting —
-// FuzzEventLineEncoding in cmd/oasis-serve holds them to it.  Everything else
-// (done and error lines) goes through AppendJSON.
+// FuzzEventLineEncoding in cmd/oasis-serve holds them to it.  The
+// coordinator reads the "h" and "b" shapes back by hand (remote.decodeEvent,
+// held to encoding/json by FuzzDecodeEvent).  Everything else (done and error
+// lines) goes through AppendJSON.
 
 // AppendHit appends one /search or /batch "hit" line:
 //

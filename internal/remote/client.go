@@ -519,8 +519,8 @@ func (c *Client) consume(cn *conn, st *streamState, opts core.Options, hit func(
 		if err := faultpoint.HitBuf(faultpoint.SiteRemoteStream, addr, line); err != nil {
 			return err
 		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
+		ev, err := decodeEvent(line)
+		if err != nil {
 			return fmt.Errorf("remote: %s sent an undecodable event: %w", addr, err)
 		}
 		switch ev.E {
@@ -580,7 +580,6 @@ func (c *Client) consume(cn *conn, st *streamState, opts core.Options, hit func(
 		default:
 			return fmt.Errorf("remote: %s sent unknown event kind %q", addr, ev.E)
 		}
-		var err error
 		line, err = readLine(cn.br)
 		if err != nil {
 			return fmt.Errorf("remote: stream from %s broke: %w", addr, err)

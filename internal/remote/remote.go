@@ -105,10 +105,13 @@ type StreamRequest struct {
 }
 
 // Event is one NDJSON line of a shard stream.  E is "b" (bound), "h" (hit)
-// or "d" (done).  It is the DECODER's view of every line and the encoder of
-// "d" lines; the server writes "h" and "b" lines with ndjson.AppendShardHit
-// and ndjson.AppendShardBound, so a "b" line is exactly {"e":"b","v":N} (the
-// struct encoding also carried "seq":0,"score":0, which decodes the same).
+// or "d" (done).  The server writes "h" and "b" lines with
+// ndjson.AppendShardHit and ndjson.AppendShardBound (a "b" line is exactly
+// {"e":"b","v":N}) and "d" lines by encoding this struct.  The client reads
+// those two hot shapes by hand (decodeEvent); every other line — "d" events,
+// escaped or non-ASCII ids, the older "b" spelling that also carried
+// "seq":0,"score":0 — is decoded into this struct by encoding/json, and the
+// hand path accepts only lines encoding/json reads identically.
 type Event struct {
 	E string `json:"e"`
 	// V is the frontier bound of "b" events: no future hit of this stream
