@@ -4,268 +4,62 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/oasis"
 )
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
-// queuedFor reads one client's queued count from the snapshot.
-func queuedFor(a *admission, client string) int {
-	for _, c := range a.snapshot().Clients {
-		if c.Client == client {
-			return c.Queued
-		}
-	}
-	return 0
-}
-
-// enqueue starts an acquire in a goroutine and returns a channel that
-// yields its release function once granted.
-func enqueue(t *testing.T, a *admission, client string, cost int, order *[]string, mu *sync.Mutex) <-chan func() {
-	t.Helper()
-	ch := make(chan func(), 1)
-	go func() {
-		release, err := a.acquire(context.Background(), client, cost)
-		if err != nil {
-			t.Errorf("client %s: %v", client, err)
-			close(ch)
-			return
-		}
-		mu.Lock()
-		*order = append(*order, client)
-		mu.Unlock()
-		ch <- release
-	}()
-	return ch
-}
-
-// TestAdmissionRoundRobinFairness pins the headline property: a client that
-// has queued a burst of requests does not get them admitted back to back —
-// a second client arriving later is interleaved round-robin, where the old
-// FIFO would have served the whole burst first.
-func TestAdmissionRoundRobinFairness(t *testing.T) {
-	a := newAdmission(1, 16)
-	relFirst, err := a.acquire(context.Background(), "greedy", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var order []string
-	var chans []<-chan func()
-	for i := 0; i < 4; i++ {
-		chans = append(chans, enqueue(t, a, "greedy", 1, &order, &mu))
-		waitFor(t, "greedy waiter queued", func() bool { return queuedFor(a, "greedy") == i+1 })
-	}
-	chans = append(chans, enqueue(t, a, "polite", 1, &order, &mu))
-	waitFor(t, "polite waiter queued", func() bool { return queuedFor(a, "polite") == 1 })
-
-	relFirst()
-	for range chans {
-		// Admissions happen one at a time (slots=1); release each as it
-		// lands so the next dispatch runs.
-		waitFor(t, "next admission", func() bool {
-			for _, ch := range chans {
-				select {
-				case rel, ok := <-ch:
-					if ok {
-						rel()
-					}
-					return true
-				default:
-				}
-			}
-			return false
-		})
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 5 {
-		t.Fatalf("admitted %d waiters, want 5 (%v)", len(order), order)
-	}
-	// Round-robin must slot "polite" in after at most one more "greedy"
-	// admission; FIFO would have put it last.
-	for i, c := range order {
-		if c == "polite" {
-			if i > 1 {
-				t.Fatalf("polite client admitted at position %d behind the greedy burst: %v", i, order)
-			}
-			return
-		}
-	}
-	t.Fatalf("polite client never admitted: %v", order)
-}
-
-// TestAdmissionCostWeighting pins the deficit weighting: an expensive batch
-// (cost many queries) must accumulate credit over several rounds while
-// cheap interactive requests are admitted every round, so every search
-// queued at saturation goes first.
-func TestAdmissionCostWeighting(t *testing.T) {
-	a := newAdmission(1, 16)
-	relFirst, err := a.acquire(context.Background(), "batcher", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var order []string
-	batchCh := enqueue(t, a, "batcher", 33, &order, &mu) // > 4 quanta of credit
-	waitFor(t, "batch queued", func() bool { return queuedFor(a, "batcher") == 1 })
-	var searchChans []<-chan func()
-	for i := 0; i < 3; i++ {
-		searchChans = append(searchChans, enqueue(t, a, "interactive", 1, &order, &mu))
-		waitFor(t, "search queued", func() bool { return queuedFor(a, "interactive") == i+1 })
-	}
-
-	relFirst()
-	for _, ch := range searchChans {
-		rel := <-ch
-		rel()
-	}
-	rel := <-batchCh
-	rel()
-	mu.Lock()
-	defer mu.Unlock()
-	want := []string{"interactive", "interactive", "interactive", "batcher"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("admission order %v, want %v", order, want)
-		}
-	}
-	// Everyone done: the tracking map must not leak idle clients.
-	if clients := a.snapshot().Clients; len(clients) != 0 {
-		t.Fatalf("idle admission controller still tracks %v", clients)
-	}
-}
-
-// TestAdmissionQueueFull checks the per-client bound: the client with a full
-// waiting queue is rejected, other clients are unaffected.
+// TestAdmissionQueueFull checks the per-client in-flight bound: a client with
+// its bound of requests in flight gets 429, other clients are unaffected, and
+// a request's count is freed when it ends, cancelled or not.
 func TestAdmissionQueueFull(t *testing.T) {
-	a := newAdmission(1, 2)
-	rel, err := a.acquire(context.Background(), "flood", 1)
-	if err != nil {
-		t.Fatal(err)
+	srv := faultTestServer(t, nil)
+	search := func(ctx context.Context, client string) int {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequestWithContext(ctx, "POST", "/search", strings.NewReader(`{"query":"DKDGDGTITTKE"}`))
+		req.Header.Set("X-Client-ID", client)
+		srv.ServeHTTP(rec, req)
+		return rec.Code
 	}
-	var mu sync.Mutex
-	var order []string
-	ch1 := enqueue(t, a, "flood", 1, &order, &mu)
-	waitFor(t, "first waiter", func() bool { return queuedFor(a, "flood") == 1 })
-	ch2 := enqueue(t, a, "flood", 1, &order, &mu)
-	waitFor(t, "second waiter", func() bool { return queuedFor(a, "flood") == 2 })
-	if _, err := a.acquire(context.Background(), "flood", 1); !errors.Is(err, errAdmissionQueueFull) {
-		t.Fatalf("third waiter got %v, want errAdmissionQueueFull", err)
-	}
-	// A different client still queues fine.
-	chOther := enqueue(t, a, "other", 1, &order, &mu)
-	waitFor(t, "other client queued", func() bool { return queuedFor(a, "other") == 1 })
-	s := a.snapshot()
-	if s.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", s.Rejected)
-	}
-	rel()
-	// Drain grants in whatever order round-robin produces them (the other
-	// client is admitted between the flood client's two waiters).
-	pending := []<-chan func(){ch1, ch2, chOther}
-	for len(pending) > 0 {
-		granted := false
-		for i, ch := range pending {
-			select {
-			case r := <-ch:
-				r()
-				pending = append(pending[:i], pending[i+1:]...)
-				granted = true
-			default:
-			}
-			if granted {
-				break
-			}
+	// The bound of requests of "flood" in flight.
+	var releases []func()
+	for i := 0; i < admissionQueue; i++ {
+		_, release, err := srv.adm.acquire("flood")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !granted {
-			time.Sleep(time.Millisecond)
-		}
+		releases = append(releases, release)
 	}
-}
-
-// TestAdmissionCancelledWaiter checks a waiter abandoned by its client frees
-// its queue spot and is never granted a slot.
-func TestAdmissionCancelledWaiter(t *testing.T) {
-	a := newAdmission(1, 4)
-	rel, err := a.acquire(context.Background(), "c", 1)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := srv.adm.acquire("flood"); !errors.Is(err, errAdmissionQueueFull) {
+		t.Fatalf("request past the bound got %v, want errAdmissionQueueFull", err)
 	}
+	if code := search(context.Background(), "flood"); code != http.StatusTooManyRequests {
+		t.Fatalf("search past the bound: status %d, want 429", code)
+	}
+	if code := search(context.Background(), "other"); code != http.StatusOK {
+		t.Fatalf("another client's search: status %d, want 200", code)
+	}
+	releases[0]()
+	if code := search(context.Background(), "flood"); code != http.StatusOK {
+		t.Fatalf("search after a request ended: status %d, want 200", code)
+	}
+	// Cancelled requests free their count too: with one place left, more of
+	// them than that, one after another, are never refused.
 	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := a.acquire(ctx, "c", 1)
-		errCh <- err
-	}()
-	waitFor(t, "waiter queued", func() bool { return queuedFor(a, "c") == 1 })
 	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled waiter got %v", err)
-	}
-	rel()
-	waitFor(t, "controller to drain", func() bool {
-		s := a.snapshot()
-		return s.Active == 0 && len(s.Clients) == 0
-	})
-	if got := a.snapshot().Admitted; got != 1 {
-		t.Fatalf("admitted = %d, want only the original request", got)
-	}
-}
-
-// TestAdmissionCancelledWaitersFreeQueueSpots pins the stale-waiter fix: a
-// client whose queued requests all timed out client-side must not keep
-// drawing 429s on fresh requests — cancellation must free the maxQueued
-// spot immediately, not at the next dispatch.
-func TestAdmissionCancelledWaitersFreeQueueSpots(t *testing.T) {
-	a := newAdmission(1, 2)
-	rel, err := a.acquire(context.Background(), "c", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill the client's queue, then cancel both waiters.
-	ctx, cancel := context.WithCancel(context.Background())
-	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, err := a.acquire(ctx, "c", 1)
-			errs <- err
-		}()
-		waitFor(t, "waiter queued", func() bool { return queuedFor(a, "c") == i+1 })
-	}
-	cancel()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled waiter got %v", err)
+	for i := 0; i < 3; i++ {
+		if code := search(ctx, "flood"); code == http.StatusTooManyRequests {
+			t.Fatalf("cancelled request %d was refused: a cancelled request kept its count", i)
 		}
 	}
-	// The queue is empty again: a fresh request must queue, not 429.
-	var mu sync.Mutex
-	var order []string
-	fresh := enqueue(t, a, "c", 1, &order, &mu)
-	waitFor(t, "fresh waiter queued after cancellations", func() bool { return queuedFor(a, "c") == 1 })
-	rel()
-	r := <-fresh
-	r()
-	if s := a.snapshot(); s.Rejected != 0 {
-		t.Fatalf("fresh request after cancellations was rejected: %+v", s)
+	for _, release := range releases[1:] {
+		release()
+	}
+	if s := srv.adm.snapshot(); s.Active != 0 || s.Rejected != 2 || len(srv.adm.clients) != 0 {
+		t.Fatalf("idle admission = %+v with %d clients tracked, want 0 active, 2 rejected, no clients", s, len(srv.adm.clients))
 	}
 }
 
@@ -296,7 +90,6 @@ func TestServerAdmissionAndCacheMetrics(t *testing.T) {
 	}
 	srv := newServer(eng, serverConfig{
 		scheme: scheme, defaultEValue: 20000, maxBatch: 8,
-		admissionSlots: 2, admissionQueue: 4,
 	})
 
 	// The hit lines of a replay must be byte-identical to the original
@@ -347,7 +140,7 @@ func TestServerAdmissionAndCacheMetrics(t *testing.T) {
 	if m.CacheHitRate == nil || *m.CacheHitRate <= 0 {
 		t.Fatalf("cache_hit_rate missing or zero: %s", rec.Body.String())
 	}
-	if m.Admission == nil || m.Admission.Slots != 2 || m.Admission.Admitted != 2 {
-		t.Fatalf("admission metrics = %+v, want slots=2 admitted=2", m.Admission)
+	if m.Admission == nil || m.Admission.Admitted != 2 || m.Admission.Active != 0 {
+		t.Fatalf("admission metrics = %+v, want admitted=2 active=0", m.Admission)
 	}
 }

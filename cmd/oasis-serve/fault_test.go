@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -69,40 +68,6 @@ func TestQueryTimeoutErrorEvent(t *testing.T) {
 	}
 	if !strings.Contains(last.Error, "query timeout") || !strings.Contains(last.Error, "1ns") {
 		t.Fatalf("error %q does not name the query timeout", last.Error)
-	}
-}
-
-// TestAdmissionWaitSheds503 pins the admission wait budget: a request that cannot be
-// admitted within the wait budget is shed with 503 and a Retry-After header,
-// instead of queueing without bound.
-func TestAdmissionWaitSheds503(t *testing.T) {
-	srv := faultTestServer(t, func(cfg *serverConfig) {
-		cfg.admissionSlots = 1
-		cfg.admissionQueue = 4
-		cfg.admissionWait = 30 * time.Millisecond
-	})
-	// Occupy the only slot so the next request has to queue.
-	release, err := srv.adm.acquire(context.Background(), "hog", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/search", strings.NewReader(`{"query":"DKDGDGTITTKE"}`)))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503: %s", rec.Code, rec.Body.String())
-	}
-	if ra := rec.Header().Get("Retry-After"); ra != "1" {
-		t.Fatalf("Retry-After = %q, want \"1\"", ra)
-	}
-	if !strings.Contains(rec.Body.String(), "saturated") {
-		t.Fatalf("error body %q does not say the server is saturated", rec.Body.String())
-	}
-	// Freeing the slot restores service.
-	release()
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/search", strings.NewReader(`{"query":"DKDGDGTITTKE"}`)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("post-release search: status %d", rec.Code)
 	}
 }
 

@@ -47,8 +47,8 @@
 // every query's hit stream onto one NDJSON response; events carry query_id
 // so clients demultiplex, each query's hits are decreasing-score, and every
 // query ends with its own "done"/"error" event.  Batches of more than 256
-// queries are rejected with HTTP 413 so one huge batch cannot monopolise the
-// worker pool; within a batch at most GOMAXPROCS queries run at once.
+// queries are rejected with HTTP 413; within a batch at most GOMAXPROCS
+// queries are in flight, each sweeping only while it holds a search slot.
 //
 // "evalue", "min_score" and "top" must not be negative (HTTP 400 naming the
 // field); 0 or absent means "use the default".
@@ -90,7 +90,7 @@
 // background once the memtable holds N sequences.  Mutations during graceful
 // shutdown are shed with HTTP 503.
 //
-// # Result cache and fair admission
+// # Result cache and fair search slots
 //
 // The engine keeps a cross-query result cache (-cache MB, default 32, 0
 // disables): completed hit streams are stored keyed by (query residues,
@@ -101,15 +101,16 @@
 // a write (see /insert above) retargets the cache rather than serving stale
 // streams; an LRU evicts by recency when the budget fills.
 //
-// Search and batch requests pass a per-client fair admission controller
-// before reaching the engine: at most 2x GOMAXPROCS requests run at once, and
-// when the server is saturated, waiting requests queue PER CLIENT
-// (X-Client-ID header, else remote address) and are admitted by deficit
-// round-robin with cost = query count — so a client streaming maximal batches
-// cannot starve interactive /search users.  A client with 64 requests already
-// waiting gets HTTP 429.
-// X-Client-ID is trusted as sent; in front of untrusted callers, strip or
-// overwrite it at the ingress proxy so the remote-address fallback applies.
+// Every search and batch request starts at once; the engine bounds the DP
+// sweeps instead, to GOMAXPROCS search slots.  A query holds one only while it
+// sweeps — not while it waits on an identical query, replays a cached stream
+// or waits for a client that is not reading — and queues for one in FIFO
+// order, where each client (X-Client-ID header, else remote address) holds
+// one place however many requests it has in flight: an interactive /search
+// waits for a slot, not for whole batches.  A client with 64 requests in
+// flight gets HTTP 429.  X-Client-ID is trusted as sent; in front of untrusted
+// callers, strip or overwrite it at the ingress proxy so the remote-address
+// fallback applies.
 //
 // GET /metrics returns a JSON resource snapshot for capacity planning:
 //
@@ -123,16 +124,14 @@
 //	            "buckets":[{"le_ms":0.25,"count":0},...,{"le_ms":-1,"count":42}]},
 //	            "batch":{...},"healthz_ready":{...},"metrics":{...}},
 //	 "cache_hit_rate":0.75,
-//	 "admission":{"slots":8,"active":2,"admitted":130,"rejected":4,
-//	              "clients":[{"client":"10.0.0.7","queued":3,"active":1,
-//	                          "admitted":57,"rejected":4},...]},
+//	 "admission":{"active":2,"admitted":130,"rejected":4},
 //	 "queries_served":128,"hits_reported":3072,"max_batch":256}
 //
 // "pools" is present only for -index-dir engines: one entry per buffer pool —
 // the base shards, then every compacted delta layer under its file name.
-// "cache"/"cache_hit_rate" are present when the result cache is enabled,
-// "admission" when admission control is (always, unless built with slots 0 in
-// tests); "clients" lists currently active or queued clients only.  "latency" holds one histogram per endpoint, measured
+// "cache"/"cache_hit_rate" are present when the result cache is enabled.
+// "admission" counts search and batch requests in flight, admitted and
+// refused with 429.  "latency" holds one histogram per endpoint, measured
 // from request decode through the last streamed event; bucket counts are
 // cumulative with upper bounds in milliseconds and le_ms -1 marking the
 // unbounded bucket.
@@ -146,12 +145,11 @@
 // delta_layers, tombstones, live_sequences) and per-endpoint
 // request_duration_seconds histograms.
 //
-// # Deadlines, overload shedding and partial failure
+// # Deadlines, overload and partial failure
 //
-// -query-timeout bounds each query's wall clock: a stream that outlives it is
-// cancelled and ends with an "error" event.  A request may sit in its
-// admission queue for at most 10 s; past that the server sheds it with HTTP
-// 503 and a Retry-After header instead of letting queues grow without bound.
+// -query-timeout bounds each query's wall clock, its wait for a search slot
+// included: a stream that outlives it is cancelled and ends with an "error"
+// event.  No request waits to start, so none is shed for waiting.
 //
 // When a shard fails mid-query (I/O error, checksum corruption), the shard is
 // QUARANTINED rather than fatal: the stream completes from the surviving
@@ -181,8 +179,8 @@
 // slice and streams NDJSON (hit, bound) events — the slice's locally merged
 // decreasing-score stream plus a decreasing upper bound on everything it can
 // still report — and GET /oasis/shard/info describes the slice (sequence and
-// residue counts, alphabet).  No result cache and no admission control run
-// here: both belong to the coordinator, which sees whole queries.
+// residue counts, alphabet).  No result cache, admission or search slots run
+// here: they belong to the coordinator, which sees whole queries.
 //
 // The coordinator opens every slice at startup, lays out the global sequence
 // index space, and serves the standard /search, /batch, /metrics endpoints.
@@ -237,7 +235,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -246,26 +243,19 @@ import (
 )
 
 // Serving limits no command line has set are constants, not flags.  maxBatch
-// and admissionQueue are what newServer gives a zero serverConfig field; run
-// and serveUntilSignal use the rest by name.
+// is what newServer gives a zero serverConfig field; the rest are used by
+// name.
 const (
 	// maxBatch is the most queries one /batch request may carry.
 	maxBatch = 256
-	// admissionQueue is how many requests one client may have waiting for
-	// admission before further ones get HTTP 429.
+	// admissionQueue is how many search and batch requests one client may
+	// have in flight before further ones get HTTP 429.
 	admissionQueue = 64
-	// admissionWait is the longest a request waits for admission before it
-	// is shed with HTTP 503 + Retry-After.
-	admissionWait = 10 * time.Second
 	// shutdownTimeout bounds the graceful drain of in-flight streams.
 	shutdownTimeout = 30 * time.Second
 	// idleTimeout closes keep-alive connections idle this long.
 	idleTimeout = 2 * time.Minute
 )
-
-// admissionSlots is how many search/batch requests run at once across all
-// clients; the rest wait in per-client fair queues.
-func admissionSlots() int { return 2 * runtime.GOMAXPROCS(0) }
 
 // serveFlags bundles the command-line configuration.
 type serveFlags struct {
@@ -400,8 +390,8 @@ func buildEngine(f serveFlags) (*oasis.Engine, string, error) {
 }
 
 // buildCoordinator opens the remote slice topology and wraps it in a warm
-// engine, so the standard HTTP front end (admission, result cache, NDJSON
-// streaming) runs unchanged in front of the fan-out.
+// engine, so the standard HTTP front end (admission, search slots, result
+// cache, NDJSON streaming) runs unchanged in front of the fan-out.
 func buildCoordinator(f serveFlags) (*oasis.Engine, string, *oasis.Coordinator, error) {
 	if f.dbPath != "" || f.indexDir != "" {
 		return nil, "", nil, fmt.Errorf("-coordinator serves remote slices; it takes no -db or -index-dir")
@@ -481,14 +471,12 @@ func run(f serveFlags) error {
 		eng.NumSequences(), eng.TotalResidues(), eng.NumShards(), mode, time.Since(build).Round(time.Millisecond))
 
 	handler := newServer(eng, serverConfig{
-		scheme:         scheme,
-		defaultEValue:  f.eValue,
-		admissionSlots: admissionSlots(),
-		admissionWait:  admissionWait,
-		queryTimeout:   f.queryTimeout,
-		strict:         f.strict,
-		compactAfter:   f.compactAfter,
-		coordinator:    co,
+		scheme:        scheme,
+		defaultEValue: f.eValue,
+		queryTimeout:  f.queryTimeout,
+		strict:        f.strict,
+		compactAfter:  f.compactAfter,
+		coordinator:   co,
 	})
 	closeEngine := eng.Close
 	if co != nil {

@@ -8,7 +8,8 @@ import (
 )
 
 // TestMain fails the binary if any test leaks a goroutine: HTTP handlers,
-// admission queues, and background mutators must all stop with their server.
+// batch workers waiting for a search slot, and background mutators must all
+// stop with their server.
 func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestServeFlagConflicts: command lines that contradict themselves fail,

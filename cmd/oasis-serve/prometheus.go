@@ -75,12 +75,10 @@ func (s *server) writePrometheus(w http.ResponseWriter) {
 		counter("cache_injected_faults_total",
 			"Cache lookups failed by an active faultpoint drill.", em.Cache.InjectedFaults)
 	}
-	if s.adm != nil {
-		adm := s.adm.snapshot()
-		gauge("admission_active", "Requests currently holding an admission slot.", int64(adm.Active))
-		counter("admission_admitted_total", "Requests admitted.", adm.Admitted)
-		counter("admission_rejected_total", "Requests rejected with 429 (client queue full).", adm.Rejected)
-	}
+	adm := s.adm.snapshot()
+	gauge("admission_active", "Search and batch requests in flight.", int64(adm.Active))
+	counter("admission_admitted_total", "Requests admitted.", adm.Admitted)
+	counter("admission_rejected_total", "Requests rejected with 429 (client's in-flight bound reached).", adm.Rejected)
 
 	if co := s.cfg.coordinator; co != nil {
 		// Coordinator fan-out robustness counters: the alerting surface for a

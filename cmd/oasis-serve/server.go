@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/faultpoint"
 	"repro/internal/ndjson"
 	"repro/oasis"
@@ -25,19 +26,6 @@ type serverConfig struct {
 	maxBatch int
 	// maxQueryLen bounds accepted query lengths (residues).
 	maxQueryLen int
-	// admissionSlots bounds how many search/batch requests run concurrently
-	// across ALL clients; excess requests wait in per-client fair queues
-	// (deficit round-robin over client keys).  0 disables admission control
-	// (tests; main passes admissionSlots()).
-	admissionSlots int
-	// admissionQueue bounds each client's waiting queue; requests beyond it
-	// get HTTP 429 (0 = the admissionQueue constant; tests shrink it).
-	admissionQueue int
-	// admissionWait bounds how long a request may sit in its admission queue
-	// before the server sheds it with HTTP 503 + Retry-After (0 = wait
-	// forever, bounded only by the client's patience: tests; main passes the
-	// admissionWait constant).
-	admissionWait time.Duration
 	// queryTimeout is the per-query wall-clock budget: a search or batch
 	// whose stream outlives it is cancelled and its queries end with an
 	// "error" event (0 = no limit).
@@ -106,8 +94,8 @@ type server struct {
 	// searchWire and batchWire count the event lines each streaming endpoint
 	// wrote and the write+flush rounds that carried them (Prometheus /metrics).
 	searchWire, batchWire ndjson.Stats
-	// adm is the per-client fair admission controller in front of the
-	// search/batch endpoints (nil when cfg.admissionSlots is 0).
+	// adm bounds each client's search/batch requests in flight and holds
+	// each client's engine.Turn.
 	adm *admission
 	// notReady is flipped first during graceful shutdown: /healthz/ready
 	// answers 503 while the server keeps serving for -drain-grace, so load
@@ -131,13 +119,8 @@ func newServer(eng *oasis.Engine, cfg serverConfig) *server {
 	if cfg.maxQueryLen <= 0 {
 		cfg.maxQueryLen = 10_000
 	}
-	if cfg.admissionQueue <= 0 {
-		cfg.admissionQueue = admissionQueue
-	}
-	s := &server{eng: eng, cfg: cfg, mux: http.NewServeMux(), lat: map[string]*latencyHistogram{}}
-	if cfg.admissionSlots > 0 {
-		s.adm = newAdmission(cfg.admissionSlots, cfg.admissionQueue)
-	}
+	s := &server{eng: eng, cfg: cfg, mux: http.NewServeMux(), lat: map[string]*latencyHistogram{},
+		adm: &admission{clients: map[string]*admClient{}}}
 	s.handle("GET /healthz/live", "healthz_live", s.handleHealthLive)
 	s.handle("GET /healthz/ready", "healthz_ready", s.handleHealthReady)
 	s.handle("GET /metrics", "metrics", s.handleMetrics)
@@ -265,14 +248,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"queries_served": st.QueriesServed,
 		"hits_reported":  st.HitsReported,
 		"max_batch":      s.cfg.maxBatch,
+		"admission":      s.adm.snapshot(),
 	}
 	if em.Cache != nil {
 		// Headline number for dashboards; the full counters live under
 		// engine.cache.
 		body["cache_hit_rate"] = em.Cache.HitRate
-	}
-	if s.adm != nil {
-		body["admission"] = s.adm.snapshot()
 	}
 	if co := s.cfg.coordinator; co != nil {
 		body["remote"] = map[string]any{
@@ -283,16 +264,16 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// clientKey identifies the requester for fair admission: an explicit
+// clientKey identifies the requester for admission: an explicit
 // X-Client-ID header when present, otherwise the remote host (all
-// connections from one address share a queue).
+// connections from one address share a Turn and an in-flight bound).
 //
 // X-Client-ID is a COOPERATIVE key: a caller that mints a fresh ID per
-// request gets a fresh DRR queue each time and defeats the weighting.
-// Deployments facing untrusted clients should strip or overwrite the header
-// at the ingress proxy (e.g. set it to the authenticated principal) so the
-// fallback — the remote address, which a client cannot cheaply multiply —
-// is what actually partitions strangers.
+// request gets a fresh place in the slot queue each time and defeats the
+// per-client turn.  Deployments facing untrusted clients should strip or
+// overwrite the header at the ingress proxy (e.g. set it to the
+// authenticated principal) so the fallback — the remote address, which a
+// client cannot cheaply multiply — is what actually partitions strangers.
 func clientKey(r *http.Request) string {
 	if id := r.Header.Get("X-Client-ID"); id != "" {
 		return id
@@ -304,63 +285,26 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-// admit reserves a fair-admission slot for a request of the given cost (one
-// per query), blocking in the requester's per-client queue when the server
-// is saturated.  The returned release function must be deferred; ok=false
+// admit books a search or batch request against its client's in-flight
+// bound and returns the request under a context carrying the client's
+// engine.Turn.  The returned release function must be deferred; ok=false
 // means the response has already been written.
-func (s *server) admit(w http.ResponseWriter, r *http.Request, cost int) (release func(), ok bool) {
+func (s *server) admit(w http.ResponseWriter, r *http.Request) (_ *http.Request, release func(), ok bool) {
 	if s.draining.Load() {
 		// Shutdown drain: shed new work immediately so in-flight streams can
 		// finish within the grace period.
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
-		return nil, false
+		return nil, nil, false
 	}
-	if s.adm == nil {
-		return func() {}, true
-	}
-	ctx := r.Context()
-	if s.cfg.admissionWait > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, s.cfg.admissionWait, errAdmissionSaturated)
-		defer cancel()
-	}
-	release, err := s.adm.acquire(ctx, clientKey(r), cost)
-	switch {
-	case err == nil:
-		return release, true
-	case errors.Is(err, errAdmissionQueueFull):
-		// 429: this client already has a full queue of waiting requests;
-		// admitting more would let it crowd out everyone else.
+	turn, release, err := s.adm.acquire(clientKey(r))
+	if err != nil {
+		// 429: this client already has its bound of requests in flight;
+		// admitting more would let it grow server memory without bound.
 		httpError(w, http.StatusTooManyRequests, err)
-		return nil, false
-	case context.Cause(ctx) == errAdmissionSaturated:
-		// 503: the request sat in its admission queue for the full wait
-		// budget — the server is saturated; shed load and tell the client
-		// when to come back instead of letting queues grow without bound.
-		w.Header().Set("Retry-After", retryAfter(s.cfg.admissionWait))
-		httpError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("saturated: not admitted within %s", s.cfg.admissionWait))
-		return nil, false
-	default:
-		// The client went away while queued; nothing useful to write.
-		return nil, false
+		return nil, nil, false
 	}
-}
-
-// errAdmissionSaturated is the cancellation cause distinguishing an
-// admission wait deadline (shed with 503) from the client going away.
-var errAdmissionSaturated = errors.New("admission wait deadline exceeded")
-
-// retryAfter renders a Retry-After header value (whole seconds, minimum 1)
-// from the admission wait budget: a client that backs off for about one more
-// wait window lands after the current queue has had a full cycle to drain.
-func retryAfter(wait time.Duration) string {
-	secs := int(wait / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
+	return r.WithContext(engine.WithTurn(r.Context(), turn)), release, true
 }
 
 // buildQuery validates one request and assembles the batch query for it.
@@ -427,7 +371,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	release, ok := s.admit(w, r, 1)
+	r, release, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
@@ -465,10 +409,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		batch[i] = q
 	}
-	// A batch's admission cost is its query count, so under contention a
-	// maximal batch waits ~len(batch) fair-queue rounds while interactive
-	// single-query clients are admitted every round.
-	release, ok := s.admit(w, r, len(batch))
+	r, release, ok := s.admit(w, r)
 	if !ok {
 		return
 	}

@@ -213,9 +213,8 @@ func TestBuildQueryEValueIsCheap(t *testing.T) {
 	}
 }
 
-// TestBatchOverLimitIs413 pins the admission-control contract: a batch over
-// the batch limit is rejected with 413 before any query is admitted to
-// the worker pool.
+// TestBatchOverLimitIs413 pins the batch limit: a batch over it is rejected
+// with 413 before any of its queries reaches the engine.
 func TestBatchOverLimitIs413(t *testing.T) {
 	srv := testServer(t) // maxBatch: 8
 	var sb strings.Builder

@@ -5,8 +5,9 @@
 // (internal/qcache, Options.CacheBytes) that replays completed hit streams
 // for repeated queries and single-flights concurrent duplicates, and a
 // SubmitBatch API that multiplexes many concurrent queries over the shared
-// index — on a bounded worker pool — while preserving each query's online
-// decreasing-score hit stream.
+// index — sweeping on a bounded, engine-wide set of search slots queued fairly
+// per client (Turn) — while preserving each query's online decreasing-score
+// hit stream.
 //
 // The paper's value proposition is online search — hits stream out strongest
 // first so clients can stop early — but a cold start per query (index
@@ -57,8 +58,12 @@ type Options struct {
 	// suffix tree (default 1; capped at the number of sequences).  Every
 	// shard and delta layer of a query is searched at once.
 	Shards int
-	// BatchWorkers bounds how many queries of a batch are in flight at once
-	// (default GOMAXPROCS).
+	// BatchWorkers is the number of search slots the engine shares among
+	// the queries of every SubmitBatch (default GOMAXPROCS): a batch query
+	// holds one only while its DP sweep runs, not while it waits on a
+	// concurrent identical query, replays a cached stream or waits for a
+	// consumer that is not reading.  Queries wait for a free slot in FIFO
+	// order, one place per Turn (WithTurn).  Search takes no slot.
 	BatchWorkers int
 	// AllowDegraded admits an IndexDir whose shard file(s) fail to open:
 	// the failed shards are quarantined at open time and every query reports
@@ -120,7 +125,9 @@ type Result struct {
 // is built once and every subsequent query reuses it, along with pooled
 // searcher scratch.  All methods are safe for concurrent use.
 type Engine struct {
-	batchWorkers int
+	// slots holds one token per search slot in use; its capacity is
+	// Options.BatchWorkers, and a full channel queues senders in FIFO order.
+	slots chan struct{}
 	// resultBuffer is the capacity of the channels SubmitBatch returns:
 	// defaultResultBuffer, except where a test sets the field to pin
 	// back-pressure.
@@ -219,16 +226,17 @@ func New(db *seq.Database, opts Options) (*Engine, error) {
 // generation number continues from the directory's.  An immutable engine has
 // nothing to write to.
 func newWarm(base *shard.Engine, dir *diskst.Dir, opts Options, immutable bool) (*Engine, error) {
+	slots := opts.BatchWorkers
+	if slots < 1 {
+		slots = runtime.GOMAXPROCS(0)
+	}
 	e := &Engine{
-		batchWorkers: opts.BatchWorkers,
+		slots:        make(chan struct{}, slots),
 		resultBuffer: defaultResultBuffer,
 		immutable:    immutable,
 		wBase:        base,
 		tombs:        base.Tombstones(),
 		dir:          dir,
-	}
-	if e.batchWorkers < 1 {
-		e.batchWorkers = runtime.GOMAXPROCS(0)
 	}
 	if dir != nil {
 		e.wGen = dir.Generation()
@@ -245,7 +253,7 @@ func newWarm(base *shard.Engine, dir *diskst.Dir, opts Options, immutable bool) 
 // NewFromShardEngine wraps a pre-assembled shard engine — typically a
 // provider-backed one (shard.NewEngineFromProviders), whose shards are remote
 // slice streams — as a warm batch engine, so the whole serving stack
-// (SubmitBatch multiplexing, result cache, admission in front) runs unchanged
+// (SubmitBatch multiplexing, search slots, result cache) runs unchanged
 // over a distributed corpus.  Only the batch/cache options apply
 // (BatchWorkers, CacheBytes); index-construction options must be zero.  The
 // engine is IMMUTABLE: the corpus lives in the remote slices' serving
@@ -282,8 +290,8 @@ func (e *Engine) TotalResidues() int64 { return e.Catalog().TotalResidues() }
 // NumShards returns the number of partitions actually built.
 func (e *Engine) NumShards() int { return e.cur().view.NumShards() }
 
-// BatchWorkers returns the batch concurrency bound.
-func (e *Engine) BatchWorkers() int { return e.batchWorkers }
+// BatchWorkers returns the number of search slots.
+func (e *Engine) BatchWorkers() int { return cap(e.slots) }
 
 // Stats returns the engine-wide merged work counters and the number of
 // queries served and hits reported since construction.  It carries no
@@ -399,13 +407,13 @@ func (e *Engine) Search(ctx context.Context, q Query, report func(core.Hit) bool
 		return core.Stats{}, ErrClosed
 	}
 	defer e.active.Done()
-	return e.searchOne(ctx, q, report)
+	return e.searchOne(ctx, q, nil, report)
 }
 
 // searchOne serves one query: through the cross-query cache when the engine
 // has one (replay on hit, single-flighted DP sweep on miss), directly off
-// the index otherwise.
-func (e *Engine) searchOne(ctx context.Context, q Query, report func(core.Hit) bool) (core.Stats, error) {
+// the index otherwise.  A non-nil seat holds a search slot around the sweep.
+func (e *Engine) searchOne(ctx context.Context, q Query, seat *seat, report func(core.Hit) bool) (core.Stats, error) {
 	// Pin one generation for the life of the query: the snapshot's index
 	// layers stay valid (resources are only released at Close) and the cache
 	// key carries the generation, so a write published mid-query can neither
@@ -413,7 +421,7 @@ func (e *Engine) searchOne(ctx context.Context, q Query, report func(core.Hit) b
 	// queries against the newer index state.
 	st := e.state.Load()
 	if e.cache == nil {
-		return e.searchIndex(ctx, st, q, report)
+		return e.searchIndex(ctx, st, q, seat, report)
 	}
 	key := qcache.NewKey(q.Residues, q.Options, st.gen)
 	for {
@@ -441,7 +449,7 @@ func (e *Engine) searchOne(ctx context.Context, q Query, report func(core.Hit) b
 	// outgrows the largest entry the cache can hold: an uncacheable stream
 	// must not cost a full in-memory copy on every execution.
 	sizeLeft := e.cache.MaxEntryBytes()
-	stats, err := e.searchIndex(ctx, st, q, func(h core.Hit) bool {
+	stats, err := e.searchIndex(ctx, st, q, seat, func(h core.Hit) bool {
 		if sizeLeft >= 0 {
 			if sizeLeft -= qcache.HitSize(&h); sizeLeft < 0 {
 				hits = nil
@@ -504,10 +512,17 @@ func (e *Engine) replay(ctx context.Context, q Query, entry *qcache.Entry, repor
 }
 
 // searchIndex runs the query on the pinned generation's view (the
-// cache-miss path; the only path when the engine has no cache).  The context
-// is observed both at every hit callback and — via core's periodic poll —
-// inside hit-less DP stretches.
-func (e *Engine) searchIndex(ctx context.Context, s *genState, q Query, report func(core.Hit) bool) (core.Stats, error) {
+// cache-miss path; the only path when the engine has no cache), holding a
+// search slot throughout when seat is non-nil.  The context is observed both
+// at every hit callback and — via core's periodic poll — inside hit-less DP
+// stretches.
+func (e *Engine) searchIndex(ctx context.Context, s *genState, q Query, seat *seat, report func(core.Hit) bool) (core.Stats, error) {
+	if seat != nil {
+		if err := seat.take(ctx); err != nil {
+			return core.Stats{}, err
+		}
+		defer seat.give()
+	}
 	var st core.Stats
 	opts := q.Options
 	opts.Stats = &st
@@ -544,10 +559,12 @@ func (e *Engine) searchIndex(ctx context.Context, s *genState, q Query, report f
 	return st, err
 }
 
-// SubmitBatch runs every query of the batch over the warm index, at most
-// BatchWorkers concurrently, and multiplexes their hit streams onto the
-// returned channel.  Each query's hits arrive in decreasing score order and
-// end with one Done event; the channel closes when every query has finished.
+// SubmitBatch runs every query of the batch over the warm index and
+// multiplexes their hit streams onto the returned channel.  Each query's hits
+// arrive in decreasing score order and end with one Done event; the channel
+// closes when every query has finished.  At most BatchWorkers queries of the
+// batch are in flight, each sweeping only while it holds a search slot, for
+// which it queues under the context's Turn (a new one when there is none).
 // Cancelling the context stops all in-flight searches; the channel still
 // closes (consumers should drain it).
 func (e *Engine) SubmitBatch(ctx context.Context, queries []Query) <-chan Result {
@@ -565,16 +582,20 @@ func (e *Engine) SubmitBatch(ctx context.Context, queries []Query) <-chan Result
 		}()
 		return out
 	}
+	var turn *Turn
+	if ctx != nil {
+		turn, _ = ctx.Value(turnKey{}).(*Turn)
+	}
+	if turn == nil {
+		turn = NewTurn()
+	}
 	go func() {
 		defer e.active.Done()
 		defer close(out)
-		// A fixed pool of batchWorkers range workers drains an index
-		// channel.  (A previous version spawned one goroutine per query
-		// BEFORE acquiring a semaphore slot, so a 100k-query batch burst
-		// 100k goroutines before the first search even started; the pool
-		// bounds in-flight goroutines at batchWorkers regardless of batch
-		// size.)
-		workers := e.batchWorkers
+		// A fixed pool of BatchWorkers range workers drains an index
+		// channel, so a 100k-query batch starts BatchWorkers goroutines,
+		// not 100k.
+		workers := cap(e.slots)
 		if workers > len(queries) {
 			workers = len(queries)
 		}
@@ -588,7 +609,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, queries []Query) <-chan Result
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					e.runQuery(ctx, i, queries[i], out)
+					e.runQuery(ctx, i, queries[i], &seat{slots: e.slots, turn: turn}, out)
 				}
 			}()
 		}
@@ -603,8 +624,9 @@ func (e *Engine) SubmitBatch(ctx context.Context, queries []Query) <-chan Result
 
 // runQuery executes one query of a batch, forwarding hits and the final Done
 // event to out.  Sends race the context so a cancelled consumer never blocks
-// a worker.
-func (e *Engine) runQuery(ctx context.Context, index int, q Query, out chan<- Result) {
+// a worker, and a send that would block gives the query's search slot back
+// until the consumer has taken the hit.
+func (e *Engine) runQuery(ctx context.Context, index int, q Query, seat *seat, out chan<- Result) {
 	// After cancellation, skip searcher setup entirely: emit the
 	// best-effort Done and let the batch drain fast (a cancelled 100k-query
 	// batch must not pay 100k searcher spin-ups just to unwind).
@@ -617,13 +639,22 @@ func (e *Engine) runQuery(ctx context.Context, index int, q Query, out chan<- Re
 		return
 	}
 	start := time.Now()
-	st, err := e.searchOne(ctx, q, func(h core.Hit) bool {
+	st, err := e.searchOne(ctx, q, seat, func(h core.Hit) bool {
+		r := Result{QueryID: q.ID, Index: index, Hit: h}
 		select {
-		case out <- Result{QueryID: q.ID, Index: index, Hit: h}:
+		case out <- r:
 			return true
+		default:
+		}
+		// A replayed hit arrives with no slot held, and takes none back.
+		held := seat.held
+		seat.give()
+		select {
+		case out <- r:
 		case <-ctxDone(ctx):
 			return false
 		}
+		return !held || seat.take(ctx) == nil
 	})
 	done := Result{QueryID: q.ID, Index: index, Done: true, Stats: st, Elapsed: time.Since(start), Err: err}
 	select {
@@ -637,6 +668,56 @@ func (e *Engine) runQuery(ctx context.Context, index int, q Query, out chan<- Re
 		case out <- done:
 		default:
 		}
+	}
+}
+
+// Turn is one client's place in the queue for the engine's search slots:
+// the queries of every batch submitted under one Turn wait for a slot one at
+// a time, so a client with many batches in flight holds one place in the
+// FIFO, as a client with one does.
+type Turn struct{ ch chan struct{} }
+
+// NewTurn returns a Turn for one client.
+func NewTurn() *Turn { return &Turn{ch: make(chan struct{}, 1)} }
+
+type turnKey struct{}
+
+// WithTurn returns a copy of ctx under which SubmitBatch queues for search
+// slots in t's place.
+func WithTurn(ctx context.Context, t *Turn) context.Context {
+	return context.WithValue(ctx, turnKey{}, t)
+}
+
+// seat is one batch query's claim on a search slot.  Its methods are called
+// one at a time, never concurrently.
+type seat struct {
+	slots chan struct{}
+	turn  *Turn
+	held  bool
+}
+
+// take waits for the turn, then for a free slot.
+func (s *seat) take(ctx context.Context) error {
+	select {
+	case s.turn.ch <- struct{}{}:
+	case <-ctxDone(ctx):
+		return ctx.Err()
+	}
+	defer func() { <-s.turn.ch }()
+	select {
+	case s.slots <- struct{}{}:
+		s.held = true
+		return nil
+	case <-ctxDone(ctx):
+		return ctx.Err()
+	}
+}
+
+// give returns the slot, if the seat holds one.
+func (s *seat) give() {
+	if s.held {
+		s.held = false
+		<-s.slots
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 )
 
 // EngineOptions configures a warm engine: the source (IndexDir with PoolBytes
-// and AllowDegraded, or a database split into Shards by sequence), the batch
-// concurrency bound (BatchWorkers; within one query every shard runs at once)
-// and the result cache budget (CacheBytes).  The fields are documented on
+// and AllowDegraded, or a database split into Shards by sequence), the number
+// of search slots all batches share (BatchWorkers; a batch query holds one
+// only while it sweeps, and within one query every shard runs at once) and
+// the result cache budget (CacheBytes).  The fields are documented on
 // engine.Options, which this is.
 type EngineOptions = engine.Options
 
@@ -77,7 +78,7 @@ func (e *Engine) TotalResidues() int64 { return e.eng.TotalResidues() }
 // NumShards returns the number of partitions actually built.
 func (e *Engine) NumShards() int { return e.eng.NumShards() }
 
-// BatchWorkers returns the batch concurrency bound.
+// BatchWorkers returns the number of search slots.
 func (e *Engine) BatchWorkers() int { return e.eng.BatchWorkers() }
 
 // Close marks the engine closed and waits for in-flight queries to drain.
@@ -174,9 +175,10 @@ type BatchQuery struct {
 // cancellation, Done events are best-effort (the channel still closes).
 type BatchResult = engine.Result
 
-// SubmitBatch runs every query over the warm index, at most BatchWorkers
-// concurrently, multiplexing the hit streams onto the returned channel.  The
-// channel closes when every query has produced its Done event.  Cancelling
+// SubmitBatch runs every query over the warm index, multiplexing the hit
+// streams onto the returned channel.  Across all batches at most BatchWorkers
+// queries sweep at once; a query whose consumer is not reading holds no slot.
+// The channel closes when every query has produced its Done event.  Cancelling
 // ctx stops all in-flight searches; consumers should drain the channel.
 func (e *Engine) SubmitBatch(ctx context.Context, queries []BatchQuery) <-chan BatchResult {
 	in := make([]engine.Query, len(queries))
