@@ -3,26 +3,30 @@ package main
 import (
 	"errors"
 	"sync"
+	"time"
 
-	"repro/internal/engine"
+	"repro/oasis"
 )
 
 // admission bounds how many search and batch requests one client (X-Client-ID
 // header, falling back to the remote address) has in flight, and hands each
-// request its client's engine.Turn.  Nothing waits here: fairness is decided
+// request its client's oasis.Turn.  Nothing waits here: fairness is decided
 // at the engine's search slots, where a client holds one place in the queue
-// however many requests it has in flight.  A client past admissionQueue
-// requests is rejected at once (HTTP 429), so it sheds its own load instead
-// of growing server memory.
+// however many requests it has in flight, and a query that waits there longer
+// than the Turn's bound ends with oasis.ErrSaturated.  A client past
+// maxInFlightPerClient requests is rejected at once (HTTP 429), so it sheds
+// its own load instead of growing server memory.
 type admission struct {
-	mu      sync.Mutex
-	clients map[string]*admClient
-	counts  admissionSnapshot
+	// slotWait is each client Turn's bound on a query's wait for a slot.
+	slotWait time.Duration
+	mu       sync.Mutex
+	clients  map[string]*admClient
+	counts   admissionSnapshot
 }
 
 type admClient struct {
 	inFlight int
-	turn     *engine.Turn
+	turn     *oasis.Turn
 }
 
 // admissionSnapshot is the /metrics view of the admission bound.
@@ -39,15 +43,15 @@ var errAdmissionQueueFull = errors.New("too many requests in flight for this cli
 // acquire books one request for the client key and returns the client's Turn
 // with a release function that must be called exactly once when the request
 // ends, however it ends.
-func (a *admission) acquire(key string) (*engine.Turn, func(), error) {
+func (a *admission) acquire(key string) (*oasis.Turn, func(), error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	c := a.clients[key]
 	if c == nil {
-		c = &admClient{turn: engine.NewTurn()}
+		c = &admClient{turn: oasis.NewTurn(a.slotWait)}
 		a.clients[key] = c
 	}
-	if c.inFlight >= admissionQueue {
+	if c.inFlight >= maxInFlightPerClient {
 		a.counts.Rejected++
 		return nil, nil, errAdmissionQueueFull
 	}

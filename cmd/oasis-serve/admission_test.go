@@ -26,7 +26,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 	}
 	// The bound of requests of "flood" in flight.
 	var releases []func()
-	for i := 0; i < admissionQueue; i++ {
+	for i := 0; i < maxInFlightPerClient; i++ {
 		_, release, err := srv.adm.acquire("flood")
 		if err != nil {
 			t.Fatal(err)

@@ -71,6 +71,55 @@ func TestQueryTimeoutErrorEvent(t *testing.T) {
 	}
 }
 
+// TestAdmissionWaitSheds503 pins overload shedding at one search slot: a
+// request whose query waits longer than slotWait for the slot, before any of
+// its events is written, is shed with 503, Retry-After and a body saying the
+// server is saturated; once the slot is free the same request succeeds.
+func TestAdmissionWaitSheds503(t *testing.T) {
+	eng, err := oasis.NewEngine(corpusDB(t, 0, len(corpusStrings)), oasis.EngineOptions{Shards: 2, BatchWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = eng.Close() })
+	scheme, err := oasis.NewScheme(oasis.MatrixByName("BLOSUM62"), -8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(eng, serverConfig{scheme: scheme, defaultEValue: 20000, slotWait: 30 * time.Millisecond})
+	search := func(client string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/search", strings.NewReader(`{"query":"DKDGDGTITTKE"}`))
+		req.Header.Set("X-Client-ID", client)
+		srv.ServeHTTP(rec, req)
+		return rec
+	}
+	// The hog's two shard streams sleep inside its sweep, so it holds the
+	// only slot for that long.
+	defer faultpoint.Reset()
+	faultpoint.Enable(faultpoint.SiteShardWorker, faultpoint.Spec{Mode: faultpoint.ModeLatency, Delay: time.Second, Times: 2})
+	hog := make(chan int, 1)
+	go func() { hog <- search("hog").Code }()
+	for faultpoint.Fired(faultpoint.SiteShardWorker) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	rec := search("other")
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503: %s", rec.Code, rec.Body.String())
+	}
+	if ra := rec.Header().Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
+	}
+	if !strings.Contains(rec.Body.String(), "saturated") {
+		t.Fatalf("error body %q does not say the server is saturated", rec.Body.String())
+	}
+	if code := <-hog; code != http.StatusOK {
+		t.Fatalf("hog search: status %d", code)
+	}
+	if rec := search("other"); rec.Code != http.StatusOK {
+		t.Fatalf("search once the slot is free: status %d", rec.Code)
+	}
+}
+
 // TestDrainSheds503 pins graceful shutdown: after startDrain, new queries are
 // shed immediately with 503 while /healthz/ready reports draining.
 func TestDrainSheds503(t *testing.T) {

@@ -103,12 +103,12 @@
 //
 // Every search and batch request starts at once; the engine bounds the DP
 // sweeps instead, to GOMAXPROCS search slots.  A query holds one only while it
-// sweeps — not while it waits on an identical query, replays a cached stream
-// or waits for a client that is not reading — and queues for one in FIFO
-// order, where each client (X-Client-ID header, else remote address) holds
-// one place however many requests it has in flight: an interactive /search
-// waits for a slot, not for whole batches.  A client with 64 requests in
-// flight gets HTTP 429.  X-Client-ID is trusted as sent; in front of untrusted
+// sweeps — not while it waits on an identical query, replays a cached stream,
+// waits for a client that is not reading or, on a coordinator, waits on its
+// slices — and queues for one in FIFO order, where each client (X-Client-ID
+// header, else remote address) holds one place however many requests it has
+// in flight: an interactive /search waits for a slot, not for whole batches.
+// A client with 64 requests in flight gets HTTP 429.  X-Client-ID is trusted as sent; in front of untrusted
 // callers, strip or overwrite it at the ingress proxy so the remote-address
 // fallback applies.
 //
@@ -149,7 +149,10 @@
 //
 // -query-timeout bounds each query's wall clock, its wait for a search slot
 // included: a stream that outlives it is cancelled and ends with an "error"
-// event.  No request waits to start, so none is shed for waiting.
+// event.  A query waits at most 10 s for a search slot: past that, a request
+// none of whose events has been written is shed with HTTP 503 and
+// Retry-After: 10, and a query later in a streaming batch ends with an
+// "error" event saying the engine is saturated.
 //
 // When a shard fails mid-query (I/O error, checksum corruption), the shard is
 // QUARANTINED rather than fatal: the stream completes from the surviving
@@ -248,9 +251,13 @@ import (
 const (
 	// maxBatch is the most queries one /batch request may carry.
 	maxBatch = 256
-	// admissionQueue is how many search and batch requests one client may
-	// have in flight before further ones get HTTP 429.
-	admissionQueue = 64
+	// maxInFlightPerClient is how many search and batch requests one client
+	// may have in flight before further ones get HTTP 429.
+	maxInFlightPerClient = 64
+	// slotWait is the longest a query waits for a search slot before it ends
+	// with oasis.ErrSaturated: a request none of whose events has been
+	// written yet is then shed with HTTP 503 + Retry-After.
+	slotWait = 10 * time.Second
 	// shutdownTimeout bounds the graceful drain of in-flight streams.
 	shutdownTimeout = 30 * time.Second
 	// idleTimeout closes keep-alive connections idle this long.
@@ -473,6 +480,7 @@ func run(f serveFlags) error {
 	handler := newServer(eng, serverConfig{
 		scheme:        scheme,
 		defaultEValue: f.eValue,
+		slotWait:      slotWait,
 		queryTimeout:  f.queryTimeout,
 		strict:        f.strict,
 		compactAfter:  f.compactAfter,

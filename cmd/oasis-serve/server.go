@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/faultpoint"
 	"repro/internal/ndjson"
 	"repro/oasis"
@@ -26,6 +25,11 @@ type serverConfig struct {
 	maxBatch int
 	// maxQueryLen bounds accepted query lengths (residues).
 	maxQueryLen int
+	// slotWait bounds each query's wait for a search slot: past it the query
+	// ends with oasis.ErrSaturated, and a request that has written nothing
+	// yet is shed with HTTP 503 + Retry-After (0 = wait as long as the
+	// request lives: tests; main passes the slotWait constant).
+	slotWait time.Duration
 	// queryTimeout is the per-query wall-clock budget: a search or batch
 	// whose stream outlives it is cancelled and its queries end with an
 	// "error" event (0 = no limit).
@@ -95,7 +99,7 @@ type server struct {
 	// wrote and the write+flush rounds that carried them (Prometheus /metrics).
 	searchWire, batchWire ndjson.Stats
 	// adm bounds each client's search/batch requests in flight and holds
-	// each client's engine.Turn.
+	// each client's oasis.Turn.
 	adm *admission
 	// notReady is flipped first during graceful shutdown: /healthz/ready
 	// answers 503 while the server keeps serving for -drain-grace, so load
@@ -120,7 +124,7 @@ func newServer(eng *oasis.Engine, cfg serverConfig) *server {
 		cfg.maxQueryLen = 10_000
 	}
 	s := &server{eng: eng, cfg: cfg, mux: http.NewServeMux(), lat: map[string]*latencyHistogram{},
-		adm: &admission{clients: map[string]*admClient{}}}
+		adm: &admission{slotWait: cfg.slotWait, clients: map[string]*admClient{}}}
 	s.handle("GET /healthz/live", "healthz_live", s.handleHealthLive)
 	s.handle("GET /healthz/ready", "healthz_ready", s.handleHealthReady)
 	s.handle("GET /metrics", "metrics", s.handleMetrics)
@@ -287,7 +291,7 @@ func clientKey(r *http.Request) string {
 
 // admit books a search or batch request against its client's in-flight
 // bound and returns the request under a context carrying the client's
-// engine.Turn.  The returned release function must be deferred; ok=false
+// oasis.Turn.  The returned release function must be deferred; ok=false
 // means the response has already been written.
 func (s *server) admit(w http.ResponseWriter, r *http.Request) (_ *http.Request, release func(), ok bool) {
 	if s.draining.Load() {
@@ -304,7 +308,7 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request) (_ *http.Request,
 		httpError(w, http.StatusTooManyRequests, err)
 		return nil, nil, false
 	}
-	return r.WithContext(engine.WithTurn(r.Context(), turn)), release, true
+	return r.WithContext(oasis.WithTurn(r.Context(), turn)), release, true
 }
 
 // buildQuery validates one request and assembles the batch query for it.
@@ -420,19 +424,32 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // streamBatch submits the batch to the warm engine and appends each event as
 // one NDJSON line to the response's coalescing writer: a hit is on the wire
 // without waiting for a later one, and hits released together share a write.
+// A batch whose first event is a query that found no search slot within
+// cfg.slotWait is shed whole with HTTP 503 + Retry-After instead.
 func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, batch []oasis.BatchQuery, wire *ndjson.Stats) {
-	ctx := r.Context()
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
 	if s.cfg.queryTimeout > 0 {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeoutCause(ctx, s.cfg.queryTimeout, errQueryTimeout)
 		defer cancel()
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no")
 	// 206-style partial marker, known before the stream starts: shards
 	// quarantined at open time — or, on a coordinator, slices whose whole
 	// replica set is marked down — degrade every response.
-	if (len(s.eng.Standing()) > 0 || s.deadSlices() > 0) && !s.cfg.strict {
+	partial := (len(s.eng.Standing()) > 0 || s.deadSlices() > 0) && !s.cfg.strict
+	results := s.eng.SubmitBatch(ctx, batch)
+	res, ok := <-results
+	if ok && res.Done && errors.Is(res.Err, oasis.ErrSaturated) {
+		cancel()
+		for range results {
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(s.cfg.slotWait/time.Second))))
+		httpError(w, http.StatusServiceUnavailable, res.Err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Accel-Buffering", "no")
+	if partial {
 		w.WriteHeader(http.StatusPartialContent)
 	}
 	// The writer waits on the CLIENT's context, not the query deadline: a
@@ -441,7 +458,7 @@ func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, batch []oas
 	var line []byte
 	counts := make([]int, len(batch))
 	degraded := false
-	for res := range s.eng.SubmitBatch(ctx, batch) {
+	for ; ok; res, ok = <-results {
 		if !res.Done {
 			counts[res.Index]++
 			line = ndjson.AppendHit(line[:0], res.QueryID, res.Hit.Rank, res.Hit.SeqID, res.Hit.Score, res.Hit.EValue)

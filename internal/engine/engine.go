@@ -61,9 +61,10 @@ type Options struct {
 	// BatchWorkers is the number of search slots the engine shares among
 	// the queries of every SubmitBatch (default GOMAXPROCS): a batch query
 	// holds one only while its DP sweep runs, not while it waits on a
-	// concurrent identical query, replays a cached stream or waits for a
-	// consumer that is not reading.  Queries wait for a free slot in FIFO
-	// order, one place per Turn (WithTurn).  Search takes no slot.
+	// concurrent identical query, replays a cached stream, waits for a
+	// consumer that is not reading or, on a provider-backed engine, waits on
+	// its remote slices.  Queries wait for a free slot in FIFO order, one
+	// place per Turn (WithTurn).  Search takes no slot.
 	BatchWorkers int
 	// AllowDegraded admits an IndexDir whose shard file(s) fail to open:
 	// the failed shards are quarantined at open time and every query reports
@@ -128,6 +129,10 @@ type Engine struct {
 	// slots holds one token per search slot in use; its capacity is
 	// Options.BatchWorkers, and a full channel queues senders in FIFO order.
 	slots chan struct{}
+	// slotHook, when a test sets it, is called with the batch's context when
+	// a query starts waiting for a free search slot (granted false) and when
+	// it gets one (granted true).
+	slotHook func(ctx context.Context, granted bool)
 	// resultBuffer is the capacity of the channels SubmitBatch returns:
 	// defaultResultBuffer, except where a test sets the field to pin
 	// back-pressure.
@@ -513,15 +518,18 @@ func (e *Engine) replay(ctx context.Context, q Query, entry *qcache.Entry, repor
 
 // searchIndex runs the query on the pinned generation's view (the
 // cache-miss path; the only path when the engine has no cache), holding a
-// search slot throughout when seat is non-nil.  The context is observed both
-// at every hit callback and — via core's periodic poll — inside hit-less DP
+// search slot when seat is non-nil — except, on a provider-backed view, while
+// the merge waits on its remote slices.  The context is observed both at
+// every hit callback and — via core's periodic poll — inside hit-less DP
 // stretches.
 func (e *Engine) searchIndex(ctx context.Context, s *genState, q Query, seat *seat, report func(core.Hit) bool) (core.Stats, error) {
+	var slot shard.Slot
 	if seat != nil {
-		if err := seat.take(ctx); err != nil {
+		if err := seat.Take(); err != nil {
 			return core.Stats{}, err
 		}
-		defer seat.give()
+		defer seat.Give()
+		slot = seat
 	}
 	var st core.Stats
 	opts := q.Options
@@ -536,7 +544,10 @@ func (e *Engine) searchIndex(ctx context.Context, s *genState, q Query, seat *se
 		hits++
 		return report(h)
 	}
-	err := s.view.Search(q.Residues, opts, counted)
+	err := s.view.SearchYield(q.Residues, opts, counted, slot)
+	if err == nil && seat != nil {
+		err = seat.err // a slot lost at a blocked send
+	}
 	if err == nil && ctx != nil {
 		err = ctx.Err()
 	}
@@ -587,7 +598,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, queries []Query) <-chan Result
 		turn, _ = ctx.Value(turnKey{}).(*Turn)
 	}
 	if turn == nil {
-		turn = NewTurn()
+		turn = NewTurn(0)
 	}
 	go func() {
 		defer e.active.Done()
@@ -609,7 +620,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, queries []Query) <-chan Result
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					e.runQuery(ctx, i, queries[i], &seat{slots: e.slots, turn: turn}, out)
+					e.runQuery(ctx, i, queries[i], &seat{e: e, turn: turn, ctx: ctx}, out)
 				}
 			}()
 		}
@@ -648,13 +659,13 @@ func (e *Engine) runQuery(ctx context.Context, index int, q Query, seat *seat, o
 		}
 		// A replayed hit arrives with no slot held, and takes none back.
 		held := seat.held
-		seat.give()
+		seat.Give()
 		select {
 		case out <- r:
 		case <-ctxDone(ctx):
 			return false
 		}
-		return !held || seat.take(ctx) == nil
+		return !held || seat.Take() == nil
 	})
 	done := Result{QueryID: q.ID, Index: index, Done: true, Stats: st, Elapsed: time.Since(start), Err: err}
 	select {
@@ -675,10 +686,19 @@ func (e *Engine) runQuery(ctx context.Context, index int, q Query, seat *seat, o
 // the queries of every batch submitted under one Turn wait for a slot one at
 // a time, so a client with many batches in flight holds one place in the
 // FIFO, as a client with one does.
-type Turn struct{ ch chan struct{} }
+type Turn struct {
+	ch   chan struct{}
+	wait time.Duration
+}
 
-// NewTurn returns a Turn for one client.
-func NewTurn() *Turn { return &Turn{ch: make(chan struct{}, 1)} }
+// NewTurn returns a Turn for one client.  A query that waits longer than
+// wait for a search slot ends with ErrSaturated; 0 waits as long as the
+// batch's context lives.
+func NewTurn(wait time.Duration) *Turn { return &Turn{ch: make(chan struct{}, 1), wait: wait} }
+
+// ErrSaturated ends a batch query that waited longer than its Turn allows for
+// a search slot.
+var ErrSaturated = fmt.Errorf("engine: saturated: no search slot within the turn's wait bound")
 
 type turnKey struct{}
 
@@ -691,33 +711,67 @@ func WithTurn(ctx context.Context, t *Turn) context.Context {
 // seat is one batch query's claim on a search slot.  Its methods are called
 // one at a time, never concurrently.
 type seat struct {
-	slots chan struct{}
-	turn  *Turn
-	held  bool
+	e    *Engine
+	turn *Turn
+	ctx  context.Context
+	held bool
+	// err is the first failed take's error: the query ends with it.
+	err error
 }
 
-// take waits for the turn, then for a free slot.
-func (s *seat) take(ctx context.Context) error {
-	select {
-	case s.turn.ch <- struct{}{}:
-	case <-ctxDone(ctx):
-		return ctx.Err()
+// Take waits for the turn, then for a free slot, for at most the turn's wait
+// bound in all.  The bound's timer starts only once Take has to wait.
+func (s *seat) Take() error {
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	send := func(ch chan struct{}) error {
+		select {
+		case ch <- struct{}{}:
+			return nil
+		default:
+		}
+		var expired <-chan time.Time
+		if s.turn.wait > 0 {
+			if timer == nil {
+				timer = time.NewTimer(s.turn.wait)
+			}
+			expired = timer.C
+		}
+		select {
+		case ch <- struct{}{}:
+			return nil
+		case <-ctxDone(s.ctx):
+			return s.ctx.Err()
+		case <-expired:
+			return ErrSaturated
+		}
+	}
+	if s.err = send(s.turn.ch); s.err != nil {
+		return s.err
 	}
 	defer func() { <-s.turn.ch }()
-	select {
-	case s.slots <- struct{}{}:
-		s.held = true
-		return nil
-	case <-ctxDone(ctx):
-		return ctx.Err()
+	if s.e.slotHook != nil {
+		s.e.slotHook(s.ctx, false)
 	}
+	if s.err = send(s.e.slots); s.err != nil {
+		return s.err
+	}
+	s.held = true
+	if s.e.slotHook != nil {
+		s.e.slotHook(s.ctx, true)
+	}
+	return nil
 }
 
-// give returns the slot, if the seat holds one.
-func (s *seat) give() {
+// Give returns the slot, if the seat holds one.
+func (s *seat) Give() {
 	if s.held {
 		s.held = false
-		<-s.slots
+		<-s.e.slots
 	}
 }
 

@@ -62,6 +62,9 @@ type merger struct {
 	// like report returning false.
 	onBound   func(bound int) bool
 	lastBound int
+	// slot, when set, is the caller's search slot, given back while the
+	// merger waits for an event (Engine.SearchYield).
+	slot Slot
 	// degraded lists shards quarantined mid-query: their worker failed with a
 	// non-fatal error, their bound was dropped and their un-emitted pending
 	// hits purged, and the stream completed from the survivors.
@@ -135,7 +138,12 @@ func (d *dedupSet) markNew(seqIndex int) bool {
 func (m *merger) run(events <-chan event, cancelled *atomic.Bool) error {
 	stopped := false
 	for m.nDone < len(m.bounds) {
-		ev := <-events
+		ev, err := m.next(events, stopped)
+		if err != nil {
+			m.err = err
+			stopped = true
+			cancelled.Store(true)
+		}
 		switch ev.kind {
 		case evBound:
 			if ev.bound < m.bounds[ev.shard] {
@@ -184,6 +192,27 @@ func (m *merger) run(events <-chan event, cancelled *atomic.Bool) error {
 		m.err = fmt.Errorf("shard: every shard failed; first: %s", m.degraded[0].Err)
 	}
 	return m.err
+}
+
+// next returns the next stream event.  With a slot to yield, a merger that
+// would block gives the slot back for the wait and, unless the stream is
+// already stopped, takes it again before the event is merged; a failed take
+// is returned with the event.
+func (m *merger) next(events <-chan event, stopped bool) (event, error) {
+	if m.slot == nil {
+		return <-events, nil
+	}
+	select {
+	case ev := <-events:
+		return ev, nil
+	default:
+	}
+	m.slot.Give()
+	ev := <-events
+	if stopped {
+		return ev, nil
+	}
+	return ev, m.slot.Take()
 }
 
 // quarantinable reports whether a shard failure should quarantine the shard

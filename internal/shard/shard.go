@@ -364,7 +364,28 @@ const (
 // Stats.Add; hit ranks are assigned by the merger.  Returning false from
 // report cancels every shard search.
 func (e *Engine) Search(query []byte, opts core.Options, report func(core.Hit) bool) error {
-	return e.search(query, opts, report, nil)
+	return e.search(query, opts, report, nil, nil)
+}
+
+// Slot is a caller's hold on one of a scarce set of search slots, which
+// SearchYield gives back while the merge waits on remote slices.  Take's
+// error ends the search with that error.
+type Slot interface {
+	Give()
+	Take() error
+}
+
+// SearchYield is Search for a caller holding a search slot (a nil slot is
+// plain Search).  On a provider-backed engine the sweeps run on other hosts,
+// so whenever the merge has no event to merge and must wait on a provider
+// stream, it gives the slot back and takes it again once an event arrives:
+// queries waiting on the network hold no slot.  An engine with local streams
+// keeps the slot throughout, as its streams sweep in this process.
+func (e *Engine) SearchYield(query []byte, opts core.Options, report func(core.Hit) bool, slot Slot) error {
+	if e.base[0].provider == nil {
+		slot = nil
+	}
+	return e.search(query, opts, report, nil, slot)
 }
 
 // SearchBounded is Search with a second online output: alongside the merged
@@ -380,12 +401,13 @@ func (e *Engine) Search(query []byte, opts core.Options, report func(core.Hit) b
 // so equal-score ties are always released in ascending global sequence index
 // — the canonical merged order a coordinator reproduces.
 func (e *Engine) SearchBounded(query []byte, opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
-	return e.search(query, opts, hit, bound)
+	return e.search(query, opts, hit, bound, nil)
 }
 
 // search is the one search path: plan the query's streams, merge them.
-// bsink, when non-nil, receives the merged stream's own decreasing bound.
-func (e *Engine) search(query []byte, opts core.Options, report func(core.Hit) bool, bsink func(int) bool) error {
+// bsink, when non-nil, receives the merged stream's own decreasing bound;
+// slot, when non-nil, is given back while the merge waits on its streams.
+func (e *Engine) search(query []byte, opts core.Options, report func(core.Hit) bool, bsink func(int) bool, slot Slot) error {
 	// A query cancelled before it starts runs nothing: the frontier expansion
 	// and every stream's searcher would each sweep a poll interval of columns
 	// before noticing.
@@ -422,7 +444,7 @@ func (e *Engine) search(query []byte, opts core.Options, report func(core.Hit) b
 	if err != nil {
 		return err
 	}
-	return e.fanOutMerge(len(query), opts, p, report, bsink)
+	return e.fanOutMerge(len(query), opts, p, report, bsink, slot)
 }
 
 // applyStanding folds open-time quarantines into the query: strict mode
@@ -609,8 +631,9 @@ func (e *Engine) rootBound(query []byte, opts core.Options) int {
 // view's tombstone filter and live totals.  The shared frontier
 // work and the per-stream counters are merged into opts.Stats once every
 // stream has unwound.  bsink, when non-nil, receives the merged stream's own
-// decreasing upper bound (SearchBounded).
-func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, report func(core.Hit) bool, bsink func(int) bool) error {
+// decreasing upper bound (SearchBounded); slot, when non-nil, is given back
+// while the merger waits for an event (SearchYield).
+func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, report func(core.Hit) bool, bsink func(int) bool, slot Slot) error {
 	// The buffer holds at least one event per stream, so the idle-stream
 	// completions below — all sent before any stream starts filling it —
 	// never block ahead of the merger draining.
@@ -660,6 +683,7 @@ func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, report fu
 	}
 	m := newMerger(bounds, opts, e.liveRes, queryLen, dedup, report)
 	m.onBound = bsink
+	m.slot = slot
 	if e.layered() {
 		m.drop = e.tombs
 		m.stopAt = e.LiveSequences()

@@ -2,6 +2,7 @@ package oasis
 
 import (
 	"context"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -177,7 +178,9 @@ type BatchResult = engine.Result
 
 // SubmitBatch runs every query over the warm index, multiplexing the hit
 // streams onto the returned channel.  Across all batches at most BatchWorkers
-// queries sweep at once; a query whose consumer is not reading holds no slot.
+// queries sweep at once; a query whose consumer is not reading, or (on a
+// coordinator) that waits on its remote slices, holds no slot.  Queries queue
+// for a slot under ctx's Turn (WithTurn), a new one when it carries none.
 // The channel closes when every query has produced its Done event.  Cancelling
 // ctx stops all in-flight searches; consumers should drain the channel.
 func (e *Engine) SubmitBatch(ctx context.Context, queries []BatchQuery) <-chan BatchResult {
@@ -187,6 +190,24 @@ func (e *Engine) SubmitBatch(ctx context.Context, queries []BatchQuery) <-chan B
 	}
 	return e.eng.SubmitBatch(ctx, in)
 }
+
+// Turn is one client's place in the queue for the engine's search slots: the
+// queries of every batch submitted under one Turn queue one at a time, so a
+// client with many batches in flight holds one place, as a client with one
+// does.
+type Turn = engine.Turn
+
+// NewTurn returns a Turn for one client.  A batch query that waits longer
+// than wait for a search slot ends with ErrSaturated; 0 waits as long as the
+// batch's context lives.
+func NewTurn(wait time.Duration) *Turn { return engine.NewTurn(wait) }
+
+// WithTurn returns a copy of ctx under which SubmitBatch queues in t's place.
+func WithTurn(ctx context.Context, t *Turn) context.Context { return engine.WithTurn(ctx, t) }
+
+// ErrSaturated ends a batch query that waited longer than its Turn allows for
+// a search slot.
+var ErrSaturated = engine.ErrSaturated
 
 // Search runs one query on the warm engine, streaming hits to report in
 // decreasing score order; return false from report (or cancel ctx) to stop
