@@ -715,7 +715,7 @@ type seat struct {
 	turn *Turn
 	ctx  context.Context
 	held bool
-	// err is the first failed take's error: the query ends with it.
+	// err is the error of a Take that failed: the query ends with it.
 	err error
 }
 
