@@ -29,11 +29,12 @@
 //     below the root.  Stats.MaxBandWidth records the widest band a search
 //     ever stored.
 //   - That engine is a warm batch query engine (internal/engine): the
-//     sharded index is constructed once, searcher scratch is pooled
-//     per worker (core.Scratch via bufferpool.FreeList), and SubmitBatch
-//     multiplexes many concurrent queries over the shared index while each
-//     query's hit stream stays decreasing-score and cancellable — build
-//     once, serve many.  cmd/oasis-serve is the HTTP/NDJSON front end over
+//     sharded index is constructed once, searcher scratch is pooled per
+//     worker (core.Scratch via bufferpool.FreeList) so a warm search
+//     allocates nothing per node, and SubmitBatch multiplexes many
+//     concurrent queries over the shared index while each query's hit
+//     stream stays decreasing-score and cancellable — build once, serve
+//     many.  cmd/oasis-serve is the HTTP/NDJSON front end over
 //     one such engine (see examples/server for the lifecycle): /metrics
 //     exposes the scratch free-list stats, per-shard active searches,
 //     per-shard buffer-pool hit rates and per-endpoint latency

@@ -29,9 +29,9 @@ import (
 
 // gatedCallRE matches the callees the gate counts: the runtime's allocation
 // entry points (make, append growth, new and escaping values, interface
-// boxing, maps, channels, go, defer, string building and conversion), any fmt
-// function, and the bounds-check panics.
-var gatedCallRE = regexp.MustCompile(`^(runtime\.(makeslice\w*|growslice|newobject|mallocgc|convT\w*|makemap\w*|makechan|newproc|deferproc\w*|concatstring\w*|stringtoslicebyte|slicebytetostring|panicIndex\w*|panicSlice\w*)|fmt\..+)$`)
+// boxing, maps, map stores that may grow them, channels, go, defer, string
+// building and conversion), any fmt function, and the bounds-check panics.
+var gatedCallRE = regexp.MustCompile(`^(runtime\.(makeslice\w*|growslice|newobject|mallocgc|convT\w*|makemap\w*|mapassign\w*|makechan|newproc|deferproc\w*|concatstring\w*|stringtoslicebyte|slicebytetostring|panicIndex\w*|panicSlice\w*)|fmt\..+)$`)
 
 // callRE extracts the callee of a direct call from one line of -S output.
 var callRE = regexp.MustCompile(`\tCALL\t(\S+)\(SB\)`)

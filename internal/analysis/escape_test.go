@@ -45,10 +45,10 @@ func TestParseAllowlistRejectsMalformed(t *testing.T) {
 
 // TestEscapeGateSyntheticEscape runs the gate end to end on a throwaway
 // module.  Against an empty baseline it must flag every hotpath function that
-// allocates, and only those; a non-escaping &T{} or closure stays on the
-// stack and must pass.  Baselined, the tree passes; a second make in a
-// function whose first is baselined fails on the count; a removed allocation
-// leaves a stale entry, which fails too.
+// allocates or stores into a map, and only those; a non-escaping &T{} or
+// closure stays on the stack and must pass.  Baselined, the tree passes; a
+// second make in a function whose first is baselined fails on the count; a
+// removed allocation leaves a stale entry, which fails too.
 func TestEscapeGateSyntheticEscape(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) {
@@ -101,6 +101,11 @@ func Stack(a, b int) int {
 
 var sink []byte
 
+var seen = map[int]bool{}
+
+//oasis:hotpath
+func Store(k int) { seen[k] = true }
+
 `
 	write("go.mod", "module tmpesc\n\ngo 1.24\n")
 	write("hot.go", header+`//oasis:hotpath
@@ -114,6 +119,7 @@ func Grow(n int) { sink = make([]byte, n) }
 		"Fresh runtime.growslice",
 		"Print fmt.Sprint",
 		"Grow runtime.makeslice",
+		"Store runtime.mapassign_fast64",
 	} {
 		if d, ok := drift[want]; !ok || d.Count == 0 || d.Baseline != 0 {
 			t.Errorf("%s not flagged against an empty baseline; drift=%v", want, drift)

@@ -78,6 +78,11 @@ type EdgeLabel interface {
 // parent node from the depth of the incident node"), so traversal methods
 // take the parent's path depth as an argument; OASIS always traverses
 // top-down and therefore always knows it.
+//
+// A search passes the same two callbacks, bound once, to every call.  An
+// implementation must not retain a callback past the call that received it,
+// and should not allocate per child (reuse one label per call, as MemoryIndex
+// and the disk index do): the best-first loop allocates nothing per node.
 type Index interface {
 	// Root returns the reference of the root node.
 	Root() NodeRef

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/seq"
 	"repro/internal/suffixtree"
@@ -31,6 +32,8 @@ type MemoryIndex struct {
 	leafPos []int64
 	leafLo  []int32
 	leafHi  []int32
+	// labels recycles the edge label of each VisitChildren call.
+	labels sync.Pool
 }
 
 // NewMemoryIndex builds the adapter.  The tree must have been built over the
@@ -50,6 +53,7 @@ func NewMemoryIndex(tree *suffixtree.Tree, db *seq.Database) (*MemoryIndex, erro
 		leafLo:  make([]int32, tree.NumNodes()),
 		leafHi:  make([]int32, tree.NumNodes()),
 	}
+	m.labels.New = func() any { return &ByteLabel{} }
 	m.fillLeafRanges()
 	return m, nil
 }
@@ -122,7 +126,11 @@ func (m *MemoryIndex) resolve(ref NodeRef) (suffixtree.NodeID, error) {
 	return id, nil
 }
 
-// VisitChildren implements Index.
+// VisitChildren implements Index.  One label from m.labels serves every
+// child (the interface contract only guarantees a label within its callback),
+// and each child's node record is read once.
+//
+//oasis:hotpath
 func (m *MemoryIndex) VisitChildren(ref NodeRef, parentDepth int, fn func(child NodeRef, label EdgeLabel) error) error {
 	id, err := m.resolve(ref)
 	if err != nil {
@@ -131,26 +139,23 @@ func (m *MemoryIndex) VisitChildren(ref NodeRef, parentDepth int, fn func(child 
 	if ref.IsLeaf() {
 		return nil // leaves have no children
 	}
-	// One label wrapper is reused for every child: converting a pointer to
-	// the EdgeLabel interface does not allocate, and the interface contract
-	// only guarantees validity within the callback.
-	label := &ByteLabel{}
-	var visitErr error
-	m.tree.VisitEdges(id, func(c suffixtree.NodeID, edge []byte, suffixStart int64) bool {
-		var childRef NodeRef
+	label := m.labels.Get().(*ByteLabel)
+	var suffixStart int64
+	for c, next := m.tree.FirstChild(id), suffixtree.NoNode; c != suffixtree.NoNode && err == nil; c = next {
+		label.B, suffixStart, next = m.tree.Edge(c)
+		child := InternalRef(int64(c))
 		if suffixStart >= 0 {
-			childRef = LeafRef(suffixStart)
-		} else {
-			childRef = InternalRef(int64(c))
+			child = LeafRef(suffixStart)
 		}
-		label.B = edge
-		visitErr = fn(childRef, label)
-		return visitErr == nil
-	})
-	return visitErr
+		err = fn(child, label)
+	}
+	m.labels.Put(label)
+	return err
 }
 
 // LeafPositions implements Index.
+//
+//oasis:hotpath
 func (m *MemoryIndex) LeafPositions(ref NodeRef, fn func(pos int64) bool) error {
 	id, err := m.resolve(ref)
 	if err != nil {

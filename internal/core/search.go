@@ -154,12 +154,7 @@ func (s *Stats) Add(other Stats) {
 // false, when MaxResults sequences have been reported, or when the priority
 // queue is exhausted.
 func Search(idx Index, query []byte, opts Options, report func(Hit) bool) error {
-	s, err := newSearcher(idx, query, opts)
-	if err != nil {
-		return err
-	}
-	defer s.release()
-	return s.runFromRoot(report)
+	return SearchStream(idx, query, opts, report, nil)
 }
 
 // SearchStream is Search with a frontier hook: frontier is invoked with the
@@ -248,6 +243,16 @@ type searcher struct {
 	// way; no search sets it — it is the oracle this package's live-band
 	// tests compare the band against.
 	full bool
+	// childFn and leafFn are s.visitChild and s.visitLeaf, bound once per
+	// search so the loop hands the index no new closure per node; the fields
+	// after them are those callbacks' per-call state.
+	childFn  func(child NodeRef, label EdgeLabel) error
+	leafFn   func(pos int64) bool
+	parentID int32          // the viable node being expanded
+	accID    int32          // the accepted node being reported
+	report   func(Hit) bool // run's hit callback
+	accDone  bool           // the leaf walk finished the search
+	accErr   error          // the leaf walk failed
 }
 
 func newSearcher(idx Index, query []byte, opts Options) (*searcher, error) {
@@ -310,27 +315,20 @@ func newSearcher(idx Index, query []byte, opts Options) (*searcher, error) {
 
 		pollCountdown: cancelPollColumns,
 	}
+	s.childFn, s.leafFn = s.visitChild, s.visitLeaf
 	// When even h[0] cannot reach MinScore nothing is ever pushed and the
 	// queue has no lanes.
 	s.bq.init(opts.MinScore, sc.h[0])
 	return s, nil
 }
 
-// queuePop removes and returns the highest-priority entry, if any.
-//
-//oasis:hotpath
-func (s *searcher) queuePop() (heapEnt, bool) {
-	if s.bq.size == 0 {
-		return heapEnt{}, false
-	}
-	id, f, accepted := s.bq.pop()
-	return heapEnt{key: heapKey(f, accepted), id: id}, true
-}
-
-// release hands the searcher's (possibly reallocated) buffers back to the
-// scratch so the next search over it starts warm.  Safe to call exactly once,
-// on every exit path of Search/SearchStream.
+// release hands the searcher's buffers, queued nodes' bands included, back to
+// the scratch so the next search over it starts warm.  Safe to call exactly
+// once, on every exit path of Search/SearchStream.
 func (s *searcher) release() {
+	for _, b := range s.nodes.band {
+		s.recycleBand(b)
+	}
 	sc := s.sc
 	sc.prevBuf = s.prevBuf
 	sc.curBuf = s.curBuf
@@ -403,17 +401,6 @@ func (s *searcher) releaseViable(id int32) {
 	ns.free = append(ns.free, id)
 }
 
-// recycleEnt recycles whichever store a popped entry references.
-//
-//oasis:hotpath
-func (s *searcher) recycleEnt(e heapEnt) {
-	if e.accepted() {
-		s.acc.release(e.id)
-	} else {
-		s.releaseViable(e.id)
-	}
-}
-
 // HeuristicVector computes the paper's admissible heuristic: H[i] is an
 // upper bound on the score of aligning the query remainder Q[i+1..m] against
 // any target (the suffix sum of each remaining symbol's best possible
@@ -451,8 +438,12 @@ func (s *searcher) runFromRoot(report func(Hit) bool) error {
 }
 
 // run executes the main best-first loop (paper Algorithm 1) over whatever
-// nodes have been pushed (plus whatever the claim hook hands out).
+// nodes have been pushed (plus whatever the claim hook hands out).  Once the
+// queue and band free lists are warm it allocates nothing per node.
+//
+//oasis:hotpath
 func (s *searcher) run(report func(Hit) bool) error {
+	s.report = report
 	for {
 		if s.claim != nil {
 			topF := s.bq.topF()
@@ -465,44 +456,43 @@ func (s *searcher) run(report func(Hit) bool) error {
 				topF = s.bq.topF()
 			}
 		}
-		e, ok := s.queuePop()
-		if !ok {
+		if s.bq.size == 0 {
 			return nil
 		}
-		if s.frontier != nil && !s.frontier(e.f()) {
-			s.recycleEnt(e)
-			return nil
+		id, f, accepted := s.bq.pop()
+		if s.frontier != nil && !s.frontier(f) {
+			return nil // release recycles the popped node's band with the rest
 		}
-		if e.accepted() {
-			done, err := s.reportAccepted(e.id, report)
-			s.acc.release(e.id)
-			if err != nil {
+		if accepted {
+			done, err := s.reportAccepted(id)
+			s.acc.release(id)
+			if done || err != nil {
 				return err
-			}
-			if done {
-				return nil
 			}
 			continue
 		}
 		// Viable: expand every child of the corresponding suffix-tree node.
 		s.stats.NodesExpanded++
-		id := e.id
-		err := s.idx.VisitChildren(s.nodes.ref[id], int(s.nodes.depth[id]), func(child NodeRef, label EdgeLabel) error {
-			r, err := s.expand(id, child, label)
-			if err != nil {
-				return err
-			}
-			if r.ok {
-				s.push(r.f, r.accepted, r.id)
-			}
-			return nil
-		})
+		s.parentID = id
+		err := s.idx.VisitChildren(s.nodes.ref[id], int(s.nodes.depth[id]), s.childFn)
 		// The popped node (and its column vector) is no longer needed.
 		s.releaseViable(id)
 		if err != nil {
 			return err
 		}
 	}
+}
+
+// visitChild is the VisitChildren callback (s.childFn): it expands one child
+// of the node s.parentID and queues the child unless it is unviable.
+//
+//oasis:hotpath
+func (s *searcher) visitChild(child NodeRef, label EdgeLabel) error {
+	r, err := s.expand(s.parentID, child, label)
+	if r.ok {
+		s.push(r.f, r.accepted, r.id)
+	}
+	return err
 }
 
 // rootNode builds the initial search node (paper Algorithm 2): the score
@@ -619,6 +609,8 @@ func (s *searcher) storeViable(child NodeRef, depth int32, plo, phi int, band []
 // processes a whole edge-label chunk per call (capped to the cancellation
 // poll interval when a context is set), so the per-column loop runs inside
 // the kernel instead of re-crossing the call boundary every symbol.
+//
+//oasis:hotpath
 func (s *searcher) expandFast(parentID int32, child NodeRef, label EdgeLabel) (expandResult, error) {
 	m := len(s.query)
 	gap := int32(s.opts.Scheme.Gap)
@@ -833,58 +825,52 @@ func (s *searcher) recordColumns(columns int, cells int64) {
 // leaf below the accepted node id.  It returns true when the search is
 // finished (callback cancelled, MaxResults reached, or every sequence
 // reported).
-func (s *searcher) reportAccepted(id int32, report func(Hit) bool) (bool, error) {
-	ref := s.acc.ref[id]
-	nScore := int(s.acc.score[id])
-	nQEnd := int(s.acc.qEnd[id])
-	nPDep := int(s.acc.pDep[id])
-	done := false
-	var walkErr error
-	err := s.idx.LeafPositions(ref, func(pos int64) bool {
-		seqIdx, local, err := s.cat.Locate(pos)
-		if err != nil {
-			walkErr = err
-			return false
-		}
-		if s.reported[seqIdx] {
-			return true
-		}
-		s.reported[seqIdx] = true
-		s.sc.touched = append(s.sc.touched, seqIdx)
-		s.nHits++
-		s.stats.SequencesReported++
-		hit := Hit{
-			SeqIndex:  seqIdx,
-			SeqID:     s.cat.SequenceID(seqIdx),
-			Score:     nScore,
-			QueryEnd:  nQEnd,
-			TargetEnd: int(local) + nPDep,
-			Rank:      s.nHits,
-		}
-		if hit.TargetEnd > s.cat.SequenceLength(seqIdx) {
-			hit.TargetEnd = s.cat.SequenceLength(seqIdx)
-		}
-		if s.opts.KA != nil {
-			hit.EValue = s.opts.KA.EValue(hit.Score, len(s.query), s.cat.TotalResidues())
-		}
-		if !report(hit) {
-			done = true
-			return false
-		}
-		if s.opts.MaxResults > 0 && s.nHits >= s.opts.MaxResults {
-			done = true
-			return false
-		}
-		if s.nHits >= s.cat.NumSequences() {
-			done = true
-			return false
-		}
-		return true
-	})
-	if walkErr != nil {
-		return false, walkErr
+//
+//oasis:hotpath
+func (s *searcher) reportAccepted(id int32) (bool, error) {
+	s.accID, s.accDone, s.accErr = id, false, nil
+	if err := s.idx.LeafPositions(s.acc.ref[id], s.leafFn); err != nil {
+		return false, err
 	}
-	return done, err
+	return s.accDone, s.accErr
+}
+
+// visitLeaf is reportAccepted's LeafPositions callback (s.leafFn): it reports
+// pos's sequence unless already reported, and stops the walk once it has set
+// s.accDone or s.accErr.
+//
+//oasis:hotpath
+func (s *searcher) visitLeaf(pos int64) bool {
+	seqIdx, local, err := s.cat.Locate(pos)
+	if err != nil {
+		s.accErr = err
+		return false
+	}
+	if s.reported[seqIdx] {
+		return true
+	}
+	s.reported[seqIdx] = true
+	s.sc.touched = append(s.sc.touched, seqIdx)
+	s.nHits++
+	s.stats.SequencesReported++
+	hit := Hit{
+		SeqIndex:  seqIdx,
+		SeqID:     s.cat.SequenceID(seqIdx),
+		Score:     int(s.acc.score[s.accID]),
+		QueryEnd:  int(s.acc.qEnd[s.accID]),
+		TargetEnd: min(int(local)+int(s.acc.pDep[s.accID]), s.cat.SequenceLength(seqIdx)),
+		Rank:      s.nHits,
+	}
+	if s.opts.KA != nil {
+		hit.EValue = s.opts.KA.EValue(hit.Score, len(s.query), s.cat.TotalResidues())
+	}
+	if !s.report(hit) ||
+		s.opts.MaxResults > 0 && s.nHits >= s.opts.MaxResults ||
+		s.nHits >= s.cat.NumSequences() {
+		s.accDone = true
+		return false
+	}
+	return true
 }
 
 func (s *searcher) push(f int, accepted bool, id int32) {

@@ -414,24 +414,6 @@ func TestBucketQueueOrdering(t *testing.T) {
 	}
 }
 
-func TestHeapKeyRoundTrip(t *testing.T) {
-	for _, f := range []int{negInf, negInf + 1, -1, 0, 1, 5, maxKernelScore} {
-		for _, acc := range []bool{false, true} {
-			e := heapEnt{key: heapKey(f, acc)}
-			if e.f() != f || e.accepted() != acc {
-				t.Fatalf("round trip (%d,%v) -> (%d,%v)", f, acc, e.f(), e.accepted())
-			}
-		}
-	}
-	// Accepted wins at equal f but never outranks a higher f.
-	if heapKey(9, true) <= heapKey(9, false) {
-		t.Fatal("accepted should outrank viable at equal f")
-	}
-	if heapKey(9, true) >= heapKey(10, false) {
-		t.Fatal("higher f must outrank the accepted bit")
-	}
-}
-
 // TestLongQueryWideScoreRange drives Search with a query whose f domain
 // [MinScore, h[0]] is wider than 65,536 values — the point where searches
 // used to leave the bucket queue for a separate heap, and a length the servers

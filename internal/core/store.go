@@ -67,9 +67,9 @@ func (ns *nodeStore) alloc() int32 {
 }
 
 // reset prepares the store for a new search.  Band slices still referenced by
-// entries of an early-terminated search are dropped to the GC (exactly like
-// the old pointer nodes left in the abandoned heap); bands of fully processed
-// nodes were already recycled to the scratch free lists.
+// entries of an early-terminated search are dropped to the GC past what the
+// scratch free lists keep (searcher.release recycles them first); bands of
+// fully processed nodes were already recycled.
 func (ns *nodeStore) reset() {
 	ns.ref = ns.ref[:0]
 	ns.depth = ns.depth[:0]
@@ -127,33 +127,6 @@ func (as *accStore) reset() {
 	as.pDep = as.pDep[:0]
 	as.free = as.free[:0]
 }
-
-// heapEnt is one popped priority-queue entry: value state instead of a
-// pointer into a node struct.  key packs the queue's ordering:
-//
-//	key = uint64(f - negInf) << 1 | acceptedBit
-//
-// Larger key = higher priority (higher f; accepted before viable at equal f,
-// matching the original nodeLess).  id indexes the accStore when the
-// accepted bit is set, the nodeStore otherwise.
-type heapEnt struct {
-	key uint64
-	id  int32
-}
-
-func heapKey(f int, accepted bool) uint64 {
-	k := uint64(f-negInf) << 1
-	if accepted {
-		k |= 1
-	}
-	return k
-}
-
-// f recovers the node's priority bound from the packed key.
-func (e heapEnt) f() int { return int(e.key>>1) + negInf }
-
-// accepted reports whether the entry references the accStore.
-func (e heapEnt) accepted() bool { return e.key&1 != 0 }
 
 // bucketQueue is the search's priority queue.  Every pushed node has f in
 // [minScore, h[0]], and h[0] is bounded by query length times the best

@@ -78,7 +78,7 @@ type edge struct {
 // TestLayoutMatchesTree holds the on-disk layout to the suffix tree it was
 // written from, node by node, on protein and DNA databases that include
 // 1-residue sequences and a repeat-heavy one: VisitChildren yields exactly
-// VisitEdges's children — kind, leaf position or path label, full edge label —
+// the tree's children — kind, leaf position or path label, full edge label —
 // reordered as documented (leaf children ascending by position, then internal
 // children in sibling order); and LeafPositions of every internal node is the
 // memory index's set and stops when told to.
@@ -135,15 +135,16 @@ func TestLayoutMatchesTree(t *testing.T) {
 				}
 				var leaves, internal []edge
 				var treeKids []suffixtree.NodeID
-				tree.VisitEdges(n, func(c suffixtree.NodeID, label []byte, suffixStart int64) bool {
+				for c := tree.FirstChild(n); c != suffixtree.NoNode; {
+					label, suffixStart, next := tree.Edge(c)
 					if suffixStart >= 0 {
 						leaves = append(leaves, edge{suffixStart, string(label)})
 					} else {
 						internal = append(internal, edge{-1, string(label)})
 						treeKids = append(treeKids, c)
 					}
-					return true
-				})
+					c = next
+				}
 				slices.SortFunc(leaves, func(a, b edge) int { return int(a.leafPos - b.leafPos) })
 				want := append(leaves, internal...)
 

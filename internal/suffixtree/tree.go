@@ -131,21 +131,13 @@ func (t *Tree) PathLabel(n NodeID) []byte {
 	return out
 }
 
-// VisitEdges iterates the children of n in sibling order, calling fn with
-// each child's id, incoming edge label and suffix start (-1 for internal
-// children, >= 0 exactly for leaves).  Unlike chaining the FirstChild /
-// NextSibling / IsLeaf / EdgeLabel / SuffixStart accessors it fetches each
-// child's node record once, which matters to traversals that touch millions
-// of (randomly laid out) children.  Iteration stops when fn returns false.
-func (t *Tree) VisitEdges(n NodeID, fn func(child NodeID, label []byte, suffixStart int64) bool) {
-	c := t.nodes[n].firstChild
-	for c != NoNode {
-		nd := &t.nodes[c]
-		if !fn(c, t.text[nd.start:nd.end], nd.suffixStart) {
-			return
-		}
-		c = nd.nextSibling
-	}
+// Edge returns the incoming edge label of n, its suffix start (-1 for an
+// internal node, >= 0 exactly for a leaf) and its next sibling (NoNode for
+// the last) from one fetch of n's node record: a child walk that touches
+// millions of randomly laid out children reads each record once.
+func (t *Tree) Edge(n NodeID) (label []byte, suffixStart int64, nextSibling NodeID) {
+	nd := &t.nodes[n]
+	return t.text[nd.start:nd.end], nd.suffixStart, nd.nextSibling
 }
 
 // LeafPositions calls fn with the suffix start position of every leaf in the
@@ -358,8 +350,8 @@ func (t *Tree) sortChildren() {
 // relayout renumbers the nodes so every sibling family occupies consecutive
 // ids, in depth-first family order.  Construction order (Ukkonen's in
 // particular) scatters siblings across the node array, which turns every
-// child-list walk into a chain of random fetches; after relayout VisitEdges
-// and the child scans of the OASIS search walk sequential memory.  The
+// child-list walk into a chain of random fetches; after relayout the Edge
+// walks and the child scans of the OASIS search walk sequential memory.  The
 // renumbering is fully determined by the (already sorted) tree structure, so
 // the two builders still produce identical trees.
 func (t *Tree) relayout() {
