@@ -86,11 +86,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("index: %s (%d shards)\n", *outPath, manifest.Shards)
+	fmt.Printf("index: %s (%d shards)\n", *outPath, len(manifest.Shards))
 	var total int64
 	for i, st := range stats {
 		fmt.Printf("  %-16s %d internal nodes, %d leaves, %d bytes (%.2f bytes per symbol)\n",
-			manifest.ShardFiles[i], st.NumInternal, st.NumLeaves, st.FileBytes, st.BytesPerSymbol)
+			manifest.Shards[i].File, st.NumInternal, st.NumLeaves, st.FileBytes, st.BytesPerSymbol)
 		total += st.FileBytes
 	}
 	fmt.Printf("  total:           %d bytes; serve with -index-dir %s\n", total, *outPath)

@@ -33,29 +33,15 @@ func (p *scriptedProvider) Stream(_ []byte, opts core.Options, hit func(core.Hit
 	return p.run(opts.Context, hit, bound)
 }
 
-// scriptedCatalog describes the slice a scriptedProvider pretends to hold.
-type scriptedCatalog struct{ sequences int }
-
-func (c scriptedCatalog) Alphabet() *seq.Alphabet { return seq.Protein }
-func (c scriptedCatalog) NumSequences() int       { return c.sequences }
-func (c scriptedCatalog) SequenceID(int) string   { return "" }
-func (c scriptedCatalog) SequenceLength(int) int  { return 0 }
-func (c scriptedCatalog) TotalResidues() int64    { return int64(c.sequences) * 100 }
-func (c scriptedCatalog) Locate(int64) (int, int64, error) {
-	return 0, 0, fmt.Errorf("scripted catalog holds no residues")
-}
-func (c scriptedCatalog) Residues(int) ([]byte, error) {
-	return nil, fmt.Errorf("scripted catalog holds no residues")
-}
-
 // scriptedTopology serves one scripted slice from a shard server and fronts it
 // with a coordinator-mode server: both wire hops over real loopback HTTP.
 func scriptedTopology(t *testing.T, p *scriptedProvider) (rs *remote.Server, shardURL, frontURL string) {
 	t.Helper()
 	p.done = make(chan struct{}, 8) // roomy: never blocks a stream's return
 	eng, err := shard.NewEngineFromProviders(shard.ProviderSet{
+		Alphabet:  seq.Protein,
 		Providers: []shard.Provider{p},
-		Catalog:   scriptedCatalog{sequences: 1000},
+		Parts:     []shard.Part{{Sequences: 1000, Residues: 100_000}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,9 +12,11 @@
 //     order
 //     (internal/shard), so the paper's online property — and therefore
 //     streaming top-k and early termination — survives sharding.  Shards
-//     split the database into independently indexed, sequence-disjoint
-//     parts (internal/seq.PartitionDatabase, balanced by residue count),
-//     on disk and in memory alike.  internal/shard can also partition one
+//     cut the database into independently indexed, contiguous runs of
+//     sequences (internal/seq.PartitionDatabase, balanced by residue count),
+//     on disk and in memory alike; shards, delta layers and coordinator
+//     slices are all such runs, each placed in the global numbering by one
+//     offset.  internal/shard can also partition one
 //     shared suffix tree by suffix prefix (shard.Options.Partition), which
 //     computes the near-root DP columns once per query; the benchmark still
 //     measures it, but no command, engine option or index directory offers

@@ -34,17 +34,13 @@ type Dir struct {
 	path      string
 	poolBytes int64
 	// Indexes[s] is base shard s's read handle, nil for a shard quarantined at
-	// open, and Globals[s] maps its local sequence indexes to global ones.
+	// open, and Shards[s] its manifest record: its counts place the shard in
+	// the global numbering, quarantined or not.
 	Indexes []*Index
-	Globals [][]int
+	Shards  []Part
 	// Quarantined lists the shards whose files failed to open under
 	// allowDegraded; every search over the directory is degraded by them.
 	Quarantined []core.ShardError
-	// NumSequences and TotalResidues are the base corpus's totals as the
-	// manifest records them: delta layers are numbered after this count even
-	// when quarantined shards make the open files cover less.
-	NumSequences  int
-	TotalResidues int64
 
 	// gen is the generation the directory is at.  Commit replaces it whole and
 	// never modifies one in place, so readers can run beside it; no handle is
@@ -64,31 +60,34 @@ type generation struct {
 // DefaultPoolBytesPerShard; a small file gets a proportionally small pool).
 // Opening never changes the directory.
 //
+// Every file is checked against its own manifest record (sequence and
+// residue counts) as it opens, so a file swapped, replaced or rebuilt behind
+// the manifest's back never serves under another file's global numbers.
+//
 // allowDegraded opens the directory even when some base shard files fail to
-// open (corrupt, truncated, missing): those shards are quarantined and
-// searches complete from the survivors with Degraded set.  Opening still
-// fails when every shard is unusable, and for a delta layer: its sequences
-// are in no other file.
+// open (corrupt, truncated, missing, not what their record says): those
+// shards are quarantined and searches complete from the survivors with
+// Degraded set.  Opening still fails when every shard is unusable, and for a
+// delta layer: its sequences are in no other file.
 func OpenDir(path string, poolBytes int64, allowDegraded bool) (*Dir, error) {
 	m, err := ReadManifest(path)
 	if err != nil {
 		return nil, err
 	}
-	d := &Dir{path: path, poolBytes: poolBytes, Globals: m.GlobalIndex,
-		NumSequences: m.NumSequences, TotalResidues: m.TotalResidues}
+	d := &Dir{path: path, poolBytes: poolBytes, Shards: m.Shards}
 	gen := &generation{m: m} // extended in place below, before anyone shares d
 	d.gen.Store(gen)
 	fail := func(err error) (*Dir, error) {
 		d.Close()
 		return nil, err
 	}
-	for i, name := range m.ShardFiles {
-		idx, err := m.openFile(path, name, poolBytes)
+	for i, p := range m.Shards {
+		idx, err := m.openFile(path, p, poolBytes)
 		if err != nil {
-			err = fmt.Errorf("diskst: opening shard %d (%s): %w", i, name, err)
+			err = fmt.Errorf("diskst: opening shard %d (%s): %w", i, p.File, err)
 			// Each shard's file is independent, so a bad shard can be
 			// quarantined and the rest served.
-			if allowDegraded && m.Shards > 1 {
+			if allowDegraded && len(m.Shards) > 1 {
 				d.Indexes = append(d.Indexes, nil)
 				d.Quarantined = append(d.Quarantined, core.ShardError{Shard: i, Err: err.Error()})
 				continue
@@ -97,27 +96,13 @@ func OpenDir(path string, poolBytes int64, allowDegraded bool) (*Dir, error) {
 		}
 		d.Indexes = append(d.Indexes, idx)
 	}
-	if len(d.Quarantined) == m.Shards {
+	if len(d.Quarantined) == len(m.Shards) {
 		return fail(fmt.Errorf("diskst: every shard of %s failed to open; first: %s", path, d.Quarantined[0].Err))
 	}
-	// Cross-check the manifest's totals against the shard files it names
-	// (meaningless when shards are quarantined: survivors cover less).
-	if len(d.Quarantined) == 0 {
-		var total int64
-		numSeqs := 0
-		for _, idx := range d.Indexes {
-			total += idx.Catalog().TotalResidues()
-			numSeqs += idx.Catalog().NumSequences()
-		}
-		if total != m.TotalResidues || numSeqs != m.NumSequences {
-			return fail(fmt.Errorf("diskst: shard files hold %d sequences / %d residues, manifest says %d / %d",
-				numSeqs, total, m.NumSequences, m.TotalResidues))
-		}
-	}
-	for _, rec := range m.Deltas {
-		idx, err := m.openFile(path, rec.File, poolBytes)
+	for _, p := range m.Deltas {
+		idx, err := m.openFile(path, p, poolBytes)
 		if err != nil {
-			return fail(fmt.Errorf("diskst: opening delta layer %s: %w", rec.File, err))
+			return fail(fmt.Errorf("diskst: opening delta layer %s: %w", p.File, err))
 		}
 		gen.deltas = append(gen.deltas, idx)
 	}
@@ -148,11 +133,12 @@ func sweep(dir string, m *Manifest) {
 	}
 }
 
-// openFile opens one index file the manifest names (a base shard file or a
-// compacted delta) relative to dir, through a fresh buffer pool of up to
-// poolBytes, cross-checking the file's alphabet and block size against the
-// manifest.
-func (m *Manifest) openFile(dir, name string, poolBytes int64) (*Index, error) {
+// openFile opens the index file of p (a base shard or a compacted delta)
+// relative to dir, through a fresh buffer pool of up to poolBytes,
+// cross-checking the file's alphabet and block size against the manifest and
+// its sequence and residue counts against p.
+func (m *Manifest) openFile(dir string, p Part, poolBytes int64) (*Index, error) {
+	name := p.File
 	if poolBytes <= 0 {
 		poolBytes = DefaultPoolBytesPerShard
 	}
@@ -184,6 +170,11 @@ func (m *Manifest) openFile(dir, name string, poolBytes int64) (*Index, error) {
 		idx.Close()
 		return nil, fmt.Errorf("file block size %d, manifest says %d", idx.BlockSize(), m.BlockSize)
 	}
+	if cat := idx.Catalog(); cat.NumSequences() != p.Sequences || cat.TotalResidues() != p.Residues {
+		idx.Close()
+		return nil, fmt.Errorf("file holds %d sequences / %d residues, manifest says %d / %d",
+			cat.NumSequences(), cat.TotalResidues(), p.Sequences, p.Residues)
+	}
 	return idx, nil
 }
 
@@ -192,11 +183,11 @@ func (m *Manifest) openFile(dir, name string, poolBytes int64) (*Index, error) {
 func (d *Dir) Generation() uint64 { return d.gen.Load().m.Generation }
 
 // Deltas returns the generation's delta layers in append order — ordinary
-// single-file indexes, one per compaction, whose sequences extend the global
-// numbering densely, in that order, after the base corpus — and Tombstones its
-// deleted global sequence indexes (base and delta alike; the sequences stay
-// physically present and search filters them), ascending.  Callers must not
-// modify either.
+// single-file indexes, one per compaction, each numbered on after the base
+// shards and the deltas before it — and Tombstones its deleted global
+// sequence indexes (base and delta alike; the sequences stay physically
+// present and search filters them), ascending.  Callers must not modify
+// either.
 func (d *Dir) Deltas() []*Index  { return d.gen.Load().deltas }
 func (d *Dir) Tombstones() []int { return d.gen.Load().m.Tombstones }
 
@@ -260,21 +251,14 @@ func (d *Dir) Commit(gen uint64, tree *suffixtree.Tree, tombstones []int) (idx *
 		if err = step("rename", name); err != nil {
 			return nil, err
 		}
-		if idx, err = m.openFile(d.path, name, d.poolBytes); err != nil {
+		p := Part{File: name, Sequences: tree.DB().NumSequences(), Residues: tree.DB().TotalResidues()}
+		if idx, err = m.openFile(d.path, p, d.poolBytes); err != nil {
 			return nil, fmt.Errorf("diskst: reopening delta %s: %w", name, err)
 		}
 		if err = step("open", name); err != nil {
 			return nil, err
 		}
-		first := m.NumSequences
-		for _, rec := range m.Deltas {
-			first += len(rec.GlobalIndex)
-		}
-		globals := make([]int, tree.DB().NumSequences())
-		for i := range globals {
-			globals[i] = first + i
-		}
-		m.Deltas = append(slices.Clip(m.Deltas), DeltaRecord{File: name, GlobalIndex: globals, Residues: tree.DB().TotalResidues()})
+		m.Deltas = append(slices.Clip(m.Deltas), p)
 		next.deltas = append(slices.Clip(next.deltas), idx)
 	}
 	made = append(made, ManifestName+tmpSuffix)

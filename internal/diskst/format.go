@@ -129,30 +129,32 @@
 // buffer pool so shard parallelism also parallelises page I/O):
 //
 //	{
-//	  "version": 3,               // the only version read (1 and 2 could
-//	                              // only name index files Open refuses)
+//	  "version": 4,               // the only version read (1 and 2 could
+//	                              // only name index files Open refuses; 3
+//	                              // mapped every sequence one by one)
 //	  "partition": "sequence",       // the only mode; "prefix", written by
 //	                                 // older builds, is refused with the
 //	                                 // remedy (oasis-build -shards N)
-//	  "shards": 4,
 //	  "alphabet": "protein" | "dna",
 //	  "block_size": 2048,
-//	  "num_sequences": 117,          // the BASE shard files only, so the
-//	  "total_residues": 29076,       // open-time cross-check stays exact
-//	  // one file per shard over a disjoint sequence subset, with shard-local
-//	  // -> global index maps
-//	  "shard_files": ["shard-0.oasis", ...],
-//	  "global_index": [[0,3,9,...], ...],
+//	  // one file per shard, each a contiguous run of global sequence
+//	  // indexes, in global order; the counts are checked against the file
+//	  "shards": [{"file": "shard-0.oasis", "sequences": 30, "residues": 7311}, ...],
 //	  // the generation (all optional; absent on a freshly built index):
 //	  "generation": 7,               // the number of the last Commit
-//	  "deltas": [                    // compacted delta indexes, oldest first
-//	    {"file": "delta-000007.oasis",
-//	     "global_index": [117, 118], // dense append order: global indexes
-//	                                 // continue after base + earlier deltas
+//	  "deltas": [                    // compacted delta indexes, oldest first,
+//	    {"file": "delta-000007.oasis", // numbered on after the shards and
+//	     "sequences": 2,               // the earlier deltas
 //	     "residues": 451}
 //	  ],
 //	  "tombstones": [3, 118]         // deleted global sequence indexes
 //	}
+//
+// Every file, base shard or delta, is the same kind of record, and its place
+// in the global numbering is its position: a file's first sequence has the
+// global index that is the sum of the sequence counts of the files before it.
+// The manifest's size therefore grows with the number of files and
+// tombstones, never with the number of sequences.
 //
 // File names are bare names resolved relative to the manifest's directory,
 // so an index directory can be moved or mounted anywhere.
@@ -164,8 +166,8 @@
 // change.  Inserted sequences live in the engine's memory until a compaction
 // writes their suffix tree, the one searches read, as one more ordinary
 // single-file index, "delta-<gen>.oasis", whose sequences continue the global
-// numbering densely where the base and the earlier deltas left off (Validate
-// enforces it, which keeps merged result streams deterministic across
+// numbering where the base and the earlier deltas left off (the record's
+// position says so, which keeps merged result streams deterministic across
 // restarts); deleted sequences stay in their files and are listed as
 // tombstones, which search filters in the merge.
 // One type owns all of it — Dir: OpenDir opens a generation, Commit writes

@@ -15,70 +15,71 @@ import (
 const ManifestName = "manifest.json"
 
 // ManifestVersion is the one manifest schema version this package writes and
-// reads: 3, which carries the mutable layer's bookkeeping — a generation
-// number, compacted delta index files and per-sequence tombstones.  Versions 1
-// and 2 can only name index files of format 2 or older, which Open refuses, so
-// Validate refuses them too.
-const ManifestVersion = 3
+// reads: 4, in which every index file — base shard or compacted delta — is
+// one Part record placed in the global sequence numbering by its position
+// alone.  Versions 1 and 2 can only name index files of format 2 or older,
+// which Open refuses; version 3 mapped every sequence to its global index one
+// by one.  Validate refuses all three, naming the rebuild.
+const ManifestVersion = 4
 
 // PartitionSequence is the one partition mode a manifest may name: independent
-// per-shard indexes over disjoint sequence subsets.  Older builds could also
+// per-shard indexes over disjoint sequence runs.  Older builds could also
 // write "prefix" (one shared index file, disjoint top-level subtrees per
 // shard); Validate refuses such a directory, naming the rebuild.
 const PartitionSequence = "sequence"
 
-// Manifest describes a sharded on-disk index: which files hold which shards,
-// how the logical database was partitioned, and the metadata a serving
-// process needs to reassemble one logical index from the parts (see the
-// package comment in format.go for the schema).
+// Manifest describes a sharded on-disk index: which files hold which parts of
+// the corpus and the metadata a serving process needs to reassemble one
+// logical index from them (see the package comment in format.go for the
+// schema).  The corpus is the base shards followed by the deltas, in order:
+// each file holds a contiguous run of global sequence indexes starting at the
+// sum of the sequence counts of the files before it.
 type Manifest struct {
 	// Version is the manifest schema version (ManifestVersion).
 	Version int `json:"version"`
 	// Partition is PartitionSequence.
 	Partition string `json:"partition"`
-	// Shards is the number of work partitions.
-	Shards int `json:"shards"`
 	// Alphabet is "protein" or "dna".
 	Alphabet string `json:"alphabet"`
-	// BlockSize is the block size every shard file was written with.
+	// BlockSize is the block size every index file was written with.
 	BlockSize int `json:"block_size"`
-	// NumSequences / TotalResidues describe the whole logical database.
-	NumSequences  int   `json:"num_sequences"`
-	TotalResidues int64 `json:"total_residues"`
-	// ShardFiles are the index file names, one per shard, relative to the
-	// manifest's directory.
-	ShardFiles []string `json:"shard_files"`
-	// GlobalIndex maps shard-local sequence indexes back to global ones:
-	// GlobalIndex[s][i] is the global index of shard s's i-th sequence.
-	GlobalIndex [][]int `json:"global_index,omitempty"`
+	// Shards are the base index files, one per work partition, in global
+	// order.
+	Shards []Part `json:"shards"`
 	// Generation numbers this manifest within the directory's lifetime.
 	// Every compaction writes a new manifest with a higher generation and
 	// swaps it in atomically; readers pin the generation they opened.
 	Generation uint64 `json:"generation,omitempty"`
 	// Deltas lists compacted delta index files, in the order they were
 	// compacted.  Each is an ordinary single-shard index file over the
-	// sequences inserted since the previous compaction; its global sequence
-	// indexes continue AFTER the base corpus and earlier deltas.
-	// NumSequences/TotalResidues above keep describing the BASE files only,
-	// so the open-time cross-check against the base shard files stays exact.
-	Deltas []DeltaRecord `json:"deltas,omitempty"`
+	// sequences inserted since the previous compaction, numbered on after
+	// the base shards and earlier deltas.
+	Deltas []Part `json:"deltas,omitempty"`
 	// Tombstones lists deleted global sequence indexes, covering base
 	// and delta sequences alike.  Tombstoned sequences stay physically
 	// present in their files; search filters them in the merger.
 	Tombstones []int `json:"tombstones,omitempty"`
 }
 
-// DeltaRecord names one compacted delta index file within the manifest's
-// directory and maps its local sequence indexes into the global space.
-type DeltaRecord struct {
-	// File is the delta index file name, relative to the manifest directory.
-	File string `json:"file"`
-	// GlobalIndex[i] is the global sequence index of the file's i-th
-	// sequence.
-	GlobalIndex []int `json:"global_index"`
-	// Residues is the file's residue total (excluding terminators), so live
-	// corpus totals can be derived without opening every delta.
-	Residues int64 `json:"residues"`
+// Part is one index file of the directory and the counts the file must hold:
+// a run of Sequences sequences with Residues residues in total (terminators
+// excluded), checked against the file when it is opened.
+type Part struct {
+	// File is the index file name, relative to the manifest directory.
+	File      string `json:"file"`
+	Sequences int    `json:"sequences"`
+	Residues  int64  `json:"residues"`
+}
+
+// validate checks one record; what names it in an error.
+func (p Part) validate(what string) error {
+	if p.File == "" || filepath.IsAbs(p.File) || p.File != filepath.Base(p.File) {
+		return fmt.Errorf("diskst: manifest %s file %q must be a bare file name", what, p.File)
+	}
+	if p.Sequences < 1 || p.Residues < 0 {
+		return fmt.Errorf("diskst: manifest %s %s holds %d sequences / %d residues", what, p.File, p.Sequences, p.Residues)
+	}
+	return nil
 }
 
 // Validate checks the manifest's internal consistency.
@@ -86,8 +87,8 @@ func (m *Manifest) Validate() error {
 	if m.Version != ManifestVersion {
 		return fmt.Errorf("diskst: manifest version %d, this build reads only version %d: rebuild the index with oasis-build", m.Version, ManifestVersion)
 	}
-	if m.Shards < 1 {
-		return fmt.Errorf("diskst: manifest has %d shards", m.Shards)
+	if len(m.Shards) < 1 {
+		return fmt.Errorf("diskst: manifest has no shards")
 	}
 	if m.Alphabet != "protein" && m.Alphabet != "dna" {
 		return fmt.Errorf("diskst: unknown manifest alphabet %q", m.Alphabet)
@@ -95,36 +96,22 @@ func (m *Manifest) Validate() error {
 	switch m.Partition {
 	case PartitionSequence:
 	case "prefix":
-		return fmt.Errorf("diskst: manifest partition %q, this build serves sequence-partitioned directories only: rebuild the index with oasis-build -shards %d", m.Partition, m.Shards)
+		return fmt.Errorf("diskst: manifest partition %q, this build serves sequence-partitioned directories only: rebuild the index with oasis-build -shards %d", m.Partition, len(m.Shards))
 	default:
 		return fmt.Errorf("diskst: unknown manifest partition %q", m.Partition)
 	}
-	if len(m.ShardFiles) != m.Shards {
-		return fmt.Errorf("diskst: manifest lists %d shard files for %d shards", len(m.ShardFiles), m.Shards)
+	total := 0
+	for _, p := range m.Shards {
+		if err := p.validate("shard"); err != nil {
+			return err
+		}
+		total += p.Sequences
 	}
-	if len(m.GlobalIndex) != m.Shards {
-		return fmt.Errorf("diskst: manifest has %d global maps for %d shards", len(m.GlobalIndex), m.Shards)
-	}
-	for _, f := range m.ShardFiles {
-		if f == "" || filepath.IsAbs(f) || f != filepath.Base(f) {
-			return fmt.Errorf("diskst: manifest shard file %q must be a bare file name", f)
+	for _, p := range m.Deltas {
+		if err := p.validate("delta"); err != nil {
+			return err
 		}
-	}
-	total := m.NumSequences
-	for i, d := range m.Deltas {
-		if d.File == "" || filepath.IsAbs(d.File) || d.File != filepath.Base(d.File) {
-			return fmt.Errorf("diskst: manifest delta file %q must be a bare file name", d.File)
-		}
-		if len(d.GlobalIndex) == 0 {
-			return fmt.Errorf("diskst: delta %d (%s) has an empty global index", i, d.File)
-		}
-		for _, g := range d.GlobalIndex {
-			if g != total {
-				return fmt.Errorf("diskst: delta %d (%s) global index %d breaks the dense append order (want %d)",
-					i, d.File, g, total)
-			}
-			total++
-		}
+		total += p.Sequences
 	}
 	for _, tomb := range m.Tombstones {
 		if tomb < 0 || tomb >= total {
@@ -137,9 +124,9 @@ func (m *Manifest) Validate() error {
 // files lists the index files the manifest names: the base shard files, then
 // the deltas in append order.
 func (m *Manifest) files() []string {
-	files := slices.Clone(m.ShardFiles)
-	for _, d := range m.Deltas {
-		files = append(files, d.File)
+	var files []string
+	for _, p := range slices.Concat(m.Shards, m.Deltas) {
+		files = append(files, p.File)
 	}
 	return files
 }
@@ -194,6 +181,14 @@ func ReadManifest(dir string) (*Manifest, error) {
 	}
 	m := &Manifest{}
 	if err := json.Unmarshal(data, m); err != nil {
+		// An older schema need not parse as this one; what to do about it is
+		// what Validate says of its version.
+		var old struct {
+			Version int `json:"version"`
+		}
+		if json.Unmarshal(data, &old) == nil && old.Version != ManifestVersion {
+			return nil, (&Manifest{Version: old.Version}).Validate()
+		}
 		return nil, fmt.Errorf("diskst: parsing %s: %w", ManifestName, err)
 	}
 	if err := m.Validate(); err != nil {
@@ -210,11 +205,10 @@ type ShardedBuildOptions struct {
 	Shards int
 }
 
-// BuildSharded partitions db by sequence, writes the per-shard index files and
-// the manifest into dir (created if needed), and returns the manifest along
-// with one BuildStats per written file: shard-0.oasis .. shard-(N-1).oasis,
-// each an ordinary single-shard index over its disjoint sequence subset, and
-// the local -> global sequence maps.
+// BuildSharded cuts db into contiguous sequence runs, writes one index file
+// per run and the manifest into dir (created if needed), and returns the
+// manifest along with one BuildStats per written file: shard-0.oasis ..
+// shard-(N-1).oasis, each an ordinary single-shard index over its run.
 func BuildSharded(dir string, db *seq.Database, opts ShardedBuildOptions) (*Manifest, []BuildStats, error) {
 	if db == nil {
 		return nil, nil, fmt.Errorf("diskst: nil database")
@@ -233,29 +227,25 @@ func BuildSharded(dir string, db *seq.Database, opts ShardedBuildOptions) (*Mani
 	if db.Alphabet().Kind() == seq.KindDNA {
 		alphabet = "dna"
 	}
-	part, err := seq.PartitionDatabase(db, opts.Shards)
+	runs, err := seq.PartitionDatabase(db, opts.Shards)
 	if err != nil {
 		return nil, nil, err
 	}
 	m := &Manifest{
-		Version:       ManifestVersion,
-		Partition:     PartitionSequence,
-		Shards:        part.NumShards(),
-		Alphabet:      alphabet,
-		BlockSize:     blockSize,
-		NumSequences:  db.NumSequences(),
-		TotalResidues: db.TotalResidues(),
-		GlobalIndex:   part.GlobalIndex,
+		Version:   ManifestVersion,
+		Partition: PartitionSequence,
+		Alphabet:  alphabet,
+		BlockSize: blockSize,
 	}
 	var stats []BuildStats
-	for s, shardDB := range part.Shards {
+	for s, run := range runs {
 		name := fmt.Sprintf("shard-%d.oasis", s)
-		st, err := Build(filepath.Join(dir, name), shardDB, BuildOptions{BlockSize: blockSize})
+		st, err := Build(filepath.Join(dir, name), run, BuildOptions{BlockSize: blockSize})
 		if err != nil {
 			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		stats = append(stats, *st)
-		m.ShardFiles = append(m.ShardFiles, name)
+		m.Shards = append(m.Shards, Part{File: name, Sequences: run.NumSequences(), Residues: run.TotalResidues()})
 	}
 	if err := writeManifest(dir, m); err != nil {
 		return nil, nil, err

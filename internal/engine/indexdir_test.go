@@ -41,6 +41,51 @@ func TestNewRefusesPrefixDirectory(t *testing.T) {
 	}
 }
 
+// TestSwappedShardFilesRefused: the manifest stores tombstones by global
+// index, so a shard file opened in another file's place would make a
+// tombstone hide the wrong sequence and bring the deleted one back.  Every
+// file is checked against its own manifest record, so swapping two shard
+// files that hold as many sequences as each other (but not as many residues)
+// fails the open, naming the file.
+func TestSwappedShardFilesRefused(t *testing.T) {
+	db, err := seq.DatabaseFromStrings(seq.Protein, "DKDGDGCITTKE", "MKTAYIAKQRQI", "ACDEFGHIKLMNPQ", "WYWYWYWYWYWYWY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "idx")
+	if _, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(nil, Options{IndexDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Delete("seq0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, b := filepath.Join(dir, "shard-0.oasis"), filepath.Join(dir, "shard-1.oasis")
+	tmp := filepath.Join(dir, "swap")
+	for _, mv := range [][2]string{{a, tmp}, {b, a}, {tmp, b}} {
+		if err := os.Rename(mv[0], mv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng, err = New(nil, Options{IndexDir: dir})
+	if err == nil {
+		defer eng.Close()
+		t.Fatalf("swapped shard files opened: tombstone 0 now hides %s, not seq0", eng.Catalog().SequenceID(0))
+	}
+	if !strings.Contains(err.Error(), "shard-0.oasis") {
+		t.Fatalf("open of swapped shard files: %v, want an error naming shard-0.oasis", err)
+	}
+}
+
 // TestDegradedEngineKeepsItsCorpusSize: an index directory opened with a shard
 // quarantined sizes E-values by one base total in every generation, so the
 // engine's first write — which gives the view a layer — moves an unchanged

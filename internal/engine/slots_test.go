@@ -188,7 +188,11 @@ func TestRemoteWaitHoldsNoSlot(t *testing.T) {
 	}
 	held := seq.Protein.MustEncode("ACDEFGHIKLMNPQRSTVWY")
 	p := &heldProvider{eng: local, hold: held, waiting: make(chan struct{}), release: make(chan struct{})}
-	view, err := shard.NewEngineFromProviders(shard.ProviderSet{Providers: []shard.Provider{p}, Catalog: local.Catalog(), Closers: []io.Closer{local}})
+	view, err := shard.NewEngineFromProviders(shard.ProviderSet{
+		Alphabet: seq.Protein, Providers: []shard.Provider{p},
+		Parts:   []shard.Part{{Catalog: local.Catalog(), Sequences: db.NumSequences(), Residues: db.TotalResidues()}},
+		Closers: []io.Closer{local},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,7 +160,6 @@ func (r *replicaState) snapshot() ReplicaHealth {
 // monotonic filter keeps the published bound sequence decreasing.
 type Client struct {
 	slice     int
-	offset    int
 	sequences int
 	replicas  []string
 	health    []*replicaState
@@ -556,7 +555,7 @@ func (c *Client) consume(cn *conn, st *streamState, opts core.Options, hit func(
 					st.lastBound = ev.Score // a hit caps everything after it
 				}
 				h := core.Hit{
-					SeqIndex:  ev.Seq + c.offset,
+					SeqIndex:  ev.Seq,
 					SeqID:     ev.ID,
 					Score:     ev.Score,
 					QueryEnd:  ev.QEnd,

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/retry"
 	"repro/internal/seq"
 	"repro/internal/shard"
@@ -71,7 +70,6 @@ func open(ctx context.Context, cfg Config, pace pacing) (*Coordinator, error) {
 	hc := &http.Client{Transport: newTransport()}
 
 	co := &Coordinator{metrics: &Metrics{}, hc: hc}
-	var total int64
 	offset := 0
 	var alphabet *seq.Alphabet
 	for s, replicas := range cfg.Slices {
@@ -92,7 +90,7 @@ func open(ctx context.Context, cfg Config, pace pacing) (*Coordinator, error) {
 		// Every slice client shares the transport, the counters and the
 		// pacing; the attempt budget and backoff default per replica count.
 		client := &Client{
-			slice: s, offset: offset, sequences: info.Sequences, replicas: replicas,
+			slice: s, sequences: info.Sequences, replicas: replicas,
 			hc: hc, pacing: pace, metrics: co.metrics,
 		}
 		if client.maxTries < 1 {
@@ -108,17 +106,17 @@ func open(ctx context.Context, cfg Config, pace pacing) (*Coordinator, error) {
 		co.infos = append(co.infos, info)
 		co.offsets = append(co.offsets, offset)
 		offset += info.Sequences
-		total += info.Residues
 	}
 
-	providers := make([]shard.Provider, len(co.clients))
+	// A slice is a part the coordinator knows only by its counts: sequence
+	// identity travels on each hit's SeqID, and alignment recovery requires
+	// the slice's serving process.
+	set := shard.ProviderSet{Alphabet: alphabet}
 	for i, c := range co.clients {
-		providers[i] = c
+		set.Providers = append(set.Providers, c)
+		set.Parts = append(set.Parts, shard.Part{Sequences: co.infos[i].Sequences, Residues: co.infos[i].Residues})
 	}
-	eng, err := shard.NewEngineFromProviders(shard.ProviderSet{
-		Providers: providers,
-		Catalog:   &remoteCatalog{alphabet: alphabet, sequences: offset, residues: total},
-	})
+	eng, err := shard.NewEngineFromProviders(set)
 	if err != nil {
 		return nil, err
 	}
@@ -206,27 +204,3 @@ func (co *Coordinator) Close() error {
 	}
 	return err
 }
-
-// remoteCatalog is the coordinator's global catalog: it knows the layout
-// totals (which drive E-values, early stops and scratch sizing) but holds no
-// residues — sequence identity travels on each hit's SeqID, and alignment
-// recovery requires the slice's serving process.
-type remoteCatalog struct {
-	alphabet  *seq.Alphabet
-	sequences int
-	residues  int64
-}
-
-func (c *remoteCatalog) Alphabet() *seq.Alphabet { return c.alphabet }
-func (c *remoteCatalog) NumSequences() int       { return c.sequences }
-func (c *remoteCatalog) SequenceID(i int) string { return "" }
-func (c *remoteCatalog) SequenceLength(int) int  { return 0 }
-func (c *remoteCatalog) TotalResidues() int64    { return c.residues }
-func (c *remoteCatalog) Locate(int64) (int, int64, error) {
-	return 0, 0, fmt.Errorf("remote: coordinator catalog holds no residues")
-}
-func (c *remoteCatalog) Residues(int) ([]byte, error) {
-	return nil, fmt.Errorf("remote: coordinator catalog holds no residues")
-}
-
-var _ core.Catalog = (*remoteCatalog)(nil)

@@ -7,16 +7,17 @@
 //
 // # Topology
 //
-// The served corpus is split into sequence-disjoint SLICES (seq.Partition-
-// Database order): slice s owns a contiguous global sequence index range
-// starting at the sum of the preceding slices' sequence counts.  Each slice
+// The served corpus is split into sequence-disjoint SLICES, contiguous runs
+// as seq.PartitionDatabase cuts them: slice s owns the global sequence index
+// range starting at the sum of the preceding slices' sequence counts.  Each slice
 // is served by one or more REPLICA processes (oasis-serve -shard-server),
 // each holding a full copy of the slice's index; however a replica's engine
 // shards its slice internally, the exported stream is its merged, canonical
 // (score desc, sequence asc) order (shard.Engine.SearchBounded).  The
-// coordinator owns the global sequence index space: it adds the slice's
-// offset to every hit and attaches E-values with the global residue totals,
-// so the fan-out is invisible to clients.
+// coordinator owns the global sequence index space: its engine places each
+// slice's hits by the slice's offset, as it places a local shard's, and
+// attaches E-values with the global residue totals, so the fan-out is
+// invisible to clients.
 //
 // # Wire protocol
 //
@@ -118,7 +119,7 @@ type Event struct {
 	// scores above it.
 	V int `json:"v,omitempty"`
 	// Hit fields ("h" events).  Seq is the slice-LOCAL sequence index; the
-	// coordinator adds the slice offset.  Rank and EValue are not carried:
+	// coordinator's engine adds the slice offset.  Rank and EValue are not carried:
 	// both are global properties the coordinator's merger assigns.
 	Seq   int    `json:"seq"`
 	ID    string `json:"id,omitempty"`

@@ -7,9 +7,9 @@ import (
 
 // Locator maps positions of a concatenated view — every sequence followed by
 // one terminator — back to (sequence, offset) in constant time.  It is the
-// one position→sequence table of the repository: Database, the disk index's
-// catalog and the sharded engine's union catalog resolve hit positions (and,
-// on disk, every leaf edge's end) through it.
+// one position→sequence table of the repository: Database and the disk
+// index's catalog resolve hit positions (and, on disk, every leaf edge's end)
+// through it.
 //
 // The view is cut into equal power-of-two blocks, at least one per sequence;
 // block[b] is the sequence holding block b's first position, and a lookup

@@ -5,30 +5,18 @@ import (
 	"sort"
 )
 
-// Partition is a split of one database into independently indexable shards.
-// Every sequence of the source database appears in exactly one shard;
-// sequence residues are shared with the source (not copied), so a partition
-// costs one concatenated view per shard but no residue duplication.
-type Partition struct {
-	// Shards are the per-shard databases, each over the source alphabet.
-	Shards []*Database
-	// GlobalIndex[s][i] is the index in the source database of shard s's
-	// i-th sequence; it maps shard-local hit indexes back to global ones.
-	GlobalIndex [][]int
-}
-
-// NumShards returns the number of shards.
-func (p *Partition) NumShards() int { return len(p.Shards) }
-
-// PartitionDatabase splits db into at most nShards shards balanced by
-// residue count, using the greedy longest-processing-time heuristic:
-// sequences are assigned longest-first to the currently lightest shard.
-// The split is deterministic; within each shard, sequences keep their
-// source order so shard-local searches see the same neighbourhoods.
+// PartitionDatabase cuts db into at most nShards contiguous runs of
+// sequences balanced by residue count: run k ends at the sequence boundary
+// nearest k/nShards of the residues, so run k's sequences are the source's
+// in order, starting where run k-1 ended.  A run's first global index is
+// therefore the sum of the sequence counts before it — the one offset that
+// places every piece of the corpus (base shards, delta layers, remote slices)
+// in the global numbering.  Sequence residues are shared with the source, not
+// copied.  The split is deterministic.
 //
-// Fewer than nShards shards are returned when the database has fewer
-// sequences than requested (a shard is never empty).
-func PartitionDatabase(db *Database, nShards int) (*Partition, error) {
+// Fewer than nShards runs are returned when the database has fewer sequences
+// than requested; a run is never empty.
+func PartitionDatabase(db *Database, nShards int) ([]*Database, error) {
 	if db == nil {
 		return nil, fmt.Errorf("seq: nil database")
 	}
@@ -39,53 +27,33 @@ func PartitionDatabase(db *Database, nShards int) (*Partition, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("seq: cannot partition an empty database")
 	}
-	if nShards > n {
-		nShards = n
+	nShards = min(nShards, n)
+	// cum[i] is the residue count of sequences [0, i).
+	cum := make([]int64, n+1)
+	for i := range n {
+		cum[i+1] = cum[i] + int64(db.Sequence(i).Len())
 	}
-
-	// Longest-first assignment to the lightest shard (ties: lowest shard).
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		la, lb := db.Sequence(order[a]).Len(), db.Sequence(order[b]).Len()
-		if la != lb {
-			return la > lb
-		}
-		return order[a] < order[b]
-	})
-	load := make([]int64, nShards)
-	members := make([][]int, nShards)
-	for _, si := range order {
-		best := 0
-		for s := 1; s < nShards; s++ {
-			if load[s] < load[best] {
-				best = s
+	runs := make([]*Database, 0, nShards)
+	lo := 0
+	for k := 1; k <= nShards; k++ {
+		hi := n
+		if k < nShards {
+			// Move the cut on while the next boundary is nearer the target,
+			// leaving this run and each later one at least one sequence.
+			target := cum[n] * int64(k) / int64(nShards)
+			hi = lo + 1
+			for hi < n-(nShards-k) && cum[hi+1]-target < target-cum[hi] {
+				hi++
 			}
 		}
-		members[best] = append(members[best], si)
-		load[best] += int64(db.Sequence(si).Len())
-	}
-
-	p := &Partition{
-		Shards:      make([]*Database, nShards),
-		GlobalIndex: make([][]int, nShards),
-	}
-	for s := range members {
-		sort.Ints(members[s]) // restore source order within the shard
-		seqs := make([]Sequence, len(members[s]))
-		for i, gi := range members[s] {
-			seqs[i] = db.Sequence(gi)
-		}
-		shardDB, err := NewDatabase(db.Alphabet(), seqs)
+		run, err := NewDatabase(db.Alphabet(), db.Sequences()[lo:hi:hi])
 		if err != nil {
 			return nil, err
 		}
-		p.Shards[s] = shardDB
-		p.GlobalIndex[s] = members[s]
+		runs = append(runs, run)
+		lo = hi
 	}
-	return p, nil
+	return runs, nil
 }
 
 // PrefixPartition assigns every suffix of a database to exactly one shard by

@@ -25,41 +25,72 @@ func randomPartitionDB(t *testing.T, rng *rand.Rand, n, maxLen int) *Database {
 	return db
 }
 
+// TestPartitionCoversEverySequenceOnce: the runs are contiguous and in
+// order — concatenated, they are the source database sequence for sequence —
+// so every sequence lands in exactly one run, and no run is empty.
 func TestPartitionCoversEverySequenceOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
 		db := randomPartitionDB(t, rng, 1+rng.Intn(40), 120)
 		nShards := 1 + rng.Intn(8)
-		p, err := PartitionDatabase(db, nShards)
+		runs, err := PartitionDatabase(db, nShards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := make([]bool, db.NumSequences())
-		for s, shardDB := range p.Shards {
-			if shardDB.NumSequences() == 0 {
-				t.Fatalf("shard %d is empty", s)
+		if want := min(nShards, db.NumSequences()); len(runs) != want {
+			t.Fatalf("got %d runs for %d sequences and %d shards, want %d", len(runs), db.NumSequences(), nShards, want)
+		}
+		gi := 0
+		for s, run := range runs {
+			if run.NumSequences() == 0 {
+				t.Fatalf("run %d is empty", s)
 			}
-			if len(p.GlobalIndex[s]) != shardDB.NumSequences() {
-				t.Fatalf("shard %d: index map has %d entries for %d sequences",
-					s, len(p.GlobalIndex[s]), shardDB.NumSequences())
-			}
-			for i, gi := range p.GlobalIndex[s] {
-				if seen[gi] {
-					t.Fatalf("sequence %d assigned to more than one shard", gi)
-				}
-				seen[gi] = true
-				want := db.Sequence(gi)
-				got := shardDB.Sequence(i)
+			for i := range run.NumSequences() {
+				got, want := run.Sequence(i), db.Sequence(gi)
 				if got.ID != want.ID || got.Len() != want.Len() {
-					t.Fatalf("shard %d seq %d: got %s/%d, want %s/%d",
-						s, i, got.ID, got.Len(), want.ID, want.Len())
+					t.Fatalf("run %d seq %d: got %s/%d, want global sequence %d %s/%d",
+						s, i, got.ID, got.Len(), gi, want.ID, want.Len())
 				}
+				gi++
 			}
 		}
-		for gi, ok := range seen {
-			if !ok {
-				t.Fatalf("sequence %d missing from every shard", gi)
+		if gi != db.NumSequences() {
+			t.Fatalf("runs cover %d sequences, database has %d", gi, db.NumSequences())
+		}
+	}
+}
+
+// TestPartitionNoEmptyRunAroundLongSequence: one sequence longer than
+// total/N would pull several cut targets onto the same boundary; each run
+// still gets at least one sequence, and the runs still cover the database in
+// order.
+func TestPartitionNoEmptyRunAroundLongSequence(t *testing.T) {
+	for _, long := range []int{0, 2, 5} {
+		strs := []string{"AC", "GT", "AC", "GT", "AC", "GT"}
+		strs[long] = strings.Repeat("ACGT", 100)
+		db, err := DatabaseFromStrings(DNA, strs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := PartitionDatabase(db, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) != 4 {
+			t.Fatalf("long sequence %d: got %d runs, want 4", long, len(runs))
+		}
+		n := 0
+		for s, run := range runs {
+			if run.NumSequences() == 0 {
+				t.Fatalf("long sequence %d: run %d is empty", long, s)
 			}
+			if run.Sequence(0).ID != db.Sequence(n).ID {
+				t.Fatalf("long sequence %d: run %d starts at %s, want %s", long, s, run.Sequence(0).ID, db.Sequence(n).ID)
+			}
+			n += run.NumSequences()
+		}
+		if n != db.NumSequences() {
+			t.Fatalf("long sequence %d: runs cover %d sequences, want %d", long, n, db.NumSequences())
 		}
 	}
 }
@@ -67,12 +98,12 @@ func TestPartitionCoversEverySequenceOnce(t *testing.T) {
 func TestPartitionBalancesResidues(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	db := randomPartitionDB(t, rng, 200, 300)
-	p, err := PartitionDatabase(db, 4)
+	runs, err := PartitionDatabase(db, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var min, max int64
-	for s, shardDB := range p.Shards {
+	for s, shardDB := range runs {
 		r := shardDB.TotalResidues()
 		if s == 0 || r < min {
 			min = r
@@ -81,8 +112,9 @@ func TestPartitionBalancesResidues(t *testing.T) {
 			max = r
 		}
 	}
-	// LPT keeps the spread tight on a workload of 200 sequences; allow a
-	// generous margin so the test checks balance, not the exact heuristic.
+	// Cutting at the boundary nearest each quarter keeps the spread within a
+	// sequence or two of 50 on a workload of 200; allow a generous margin so
+	// the test checks balance, not the exact cut rule.
 	if min == 0 || float64(max)/float64(min) > 1.25 {
 		t.Fatalf("unbalanced shards: min=%d max=%d residues", min, max)
 	}
@@ -90,12 +122,12 @@ func TestPartitionBalancesResidues(t *testing.T) {
 
 func TestPartitionCapsShardCount(t *testing.T) {
 	db := MustDatabase(DNA, []Sequence{mustSeq(t, "a", "ACGT"), mustSeq(t, "b", "GGCC")})
-	p, err := PartitionDatabase(db, 8)
+	runs, err := PartitionDatabase(db, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumShards() != 2 {
-		t.Fatalf("got %d shards for a 2-sequence database, want 2", p.NumShards())
+	if len(runs) != 2 {
+		t.Fatalf("got %d shards for a 2-sequence database, want 2", len(runs))
 	}
 	if _, err := PartitionDatabase(db, 0); err == nil {
 		t.Fatal("expected an error for shard count 0")
@@ -113,14 +145,13 @@ func TestPartitionIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := range a.GlobalIndex {
-		if len(a.GlobalIndex[s]) != len(b.GlobalIndex[s]) {
-			t.Fatalf("shard %d sizes differ between runs", s)
-		}
-		for i := range a.GlobalIndex[s] {
-			if a.GlobalIndex[s][i] != b.GlobalIndex[s][i] {
-				t.Fatalf("shard %d entry %d differs between runs", s, i)
-			}
+	if len(a) != len(b) {
+		t.Fatalf("%d runs, then %d", len(a), len(b))
+	}
+	for s := range a {
+		if a[s].NumSequences() != b[s].NumSequences() || a[s].Sequence(0).ID != b[s].Sequence(0).ID {
+			t.Fatalf("run %d differs between runs: %d sequences from %s, then %d from %s",
+				s, a[s].NumSequences(), a[s].Sequence(0).ID, b[s].NumSequences(), b[s].Sequence(0).ID)
 		}
 	}
 }

@@ -2,94 +2,110 @@ package shard
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/seq"
 )
 
-// unionCatalog presents the per-shard catalogs of a sequence-partitioned
-// engine as one global catalog: sequence indexes are global, lookups are
-// delegated to the owning shard, and the concatenated-position view is laid
-// out in global sequence order (each sequence followed by its terminator),
-// matching what a single index over the whole database would expose.
-type unionCatalog struct {
+// Part is one sequence-disjoint piece of the corpus — a base shard, a layer,
+// a remote slice — holding a contiguous run of global sequence indexes.  Its
+// place in the numbering is its position: its first sequence's global index
+// is the sum of the sequence counts of the parts before it.  Catalog is nil
+// for a part known only by its counts (a shard quarantined at open, a remote
+// slice); its sequences count toward the totals but answer metadata lookups
+// with zero values.
+type Part struct {
+	Catalog   core.Catalog
+	Sequences int
+	Residues  int64
+}
+
+// partOf is the part a catalog describes in full.
+func partOf(cat core.Catalog) Part {
+	return Part{Catalog: cat, Sequences: cat.NumSequences(), Residues: cat.TotalResidues()}
+}
+
+// concatCatalog lays its parts end to end: global sequence indexes, and the
+// concatenated-position view (each sequence followed by its terminator), run
+// through each part in order, exactly as one index over the whole corpus
+// would number them.  Lookups binary-search the part table, so a catalog
+// costs O(parts) to build whatever the corpus size.
+type concatCatalog struct {
 	alphabet *seq.Alphabet
-	cats     []core.Catalog
-	owner    []int        // global sequence index -> shard
-	local    []int        // global sequence index -> shard-local index
-	loc      *seq.Locator // global concatenated view, in global sequence order
-	residues int64        // TotalResidues, as the caller states it
+	parts    []Part
+	// firsts[i] and starts[i] are part i's first global sequence index and
+	// first concatenated position; the entry after the last part holds the
+	// totals.
+	firsts   []int
+	starts   []int64
+	residues int64
 }
 
-// newUnionCatalog stitches the shard catalogs together under the global maps
-// into a catalog of numSeqs sequences and residues residues, verifying that no
-// global index is covered twice or lies outside.  A degraded engine (some
-// shards quarantined at open time) passes only the surviving shards but the
-// whole corpus's totals, so the global index space has holes: those entries
-// keep the original global numbering but answer metadata lookups with zero
-// values (owner -1), while the totals still count them.
-func newUnionCatalog(shards []baseShard, numSeqs int, residues int64) (*unionCatalog, error) {
-	if numSeqs == 0 {
-		return nil, fmt.Errorf("shard: index set covers no sequences")
+// newCatalog returns the global catalog over parts, in order.  One part with
+// a catalog is that catalog.
+func newCatalog(alphabet *seq.Alphabet, parts []Part) core.Catalog {
+	if len(parts) == 1 && parts[0].Catalog != nil {
+		return parts[0].Catalog
 	}
-	u := &unionCatalog{
-		cats:     make([]core.Catalog, len(shards)),
-		owner:    make([]int, numSeqs),
-		local:    make([]int, numSeqs),
-		residues: residues,
+	c := &concatCatalog{alphabet: alphabet, parts: parts, firsts: []int{0}, starts: []int64{0}}
+	for i, p := range parts {
+		c.firsts = append(c.firsts, c.firsts[i]+p.Sequences)
+		c.starts = append(c.starts, c.starts[i]+p.Residues+int64(p.Sequences))
+		c.residues += p.Residues
 	}
-	for gi := range u.owner {
-		u.owner[gi] = -1
-	}
-	for s, b := range shards {
-		g := b.globals
-		u.cats[s] = b.index.Catalog()
-		if u.cats[s].NumSequences() != len(g) {
-			return nil, fmt.Errorf("shard %d: catalog has %d sequences, global map %d",
-				s, u.cats[s].NumSequences(), len(g))
-		}
-		for i, gi := range g {
-			if gi < 0 || gi >= numSeqs {
-				return nil, fmt.Errorf("shard %d: global index %d outside [0,%d)", s, gi, numSeqs)
-			}
-			if u.owner[gi] >= 0 {
-				return nil, fmt.Errorf("shard: global sequence %d assigned to more than one shard", gi)
-			}
-			u.owner[gi] = s
-			u.local[gi] = i
-		}
-	}
-	u.alphabet = u.cats[0].Alphabet()
-	u.loc = seq.NewLocator(numSeqs, func(gi int) int64 { return int64(u.SequenceLength(gi)) })
-	return u, nil
+	return c
 }
 
-func (u *unionCatalog) Alphabet() *seq.Alphabet { return u.alphabet }
-func (u *unionCatalog) NumSequences() int       { return len(u.owner) }
-func (u *unionCatalog) SequenceID(i int) string {
-	if u.owner[i] < 0 {
-		return "" // sequence lost with a quarantined shard
+// part resolves global sequence g to its part's catalog (nil for a part with
+// none, or g out of range) and g's index within the part.
+func (c *concatCatalog) part(g int) (core.Catalog, int) {
+	if g < 0 || g >= c.NumSequences() {
+		return nil, 0
 	}
-	return u.cats[u.owner[i]].SequenceID(u.local[i])
-}
-func (u *unionCatalog) SequenceLength(i int) int {
-	if u.owner[i] < 0 {
-		return 0
-	}
-	return u.cats[u.owner[i]].SequenceLength(u.local[i])
-}
-func (u *unionCatalog) TotalResidues() int64 { return u.residues }
-
-func (u *unionCatalog) Locate(pos int64) (int, int64, error) { return u.loc.Locate(pos) }
-
-func (u *unionCatalog) Residues(i int) ([]byte, error) {
-	if i < 0 || i >= len(u.owner) {
-		return nil, fmt.Errorf("shard: sequence index %d out of range", i)
-	}
-	if u.owner[i] < 0 {
-		return nil, fmt.Errorf("shard: sequence %d is on a quarantined shard", i)
-	}
-	return u.cats[u.owner[i]].Residues(u.local[i])
+	i := sort.Search(len(c.parts), func(i int) bool { return c.firsts[i+1] > g })
+	return c.parts[i].Catalog, g - c.firsts[i]
 }
 
-var _ core.Catalog = (*unionCatalog)(nil)
+func (c *concatCatalog) Alphabet() *seq.Alphabet { return c.alphabet }
+func (c *concatCatalog) NumSequences() int       { return c.firsts[len(c.parts)] }
+func (c *concatCatalog) TotalResidues() int64    { return c.residues }
+
+func (c *concatCatalog) SequenceID(g int) string {
+	if cat, i := c.part(g); cat != nil {
+		return cat.SequenceID(i)
+	}
+	return ""
+}
+
+func (c *concatCatalog) SequenceLength(g int) int {
+	if cat, i := c.part(g); cat != nil {
+		return cat.SequenceLength(i)
+	}
+	return 0
+}
+
+func (c *concatCatalog) Residues(g int) ([]byte, error) {
+	cat, i := c.part(g)
+	if cat == nil {
+		return nil, fmt.Errorf("shard: sequence %d unavailable (out of range, on a quarantined shard or in a remote slice)", g)
+	}
+	return cat.Residues(i)
+}
+
+func (c *concatCatalog) Locate(pos int64) (int, int64, error) {
+	if pos < 0 || pos >= c.starts[len(c.parts)] {
+		return 0, 0, fmt.Errorf("shard: position %d out of range", pos)
+	}
+	i := sort.Search(len(c.parts), func(i int) bool { return c.starts[i+1] > pos })
+	if c.parts[i].Catalog == nil {
+		return 0, 0, fmt.Errorf("shard: position %d is on a quarantined shard or in a remote slice", pos)
+	}
+	local, off, err := c.parts[i].Catalog.Locate(pos - c.starts[i])
+	if err != nil {
+		return 0, 0, err
+	}
+	return c.firsts[i] + local, off, nil
+}
+
+var _ core.Catalog = (*concatCatalog)(nil)

@@ -47,7 +47,10 @@ func FuzzCorruptIndexDir(f *testing.F) {
 		f.Fatal(err2)
 	}
 	pristine := map[string][]byte{}
-	files := append([]string{}, manifest.ShardFiles...)
+	var files []string
+	for _, p := range manifest.Shards {
+		files = append(files, p.File)
+	}
 	for _, name := range files {
 		data, err := os.ReadFile(filepath.Join(template, name))
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diskst"
+	"repro/internal/seq"
 )
 
 // OpenDiskEngine assembles a sharded engine over an open index directory:
@@ -19,23 +20,22 @@ import (
 // Close otherwise.
 func OpenDiskEngine(dir *diskst.Dir) (*Engine, error) {
 	r := &root{closers: []io.Closer{dir}, standing: dir.Quarantined}
-	// Quarantined shards hold nil entries; the engine runs over the survivors,
-	// whose global maps keep the original global numbering.
+	// A quarantined shard is a part with its manifest counts and no catalog:
+	// the survivors keep their global numbers, and a degraded engine's totals
+	// (hence E-values, and the numbering of delta layers) do not move.
+	var alphabet *seq.Alphabet
+	first := 0
 	for i, idx := range dir.Indexes {
+		p := Part{Sequences: dir.Shards[i].Sequences, Residues: dir.Shards[i].Residues}
 		if idx != nil {
-			r.base = append(r.base, baseShard{index: idx, globals: dir.Globals[i]})
+			p.Catalog = idx.Catalog()
+			alphabet = p.Catalog.Alphabet()
+			r.base = append(r.base, baseShard{index: idx, first: first})
 		}
+		r.parts = append(r.parts, p)
+		first += p.Sequences
 	}
-	// The base totals are the manifest's, quarantined shards included, in
-	// every view: delta layers are numbered after its sequence count, and a
-	// degraded engine's E-values do not move when its first write adds a
-	// layer.
-	var err error
-	if r.baseCat, err = newUnionCatalog(r.base, dir.NumSequences, dir.TotalResidues); err != nil {
-		dir.Close()
-		return nil, err
-	}
-	e, err := r.finish()
+	e, err := r.finish(alphabet)
 	if err != nil {
 		dir.Close()
 		return nil, err

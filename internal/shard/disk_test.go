@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -65,8 +66,8 @@ func TestDiskEngineEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d: OpenDiskEngine: %v", trial, err)
 				}
-				if eng.NumShards() != manifest.Shards {
-					t.Fatalf("engine has %d shards, manifest %d", eng.NumShards(), manifest.Shards)
+				if eng.NumShards() != len(manifest.Shards) {
+					t.Fatalf("engine has %d shards, manifest %d", eng.NumShards(), len(manifest.Shards))
 				}
 				got, err := eng.SearchAll(query, opts)
 				if err != nil {
@@ -134,9 +135,9 @@ func openDisk(path string, poolBytes int64, allowDegraded bool) (*Engine, error)
 	return OpenDiskEngine(dir)
 }
 
-// TestDiskEngineUnionCatalogLocate pins the union catalog's concatenated
-// coordinate view: positions locate to the same (sequence, offset) pairs as
-// the source database.
+// TestDiskEngineUnionCatalogLocate pins the engine catalog's concatenated
+// coordinate view over its shards: positions locate to the same (sequence,
+// offset) pairs as the source database.
 func TestDiskEngineUnionCatalogLocate(t *testing.T) {
 	db, err := seq.DatabaseFromStrings(seq.DNA, "ACGTAC", "GG", "TTTACG", "A")
 	if err != nil {
@@ -167,5 +168,43 @@ func TestDiskEngineUnionCatalogLocate(t *testing.T) {
 	}
 	if _, _, err := cat.Locate(db.ConcatLen()); err == nil {
 		t.Fatal("Locate past the end did not fail")
+	}
+}
+
+// TestDegradedDiskEngineKeepsGlobalNumbers: with shard 0 quarantined at open,
+// the one surviving shard is searched alone, yet its hits keep the global
+// sequence indexes of the whole directory — the quarantined shard's sequences
+// still count ahead of them — and the catalog resolves each to its hit's ID.
+func TestDegradedDiskEngineKeepsGlobalNumbers(t *testing.T) {
+	db := randomShardDB(t, rand.New(rand.NewSource(43)), seq.DNA, 12, 60)
+	dir := t.TempDir()
+	if _, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, "shard-0.oasis"), 16); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := openDisk(dir, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if eng.NumShards() != 1 || eng.NumSequences() != db.NumSequences() {
+		t.Fatalf("degraded engine: %d shards over %d sequences, want 1 over %d", eng.NumShards(), eng.NumSequences(), db.NumSequences())
+	}
+	last := db.NumSequences() - 1
+	hits, err := eng.SearchAll(db.Sequence(last).Residues, core.Options{Scheme: score.MustScheme(score.UnitDNA(), -1), MinScore: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, h := range hits {
+		if want := db.Sequence(h.SeqIndex).ID; h.SeqID != want || eng.Catalog().SequenceID(h.SeqIndex) != want {
+			t.Fatalf("hit %+v: global sequence %d is %s", h, h.SeqIndex, want)
+		}
+		found = found || h.SeqIndex == last
+	}
+	if !found {
+		t.Fatalf("the query, global sequence %d itself, was not found: %+v", last, hits)
 	}
 }

@@ -12,42 +12,19 @@ import (
 )
 
 // engineProvider adapts a local engine's SearchBounded to the Provider
-// interface, offsetting slice-local indexes into the global space — the
-// in-process mirror of what internal/remote does over the wire, which lets
-// the provider plumbing be tested without HTTP in the loop.
+// interface — slice-local indexes, the engine places them — the in-process
+// mirror of what internal/remote does over the wire, which lets the provider
+// plumbing be tested without HTTP in the loop.
 type engineProvider struct {
-	eng    *Engine
-	offset int
-	fail   error // when set, Stream fails immediately
+	eng  *Engine
+	fail error // when set, Stream fails immediately
 }
 
 func (p *engineProvider) Stream(query []byte, opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
 	if p.fail != nil {
 		return p.fail
 	}
-	return p.eng.SearchBounded(query, opts, func(h core.Hit) bool {
-		h.SeqIndex += p.offset
-		return hit(h)
-	}, bound)
-}
-
-// catalogStub carries just the global totals the provider engine needs.
-type catalogStub struct {
-	alphabet  *seq.Alphabet
-	sequences int
-	residues  int64
-}
-
-func (c *catalogStub) Alphabet() *seq.Alphabet { return c.alphabet }
-func (c *catalogStub) NumSequences() int       { return c.sequences }
-func (c *catalogStub) SequenceID(int) string   { return "" }
-func (c *catalogStub) SequenceLength(int) int  { return 0 }
-func (c *catalogStub) TotalResidues() int64    { return c.residues }
-func (c *catalogStub) Locate(int64) (int, int64, error) {
-	return 0, 0, errors.New("stub catalog holds no residues")
-}
-func (c *catalogStub) Residues(int) ([]byte, error) {
-	return nil, errors.New("stub catalog holds no residues")
+	return p.eng.SearchBounded(query, opts, hit, bound)
 }
 
 // TestProviderEngineEquivalence: an engine over in-process providers (each a
@@ -70,9 +47,7 @@ func TestProviderEngineEquivalence(t *testing.T) {
 		if nSlices > n {
 			nSlices = n
 		}
-		var providers []Provider
-		var residues int64
-		offset := 0
+		set := ProviderSet{Alphabet: a}
 		per := n / nSlices
 		for s := 0; s < nSlices; s++ {
 			lo, hi := s*per, (s+1)*per
@@ -92,14 +67,10 @@ func TestProviderEngineEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sliceEng.Close()
-			providers = append(providers, &engineProvider{eng: sliceEng, offset: offset})
-			offset += hi - lo
-			residues += sliceDB.TotalResidues()
+			set.Providers = append(set.Providers, &engineProvider{eng: sliceEng})
+			set.Parts = append(set.Parts, Part{Sequences: sliceDB.NumSequences(), Residues: sliceDB.TotalResidues()})
 		}
-		pe, err := NewEngineFromProviders(ProviderSet{
-			Providers: providers,
-			Catalog:   &catalogStub{alphabet: a, sequences: n, residues: residues},
-		})
+		pe, err := NewEngineFromProviders(set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,12 +117,11 @@ func TestProviderFailureQuarantines(t *testing.T) {
 	}
 	defer eng.Close()
 	bad := errors.New("replica set unreachable")
+	slice := Part{Sequences: db.NumSequences(), Residues: db.TotalResidues()}
 	pe, err := NewEngineFromProviders(ProviderSet{
-		Providers: []Provider{
-			&engineProvider{eng: eng},
-			&engineProvider{fail: bad},
-		},
-		Catalog: &catalogStub{alphabet: a, sequences: db.NumSequences() * 2, residues: db.TotalResidues() * 2},
+		Alphabet:  a,
+		Providers: []Provider{&engineProvider{eng: eng}, &engineProvider{fail: bad}},
+		Parts:     []Part{slice, slice},
 	})
 	if err != nil {
 		t.Fatal(err)

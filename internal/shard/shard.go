@@ -9,13 +9,16 @@
 // buffered hit as soon as its score is strictly above every unfinished
 // stream's latest bound, so no stream has to finish before the strongest hits
 // start flowing.  Everything a query fans out over is an adapter onto that
-// unit (Engine.plan):
+// unit (Engine.plan), and every stream reports PART-LOCAL sequence indexes:
+// each sequence-disjoint piece of the corpus is a contiguous run of global
+// indexes (a Part), so one adapter (runStream) places a stream's hits by
+// adding its part's first global index.  The stream kinds are:
 //
-//   - a local index plus a local-to-global sequence map (core.SearchStream).
-//     This serves the base shards of a PartitionBySequence engine — the
-//     database split into independently indexed, sequence-disjoint shards
-//     balanced by residue count — and equally a view's layers (compacted
-//     delta indexes and the memtable snapshot; see WithLayers);
+//   - a local index (core.SearchStream).  This serves the base shards of a
+//     PartitionBySequence engine — the database cut into contiguous runs of
+//     sequences balanced by residue count, each indexed on its own — and
+//     equally a view's layers (compacted delta indexes and the memtable
+//     snapshot; see WithLayers);
 //   - a prefix shard of a PartitionByPrefix engine: ONE shared suffix tree
 //     whose disjoint top-level subtrees are assigned to shards by suffix
 //     prefix (seq.PartitionByPrefix).  The near-root columns are expanded
@@ -27,7 +30,7 @@
 //     strict release rule guarantees the first released hit for a sequence
 //     carries its global best score;
 //   - a Provider (provider.go), an opaque stream — in particular a remote
-//     shard server's (internal/remote) — taken as is.
+//     shard server's (internal/remote) — of one slice of the corpus.
 //
 // The merged (sequence, score, rank, E-value) stream is reproducible run to
 // run: equal-score ties are released only after every stream that could still
@@ -126,9 +129,11 @@ type Engine struct {
 // per-query state and the lifetime counters.
 type root struct {
 	queryAl *seq.Alphabet
-	// baseCat is the catalog over the base shards alone; its totals are the
-	// base corpus's as the global numbering defines them (for a degraded disk
-	// engine they count the quarantined shards too, see OpenDiskEngine).
+	// parts are the base corpus in global order, and baseCat is the catalog
+	// over them alone.  Their totals are the base corpus's as the global
+	// numbering defines them: a degraded disk engine's count its quarantined
+	// shards too (see OpenDiskEngine).
+	parts   []Part
 	baseCat core.Catalog
 	// base is the engine's own shards, one per work partition.
 	base []baseShard
@@ -167,12 +172,11 @@ type root struct {
 // baseShard is one of the engine's own work partitions: a local index, or an
 // opaque provider stream standing in for one.
 type baseShard struct {
-	// Sequence mode: index is the shard's own suffix tree over a disjoint
-	// sequence subset and globals maps its local sequence indexes to global
-	// ones.  Prefix mode: index is the one shared tree and globals is nil —
-	// its indexes are global already.
-	index   core.Index
-	globals []int
+	// Sequence mode: index is the shard's own suffix tree over a run of
+	// sequences whose first has global index first.  Prefix mode: index is
+	// the one shared tree and first is 0.
+	index core.Index
+	first int
 	// provider, when set, replaces the local index (NewEngineFromProviders).
 	provider Provider
 }
@@ -184,19 +188,21 @@ func NewEngine(db *seq.Database, opts Options) (*Engine, error) {
 	if opts.Shards < 1 {
 		opts.Shards = 1
 	}
-	r := &root{baseCat: core.NewDatabaseCatalog(db)}
+	r := &root{parts: []Part{partOf(core.NewDatabaseCatalog(db))}}
 	switch opts.Partition {
 	case PartitionBySequence:
-		part, err := seq.PartitionDatabase(db, opts.Shards)
+		runs, err := seq.PartitionDatabase(db, opts.Shards)
 		if err != nil {
 			return nil, err
 		}
-		for s, shardDB := range part.Shards {
-			idx, err := core.BuildMemoryIndex(shardDB)
+		first := 0
+		for s, run := range runs {
+			idx, err := core.BuildMemoryIndex(run)
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: %w", s, err)
 			}
-			r.base = append(r.base, baseShard{index: idx, globals: part.GlobalIndex[s]})
+			r.base = append(r.base, baseShard{index: idx, first: first})
+			first += run.NumSequences()
 		}
 	case PartitionByPrefix:
 		idx, err := core.BuildMemoryIndex(db)
@@ -215,19 +221,20 @@ func NewEngine(db *seq.Database, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("shard: unknown partition mode %d", opts.Partition)
 	}
 	r.nosteal = opts.NoSteal
-	return r.finish()
+	return r.finish(db.Alphabet())
 }
 
 // finish is the constructor tail every engine shape shares, run once the base
-// catalog and base shards are set: it sizes the pooled scratch, dedup sets and
-// per-shard accounting, and returns the pristine view (no layers, no
-// tombstones).
-func (r *root) finish() (*Engine, error) {
+// parts and base shards are set: it builds the base catalog over alphabet,
+// sizes the pooled scratch, dedup sets and per-shard accounting, and returns
+// the pristine view (no layers, no tombstones).
+func (r *root) finish(alphabet *seq.Alphabet) (*Engine, error) {
 	n := len(r.base)
 	if n == 0 {
 		return nil, fmt.Errorf("shard: engine has no shards")
 	}
-	r.queryAl = r.baseCat.Alphabet()
+	r.queryAl = alphabet
+	r.baseCat = newCatalog(alphabet, r.parts)
 	// Hold enough idle scratches for a few concurrent queries, each using
 	// one scratch per stream (plus the frontier expansion in prefix mode).
 	r.scratch = bufferpool.NewFreeList(4*(n+1), core.NewScratch)
@@ -241,16 +248,16 @@ func (r *root) finish() (*Engine, error) {
 // context.  A layer is one additional index searched alongside the engine's own
 // shards — the engine layer's LSM delta layers: compacted delta files and the
 // in-memory memtable snapshot — over a sequence subset disjoint from the base
-// shards and from every other layer; its sequences take the global indexes
-// that follow the base corpus and the layers before it, densely, in order (the
-// numbering diskst.DeltaRecord.GlobalIndex records).  Layers stream beside the
-// base shards through the one merger, tombstoned sequences (global indexes)
-// are filtered out of the merged stream, and the catalog, the index-space size
-// and the live totals that drive E-values and the all-sequences early stop are
-// derived here, from the layers' catalogs and the tombstone set, and nowhere
-// else.  e's own layers and tombstones are replaced, not extended.  The view
+// shards and from every other layer: one more Part, whose sequences take the
+// global indexes that follow the base corpus and the layers before it, in
+// order (the numbering a diskst manifest's delta records keep).  Layers
+// stream beside the base shards through the one merger, tombstoned sequences
+// (global indexes) are filtered out of the merged stream, and the catalog,
+// the index-space size and the live totals that drive E-values and the
+// all-sequences early stop are derived here, from the layers' catalogs and
+// the tombstone set, and nowhere else.  e's own layers and tombstones are replaced, not extended.  The view
 // shares everything else with e — base shards, scratch and dedup pools, affine
-// slots, lifetime counters, Close — so it costs O(layers + tombstones).
+// slots, lifetime counters, Close — so it costs O(parts + tombstones).
 // Neither argument may be modified afterwards.  With neither it is the
 // pristine engine.
 func (e *Engine) WithLayers(layers []core.Index, tombstones map[int]bool) (*Engine, error) {
@@ -259,7 +266,11 @@ func (e *Engine) WithLayers(layers []core.Index, tombstones map[int]bool) (*Engi
 		return nil, fmt.Errorf("shard: provider-backed engines have no mutable layer")
 	}
 	if len(layers) > 0 {
-		v.cat = newLayeredCatalog(e.baseCat, layers)
+		parts := slices.Clip(e.parts)
+		for _, l := range layers {
+			parts = append(parts, partOf(l.Catalog()))
+		}
+		v.cat = newCatalog(e.queryAl, parts)
 	}
 	v.liveRes = v.cat.TotalResidues()
 	for g := range tombstones {
@@ -429,9 +440,7 @@ func (e *Engine) search(query []byte, opts core.Options, report func(core.Hit) b
 		e.active[0].Add(1)
 		defer e.active[0].Add(-1)
 		return core.Search(b.index, query, opts, func(h core.Hit) bool {
-			if b.globals != nil {
-				h.SeqIndex = b.globals[h.SeqIndex]
-			}
+			h.SeqIndex += b.first
 			n++
 			h.Rank = n
 			return report(h)
@@ -476,26 +485,18 @@ type stream struct {
 	// slot is the base shard whose active counter and affine scratch the
 	// stream uses, or -1 for a layer, which has neither.
 	slot int
-	// run has the Provider.Stream contract (hits carry GLOBAL indexes).
+	// first is the global index of the first sequence of the part the stream
+	// searches; runStream adds it to every hit.
+	first int
+	// run has the Provider.Stream contract (hits carry part-local indexes).
 	run func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error
 }
 
-// localStream adapts a local index to a stream: core.SearchStream with hits
-// mapped into the global sequence space — through globals, or, without a map,
-// by adding first, the global index of the index's first sequence.
-func localStream(idx core.Index, globals []int, first int, query []byte, bound, slot int) stream {
-	return stream{bound: bound, slot: slot, run: func(opts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
-		if globals == nil && first == 0 {
-			return core.SearchStream(idx, query, opts, hit, frontier)
-		}
-		return core.SearchStream(idx, query, opts, func(h core.Hit) bool {
-			if globals != nil {
-				h.SeqIndex = globals[h.SeqIndex]
-			} else {
-				h.SeqIndex += first
-			}
-			return hit(h)
-		}, frontier)
+// localStream adapts a local index to a stream over the part starting at
+// global index first.
+func localStream(idx core.Index, first int, query []byte, bound, slot int) stream {
+	return stream{bound: bound, slot: slot, first: first, run: func(opts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
+		return core.SearchStream(idx, query, opts, hit, frontier)
 	}}
 }
 
@@ -535,10 +536,10 @@ func (e *Engine) plan(query []byte, opts core.Options) (*plan, error) {
 	} else {
 		for s, b := range e.base {
 			if b.provider == nil {
-				p.streams = append(p.streams, localStream(b.index, b.globals, 0, query, rb, s))
+				p.streams = append(p.streams, localStream(b.index, b.first, query, rb, s))
 				continue
 			}
-			p.streams = append(p.streams, stream{bound: rb, slot: s, run: func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
+			p.streams = append(p.streams, stream{bound: rb, slot: s, first: b.first, run: func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
 				return b.provider.Stream(query, opts, hit, bound)
 			}})
 		}
@@ -547,7 +548,7 @@ func (e *Engine) plan(query []byte, opts core.Options) (*plan, error) {
 	// holds, numbered on from the base corpus.
 	first := e.baseCat.NumSequences()
 	for _, l := range e.layers {
-		p.streams = append(p.streams, localStream(l, nil, first, query, rb, -1))
+		p.streams = append(p.streams, localStream(l, first, query, rb, -1))
 		first += l.Catalog().NumSequences()
 	}
 	return p, nil
@@ -708,12 +709,15 @@ func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, report fu
 }
 
 // runStream executes stream s of a query and adapts it into merger events:
-// hits and strictly decreasing frontier bounds are forwarded until
-// cancellation, then completion is signalled with the stream's work counters.
+// hits, placed in the global numbering by the stream's first index, and
+// strictly decreasing frontier bounds are forwarded until cancellation, then
+// completion is signalled with the stream's work counters.
 func (e *Engine) runStream(s int, st *stream, opts core.Options, events chan<- event, cancelled *atomic.Bool) {
-	if err := faultpoint.Hit(faultpoint.SiteShardWorker, fmt.Sprintf("shard-%d", s)); err != nil {
-		events <- event{shard: s, kind: evDone, err: fmt.Errorf("shard %d: %w", s, err)}
-		return
+	if faultpoint.Active() {
+		if err := faultpoint.Hit(faultpoint.SiteShardWorker, fmt.Sprintf("shard-%d", s)); err != nil {
+			events <- event{shard: s, kind: evDone, err: fmt.Errorf("shard %d: %w", s, err)}
+			return
+		}
 	}
 	var stats core.Stats
 	opts.Stats = &stats
@@ -742,6 +746,7 @@ func (e *Engine) runStream(s int, st *stream, opts core.Options, events chan<- e
 				return false
 			}
 			h.Rank = 0
+			h.SeqIndex += st.first
 			events <- event{shard: s, kind: evHit, hit: h}
 			return true
 		},

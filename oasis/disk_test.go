@@ -24,8 +24,8 @@ func buildDiskShardedIndex(t *testing.T, seed int64, shards int) (*oasis.Databas
 	if err != nil {
 		t.Fatal(err)
 	}
-	if manifest.Shards != shards {
-		t.Fatalf("built %d shards, want %d", manifest.Shards, shards)
+	if len(manifest.Shards) != shards {
+		t.Fatalf("built %d shards, want %d", len(manifest.Shards), shards)
 	}
 	return db, dir
 }

@@ -141,7 +141,7 @@ func ExampleOpenEngine() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("built %d shards (%s partition)\n", manifest.Shards, manifest.Partition)
+	fmt.Printf("built %d shards (%s partition)\n", len(manifest.Shards), manifest.Partition)
 
 	eng, err := oasis.OpenEngine(indexDir, oasis.EngineOptions{PoolBytes: 1 << 20})
 	if err != nil {

@@ -133,12 +133,12 @@ type IndexStats = diskst.BuildStats
 
 // ShardedIndexBuildOptions configures disk-index construction: BlockSize, the
 // disk block size in bytes (default 2048, the paper's value), and Shards, the
-// number of disjoint sequence subsets (>= 1), each written as its own index
+// number of contiguous sequence runs (>= 1), each written as its own index
 // file.
 type ShardedIndexBuildOptions = diskst.ShardedBuildOptions
 
-// IndexManifest describes a sharded disk index directory: shard count, file
-// names and the per-shard local -> global sequence maps.
+// IndexManifest describes a sharded disk index directory: one record per
+// index file — name, sequence and residue counts — in global sequence order.
 type IndexManifest = diskst.Manifest
 
 // BuildShardedDiskIndex partitions db by sequence and writes one index file
