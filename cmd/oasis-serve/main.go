@@ -10,9 +10,10 @@
 //	-index-dir swissprot.idx open a prebuilt sharded DISK index directory
 //	                         (oasis-build -shards N); each shard is searched
 //	                         through its own buffer pool (-pool MB per
-//	                         shard), so the server can serve databases
-//	                         bigger than RAM and shard parallelism also
-//	                         parallelises page I/O
+//	                         shard) and keeps only its symbols (1 byte per
+//	                         residue) and catalog resident, so the server
+//	                         can serve indexes bigger than RAM and shard
+//	                         parallelism also parallelises page I/O
 //
 // The shard count is the index directory's, chosen once by oasis-build
 // -shards N; a -db engine is one in-memory shard.  A prefix-partitioned
@@ -292,7 +293,7 @@ func main() {
 	flag.StringVar(&f.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&f.dbPath, "db", "", "FASTA database to index in memory and serve")
 	flag.StringVar(&f.indexDir, "index-dir", "", "prebuilt sharded disk index directory (oasis-build -shards) to serve instead of -db")
-	flag.Int64Var(&f.poolMB, "pool", 64, "per-shard buffer pool size in MB (with -index-dir)")
+	flag.Int64Var(&f.poolMB, "pool", 64, "per-shard buffer pool size in MB (with -index-dir); a shard holds its pool, plus 1 byte per residue for its resident symbols, plus its catalog")
 	flag.StringVar(&f.alphabet, "alphabet", "protein", "alphabet: protein or dna (with -db; -index-dir reads it from the manifest)")
 	flag.StringVar(&f.matrix, "matrix", "PAM30", "substitution matrix")
 	flag.IntVar(&f.gap, "gap", -10, "linear gap penalty (negative)")

@@ -44,10 +44,11 @@
 //     queries are rejected with HTTP 413 so one huge batch cannot
 //     monopolise the worker pool.
 //   - The entire sharded serving stack also runs DISK-BACKED, so one warm
-//     engine serves databases bigger than RAM: oasis-build writes an index
-//     directory — one diskst index file per shard (-shards, default 1; no
-//     other command chooses a shard count) and a manifest.json
-//     (internal/diskst.BuildSharded); oasis.OpenEngine and
+//     engine serves indexes bigger than RAM (a shard keeps its pool, 1
+//     byte per residue of symbols and its catalog resident): oasis-build
+//     writes an index directory — one diskst index file per shard
+//     (-shards, default 1; no other command chooses a shard count) and a
+//     manifest.json (internal/diskst.BuildSharded); oasis.OpenEngine and
 //     the -index-dir flag of oasis-serve/oasis-search reopen the directory
 //     with one buffer pool PER FILE (diskst.OpenDir, arranged into an engine
 //     by shard.OpenDiskEngine;

@@ -26,13 +26,15 @@
 // rather than fail.  That cannot deadlock as long as no goroutine asks the
 // pool for a page while it holds a pin — every pin then belongs to a
 // goroutine that is not waiting on the pool and will release it — which is
-// the rule internal/diskst keeps (see lazyLabel there).  A caller that breaks
-// it by pinning every frame itself gets an error after pinWait, not a hang.
+// the rule internal/diskst keeps: a search holds a pin only while it copies
+// or decodes that page, never across a callback.  A caller that breaks it by
+// pinning every frame itself gets an error after pinWait, not a hang.
 //
 // Per-file hit statistics let the Figure 8 experiment report hit ratios for
-// the symbol, internal-node and leaf components separately.  Hits are counted
-// on the frame's own cache line and folded into the file on eviction, so
-// readers of different pages share no counter.
+// the internal-node and leaf components separately (the disk index keeps its
+// symbols resident, outside the pool), and Totals sums every file in one scan
+// of the frames.  Hits are counted on the frame's own cache line and folded
+// into the file on eviction, so readers of different pages share no counter.
 package bufferpool
 
 import (
@@ -52,7 +54,8 @@ type FileID int32
 const DefaultPageSize = 2048
 
 // pinWait bounds a miss's wait while every frame is pinned: far beyond what
-// pins held under the package's rule last (one edge-label sweep each).
+// pins held under the package's rule last (one page copy or record decode
+// each).
 const pinWait = time.Second
 
 // frame is a single buffer slot: 64 bytes, so a hit writes no cache line
@@ -346,22 +349,37 @@ func (p *Pool) ReadAt(id FileID, buf []byte, off int64) error {
 	return nil
 }
 
-// Stats returns a snapshot of the statistics for a file.
+// Stats returns a snapshot of the statistics for a file; zero for an ID the
+// pool never registered.
 func (p *Pool) Stats(id FileID) FileStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	files := *p.files.Load()
 	if uint64(id) >= uint64(len(files)) {
 		return FileStats{}
 	}
-	f := files[id]
-	hits := f.hits
+	return p.stats(files[id])
+}
+
+// Totals returns the statistics of every registered file summed — what Stats
+// returns per file, added up — in one scan of the frames.
+func (p *Pool) Totals() FileStats { return p.stats(nil) }
+
+// stats sums the counters of file only, or of every file when only is nil:
+// the folded-in counts of the files, then the hits of the frames they own.
+func (p *Pool) stats(only *file) FileStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var hits, misses int64
+	for _, f := range *p.files.Load() {
+		if only == nil || f == only {
+			hits, misses = hits+f.hits, misses+f.misses
+		}
+	}
 	for i := range p.frames {
-		if fr := &p.frames[i]; fr.owner == f {
+		if fr := &p.frames[i]; fr.owner != nil && (only == nil || fr.owner == only) {
 			hits += fr.hits.Load()
 		}
 	}
-	return FileStats{Requests: hits + f.misses, Hits: hits}
+	return FileStats{Requests: hits + misses, Hits: hits}
 }
 
 // ResetStats zeroes the statistics of every registered file (used between

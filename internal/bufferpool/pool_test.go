@@ -241,6 +241,52 @@ func TestMultipleFiles(t *testing.T) {
 	}
 }
 
+// TestTotalsIsTheSumOfStats: the one-scan pool total equals the per-file
+// Stats added up — with hits still on resident frames and hits folded in by
+// evictions, and after ResetStats — and an ID the pool never registered reads
+// zero.
+func TestTotalsIsTheSumOfStats(t *testing.T) {
+	p := New(6*64, 64)
+	files := []FileID{
+		p.Register("a", memFile(640), 640),
+		p.Register("b", memFile(1000), 1000),
+		p.Register("c", memFile(64), 64),
+	}
+	sum := func() (s FileStats) {
+		for _, f := range files {
+			st := p.Stats(f)
+			s.Requests += st.Requests
+			s.Hits += st.Hits
+		}
+		return s
+	}
+	rng := rand.New(rand.NewSource(5))
+	var buf [100]byte
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 500; i++ {
+			f := files[rng.Intn(len(files))]
+			size := []int{640, 1000, 64}[f]
+			n := 1 + rng.Intn(min(len(buf), size))
+			if err := p.ReadAt(f, buf[:n], int64(rng.Intn(size-n+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := p.Totals(), sum()
+		if got != want || got.Hits == 0 || got.Hits == got.Requests {
+			t.Fatalf("round %d: Totals %+v, per-file Stats sum to %+v (want equal, with both hits and misses)", round, got, want)
+		}
+		if st := p.Stats(-1); st != (FileStats{}) {
+			t.Fatalf("an unregistered ID reports %+v", st)
+		}
+		if round == 1 {
+			p.ResetStats()
+			if st := p.Totals(); st != (FileStats{}) {
+				t.Fatalf("Totals after ResetStats: %+v", st)
+			}
+		}
+	}
+}
+
 func TestDefaultsAndMinimumFrames(t *testing.T) {
 	p := New(0, 0)
 	if p.PageSize() != DefaultPageSize {

@@ -58,8 +58,8 @@ type Catalog interface {
 
 // EdgeLabel provides lazy access to the symbols labelling a suffix-tree
 // edge.  The OASIS expansion usually decides a node's fate after the first
-// few symbols, so indexes (in particular the disk-resident one) avoid
-// materialising long leaf edges unless the search actually consumes them.
+// few symbols, so indexes avoid materialising long leaf edges: both the
+// memory and the disk index hand out slices of symbols they hold resident.
 type EdgeLabel interface {
 	// Len returns the number of symbols on the edge (a leaf edge ends with
 	// the sequence terminator, which is included in the count).

@@ -93,59 +93,63 @@ func TestChecksummedOpenAndScrub(t *testing.T) {
 	}
 }
 
-// TestCorruptionDetectedOnRead flips one byte in a data block and requires a
-// typed ChecksumError (with the file, block and offset) from reads, and a
-// matching problem from the deep scrub.
+// TestCorruptionDetectedOnRead flips one byte in a data block and requires
+// a typed ChecksumError naming the file, block and offset, and a matching
+// problem from the deep scrub.  A block of the symbol region, which Open reads
+// whole, fails the open: an *OpenError wrapping the ChecksumError.  A block of
+// the internal-node region, read through the pool, fails the read that meets
+// it.
 func TestCorruptionDetectedOnRead(t *testing.T) {
-	path := buildChecksumFixture(t, 512)
-	f, err := openRW(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Damage a byte well past the header, inside the symbols/nodes region.
-	if _, err := f.WriteAt([]byte{0xFF}, 700); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	pristine := openFixture(t, buildChecksumFixture(t, 512))
+	for _, region := range []struct {
+		name string
+		off  int64
+	}{
+		{"symbols", int64(pristine.hdr.symbolsOff) + 188},
+		{"internal", int64(pristine.hdr.internalOff) + 188},
+	} {
+		t.Run(region.name, func(t *testing.T) {
+			path := buildChecksumFixture(t, 512)
+			f, err := openRW(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt([]byte{0xFF}, region.off); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			block := region.off / 512
 
-	rep, err := VerifyIndex(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK() {
-		t.Fatal("scrub missed the corrupted block")
-	}
-	found := false
-	for _, p := range rep.Problems {
-		if p.Block == 700/512 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("scrub reported the wrong block: %+v", rep.Problems)
-	}
+			rep, err := VerifyIndex(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Problems) != 1 || rep.Problems[0].Block != block {
+				t.Fatalf("scrub reported %+v, want block %d", rep.Problems, block)
+			}
 
-	// Opening still verifies lazily: the corrupt block surfaces a
-	// ChecksumError once something reads it.
-	idx, err := Open(path, bufferpool.New(1<<20, 512))
-	if err != nil {
-		var ce *ChecksumError
-		if !errors.As(err, &ce) {
-			t.Fatalf("open failed without a ChecksumError: %v", err)
-		}
-		return
-	}
-	defer idx.Close()
-	readErr := readWholeTree(idx)
-	var ce *ChecksumError
-	if !errors.As(readErr, &ce) {
-		t.Fatalf("reading the corrupt index: got %v, want a ChecksumError", readErr)
-	}
-	if ce.Path != path || ce.Block != 700/512 {
-		t.Fatalf("checksum error detail wrong: %+v", ce)
-	}
-	if Counters().ChecksumFailures == 0 {
-		t.Fatal("checksum failure counter did not move")
+			before := Counters().ChecksumFailures
+			idx, err := Open(path, bufferpool.New(1<<20, 512))
+			if err == nil {
+				defer idx.Close()
+				err = readWholeTree(idx)
+			} else {
+				var oe *OpenError
+				if !errors.As(err, &oe) || oe.Path != path || region.name != "symbols" {
+					t.Fatalf("open failed with %v", err)
+				}
+			}
+			var ce *ChecksumError
+			if !errors.As(err, &ce) {
+				t.Fatalf("got %v, want a ChecksumError", err)
+			}
+			if ce.Path != path || ce.Block != block || ce.Offset != block*512 {
+				t.Fatalf("checksum error detail wrong: %+v", ce)
+			}
+			if Counters().ChecksumFailures == before {
+				t.Fatal("checksum failure counter did not move")
+			}
+		})
 	}
 }
 

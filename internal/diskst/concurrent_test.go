@@ -70,9 +70,9 @@ func hitKeys(hits []core.Hit) [][2]int {
 }
 
 // TestConcurrentSearchesTinyPool: 16 searches at once over one index whose
-// pool has 4 frames — every searcher's pinned label page is a quarter of the
-// pool, so misses keep finding every frame pinned and must wait rather than
-// fail — return exactly the memory index's hits and leave nothing pinned.
+// pool has 4 frames — so misses keep finding frames pinned by the other
+// searches' record and run reads and must wait rather than fail — return
+// exactly the memory index's hits and leave nothing pinned.
 func TestConcurrentSearchesTinyPool(t *testing.T) {
 	idx, mem, queries, opts := searchFixture(t, 4)
 	want := make([][][2]int, len(queries))
@@ -137,43 +137,71 @@ func (c *cancelAfter) Err() error {
 	return nil
 }
 
-// TestSearchExitsHoldNoPin is the pin discipline at the exits: however a
-// traversal ends while an edge label holds its symbol page — the callback
-// fails, the context is cancelled in the middle of an edge, a fill fails —
-// the page is unpinned on the way out.
+// TestSearchExitsHoldNoPin is the pin discipline of a disk search: a search
+// holds no pin across any callback — the runs are copied out of their pages
+// before the first one, and an edge label is a slice of the resident symbols
+// — and none is left pinned however a traversal ends: the callback fails, the
+// context is cancelled in the middle of an edge, a fill fails.
 func TestSearchExitsHoldNoPin(t *testing.T) {
 	idx, _, queries, opts := searchFixture(t, 8)
 	pool := idx.Pool()
+	noPin := func(t *testing.T, where string) {
+		t.Helper()
+		if n := pool.PinnedPages(); n != 0 {
+			t.Fatalf("%d pages pinned %s", n, where)
+		}
+	}
 	check := func(t *testing.T, err, want error) {
 		t.Helper()
 		if !errors.Is(err, want) {
 			t.Fatalf("ended with %v, want %v", err, want)
 		}
-		if n := pool.PinnedPages(); n != 0 {
-			t.Fatalf("%d pages left pinned", n)
-		}
+		noPin(t, "after the search ended")
 	}
+	t.Run("every callback", func(t *testing.T) {
+		// The whole tree, walked from inside the callbacks, with every label
+		// read in full before and after the walk below it.
+		var walk func(ref core.NodeRef, depth int) error
+		walk = func(ref core.NodeRef, depth int) error {
+			return idx.VisitChildren(ref, depth, func(c core.NodeRef, label core.EdgeLabel) error {
+				noPin(t, "inside a VisitChildren callback")
+				if _, err := core.LabelBytes(label); err != nil {
+					return err
+				}
+				noPin(t, "after reading a label")
+				if err := idx.LeafPositions(c, func(int64) bool { noPin(t, "inside a LeafPositions callback"); return true }); err != nil {
+					return err
+				}
+				if err := walk(c, depth+label.Len()); err != nil {
+					return err
+				}
+				_, err := core.LabelBytes(label)
+				return err
+			})
+		}
+		check(t, walk(idx.Root(), 0), nil)
+	})
 	t.Run("callback error", func(t *testing.T) {
 		boom := errors.New("boom")
 		err := idx.VisitChildren(idx.Root(), 0, func(c core.NodeRef, label core.EdgeLabel) error {
 			if _, err := label.Symbols(0, 1); err != nil {
 				return err
 			}
-			if pool.PinnedPages() != 1 {
-				t.Error("a label that has been read should hold its page")
-			}
+			noPin(t, "after reading a label")
 			return boom
 		})
 		check(t, err, boom)
 	})
 	t.Run("cancelled mid-edge", func(t *testing.T) {
-		o := opts
-		ctx := &cancelAfter{Context: context.Background(), pool: pool, n: 1}
-		o.Context = ctx
-		_, err := core.SearchAll(idx, queries[0], o)
-		check(t, err, context.Canceled)
-		if ctx.pinned == 0 {
-			t.Fatal("the search was not inside an edge label when it saw the cancellation")
+		for n := int64(1); n <= 4; n++ {
+			o := opts
+			ctx := &cancelAfter{Context: context.Background(), pool: pool, n: n}
+			o.Context = ctx
+			_, err := core.SearchAll(idx, queries[0], o)
+			check(t, err, context.Canceled)
+			if ctx.pinned != 0 {
+				t.Fatalf("%d pages pinned at poll %d, where the search saw the cancellation", ctx.pinned, n)
+			}
 		}
 	})
 	t.Run("fill error", func(t *testing.T) {

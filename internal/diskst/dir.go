@@ -300,9 +300,9 @@ func syncDir(dir string) error {
 	return f.Sync()
 }
 
-// PoolStats is one index's buffer-pool counters summed over its three
-// regions (symbols, internal nodes, leaves), under the number the caller
-// knows the index by and its file name.
+// PoolStats is one index's buffer-pool counters summed over the regions its
+// pool reads (internal nodes and leaves; the symbols are resident), under the
+// number the caller knows the index by and its file name.
 type PoolStats struct {
 	Shard    int     `json:"shard"`
 	File     string  `json:"file"`
@@ -327,17 +327,12 @@ func (d *Dir) each(visit func(shard int, x *Index)) {
 }
 
 // PoolStats snapshots the buffer pool of every index the directory holds
-// open, each read through a pool of its own.
+// open.  Each index reads through a pool of its own, so one index's counters
+// are its pool's totals: one scan of the frames per index.
 func (d *Dir) PoolStats() (out []PoolStats) {
 	d.each(func(shard int, x *Index) {
-		st := PoolStats{Shard: shard, File: filepath.Base(x.path)}
-		for _, f := range []bufferpool.FileID{x.symbolsFile, x.internalFile, x.leavesFile} {
-			fs := x.pool.Stats(f)
-			st.Requests += fs.Requests
-			st.Hits += fs.Hits
-		}
-		st.HitRatio = bufferpool.FileStats{Requests: st.Requests, Hits: st.Hits}.HitRatio()
-		out = append(out, st)
+		fs := x.pool.Totals()
+		out = append(out, PoolStats{Shard: shard, File: filepath.Base(x.path), Requests: fs.Requests, Hits: fs.Hits, HitRatio: fs.HitRatio()})
 	})
 	return out
 }

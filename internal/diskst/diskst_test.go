@@ -352,8 +352,7 @@ func TestOpenErrors(t *testing.T) {
 func TestBufferPoolStatsAttribution(t *testing.T) {
 	db, _ := seq.DatabaseFromStrings(seq.DNA, "GATTACAGATTACAGATTACA", "CCGGAACCGGTT")
 	idx, _, pool := buildIndex(t, db, BuildOptions{})
-	// Fully traverse; leaf positions touch the internal and leaf regions
-	// (labels are lazy, so symbols are only read when materialised).
+	// LeafPositions reads the internal and leaf regions through the pool.
 	if err := idx.LeafPositions(idx.Root(), func(int64) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
@@ -363,13 +362,34 @@ func TestBufferPoolStatsAttribution(t *testing.T) {
 	if pool.Stats(idx.LeavesFile()).Requests == 0 {
 		t.Fatal("no leaf page requests recorded")
 	}
-	if pool.Stats(idx.SymbolsFile()).Requests != 0 {
-		t.Fatal("LeafPositions should not read symbol pages (labels are lazy)")
+	// Reading every label makes no pool request: the symbols are resident,
+	// and the ID SymbolsFile returns is one the pool never registered.
+	var walk func(ref core.NodeRef, depth int)
+	walk = func(ref core.NodeRef, depth int) {
+		err := idx.VisitChildren(ref, depth, func(c core.NodeRef, label core.EdgeLabel) error {
+			before := pool.Totals()
+			if _, err := core.LabelBytes(label); err != nil {
+				return err
+			}
+			if after := pool.Totals(); after != before {
+				t.Fatalf("reading the label above %v made pool requests: %+v, then %+v", c, before, after)
+			}
+			walk(c, depth+label.Len())
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Materialising edge labels must hit the symbol region.
-	collectTree(t, idx)
-	if pool.Stats(idx.SymbolsFile()).Requests == 0 {
-		t.Fatal("no symbol page requests recorded after reading labels")
+	walk(idx.Root(), 0)
+	if st := pool.Stats(idx.SymbolsFile()); st != (bufferpool.FileStats{}) {
+		t.Fatalf("symbols file reports %+v, want zero", st)
+	}
+	if _, err := idx.Catalog().Residues(0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pool.Totals(), pool.Stats(idx.InternalFile()).Requests+pool.Stats(idx.LeavesFile()).Requests; got.Requests != want {
+		t.Fatalf("pool served %d requests, the internal and leaf regions %d", got.Requests, want)
 	}
 
 	// The locality the format exists for, on a corpus large enough to have

@@ -75,7 +75,8 @@
 // leaf's rank in its parent's run and the entry is the suffix position, so
 // siblings are adjacent and the sibling pointer is gone; a leaf still costs 4
 // bytes and an internal node 16, and sibling internal nodes are still
-// physically adjacent, as in the paper.
+// physically adjacent, as in the paper.  The paper also reads the symbols
+// through its buffer pool; here they are resident (next section).
 //
 // Every traversal step moves strictly forward in the file.  On each record
 // pair the reader checks
@@ -108,18 +109,19 @@
 //
 // # Reading through the pool
 //
-// A search reads the file only through internal/bufferpool, whose hits take
-// no lock: pin the page → re-validate it → read → unpin (see that package).
-// Records and leaf runs are copied out of their pages — each page's pin
-// dropped before the next is asked for — before the first callback; an edge
-// label hands its symbols out in place, so the label's current symbol page is
-// the ONE pin a search holds between pool calls — taken by the first Symbols
-// call on a child, dropped when its callback returns and on every way out.
-// Because no goroutine requests a page while it holds a pin, a pool whose
-// every frame is pinned can wait for one: whoever holds the pins is not
-// waiting on the pool.  (A callback that itself walks the index after
-// reading its label holds one pin per level; that needs a pool with more
-// frames than the walk is deep, which only tests do.)
+// Open reads the symbol region once, through the same verifying reader every
+// pool fill uses — so a damaged symbol block fails the open, not a search —
+// and keeps it resident: 1 byte per residue outside the pool, of the ~10.4 the
+// file holds.  An edge label is a slice of it, as the memory index's labels
+// are, so reading one makes no pool request.  Internal records and leaf runs
+// are read through internal/bufferpool, whose hits take no lock: pin the page
+// → re-validate it → read → unpin (see that package).  They are copied out of
+// their pages — each page's pin dropped before the next is asked for — before
+// the first callback, so a search holds no pin across any callback, nor
+// between pool calls.  Because no goroutine requests a page while it holds a
+// pin, a pool whose every frame is pinned can wait for one: whoever holds the
+// pins is not waiting on the pool — a callback that itself walks the index
+// included.
 //
 // # Sharded layout (manifest.json)
 //

@@ -11,16 +11,14 @@ import (
 	"repro/internal/seq"
 )
 
-// TestLazyLabelChunkedReads exercises the lazy edge labels over a symbol
-// region several pages long, at page sizes 512 and 2048 (and the 128-byte
-// blocks behind 512-byte pages the other tests use): every edge of the tree
-// is read in the column sweep's 64-symbol windows — some lie inside one
-// pinned page and are handed out in place, some straddle a page boundary and
-// are copied —, one symbol at a time (the reference kernel's pattern), and
-// whole, and all three must equal the bytes Catalog().Residues returns for
-// that stretch of the sequence.  The same over straddleCorpus, whose leaf and
-// child-record runs cross page boundaries too.
-func TestLazyLabelChunkedReads(t *testing.T) {
+// TestEdgeLabelsSpellTheirSuffixes reads every edge label of indexes whose
+// symbol region is several pages long, at page sizes 512 and 2048 (and the
+// 128-byte blocks behind 512-byte pages the other tests use): in the column
+// sweep's 64-symbol windows, one symbol at a time (the reference kernel's
+// pattern), and whole — all three must equal the bytes Catalog().Residues
+// returns for that stretch of the sequence.  The same over straddleCorpus,
+// whose leaf and child-record runs cross page boundaries.
+func TestEdgeLabelsSpellTheirSuffixes(t *testing.T) {
 	long := "ACGT" + strings.Repeat("GATTACAT", 320) // 2564 residues
 	db, err := seq.DatabaseFromStrings(seq.DNA, long, "CCGGAACC")
 	if err != nil {
@@ -65,8 +63,7 @@ func TestLazyLabelChunkedReads(t *testing.T) {
 			var kids []child
 			err := idx.VisitChildren(ref, depth, func(c core.NodeRef, label core.EdgeLabel) error {
 				edges++
-				// Any leaf below the child spells the child's label (asked
-				// for before the label's first read: no pin is held yet).
+				// Any leaf below the child spells the child's label.
 				leaf := int64(-1)
 				if err := idx.LeafPositions(c, func(pos int64) bool { leaf = pos; return false }); err != nil {
 					return err
@@ -114,29 +111,5 @@ func TestLazyLabelChunkedReads(t *testing.T) {
 			t.Fatalf("page size %d: %d pages left pinned", tc.pageSize, n)
 		}
 		idx.Close()
-	}
-}
-
-// TestLazyLabelBoundsChecking verifies the error paths of the lazy label.
-func TestLazyLabelBoundsChecking(t *testing.T) {
-	db, _ := seq.DatabaseFromStrings(seq.DNA, "ACGTACGTACGT")
-	idx, _, _ := buildIndex(t, db, BuildOptions{})
-	err := idx.VisitChildren(idx.Root(), 0, func(child core.NodeRef, label core.EdgeLabel) error {
-		if _, err := label.Symbols(-1, 0); err == nil {
-			t.Fatal("negative from accepted")
-		}
-		if _, err := label.Symbols(0, label.Len()+1); err == nil {
-			t.Fatal("past-end read accepted")
-		}
-		if _, err := label.Symbols(2, 1); err == nil {
-			t.Fatal("inverted range accepted")
-		}
-		if s, err := label.Symbols(0, 0); err != nil || len(s) != 0 {
-			t.Fatal("empty range should succeed")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

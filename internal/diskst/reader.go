@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/bufferpool"
@@ -12,9 +13,12 @@ import (
 	"repro/internal/seq"
 )
 
-// Index is the disk-resident suffix tree opened for searching.  All node and
-// symbol accesses go through the buffer pool, so the cost of a search is
-// governed by the pool size exactly as in the paper's Figures 7 and 8.
+// Index is the disk-resident suffix tree opened for searching.  Internal
+// records and leaf runs are read through the buffer pool, so the cost of a
+// search is governed by the pool size as in the paper's Figures 7 and 8; the
+// symbol region, 1 byte per residue, is read once at Open and kept resident,
+// so an edge label is a slice of it (see "Reading through the pool" in the
+// package comment).
 //
 // Index implements core.Index.
 type Index struct {
@@ -24,7 +28,9 @@ type Index struct {
 	pool *bufferpool.Pool
 	hdr  *header
 
-	symbolsFile  bufferpool.FileID
+	// symbols is the symbol region, CRC-verified block by block as Open read
+	// it: every edge label is a slice of it.
+	symbols      []byte
 	internalFile bufferpool.FileID
 	leavesFile   bufferpool.FileID
 	// pageSize is the pool's page size: a multiple of both record sizes
@@ -35,11 +41,12 @@ type Index struct {
 	seqIDs   []string
 	loc      *seq.Locator // the sequences' extents in the symbol region
 
-	// labels recycles the edge-label object of each VisitChildren call.
-	labels sync.Pool
+	// visits recycles the scratch of each VisitChildren call.
+	visits sync.Pool
 }
 
-// Open maps an index file through the supplied buffer pool.
+// Open maps an index file through the supplied buffer pool, reading its
+// symbol region (1 byte per residue) into memory at once.
 func Open(path string, pool *bufferpool.Pool) (*Index, error) {
 	if pool == nil {
 		return nil, fmt.Errorf("diskst: nil buffer pool")
@@ -111,7 +118,7 @@ func Open(path string, pool *bufferpool.Pool) (*Index, error) {
 		alphabet: seq.Protein,
 		seqIDs:   ids,
 	}
-	idx.labels.New = func() any { return &lazyLabel{idx: idx} }
+	idx.visits.New = func() any { return new(visit) }
 	if hdr.alphabetKind == 1 {
 		idx.alphabet = seq.DNA
 	}
@@ -124,10 +131,14 @@ func Open(path string, pool *bufferpool.Pool) (*Index, error) {
 		return nil, fmt.Errorf("diskst: catalog lengths sum to %d, header concatLen is %d", concat, hdr.concatLen)
 	}
 	idx.loc = seq.NewLocator(len(lens), func(i int) int64 { return lens[i] })
-	symbolsLen := int64(hdr.concatLen)
+	// The symbol region is read like any pool fill, through the verifying
+	// reader, so a damaged block fails the open rather than a search.
+	idx.symbols = make([]byte, hdr.concatLen)
+	if _, err := vr.ReadAt(idx.symbols, int64(hdr.symbolsOff)); err != nil {
+		return fail(hdr.symbolsOff, fmt.Errorf("reading symbols: %w", err))
+	}
 	internalLen := int64(hdr.numInternal+1) * internalRecordSize // the sentinel
 	leavesLen := int64(hdr.concatLen) * leafRecordSize
-	idx.symbolsFile = pool.Register(path+"#symbols", io.NewSectionReader(vr, int64(hdr.symbolsOff), symbolsLen), symbolsLen)
 	idx.internalFile = pool.Register(path+"#internal", io.NewSectionReader(vr, int64(hdr.internalOff), internalLen), internalLen)
 	idx.leavesFile = pool.Register(path+"#leaves", io.NewSectionReader(vr, int64(hdr.leavesOff), leavesLen), leavesLen)
 	return idx, nil
@@ -149,12 +160,16 @@ func (x *Index) NumInternal() int64 { return int64(x.hdr.numInternal) }
 // NumLeaves returns the number of leaves (= concatenated length).
 func (x *Index) NumLeaves() int64 { return int64(x.hdr.concatLen) }
 
-// SymbolsFile, InternalFile and LeavesFile expose the buffer-pool file IDs of
-// the three index components so experiments can report per-component hit
-// ratios (Figure 8).
-func (x *Index) SymbolsFile() bufferpool.FileID  { return x.symbolsFile }
+// InternalFile and LeavesFile expose the buffer-pool file IDs of the two
+// index components read through the pool, so experiments can report
+// per-component hit ratios (Figure 8).
 func (x *Index) InternalFile() bufferpool.FileID { return x.internalFile }
 func (x *Index) LeavesFile() bufferpool.FileID   { return x.leavesFile }
+
+// SymbolsFile returns an ID no pool registers: the symbol region is resident,
+// so Pool.Stats(SymbolsFile()) reads zero requests.  It stays for callers that
+// report the paper's three components side by side.
+func (x *Index) SymbolsFile() bufferpool.FileID { return -1 }
 
 // Pool returns the buffer pool the index reads through.
 func (x *Index) Pool() *bufferpool.Pool { return x.pool }
@@ -201,10 +216,9 @@ func (x *Index) checkRuns(lo, hi int64, a, b internalRecord) error {
 }
 
 // copyRun copies the n bytes at off of a region into *buf, grown to fit — a
-// node's leaf run, its child records or a label range, any of which may
-// straddle pages: one pin per page, each dropped before the next (Pool.ReadAt).
-// *buf is kept with the pooled label, so it grows a handful of times per
-// process.
+// node's leaf run or its child records, either of which may straddle pages:
+// one pin per page, each dropped before the next (Pool.ReadAt).  *buf is kept
+// with the pooled visit, so it grows a handful of times per process.
 //
 //oasis:hotpath
 func (x *Index) copyRun(buf *[]byte, file bufferpool.FileID, off, n int64) ([]byte, error) {
@@ -215,8 +229,8 @@ func (x *Index) copyRun(buf *[]byte, file bufferpool.FileID, off, n int64) ([]by
 	return run, x.pool.ReadAt(file, run, off)
 }
 
-// errOutOfRange is built out of line (as is errBounds below), so the
-// per-request functions hold no allocation for the escape gate to find.
+// errOutOfRange is built out of line (as are VisitChildren's errors below),
+// so the per-request functions hold no allocation for the escape gate to find.
 //
 //go:noinline
 func errOutOfRange(what string, i int64) error {
@@ -226,69 +240,21 @@ func errOutOfRange(what string, i int64) error {
 // Root implements core.Index.
 func (x *Index) Root() core.NodeRef { return core.InternalRef(0) }
 
-// lazyLabel is a core.EdgeLabel that hands out symbols in place from the
-// pinned page of the symbol region they live on: an edge is read only as far
-// as the column sweep gets (OASIS usually prunes or accepts after a handful
-// of columns), and without a copy.  One instance serves every child of a
-// VisitChildren call and goes back to Index.labels afterwards.  page is the
-// one pin a search holds between pool calls (see the package comment).
-type lazyLabel struct {
-	idx    *Index
-	start  int64 // global symbol position of the first label symbol
-	length int
-	page   bufferpool.Handle
-	pageNo int64  // of page, while it is held
-	buf    []byte // for the ranges that straddle a page boundary
-	// The expanded node's leaf run and child records, copied out of their
-	// pages before the first callback.
+// visit is the scratch of one VisitChildren call, recycled through
+// Index.visits: the expanded node's leaf run and child records, copied out of
+// their pages before the first callback, and the one label, a slice of the
+// resident symbols, that serves every child.
+type visit struct {
 	leaves, kids []byte
-}
-
-// Len implements core.EdgeLabel.
-func (l *lazyLabel) Len() int { return l.length }
-
-// Symbols implements core.EdgeLabel.
-//
-//oasis:hotpath
-func (l *lazyLabel) Symbols(from, to int) ([]byte, error) {
-	if from < 0 || to > l.length || from > to {
-		return nil, l.errBounds(from, to)
-	}
-	if from == to {
-		return nil, nil
-	}
-	x := l.idx
-	pos, n := l.start+int64(from), to-from
-	pageNo, inPage := pos/x.pageSize, int(pos%x.pageSize)
-	if inPage+n > int(x.pageSize) {
-		// The range straddles a page boundary: copy it out, holding no pin
-		// while the pool is asked for the pages.
-		l.page.Release()
-		return x.copyRun(&l.buf, x.symbolsFile, pos, int64(n))
-	}
-	if l.page.Data == nil || l.pageNo != pageNo {
-		l.page.Release()
-		var err error
-		if l.page, err = x.pool.Get(x.symbolsFile, pageNo); err != nil {
-			return nil, err
-		}
-		l.pageNo = pageNo
-	}
-	if inPage+n > len(l.page.Data) {
-		return nil, errOutOfRange("symbol range ending at", pos+int64(n))
-	}
-	return l.page.Data[inPage : inPage+n], nil
-}
-
-//go:noinline
-func (l *lazyLabel) errBounds(from, to int) error {
-	return fmt.Errorf("diskst: label range [%d,%d) out of bounds (len %d)", from, to, l.length)
+	label        core.ByteLabel
 }
 
 // VisitChildren implements core.Index: one read of the node's record pair,
 // one copy of its leaf run and one of its child records, then the callbacks —
 // leaf children ascending by position, then internal children in sibling
-// order — handing each child's edge label to fn.
+// order — handing each child's edge label to fn with no page pinned.
+//
+//oasis:hotpath
 func (x *Index) VisitChildren(ref core.NodeRef, parentDepth int, fn func(child core.NodeRef, label core.EdgeLabel) error) error {
 	if ref.IsLeaf() {
 		return nil // leaves have no children
@@ -298,16 +264,13 @@ func (x *Index) VisitChildren(ref core.NodeRef, parentDepth int, fn func(child c
 	if err != nil {
 		return err
 	}
-	label := x.labels.Get().(*lazyLabel)
-	defer func() { // a panicking fn must not leak the pin either
-		label.page.Release()
-		x.labels.Put(label)
-	}()
-	leaves, err := x.copyRun(&label.leaves, x.leavesFile, int64(rec.leafStart)*leafRecordSize, int64(next.leafStart-rec.leafStart)*leafRecordSize)
+	v := x.visits.Get().(*visit)
+	defer x.visits.Put(v)
+	leaves, err := x.copyRun(&v.leaves, x.leavesFile, int64(rec.leafStart)*leafRecordSize, int64(next.leafStart-rec.leafStart)*leafRecordSize)
 	if err != nil {
 		return err
 	}
-	kids, err := x.copyRun(&label.kids, x.internalFile, int64(rec.firstChild)*internalRecordSize, int64(next.firstChild-rec.firstChild)*internalRecordSize)
+	kids, err := x.copyRun(&v.kids, x.internalFile, int64(rec.firstChild)*internalRecordSize, int64(next.firstChild-rec.firstChild)*internalRecordSize)
 	if err != nil {
 		return err
 	}
@@ -319,30 +282,39 @@ func (x *Index) VisitChildren(ref core.NodeRef, parentDepth int, fn func(child c
 		if err != nil {
 			return err
 		}
-		label.start = pos + int64(parentDepth)
-		label.length = int(x.loc.Start(i+1) - label.start)
-		if label.length <= 0 {
-			return &CorruptError{Path: x.path, Node: node, Detail: fmt.Sprintf("leaf %d is not deeper than parent depth %d", pos, parentDepth)}
+		start, end := pos+int64(parentDepth), x.loc.Start(i+1)
+		if start >= end {
+			return x.errShallowLeaf(node, pos, parentDepth)
 		}
-		err = fn(core.LeafRef(pos), label)
-		label.page.Release() // the one pin a search holds ends with its callback
-		if err != nil {
+		v.label.B = x.symbols[start:end]
+		if err := fn(core.LeafRef(pos), &v.label); err != nil {
 			return err
 		}
 	}
 	for child := int64(rec.firstChild); len(kids) > 0; child, kids = child+1, kids[internalRecordSize:] {
 		childRec := decodeInternalRecord(kids)
-		label.start, label.length = int64(childRec.edgeStart), int(childRec.depth)-parentDepth
-		if label.length <= 0 {
-			return &CorruptError{Path: x.path, Node: node, Detail: fmt.Sprintf("child %d depth %d <= parent depth %d", child, childRec.depth, parentDepth)}
+		start := int64(childRec.edgeStart)
+		end := start + int64(childRec.depth) - int64(parentDepth)
+		if end <= start || end > int64(len(x.symbols)) {
+			return x.errBadEdge(node, child, childRec, parentDepth)
 		}
-		err := fn(core.InternalRef(child), label)
-		label.page.Release()
-		if err != nil {
+		v.label.B = x.symbols[start:end]
+		if err := fn(core.InternalRef(child), &v.label); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+//go:noinline
+func (x *Index) errShallowLeaf(node, pos int64, parentDepth int) error {
+	return &CorruptError{Path: x.path, Node: node, Detail: fmt.Sprintf("leaf %d is not deeper than parent depth %d", pos, parentDepth)}
+}
+
+//go:noinline
+func (x *Index) errBadEdge(node, child int64, rec internalRecord, parentDepth int) error {
+	return &CorruptError{Path: x.path, Node: node, Detail: fmt.Sprintf("child %d (depth %d, edge at %d) is not a proper child of depth %d inside %d symbols",
+		child, rec.depth, rec.edgeStart, parentDepth, len(x.symbols))}
 }
 
 // leafChunk is how many bytes of the leaves region LeafPositions copies out
@@ -403,11 +375,8 @@ func (c *diskCatalog) Residues(i int) ([]byte, error) {
 	if i < 0 || i >= len(c.seqIDs) {
 		return nil, fmt.Errorf("diskst: sequence index %d out of range", i)
 	}
-	buf := make([]byte, c.SequenceLength(i))
-	if err := c.pool.ReadAt(c.symbolsFile, buf, c.loc.Start(i)); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	start := c.loc.Start(i)
+	return slices.Clone(c.symbols[start : start+int64(c.SequenceLength(i))]), nil
 }
 
 // Stats summarises the index regions; used by the space-utilisation table.

@@ -47,7 +47,8 @@ type Options struct {
 	// (written by diskst.BuildSharded / oasis-build -shards) instead of
 	// building in-memory indexes from a database: each shard searches its
 	// own diskst.Index through its own buffer pool, so one warm engine can
-	// serve databases bigger than RAM.  The shard count comes from the
+	// serve indexes bigger than RAM (a shard keeps its symbols, 1 byte per
+	// residue, and its catalog resident).  The shard count comes from the
 	// directory's manifest — Shards must be left zero — and New must be
 	// called with a nil database.
 	IndexDir string

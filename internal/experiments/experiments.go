@@ -525,16 +525,16 @@ func Figure7(lab *Lab, fractions []float64) ([]Figure7Row, error) {
 }
 
 // Figure8Row is one point of Figure 8: buffer hit ratio per index component
-// versus buffer pool size.
+// versus buffer pool size.  The paper's third component, the symbols, has no
+// ratio: the index keeps them resident, outside the pool.
 type Figure8Row struct {
 	PoolBytes        int64
 	PoolFraction     float64
-	SymbolsHitRatio  float64
 	InternalHitRatio float64
 	LeafHitRatio     float64
 }
 
-// Figure8 sweeps the buffer pool size and reports hit ratios for the symbol,
+// Figure8 sweeps the buffer pool size and reports hit ratios for the
 // internal-node and leaf regions separately.
 func Figure8(lab *Lab, fractions []float64) ([]Figure8Row, error) {
 	if len(fractions) == 0 {
@@ -564,7 +564,6 @@ func Figure8(lab *Lab, fractions []float64) ([]Figure8Row, error) {
 		rows = append(rows, Figure8Row{
 			PoolBytes:        poolBytes,
 			PoolFraction:     f,
-			SymbolsHitRatio:  pool.Stats(idx.SymbolsFile()).HitRatio(),
 			InternalHitRatio: pool.Stats(idx.InternalFile()).HitRatio(),
 			LeafHitRatio:     pool.Stats(idx.LeavesFile()).HitRatio(),
 		})

@@ -179,7 +179,7 @@ func TestFigure7And8(t *testing.T) {
 	// whole index must not have a lower internal-node hit ratio than the
 	// smallest pool.
 	for _, r := range f8 {
-		for _, v := range []float64{r.SymbolsHitRatio, r.InternalHitRatio, r.LeafHitRatio} {
+		for _, v := range []float64{r.InternalHitRatio, r.LeafHitRatio} {
 			if v < 0 || v > 1 {
 				t.Fatalf("hit ratio out of range: %+v", r)
 			}

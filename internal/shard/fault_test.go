@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -209,6 +211,63 @@ func TestFaultMatrixDegradedEquivalence(t *testing.T) {
 			t.Fatal("retry counter did not move")
 		}
 	})
+}
+
+// TestCorruptSymbolsFailAtOpen: the symbol region is read whole, and
+// verified, when its file opens, so one flipped byte in it fails the open
+// with an *OpenError wrapping a *ChecksumError that names the file, instead of
+// a later search.  Without allowDegraded the directory does not open; with it
+// the shard is quarantined at open and searches complete Degraded with
+// exactly the other shard's hits.
+func TestCorruptSymbolsFailAtOpen(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	db := randomShardDB(t, rng, seq.DNA, 12, 90)
+	dir := filepath.Join(t.TempDir(), "idx")
+	if _, _, err := diskst.BuildSharded(dir, db, diskst.ShardedBuildOptions{BlockSize: 2048, Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	query := seq.DNA.MustEncode("ACGTACGTAC")
+	opts := core.Options{Scheme: score.MustScheme(score.UnitDNA(), -1), MinScore: 3}
+	baseline := survivorBaseline(t, dir, "shard-1.oasis", query, opts)
+
+	// The symbol region starts one block in, after the header.
+	target := filepath.Join(dir, "shard-1.oasis")
+	f, err := os.OpenFile(target, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], 2048+5); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b[:], 2048+5); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	_, err = diskst.OpenDir(dir, 1<<20, false)
+	var oe *diskst.OpenError
+	var ce *diskst.ChecksumError
+	if !errors.As(err, &oe) || !errors.As(err, &ce) || oe.Path != target || ce.Path != target || ce.Block != 1 {
+		t.Fatalf("opening a directory with corrupt symbols: %v, want an *OpenError wrapping a *ChecksumError naming %s block 1", err, target)
+	}
+
+	eng := openFaultEngine(t, dir, true)
+	if q := eng.Standing(); len(q) != 1 || q[0].Shard != 1 || !strings.Contains(q[0].Err, "shard-1.oasis") {
+		t.Fatalf("quarantine at open: %+v, want shard 1 naming its file", q)
+	}
+	var st core.Stats
+	qOpts := opts
+	qOpts.Stats = &st
+	got, err := eng.SearchAll(query, qOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Degraded {
+		t.Fatal("search over a quarantined shard is not marked degraded")
+	}
+	assertSameHits(t, got, baseline)
 }
 
 // assertSameHits requires hit-for-hit equality (ranks, scores, sequences,

@@ -25,8 +25,9 @@
 //	defer eng.Close()
 //	hits, _ := eng.SearchAll(ctx, query, opts) // same hits, same order guarantee
 //
-// For databases bigger than RAM the whole stack runs disk-backed, the paper's
-// disk-resident suffix tree read through a buffer pool: BuildShardedDiskIndex
+// For indexes bigger than RAM the whole stack runs disk-backed, the paper's
+// disk-resident suffix tree read through a buffer pool (only the symbols, 1
+// byte per residue, and the catalog stay resident): BuildShardedDiskIndex
 // writes an index directory — one index file per shard (Shards: 1 for the
 // paper's single tree) plus a manifest — and OpenEngine serves it with one
 // buffer pool per shard, so shard parallelism also parallelises page I/O and
