@@ -90,10 +90,10 @@ func (m *MemoryIndex) fillLeafRanges() {
 	}
 }
 
-// BuildMemoryIndex constructs the suffix tree (Ukkonen) for the database and
-// wraps it in a MemoryIndex.
+// BuildMemoryIndex constructs the suffix tree (suffixtree.Build) for the
+// database and wraps it in a MemoryIndex.
 func BuildMemoryIndex(db *seq.Database) (*MemoryIndex, error) {
-	tree, err := suffixtree.BuildUkkonen(db)
+	tree, err := suffixtree.Build(db)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 package diskst
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -442,37 +444,45 @@ func TestVisitChildrenOnLeafIsNoop(t *testing.T) {
 	}
 }
 
-func TestWriteFromSortedTreeEquivalent(t *testing.T) {
-	db, _ := seq.DatabaseFromStrings(seq.DNA, "ACGTACGTAA", "GGCC")
-	tr1, err := suffixtree.BuildUkkonen(db)
+// Build writes, byte for byte, the file Write writes from BuildUkkonen's
+// tree, at the default block size and at 512: an index the Ukkonen builder
+// wrote is the index Build writes.
+func TestBuildWritesUkkonenBytes(t *testing.T) {
+	protein, _, err := workload.ProteinDatabase(workload.DefaultProteinConfig(20000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := suffixtree.BuildSorted(db)
+	dna, err := workload.DNADatabase(workload.DefaultDNAConfig(20000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	p1, p2 := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	if _, err := Write(p1, tr1, BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Write(p2, tr2, BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	pool := bufferpool.New(1<<20, 512)
-	i1, err := Open(p1, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer i1.Close()
-	i2, err := Open(p2, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer i2.Close()
-	if collectTree(t, i1) != collectTree(t, i2) {
-		t.Fatal("indexes from the two construction algorithms differ")
+	for _, db := range []*seq.Database{protein, dna} {
+		tree, err := suffixtree.BuildUkkonen(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []BuildOptions{{}, {BlockSize: 512}} {
+			name := fmt.Sprintf("%s block %d", db.Alphabet().Name(), opts.BlockSize)
+			want, got := filepath.Join(dir, "ukkonen"), filepath.Join(dir, "build")
+			if _, err := Write(want, tree, opts); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Build(got, db, opts); err != nil {
+				t.Fatal(err)
+			}
+			wantBytes, err := os.ReadFile(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotBytes, err := os.ReadFile(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotBytes, wantBytes) {
+				t.Fatalf("%s: Build wrote %d bytes that differ from Write's %d", name, len(gotBytes), len(wantBytes))
+			}
+		}
 	}
 }
 

@@ -36,13 +36,13 @@ type BuildStats struct {
 	BytesPerSymbol float64
 }
 
-// Build constructs the suffix tree for the database (Ukkonen) and writes the
-// index to path, returning size statistics.
+// Build constructs the suffix tree for the database (suffixtree.Build, from a
+// suffix array) and writes the index to path, returning size statistics.
 func Build(path string, db *seq.Database, opts BuildOptions) (*BuildStats, error) {
 	if db == nil {
 		return nil, fmt.Errorf("diskst: nil database")
 	}
-	tree, err := suffixtree.BuildUkkonen(db)
+	tree, err := suffixtree.Build(db)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/seq"
 )
 
-// Every snapshot of the online builder must be canonically identical to the
+// Every snapshot of the online builder must be node for node identical to the
 // batch Ukkonen construction over the same prefix of sequences — this is the
 // property the engine's delta shard rides on.
 func TestOnlineBuilderSnapshotsMatchBatch(t *testing.T) {
@@ -56,8 +56,8 @@ func TestOnlineBuilderSnapshotsMatchBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if canonicalize(tree) != canonicalize(ref) {
-				t.Fatalf("case %d: snapshot after %d appends differs from batch build", ci, k+1)
+			if err := sameNodes(tree, ref); err != nil {
+				t.Fatalf("case %d: snapshot after %d appends differs from batch build: %v", ci, k+1, err)
 			}
 			if db.NumSequences() != k+1 || db.TotalResidues() != want.TotalResidues() {
 				t.Fatalf("case %d: snapshot database mismatch", ci)
@@ -111,8 +111,8 @@ func TestOnlineBuilderSnapshotImmutability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if canonicalize(sn.tree) != canonicalize(ref) {
-			t.Fatalf("snapshot at %d sequences drifted after later appends", sn.n)
+		if err := sameNodes(sn.tree, ref); err != nil {
+			t.Fatalf("snapshot at %d sequences drifted after later appends: %v", sn.n, err)
 		}
 	}
 }

@@ -24,7 +24,7 @@ func paperDB(t *testing.T) *seq.Database {
 // builders lists every construction algorithm under test.
 var builders = map[string]func(*seq.Database) (*Tree, error){
 	"ukkonen": BuildUkkonen,
-	"sorted":  BuildSorted,
+	"build":   Build,
 }
 
 func TestPaperExampleTreeStructure(t *testing.T) {
@@ -61,69 +61,168 @@ func TestPaperExampleTreeStructure(t *testing.T) {
 	}
 }
 
-// canonicalize produces a structural fingerprint of the tree that is
-// independent of node numbering: a pre-order listing of edge labels, depths
-// and leaf positions.
-func canonicalize(t *Tree) string {
-	var sb strings.Builder
-	var walk func(n NodeID)
-	walk = func(n NodeID) {
-		label := t.EdgeLabel(n)
-		if t.IsLeaf(n) {
-			fmt.Fprintf(&sb, "L(%q,%d,%d)", label, t.Depth(n), t.SuffixStart(n))
-		} else {
-			fmt.Fprintf(&sb, "N(%q,%d)[", label, t.Depth(n))
+// builderCase is one database the builders must agree on.
+type builderCase struct {
+	alpha *seq.Alphabet
+	seqs  []string
+}
+
+// builderCases drive SA-IS into recursion and ties: long runs, periodic
+// and Fibonacci text, identical and 1-residue sequences, the empty database, protein as
+// well as DNA, and random databases of both.
+func builderCases() []builderCase {
+	rng := rand.New(rand.NewSource(11))
+	many := make([]string, 40)
+	for i := range many {
+		many[i] = "ACGTTGCA"
+	}
+	// The Fibonacci word (1,597 residues) recurses six levels deep into SA-IS.
+	fib, prev := "AC", "A"
+	for len(fib) < 1000 {
+		fib, prev = fib+prev, fib
+	}
+	cases := []builderCase{
+		{seq.DNA, []string{"AGTACGCCTAG"}},
+		{seq.DNA, []string{"A"}},
+		{seq.DNA, []string{"AAAAAAAA"}},
+		{seq.DNA, []string{"ACGT", "ACGT"}},
+		{seq.DNA, []string{"ACGTACGT", "TTTT", "AG"}},
+		{seq.DNA, []string{"AG", "AGA", "GAG", "A"}},
+		{seq.DNA, []string{strings.Repeat("A", 500)}},
+		{seq.DNA, []string{strings.Repeat("AC", 300), strings.Repeat("AC", 300)}},
+		{seq.DNA, []string{fib}},
+		{seq.DNA, many},
+		{seq.DNA, []string{"A", "C", "A", "G", "T", "A", "N", "A"}},
+		{seq.DNA, nil},
+		{seq.Protein, []string{"MKVLAAGIVALLLAAGCSSHHHHHH", "MKVLAAGIV", "WWWWWWWW"}},
+		{seq.Protein, []string{strings.Repeat("ARND", 100), strings.Repeat("RNDA", 50), "W", "W"}},
+	}
+	for i := 0; i < 6; i++ {
+		var dna, protein []string
+		for j := 0; j < 1+rng.Intn(4); j++ {
+			dna = append(dna, randomDNAString(rng, 1+rng.Intn(60)))
+			protein = append(protein, randomString(rng, "ARNDCQEGHILKMFPSTWYV", 1+rng.Intn(60)))
 		}
-		for _, c := range t.Children(n) {
-			walk(c)
-		}
-		if !t.IsLeaf(n) {
-			sb.WriteString("]")
+		cases = append(cases, builderCase{seq.DNA, dna}, builderCase{seq.Protein, protein})
+	}
+	return cases
+}
+
+// sameNodes reports the first difference between two trees: in their leaf
+// or internal counts, or in their node slices, field for field.
+func sameNodes(got, want *Tree) error {
+	if got.numLeaves != want.numLeaves || got.numInternal != want.numInternal {
+		return fmt.Errorf("%d leaves and %d internal nodes, want %d and %d",
+			got.numLeaves, got.numInternal, want.numLeaves, want.numInternal)
+	}
+	if len(got.nodes) != len(want.nodes) {
+		return fmt.Errorf("%d nodes, want %d", len(got.nodes), len(want.nodes))
+	}
+	for i := range got.nodes {
+		if got.nodes[i] != want.nodes[i] {
+			return fmt.Errorf("node %d is %+v, want %+v", i, got.nodes[i], want.nodes[i])
 		}
 	}
-	walk(t.Root())
-	return sb.String()
+	return nil
+}
+
+// buildersAgree builds db with BuildUkkonen, Build and an OnlineBuilder
+// snapshot and requires the last two to equal the first, which it returns.
+func buildersAgree(db *seq.Database) (*Tree, error) {
+	ref, err := BuildUkkonen(db)
+	if err != nil {
+		return nil, err
+	}
+	built, err := Build(db)
+	if err != nil {
+		return nil, err
+	}
+	if err := sameNodes(built, ref); err != nil {
+		return nil, fmt.Errorf("Build: %v", err)
+	}
+	ob, err := NewOnlineBuilder(db.Alphabet())
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range db.Sequences() {
+		if err := ob.Append(s); err != nil {
+			return nil, err
+		}
+	}
+	snap, _, err := ob.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	if err := sameNodes(snap, ref); err != nil {
+		return nil, fmt.Errorf("OnlineBuilder.Snapshot: %v", err)
+	}
+	return ref, nil
 }
 
 func TestBuildersProduceIdenticalTrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cases := [][]string{
-		{"AGTACGCCTAG"},
-		{"A"},
-		{"AAAAAAAA"},
-		{"ACGT", "ACGT"},           // identical sequences
-		{"ACGTACGT", "TTTT", "AG"}, // mixed lengths
-		{"AG", "AGA", "GAG", "A"},
-	}
-	// Add random cases.
-	for i := 0; i < 6; i++ {
-		var strsCase []string
-		for j := 0; j < 1+rng.Intn(4); j++ {
-			strsCase = append(strsCase, randomDNAString(rng, 1+rng.Intn(60)))
-		}
-		cases = append(cases, strsCase)
-	}
-	for ci, strsCase := range cases {
-		db, err := seq.DatabaseFromStrings(seq.DNA, strsCase...)
+	for ci, c := range builderCases() {
+		db, err := seq.DatabaseFromStrings(c.alpha, c.seqs...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ref string
-		for name, build := range builders {
-			tree, err := build(db)
-			if err != nil {
-				t.Fatalf("case %d %s: %v", ci, name, err)
-			}
-			if err := tree.Validate(); err != nil {
-				t.Fatalf("case %d %s: %v", ci, name, err)
-			}
-			c := canonicalize(tree)
-			if ref == "" {
-				ref = c
-			} else if c != ref {
-				t.Fatalf("case %d: %s produced a different tree", ci, name)
+		ref, err := buildersAgree(db)
+		if err == nil {
+			err = ref.Validate()
+		}
+		if err != nil {
+			t.Fatalf("case %d (%s, %d sequences): %v", ci, c.alpha.Name(), len(c.seqs), err)
+		}
+	}
+}
+
+// FuzzBuildersAgree reads data as comma-separated sequences, each byte a
+// residue code modulo the alphabet size.  It leaves out Validate, whose
+// path-label check is quadratic in depth, so minimising an input stays fast.
+func FuzzBuildersAgree(f *testing.F) {
+	for _, c := range builderCases() {
+		f.Add(strings.Join(c.seqs, ","), c.alpha == seq.Protein)
+	}
+	f.Fuzz(func(t *testing.T, data string, protein bool) {
+		if len(data) > 2048 {
+			t.Skip()
+		}
+		alpha := seq.DNA
+		if protein {
+			alpha = seq.Protein
+		}
+		var seqs []seq.Sequence
+		if data != "" {
+			for i, s := range strings.Split(data, ",") {
+				res := []byte(s)
+				for j := range res {
+					res[j] %= byte(alpha.Size())
+				}
+				seqs = append(seqs, seq.Sequence{ID: fmt.Sprint(i), Residues: res})
 			}
 		}
+		db, err := seq.NewDatabase(alpha, seqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := buildersAgree(db); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func TestBuildRefusesPastSymbolLimit(t *testing.T) {
+	defer func(old int) { maxBuildSymbols = old }(maxBuildSymbols)
+	maxBuildSymbols = 10
+	db, err := seq.DatabaseFromStrings(seq.DNA, "ACGT", "ACGTA") // 11 symbols
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(db); err == nil {
+		t.Fatal("Build accepted 11 symbols past a limit of 10")
+	}
+	maxBuildSymbols = 11
+	if _, err := Build(db); err != nil {
+		t.Fatalf("Build refused 11 symbols at a limit of 11: %v", err)
 	}
 }
 
@@ -221,7 +320,7 @@ func TestPathLabelMatchesSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := BuildSorted(db)
+	tree, err := Build(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,32 +392,8 @@ func TestNilDatabaseRejected(t *testing.T) {
 	if _, err := BuildUkkonen(nil); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, err := BuildSorted(nil); err == nil {
+	if _, err := Build(nil); err == nil {
 		t.Fatal("expected error")
-	}
-}
-
-func TestCompareSuffixesTotalOrder(t *testing.T) {
-	db, err := seq.DatabaseFromStrings(seq.DNA, "ACGTAC", "AC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := db.ConcatLen()
-	text, ends := db.Concat(), suffixEnds(db)
-	for a := int64(0); a < n; a++ {
-		if compareSuffixesFast(text, ends, a, a) != 0 {
-			t.Fatalf("suffix %d not equal to itself", a)
-		}
-		for b := int64(0); b < n; b++ {
-			if a == b {
-				continue
-			}
-			ab := compareSuffixesFast(text, ends, a, b)
-			ba := compareSuffixesFast(text, ends, b, a)
-			if ab == 0 || ba == 0 || ab == ba {
-				t.Fatalf("comparison not antisymmetric for %d,%d: %d %d", a, b, ab, ba)
-			}
-		}
 	}
 }
 
@@ -385,11 +460,12 @@ func TestSuffixStartPanicsOnInternalNode(t *testing.T) {
 	tree.SuffixStart(tree.Root())
 }
 
-func randomDNAString(rng *rand.Rand, n int) string {
-	letters := "ACGT"
+func randomDNAString(rng *rand.Rand, n int) string { return randomString(rng, "ACGT", n) }
+
+func randomString(rng *rand.Rand, letters string, n int) string {
 	b := make([]byte, n)
 	for i := range b {
-		b[i] = letters[rng.Intn(4)]
+		b[i] = letters[rng.Intn(len(letters))]
 	}
 	return string(b)
 }

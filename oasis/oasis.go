@@ -124,7 +124,7 @@ func LoadFASTA(path string, a *Alphabet) (*Database, error) { return seq.ReadFAS
 // NewDatabase builds a database from already-encoded sequences.
 func NewDatabase(a *Alphabet, seqs []Sequence) (*Database, error) { return seq.NewDatabase(a, seqs) }
 
-// NewMemoryIndex builds an in-memory suffix-tree index (Ukkonen
+// NewMemoryIndex builds an in-memory suffix-tree index (suffix-array
 // construction) over the database.
 func NewMemoryIndex(db *Database) (*MemoryIndex, error) { return core.BuildMemoryIndex(db) }
 
