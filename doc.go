@@ -37,7 +37,8 @@
 //     concurrent queries over the shared index while each query's hit
 //     stream stays decreasing-score and cancellable — build once, serve
 //     many.  cmd/oasis-serve is the HTTP/NDJSON front end over
-//     one such engine (see examples/server for the lifecycle): /metrics
+//     one such engine (ExampleEngine_SubmitBatch in oasis/example_test.go
+//     shows the lifecycle): /metrics
 //     exposes the scratch free-list stats, per-shard active searches,
 //     per-shard buffer-pool hit rates and per-endpoint latency
 //     histograms for capacity planning, and batches of more than 256

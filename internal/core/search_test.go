@@ -508,8 +508,8 @@ func TestMemoryIndexErrors(t *testing.T) {
 	}
 }
 
-// TestSearchUsesTempDirIndex smoke-tests that the search options work with a
-// query file round trip (guards the examples' workflow).
+// TestQueryRoundTripViaFasta smoke-tests that the search options work with a
+// query file round trip.
 func TestQueryRoundTripViaFasta(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := seq.DatabaseFromStrings(seq.DNA, "AGTACGCCTAG")

@@ -35,8 +35,8 @@ type EngineOptions = engine.Options
 //	    }
 //	}
 //
-// cmd/oasis-serve wraps an Engine in an HTTP front end; examples/server
-// shows the full build-once-serve-many lifecycle.
+// ExampleEngine_SubmitBatch shows the build-once-serve-many lifecycle;
+// cmd/oasis-serve wraps an Engine in an HTTP front end.
 type Engine struct {
 	eng *engine.Engine
 	db  *Database

@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"repro/oasis"
 )
@@ -48,16 +51,33 @@ func ExampleSearch() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	var best oasis.Hit
 	err = oasis.Search(idx, query, opts, func(h oasis.Hit) bool {
 		fmt.Printf("#%d %s score=%d\n", h.Rank, h.SeqID, h.Score)
+		if h.Rank == 1 {
+			best = h
+		}
 		return true
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+
+	// A hit carries only where its alignment ends; RecoverAlignment rebuilds
+	// the whole alignment of the best hit.
+	a, err := oasis.RecoverAlignment(idx, query, scheme, best)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("best alignment: identity %.0f%%, %s\n", 100*a.Identity(), a.CIGAR())
+	fmt.Print(a.Format(oasis.Protein, query, db.Sequence(best.SeqIndex).Residues))
 	// Output:
 	// #1 CALM_HUMAN score=64
 	// #2 TNNC1_HUMAN score=34
+	// best alignment: identity 100%, 12M
+	// Query     1 DKDGDGTITTKE 12
+	//             ||||||||||||
+	// Target   20 DKDGDGTITTKE 31
 }
 
 // ExampleNewEngine searches the database with one worker per shard;
@@ -168,4 +188,125 @@ func ExampleOpenEngine() {
 	// built 2 shards (sequence partition)
 	// CALM_HUMAN score=64
 	// TNNC1_HUMAN score=34
+}
+
+// ExampleSearch_topK is the paper's online top-k (Figure 9): hits arrive in
+// decreasing score order, so WithMaxResults(k) stops the search once the k
+// best sequences are out. Those k hits are the first k of the full stream,
+// found with no more dynamic-programming columns than the full search.
+func ExampleSearch_topK() {
+	// Eight sequences carry the EF-hand motif with their last 0..7 motif
+	// residues turned to alanine, so each scores below the one before.
+	const motif = "DKDGDGTITTKE"
+	var seqs []oasis.Sequence
+	for i := 0; i < 8; i++ {
+		variant := motif[:len(motif)-i] + strings.Repeat("A", i)
+		seqs = append(seqs, oasis.Sequence{
+			ID:       fmt.Sprintf("EF%d", i),
+			Residues: oasis.Protein.MustEncode("PPGGSS" + variant + "SSGGPP"),
+		})
+	}
+	db, err := oasis.NewDatabase(oasis.Protein, seqs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	idx, err := oasis.NewMemoryIndex(db)
+	if err != nil {
+		log.Fatal(err)
+	}
+	query := oasis.Protein.MustEncode(motif)
+	scheme, err := oasis.NewScheme(oasis.MatrixByName("BLOSUM62"), -8)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// run searches for at most maxResults sequences (0 = all of them).
+	run := func(maxResults int) ([]oasis.Hit, oasis.SearchStats) {
+		var st oasis.SearchStats
+		opts, err := oasis.NewSearchOptions(scheme, db, query,
+			oasis.WithMinScore(20), oasis.WithMaxResults(maxResults), oasis.WithStats(&st))
+		if err != nil {
+			log.Fatal(err)
+		}
+		hits, err := oasis.SearchAll(idx, query, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return hits, st
+	}
+
+	const k = 3
+	full, fullStats := run(0)
+	top, topStats := run(k)
+	for _, h := range top {
+		fmt.Printf("#%d %s score=%d\n", h.Rank, h.SeqID, h.Score)
+	}
+	fmt.Printf("full stream: %d hits\n", len(full))
+	fmt.Printf("top-%d is the full stream's first %d: %v\n", k, k, slices.Equal(top, full[:k]))
+	fmt.Printf("top-%d expanded no more columns than the full search: %v\n", k, topStats.ColumnsExpanded <= fullStats.ColumnsExpanded)
+	// Output:
+	// #1 EF0 score=64
+	// #2 EF1 score=59
+	// #3 EF2 score=54
+	// full stream: 8 hits
+	// top-3 is the full stream's first 3: true
+	// top-3 expanded no more columns than the full search: true
+}
+
+// ExampleNewDatabase_dna searches nucleotides, the paper's second data set,
+// under its Table 1 unit matrix (+1 match, -1 mismatch, -1 gap). The probe is
+// a stretch of one sequence with one base changed; OASIS returns exactly the
+// (sequence, score) set of an exhaustive Smith-Waterman scan.
+func ExampleNewDatabase_dna() {
+	raw := []struct{ id, bases string }{
+		{"2L", "TTGACCATGGCTAGCTTACGGATCCGATTACAGGTCAAGT"},
+		{"2R", "GGCTAGCTAACGGATCCTTTGACCAGTACGATCGATGCAA"},
+		{"3L", "CAGTTGCAACGTACGTTAGCATGCATGACTAGCTAGGACT"},
+		{"X", "ACGATGCATTACGGATCCGATTGCAGGAACCTTGGCCAAT"},
+	}
+	var seqs []oasis.Sequence
+	for _, s := range raw {
+		seqs = append(seqs, oasis.Sequence{ID: s.id, Residues: oasis.DNA.MustEncode(s.bases)})
+	}
+	db, err := oasis.NewDatabase(oasis.DNA, seqs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	idx, err := oasis.NewMemoryIndex(db)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// 2L's bases 11-26 with the A at base 18 read as G.
+	probe := oasis.DNA.MustEncode("CTAGCTTGCGGATCCG")
+	scheme, err := oasis.NewScheme(oasis.MatrixByName("UNIT"), -1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	const minScore = 8
+	opts, err := oasis.NewSearchOptions(scheme, db, probe, oasis.WithMinScore(minScore))
+	if err != nil {
+		log.Fatal(err)
+	}
+	hits, err := oasis.SearchAll(idx, probe, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	got := map[int]int{}
+	for _, h := range hits {
+		fmt.Printf("%s score=%d\n", h.SeqID, h.Score)
+		got[h.SeqIndex] = h.Score
+	}
+	sw, err := oasis.SmithWaterman(db, probe, scheme, minScore)
+	if err != nil {
+		log.Fatal(err)
+	}
+	want := map[int]int{}
+	for _, h := range sw {
+		want[h.SeqIndex] = h.Score
+	}
+	fmt.Printf("same (sequence, score) set as Smith-Waterman: %v\n", maps.Equal(got, want))
+	// Output:
+	// 2L score=14
+	// 2R score=11
+	// X score=10
+	// same (sequence, score) set as Smith-Waterman: true
 }
