@@ -56,20 +56,6 @@ type Catalog interface {
 	Residues(i int) ([]byte, error)
 }
 
-// EdgeLabel provides lazy access to the symbols labelling a suffix-tree
-// edge.  The OASIS expansion usually decides a node's fate after the first
-// few symbols, so indexes avoid materialising long leaf edges: both the
-// memory and the disk index hand out slices of symbols they hold resident.
-type EdgeLabel interface {
-	// Len returns the number of symbols on the edge (a leaf edge ends with
-	// the sequence terminator, which is included in the count).
-	Len() int
-	// Symbols returns the symbols in [from, to).  The returned slice is
-	// only valid until the next Symbols call or until the enclosing
-	// VisitChildren callback returns.
-	Symbols(from, to int) ([]byte, error)
-}
-
 // Index is the read-only view of a generalized suffix tree that drives the
 // OASIS search.
 //
@@ -81,44 +67,21 @@ type EdgeLabel interface {
 //
 // A search passes the same two callbacks, bound once, to every call.  An
 // implementation must not retain a callback past the call that received it,
-// and should not allocate per child (reuse one label per call, as MemoryIndex
-// and the disk index do): the best-first loop allocates nothing per node.
+// and should not allocate per child: the best-first loop allocates nothing
+// per node.
 type Index interface {
 	// Root returns the reference of the root node.
 	Root() NodeRef
 	// VisitChildren calls fn once for every child of ref, passing the
-	// child's reference and its incoming edge label (the label of a leaf
-	// edge ends with the sequence terminator).  The label is only valid
-	// for the duration of the callback and may be backed by storage that
-	// is reused between callbacks.  parentDepth is the number of symbols
-	// on the path from the root to ref.
-	VisitChildren(ref NodeRef, parentDepth int, fn func(child NodeRef, label EdgeLabel) error) error
+	// child's reference and the symbols of its incoming edge (the label of
+	// a leaf edge ends with the sequence terminator).  The label is a
+	// slice of the symbols the index holds resident: fn must not modify
+	// it, and must not keep it past the callback.  parentDepth is the
+	// number of symbols on the path from the root to ref.
+	VisitChildren(ref NodeRef, parentDepth int, fn func(child NodeRef, label []byte) error) error
 	// LeafPositions calls fn with the suffix start position of every leaf
 	// in the subtree rooted at ref, stopping early if fn returns false.
 	LeafPositions(ref NodeRef, fn func(pos int64) bool) error
 	// Catalog returns the sequence catalog of the index.
 	Catalog() Catalog
-}
-
-// ByteLabel is an EdgeLabel backed by an in-memory byte slice.  Use a
-// pointer when passing it through the EdgeLabel interface in hot paths so
-// the conversion does not allocate.
-type ByteLabel struct{ B []byte }
-
-// Len implements EdgeLabel.
-func (l *ByteLabel) Len() int { return len(l.B) }
-
-// Symbols implements EdgeLabel.
-func (l *ByteLabel) Symbols(from, to int) ([]byte, error) { return l.B[from:to], nil }
-
-// LabelBytes materialises an entire edge label; a convenience for callers
-// (tests, debugging tools) that want the full label regardless of length.
-func LabelBytes(l EdgeLabel) ([]byte, error) {
-	s, err := l.Symbols(0, l.Len())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(s))
-	copy(out, s)
-	return out, nil
 }

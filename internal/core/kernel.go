@@ -173,12 +173,13 @@ type edgeResult struct {
 }
 
 // sweepEdgeFast is the branch-free kernel: it sweeps one column per symbol
-// of syms (an edge-label chunk), stopping early when the node closes out
-// (sweepClosed), dies (sweepDead) or a terminator symbol is reached.  Moving
-// the per-column loop into the kernel amortises the call and bookkeeping
-// overhead that dominates at the workload's typical ~3-cell band width.  See
-// the package comment above for the per-column derivation; profT is the
-// transposed profile (profT[sym*m + i-1] scores query position i).
+// of syms (an edge label, or a stretch of one cut at the cancellation poll),
+// stopping early when the node closes out (sweepClosed), dies (sweepDead) or
+// a terminator symbol is reached.  Moving the per-column loop into the
+// kernel amortises the call and bookkeeping overhead that dominates at the
+// workload's typical ~3-cell band width.  See the package comment above for
+// the per-column derivation; profT is the transposed profile
+// (profT[sym*m + i-1] scores query position i).
 func sweepEdgeFast(prev, cur, profT, h []int32, width int, syms []byte, plo, phi, m int, gap, maxScore, minScore int32, full bool) edgeResult {
 	r := edgeResult{maxScore: maxScore, colBest: negInf32}
 	for ci := 0; ci < len(syms); ci++ {

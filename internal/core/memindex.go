@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/seq"
 	"repro/internal/suffixtree"
@@ -32,8 +31,6 @@ type MemoryIndex struct {
 	leafPos []int64
 	leafLo  []int32
 	leafHi  []int32
-	// labels recycles the edge label of each VisitChildren call.
-	labels sync.Pool
 }
 
 // NewMemoryIndex builds the adapter.  The tree must have been built over the
@@ -53,7 +50,6 @@ func NewMemoryIndex(tree *suffixtree.Tree, db *seq.Database) (*MemoryIndex, erro
 		leafLo:  make([]int32, tree.NumNodes()),
 		leafHi:  make([]int32, tree.NumNodes()),
 	}
-	m.labels.New = func() any { return &ByteLabel{} }
 	m.fillLeafRanges()
 	return m, nil
 }
@@ -126,12 +122,11 @@ func (m *MemoryIndex) resolve(ref NodeRef) (suffixtree.NodeID, error) {
 	return id, nil
 }
 
-// VisitChildren implements Index.  One label from m.labels serves every
-// child (the interface contract only guarantees a label within its callback),
-// and each child's node record is read once.
+// VisitChildren implements Index.  Each child's node record is read once;
+// its label is a slice of the tree's text.
 //
 //oasis:hotpath
-func (m *MemoryIndex) VisitChildren(ref NodeRef, parentDepth int, fn func(child NodeRef, label EdgeLabel) error) error {
+func (m *MemoryIndex) VisitChildren(ref NodeRef, parentDepth int, fn func(child NodeRef, label []byte) error) error {
 	id, err := m.resolve(ref)
 	if err != nil {
 		return err
@@ -139,18 +134,19 @@ func (m *MemoryIndex) VisitChildren(ref NodeRef, parentDepth int, fn func(child 
 	if ref.IsLeaf() {
 		return nil // leaves have no children
 	}
-	label := m.labels.Get().(*ByteLabel)
+	var label []byte
 	var suffixStart int64
-	for c, next := m.tree.FirstChild(id), suffixtree.NoNode; c != suffixtree.NoNode && err == nil; c = next {
-		label.B, suffixStart, next = m.tree.Edge(c)
+	for c, next := m.tree.FirstChild(id), suffixtree.NoNode; c != suffixtree.NoNode; c = next {
+		label, suffixStart, next = m.tree.Edge(c)
 		child := InternalRef(int64(c))
 		if suffixStart >= 0 {
 			child = LeafRef(suffixStart)
 		}
-		err = fn(child, label)
+		if err := fn(child, label); err != nil {
+			return err
+		}
 	}
-	m.labels.Put(label)
-	return err
+	return nil
 }
 
 // LeafPositions implements Index.

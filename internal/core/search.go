@@ -246,7 +246,7 @@ type searcher struct {
 	// childFn and leafFn are s.visitChild and s.visitLeaf, bound once per
 	// search so the loop hands the index no new closure per node; the fields
 	// after them are those callbacks' per-call state.
-	childFn  func(child NodeRef, label EdgeLabel) error
+	childFn  func(child NodeRef, label []byte) error
 	leafFn   func(pos int64) bool
 	parentID int32          // the viable node being expanded
 	accID    int32          // the accepted node being reported
@@ -487,7 +487,7 @@ func (s *searcher) run(report func(Hit) bool) error {
 // of the node s.parentID and queues the child unless it is unviable.
 //
 //oasis:hotpath
-func (s *searcher) visitChild(child NodeRef, label EdgeLabel) error {
+func (s *searcher) visitChild(child NodeRef, label []byte) error {
 	r, err := s.expand(s.parentID, child, label)
 	if r.ok {
 		s.push(r.f, r.accepted, r.id)
@@ -553,9 +553,8 @@ type expandResult struct {
 // edge leading to child (paper Algorithm 3) and stores the resulting search
 // node, or reports it unviable.
 //
-// The edge label is consumed lazily (chunk by chunk) so that long leaf edges
-// are only read as far as the column sweep actually progresses before the
-// node is accepted or discarded.
+// The sweep stops as soon as the node is accepted or discarded, so a long
+// leaf edge costs only the columns actually swept, not its length.
 //
 // The column sweep is banded: pruning leaves each column with a contiguous
 // live interval [lo, hi] of non-negInf cells (cells outside it are never
@@ -564,7 +563,7 @@ type expandResult struct {
 // computed.  The searcher's full switch widens the band to the full column,
 // restoring the original exhaustive sweep; Options.ReferenceKernel selects
 // the original guarded scalar sweep (see kernel.go for both kernels).
-func (s *searcher) expand(parentID int32, child NodeRef, label EdgeLabel) (expandResult, error) {
+func (s *searcher) expand(parentID int32, child NodeRef, label []byte) (expandResult, error) {
 	if s.refKernel {
 		return s.expandRef(parentID, child, label)
 	}
@@ -606,12 +605,12 @@ func (s *searcher) storeViable(child NodeRef, depth int32, plo, phi int, band []
 }
 
 // expandFast is expand on the branch-free edge kernel: sweepEdgeFast
-// processes a whole edge-label chunk per call (capped to the cancellation
+// processes the whole edge label in one call (capped to the cancellation
 // poll interval when a context is set), so the per-column loop runs inside
 // the kernel instead of re-crossing the call boundary every symbol.
 //
 //oasis:hotpath
-func (s *searcher) expandFast(parentID int32, child NodeRef, label EdgeLabel) (expandResult, error) {
+func (s *searcher) expandFast(parentID int32, child NodeRef, label []byte) (expandResult, error) {
 	m := len(s.query)
 	gap := int32(s.opts.Scheme.Gap)
 	minScore := int32(s.opts.MinScore)
@@ -635,72 +634,58 @@ func (s *searcher) expandFast(parentID int32, child NodeRef, label EdgeLabel) (e
 	consumed := 0
 	var cells int64
 	terminator := false
-	labelLen := label.Len()
-	for j := 0; j < labelLen && !terminator; {
-		to := j + 64
-		if to > labelLen {
-			to = labelLen
+	for syms := label; len(syms) > 0 && !terminator; {
+		part := syms
+		// Cancellation poll (Options.Context): cap the kernel call at the
+		// remaining poll budget so a query stuck in a long hit-less DP
+		// stretch still observes ctx within cancelPollColumns columns
+		// instead of only at the next hit callback.
+		if s.ctx != nil && s.pollCountdown < len(part) {
+			part = part[:s.pollCountdown]
 		}
-		chunk, err := label.Symbols(j, to)
-		if err != nil {
-			s.recordColumns(consumed, cells)
-			s.prevBuf, s.curBuf = prev, cur
-			return expandResult{}, err
+		r := sweepEdgeFast(prev, cur, s.profT, s.h32, s.profWidth, part, plo, phi, m, gap, maxScore, minScore, s.full)
+		cells += r.cells
+		if r.bestCol > 0 {
+			bestQEnd = r.bestQEnd
+			bestDepth = int32(parentDepth + consumed + int(r.bestCol))
 		}
-		j = to
-		for len(chunk) > 0 && !terminator {
-			part := chunk
-			// Cancellation poll (Options.Context): cap the kernel call at the
-			// remaining poll budget so a query stuck in a long hit-less DP
-			// stretch still observes ctx within cancelPollColumns columns
-			// instead of only at the next hit callback.
-			if s.ctx != nil && s.pollCountdown < len(part) {
-				part = part[:s.pollCountdown]
-			}
-			r := sweepEdgeFast(prev, cur, s.profT, s.h32, s.profWidth, part, plo, phi, m, gap, maxScore, minScore, s.full)
-			cells += r.cells
-			if r.bestCol > 0 {
-				bestQEnd = r.bestQEnd
-				bestDepth = int32(parentDepth + consumed + int(r.bestCol))
-			}
-			maxScore = r.maxScore
-			consumed += int(r.columns)
-			terminator = r.terminator
-			if r.swapped {
-				prev, cur = cur, prev
-			}
-			// Columns of an edge that closes or dies count toward the poll
-			// too, so hit-less stretches of short-lived nodes are polled.
-			if s.ctx != nil {
-				s.pollCountdown -= int(r.columns)
-				if s.pollCountdown <= 0 {
-					s.pollCountdown = cancelPollColumns
-					if err := s.ctx.Err(); err != nil {
-						s.recordColumns(consumed, cells)
-						s.prevBuf, s.curBuf = prev, cur
-						return expandResult{}, err
-					}
+		maxScore = r.maxScore
+		consumed += int(r.columns)
+		terminator = r.terminator
+		if r.swapped {
+			prev, cur = cur, prev
+		}
+		// Columns of an edge that closes or dies count toward the poll
+		// too, so hit-less stretches of short-lived nodes are polled.
+		if s.ctx != nil {
+			s.pollCountdown -= int(r.columns)
+			if s.pollCountdown <= 0 {
+				s.pollCountdown = cancelPollColumns
+				if err := s.ctx.Err(); err != nil {
+					s.recordColumns(consumed, cells)
+					s.prevBuf, s.curBuf = prev, cur
+					return expandResult{}, err
 				}
 			}
-			switch r.status {
-			case sweepClosed:
-				// Nothing below this node can beat the alignment already
-				// found along this path.
-				s.recordColumns(consumed, cells)
-				s.prevBuf, s.curBuf = prev, cur
-				return s.closeOut(child, maxScore, bestQEnd, bestDepth), nil
-			case sweepDead:
-				s.recordColumns(consumed, cells)
-				s.prevBuf, s.curBuf = prev, cur
-				s.stats.NodesUnviable++
-				return expandResult{}, nil
-			}
-			plo, phi = int(r.plo), int(r.phi)
-			if r.columns > 0 {
-				fBound = int(r.colBest)
-			}
-			chunk = chunk[r.columns:]
 		}
+		switch r.status {
+		case sweepClosed:
+			// Nothing below this node can beat the alignment already
+			// found along this path.
+			s.recordColumns(consumed, cells)
+			s.prevBuf, s.curBuf = prev, cur
+			return s.closeOut(child, maxScore, bestQEnd, bestDepth), nil
+		case sweepDead:
+			s.recordColumns(consumed, cells)
+			s.prevBuf, s.curBuf = prev, cur
+			s.stats.NodesUnviable++
+			return expandResult{}, nil
+		}
+		plo, phi = int(r.plo), int(r.phi)
+		if r.columns > 0 {
+			fBound = int(r.colBest)
+		}
+		syms = syms[r.columns:]
 	}
 	s.recordColumns(consumed, cells)
 	// Keep the searcher's scratch pointers consistent with the swaps.
@@ -722,7 +707,7 @@ func (s *searcher) expandFast(parentID int32, child NodeRef, label EdgeLabel) (e
 // expandRef is expand on the retained scalar reference kernel
 // (Options.ReferenceKernel): one guarded sweepColumnRef call per symbol, the
 // original structure the fast path is differentially tested against.
-func (s *searcher) expandRef(parentID int32, child NodeRef, label EdgeLabel) (expandResult, error) {
+func (s *searcher) expandRef(parentID int32, child NodeRef, label []byte) (expandResult, error) {
 	m := len(s.query)
 	gap := int32(s.opts.Scheme.Gap)
 	minScore := int32(s.opts.MinScore)
@@ -742,10 +727,7 @@ func (s *searcher) expandRef(parentID int32, child NodeRef, label EdgeLabel) (ex
 	columns := 0
 	var cells int64
 	terminator := false
-	labelLen := label.Len()
-	var chunk []byte
-	chunkStart, chunkEnd := 0, 0
-	for j := 0; j < labelLen; j++ {
+	for j, sym := range label {
 		if s.ctx != nil {
 			s.pollCountdown--
 			if s.pollCountdown <= 0 {
@@ -757,20 +739,6 @@ func (s *searcher) expandRef(parentID int32, child NodeRef, label EdgeLabel) (ex
 				}
 			}
 		}
-		if j >= chunkEnd {
-			to := j + 64
-			if to > labelLen {
-				to = labelLen
-			}
-			var err error
-			chunk, err = label.Symbols(j, to)
-			if err != nil {
-				s.prevBuf, s.curBuf = prev, cur
-				return expandResult{}, err
-			}
-			chunkStart, chunkEnd = j, to
-		}
-		sym := chunk[j-chunkStart]
 		if int(sym) >= s.profWidth {
 			// Sequence terminator: alignments never extend across it; the
 			// remaining label (if any) is beyond this sequence.

@@ -493,7 +493,7 @@ func TestMemoryIndexErrors(t *testing.T) {
 	if _, err := NewMemoryIndex(idx.Tree(), other); err == nil {
 		t.Fatal("expected error for mismatched database")
 	}
-	if err := idx.VisitChildren(InternalRef(999), 0, func(NodeRef, EdgeLabel) error { return nil }); err == nil {
+	if err := idx.VisitChildren(InternalRef(999), 0, func(NodeRef, []byte) error { return nil }); err == nil {
 		t.Fatal("expected error for bad ref")
 	}
 	if err := idx.LeafPositions(LeafRef(999), func(int64) bool { return true }); err == nil {

@@ -190,16 +190,10 @@ func ExpandFrontier(idx Index, query []byte, opts Options, assign SubtreeAssigne
 		t := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		st.NodesExpanded++
-		err := s.idx.VisitChildren(s.nodes.ref[t.id], int(s.nodes.depth[t.id]), func(child NodeRef, label EdgeLabel) error {
-			// Read the routing symbols before expand consumes the label
-			// (Symbols invalidates previously returned slices).
-			head, err := label.Symbols(0, min(2, label.Len()))
-			if err != nil {
-				return err
-			}
-			first, second := int(head[0]), -1
-			if len(head) > 1 {
-				second = int(head[1])
+		err := s.idx.VisitChildren(s.nodes.ref[t.id], int(s.nodes.depth[t.id]), func(child NodeRef, label []byte) error {
+			first, second := int(label[0]), -1
+			if len(label) > 1 {
+				second = int(label[1])
 			}
 			r, err := s.expand(t.id, child, label)
 			if err != nil || !r.ok {

@@ -47,18 +47,14 @@ func buildChecksumFixture(t *testing.T, blockSize int) string {
 func readWholeTree(idx *Index) error {
 	var walk func(ref core.NodeRef, depth int) error
 	walk = func(ref core.NodeRef, depth int) error {
-		return idx.VisitChildren(ref, depth, func(c core.NodeRef, l core.EdgeLabel) error {
-			full, err := core.LabelBytes(l)
-			if err != nil {
-				return err
-			}
+		return idx.VisitChildren(ref, depth, func(c core.NodeRef, label []byte) error {
 			if c.IsLeaf() {
 				return nil
 			}
 			if err := idx.LeafPositions(c, func(int64) bool { return true }); err != nil {
 				return err
 			}
-			return walk(c, depth+len(full))
+			return walk(c, depth+len(label))
 		})
 	}
 	if err := idx.LeafPositions(idx.Root(), func(int64) bool { return true }); err != nil {

@@ -3,6 +3,7 @@ package diskst
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -163,30 +164,28 @@ func TestSearchExitsHoldNoPin(t *testing.T) {
 		// read in full before and after the walk below it.
 		var walk func(ref core.NodeRef, depth int) error
 		walk = func(ref core.NodeRef, depth int) error {
-			return idx.VisitChildren(ref, depth, func(c core.NodeRef, label core.EdgeLabel) error {
+			return idx.VisitChildren(ref, depth, func(c core.NodeRef, label []byte) error {
 				noPin(t, "inside a VisitChildren callback")
-				if _, err := core.LabelBytes(label); err != nil {
-					return err
-				}
+				read := string(label)
 				noPin(t, "after reading a label")
 				if err := idx.LeafPositions(c, func(int64) bool { noPin(t, "inside a LeafPositions callback"); return true }); err != nil {
 					return err
 				}
-				if err := walk(c, depth+label.Len()); err != nil {
+				if err := walk(c, depth+len(label)); err != nil {
 					return err
 				}
-				_, err := core.LabelBytes(label)
-				return err
+				if string(label) != read {
+					return fmt.Errorf("the label above %v changed during the walk below it", c)
+				}
+				return nil
 			})
 		}
 		check(t, walk(idx.Root(), 0), nil)
 	})
 	t.Run("callback error", func(t *testing.T) {
 		boom := errors.New("boom")
-		err := idx.VisitChildren(idx.Root(), 0, func(c core.NodeRef, label core.EdgeLabel) error {
-			if _, err := label.Symbols(0, 1); err != nil {
-				return err
-			}
+		err := idx.VisitChildren(idx.Root(), 0, func(c core.NodeRef, label []byte) error {
+			_ = label[0]
 			noPin(t, "after reading a label")
 			return boom
 		})

@@ -95,12 +95,8 @@ func collectTree(t *testing.T, idx core.Index) string {
 			label string
 		}
 		var kids []child
-		if err := idx.VisitChildren(ref, depth, func(c core.NodeRef, l core.EdgeLabel) error {
-			full, err := core.LabelBytes(l)
-			if err != nil {
-				return err
-			}
-			kids = append(kids, child{ref: c, label: string(full)})
+		if err := idx.VisitChildren(ref, depth, func(c core.NodeRef, label []byte) error {
+			kids = append(kids, child{ref: c, label: string(label)})
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -368,15 +364,13 @@ func TestBufferPoolStatsAttribution(t *testing.T) {
 	// and the ID SymbolsFile returns is one the pool never registered.
 	var walk func(ref core.NodeRef, depth int)
 	walk = func(ref core.NodeRef, depth int) {
-		err := idx.VisitChildren(ref, depth, func(c core.NodeRef, label core.EdgeLabel) error {
+		err := idx.VisitChildren(ref, depth, func(c core.NodeRef, label []byte) error {
 			before := pool.Totals()
-			if _, err := core.LabelBytes(label); err != nil {
-				return err
-			}
+			read := string(label)
 			if after := pool.Totals(); after != before {
 				t.Fatalf("reading the label above %v made pool requests: %+v, then %+v", c, before, after)
 			}
-			walk(c, depth+label.Len())
+			walk(c, depth+len(read))
 			return nil
 		})
 		if err != nil {
@@ -433,7 +427,7 @@ func TestVisitChildrenOnLeafIsNoop(t *testing.T) {
 	db := paperDB(t)
 	idx, _, _ := buildIndex(t, db, BuildOptions{})
 	called := false
-	if err := idx.VisitChildren(core.LeafRef(0), 0, func(core.NodeRef, core.EdgeLabel) error {
+	if err := idx.VisitChildren(core.LeafRef(0), 0, func(core.NodeRef, []byte) error {
 		called = true
 		return nil
 	}); err != nil {

@@ -13,11 +13,10 @@ import (
 
 // TestEdgeLabelsSpellTheirSuffixes reads every edge label of indexes whose
 // symbol region is several pages long, at page sizes 512 and 2048 (and the
-// 128-byte blocks behind 512-byte pages the other tests use): in the column
-// sweep's 64-symbol windows, one symbol at a time (the reference kernel's
-// pattern), and whole — all three must equal the bytes Catalog().Residues
-// returns for that stretch of the sequence.  The same over straddleCorpus,
-// whose leaf and child-record runs cross page boundaries.
+// 128-byte blocks behind 512-byte pages the other tests use): each label
+// must equal the bytes Catalog().Residues returns for that stretch of the
+// sequence.  The same over straddleCorpus, whose leaf and child-record runs
+// cross page boundaries.
 func TestEdgeLabelsSpellTheirSuffixes(t *testing.T) {
 	long := "ACGT" + strings.Repeat("GATTACAT", 320) // 2564 residues
 	db, err := seq.DatabaseFromStrings(seq.DNA, long, "CCGGAACC")
@@ -61,38 +60,18 @@ func TestEdgeLabelsSpellTheirSuffixes(t *testing.T) {
 				depth int
 			}
 			var kids []child
-			err := idx.VisitChildren(ref, depth, func(c core.NodeRef, label core.EdgeLabel) error {
+			err := idx.VisitChildren(ref, depth, func(c core.NodeRef, label []byte) error {
 				edges++
 				// Any leaf below the child spells the child's label.
 				leaf := int64(-1)
 				if err := idx.LeafPositions(c, func(pos int64) bool { leaf = pos; return false }); err != nil {
 					return err
 				}
-				exp := want(leaf+int64(depth), label.Len())
 				if !c.IsLeaf() {
-					kids = append(kids, child{c, depth + label.Len()})
+					kids = append(kids, child{c, depth + len(label)})
 				}
-				for j := 0; j < label.Len(); j += 64 {
-					to := min(j+64, label.Len())
-					got, err := label.Symbols(j, to)
-					if err != nil {
-						return err
-					}
-					if !bytes.Equal(got, exp[j:to]) {
-						t.Fatalf("page size %d: edge above leaf %d window [%d,%d) differs from the catalog's residues", tc.pageSize, leaf, j, to)
-					}
-				}
-				for j := 0; j < label.Len(); j++ {
-					if got, err := label.Symbols(j, j+1); err != nil || got[0] != exp[j] {
-						t.Fatalf("page size %d: edge above leaf %d symbol %d: %v %v", tc.pageSize, leaf, j, got, err)
-					}
-				}
-				whole, err := core.LabelBytes(label)
-				if err != nil {
-					return err
-				}
-				if !bytes.Equal(whole, exp) {
-					t.Fatalf("page size %d: edge above leaf %d whole-label read differs", tc.pageSize, leaf)
+				if !bytes.Equal(label, want(leaf+int64(depth), len(label))) {
+					t.Fatalf("page size %d: edge above leaf %d differs from the catalog's residues", tc.pageSize, leaf)
 				}
 				return nil
 			})

@@ -242,11 +242,10 @@ func (x *Index) Root() core.NodeRef { return core.InternalRef(0) }
 
 // visit is the scratch of one VisitChildren call, recycled through
 // Index.visits: the expanded node's leaf run and child records, copied out of
-// their pages before the first callback, and the one label, a slice of the
-// resident symbols, that serves every child.
+// their pages before the first callback.  Edge labels need no scratch: each
+// is a slice of the resident symbols.
 type visit struct {
 	leaves, kids []byte
-	label        core.ByteLabel
 }
 
 // VisitChildren implements core.Index: one read of the node's record pair,
@@ -255,7 +254,7 @@ type visit struct {
 // order — handing each child's edge label to fn with no page pinned.
 //
 //oasis:hotpath
-func (x *Index) VisitChildren(ref core.NodeRef, parentDepth int, fn func(child core.NodeRef, label core.EdgeLabel) error) error {
+func (x *Index) VisitChildren(ref core.NodeRef, parentDepth int, fn func(child core.NodeRef, label []byte) error) error {
 	if ref.IsLeaf() {
 		return nil // leaves have no children
 	}
@@ -286,8 +285,7 @@ func (x *Index) VisitChildren(ref core.NodeRef, parentDepth int, fn func(child c
 		if start >= end {
 			return x.errShallowLeaf(node, pos, parentDepth)
 		}
-		v.label.B = x.symbols[start:end]
-		if err := fn(core.LeafRef(pos), &v.label); err != nil {
+		if err := fn(core.LeafRef(pos), x.symbols[start:end]); err != nil {
 			return err
 		}
 	}
@@ -298,8 +296,7 @@ func (x *Index) VisitChildren(ref core.NodeRef, parentDepth int, fn func(child c
 		if end <= start || end > int64(len(x.symbols)) {
 			return x.errBadEdge(node, child, childRec, parentDepth)
 		}
-		v.label.B = x.symbols[start:end]
-		if err := fn(core.InternalRef(child), &v.label); err != nil {
+		if err := fn(core.InternalRef(child), x.symbols[start:end]); err != nil {
 			return err
 		}
 	}

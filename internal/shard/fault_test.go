@@ -285,11 +285,11 @@ func assertSameHits(t *testing.T, got, want []core.Hit) {
 	}
 }
 
-// TestDegradedStreamNotCachedUpstream pins the engine-layer contract at the
-// shard level: a degraded search reports different stats than a healthy one,
-// so the two must never be conflated by result caching (the engine package
-// refuses to cache Degraded streams; here we just assert the flag round-trips
-// through Stats.Add merging).
+// TestDegradedStatsMerge pins the engine-layer contract at the shard level:
+// a degraded search reports different stats than a healthy one, so the two
+// must never be conflated by result caching (the engine package refuses to
+// cache Degraded streams; here we just assert the flag round-trips through
+// Stats.Add merging).
 func TestDegradedStatsMerge(t *testing.T) {
 	var total core.Stats
 	total.Add(core.Stats{Degraded: true, ShardErrors: []core.ShardError{{Shard: 2, Err: "boom"}}})

@@ -295,7 +295,8 @@ func ExampleNewDatabase_dna() {
 		fmt.Printf("%s score=%d\n", h.SeqID, h.Score)
 		got[h.SeqIndex] = h.Score
 	}
-	sw, err := oasis.SmithWaterman(db, probe, scheme, minScore)
+	var sw []oasis.SmithWatermanHit
+	sw, err = oasis.SmithWaterman(db, probe, scheme, minScore)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -292,9 +292,13 @@ func RecoverAlignment(idx Index, query []byte, scheme Scheme, h Hit) (Alignment,
 // SmithWaterman runs the exact quadratic-time baseline over every sequence
 // of the database and returns the best hit per sequence with score at least
 // minScore, in decreasing score order.
-func SmithWaterman(db *Database, query []byte, scheme Scheme, minScore int) ([]align.Hit, error) {
+func SmithWaterman(db *Database, query []byte, scheme Scheme, minScore int) ([]SmithWatermanHit, error) {
 	return align.SearchDatabase(db, query, scheme, align.Options{MinScore: minScore})
 }
+
+// SmithWatermanHit is a hit reported by the exact baseline: the best local
+// alignment of the query against one sequence.
+type SmithWatermanHit = align.Hit
 
 // BLASTOptions configures the heuristic baseline searcher.
 type BLASTOptions = blast.Options
