@@ -57,9 +57,8 @@
 // # Growing the served corpus: /insert, /delete, /compact
 //
 // The engine is incrementally indexable: writes land in an in-memory delta
-// layer (built online, in the spirit of the paper's online-construction
-// property) and become searchable immediately, without rebuilding or
-// reopening the base index.
+// layer (the memtable, whose suffix tree each insert rebuilds) and become
+// searchable immediately, without rebuilding or reopening the base index.
 //
 // POST /insert adds one sequence.  Request and response (JSON):
 //

@@ -6,21 +6,18 @@ import (
 	"repro/internal/seq"
 )
 
-// OnlineBuilder grows a generalized suffix tree one whole sequence at a time
-// using Ukkonen's online construction — the same algorithm BuildUkkonen runs
-// in one shot, kept resident between appends.  It backs the engine's mutable
-// delta shard: inserts extend the builder in O(len) amortised, and Snapshot
-// freezes the current state into an immutable Tree + Database pair that can
-// be searched while further appends continue.
+// OnlineBuilder holds the engine's memtable: the sequences appended so far,
+// in order.  Append only checks and keeps a sequence; Snapshot builds the
+// tree of everything kept with Build (SA-IS + LCP), the same construction as
+// every whole-corpus tree, so each snapshot costs one rebuild of the memtable
+// and equals BuildUkkonen's tree over the same sequences node for node.
 //
-// Snapshot is cheap relative to a rebuild: freeze only walks the builder's
-// node table (it never mutates it), so repeated snapshots are safe.  The
-// builder itself is not goroutine-safe; callers serialise Append/Snapshot
-// (the engine does so under its writer lock) and treat each snapshot as
-// immutable.
+// The returned Tree + Database pair is immutable and independent of later
+// appends, so it can be searched while appends continue.  The builder itself
+// is not goroutine-safe; callers serialise Append/Snapshot (the engine does
+// so under its writer lock).
 type OnlineBuilder struct {
 	alphabet *seq.Alphabet
-	b        *ukkonenBuilder
 	seqs     []seq.Sequence
 	total    int64
 }
@@ -30,7 +27,7 @@ func NewOnlineBuilder(a *seq.Alphabet) (*OnlineBuilder, error) {
 	if a == nil {
 		return nil, fmt.Errorf("suffixtree: nil alphabet")
 	}
-	return &OnlineBuilder{alphabet: a, b: newUkkonenBuilder(nil)}, nil
+	return &OnlineBuilder{alphabet: a}, nil
 }
 
 // NumSequences returns how many sequences have been appended.
@@ -39,48 +36,25 @@ func (o *OnlineBuilder) NumSequences() int { return len(o.seqs) }
 // TotalResidues returns the residues appended so far (excluding terminators).
 func (o *OnlineBuilder) TotalResidues() int64 { return o.total }
 
-// Sequences returns the appended sequences in order (not a copy).
-func (o *OnlineBuilder) Sequences() []seq.Sequence { return o.seqs }
-
-// Append extends the tree with one whole sequence.  The terminator is given a
-// distinct virtual symbol (alphabet size + sequence index), exactly as
-// virtualSymbols does for the batch construction, so the tree stays properly
-// generalized: Ukkonen's remainder drains to zero at every sequence boundary
-// because the fresh terminator matches no existing edge.
+// Append keeps one whole sequence for the next Snapshot.  A sequence with
+// codes outside the alphabet is refused and leaves the builder unchanged.
 func (o *OnlineBuilder) Append(s seq.Sequence) error {
 	if !o.alphabet.ValidCodes(s.Residues) {
 		return fmt.Errorf("suffixtree: sequence %q contains codes outside alphabet %q", s.ID, o.alphabet.Name())
-	}
-	start := len(o.b.text)
-	for _, c := range s.Residues {
-		o.b.text = append(o.b.text, int32(c))
-	}
-	o.b.text = append(o.b.text, int32(o.alphabet.Size())+int32(len(o.seqs)))
-	for pos := start; pos < len(o.b.text); pos++ {
-		o.b.extend(pos)
-	}
-	if o.b.remainder != 0 {
-		return fmt.Errorf("suffixtree: internal error: remainder %d after sequence boundary", o.b.remainder)
 	}
 	o.seqs = append(o.seqs, s)
 	o.total += int64(len(s.Residues))
 	return nil
 }
 
-// Snapshot freezes the current builder state into an immutable Tree over a
-// fresh Database of the appended sequences.  The returned pair is
-// independent of subsequent Appends.
+// Snapshot builds the tree of the appended sequences over a fresh Database
+// of them.
 func (o *OnlineBuilder) Snapshot() (*Tree, *seq.Database, error) {
 	db, err := seq.NewDatabase(o.alphabet, append([]seq.Sequence(nil), o.seqs...))
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(o.seqs) == 0 {
-		t := &Tree{db: db, text: db.Concat(), nodes: []node{{parent: NoNode, firstChild: NoNode, nextSibling: NoNode, suffixStart: -1}}}
-		t.numInternal = 1
-		return t, db, nil
-	}
-	tree, err := o.b.freeze(db, db.Concat())
+	tree, err := Build(db)
 	if err != nil {
 		return nil, nil, err
 	}

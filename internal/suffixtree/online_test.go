@@ -8,9 +8,10 @@ import (
 	"repro/internal/seq"
 )
 
-// Every snapshot of the online builder must be node for node identical to the
-// batch Ukkonen construction over the same prefix of sequences — this is the
-// property the engine's delta shard rides on.
+// Every snapshot of the online builder (a Build over the sequences appended so
+// far) must be node for node identical to the batch Ukkonen construction over
+// the same prefix of sequences — this is the property the engine's delta
+// shard rides on.
 func TestOnlineBuilderSnapshotsMatchBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	cases := [][]string{

@@ -5,10 +5,10 @@
 //
 // Two construction algorithms produce the same tree node for node, which the
 // tests verify.  Build derives it from a suffix array (SA-IS + LCP); it
-// builds every whole-database tree: the memory index (core.BuildMemoryIndex)
-// and every disk index file (diskst.Build).  Ukkonen's online algorithm
-// (BuildUkkonen) is the reference, and OnlineBuilder keeps it resident to
-// grow the engine's memtable one sequence at a time.
+// builds every tree the system searches: the memory index
+// (core.BuildMemoryIndex), every disk index file (diskst.Build) and each
+// snapshot of the engine's memtable (OnlineBuilder).  Ukkonen's online
+// algorithm (BuildUkkonen) is the tests' reference.
 package suffixtree
 
 import (
