@@ -372,42 +372,6 @@ func TestInsertInvalidatesCache(t *testing.T) {
 	}
 }
 
-// A delete leaves the memtable as it is, so it must publish the memtable
-// index the last insert built instead of rebuilding it; the tombstone alone
-// hides the deleted sequence.
-func TestDeleteReusesMemtableIndex(t *testing.T) {
-	db, err := seq.DatabaseFromStrings(seq.Protein, "ACDEFGHIKLMNPQRSTVWY", "MKVLITTTAGGGS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(db, Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for _, id := range []string{"first", "second"} {
-		if _, err := eng.Insert(id, seq.Protein.MustEncode("AAWWWWHHHHWWWWAA")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := eng.cur().mem
-	if _, err := eng.Delete("first"); err != nil {
-		t.Fatal(err)
-	}
-	if after := eng.cur().mem; after != before {
-		t.Fatalf("delete rebuilt the memtable index (%p -> %p)", before, after)
-	}
-	q := Query{
-		ID:       "q",
-		Residues: seq.Protein.MustEncode("WWWWHHHHWWWW"),
-		Options:  core.Options{Scheme: score.MustScheme(score.ByName("PAM30"), -10), MinScore: 40},
-	}
-	hits := collectStream(t, eng, q)
-	if len(hits) != 1 || hits[0].SeqID != "second" {
-		t.Fatalf("after deleting %q the stream is %v, want one hit on %q", "first", hits, "second")
-	}
-}
-
 // TestCompactionCrashSafety fails a disk compaction after each step of
 // diskst.Dir.Commit in turn — the SiteCompactSwap failpoint, matched on its
 // step tag: the delta built under its temporary name, renamed into place,

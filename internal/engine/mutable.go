@@ -6,17 +6,17 @@
 // (shard.Engine.WithLayers), which derives the global catalog and the live
 // totals itself and is searched like any other shard engine.  This file is the
 // WRITER of generations and nothing else.  Inserts land in an in-memory delta,
-// the memtable (internal/suffixtree.OnlineBuilder), whose index each insert
-// rebuilds with suffixtree.Build; deletes add per-sequence tombstones and reuse
-// that index; every write builds the next view and publishes it as an immutable
-// genState that searches pin for their whole run.  Compaction seals the
-// memtable's index, the one the last publish built, as a layer of the durable
-// view — kept as it is (memory engines), or written with the tombstones to the
-// index directory (diskst.Dir.Commit — the on-disk protocol and its crash
-// contract are stated there and nowhere else) and continued from the layer it
-// returns (disk engines) — so hits and their global sequence indexes survive it
-// unchanged, and deleted sequences and sealed layers stay physically present (a
-// memory engine's until it restarts).
+// the memtable (internal/suffixtree.OnlineBuilder), whose index every write
+// rebuilds with suffixtree.Build; deletes add per-sequence tombstones; every
+// write builds the next view and publishes it as an immutable genState that
+// searches pin for their whole run.  Compaction seals the memtable's index,
+// the one the last publish built, as a layer of the durable view — kept as it
+// is (memory engines), or written with the tombstones to the index directory
+// (diskst.Dir.Commit — the on-disk protocol and its crash contract are stated
+// there and nowhere else) and continued from the layer it returns (disk
+// engines) — so hits and their global sequence indexes survive it unchanged,
+// and deleted sequences and sealed layers stay physically present (a memory
+// engine's until it restarts).
 //
 // Durability (disk engines): inserts and deletes are memory-only until Compact
 // persists them — the engine is an LSM without a WAL.  A crash between a write
@@ -113,28 +113,21 @@ var ErrImmutable = fmt.Errorf("engine: index is immutable here; rebuild the slic
 
 // publishLocked builds the view for the writer's current fields — the durable
 // view's layers, the memtable snapshot as one more, the current tombstones —
-// and publishes it.  The memtable's index is rebuilt only when the memtable
-// holds other sequences than the current generation's index (an insert, or a
-// publish that failed after one); a delete reuses it.  Caller holds wmu (or is
-// in single-threaded construction).
+// and publishes it.  Caller holds wmu (or is in single-threaded construction).
 func (e *Engine) publishLocked() error {
 	st := &genState{gen: e.wGen}
 	layers := e.wBase.Layers()
-	if n := e.memLen(); n > 0 {
-		if prev := e.cur(); prev.memSeqs == n {
-			st.mem, st.memSeqs, st.memRes = prev.mem, prev.memSeqs, prev.memRes
-		} else {
-			tree, mdb, err := e.mem.Snapshot()
-			if err != nil {
-				return err
-			}
-			idx, err := core.NewMemoryIndex(tree, mdb)
-			if err != nil {
-				return err
-			}
-			st.mem, st.memSeqs, st.memRes = idx, n, e.mem.TotalResidues()
+	if e.memLen() > 0 {
+		tree, mdb, err := e.mem.Snapshot()
+		if err != nil {
+			return err
 		}
-		layers = append(slices.Clip(layers), st.mem)
+		idx, err := core.NewMemoryIndex(tree, mdb)
+		if err != nil {
+			return err
+		}
+		st.mem, st.memSeqs, st.memRes = idx, e.mem.NumSequences(), e.mem.TotalResidues()
+		layers = append(slices.Clip(layers), idx)
 	}
 	var err error
 	if st.view, err = e.wBase.WithLayers(layers, e.tombs); err != nil {

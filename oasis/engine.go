@@ -135,10 +135,11 @@ func (e *Engine) Generation() uint64 { return e.eng.Generation() }
 // Insert adds one sequence to the served corpus; it is searchable before
 // Insert returns.  The sequence lands in an in-memory delta index (the
 // memtable, whose suffix tree each insert rebuilds) that searches merge with
-// the base shards in the same decreasing-score stream.  IDs must be unique among live sequences; the
-// residues are copied.  Disk-backed engines hold inserts in memory until
-// Compact persists them (LSM without a WAL: a crash before Compact loses
-// uncompacted writes, never the on-disk index).  Returns the new generation.
+// the base shards in the same decreasing-score stream.  IDs must be unique
+// among live sequences; the residues are copied.  Disk-backed engines hold
+// inserts in memory until Compact persists them (LSM without a WAL: a crash
+// before Compact loses uncompacted writes, never the on-disk index).  Returns
+// the new generation.
 func (e *Engine) Insert(id string, residues []byte) (uint64, error) {
 	return e.eng.Insert(id, residues)
 }
