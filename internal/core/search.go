@@ -211,11 +211,6 @@ type searcher struct {
 	// frontier, when non-nil, receives the f-value of every popped node
 	// (see SearchStream).
 	frontier func(bound int) bool
-	// claim, when non-nil, pulls additional frontier seeds into the queue on
-	// demand (SearchSeedsDynamic): before every pop it is offered the
-	// current queue-top f and may hand back one more seed to push, until it
-	// returns nil.
-	claim func(topF int) *Seed
 	// ctx/pollCountdown implement Options.Context: the countdown decrements
 	// once per DP column across expansions, and each time it hits zero the
 	// context is polled (ctx is nil when the search has no context).
@@ -438,24 +433,13 @@ func (s *searcher) runFromRoot(report func(Hit) bool) error {
 }
 
 // run executes the main best-first loop (paper Algorithm 1) over whatever
-// nodes have been pushed (plus whatever the claim hook hands out).  Once the
-// queue and band free lists are warm it allocates nothing per node.
+// nodes have been pushed.  Once the queue and band free lists are warm it
+// allocates nothing per node.
 //
 //oasis:hotpath
 func (s *searcher) run(report func(Hit) bool) error {
 	s.report = report
 	for {
-		if s.claim != nil {
-			topF := s.bq.topF()
-			for {
-				seed := s.claim(topF)
-				if seed == nil {
-					break
-				}
-				s.pushSeed(seed)
-				topF = s.bq.topF()
-			}
-		}
 		if s.bq.size == 0 {
 			return nil
 		}

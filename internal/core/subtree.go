@@ -6,8 +6,7 @@ package core
 // the search space itself — disjoint top-level subtrees go to different
 // workers.  ExpandFrontier performs the near-root expansion once, producing a
 // set of Seeds (subtree entry points with their DP columns precomputed), and
-// SearchSeedsStream resumes the best-first search from a seed subset
-// (SearchSeedsDynamic from a claim callback, for work stealing).  The
+// SearchSeedsStream resumes the best-first search from a seed subset.  The
 // near-root columns are therefore computed exactly once regardless of the
 // shard count, and — absent early termination — the total work across all
 // shards equals the single-searcher work cell for cell.
@@ -29,17 +28,6 @@ type SubtreeAssigner interface {
 	Owner(first, second byte) int
 }
 
-// PrefixCoster is an optional SubtreeAssigner extension exposing the exact
-// per-prefix-group suffix counts the partitioner derived: work stealers use
-// them to pick the victim shard with the most estimated work remaining.
-type PrefixCoster interface {
-	// PrefixCost returns the number of indexed suffixes in the prefix group:
-	// every suffix starting with first when second < 0, or with the
-	// two-symbol prefix (first, second) otherwise (second may be
-	// seq.Terminator).
-	PrefixCost(first byte, second int) int64
-}
-
 // Seed is one precomputed entry point into the search space: a suffix-tree
 // subtree together with the live band of the DP column at its top node, as
 // produced by the shared near-root expansion.  A Seed owns its band copy and
@@ -52,31 +40,10 @@ type Seed struct {
 	maxScore      int
 	bestQueryEnd  int
 	bestPathDepth int
-	f             int
-	cost          int64
-	accepted      bool
-}
-
-// F returns the seed's priority bound: an upper bound on any score obtainable
-// within the subtree (viable) or the score it will report (accepted).
-func (s *Seed) F() int { return s.f }
-
-// NewTestSeed builds a bare seed carrying only a priority bound and a work
-// estimate — enough for scheduling-layer tests (internal/shard's steal pool)
-// that never hand the seed to a searcher.
-func NewTestSeed(f int, cost int64) Seed { return Seed{f: f, cost: cost} }
-
-// Accepted reports whether the seed's whole subtree is already accepted.
-func (s *Seed) Accepted() bool { return s.accepted }
-
-// Cost estimates the seed's remaining work as the suffix count of its prefix
-// group (when the assigner implements PrefixCoster; 1 otherwise), so a work
-// stealer can order victims by estimated backlog.
-func (s *Seed) Cost() int64 {
-	if s.cost > 0 {
-		return s.cost
-	}
-	return 1
+	// f is the seed's priority bound: an upper bound on any score within the
+	// subtree (viable) or the score it will report (accepted).
+	f        int
+	accepted bool
 }
 
 // Frontier is the result of the shared near-root expansion: the subtree
@@ -114,7 +81,6 @@ func ExpandFrontier(idx Index, query []byte, opts Options, assign SubtreeAssigne
 		return nil, err
 	}
 	defer s.release()
-	coster, _ := assign.(PrefixCoster)
 
 	fr := &Frontier{
 		Seeds:  make([][]Seed, nShards),
@@ -130,7 +96,7 @@ func ExpandFrontier(idx Index, query []byte, opts Options, assign SubtreeAssigne
 	}
 
 	nextFallback := 0 // round-robin target for seeds with no prefix owner
-	addSeed := func(shard int, r expandResult, cost int64) {
+	addSeed := func(shard int, r expandResult) {
 		if shard < 0 || shard >= nShards {
 			shard = nextFallback % nShards
 			nextFallback++
@@ -164,19 +130,11 @@ func ExpandFrontier(idx Index, query []byte, opts Options, assign SubtreeAssigne
 			copy(seed.band, ns.band[id])
 			s.releaseViable(id)
 		}
-		seed.cost = cost
 		fr.Seeds[shard] = append(fr.Seeds[shard], seed)
 		if seed.f > fr.Bounds[shard] {
 			fr.Bounds[shard] = seed.f
 		}
 	}
-	prefixCost := func(first byte, second int) int64 {
-		if coster == nil {
-			return 0
-		}
-		return coster.PrefixCost(first, second)
-	}
-
 	// The trunk is at most two levels deep: the root, plus the depth-1 nodes
 	// whose prefix the assigner splits by second symbol.  splitFirst tags a
 	// stacked node with its (single-symbol) path so children know their
@@ -202,23 +160,23 @@ func ExpandFrontier(idx Index, query []byte, opts Options, assign SubtreeAssigne
 			switch {
 			case t.first >= 0:
 				// Child of a split depth-1 node: prefix (t.first, first).
-				addSeed(assign.Owner(byte(t.first), byte(first)), r, prefixCost(byte(t.first), first))
+				addSeed(assign.Owner(byte(t.first), byte(first)), r)
 			case first == int(seq.Terminator):
 				// A whole-terminator subtree cannot be viable (expand stops
 				// at the terminator with maxScore 0 < MinScore), so r being
 				// ok here would mean a malformed index; route it
 				// defensively rather than lose it.
-				addSeed(-1, r, prefixCost(byte(first), -1))
+				addSeed(-1, r)
 			case !assign.Split(byte(first)):
-				addSeed(assign.Owner(byte(first), 0), r, prefixCost(byte(first), -1))
+				addSeed(assign.Owner(byte(first), 0), r)
 			case second >= 0:
 				// The edge itself carries the second symbol: every suffix in
 				// this subtree shares the two-symbol prefix.
-				addSeed(assign.Owner(byte(first), byte(second)), r, prefixCost(byte(first), second))
+				addSeed(assign.Owner(byte(first), byte(second)), r)
 			case r.accepted:
 				// A single-symbol edge to an accepted node: nothing below it
 				// is ever expanded, so ownership by second symbol is moot.
-				addSeed(-1, r, prefixCost(byte(first), -1))
+				addSeed(-1, r)
 			default:
 				stack = append(stack, trunkNode{id: r.id, first: first})
 			}
@@ -275,27 +233,5 @@ func SearchSeedsStream(idx Index, query []byte, opts Options, seeds []Seed, repo
 	for i := range seeds {
 		s.pushSeed(&seeds[i])
 	}
-	return s.run(report)
-}
-
-// SearchSeedsDynamic is SearchSeedsStream pulling its seeds on demand: before
-// every queue pop, claim is offered the current best queue bound (the top
-// entry's f, or score.NegInf when the queue is empty) and may hand back one
-// more seed to push; the search proceeds once it returns nil and finishes
-// when both the queue and the claim source are exhausted.  Work stealing
-// between prefix shards is built on this (internal/shard): a shared pool
-// serves each worker its own shard's seeds in decreasing-f order and lets
-// idle workers claim seeds stranded on busy shards.
-//
-// claim is called from the searching goroutine; it may block but must not
-// call back into this search.
-func SearchSeedsDynamic(idx Index, query []byte, opts Options, claim func(topF int) *Seed, report func(Hit) bool, frontier func(bound int) bool) error {
-	s, err := newSearcher(idx, query, opts)
-	if err != nil {
-		return err
-	}
-	defer s.release()
-	s.frontier = frontier
-	s.claim = claim
 	return s.run(report)
 }

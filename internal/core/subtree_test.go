@@ -120,9 +120,9 @@ func TestExpandFrontierSeededSearchEquivalence(t *testing.T) {
 						t.Fatalf("trial %d shard %d: %v", trial, s, err)
 					}
 					for i := range group {
-						if group[i].F() < opts.MinScore {
+						if group[i].f < opts.MinScore {
 							t.Fatalf("trial %d shard %d: seed with bound %d below MinScore %d survived",
-								trial, s, group[i].F(), opts.MinScore)
+								trial, s, group[i].f, opts.MinScore)
 						}
 					}
 					if len(group) > 0 && fr.Bounds[s] < opts.MinScore {

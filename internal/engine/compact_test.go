@@ -17,9 +17,8 @@ import (
 
 // compactTestEngine opens a two-shard engine over db: a disk engine over a
 // fresh sequence-partitioned index directory (returned), or a memory engine
-// in either partition mode.  Memory engines are built with stealing off,
-// since stealing lets the alignment endpoints of equal-score copies in a
-// prefix-sharded tree differ run to run.
+// in either partition mode.  Either mode reports the same alignment
+// endpoints on every run, so callers may compare streams byte for byte.
 func compactTestEngine(t testing.TB, db *seq.Database, disk, byPrefix bool) (*Engine, string) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "idx")
@@ -31,7 +30,7 @@ func compactTestEngine(t testing.TB, db *seq.Database, disk, byPrefix bool) (*En
 		}
 		eng, err = New(nil, Options{IndexDir: dir})
 	} else {
-		so := shard.Options{Shards: 2, NoSteal: true}
+		so := shard.Options{Shards: 2}
 		if byPrefix {
 			so.Partition = shard.PartitionByPrefix
 		}

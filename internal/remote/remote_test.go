@@ -125,11 +125,10 @@ func openCoordinator(t *testing.T, slices [][]string, pace pacing) *Coordinator 
 
 // normalize strips alignment endpoints: a sequence can hold several
 // co-optimal alignments and which endpoint gets reported depends on index
-// traversal order — and, for prefix-partitioned engines, on work stealing
-// (shard/steal.go) — so streams agree on (index, id, score, E-value, rank)
-// but not necessarily on ends.  Sequence-partitioned engines never steal, so
-// identical layouts (replicas of one slice) agree byte for byte, endpoints
-// included — the fault tests, which use sequence mode, compare unnormalized.
+// traversal order, so differently laid-out engines agree on (index, id,
+// score, E-value, rank) but not necessarily on ends.  A given layout reports
+// the same ends on every run, so identical layouts (replicas of one slice, a
+// repeated query) are compared byte for byte, endpoints included.
 func normalize(hits []core.Hit) []core.Hit {
 	out := make([]core.Hit, len(hits))
 	for i, h := range hits {
@@ -154,9 +153,8 @@ func collect(eng *shard.Engine, query []byte, opts core.Options) ([]core.Hit, co
 // corpora, slice layouts, replica-internal partition modes and query knobs,
 // the coordinator's merged stream equals the single-process engine's stream
 // hit for hit — indexes, ids, scores, ranks and E-values — and the
-// distributed path itself is deterministic (a repeated query reproduces the
-// same stream; endpoints are compared normalized because prefix-mode replicas
-// steal work, see shard/steal.go).
+// distributed path itself is deterministic: a repeated query reproduces the
+// same stream byte for byte, alignment endpoints included.
 func TestCoordinatorEquivalence(t *testing.T) {
 	cases := map[string]struct {
 		a      *seq.Alphabet
@@ -225,7 +223,7 @@ func TestCoordinatorEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(normalize(again), normalize(got)) {
+					if !reflect.DeepEqual(again, got) {
 						t.Fatalf("trial %d query %d: distributed stream is not reproducible\n got: %+v\nthen: %+v", trial, q, got, again)
 					}
 

@@ -79,26 +79,6 @@ type PrefixPartition struct {
 	Load []int64
 	// NumGroups is the number of non-empty prefix groups assigned.
 	NumGroups int
-	// counts1[first] / counts2[first*(width+1)+bucket(second)] are the exact
-	// per-prefix-group suffix counts the partition was balanced with; they
-	// back PrefixCost.
-	counts1 []int64
-	counts2 []int64
-}
-
-// PrefixCost implements core.PrefixCoster: the exact number of indexed
-// suffixes in a prefix group — every suffix starting with first when
-// second < 0, or with the two-symbol prefix (first, second) otherwise
-// (second may be the terminator).  Returns 0 (unknown) for a first symbol
-// outside the alphabet, which no alignment can start with.
-func (p *PrefixPartition) PrefixCost(first byte, second int) int64 {
-	if int(first) >= p.width {
-		return 0
-	}
-	if second < 0 {
-		return p.counts1[first]
-	}
-	return p.counts2[int(first)*(p.width+1)+p.bucket(byte(second))]
 }
 
 // bucket folds a second symbol into its counter index (terminator last).
@@ -222,7 +202,5 @@ func PartitionByPrefix(db *Database, nShards int) (*PrefixPartition, error) {
 		}
 		p.Load[best] += g.count
 	}
-	p.counts1 = counts1
-	p.counts2 = counts2
 	return p, nil
 }

@@ -302,86 +302,8 @@ func TestPrefixPartitionDeterministicAndDegenerate(t *testing.T) {
 	}
 }
 
-// TestPrefixCostMatchesSuffixCounts is the PrefixCost contract: every
-// exported cost equals a brute-force count of the suffixes in its prefix
-// group, the single-symbol costs sum to the exact suffix count of the
-// database, and each split group's two-symbol costs sum back to its
-// single-symbol cost.
-func TestPrefixCostMatchesSuffixCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	alphabets := []*Alphabet{DNA, Protein}
-	for trial := 0; trial < 20; trial++ {
-		a := alphabets[trial%len(alphabets)]
-		letters := a.Letters()
-		strs := make([]string, 1+rng.Intn(25))
-		for i := range strs {
-			var b strings.Builder
-			l := 1 + rng.Intn(90)
-			for j := 0; j < l; j++ {
-				b.WriteByte(letters[rng.Intn(len(letters))])
-			}
-			strs[i] = b.String()
-		}
-		db, err := DatabaseFromStrings(a, strs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := PartitionByPrefix(db, 1+rng.Intn(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		width := a.Size()
-		// Brute-force counts straight off the concatenation.
-		brute1 := make([]int64, width)
-		brute2 := make([]int64, width*(width+1))
-		concat := db.Concat()
-		for pos := 0; pos < len(concat); pos++ {
-			first := concat[pos]
-			if int(first) >= width {
-				continue
-			}
-			brute1[first]++
-			second := int(concat[pos+1])
-			if second >= width {
-				second = width
-			}
-			brute2[int(first)*(width+1)+second]++
-		}
-		var total int64
-		for f := 0; f < width; f++ {
-			got := p.PrefixCost(byte(f), -1)
-			if got != brute1[f] {
-				t.Fatalf("trial %d: PrefixCost(%d,-1)=%d, brute count %d", trial, f, got, brute1[f])
-			}
-			total += got
-			var sub int64
-			for s := 0; s <= width; s++ {
-				got2 := p.PrefixCost(byte(f), s)
-				if got2 != brute2[f*(width+1)+s] {
-					t.Fatalf("trial %d: PrefixCost(%d,%d)=%d, brute count %d",
-						trial, f, s, got2, brute2[f*(width+1)+s])
-				}
-				sub += got2
-			}
-			if sub != got {
-				t.Fatalf("trial %d: two-symbol costs of first=%d sum to %d, single-symbol cost is %d",
-					trial, f, sub, got)
-			}
-		}
-		if total != db.TotalResidues() {
-			t.Fatalf("trial %d: costs sum to %d, database has %d suffixes", trial, total, db.TotalResidues())
-		}
-		// Out-of-alphabet first symbols (the terminator) cost nothing.
-		if c := p.PrefixCost(Terminator, -1); c != 0 {
-			t.Fatalf("trial %d: terminator prefix cost %d, want 0", trial, c)
-		}
-	}
-}
-
-// TestPrefixCostDeterministicAndUnavailable pins that costs and owners are
-// identical across runs, and that a first symbol outside the alphabet reports
-// 0 (= unknown).
-func TestPrefixCostDeterministicAndUnavailable(t *testing.T) {
+// TestPrefixOwnersDeterministic pins that owners are identical across runs.
+func TestPrefixOwnersDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	db := randomPartitionDB(t, rng, 50, 120)
 	a, err := PartitionByPrefix(db, 6)
@@ -394,24 +316,11 @@ func TestPrefixCostDeterministicAndUnavailable(t *testing.T) {
 	}
 	width := db.Alphabet().Size()
 	for f := 0; f < width; f++ {
-		if a.PrefixCost(byte(f), -1) != b.PrefixCost(byte(f), -1) {
-			t.Fatalf("PrefixCost(%d,-1) differs between identical runs", f)
-		}
-		for s := 0; s <= width; s++ {
-			if a.PrefixCost(byte(f), s) != b.PrefixCost(byte(f), s) {
-				t.Fatalf("PrefixCost(%d,%d) differs between identical runs", f, s)
-			}
-		}
-	}
-	for f := 0; f < width; f++ {
 		for s := 0; s <= width; s++ {
 			if a.Owner(byte(f), byte(s)) != b.Owner(byte(f), byte(s)) {
 				t.Fatalf("Owner(%d,%d) differs between identical runs", f, s)
 			}
 		}
-	}
-	if c := a.PrefixCost(byte(width), 0); c != 0 {
-		t.Fatalf("PrefixCost outside the alphabet = %d, want 0 (unknown)", c)
 	}
 }
 

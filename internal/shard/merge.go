@@ -316,10 +316,10 @@ type shardHit struct {
 // hitQueue is a max-heap of hits ordered by score (ties: lower global
 // sequence index first, so simultaneous buffered ties release
 // deterministically; equal sequence — duplicate copies from prefix-mode
-// shards — by alignment content rather than producing shard, because with
-// work stealing the producing shard is a timing artifact (steal.go).  The
-// survivor is then determined by the copy SET in the heap; the set itself can
-// still vary with stealing — see steal.go for the exact guarantee).
+// shards — by alignment content, then producing shard).  Strict release
+// buffers every equal-score copy of a sequence before the first is released,
+// and each shard's copy set is fixed by the seeds it is assigned, so the
+// surviving copy does not depend on the order the copies arrived in.
 //
 // It is a hand-rolled binary heap rather than container/heap because the
 // standard interface moves every element through `any`, boxing one shardHit

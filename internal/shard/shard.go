@@ -24,11 +24,11 @@
 //     prefix (seq.PartitionByPrefix).  The near-root columns are expanded
 //     exactly once per query (core.ExpandFrontier), so total ColumnsExpanded
 //     stays flat as the shard count grows, and each shard then searches the
-//     seeds it owns or steals (steal.go).  A sequence's suffixes spread across
-//     subtrees, so prefix streams may each report the same sequence (once per
-//     stream, at that stream's best score): the merger deduplicates, and the
-//     strict release rule guarantees the first released hit for a sequence
-//     carries its global best score;
+//     seeds it owns (core.SearchSeedsStream).  A sequence's suffixes spread
+//     across subtrees, so prefix streams may each report the same sequence
+//     (once per stream, at that stream's best score): the merger
+//     deduplicates, and the strict release rule guarantees the first released
+//     hit for a sequence carries its global best score;
 //   - a Provider (provider.go), an opaque stream — in particular a remote
 //     shard server's (internal/remote) — of one slice of the corpus.
 //
@@ -39,10 +39,8 @@
 // every time.  (Tie ORDER may still differ from the single-index search,
 // which breaks ties by subtree discovery; the hit multiset — same sequences,
 // same scores — is identical in all configurations.)  Alignment ENDPOINTS are
-// byte-stable too, except in prefix mode with work stealing enabled, where a
-// sequence holding several co-optimal alignments may report a different
-// member of the tie set from one run to the next (steal.go); Options.NoSteal
-// restores byte-identical streams.
+// byte-stable too, in every configuration: a given engine reports the same
+// member of a sequence's co-optimal alignment tie set on every run.
 package shard
 
 import (
@@ -82,10 +80,6 @@ type Options struct {
 	// Partition selects the work-partitioning strategy (default
 	// PartitionBySequence).
 	Partition PartitionMode
-	// NoSteal disables work stealing between prefix shards (see steal.go):
-	// each shard then searches exactly its static LPT seed batch, as before.
-	// Only meaningful in PartitionByPrefix mode with more than one shard.
-	NoSteal bool
 }
 
 // The prefix partitioner must satisfy the core assigner contract.
@@ -155,10 +149,6 @@ type root struct {
 	// engine re-serves a shard with buffers already sized to its workload
 	// (band free lists, node stores) before falling back to the shared pool.
 	affine []atomic.Pointer[core.Scratch]
-	// nosteal disables prefix-shard work stealing; steals counts seeds
-	// claimed by a non-owner shard over the engine's lifetime.
-	nosteal bool
-	steals  atomic.Int64
 	// active counts, per shard, the searches running (see QueueDepths).
 	active []atomic.Int64
 	// standing lists shards that were quarantined at open time (e.g. an
@@ -220,7 +210,6 @@ func NewEngine(db *seq.Database, opts Options) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("shard: unknown partition mode %d", opts.Partition)
 	}
-	r.nosteal = opts.NoSteal
 	return r.finish(db.Alphabet())
 }
 
@@ -342,10 +331,10 @@ func (e *Engine) Standing() []core.ShardError { return e.standing }
 // the engine's lifetime (each degraded query counts its failed shards).
 func (e *Engine) Quarantines() int64 { return e.quarantines.Load() }
 
-// Steals returns how many frontier seeds have been claimed by a non-owner
-// shard over the engine's lifetime (prefix-mode work stealing; 0 with
-// stealing disabled or in sequence mode).
-func (e *Engine) Steals() int64 { return e.steals.Load() }
+// Steals returns 0: prefix shards search only the seeds they are assigned, so
+// no shard ever claims another's.  It stays because the benchmark's shard
+// ladder reports it as shard.steals_per_query (benchmark/layers.go:318).
+func (e *Engine) Steals() int64 { return 0 }
 
 // NumShards returns the number of work partitions.
 func (e *Engine) NumShards() int { return len(e.base) }
@@ -516,8 +505,6 @@ type plan struct {
 	// frontier is the work of the shared near-root expansion (prefix mode),
 	// merged into the query's stats beside the per-stream counters.
 	frontier core.Stats
-	// pool is the steal pool feeding the prefix streams, when stealing is on.
-	pool *stealPool
 }
 
 // plan builds the query's stream list: the engine's base shards — expanded
@@ -577,35 +564,14 @@ func (e *Engine) planPrefix(p *plan, query []byte, opts core.Options) error {
 		return err
 	}
 	p.frontier = fr.Stats
-	if !e.nosteal {
-		// Work stealing: seeds are claimed from a shared pool on demand
-		// (steal.go) instead of searched as static batches, so a skewed query
-		// cannot strand workers on drained shards.
-		p.pool = newStealPool(fr.Seeds)
-	}
-	hottest := slices.Max(fr.Bounds)
 	for s := range e.base {
-		view := e.base[s].index
-		st := stream{bound: fr.Bounds[s], slot: s}
-		if pool := p.pool; pool != nil {
-			// Any shard may claim the hottest pending seed before publishing
-			// its first own bound, so no initial bound weaker than the global
-			// max seed f is sound.
-			st.bound = hottest
-			st.idle = pool.empty()
-			st.run = func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
-				return core.SearchSeedsDynamic(view, query, opts, claimFunc(pool, s), hit, bound)
-			}
-		} else {
-			// With more prefix shards than prefix groups, seedless shards
-			// would otherwise queue real work behind no-op searcher setup.
-			seeds := fr.Seeds[s]
-			st.idle = len(seeds) == 0
-			st.run = func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
+		view, seeds := e.base[s].index, fr.Seeds[s]
+		// With more prefix shards than prefix groups, seedless shards would
+		// otherwise queue real work behind no-op searcher setup.
+		p.streams = append(p.streams, stream{bound: fr.Bounds[s], slot: s, idle: len(seeds) == 0,
+			run: func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
 				return core.SearchSeedsStream(view, query, opts, seeds, hit, bound)
-			}
-		}
-		p.streams = append(p.streams, st)
+			}})
 	}
 	return nil
 }
@@ -691,9 +657,6 @@ func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, report fu
 	}
 	err := m.run(events, &cancelled)
 	wg.Wait()
-	if p.pool != nil {
-		e.steals.Add(p.pool.stealCount())
-	}
 	e.quarantines.Add(int64(len(m.degraded)))
 	if opts.Stats != nil {
 		opts.Stats.Add(p.frontier)

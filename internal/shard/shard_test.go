@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -488,5 +490,72 @@ func TestShardedErrorPropagation(t *testing.T) {
 		Scheme: score.MustScheme(score.UnitDNA(), -1), MinScore: 1,
 	}); err == nil {
 		t.Fatal("expected an empty-query error")
+	}
+}
+
+// TestPrefixEngineConcurrentStress multiplexes concurrent queries over one
+// prefix engine (the shared dedup sets and scratch free lists, the
+// shard-affine scratch slots) and checks every stream, alignment endpoints
+// included, against a per-query reference; run with -race this is the prefix
+// path's data-race harness.
+func TestPrefixEngineConcurrentStress(t *testing.T) {
+	rng := rand.New(rand.NewSource(7717))
+	db := randomShardDB(t, rng, seq.DNA, 24, 90)
+	eng, err := NewEngine(db, Options{Shards: 6, Partition: PartitionByPrefix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	scheme := score.MustScheme(score.UnitDNA(), -1)
+	letters := seq.DNA.Letters()
+	type job struct {
+		query []byte
+		opts  core.Options
+		want  []core.Hit
+	}
+	jobs := make([]job, 6)
+	for i := range jobs {
+		qb := make([]byte, 4+rng.Intn(10))
+		for j := range qb {
+			qb[j] = letters[rng.Intn(len(letters))]
+		}
+		j := job{query: seq.DNA.MustEncode(string(qb)), opts: core.Options{Scheme: scheme, MinScore: 2 + i%5}}
+		want, err := eng.SearchAll(j.query, j.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.want = want
+		jobs[i] = j
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				j := jobs[(g+rep)%len(jobs)]
+				got, err := eng.SearchAll(j.query, j.opts)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if len(got) != len(j.want) {
+					errs <- fmt.Errorf("goroutine %d rep %d: %d hits, want %d", g, rep, len(got), len(j.want))
+					return
+				}
+				for i := range got {
+					if got[i] != j.want[i] {
+						errs <- fmt.Errorf("goroutine %d rep %d: hit %d = %+v, want %+v", g, rep, i, got[i], j.want[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
