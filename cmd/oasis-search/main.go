@@ -214,8 +214,8 @@ func searchAll(cfg config, scheme oasis.Scheme, queries []oasis.Sequence, w io.W
 		n := 0
 		err = eng.Search(context.Background(), q.Residues, opts, func(h oasis.Hit) bool {
 			n++
-			fmt.Fprintf(w, "%4d  %-24s score=%-6d E=%-12.3g qEnd=%-4d tEnd=%-6d t=%s\n",
-				h.Rank, h.SeqID, h.Score, h.EValue, h.QueryEnd, h.TargetEnd, time.Since(start).Round(time.Microsecond))
+			fmt.Fprintf(w, "%4d  %-24s score=%-6d E=%-12.3g t=%s\n",
+				h.Rank, h.SeqID, h.Score, h.EValue, time.Since(start).Round(time.Microsecond))
 			if cfg.verbose {
 				a, aErr := eng.RecoverAlignment(q.Residues, scheme, h)
 				res, rErr := cat.Residues(h.SeqIndex)

@@ -75,7 +75,7 @@ func TestStreamsAreOnline(t *testing.T) {
 		// The hit is released once the bound drops below its score.
 		// (Scores stay under 24, the most the query ACDE can score: streams
 		// start from that bound.)
-		if !bound(20) || !hit(core.Hit{SeqIndex: 7, SeqID: "S7", Score: 15, QueryEnd: 4, TargetEnd: 9}) || !bound(10) {
+		if !bound(20) || !hit(core.Hit{SeqIndex: 7, SeqID: "S7", Score: 15}) || !bound(10) {
 			return nil
 		}
 		select {
@@ -115,7 +115,7 @@ func TestStreamsAreOnline(t *testing.T) {
 	for _, want := range []string{
 		`{"e":"b","v":20}` + "\n",
 		`{"e":"b","v":15}` + "\n", // the hit itself caps what can follow it
-		`{"e":"h","seq":7,"id":"S7","score":15,"qe":4,"te":9}` + "\n",
+		`{"e":"h","seq":7,"id":"S7","score":15}` + "\n",
 		`{"e":"b","v":10}` + "\n",
 	} {
 		if got := readLine(br); got != want {

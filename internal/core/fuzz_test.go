@@ -21,7 +21,7 @@ func fuzzQuery(a *seq.Alphabet, data []byte) []byte {
 
 // FuzzLiveBandEquivalence asserts the live-band DP kernel's core contract on
 // arbitrary inputs: searching with the band must report exactly the hits —
-// same sequences, same scores, same endpoints, same order — as the
+// same sequences, same scores, same order — as the
 // exhaustive full-column sweep (searchAllFull).  Both runs share
 // long-lived Scratches across fuzz iterations, so stale-buffer bugs in the
 // band bookkeeping (cells outside [cLo, cHi] must never be read) surface as
@@ -151,7 +151,7 @@ func TestFuzzHelpersRejectDegenerateInput(t *testing.T) {
 // arbitrary databases, queries, gap penalties and score cutoffs, the SoA
 // edge-sweep kernel (kernel.go's sweepEdgeFast) must be observationally
 // identical to the retained scalar reference kernel (Options.ReferenceKernel,
-// sweepColumnRef) — the same hits with the same endpoints in the same order,
+// sweepColumnRef) — the same hits in the same order,
 // and the same work profile: columns expanded, cells computed (the sum of the
 // per-column live-band interval widths), the widest band stored, and every
 // accept/unviable decision.  Any divergence in the band arithmetic — a

@@ -59,10 +59,8 @@ type colResult struct {
 	// colBest is the column's best f = v + h[i] over live cells (negInf when
 	// none): the node's new priority bound.
 	colBest int32
-	// maxScore/bestQEnd carry the running path best through the column;
-	// bestQEnd is only meaningful when maxScore improved on the input.
+	// maxScore carries the running path best through the column.
 	maxScore int32
-	bestQEnd int32
 	// cells is how many cells the sweep visited (dead break cell included).
 	cells int32
 }
@@ -77,7 +75,7 @@ const negInf32 = int32(negInf)
 //
 //oasis:hotpath
 func sweepColumnRef(prev, cur []int32, prof, h []int32, width, sym, plo, phi, m int, gap, maxScore, minScore int32, full bool) colResult {
-	r := colResult{curLo: int32(m + 1), curHi: -1, colBest: negInf32, maxScore: maxScore, bestQEnd: -1}
+	r := colResult{curLo: int32(m + 1), curHi: -1, colBest: negInf32, maxScore: maxScore}
 	if full {
 		cur[0] = negInf32
 	}
@@ -113,7 +111,6 @@ func sweepColumnRef(prev, cur []int32, prof, h []int32, width, sym, plo, phi, m 
 			r.curHi = int32(i)
 			if v > r.maxScore {
 				r.maxScore = v
-				r.bestQEnd = int32(i)
 			}
 			if v+h[i] > r.colBest {
 				r.colBest = v + h[i]
@@ -154,12 +151,8 @@ type edgeResult struct {
 	columns int32
 	// plo/phi bound the final column's live cells (sweepAlive only).
 	plo, phi int32
-	// maxScore carries the running path best through the swept columns;
-	// bestQEnd/bestCol say where it last improved (bestCol is 1-based within
-	// this call; 0 = no improvement, bestQEnd then meaningless).
+	// maxScore carries the running path best through the swept columns.
 	maxScore int32
-	bestQEnd int32
-	bestCol  int32
 	// colBest is the final column's best f over live cells: the node's new
 	// priority bound while it stays viable (negInf if columns == 0).
 	colBest int32
@@ -209,7 +202,6 @@ func sweepEdgeFast(prev, cur, profT, h []int32, width int, syms []byte, plo, phi
 			end = m
 		}
 		r.cells += int64(end - start + 1)
-		colStartMax := r.maxScore
 		colBest := negInf32
 		upCell := negInf32
 		curLo := int32(m + 1)
@@ -236,7 +228,6 @@ func sweepEdgeFast(prev, cur, profT, h []int32, width int, syms []byte, plo, phi
 				curHi = int32(i)
 				if v > r.maxScore {
 					r.maxScore = v
-					r.bestQEnd = int32(i)
 				}
 				if f > colBest {
 					colBest = f
@@ -265,7 +256,6 @@ func sweepEdgeFast(prev, cur, profT, h []int32, width int, syms []byte, plo, phi
 				}
 				if v > r.maxScore {
 					r.maxScore = v
-					r.bestQEnd = int32(i)
 				}
 				if f > colBest {
 					colBest = f
@@ -274,9 +264,6 @@ func sweepEdgeFast(prev, cur, profT, h []int32, width int, syms []byte, plo, phi
 		}
 		r.columns++
 		r.colBest = colBest
-		if r.maxScore > colStartMax {
-			r.bestCol = r.columns
-		}
 		// Accept / prune decisions, exactly as the reference path makes them
 		// after each column.
 		if r.maxScore >= colBest {

@@ -64,9 +64,10 @@ type Options struct {
 // cost while bounding the work done after cancellation.
 const cancelPollColumns = 256
 
-// Hit is one reported sequence: the strongest local alignment between the
-// query and that sequence (OASIS duplicates S-W's one-hit-per-sequence
-// reporting, paper Section 3).
+// Hit is one reported sequence with the score of its strongest local
+// alignment to the query (OASIS duplicates S-W's one-hit-per-sequence
+// reporting, paper Section 3).  It carries no alignment: RecoverAlignment
+// rebuilds one.
 type Hit struct {
 	// SeqIndex and SeqID identify the database sequence.
 	SeqIndex int
@@ -75,12 +76,6 @@ type Hit struct {
 	Score int
 	// EValue is the expectation value when Options.KA was provided.
 	EValue float64
-	// QueryEnd is the 1-based query position at which the reported
-	// alignment ends.
-	QueryEnd int
-	// TargetEnd is the 0-based exclusive end offset of the alignment
-	// within the target sequence.
-	TargetEnd int
 	// Rank is the position of this hit in the result stream (1 = first
 	// and therefore highest-scoring).
 	Rank int
@@ -518,8 +513,6 @@ func (s *searcher) rootNode() (id int32, f int, ok bool) {
 	ns.cLo[id] = int32(lo)
 	ns.cHi[id] = int32(hi)
 	ns.maxSc[id] = 0
-	ns.qEnd[id] = 0
-	ns.pDep[id] = 0
 	ns.band[id] = band
 	return id, f, true
 }
@@ -557,14 +550,12 @@ func (s *searcher) expand(parentID int32, child NodeRef, label []byte) (expandRe
 // closeOut stores a node whose subtree is finished — closed out by the prune
 // rule, a leaf, or a terminator — as accepted (when its best score qualifies)
 // or unviable.
-func (s *searcher) closeOut(child NodeRef, maxScore, bestQEnd, bestDepth int32) expandResult {
+func (s *searcher) closeOut(child NodeRef, maxScore int32) expandResult {
 	if int(maxScore) >= s.opts.MinScore {
 		s.stats.NodesAccepted++
 		id := s.acc.alloc()
 		s.acc.ref[id] = child
 		s.acc.score[id] = maxScore
-		s.acc.qEnd[id] = bestQEnd
-		s.acc.pDep[id] = bestDepth
 		return expandResult{id: id, f: int(maxScore), accepted: true, ok: true}
 	}
 	s.stats.NodesUnviable++
@@ -572,14 +563,12 @@ func (s *searcher) closeOut(child NodeRef, maxScore, bestQEnd, bestDepth int32) 
 }
 
 // storeViable stores a still-viable node and returns its queue entry.
-func (s *searcher) storeViable(child NodeRef, depth int32, plo, phi int, band []int32, maxScore, bestQEnd, bestDepth int32, f int) expandResult {
+func (s *searcher) storeViable(child NodeRef, depth int32, plo, phi int, band []int32, maxScore int32, f int) expandResult {
 	ns := s.nodes
 	id := ns.alloc()
 	ns.ref[id] = child
 	ns.depth[id] = depth
 	ns.maxSc[id] = maxScore
-	ns.qEnd[id] = bestQEnd
-	ns.pDep[id] = bestDepth
 	ns.cLo[id] = int32(plo)
 	ns.cHi[id] = int32(phi)
 	b := s.allocBand(phi - plo + 1)
@@ -610,8 +599,6 @@ func (s *searcher) expandFast(parentID int32, child NodeRef, label []byte) (expa
 	plo, phi := int(ns.cLo[parentID]), int(ns.cHi[parentID])
 	copy(prev[plo:phi+1], ns.band[parentID])
 	maxScore := ns.maxSc[parentID]
-	bestQEnd := ns.qEnd[parentID]
-	bestDepth := ns.pDep[parentID]
 	parentDepth := int(ns.depth[parentID])
 
 	fBound := negInf
@@ -629,10 +616,6 @@ func (s *searcher) expandFast(parentID int32, child NodeRef, label []byte) (expa
 		}
 		r := sweepEdgeFast(prev, cur, s.profT, s.h32, s.profWidth, part, plo, phi, m, gap, maxScore, minScore, s.full)
 		cells += r.cells
-		if r.bestCol > 0 {
-			bestQEnd = r.bestQEnd
-			bestDepth = int32(parentDepth + consumed + int(r.bestCol))
-		}
 		maxScore = r.maxScore
 		consumed += int(r.columns)
 		terminator = r.terminator
@@ -658,7 +641,7 @@ func (s *searcher) expandFast(parentID int32, child NodeRef, label []byte) (expa
 			// found along this path.
 			s.recordColumns(consumed, cells)
 			s.prevBuf, s.curBuf = prev, cur
-			return s.closeOut(child, maxScore, bestQEnd, bestDepth), nil
+			return s.closeOut(child, maxScore), nil
 		case sweepDead:
 			s.recordColumns(consumed, cells)
 			s.prevBuf, s.curBuf = prev, cur
@@ -678,14 +661,14 @@ func (s *searcher) expandFast(parentID int32, child NodeRef, label []byte) (expa
 	// The whole edge label has been consumed (or a terminator reached).
 	if child.IsLeaf() || terminator {
 		// No further expansion is possible below a leaf or past a terminator.
-		return s.closeOut(child, maxScore, bestQEnd, bestDepth), nil
+		return s.closeOut(child, maxScore), nil
 	}
 	if consumed == 0 {
 		// Degenerate empty edge (cannot happen in a well-formed index).
 		s.stats.NodesUnviable++
 		return expandResult{}, nil
 	}
-	return s.storeViable(child, int32(parentDepth+consumed), plo, phi, prev, maxScore, bestQEnd, bestDepth, fBound), nil
+	return s.storeViable(child, int32(parentDepth+consumed), plo, phi, prev, maxScore, fBound), nil
 }
 
 // expandRef is expand on the retained scalar reference kernel
@@ -703,15 +686,13 @@ func (s *searcher) expandRef(parentID int32, child NodeRef, label []byte) (expan
 	plo, phi := int(ns.cLo[parentID]), int(ns.cHi[parentID])
 	copy(prev[plo:phi+1], ns.band[parentID])
 	maxScore := ns.maxSc[parentID]
-	bestQEnd := ns.qEnd[parentID]
-	bestDepth := ns.pDep[parentID]
 	parentDepth := int(ns.depth[parentID])
 
 	hColumn := negInf32
 	columns := 0
 	var cells int64
 	terminator := false
-	for j, sym := range label {
+	for _, sym := range label {
 		if s.ctx != nil {
 			s.pollCountdown--
 			if s.pollCountdown <= 0 {
@@ -731,17 +712,13 @@ func (s *searcher) expandRef(parentID int32, child NodeRef, label []byte) (expan
 		}
 		r := sweepColumnRef(prev, cur, s.prof, s.h32, s.profWidth, int(sym), plo, phi, m, gap, maxScore, minScore, full)
 		cells += int64(r.cells)
-		if r.maxScore > maxScore {
-			maxScore = r.maxScore
-			bestQEnd = r.bestQEnd
-			bestDepth = int32(parentDepth + j + 1)
-		}
+		maxScore = r.maxScore
 		columns++
 		hColumn = r.colBest
 		if maxScore >= hColumn {
 			s.recordColumns(columns, cells)
 			s.prevBuf, s.curBuf = prev, cur
-			return s.closeOut(child, maxScore, bestQEnd, bestDepth), nil
+			return s.closeOut(child, maxScore), nil
 		}
 		if hColumn < minScore {
 			s.recordColumns(columns, cells)
@@ -759,13 +736,13 @@ func (s *searcher) expandRef(parentID int32, child NodeRef, label []byte) (expan
 	s.prevBuf, s.curBuf = prev, cur
 
 	if child.IsLeaf() || terminator {
-		return s.closeOut(child, maxScore, bestQEnd, bestDepth), nil
+		return s.closeOut(child, maxScore), nil
 	}
 	if columns == 0 {
 		s.stats.NodesUnviable++
 		return expandResult{}, nil
 	}
-	return s.storeViable(child, int32(parentDepth+columns), plo, phi, prev, maxScore, bestQEnd, bestDepth, int(hColumn)), nil
+	return s.storeViable(child, int32(parentDepth+columns), plo, phi, prev, maxScore, int(hColumn)), nil
 }
 
 func (s *searcher) recordColumns(columns int, cells int64) {
@@ -793,7 +770,7 @@ func (s *searcher) reportAccepted(id int32) (bool, error) {
 //
 //oasis:hotpath
 func (s *searcher) visitLeaf(pos int64) bool {
-	seqIdx, local, err := s.cat.Locate(pos)
+	seqIdx, _, err := s.cat.Locate(pos)
 	if err != nil {
 		s.accErr = err
 		return false
@@ -806,12 +783,10 @@ func (s *searcher) visitLeaf(pos int64) bool {
 	s.nHits++
 	s.stats.SequencesReported++
 	hit := Hit{
-		SeqIndex:  seqIdx,
-		SeqID:     s.cat.SequenceID(seqIdx),
-		Score:     int(s.acc.score[s.accID]),
-		QueryEnd:  int(s.acc.qEnd[s.accID]),
-		TargetEnd: min(int(local)+int(s.acc.pDep[s.accID]), s.cat.SequenceLength(seqIdx)),
-		Rank:      s.nHits,
+		SeqIndex: seqIdx,
+		SeqID:    s.cat.SequenceID(seqIdx),
+		Score:    int(s.acc.score[s.accID]),
+		Rank:     s.nHits,
 	}
 	if s.opts.KA != nil {
 		hit.EValue = s.opts.KA.EValue(hit.Score, len(s.query), s.cat.TotalResidues())

@@ -42,11 +42,6 @@ func TestPaperRunningExample(t *testing.T) {
 	if h.Score != 4 || h.SeqIndex != 0 || h.SeqID != "seq0" || h.Rank != 1 {
 		t.Fatalf("hit = %+v", h)
 	}
-	// The optimal alignment TACG=TACG ends at query position 4 and target
-	// offset 6 (0-based exclusive).
-	if h.QueryEnd != 4 || h.TargetEnd != 6 {
-		t.Fatalf("alignment end = (%d,%d), want (4,6)", h.QueryEnd, h.TargetEnd)
-	}
 }
 
 func TestHeuristicVector(t *testing.T) {
@@ -354,6 +349,13 @@ func TestRecoverAlignment(t *testing.T) {
 	}
 	if a.Score != 4 || a.CIGAR() != "4M" {
 		t.Fatalf("alignment = %+v %s", a.Hit, a.CIGAR())
+	}
+	// The optimal alignment TACG=TACG spans query positions 1-4 and target
+	// positions 3-6 (1-based, inclusive: it ends at query position 4 and
+	// target offset 6, 0-based exclusive).
+	const span = "Query     1 TACG 4\n            ||||\nTarget    3 TACG 6\n"
+	if got := a.Format(seq.DNA, q, db.Sequence(0).Residues); got != span {
+		t.Fatalf("alignment span:\n%s\nwant:\n%s", got, span)
 	}
 	if _, err := RecoverAlignment(idx, q, unitScheme, Hit{SeqIndex: 9}); err == nil {
 		t.Fatal("expected range error")

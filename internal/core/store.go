@@ -14,16 +14,13 @@ package core
 //	                 ├── nodeStore.cLo[id] ┐  live band interval
 //	                 ├── nodeStore.cHi[id] ┘
 //	                 ├── nodeStore.maxSc[id]  best score on the path
-//	                 ├── nodeStore.qEnd[id] ┐ where maxSc was achieved
-//	                 ├── nodeStore.pDep[id] ┘
 //	                 └── nodeStore.band[id]   column cells C[cLo..cHi]
 //	                                          (int32, recycled by size class)
 //
-// Accepted nodes never expand and never store a column; their four reporting
-// fields are packed into a separate, much smaller accStore instead of
-// widening every viable node.  The priority queue (bucketQueue) holds 8-byte
-// value entries chained per f value — no pointer dereference, no per-node
-// allocation.
+// Accepted nodes never expand and never store a column; their two reporting
+// fields (subtree and score) live in a separate, much smaller accStore.  The
+// priority queue (bucketQueue) holds 8-byte value entries chained per f value
+// — no pointer dereference, no per-node allocation.
 //
 // Ids are recycled through per-store free lists, and both stores live in the
 // Scratch so a warm engine reuses the arrays across queries.
@@ -37,8 +34,6 @@ type nodeStore struct {
 	cLo   []int32
 	cHi   []int32
 	maxSc []int32
-	qEnd  []int32
-	pDep  []int32
 	band  [][]int32
 	free  []int32
 }
@@ -60,8 +55,6 @@ func (ns *nodeStore) alloc() int32 {
 	ns.cLo = append(ns.cLo, 0)
 	ns.cHi = append(ns.cHi, 0)
 	ns.maxSc = append(ns.maxSc, 0)
-	ns.qEnd = append(ns.qEnd, 0)
-	ns.pDep = append(ns.pDep, 0)
 	ns.band = append(ns.band, nil)
 	return id
 }
@@ -76,8 +69,6 @@ func (ns *nodeStore) reset() {
 	ns.cLo = ns.cLo[:0]
 	ns.cHi = ns.cHi[:0]
 	ns.maxSc = ns.maxSc[:0]
-	ns.qEnd = ns.qEnd[:0]
-	ns.pDep = ns.pDep[:0]
 	for i := range ns.band {
 		ns.band[i] = nil
 	}
@@ -86,12 +77,10 @@ func (ns *nodeStore) reset() {
 }
 
 // accStore holds every ACCEPTED node's reporting fields: the subtree to
-// report, the score, and where along the path it was achieved.
+// report and the score its sequences are reported with.
 type accStore struct {
 	ref   []NodeRef
 	score []int32
-	qEnd  []int32
-	pDep  []int32
 	free  []int32
 }
 
@@ -108,8 +97,6 @@ func (as *accStore) alloc() int32 {
 	id := int32(len(as.ref))
 	as.ref = append(as.ref, 0)
 	as.score = append(as.score, 0)
-	as.qEnd = append(as.qEnd, 0)
-	as.pDep = append(as.pDep, 0)
 	return id
 }
 
@@ -123,8 +110,6 @@ func (as *accStore) release(id int32) {
 func (as *accStore) reset() {
 	as.ref = as.ref[:0]
 	as.score = as.score[:0]
-	as.qEnd = as.qEnd[:0]
-	as.pDep = as.pDep[:0]
 	as.free = as.free[:0]
 }
 

@@ -29,17 +29,16 @@ type SubtreeAssigner interface {
 }
 
 // Seed is one precomputed entry point into the search space: a suffix-tree
-// subtree together with the live band of the DP column at its top node, as
-// produced by the shared near-root expansion.  A Seed owns its band copy and
-// stays valid after the frontier searcher is released.
+// subtree together with the live band of the DP column at its top node and
+// the best score on the path to it, as produced by the shared near-root
+// expansion.  A Seed owns its band copy and stays valid after the frontier
+// searcher is released.
 type Seed struct {
-	ref           NodeRef
-	depth         int
-	band          []int32 // live cells C[cLo..cHi]; nil for accepted seeds
-	cLo, cHi      int
-	maxScore      int
-	bestQueryEnd  int
-	bestPathDepth int
+	ref      NodeRef
+	depth    int
+	band     []int32 // live cells C[cLo..cHi]; nil for accepted seeds
+	cLo, cHi int
+	maxScore int
 	// f is the seed's priority bound: an upper bound on any score within the
 	// subtree (viable) or the score it will report (accepted).
 	f        int
@@ -105,26 +104,22 @@ func ExpandFrontier(idx Index, query []byte, opts Options, assign SubtreeAssigne
 		if r.accepted {
 			id := r.id
 			seed = Seed{
-				ref:           s.acc.ref[id],
-				maxScore:      int(s.acc.score[id]),
-				bestQueryEnd:  int(s.acc.qEnd[id]),
-				bestPathDepth: int(s.acc.pDep[id]),
-				f:             r.f,
-				accepted:      true,
+				ref:      s.acc.ref[id],
+				maxScore: int(s.acc.score[id]),
+				f:        r.f,
+				accepted: true,
 			}
 			s.acc.release(id)
 		} else {
 			id := r.id
 			ns := s.nodes
 			seed = Seed{
-				ref:           ns.ref[id],
-				depth:         int(ns.depth[id]),
-				cLo:           int(ns.cLo[id]),
-				cHi:           int(ns.cHi[id]),
-				maxScore:      int(ns.maxSc[id]),
-				bestQueryEnd:  int(ns.qEnd[id]),
-				bestPathDepth: int(ns.pDep[id]),
-				f:             r.f,
+				ref:      ns.ref[id],
+				depth:    int(ns.depth[id]),
+				cLo:      int(ns.cLo[id]),
+				cHi:      int(ns.cHi[id]),
+				maxScore: int(ns.maxSc[id]),
+				f:        r.f,
 			}
 			seed.band = make([]int32, len(ns.band[id]))
 			copy(seed.band, ns.band[id])
@@ -198,8 +193,6 @@ func (s *searcher) pushSeed(seed *Seed) {
 		id := s.acc.alloc()
 		s.acc.ref[id] = seed.ref
 		s.acc.score[id] = int32(seed.maxScore)
-		s.acc.qEnd[id] = int32(seed.bestQueryEnd)
-		s.acc.pDep[id] = int32(seed.bestPathDepth)
 		s.push(seed.f, true, id)
 		return
 	}
@@ -210,8 +203,6 @@ func (s *searcher) pushSeed(seed *Seed) {
 	ns.cLo[id] = int32(seed.cLo)
 	ns.cHi[id] = int32(seed.cHi)
 	ns.maxSc[id] = int32(seed.maxScore)
-	ns.qEnd[id] = int32(seed.bestQueryEnd)
-	ns.pDep[id] = int32(seed.bestPathDepth)
 	band := s.allocBand(len(seed.band))
 	copy(band, seed.band)
 	ns.band[id] = band

@@ -53,7 +53,7 @@ func requireSameHitSet(t testing.TB, label string, got, want []core.Hit) {
 }
 
 // requireIdenticalStream asserts byte-identical hit streams (every Hit field,
-// including Rank, EValue and alignment ends).
+// including Rank and EValue).
 func requireIdenticalStream(t testing.TB, label string, got, want []core.Hit) {
 	t.Helper()
 	if len(got) != len(want) {

@@ -17,11 +17,9 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 // goldenHit is one hit of the golden record, trimmed to the fields the
 // search contract guarantees deterministically.
 type goldenHit struct {
-	SeqID     string `json:"seq_id"`
-	SeqIndex  int    `json:"seq_index"`
-	Score     int    `json:"score"`
-	QueryEnd  int    `json:"query_end"`
-	TargetEnd int    `json:"target_end"`
+	SeqID    string `json:"seq_id"`
+	SeqIndex int    `json:"seq_index"`
+	Score    int    `json:"score"`
 }
 
 // goldenQuery freezes one Figure-4 workload query: its hits and the paper's
@@ -56,8 +54,8 @@ func goldenConfig() Config {
 }
 
 // TestFigure4Golden runs the Figure-4 filtering workload against the
-// committed golden record: per-query hits (identity, score, alignment
-// endpoints, order) and the CellsComputed/ColumnsExpanded work counters.
+// committed golden record: per-query hits (identity, score, order) and the
+// CellsComputed/ColumnsExpanded work counters.
 // Regenerate with:
 //
 //	go test ./internal/experiments -run TestFigure4Golden -update
@@ -95,10 +93,7 @@ func TestFigure4Golden(t *testing.T) {
 			if i >= 25 {
 				break
 			}
-			gq.TopHits = append(gq.TopHits, goldenHit{
-				SeqID: h.SeqID, SeqIndex: h.SeqIndex, Score: h.Score,
-				QueryEnd: h.QueryEnd, TargetEnd: h.TargetEnd,
-			})
+			gq.TopHits = append(gq.TopHits, goldenHit{SeqID: h.SeqID, SeqIndex: h.SeqIndex, Score: h.Score})
 		}
 		got.Queries = append(got.Queries, gq)
 	}

@@ -50,13 +50,13 @@ func AppendHit(dst []byte, queryID string, rank int, seqID string, score int, ev
 
 // AppendShardHit appends one shard-stream "h" line:
 //
-//	{"e":"h","seq":12,"id":"SYN|B0012","score":55,"qe":13,"te":118}
+//	{"e":"h","seq":12,"id":"SYN|B0012","score":55}
 //
-// seq and score are always present (sequence 0 is a real hit); id, qe and te
-// are omitted when zero.
+// seq and score are always present (sequence 0 is a real hit); id is omitted
+// when empty.
 //
 //oasis:hotpath
-func AppendShardHit(dst []byte, seq int, id string, score, qend, tend int) []byte {
+func AppendShardHit(dst []byte, seq int, id string, score int) []byte {
 	dst = lit(dst, `{"e":"h","seq":`)
 	dst = strconv.AppendInt(dst, int64(seq), 10)
 	if id != "" {
@@ -65,14 +65,6 @@ func AppendShardHit(dst []byte, seq int, id string, score, qend, tend int) []byt
 	}
 	dst = lit(dst, `,"score":`)
 	dst = strconv.AppendInt(dst, int64(score), 10)
-	if qend != 0 {
-		dst = lit(dst, `,"qe":`)
-		dst = strconv.AppendInt(dst, int64(qend), 10)
-	}
-	if tend != 0 {
-		dst = lit(dst, `,"te":`)
-		dst = strconv.AppendInt(dst, int64(tend), 10)
-	}
 	return lit(dst, "}\n")
 }
 

@@ -12,9 +12,9 @@ func TestLineShapes(t *testing.T) {
 			`{"type":"hit"}` + "\n"},
 		{"hit, escaped id", string(AppendHit(nil, "a<b", 2, `x"y`, 7, 0.5)),
 			`{"type":"hit","query_id":"a\u003cb","rank":2,"seq_id":"x\"y","score":7,"evalue":0.5}` + "\n"},
-		{"shard hit", string(AppendShardHit(nil, 12, "SYN|B0012", 55, 13, 118)),
-			`{"e":"h","seq":12,"id":"SYN|B0012","score":55,"qe":13,"te":118}` + "\n"},
-		{"shard hit, sequence 0", string(AppendShardHit(nil, 0, "", 0, 0, 0)),
+		{"shard hit", string(AppendShardHit(nil, 12, "SYN|B0012", 55)),
+			`{"e":"h","seq":12,"id":"SYN|B0012","score":55}` + "\n"},
+		{"shard hit, sequence 0", string(AppendShardHit(nil, 0, "", 0)),
 			`{"e":"h","seq":0,"score":0}` + "\n"},
 		{"bound", string(AppendShardBound(nil, 57)), `{"e":"b","v":57}` + "\n"},
 		{"bound of 0 keeps v", string(AppendShardBound(nil, 0)), `{"e":"b","v":0}` + "\n"},

@@ -555,11 +555,9 @@ func (c *Client) consume(cn *conn, st *streamState, opts core.Options, hit func(
 					st.lastBound = ev.Score // a hit caps everything after it
 				}
 				h := core.Hit{
-					SeqIndex:  ev.Seq,
-					SeqID:     ev.ID,
-					Score:     ev.Score,
-					QueryEnd:  ev.QEnd,
-					TargetEnd: ev.TEnd,
+					SeqIndex: ev.Seq,
+					SeqID:    ev.ID,
+					Score:    ev.Score,
 				}
 				if !hit(h) {
 					return errConsumerStopped

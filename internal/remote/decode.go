@@ -21,9 +21,8 @@ func decodeEvent(line []byte) (Event, error) {
 	return ev, err
 }
 
-// decodeHot parses {"e":"b","v":N} and
-// {"e":"h","seq":N[,"id":"…"],"score":N[,"qe":N][,"te":N]}, each closed by
-// "}" and an optional newline.  An id must be printable ASCII without '"' or
+// decodeHot parses {"e":"b","v":N} and {"e":"h","seq":N[,"id":"…"],"score":N},
+// each closed by "}" and an optional newline.  An id must be printable ASCII without '"' or
 // '\' (anything else may be escaped); it is the one allocation.  ok is false
 // for any other line, valid JSON or not.
 //
@@ -52,16 +51,6 @@ func decodeHot(line []byte) (ev Event, ok bool) {
 	}
 	if ev.Score, rest, ok = cutInt(rest); !ok {
 		return ev, false
-	}
-	if r, found := cutPrefix(rest, `,"qe":`); found {
-		if ev.QEnd, rest, ok = cutInt(r); !ok {
-			return ev, false
-		}
-	}
-	if r, found := cutPrefix(rest, `,"te":`); found {
-		if ev.TEnd, rest, ok = cutInt(r); !ok {
-			return ev, false
-		}
 	}
 	return ev, isEnd(rest)
 }

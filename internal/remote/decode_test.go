@@ -15,6 +15,7 @@ import (
 // the hand path whenever the id needs no escaping.
 func FuzzDecodeEvent(f *testing.F) {
 	for _, line := range []string{
+		`{"e":"h","seq":12,"id":"SYN|B0012","score":55}` + "\n",
 		`{"e":"h","seq":12,"id":"SYN|B0012","score":55,"qe":13,"te":118}` + "\n",
 		`{"e":"h","seq":0,"score":0}` + "\n",
 		`{"e":"b","v":57}` + "\n",
@@ -30,12 +31,12 @@ func FuzzDecodeEvent(f *testing.F) {
 		`{"e":"b","seq":0,"score":0}`,
 		`{"e":"d","stats":{"Columns":4}}`,
 	} {
-		f.Add([]byte(line), 12, "SYN|B0012", 55, 13, 118, 57)
+		f.Add([]byte(line), 12, "SYN|B0012", 55, 57)
 	}
-	f.Add([]byte(`{"e":"b","v":1}`+"\r\n"), 0, "", 0, 0, 0, 0)
-	f.Add([]byte(`{}`), -1, `back\slash`, -5, 0, 4, -1)
-	f.Add([]byte(`{"e":"h","seq":2,"id":"tab	here","score":1}`), 1<<62, "\xff\xfeinvalid", 1, 1, 1, 1<<40)
-	f.Fuzz(func(t *testing.T, line []byte, seq int, id string, score, qe, te, bound int) {
+	f.Add([]byte(`{"e":"b","v":1}`+"\r\n"), 0, "", 0, 0)
+	f.Add([]byte(`{}`), -1, `back\slash`, -5, -1)
+	f.Add([]byte(`{"e":"h","seq":2,"id":"tab	here","score":1}`), 1<<62, "\xff\xfeinvalid", 1, 1<<40)
+	f.Fuzz(func(t *testing.T, line []byte, seq int, id string, score, bound int) {
 		if ev, ok := decodeHot(line); ok {
 			var want Event
 			if err := json.Unmarshal(line, &want); err != nil || ev != want {
@@ -44,8 +45,8 @@ func FuzzDecodeEvent(f *testing.F) {
 		}
 
 		if utf8.ValidString(id) { // invalid UTF-8 decodes as U+FFFD
-			hit := Event{E: "h", Seq: seq, ID: id, Score: score, QEnd: qe, TEnd: te}
-			line := ndjson.AppendShardHit(nil, seq, id, score, qe, te)
+			hit := Event{E: "h", Seq: seq, ID: id, Score: score}
+			line := ndjson.AppendShardHit(nil, seq, id, score)
 			if ev, err := decodeEvent(line); err != nil || ev != hit {
 				t.Fatalf("h line %s decoded to %+v (%v), want %+v", line, ev, err, hit)
 			}
@@ -64,6 +65,21 @@ func FuzzDecodeEvent(f *testing.F) {
 			t.Fatalf("b line for %d left the hand path", bound)
 		}
 	})
+}
+
+// TestOlderServerHitLine: an older shard server's hit line carries the
+// alignment endpoints "qe" and "te".  It leaves the hand path and decodes
+// through encoding/json, which skips the two keys, so mixed-version replica
+// sets keep working.
+func TestOlderServerHitLine(t *testing.T) {
+	line := []byte(`{"e":"h","seq":12,"id":"SYN|B0012","score":55,"qe":13,"te":118}` + "\n")
+	if ev, ok := decodeHot(line); ok {
+		t.Errorf("hand path accepted %q as %+v", line, ev)
+	}
+	want := Event{E: "h", Seq: 12, ID: "SYN|B0012", Score: 55}
+	if ev, err := decodeEvent(line); err != nil || ev != want {
+		t.Errorf("%q decoded to %+v (%v), want %+v", line, ev, err, want)
+	}
 }
 
 // plainID reports whether the encoders write id between quotes unescaped.
@@ -92,7 +108,7 @@ func BenchmarkDecodeEvent(b *testing.B) {
 		name string
 		line []byte
 	}{
-		{"hit", ndjson.AppendShardHit(nil, 12, "SYN|B0012", 55, 13, 118)},
+		{"hit", ndjson.AppendShardHit(nil, 12, "SYN|B0012", 55)},
 		{"bound", ndjson.AppendShardBound(nil, 57)},
 	} {
 		b.Run(c.name+"/hand", func(b *testing.B) {

@@ -29,7 +29,7 @@
 //
 //	{"e":"b","v":57}                        frontier bound: no future hit of
 //	                                        this stream exceeds score 57
-//	{"e":"h","seq":12,"id":"SYN|B0012","score":55,"qe":13,"te":118}
+//	{"e":"h","seq":12,"id":"SYN|B0012","score":55}
 //	                                        hit (seq is slice-local; scores
 //	                                        decrease down the stream)
 //	{"e":"d","stats":{...}}                 end of stream, with work counters
@@ -111,8 +111,10 @@ type StreamRequest struct {
 // {"e":"b","v":N}) and "d" lines by encoding this struct.  The client reads
 // those two hot shapes by hand (decodeEvent); every other line — "d" events,
 // escaped or non-ASCII ids, the older "b" spelling that also carried
-// "seq":0,"score":0 — is decoded into this struct by encoding/json, and the
-// hand path accepts only lines encoding/json reads identically.
+// "seq":0,"score":0, the older "h" spelling that also carried alignment ends
+// "qe" and "te" — is decoded into this struct by encoding/json, which skips
+// keys it has no field for, and the hand path accepts only lines
+// encoding/json reads identically.
 type Event struct {
 	E string `json:"e"`
 	// V is the frontier bound of "b" events: no future hit of this stream
@@ -124,8 +126,6 @@ type Event struct {
 	Seq   int    `json:"seq"`
 	ID    string `json:"id,omitempty"`
 	Score int    `json:"score"`
-	QEnd  int    `json:"qe,omitempty"`
-	TEnd  int    `json:"te,omitempty"`
 	// Done fields ("d" events): the slice search's work counters (including
 	// Degraded/ShardErrors when the replica lost internal shards) or its
 	// terminal error.

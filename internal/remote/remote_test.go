@@ -123,21 +123,6 @@ func openCoordinator(t *testing.T, slices [][]string, pace pacing) *Coordinator 
 	return co
 }
 
-// normalize strips alignment endpoints: a sequence can hold several
-// co-optimal alignments and which endpoint gets reported depends on index
-// traversal order, so differently laid-out engines agree on (index, id,
-// score, E-value, rank) but not necessarily on ends.  A given layout reports
-// the same ends on every run, so identical layouts (replicas of one slice, a
-// repeated query) are compared byte for byte, endpoints included.
-func normalize(hits []core.Hit) []core.Hit {
-	out := make([]core.Hit, len(hits))
-	for i, h := range hits {
-		h.QueryEnd, h.TargetEnd = 0, 0
-		out[i] = h
-	}
-	return out
-}
-
 func collect(eng *shard.Engine, query []byte, opts core.Options) ([]core.Hit, core.Stats, error) {
 	var st core.Stats
 	opts.Stats = &st
@@ -154,7 +139,7 @@ func collect(eng *shard.Engine, query []byte, opts core.Options) ([]core.Hit, co
 // the coordinator's merged stream equals the single-process engine's stream
 // hit for hit — indexes, ids, scores, ranks and E-values — and the
 // distributed path itself is deterministic: a repeated query reproduces the
-// same stream byte for byte, alignment endpoints included.
+// same stream byte for byte.
 func TestCoordinatorEquivalence(t *testing.T) {
 	cases := map[string]struct {
 		a      *seq.Alphabet
@@ -216,7 +201,7 @@ func TestCoordinatorEquivalence(t *testing.T) {
 					if st.Degraded {
 						t.Fatalf("trial %d query %d: unexpected degraded stream", trial, q)
 					}
-					if !reflect.DeepEqual(normalize(got), normalize(want)) {
+					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("trial %d query %d: coordinator stream differs\n got: %+v\nwant: %+v", trial, q, got, want)
 					}
 					again, _, err := collect(co.Engine(), query, opts)
@@ -299,8 +284,7 @@ func faultFixture(t *testing.T, seed int64) (*sliceFixture, *shard.Engine, []byt
 	seqs := randomSeqs(t, rng, a, 40, 120)
 	db := dbOf(t, a, seqs)
 	// The baseline shares the slice engines' layout (same db, same shard
-	// count), so the comparison below is byte-identical, alignment
-	// endpoints included.
+	// count), so the comparison below is byte-identical.
 	baseline, err := shard.NewEngine(db, shard.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -733,7 +717,7 @@ func TestConcurrentFanOutStress(t *testing.T) {
 						errs <- err
 						return
 					}
-					if !reflect.DeepEqual(normalize(got), normalize(want)) {
+					if !reflect.DeepEqual(got, want) {
 						errs <- errorsNew("concurrent stream diverged")
 						return
 					}

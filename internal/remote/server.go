@@ -159,7 +159,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	var line []byte
 	err = s.eng.SearchBounded(query, opts,
 		func(h core.Hit) bool {
-			line = ndjson.AppendShardHit(line[:0], h.SeqIndex, h.SeqID, h.Score, h.QueryEnd, h.TargetEnd)
+			line = ndjson.AppendShardHit(line[:0], h.SeqIndex, h.SeqID, h.Score)
 			return ew.Append(line)
 		},
 		func(bound int) bool {

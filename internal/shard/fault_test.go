@@ -271,7 +271,7 @@ func TestCorruptSymbolsFailAtOpen(t *testing.T) {
 }
 
 // assertSameHits requires hit-for-hit equality (ranks, scores, sequences,
-// endpoints): degraded streams are not approximately right, they are exactly
+// E-values): degraded streams are not approximately right, they are exactly
 // the surviving shards' stream.
 func assertSameHits(t *testing.T, got, want []core.Hit) {
 	t.Helper()

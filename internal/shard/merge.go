@@ -316,14 +316,13 @@ type shardHit struct {
 // hitQueue is a max-heap of hits ordered by score (ties: lower global
 // sequence index first, so simultaneous buffered ties release
 // deterministically; equal sequence — duplicate copies from prefix-mode
-// shards — by alignment content, then producing shard).  Strict release
+// shards, equal but for the shard — by producing shard).  Strict release
 // buffers every equal-score copy of a sequence before the first is released,
-// and each shard's copy set is fixed by the seeds it is assigned, so the
-// surviving copy does not depend on the order the copies arrived in.
+// so the surviving copy does not depend on the order the copies arrived in.
 //
 // It is a hand-rolled binary heap rather than container/heap because the
 // standard interface moves every element through `any`, boxing one shardHit
-// (a ~9-word struct) per buffered hit on the serving path; the concrete
+// (a 7-word struct) per buffered hit on the serving path; the concrete
 // methods keep the pending buffer allocation-free at steady state.
 type hitQueue struct {
 	hits []shardHit
@@ -335,12 +334,6 @@ func (q *hitQueue) less(i, j int) bool {
 	}
 	if q.hits[i].SeqIndex != q.hits[j].SeqIndex {
 		return q.hits[i].SeqIndex < q.hits[j].SeqIndex
-	}
-	if q.hits[i].TargetEnd != q.hits[j].TargetEnd {
-		return q.hits[i].TargetEnd < q.hits[j].TargetEnd
-	}
-	if q.hits[i].QueryEnd != q.hits[j].QueryEnd {
-		return q.hits[i].QueryEnd < q.hits[j].QueryEnd
 	}
 	return q.hits[i].shard < q.hits[j].shard
 }

@@ -38,9 +38,7 @@
 // so even a top-k truncation (MaxResults) cuts the stream at the same hits
 // every time.  (Tie ORDER may still differ from the single-index search,
 // which breaks ties by subtree discovery; the hit multiset — same sequences,
-// same scores — is identical in all configurations.)  Alignment ENDPOINTS are
-// byte-stable too, in every configuration: a given engine reports the same
-// member of a sequence's co-optimal alignment tie set on every run.
+// same scores — is identical in all configurations.)
 package shard
 
 import (

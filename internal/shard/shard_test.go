@@ -206,10 +206,9 @@ func checkTruncated(t *testing.T, trial int, label string, got, baseline []core.
 // random databases, queries, shard counts, MinScore thresholds,
 // MaxResults limits and early cancellation, the prefix-partitioned engine
 // must report the same sequences with the same scores in globally
-// non-increasing score order as the single-index search.  Alignment
-// endpoints may differ only for equal-score ties (a sequence may achieve its
-// best score in subtrees owned by different shards), so hits are compared as
-// (sequence, score) pairs.
+// non-increasing score order as the single-index search.  Equal-score ties
+// may leave the merge in a different order than the single traversal's, so
+// hits are compared as (sequence, score) pairs.
 func TestPrefixShardedEquivalenceProperty(t *testing.T) {
 	cases := map[string]struct {
 		a      *seq.Alphabet
@@ -437,7 +436,7 @@ func TestPrefixShardingEliminatesNearRootDuplication(t *testing.T) {
 }
 
 // TestShardedSingleShardMatchesBaselineExactly pins the 1-shard fast path to
-// the single-index search bit for bit (including endpoints and ranks).
+// the single-index search bit for bit (whole hits, ranks included).
 func TestShardedSingleShardMatchesBaselineExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := randomShardDB(t, rng, seq.DNA, 12, 80)
@@ -495,9 +494,9 @@ func TestShardedErrorPropagation(t *testing.T) {
 
 // TestPrefixEngineConcurrentStress multiplexes concurrent queries over one
 // prefix engine (the shared dedup sets and scratch free lists, the
-// shard-affine scratch slots) and checks every stream, alignment endpoints
-// included, against a per-query reference; run with -race this is the prefix
-// path's data-race harness.
+// shard-affine scratch slots) and checks every whole stream against a
+// per-query reference; run with -race this is the prefix path's data-race
+// harness.
 func TestPrefixEngineConcurrentStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(7717))
 	db := randomShardDB(t, rng, seq.DNA, 24, 90)

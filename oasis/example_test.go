@@ -63,8 +63,8 @@ func ExampleSearch() {
 		log.Fatal(err)
 	}
 
-	// A hit carries only where its alignment ends; RecoverAlignment rebuilds
-	// the whole alignment of the best hit.
+	// A hit carries no alignment; RecoverAlignment rebuilds the whole
+	// alignment of the best hit.
 	a, err := oasis.RecoverAlignment(idx, query, scheme, best)
 	if err != nil {
 		log.Fatal(err)
