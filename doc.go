@@ -71,7 +71,7 @@
 //     disk, seals the memtable's own suffix tree as a layer: kept in memory,
 //     or written once to the directory by Dir.Commit.
 //
-// The search kernels are pinned by a fuzz/golden/race test layer: native Go
+// The search kernel is pinned by a fuzz/golden/race test layer: native Go
 // fuzz targets assert live-band/full-sweep hit identity and the sharded
 // merge's order contract (in both partition modes) on arbitrary inputs,
 // golden files freeze the Figure-4 workload's hits and work counters, and a

@@ -35,11 +35,12 @@ func DefaultCacheKeyConfig() CacheKeyConfig {
 		KeyFuncPkgName:   "qcache",
 		KeyFunc:          "NewKey",
 		Exempt: map[string]string{
-			"MaxResults":   "entries remember Complete vs truncated; any top-k request is served by truncating the stored stream",
-			"Stats":        "output-only work counters; never change which hits are produced",
-			"Scratch":      "reusable buffers; results are identical with or without one",
-			"Context":      "cancellation handle; a cancelled search is never cached",
-			"StrictShards": "degraded streams are never cached, and strict mode only turns degradation into an error",
+			"MaxResults":      "entries remember Complete vs truncated; any top-k request is served by truncating the stored stream",
+			"Stats":           "output-only work counters; never change which hits are produced",
+			"Scratch":         "reusable buffers; results are identical with or without one",
+			"Context":         "cancellation handle; a cancelled search is never cached",
+			"StrictShards":    "degraded streams are never cached, and strict mode only turns degradation into an error",
+			"ReferenceKernel": "ignored: the search has one kernel",
 		},
 	}
 }
@@ -48,8 +49,7 @@ func DefaultCacheKeyConfig() CacheKeyConfig {
 // options struct against the fields the cache-key normalizer consumes and
 // fails on any non-exempt field missing from the key.  A missed field means
 // two searches with different options can share one cache entry — silently
-// wrong cached answers, the bug class PR 9 had to remember to fix by hand for
-// ReferenceKernel.
+// wrong cached answers, a bug class a hand-maintained key once missed.
 func NewCacheKey(cfg CacheKeyConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "cachekey",

@@ -9,7 +9,7 @@ import (
 
 func TestAllowlistRoundTrip(t *testing.T) {
 	calls := []HotCall{
-		{Pkg: "internal/core", Func: "sweepColumnRef", Callee: "runtime.panicIndex", Count: 7},
+		{Pkg: "internal/core", Func: "sweepColumn", Callee: "runtime.panicIndex", Count: 7},
 		{Pkg: "internal/core", Func: "searcher.allocBand", Callee: "runtime.makeslice", Count: 1},
 		{Pkg: "internal/shard", Func: "hitQueue.push", Callee: "runtime.growslice", Count: 1},
 	}

@@ -20,20 +20,23 @@ func fuzzQuery(a *seq.Alphabet, data []byte) []byte {
 }
 
 // FuzzLiveBandEquivalence asserts the live-band DP kernel's core contract on
-// arbitrary inputs: searching with the band must report exactly the hits —
-// same sequences, same scores, same order — as the
-// exhaustive full-column sweep (searchAllFull).  Both runs share
-// long-lived Scratches across fuzz iterations, so stale-buffer bugs in the
-// band bookkeeping (cells outside [cLo, cHi] must never be read) surface as
-// mismatches.
+// arbitrary inputs, gap penalties (-1..-4) and score cutoffs: searching with
+// the band must report exactly the hits — same sequences, same scores, same
+// order — as the exhaustive full-column sweep (searchAllFull), and expand the
+// same columns.  Both runs share long-lived Scratches across fuzz iterations,
+// so stale-buffer bugs in the band bookkeeping (cells outside [cLo, cHi] must
+// never be read) surface as mismatches.
 func FuzzLiveBandEquivalence(f *testing.F) {
-	f.Add([]byte("ACGTACGTTTACGGACGT\x00GGGTTTACGT\x00ACACACAC"), []byte("ACGTAC"), uint8(3))
-	f.Add([]byte("TTTTTTTTTT\x00TTTTT"), []byte("TTTT"), uint8(1))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 11, 12, 13, 14}, []byte{5, 6, 7}, uint8(2))
-	scheme := score.MustScheme(score.UnitDNA(), -1)
+	f.Add([]byte("ACGTACGTTTACGGACGT\x00GGGTTTACGT\x00ACACACAC"), []byte("ACGTAC"), uint8(3), uint8(0))
+	f.Add([]byte("TTTTTTTTTT\x00TTTTT"), []byte("TTTT"), uint8(1), uint8(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 11, 12, 13, 14}, []byte{5, 6, 7}, uint8(2), uint8(0))
+	f.Add([]byte("ACGTACGTTTACGGACGT\x00GGGTTTACGT\x00ACACACAC"), []byte("ACGTAC"), uint8(3), uint8(1))
+	f.Add([]byte("TTTTTTTTTT\x00TTTTT"), []byte("TTTT"), uint8(1), uint8(2))
+	f.Add([]byte("ACGGGTACCA\x00CCCGGGTTTAAA\x00GTGTGTGTGT"), []byte("GGGTTT"), uint8(4), uint8(4))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 11, 12, 13, 14}, []byte{5, 6, 7}, uint8(2), uint8(1))
 	bandScratch := NewScratch()
 	fullScratch := NewScratch()
-	f.Fuzz(func(t *testing.T, dbData, queryData []byte, minByte uint8) {
+	f.Fuzz(func(t *testing.T, dbData, queryData []byte, minByte, gapByte uint8) {
 		db := fuzzDatabase(seq.DNA, dbData)
 		q := fuzzQuery(seq.DNA, queryData)
 		if db == nil || q == nil {
@@ -43,6 +46,7 @@ func FuzzLiveBandEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("index build: %v", err)
 		}
+		scheme := score.MustScheme(score.UnitDNA(), -1-int(gapByte%4))
 		minScore := 1 + int(minByte%12)
 		var bandStats, fullStats Stats
 		band, err := SearchAll(idx, q, Options{
@@ -58,13 +62,13 @@ func FuzzLiveBandEquivalence(f *testing.F) {
 			t.Fatalf("full-sweep search: %v", err)
 		}
 		if len(band) != len(full) {
-			t.Fatalf("hit count: band %d, full sweep %d (db %q, query %q, minScore %d)",
-				len(band), len(full), dbData, queryData, minScore)
+			t.Fatalf("hit count: band %d, full sweep %d (db %q, query %q, minScore %d, gap %d)",
+				len(band), len(full), dbData, queryData, minScore, scheme.Gap)
 		}
 		for i := range band {
 			if band[i] != full[i] {
-				t.Fatalf("hit %d differs: band %+v, full sweep %+v (minScore %d)",
-					i, band[i], full[i], minScore)
+				t.Fatalf("hit %d differs: band %+v, full sweep %+v (minScore %d, gap %d)",
+					i, band[i], full[i], minScore, scheme.Gap)
 			}
 		}
 		if bandStats.CellsComputed > fullStats.CellsComputed {
@@ -145,85 +149,4 @@ func TestFuzzHelpersRejectDegenerateInput(t *testing.T) {
 	if fuzzQuery(seq.DNA, nil) != nil {
 		t.Fatal("empty query data should be rejected")
 	}
-}
-
-// FuzzKernelEquivalence is the branch-free kernel's differential harness: on
-// arbitrary databases, queries, gap penalties and score cutoffs, the SoA
-// edge-sweep kernel (kernel.go's sweepEdgeFast) must be observationally
-// identical to the retained scalar reference kernel (Options.ReferenceKernel,
-// sweepColumnRef) — the same hits in the same order,
-// and the same work profile: columns expanded, cells computed (the sum of the
-// per-column live-band interval widths), the widest band stored, and every
-// accept/unviable decision.  Any divergence in the band arithmetic — a
-// clamped interval off by one, a select that revives a dead cell — shows up
-// as a cell-count or band-width mismatch even when the hits happen to agree.
-// Both live-band modes are exercised: the full sweep (searchAllFull) widens
-// the band to the full column, which pins the kernels' full-column code paths
-// against each other too.
-func FuzzKernelEquivalence(f *testing.F) {
-	f.Add([]byte("ACGTACGTTTACGGACGT\x00GGGTTTACGT\x00ACACACAC"), []byte("ACGTAC"), uint8(3), uint8(1), false)
-	f.Add([]byte("TTTTTTTTTT\x00TTTTT"), []byte("TTTT"), uint8(1), uint8(2), true)
-	f.Add([]byte("ACGGGTACCA\x00CCCGGGTTTAAA\x00GTGTGTGTGT"), []byte("GGGTTT"), uint8(4), uint8(4), false)
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 11, 12, 13, 14}, []byte{5, 6, 7}, uint8(2), uint8(1), true)
-	fastScratch := NewScratch()
-	refScratch := NewScratch()
-	f.Fuzz(func(t *testing.T, dbData, queryData []byte, minByte, gapByte uint8, disableBand bool) {
-		db := fuzzDatabase(seq.DNA, dbData)
-		q := fuzzQuery(seq.DNA, queryData)
-		if db == nil || q == nil {
-			t.Skip()
-		}
-		idx, err := BuildMemoryIndex(db)
-		if err != nil {
-			t.Fatalf("index build: %v", err)
-		}
-		opts := Options{
-			Scheme:   score.MustScheme(score.UnitDNA(), -1-int(gapByte%4)),
-			MinScore: 1 + int(minByte%12),
-		}
-		searchAll := SearchAll
-		if disableBand {
-			searchAll = searchAllFull
-		}
-		var fastStats, refStats Stats
-		fastOpts := opts
-		fastOpts.Stats = &fastStats
-		fastOpts.Scratch = fastScratch
-		fast, err := searchAll(idx, q, fastOpts)
-		if err != nil {
-			t.Fatalf("fast kernel: %v", err)
-		}
-		refOpts := opts
-		refOpts.Stats = &refStats
-		refOpts.Scratch = refScratch
-		refOpts.ReferenceKernel = true
-		ref, err := searchAll(idx, q, refOpts)
-		if err != nil {
-			t.Fatalf("reference kernel: %v", err)
-		}
-		if len(fast) != len(ref) {
-			t.Fatalf("hit count: fast %d, reference %d (db %q, query %q, opts %+v)",
-				len(fast), len(ref), dbData, queryData, opts)
-		}
-		for i := range fast {
-			if fast[i] != ref[i] {
-				t.Fatalf("hit %d differs: fast %+v, reference %+v (opts %+v)",
-					i, fast[i], ref[i], opts)
-			}
-		}
-		type workProfile struct {
-			columns, cells, accepted, unviable, reported int64
-			maxBand                                      int
-		}
-		fastWork := workProfile{fastStats.ColumnsExpanded, fastStats.CellsComputed,
-			fastStats.NodesAccepted, fastStats.NodesUnviable, fastStats.SequencesReported,
-			fastStats.MaxBandWidth}
-		refWork := workProfile{refStats.ColumnsExpanded, refStats.CellsComputed,
-			refStats.NodesAccepted, refStats.NodesUnviable, refStats.SequencesReported,
-			refStats.MaxBandWidth}
-		if fastWork != refWork {
-			t.Fatalf("work profile diverged:\n fast: %+v\n  ref: %+v\n(db %q, query %q, opts %+v)",
-				fastWork, refWork, dbData, queryData, opts)
-		}
-	})
 }

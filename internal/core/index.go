@@ -48,9 +48,9 @@ type Catalog interface {
 	SequenceLength(i int) int
 	// TotalResidues returns the total residue count across all sequences.
 	TotalResidues() int64
-	// Locate maps a global position in the concatenated symbol view to a
-	// sequence index and a local offset within that sequence.
-	Locate(pos int64) (seqIndex int, offset int64, err error)
+	// Locate maps a global position in the concatenated symbol view to the
+	// index of the sequence holding it.
+	Locate(pos int64) (seqIndex int, err error)
 	// Residues returns the encoded residues of sequence i (used to recover
 	// full alignments for reported hits).
 	Residues(i int) ([]byte, error)

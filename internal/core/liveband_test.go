@@ -201,8 +201,8 @@ func TestScratchBufferOwnership(t *testing.T) {
 		if err := s.runFromRoot(func(Hit) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
-		if len(s.prevBuf) != len(query)+2 || len(s.curBuf) != len(query)+2 {
-			t.Fatalf("scratch buffers resized: prev=%d cur=%d want %d", len(s.prevBuf), len(s.curBuf), len(query)+2)
+		if len(s.prevBuf) != len(query)+1 || len(s.curBuf) != len(query)+1 {
+			t.Fatalf("scratch buffers resized: prev=%d cur=%d want %d", len(s.prevBuf), len(s.curBuf), len(query)+1)
 		}
 		if &s.prevBuf[0] == &s.curBuf[0] {
 			t.Fatal("scratch buffers alias the same array after search")

@@ -182,8 +182,9 @@ func (c dbCatalog) SequenceLength(i int) int {
 	return c.db.Sequence(i).Len()
 }
 func (c dbCatalog) TotalResidues() int64 { return c.db.TotalResidues() }
-func (c dbCatalog) Locate(pos int64) (int, int64, error) {
-	return c.db.Locate(pos)
+func (c dbCatalog) Locate(pos int64) (int, error) {
+	i, _, err := c.db.Locate(pos)
+	return i, err
 }
 func (c dbCatalog) Residues(i int) ([]byte, error) {
 	if i < 0 || i >= c.db.NumSequences() {

@@ -19,17 +19,14 @@ type Scratch struct {
 	// them in O(hits) instead of O(sequences).
 	reported []bool
 	touched  []int
-	// prevBuf/curBuf are the column sweep's scratch pair: m+2 cells so the
-	// fast kernel can write its above-band sentinel at index m+1 (kernel.go).
+	// prevBuf/curBuf are the column sweep's scratch pair (m+1 cells).
 	prevBuf []int32
 	curBuf  []int32
-	// h is the heuristic vector buffer; h32 its int32 copy for the kernels.
+	// h is the heuristic vector buffer; h32 its int32 copy for the kernel.
 	h   []int
 	h32 []int32
-	// prof is the row-major query profile (prof[(i-1)*width + sym], reference
-	// kernel); profT the transposed profile (profT[sym*m + i-1], fast kernel).
-	prof  []int32
-	profT []int32
+	// prof is the row-major query profile (prof[(i-1)*width + sym]).
+	prof []int32
 	// freeBands recycles band slices, bucketed by power-of-two capacity class
 	// (see searcher.allocBand).  Band classes are query-length independent,
 	// so recycled bands carry over between queries of different lengths
@@ -61,14 +58,14 @@ func (sc *Scratch) acquire(n, m int, matrix *score.Matrix, query []byte) {
 	if len(sc.reported) < n {
 		sc.reported = make([]bool, n)
 	}
-	if cap(sc.prevBuf) < m+2 {
-		sc.prevBuf = make([]int32, m+2)
+	if cap(sc.prevBuf) < m+1 {
+		sc.prevBuf = make([]int32, m+1)
 	}
-	sc.prevBuf = sc.prevBuf[:m+2]
-	if cap(sc.curBuf) < m+2 {
-		sc.curBuf = make([]int32, m+2)
+	sc.prevBuf = sc.prevBuf[:m+1]
+	if cap(sc.curBuf) < m+1 {
+		sc.curBuf = make([]int32, m+1)
 	}
-	sc.curBuf = sc.curBuf[:m+2]
+	sc.curBuf = sc.curBuf[:m+1]
 	sc.h = HeuristicVectorInto(sc.h, query, matrix)
 	if cap(sc.h32) < m+1 {
 		sc.h32 = make([]int32, m+1)
@@ -81,15 +78,11 @@ func (sc *Scratch) acquire(n, m int, matrix *score.Matrix, query []byte) {
 	need := m * width
 	if cap(sc.prof) < need {
 		sc.prof = make([]int32, need)
-		sc.profT = make([]int32, need)
 	}
 	sc.prof = sc.prof[:need]
-	sc.profT = sc.profT[:need]
 	for i, q := range query {
 		for sym := 0; sym < width; sym++ {
-			v := int32(matrix.Score(q, byte(sym)))
-			sc.prof[i*width+sym] = v
-			sc.profT[sym*m+i] = v
+			sc.prof[i*width+sym] = int32(matrix.Score(q, byte(sym)))
 		}
 	}
 	sc.nodes.reset()

@@ -15,7 +15,7 @@ const negInf = score.NegInf
 // maxKernelScore caps the heuristic prefix sum h[0] (the largest score any
 // search over the query could produce).  Cell values and priority bounds are
 // kept in int32 (see store.go); the cap leaves headroom so no sum the
-// kernels form — including sentinel arithmetic around negInf — can leave the
+// kernel forms — including sentinel arithmetic around negInf — can leave the
 // int32 domain.  It allows queries up to hundreds of millions of residues of
 // best-case score before refusing.
 const maxKernelScore = 1 << 28
@@ -36,11 +36,9 @@ type Options struct {
 	KA *score.KarlinAltschul
 	// Stats, when non-nil, accumulates work counters.
 	Stats *Stats
-	// ReferenceKernel selects the original scalar column sweep (per-cell
-	// band-bound guards, sentinel-guarded adds, branchy bookkeeping) instead
-	// of the branch-free structure-of-arrays kernel.  Results and work
-	// counters are identical either way (FuzzKernelEquivalence); the flag
-	// exists for differential testing and for ablating the kernel rewrite.
+	// ReferenceKernel is ignored: the search has one kernel.  The field stays
+	// only because benchmark/layers.go sets it; ROADMAP direction 1(b)
+	// removes both that benchmark rung and the field.
 	ReferenceKernel bool
 	// Scratch, when non-nil, supplies reusable search buffers so warm
 	// engines avoid per-query allocation.  A Scratch must serve at most one
@@ -194,7 +192,7 @@ type searcher struct {
 	opts  Options
 	sc    *Scratch
 	h     []int   // heuristic vector, length m+1
-	h32   []int32 // the kernels' int32 copy of h
+	h32   []int32 // the kernel's int32 copy of h
 	// bq is the priority queue: O(1) buckets over the f domain
 	// [MinScore, h[0]] (lives in sc).
 	bq       *bucketQueue
@@ -211,8 +209,8 @@ type searcher struct {
 	// context is polled (ctx is nil when the search has no context).
 	ctx           context.Context
 	pollCountdown int
-	// prevBuf/curBuf are scratch columns (m+2 cells: one sentinel above the
-	// band, see kernel.go) reused across expansions.
+	// prevBuf/curBuf are scratch columns (m+1 cells) reused across
+	// expansions.
 	prevBuf []int32
 	curBuf  []int32
 	// freeBands recycles the band slices of popped viable nodes, bucketed by
@@ -220,13 +218,9 @@ type searcher struct {
 	// its class (see allocBand).
 	freeBands [][][]int32
 	// prof is the query profile in row-major order (prof[(i-1)*profWidth +
-	// sym]), used by the reference kernel; profT is the transposed profile
-	// (profT[sym*m + (i-1)]), whose per-symbol rows are contiguous for the
-	// fast kernel's column sweeps.
+	// sym]).
 	prof      []int32
-	profT     []int32
 	profWidth int
-	refKernel bool
 	// full widens every live band to the whole column (rows 1..m; row 0 is
 	// provably dead below the root and never computed), the exhaustive
 	// sweep of the original implementation.  Results are identical either
@@ -298,9 +292,7 @@ func newSearcher(idx Index, query []byte, opts Options) (*searcher, error) {
 		curBuf:    sc.curBuf,
 		freeBands: sc.freeBands,
 		prof:      sc.prof,
-		profT:     sc.profT,
 		profWidth: mat.Size(),
-		refKernel: opts.ReferenceKernel,
 		ctx:       opts.Context,
 
 		pollCountdown: cancelPollColumns,
@@ -538,13 +530,91 @@ type expandResult struct {
 // revived by later columns except through the insertion chain immediately
 // above hi), so only cells reachable from the previous column's band are
 // computed.  The searcher's full switch widens the band to the full column,
-// restoring the original exhaustive sweep; Options.ReferenceKernel selects
-// the original guarded scalar sweep (see kernel.go for both kernels).
+// restoring the original exhaustive sweep (see kernel.go for the sweep).
+//
+//oasis:hotpath
 func (s *searcher) expand(parentID int32, child NodeRef, label []byte) (expandResult, error) {
-	if s.refKernel {
-		return s.expandRef(parentID, child, label)
+	m := len(s.query)
+	gap := int32(s.opts.Scheme.Gap)
+	minScore := int32(s.opts.MinScore)
+	full := s.full
+	ns := s.nodes
+
+	// prev/cur are searcher-owned scratch buffers (reused across every
+	// expansion); prev starts as a copy of the parent's live band so the
+	// parent's vector stays intact for its other children.  The locals swap
+	// roles with every column; every return path re-synchronises the
+	// searcher fields so buffer ownership stays explicit.
+	prev := s.prevBuf
+	cur := s.curBuf
+	plo, phi := int(ns.cLo[parentID]), int(ns.cHi[parentID])
+	copy(prev[plo:phi+1], ns.band[parentID])
+	maxScore := ns.maxSc[parentID]
+	parentDepth := int(ns.depth[parentID])
+
+	hColumn := negInf32
+	columns := 0
+	var cells int64
+	terminator := false
+	for _, sym := range label {
+		// Cancellation poll (Options.Context): a query stuck in a long
+		// hit-less DP stretch still observes ctx within cancelPollColumns
+		// columns instead of only at the next hit callback.
+		if s.ctx != nil {
+			s.pollCountdown--
+			if s.pollCountdown <= 0 {
+				s.pollCountdown = cancelPollColumns
+				if err := s.ctx.Err(); err != nil {
+					s.recordColumns(columns, cells)
+					s.prevBuf, s.curBuf = prev, cur
+					return expandResult{}, err
+				}
+			}
+		}
+		if int(sym) >= s.profWidth {
+			// Sequence terminator: alignments never extend across it; the
+			// remaining label (if any) is beyond this sequence.
+			terminator = true
+			break
+		}
+		r := sweepColumn(prev, cur, s.prof, s.h32, s.profWidth, int(sym), plo, phi, m, gap, maxScore, minScore, full)
+		cells += int64(r.cells)
+		maxScore = r.maxScore
+		columns++
+		hColumn = r.colBest
+		if maxScore >= hColumn {
+			// Nothing below this node can beat the alignment already
+			// found along this path.
+			s.recordColumns(columns, cells)
+			s.prevBuf, s.curBuf = prev, cur
+			return s.closeOut(child, maxScore), nil
+		}
+		if hColumn < minScore {
+			s.recordColumns(columns, cells)
+			s.prevBuf, s.curBuf = prev, cur
+			s.stats.NodesUnviable++
+			return expandResult{}, nil
+		}
+		prev, cur = cur, prev
+		plo, phi = int(r.curLo), int(r.curHi)
+		if full {
+			plo, phi = 0, m
+		}
 	}
-	return s.expandFast(parentID, child, label)
+	s.recordColumns(columns, cells)
+	s.prevBuf, s.curBuf = prev, cur
+
+	// The whole edge label has been consumed (or a terminator reached).
+	if child.IsLeaf() || terminator {
+		// No further expansion is possible below a leaf or past a terminator.
+		return s.closeOut(child, maxScore), nil
+	}
+	if columns == 0 {
+		// Degenerate empty edge (cannot happen in a well-formed index).
+		s.stats.NodesUnviable++
+		return expandResult{}, nil
+	}
+	return s.storeViable(child, int32(parentDepth+columns), plo, phi, prev, maxScore, int(hColumn)), nil
 }
 
 // closeOut stores a node whose subtree is finished — closed out by the prune
@@ -577,174 +647,6 @@ func (s *searcher) storeViable(child NodeRef, depth int32, plo, phi int, band []
 	return expandResult{id: id, f: f, ok: true}
 }
 
-// expandFast is expand on the branch-free edge kernel: sweepEdgeFast
-// processes the whole edge label in one call (capped to the cancellation
-// poll interval when a context is set), so the per-column loop runs inside
-// the kernel instead of re-crossing the call boundary every symbol.
-//
-//oasis:hotpath
-func (s *searcher) expandFast(parentID int32, child NodeRef, label []byte) (expandResult, error) {
-	m := len(s.query)
-	gap := int32(s.opts.Scheme.Gap)
-	minScore := int32(s.opts.MinScore)
-	ns := s.nodes
-
-	// prev/cur are searcher-owned scratch buffers (reused across every
-	// expansion); prev starts as a copy of the parent's live band so the
-	// parent's vector stays intact for its other children.  The locals swap
-	// roles with every column the kernel completes; every return path below
-	// re-synchronises the searcher fields so buffer ownership stays explicit.
-	prev := s.prevBuf
-	cur := s.curBuf
-	plo, phi := int(ns.cLo[parentID]), int(ns.cHi[parentID])
-	copy(prev[plo:phi+1], ns.band[parentID])
-	maxScore := ns.maxSc[parentID]
-	parentDepth := int(ns.depth[parentID])
-
-	fBound := negInf
-	consumed := 0
-	var cells int64
-	terminator := false
-	for syms := label; len(syms) > 0 && !terminator; {
-		part := syms
-		// Cancellation poll (Options.Context): cap the kernel call at the
-		// remaining poll budget so a query stuck in a long hit-less DP
-		// stretch still observes ctx within cancelPollColumns columns
-		// instead of only at the next hit callback.
-		if s.ctx != nil && s.pollCountdown < len(part) {
-			part = part[:s.pollCountdown]
-		}
-		r := sweepEdgeFast(prev, cur, s.profT, s.h32, s.profWidth, part, plo, phi, m, gap, maxScore, minScore, s.full)
-		cells += r.cells
-		maxScore = r.maxScore
-		consumed += int(r.columns)
-		terminator = r.terminator
-		if r.swapped {
-			prev, cur = cur, prev
-		}
-		// Columns of an edge that closes or dies count toward the poll
-		// too, so hit-less stretches of short-lived nodes are polled.
-		if s.ctx != nil {
-			s.pollCountdown -= int(r.columns)
-			if s.pollCountdown <= 0 {
-				s.pollCountdown = cancelPollColumns
-				if err := s.ctx.Err(); err != nil {
-					s.recordColumns(consumed, cells)
-					s.prevBuf, s.curBuf = prev, cur
-					return expandResult{}, err
-				}
-			}
-		}
-		switch r.status {
-		case sweepClosed:
-			// Nothing below this node can beat the alignment already
-			// found along this path.
-			s.recordColumns(consumed, cells)
-			s.prevBuf, s.curBuf = prev, cur
-			return s.closeOut(child, maxScore), nil
-		case sweepDead:
-			s.recordColumns(consumed, cells)
-			s.prevBuf, s.curBuf = prev, cur
-			s.stats.NodesUnviable++
-			return expandResult{}, nil
-		}
-		plo, phi = int(r.plo), int(r.phi)
-		if r.columns > 0 {
-			fBound = int(r.colBest)
-		}
-		syms = syms[r.columns:]
-	}
-	s.recordColumns(consumed, cells)
-	// Keep the searcher's scratch pointers consistent with the swaps.
-	s.prevBuf, s.curBuf = prev, cur
-
-	// The whole edge label has been consumed (or a terminator reached).
-	if child.IsLeaf() || terminator {
-		// No further expansion is possible below a leaf or past a terminator.
-		return s.closeOut(child, maxScore), nil
-	}
-	if consumed == 0 {
-		// Degenerate empty edge (cannot happen in a well-formed index).
-		s.stats.NodesUnviable++
-		return expandResult{}, nil
-	}
-	return s.storeViable(child, int32(parentDepth+consumed), plo, phi, prev, maxScore, fBound), nil
-}
-
-// expandRef is expand on the retained scalar reference kernel
-// (Options.ReferenceKernel): one guarded sweepColumnRef call per symbol, the
-// original structure the fast path is differentially tested against.
-func (s *searcher) expandRef(parentID int32, child NodeRef, label []byte) (expandResult, error) {
-	m := len(s.query)
-	gap := int32(s.opts.Scheme.Gap)
-	minScore := int32(s.opts.MinScore)
-	full := s.full
-	ns := s.nodes
-
-	prev := s.prevBuf
-	cur := s.curBuf
-	plo, phi := int(ns.cLo[parentID]), int(ns.cHi[parentID])
-	copy(prev[plo:phi+1], ns.band[parentID])
-	maxScore := ns.maxSc[parentID]
-	parentDepth := int(ns.depth[parentID])
-
-	hColumn := negInf32
-	columns := 0
-	var cells int64
-	terminator := false
-	for _, sym := range label {
-		if s.ctx != nil {
-			s.pollCountdown--
-			if s.pollCountdown <= 0 {
-				s.pollCountdown = cancelPollColumns
-				if err := s.ctx.Err(); err != nil {
-					s.recordColumns(columns, cells)
-					s.prevBuf, s.curBuf = prev, cur
-					return expandResult{}, err
-				}
-			}
-		}
-		if int(sym) >= s.profWidth {
-			// Sequence terminator: alignments never extend across it; the
-			// remaining label (if any) is beyond this sequence.
-			terminator = true
-			break
-		}
-		r := sweepColumnRef(prev, cur, s.prof, s.h32, s.profWidth, int(sym), plo, phi, m, gap, maxScore, minScore, full)
-		cells += int64(r.cells)
-		maxScore = r.maxScore
-		columns++
-		hColumn = r.colBest
-		if maxScore >= hColumn {
-			s.recordColumns(columns, cells)
-			s.prevBuf, s.curBuf = prev, cur
-			return s.closeOut(child, maxScore), nil
-		}
-		if hColumn < minScore {
-			s.recordColumns(columns, cells)
-			s.prevBuf, s.curBuf = prev, cur
-			s.stats.NodesUnviable++
-			return expandResult{}, nil
-		}
-		prev, cur = cur, prev
-		plo, phi = int(r.curLo), int(r.curHi)
-		if full {
-			plo, phi = 0, m
-		}
-	}
-	s.recordColumns(columns, cells)
-	s.prevBuf, s.curBuf = prev, cur
-
-	if child.IsLeaf() || terminator {
-		return s.closeOut(child, maxScore), nil
-	}
-	if columns == 0 {
-		s.stats.NodesUnviable++
-		return expandResult{}, nil
-	}
-	return s.storeViable(child, int32(parentDepth+columns), plo, phi, prev, maxScore, int(hColumn)), nil
-}
-
 func (s *searcher) recordColumns(columns int, cells int64) {
 	s.stats.ColumnsExpanded += int64(columns)
 	s.stats.CellsComputed += cells
@@ -770,7 +672,7 @@ func (s *searcher) reportAccepted(id int32) (bool, error) {
 //
 //oasis:hotpath
 func (s *searcher) visitLeaf(pos int64) bool {
-	seqIdx, _, err := s.cat.Locate(pos)
+	seqIdx, err := s.cat.Locate(pos)
 	if err != nil {
 		s.accErr = err
 		return false

@@ -213,14 +213,14 @@ func TestCatalogLocate(t *testing.T) {
 	db, _ := seq.DatabaseFromStrings(seq.DNA, "ACGT", "GG")
 	idx, _, _ := buildIndex(t, db, BuildOptions{})
 	cat := idx.Catalog()
-	si, off, err := cat.Locate(5)
-	if err != nil || si != 1 || off != 0 {
-		t.Fatalf("Locate(5) = %d,%d,%v", si, off, err)
+	si, err := cat.Locate(5)
+	if err != nil || si != 1 {
+		t.Fatalf("Locate(5) = %d,%v", si, err)
 	}
-	if _, _, err := cat.Locate(-1); err == nil {
+	if _, err := cat.Locate(-1); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, _, err := cat.Locate(100); err == nil {
+	if _, err := cat.Locate(100); err == nil {
 		t.Fatal("expected error")
 	}
 
@@ -243,9 +243,9 @@ func TestCatalogLocate(t *testing.T) {
 	}
 	for pos := int64(0); pos < end; pos++ {
 		want := sort.Search(len(starts), func(i int) bool { return starts[i] > pos }) - 1
-		si, off, err := cat.Locate(pos)
-		if err != nil || si != want || off != pos-starts[want] {
-			t.Fatalf("Locate(%d) = (%d,%d,%v), want (%d,%d)", pos, si, off, err, want, pos-starts[want])
+		si, err := cat.Locate(pos)
+		if err != nil || si != want {
+			t.Fatalf("Locate(%d) = (%d,%v), want %d", pos, si, err, want)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func TestEdgeLabelsSpellTheirSuffixes(t *testing.T) {
 		cat := idx.Catalog()
 		// want returns the n symbols from global position pos on.
 		want := func(pos int64, n int) []byte {
-			si, off, err := cat.Locate(pos)
+			si, off, err := tc.db.Locate(pos)
 			if err != nil {
 				t.Fatal(err)
 			}

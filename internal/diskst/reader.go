@@ -365,8 +365,9 @@ func (c *diskCatalog) SequenceLength(i int) int {
 	return int(c.loc.Start(i+1)-c.loc.Start(i)) - 1 // terminator
 }
 func (c *diskCatalog) TotalResidues() int64 { return c.loc.Len() - int64(len(c.seqIDs)) }
-func (c *diskCatalog) Locate(pos int64) (int, int64, error) {
-	return c.loc.Locate(pos)
+func (c *diskCatalog) Locate(pos int64) (int, error) {
+	i, _, err := c.loc.Locate(pos)
+	return i, err
 }
 func (c *diskCatalog) Residues(i int) ([]byte, error) {
 	if i < 0 || i >= len(c.seqIDs) {

@@ -64,10 +64,6 @@ type Key struct {
 	// fields, so they must not share an entry.
 	KA    score.KarlinAltschul
 	HasKA bool
-	// ReferenceKernel does not change results, but it is kept in the key so
-	// ablation runs never serve each other's streams (their Stats-shaped
-	// expectations differ).
-	ReferenceKernel bool
 }
 
 // NewKey derives the cache key for a search of residues under opts against
@@ -76,12 +72,11 @@ type Key struct {
 // completed stream contains.
 func NewKey(residues []byte, opts core.Options, gen uint64) Key {
 	k := Key{
-		Query:           string(residues),
-		Gen:             gen,
-		Matrix:          opts.Scheme.Matrix,
-		Gap:             opts.Scheme.Gap,
-		MinScore:        opts.MinScore,
-		ReferenceKernel: opts.ReferenceKernel,
+		Query:    string(residues),
+		Gen:      gen,
+		Matrix:   opts.Scheme.Matrix,
+		Gap:      opts.Scheme.Gap,
+		MinScore: opts.MinScore,
 	}
 	if opts.KA != nil {
 		k.KA = *opts.KA

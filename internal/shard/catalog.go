@@ -93,19 +93,19 @@ func (c *concatCatalog) Residues(g int) ([]byte, error) {
 	return cat.Residues(i)
 }
 
-func (c *concatCatalog) Locate(pos int64) (int, int64, error) {
+func (c *concatCatalog) Locate(pos int64) (int, error) {
 	if pos < 0 || pos >= c.starts[len(c.parts)] {
-		return 0, 0, fmt.Errorf("shard: position %d out of range", pos)
+		return 0, fmt.Errorf("shard: position %d out of range", pos)
 	}
 	i := sort.Search(len(c.parts), func(i int) bool { return c.starts[i+1] > pos })
 	if c.parts[i].Catalog == nil {
-		return 0, 0, fmt.Errorf("shard: position %d is on a quarantined shard or in a remote slice", pos)
+		return 0, fmt.Errorf("shard: position %d is on a quarantined shard or in a remote slice", pos)
 	}
-	local, off, err := c.parts[i].Catalog.Locate(pos - c.starts[i])
+	local, err := c.parts[i].Catalog.Locate(pos - c.starts[i])
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	return c.firsts[i] + local, off, nil
+	return c.firsts[i] + local, nil
 }
 
 var _ core.Catalog = (*concatCatalog)(nil)
