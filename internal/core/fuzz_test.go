@@ -91,6 +91,70 @@ func FuzzLiveBandEquivalence(f *testing.F) {
 	})
 }
 
+// FuzzKernelEquivalence is the DP kernel's differential harness against an
+// oracle that shares none of its code: on arbitrary databases, queries, gap
+// penalties (-1..-4) and score cutoffs, the search must report exactly the
+// sequences whose plain Smith-Waterman score (align.Score) reaches the cutoff,
+// each once, with that score, in non-increasing score order.
+// FuzzLiveBandEquivalence compares the banded sweep with the full-column
+// sweep, which run the same column code, so a pruning fault both share passes
+// it; this target catches it.  disableBand runs the full-column sweep (searchAllFull)
+// instead of the live band, holding both modes to the oracle.  One Scratch
+// is shared across iterations, so stale-buffer faults surface here too.
+func FuzzKernelEquivalence(f *testing.F) {
+	f.Add([]byte("ACGTACGTTTACGGACGT\x00GGGTTTACGT\x00ACACACAC"), []byte("ACGTAC"), uint8(3), uint8(1), false)
+	f.Add([]byte("TTTTTTTTTT\x00TTTTT"), []byte("TTTT"), uint8(1), uint8(2), true)
+	f.Add([]byte("ACGGGTACCA\x00CCCGGGTTTAAA\x00GTGTGTGTGT"), []byte("GGGTTT"), uint8(4), uint8(4), false)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 11, 12, 13, 14}, []byte{5, 6, 7}, uint8(2), uint8(1), true)
+	scratch := NewScratch()
+	f.Fuzz(func(t *testing.T, dbData, queryData []byte, minByte, gapByte uint8, disableBand bool) {
+		db := fuzzDatabase(seq.DNA, dbData)
+		q := fuzzQuery(seq.DNA, queryData)
+		if db == nil || q == nil {
+			t.Skip()
+		}
+		idx, err := BuildMemoryIndex(db)
+		if err != nil {
+			t.Fatalf("index build: %v", err)
+		}
+		scheme := score.MustScheme(score.UnitDNA(), -1-int(gapByte%4))
+		minScore := 1 + int(minByte%12)
+		searchAll := SearchAll
+		if disableBand {
+			searchAll = searchAllFull
+		}
+		var stats Stats
+		hits, err := searchAll(idx, q, Options{
+			Scheme: scheme, MinScore: minScore, Stats: &stats, Scratch: scratch,
+		})
+		if err != nil {
+			t.Fatalf("search: %v", err)
+		}
+		want := swBestPerSequence(db, q, scheme, minScore)
+		if len(hits) != len(want) {
+			t.Fatalf("reported %d sequences, Smith-Waterman finds %d (db %q, query %q, minScore %d, gap %d, full sweep %v)",
+				len(hits), len(want), dbData, queryData, minScore, scheme.Gap, disableBand)
+		}
+		seen := map[int]bool{}
+		for i, h := range hits {
+			if seen[h.SeqIndex] {
+				t.Fatalf("sequence %d reported twice", h.SeqIndex)
+			}
+			seen[h.SeqIndex] = true
+			if sw, ok := want[h.SeqIndex]; !ok || h.Score != sw {
+				t.Fatalf("hit %+v: Smith-Waterman score %d (reported: %v; minScore %d, gap %d, full sweep %v)",
+					h, sw, ok, minScore, scheme.Gap, disableBand)
+			}
+			if i > 0 && h.Score > hits[i-1].Score {
+				t.Fatalf("hit %d scores %d after %d: not in non-increasing order", i, h.Score, hits[i-1].Score)
+			}
+		}
+		if stats.SequencesReported != int64(len(hits)) {
+			t.Fatalf("stats report %d sequences, stream had %d", stats.SequencesReported, len(hits))
+		}
+	})
+}
+
 // FuzzScratchReuseDeterminism asserts that searching with a reused Scratch is
 // bit-identical to searching with fresh buffers, across arbitrary
 // query/database successions (the warm engine's correctness foundation).
