@@ -136,7 +136,7 @@ func TestLayoutMatchesTree(t *testing.T) {
 				var leaves, internal []edge
 				var treeKids []suffixtree.NodeID
 				for c := tree.FirstChild(n); c != suffixtree.NoNode; {
-					label, suffixStart, next := tree.Edge(c)
+					label, suffixStart, next := tree.Edge(c, tree.Depth(n))
 					if suffixStart >= 0 {
 						leaves = append(leaves, edge{suffixStart, string(label)})
 					} else {

@@ -7,9 +7,10 @@ import (
 	"repro/internal/seq"
 )
 
-// maxBuildSymbols is the longest concatenated view Build accepts: the mapped
-// text, its suffix array and its LCP array are int32 and hold one sentinel
-// past the view.  A variable only so tests can lower it.
+// maxBuildSymbols is the longest concatenated view either builder accepts:
+// node edge starts are int32, and Build's mapped text, suffix array and LCP
+// array are int32 and hold one sentinel past the view.  A variable only so
+// tests can lower it.
 var maxBuildSymbols = math.MaxInt32 - 2
 
 // Build constructs the generalized suffix tree of the whole database from its
@@ -17,20 +18,20 @@ var maxBuildSymbols = math.MaxInt32 - 2
 // Kasai et al. (CPM 2001) gives the longest common prefix of each adjacent
 // pair, and one left-to-right pass over the two grows the tree along its
 // rightmost path.  The tree equals BuildUkkonen's node for node, edge starts
-// included; it is built without child maps and without sortChildren.
+// included; it is built without child maps and without sorting.
 func Build(db *seq.Database) (*Tree, error) {
 	if db == nil {
 		return nil, fmt.Errorf("suffixtree: nil database")
 	}
 	text := db.Concat()
 	n := len(text)
-	if n > maxBuildSymbols {
-		return nil, fmt.Errorf("suffixtree: %d symbols exceed Build's limit of %d", n, maxBuildSymbols)
+	if err := checkBuildSymbols(n); err != nil {
+		return nil, err
 	}
 	// Residue c becomes c+1 and the terminator of sequence k becomes σ+1+k,
 	// before a 0 sentinel: terminators are distinct (no suffix runs past its
 	// own), sort above every residue and rise with position — the sibling
-	// order sortChildren gives the Ukkonen tree.
+	// order BuildUkkonen's freeze gives its tree.
 	sym := make([]int32, n+1)
 	k := int32(db.Alphabet().Size()) + 1
 	for i, c := range text {
@@ -45,18 +46,20 @@ func Build(db *seq.Database) (*Tree, error) {
 	sais(sym, sa, int(k))
 	lcp := kasai(sym, sa)
 
-	t := &Tree{db: db, text: text, numLeaves: n}
-	// n leaves and at most n internal nodes, root included: never regrown.
-	t.nodes = make([]node, 1, 2*n+1)
-	t.nodes[0] = node{parent: NoNode, firstChild: NoNode, nextSibling: NoNode, suffixStart: -1}
+	// n leaves and the internal nodes counted up front: never regrown.  The
+	// builder tests compare numInternal with BuildUkkonen's, so a miscount
+	// fails them.
+	t := &Tree{db: db, text: text, numLeaves: n, numInternal: internalNodes(lcp)}
+	t.nodes = make([]node, 1, n+t.numInternal)
+	t.nodes[0] = node{parent: NoNode, firstChild: NoNode, nextSibling: NoNode}
 	stack := []frame{{id: 0, last: NoNode}}
 	for i := 1; i <= n; i++ { // sa[0] is the sentinel
-		p := int64(sa[i])
+		p := sa[i]
 		stack = t.closeBelow(stack, lcp[i])
 		top := &stack[len(stack)-1]
 		leaf := NodeID(len(t.nodes))
 		t.nodes = append(t.nodes, node{parent: top.id, firstChild: NoNode, nextSibling: NoNode,
-			depth: int32(db.SuffixEnd(p) + 1 - p), suffixStart: p})
+			depth: int32(db.SuffixEnd(int64(p))+1) - p})
 		prev := top.last
 		if prev == NoNode {
 			t.nodes[top.id].firstChild = leaf
@@ -67,9 +70,36 @@ func Build(db *seq.Database) (*Tree, error) {
 		stack = append(stack, frame{id: leaf, prev: prev, last: NoNode, min: p})
 	}
 	t.closeBelow(stack, 0)
-	t.numInternal = len(t.nodes) - n
 	t.relayout()
 	return t, nil
+}
+
+// checkBuildSymbols refuses a concatenated view of n symbols past
+// maxBuildSymbols.
+func checkBuildSymbols(n int) error {
+	if n > maxBuildSymbols {
+		return fmt.Errorf("suffixtree: %d symbols exceed the builders' limit of %d", n, maxBuildSymbols)
+	}
+	return nil
+}
+
+// internalNodes counts the internal nodes, root included, of the tree whose
+// suffix array has the LCP array lcp: one per lcp-interval of positive depth
+// (Abouelhoda, Kurtz & Ohlebusch, J. Discrete Algorithms 2004), found with
+// the stack of open interval depths that closeBelow keeps as nodes.
+func internalNodes(lcp []int32) int {
+	count := 1
+	open := []int32{0}
+	for _, l := range lcp {
+		for open[len(open)-1] > l {
+			open = open[:len(open)-1]
+		}
+		if open[len(open)-1] < l {
+			open = append(open, l)
+			count++
+		}
+	}
+	return count
 }
 
 // frame is one node of the rightmost path while Build runs.
@@ -77,7 +107,7 @@ type frame struct {
 	id   NodeID
 	prev NodeID // the sibling before id, NoNode for a first child
 	last NodeID // id's last child so far
-	min  int64  // the smallest suffix start in id's subtree so far
+	min  int32  // the smallest suffix start in id's subtree so far
 }
 
 // closeBelow pops every node of the rightmost path deeper than l: the next
@@ -95,7 +125,7 @@ func (t *Tree) closeBelow(stack []frame, l int32) []frame {
 		if pd < l {
 			mid := NodeID(len(t.nodes))
 			t.nodes = append(t.nodes, node{parent: top.id, firstChild: x.id, nextSibling: NoNode,
-				depth: l, suffixStart: -1})
+				depth: l})
 			if x.prev == NoNode {
 				t.nodes[top.id].firstChild = mid
 			} else {
@@ -108,8 +138,7 @@ func (t *Tree) closeBelow(stack []frame, l int32) []frame {
 		} else if x.min < top.min {
 			top.min = x.min
 		}
-		nd := &t.nodes[x.id]
-		nd.start, nd.end = x.min+int64(pd), x.min+int64(nd.depth)
+		t.nodes[x.id].start = x.min + pd
 	}
 	return stack
 }

@@ -15,6 +15,28 @@ func (t *Tree) Walk(n NodeID, fn func(NodeID) bool) {
 	}
 }
 
+// Children returns the children of n in sibling order (by first edge
+// symbol, terminator edges last, ties by edge start).
+func (t *Tree) Children(n NodeID) []NodeID {
+	var out []NodeID
+	for c := t.nodes[n].firstChild; c != NoNode; c = t.nodes[c].nextSibling {
+		out = append(out, c)
+	}
+	return out
+}
+
+// LeafPositions calls fn with the suffix start of every leaf in the subtree
+// rooted at n, in depth-first order, until fn returns false.
+func (t *Tree) LeafPositions(n NodeID, fn func(pos int64) bool) {
+	more := true
+	t.Walk(n, func(c NodeID) bool {
+		if more && t.IsLeaf(c) {
+			more = fn(t.SuffixStart(c))
+		}
+		return more
+	})
+}
+
 // Contains reports whether the pattern (encoded residues, no terminators)
 // occurs in the database.
 func (t *Tree) Contains(pattern []byte) bool {
@@ -96,22 +118,21 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("suffixtree: node %d has no parent", id)
 		}
 		p := t.nodes[nd.parent]
-		edgeLen := nd.end - nd.start
-		if edgeLen <= 0 {
+		if nd.depth <= p.depth {
 			return fmt.Errorf("suffixtree: node %d has empty edge", id)
 		}
-		if int64(nd.depth) != int64(p.depth)+edgeLen {
-			return fmt.Errorf("suffixtree: node %d depth %d != parent depth %d + edge %d",
-				id, nd.depth, p.depth, edgeLen)
+		if nd.start < 0 || int(nd.start+nd.depth-p.depth) > len(t.text) {
+			return fmt.Errorf("suffixtree: node %d edge [%d, +%d) leaves the text", id, nd.start, nd.depth-p.depth)
 		}
 		if nd.firstChild == NoNode {
 			leaves++
-			if nd.suffixStart < 0 {
+			suffixStart := t.SuffixStart(NodeID(id))
+			if suffixStart < 0 {
 				return fmt.Errorf("suffixtree: leaf %d has no suffix start", id)
 			}
 			// The leaf path must equal the suffix it represents.
-			end := t.db.SuffixEnd(nd.suffixStart) + 1 // include terminator
-			want := t.text[nd.suffixStart:end]
+			end := t.db.SuffixEnd(suffixStart) + 1 // include terminator
+			want := t.text[suffixStart:end]
 			got := t.PathLabel(NodeID(id))
 			if string(want) != string(got) {
 				return fmt.Errorf("suffixtree: leaf %d path %q != suffix %q", id, got, want)

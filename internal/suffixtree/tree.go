@@ -3,6 +3,13 @@
 // suffix of every sequence in a database, with multi-symbol edges and one
 // leaf per suffix.
 //
+// A node is 20 bytes (Kurtz, "Reducing the space requirement of suffix
+// trees", Softw. Pract. Exper. 1999): its incoming edge's start in the
+// concatenated symbol view, its depth, and its parent, first-child and
+// next-sibling links.  As in the paper's §3.4 disk layout, everything else
+// is derived: the edge is depth - parent depth symbols long, and a leaf's
+// suffix starts at its edge start - parent depth.
+//
 // Two construction algorithms produce the same tree node for node, which the
 // tests verify.  Build derives it from a suffix array (SA-IS + LCP); it
 // builds every tree the system searches: the memory index
@@ -13,7 +20,6 @@ package suffixtree
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/seq"
 )
@@ -25,23 +31,23 @@ type NodeID int32
 // NoNode is the nil NodeID.
 const NoNode NodeID = -1
 
-// node is the frozen representation of a suffix-tree node.
+// node is the frozen representation of a suffix-tree node.  It stores no
+// edge end and no suffix start: both follow from the parent's depth (see
+// Edge), so the record is 20 bytes.
 type node struct {
-	// start/end delimit the incoming edge label within the database's
-	// concatenated symbol view; the root has start == end == 0.
-	start, end int64
+	// start is the position of the incoming edge label within the
+	// database's concatenated symbol view; 0 for the root.  Both builders
+	// refuse a view past maxBuildSymbols, so every position fits.
+	start int32
+	// depth is the number of symbols on the path from the root to this
+	// node (including the incoming edge).
+	depth int32
 	// parent is the parent node (NoNode for the root).
 	parent NodeID
 	// firstChild is the head of the child list (NoNode for leaves).
 	firstChild NodeID
 	// nextSibling links the children of a node (NoNode for the last).
 	nextSibling NodeID
-	// depth is the number of symbols on the path from the root to this
-	// node (including the incoming edge).
-	depth int32
-	// suffixStart is the starting position of the suffix for leaves, or
-	// -1 for internal nodes.
-	suffixStart int64
 }
 
 // Tree is an immutable generalized suffix tree over a sequence database.
@@ -84,29 +90,27 @@ func (t *Tree) FirstChild(n NodeID) NodeID { return t.nodes[n].firstChild }
 // NextSibling returns the next sibling of n, or NoNode.
 func (t *Tree) NextSibling(n NodeID) NodeID { return t.nodes[n].nextSibling }
 
-// Children returns the children of n in deterministic order (by first edge
-// symbol, terminator edges last, ties by suffix start).
-func (t *Tree) Children(n NodeID) []NodeID {
-	var out []NodeID
-	for c := t.nodes[n].firstChild; c != NoNode; c = t.nodes[c].nextSibling {
-		out = append(out, c)
-	}
-	return out
-}
-
 // EdgeLabel returns the symbols labelling the incoming edge of n (empty for
 // the root).  The returned slice aliases the database's concatenated view.
 func (t *Tree) EdgeLabel(n NodeID) []byte {
-	nd := t.nodes[n]
-	return t.text[nd.start:nd.end]
+	label, _, _ := t.Edge(n, t.parentDepth(n))
+	return label
 }
 
 // EdgeStart returns the position in the concatenated view at which the
 // incoming edge label of n begins.
-func (t *Tree) EdgeStart(n NodeID) int64 { return t.nodes[n].start }
+func (t *Tree) EdgeStart(n NodeID) int64 { return int64(t.nodes[n].start) }
 
 // Depth returns the number of symbols on the root path of n.
 func (t *Tree) Depth(n NodeID) int { return int(t.nodes[n].depth) }
+
+// parentDepth returns the depth of n's parent, 0 for the root.
+func (t *Tree) parentDepth(n NodeID) int {
+	if p := t.nodes[n].parent; p != NoNode {
+		return int(t.nodes[p].depth)
+	}
+	return 0
+}
 
 // SuffixStart returns the global position of the suffix represented by leaf
 // n.  It panics if n is not a leaf.
@@ -114,7 +118,8 @@ func (t *Tree) SuffixStart(n NodeID) int64 {
 	if !t.IsLeaf(n) {
 		panic(fmt.Sprintf("suffixtree: SuffixStart on non-leaf node %d", n))
 	}
-	return t.nodes[n].suffixStart
+	_, suffixStart, _ := t.Edge(n, t.parentDepth(n))
+	return suffixStart
 }
 
 // PathLabel returns the concatenation of edge labels from the root to n.
@@ -134,84 +139,18 @@ func (t *Tree) PathLabel(n NodeID) []byte {
 
 // Edge returns the incoming edge label of n, its suffix start (-1 for an
 // internal node, >= 0 exactly for a leaf) and its next sibling (NoNode for
-// the last) from one fetch of n's node record: a child walk that touches
-// millions of randomly laid out children reads each record once.
-func (t *Tree) Edge(n NodeID) (label []byte, suffixStart int64, nextSibling NodeID) {
+// the last), given parentDepth, the depth of n's parent: the label ends at
+// start + depth - parentDepth, and a leaf's suffix starts at
+// start - parentDepth.  A child walk that already knows its parent's depth
+// reads one 20-byte record per child and no parent record.
+func (t *Tree) Edge(n NodeID, parentDepth int) (label []byte, suffixStart int64, nextSibling NodeID) {
 	nd := &t.nodes[n]
-	return t.text[nd.start:nd.end], nd.suffixStart, nd.nextSibling
-}
-
-// LeafPositions calls fn with the suffix start position of every leaf in the
-// subtree rooted at n, in depth-first order.  Iteration stops early when fn
-// returns false.  The traversal follows the first-child/next-sibling links
-// directly and performs no allocation (reporting an accepted OASIS node may
-// visit very large subtrees).
-func (t *Tree) LeafPositions(n NodeID, fn func(pos int64) bool) {
-	if t.IsLeaf(n) {
-		fn(t.nodes[n].suffixStart)
-		return
+	start := int(nd.start)
+	suffixStart = -1
+	if nd.firstChild == NoNode {
+		suffixStart = int64(start - parentDepth)
 	}
-	cur := t.nodes[n].firstChild
-	if cur == NoNode {
-		return
-	}
-	for {
-		if t.nodes[cur].firstChild == NoNode && t.nodes[cur].suffixStart >= 0 {
-			if !fn(t.nodes[cur].suffixStart) {
-				return
-			}
-		} else if t.nodes[cur].firstChild != NoNode {
-			cur = t.nodes[cur].firstChild
-			continue
-		}
-		// Advance: next sibling, or climb until one exists (stopping at n).
-		for {
-			if cur == n {
-				return
-			}
-			if sib := t.nodes[cur].nextSibling; sib != NoNode {
-				cur = sib
-				break
-			}
-			cur = t.nodes[cur].parent
-			if cur == n || cur == NoNode {
-				return
-			}
-		}
-	}
-}
-
-// sortChildren orders sibling lists deterministically: by the first byte of
-// the edge label (terminator sorts last because it is 0xFF), ties broken by
-// suffix start (leaves) and then edge start.
-func (t *Tree) sortChildren() {
-	for id := range t.nodes {
-		children := t.Children(NodeID(id))
-		if len(children) < 2 {
-			continue
-		}
-		sort.Slice(children, func(a, b int) bool {
-			na, nb := t.nodes[children[a]], t.nodes[children[b]]
-			ca, cb := t.text[na.start], t.text[nb.start]
-			if ca != cb {
-				return ca < cb
-			}
-			sa, sb := na.suffixStart, nb.suffixStart
-			if sa != sb {
-				return sa < sb
-			}
-			return na.start < nb.start
-		})
-		t.nodes[id].firstChild = children[0]
-		for i := 0; i < len(children); i++ {
-			if i+1 < len(children) {
-				t.nodes[children[i]].nextSibling = children[i+1]
-			} else {
-				t.nodes[children[i]].nextSibling = NoNode
-			}
-		}
-	}
-	t.relayout()
+	return t.text[start : start+int(nd.depth)-parentDepth], suffixStart, nd.nextSibling
 }
 
 // relayout renumbers the nodes so every sibling family occupies consecutive
@@ -219,8 +158,8 @@ func (t *Tree) sortChildren() {
 // particular) scatters siblings across the node array, which turns every
 // child-list walk into a chain of random fetches; after relayout the Edge
 // walks and the child scans of the OASIS search walk sequential memory.  The
-// renumbering is fully determined by the (already sorted) tree structure, so
-// the two builders still produce identical trees.
+// renumbering is fully determined by the tree structure, child order
+// included, so the two builders still produce identical trees.
 func (t *Tree) relayout() {
 	n := len(t.nodes)
 	newID := make([]NodeID, n)    // old id -> new id

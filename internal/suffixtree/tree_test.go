@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/seq"
 )
@@ -212,17 +213,27 @@ func FuzzBuildersAgree(f *testing.F) {
 
 func TestBuildRefusesPastSymbolLimit(t *testing.T) {
 	defer func(old int) { maxBuildSymbols = old }(maxBuildSymbols)
-	maxBuildSymbols = 10
 	db, err := seq.DatabaseFromStrings(seq.DNA, "ACGT", "ACGTA") // 11 symbols
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(db); err == nil {
-		t.Fatal("Build accepted 11 symbols past a limit of 10")
+	for name, build := range builders {
+		maxBuildSymbols = 10
+		if _, err := build(db); err == nil {
+			t.Fatalf("%s accepted 11 symbols past a limit of 10", name)
+		}
+		maxBuildSymbols = 11
+		if _, err := build(db); err != nil {
+			t.Fatalf("%s refused 11 symbols at a limit of 11: %v", name, err)
+		}
 	}
-	maxBuildSymbols = 11
-	if _, err := Build(db); err != nil {
-		t.Fatalf("Build refused 11 symbols at a limit of 11: %v", err)
+}
+
+// TestNodeIs20Bytes holds the node record to the size the memory index's
+// footprint is budgeted for: no edge end and no suffix start are stored.
+func TestNodeIs20Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(node{}); size > 20 {
+		t.Fatalf("node is %d bytes, want <= 20", size)
 	}
 }
 

@@ -20,8 +20,11 @@ func BuildUkkonen(db *seq.Database) (*Tree, error) {
 		return nil, fmt.Errorf("suffixtree: nil database")
 	}
 	text := db.Concat()
+	if err := checkBuildSymbols(len(text)); err != nil {
+		return nil, err
+	}
 	if len(text) == 0 {
-		t := &Tree{db: db, text: text, nodes: []node{{parent: NoNode, firstChild: NoNode, nextSibling: NoNode, suffixStart: -1}}}
+		t := &Tree{db: db, text: text, nodes: []node{{parent: NoNode, firstChild: NoNode, nextSibling: NoNode}}}
 		t.numInternal = 1
 		return t, nil
 	}
@@ -167,19 +170,15 @@ func (b *ukkonenBuilder) setChild(n int, sym int32, child int) {
 }
 
 // freeze converts the construction nodes into the immutable Tree
-// representation: computes depths and suffix starts, truncates leaf edges at
-// the first terminator, drops the virtual terminator distinction, and sorts
-// child lists deterministically.
+// representation: computes depths, truncates leaf edges at the first
+// terminator, drops the virtual terminator distinction, orders every child
+// list by the first byte of its edge label (terminator edges, 0xFF, last;
+// ties, all terminator leaves, by edge start) and lays the nodes out with
+// relayout.
 func (b *ukkonenBuilder) freeze(db *seq.Database, text []byte) (*Tree, error) {
 	n := len(b.text)
 	t := &Tree{db: db, text: text}
 	t.nodes = make([]node, 0, len(b.nodes))
-
-	// Map from builder node index to frozen NodeID.
-	idMap := make([]NodeID, len(b.nodes))
-	for i := range idMap {
-		idMap[i] = NoNode
-	}
 
 	type frame struct {
 		uIdx        int
@@ -187,19 +186,25 @@ func (b *ukkonenBuilder) freeze(db *seq.Database, text []byte) (*Tree, error) {
 		parentDepth int64
 	}
 	// Root first.
-	t.nodes = append(t.nodes, node{parent: NoNode, firstChild: NoNode, nextSibling: NoNode, suffixStart: -1})
-	idMap[0] = 0
+	t.nodes = append(t.nodes, node{parent: NoNode, firstChild: NoNode, nextSibling: NoNode})
 
 	stack := []frame{}
 	pushChildren := func(uIdx int, parent NodeID, parentDepth int64) {
-		// Deterministic order not required here; sortChildren runs at the end.
+		// Pushed in sibling order, popped in reverse: each popped child is
+		// prepended to its parent's list, which ends up in sibling order.
 		kids := make([]int, 0, len(b.nodes[uIdx].children))
 		for _, c := range b.nodes[uIdx].children {
 			kids = append(kids, c)
 		}
-		sort.Ints(kids)
-		for i := len(kids) - 1; i >= 0; i-- {
-			stack = append(stack, frame{uIdx: kids[i], parent: parent, parentDepth: parentDepth})
+		sort.Slice(kids, func(i, j int) bool {
+			si, sj := b.nodes[kids[i]].start, b.nodes[kids[j]].start
+			if text[si] != text[sj] {
+				return text[si] < text[sj]
+			}
+			return si < sj
+		})
+		for _, k := range kids {
+			stack = append(stack, frame{uIdx: k, parent: parent, parentDepth: parentDepth})
 		}
 	}
 	pushChildren(0, 0, 0)
@@ -214,12 +219,10 @@ func (b *ukkonenBuilder) freeze(db *seq.Database, text []byte) (*Tree, error) {
 		if un.end == openEnd {
 			end = int64(n)
 		}
-		suffixStart := int64(-1)
 		if isLeaf {
 			// The leaf's suffix starts at (edge start - parent depth); its
 			// path must stop at (and include) its sequence's terminator.
-			suffixStart = start - f.parentDepth
-			end = db.SuffixEnd(suffixStart) + 1
+			end = db.SuffixEnd(start-f.parentDepth) + 1
 			if end <= start {
 				// The whole remaining label is beyond the terminator; this
 				// can only happen for the trivial suffix consisting of the
@@ -229,16 +232,13 @@ func (b *ukkonenBuilder) freeze(db *seq.Database, text []byte) (*Tree, error) {
 		}
 		id := NodeID(len(t.nodes))
 		t.nodes = append(t.nodes, node{
-			start:       start,
-			end:         end,
+			start:       int32(start),
+			depth:       int32(f.parentDepth + (end - start)),
 			parent:      f.parent,
 			firstChild:  NoNode,
 			nextSibling: NoNode,
-			depth:       int32(f.parentDepth + (end - start)),
-			suffixStart: suffixStart,
 		})
-		idMap[f.uIdx] = id
-		// Prepend to the parent's child list (order fixed later).
+		// Prepend to the parent's child list.
 		t.nodes[id].nextSibling = t.nodes[f.parent].firstChild
 		t.nodes[f.parent].firstChild = id
 		if !isLeaf {
@@ -246,9 +246,9 @@ func (b *ukkonenBuilder) freeze(db *seq.Database, text []byte) (*Tree, error) {
 		}
 	}
 
-	t.sortChildren()
-	for _, nd := range t.nodes {
-		if nd.firstChild == NoNode && nd.suffixStart >= 0 {
+	t.relayout()
+	for id := range t.nodes {
+		if t.IsLeaf(NodeID(id)) {
 			t.numLeaves++
 		} else {
 			t.numInternal++
