@@ -1,6 +1,6 @@
 // Command oasis-bench regenerates the paper's evaluation on the synthetic
 // workload: the Section 4.2 space table and Figures 3-9.  The repository's
-// own system numbers (sharding, kernel, cache, disk, write path, coordinator)
+// own system numbers (sharding, kernel, disk, write path, coordinator)
 // are measured by `go run ./benchmark` instead; see benchmark/README.md.
 //
 //	oasis-bench -exp all -residues 2000000 -queries 100

@@ -63,9 +63,10 @@ func TestAdmissionQueueFull(t *testing.T) {
 	}
 }
 
-// TestServerAdmissionAndCacheMetrics wires it together over HTTP: a cached
-// engine behind admission control must expose cache hit-rate, admission
-// counters, and replay identical streams for identical queries.
+// TestServerAdmissionAndCacheMetrics wires it together over HTTP: an engine
+// behind admission control must stream identical hits for identical queries,
+// count both in its admission metrics, and report no result cache (the
+// deprecated CacheBytes it is built with keeps nothing).
 func TestServerAdmissionAndCacheMetrics(t *testing.T) {
 	raw := map[string]string{
 		"CALM_HUMAN": "ADQLTEEQIAEFKEAFSLFDKDGDGTITTKELGTVMRSLGQNPTEAELQDMINEVDADGNGTIDFPEFLTMMARKM",
@@ -92,9 +93,8 @@ func TestServerAdmissionAndCacheMetrics(t *testing.T) {
 		scheme: scheme, defaultEValue: 20000, maxBatch: 8,
 	})
 
-	// The hit lines of a replay must be byte-identical to the original
-	// stream; the done event legitimately differs (elapsed time, and the
-	// replay's near-zero work counters — which are the point of the cache).
+	// The hit lines of a repeat must be byte-identical to the first stream;
+	// the done event legitimately differs (elapsed time).
 	hitLines := func(body string) string {
 		var hits []string
 		for _, line := range strings.Split(body, "\n") {
@@ -116,29 +116,20 @@ func TestServerAdmissionAndCacheMetrics(t *testing.T) {
 		bodies = append(bodies, rec.Body.String())
 	}
 	if hitLines(bodies[0]) == "" || hitLines(bodies[0]) != hitLines(bodies[1]) {
-		t.Fatalf("cached replay hit stream differs:\n%s\nvs\n%s", bodies[0], bodies[1])
+		t.Fatalf("repeated query's hit stream differs:\n%s\nvs\n%s", bodies[0], bodies[1])
 	}
 
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	var m struct {
-		Engine struct {
-			Cache *struct {
-				Hits   int64 `json:"hits"`
-				Misses int64 `json:"misses"`
-			} `json:"cache"`
-		} `json:"engine"`
-		CacheHitRate *float64           `json:"cache_hit_rate"`
-		Admission    *admissionSnapshot `json:"admission"`
+		Engine    map[string]json.RawMessage `json:"engine"`
+		Admission *admissionSnapshot         `json:"admission"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
 		t.Fatalf("bad metrics JSON %s: %v", rec.Body.String(), err)
 	}
-	if m.Engine.Cache == nil || m.Engine.Cache.Hits == 0 {
-		t.Fatalf("metrics show no cache hit after an identical repeat: %s", rec.Body.String())
-	}
-	if m.CacheHitRate == nil || *m.CacheHitRate <= 0 {
-		t.Fatalf("cache_hit_rate missing or zero: %s", rec.Body.String())
+	if _, ok := m.Engine["cache"]; ok || strings.Contains(rec.Body.String(), "cache_hit_rate") {
+		t.Fatalf("metrics report a result cache: %s", rec.Body.String())
 	}
 	if m.Admission == nil || m.Admission.Admitted != 2 || m.Admission.Active != 0 {
 		t.Fatalf("admission metrics = %+v, want admitted=2 active=0", m.Admission)

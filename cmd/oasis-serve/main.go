@@ -69,9 +69,7 @@
 // The id must be unique among live sequences and the sequence must be over
 // the served database's alphabet; violations get HTTP 400 with
 // {"error":"..."}.  The returned generation is the index generation the
-// write produced — every search from then on sees the new sequence, and
-// result-cache entries are keyed by generation, so stale cached streams
-// simply stop being reachable (no global cache flush).
+// write produced — every search from then on sees the new sequence.
 //
 // POST /delete tombstones one live sequence by id ({"id":"SYN|NEW1"}); the
 // response has the same shape as /insert.  Deleted sequences are filtered
@@ -90,24 +88,17 @@
 // background once the memtable holds N sequences.  Mutations during graceful
 // shutdown are shed with HTTP 503.
 //
-// # Result cache and fair search slots
+// # Fair search slots
 //
-// The engine keeps a cross-query result cache (-cache MB, default 32, 0
-// disables): completed hit streams are stored keyed by (query residues,
-// search options), and an identical query arriving again — the common case
-// for dashboards, retries and shared motif lookups — replays the stored
-// stream without touching the index.  Concurrent identical queries run the
-// DP sweep once (single-flight).  Cache keys carry the index generation, so
-// a write (see /insert above) retargets the cache rather than serving stale
-// streams; an LRU evicts by recency when the budget fills.
-//
-// Every search and batch request starts at once; the engine bounds the DP
-// sweeps instead, to GOMAXPROCS search slots.  A query holds one only while it
-// sweeps — not while it waits on an identical query, replays a cached stream,
-// waits for a client that is not reading or, on a coordinator, waits on its
-// slices — and queues for one in FIFO order, where each client (X-Client-ID
-// header, else remote address) holds one place however many requests it has
-// in flight: an interactive /search waits for a slot, not for whole batches.
+// Every query searches the index: the server keeps no replies, so it holds
+// only its index, its buffer pools and the queries in flight.  Every search
+// and batch request starts at once; the engine bounds the DP sweeps instead,
+// to GOMAXPROCS search slots.  A query holds one only while it sweeps — not
+// while it waits for a client that is not reading or, on a coordinator,
+// waits on its slices — and queues for one in FIFO order, where each client
+// (X-Client-ID header, else remote address) holds one place however many
+// requests it has in flight: an interactive /search waits for a slot, not
+// for whole batches.
 // A client with 64 requests in flight gets HTTP 429.  X-Client-ID is trusted as sent; in front of untrusted
 // callers, strip or overwrite it at the ingress proxy so the remote-address
 // fallback applies.
@@ -116,20 +107,15 @@
 //
 //	{"engine":{"scratch":{...free-list reuse...},
 //	           "shards":[{"shard":0,"active":1},...],
-//	           "pools":[{"shard":0,"file":"shard-0.oasis","requests":512,"hits":498,"hit_ratio":0.97},...],
-//	           "cache":{"entries":12,"bytes":18432,"max_bytes":33554432,
-//	                    "hits":96,"misses":32,"hit_rate":0.75,
-//	                    "insertions":32,"evictions":0,"flight_waits":3}},
+//	           "pools":[{"shard":0,"file":"shard-0.oasis","requests":512,"hits":498,"hit_ratio":0.97},...]},
 //	 "latency":{"search":{"count":42,"mean_ms":3.1,"max_ms":17.8,
 //	            "buckets":[{"le_ms":0.25,"count":0},...,{"le_ms":-1,"count":42}]},
 //	            "batch":{...},"healthz_ready":{...},"metrics":{...}},
-//	 "cache_hit_rate":0.75,
 //	 "admission":{"active":2,"admitted":130,"rejected":4},
 //	 "queries_served":128,"hits_reported":3072,"max_batch":256}
 //
 // "pools" is present only for -index-dir engines: one entry per buffer pool —
 // the base shards, then every compacted delta layer under its file name.
-// "cache"/"cache_hit_rate" are present when the result cache is enabled.
 // "admission" counts search and batch requests in flight, admitted and
 // refused with 429.  "latency" holds one histogram per endpoint, measured
 // from request decode through the last streamed event; bucket counts are
@@ -182,8 +168,8 @@
 // slice and streams NDJSON (hit, bound) events — the slice's locally merged
 // decreasing-score stream plus a decreasing upper bound on everything it can
 // still report — and GET /oasis/shard/info describes the slice (sequence and
-// residue counts, alphabet).  No result cache, admission or search slots run
-// here: they belong to the coordinator, which sees whole queries.
+// residue counts, alphabet).  No admission or search slots run here: they
+// belong to the coordinator, which sees whole queries.
 //
 // The coordinator opens every slice at startup, lays out the global sequence
 // index space, and serves the standard /search, /batch, /metrics endpoints.
@@ -222,7 +208,7 @@
 // Example:
 //
 //	oasis-serve -db swissprot.fasta -addr :8080
-//	oasis-serve -index-dir swissprot.idx -pool 64 -cache 128 -addr :8080
+//	oasis-serve -index-dir swissprot.idx -pool 64 -addr :8080
 //	curl -sN localhost:8080/search -d '{"query":"DKDGDGCITTKEL","top":5}'
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: listeners close first,
@@ -274,7 +260,6 @@ type serveFlags struct {
 	matrix       string
 	gap          int
 	eValue       float64
-	cacheMB      int64
 	queryTimeout time.Duration
 	strict       bool
 	allowDegr    bool
@@ -297,12 +282,11 @@ func main() {
 	flag.StringVar(&f.matrix, "matrix", "PAM30", "substitution matrix")
 	flag.IntVar(&f.gap, "gap", -10, "linear gap penalty (negative)")
 	flag.Float64Var(&f.eValue, "evalue", 20000, "default E-value threshold for queries that do not set one")
-	flag.Int64Var(&f.cacheMB, "cache", 32, "cross-query result cache size in MB (identical queries replay without touching the index; 0 disables)")
 	flag.DurationVar(&f.queryTimeout, "query-timeout", 0, "per-query wall-clock budget; exceeded queries end with an error event (0 = no limit)")
 	flag.BoolVar(&f.strict, "strict", false, "fail queries outright when a shard fails instead of serving degraded results from the survivors")
 	flag.BoolVar(&f.allowDegr, "allow-degraded", false, "start serving even when shard files fail to open (with -index-dir): failed shards are quarantined and every query reports degraded")
 	flag.IntVar(&f.compactAfter, "compact-after", 0, "compact the mutable layer in the background once this many inserted sequences accumulate (0 = only explicit POST /compact)")
-	flag.BoolVar(&f.shardServer, "shard-server", false, "serve one corpus slice over the shard wire protocol for a coordinator (bare slice engine: no result cache, no admission control)")
+	flag.BoolVar(&f.shardServer, "shard-server", false, "serve one corpus slice over the shard wire protocol for a coordinator (bare slice engine: no admission control)")
 	flag.BoolVar(&f.coordinator, "coordinator", false, "serve by fanning queries out to the remote shard servers in -slices instead of a local index")
 	flag.StringVar(&f.slices, "slices", "", "coordinator slice topology: one entry per slice, comma-separated, with '|' separating a slice's replica addresses (e.g. 'h1:9001|h1:9002,h2:9003')")
 	flag.DurationVar(&f.drainGrace, "drain-grace", 0, "after SIGTERM, stay live but not ready this long before shedding new work, so load balancers stop routing first")
@@ -382,7 +366,6 @@ func buildEngine(f serveFlags) (*oasis.Engine, string, error) {
 		IndexDir:      f.indexDir,
 		PoolBytes:     f.poolMB << 20,
 		AllowDegraded: f.allowDegr,
-		CacheBytes:    f.cacheMB << 20,
 	})
 	if err != nil {
 		return nil, "", err
@@ -397,8 +380,8 @@ func buildEngine(f serveFlags) (*oasis.Engine, string, error) {
 }
 
 // buildCoordinator opens the remote slice topology and wraps it in a warm
-// engine, so the standard HTTP front end (admission, search slots, result
-// cache, NDJSON streaming) runs unchanged in front of the fan-out.
+// engine, so the standard HTTP front end (admission, search slots, NDJSON
+// streaming) runs unchanged in front of the fan-out.
 func buildCoordinator(f serveFlags) (*oasis.Engine, string, *oasis.Coordinator, error) {
 	if f.dbPath != "" || f.indexDir != "" {
 		return nil, "", nil, fmt.Errorf("-coordinator serves remote slices; it takes no -db or -index-dir")
@@ -415,7 +398,7 @@ func buildCoordinator(f serveFlags) (*oasis.Engine, string, *oasis.Coordinator, 
 	}
 	log.Printf("connecting to %d slices ...", len(slices))
 	co, err := oasis.OpenCoordinator(context.Background(),
-		oasis.CoordinatorOptions{Slices: slices}, oasis.EngineOptions{CacheBytes: f.cacheMB << 20})
+		oasis.CoordinatorOptions{Slices: slices}, oasis.EngineOptions{})
 	if err != nil {
 		return nil, "", nil, err
 	}
@@ -427,16 +410,11 @@ func buildCoordinator(f serveFlags) (*oasis.Engine, string, *oasis.Coordinator, 
 	return co.Engine(), mode, co, nil
 }
 
-// checkSizes refuses negative sizes, which would otherwise mean something else
-// (-cache: no cache; -pool: the default pool), before anything is opened.
+// checkSizes refuses a negative -pool, which would otherwise mean the default
+// pool, before anything is opened.
 func checkSizes(f serveFlags) error {
-	for _, fl := range []struct {
-		name string
-		mb   int64
-	}{{"-cache", f.cacheMB}, {"-pool", f.poolMB}} {
-		if fl.mb < 0 {
-			return fmt.Errorf("%s must not be negative, got %d", fl.name, fl.mb)
-		}
+	if f.poolMB < 0 {
+		return fmt.Errorf("-pool must not be negative, got %d", f.poolMB)
 	}
 	return nil
 }

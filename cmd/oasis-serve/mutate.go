@@ -26,9 +26,8 @@ type deleteRequest struct {
 }
 
 // mutateResponse answers every mutation endpoint: the index generation the
-// write produced (searches from then on see the change; result-cache entries
-// of older generations become unreachable) and the mutable-layer occupancy,
-// so ingest pipelines can decide when to POST /compact.
+// write produced (searches from then on see the change) and the mutable-layer
+// occupancy, so ingest pipelines can decide when to POST /compact.
 type mutateResponse struct {
 	Status string `json:"status"`
 	ID     string `json:"id,omitempty"`

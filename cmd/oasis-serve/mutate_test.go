@@ -60,8 +60,7 @@ func TestInsertSearchDeleteRoundTrip(t *testing.T) {
 	}
 
 	// The insert must be visible to the very next search: the delta layer is
-	// searchable immediately and the old generation's cache entries are
-	// unreachable.
+	// searchable immediately.
 	hits := searchHits(t, srv, motif)
 	if len(hits) == 0 || hits[0] != "NEW1" {
 		t.Fatalf("post-insert hits %v, want NEW1 first", hits)

@@ -65,16 +65,6 @@ func (s *server) writePrometheus(w http.ResponseWriter) {
 	gauge("tombstones", "Deleted sequences still physically present.", int64(mm.Tombstones))
 	gauge("live_sequences", "Searchable sequences after tombstone filtering.", int64(mm.LiveSequences))
 
-	if em.Cache != nil {
-		counter("cache_hits_total", "Result-cache hits.", em.Cache.Hits)
-		counter("cache_misses_total", "Result-cache misses.", em.Cache.Misses)
-		counter("cache_replacements_total",
-			"Result-cache entries overwritten by a same-key Put.", em.Cache.Replacements)
-		counter("cache_oversized_total",
-			"Result streams refused caching for exceeding the per-entry budget.", em.Cache.Oversized)
-		counter("cache_injected_faults_total",
-			"Cache lookups failed by an active faultpoint drill.", em.Cache.InjectedFaults)
-	}
 	adm := s.adm.snapshot()
 	gauge("admission_active", "Search and batch requests in flight.", int64(adm.Active))
 	counter("admission_admitted_total", "Requests admitted.", adm.Admitted)

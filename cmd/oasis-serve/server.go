@@ -254,11 +254,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"max_batch":      s.cfg.maxBatch,
 		"admission":      s.adm.snapshot(),
 	}
-	if em.Cache != nil {
-		// Headline number for dashboards; the full counters live under
-		// engine.cache.
-		body["cache_hit_rate"] = em.Cache.HitRate
-	}
 	if co := s.cfg.coordinator; co != nil {
 		body["remote"] = map[string]any{
 			"metrics": co.RemoteMetrics(),

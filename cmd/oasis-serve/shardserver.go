@@ -17,9 +17,9 @@ import (
 // fan out to.  The
 // serving surface is deliberately bare: a slice engine behind POST
 // /oasis/shard/stream and GET /oasis/shard/info, plus health and metrics.
-// No result cache and no admission control run here — a shard server sees
-// per-slice fragments of queries, so caching and fairness belong to the
-// coordinator, which sees whole queries and whole clients.
+// No admission control runs here — a shard server sees per-slice fragments
+// of queries, so fairness belongs to the coordinator, which sees whole
+// queries and whole clients.
 func runShardServer(f serveFlags) error {
 	if err := checkSizes(f); err != nil {
 		return err

@@ -1,6 +1,6 @@
 // Command oasis-vet is the project's multichecker: it runs the standard `go
-// vet` suite and then the four project-specific invariant analyzers from
-// internal/analysis (ctxflow, cachekey, faultsite, atomicstate) over the
+// vet` suite and then the three project-specific invariant analyzers from
+// internal/analysis (ctxflow, faultsite, atomicstate) over the
 // requested packages, exiting non-zero on any finding.  CI runs it over ./...
 // as a required step.  The escape gate, which holds //oasis:hotpath functions
 // to the allocator and bounds-check calls in their compiled code, runs as

@@ -10,12 +10,6 @@
 //     context.Background() or context.TODO() inside its body — that silently
 //     detaches the callee from cancellation and deadlines the caller set.
 //
-//   - cachekey: every result-affecting field of core.Options must be consumed
-//     by qcache.NewKey.  A field missing from both the key and the
-//     analyzer's allowlist (fields that provably do not change which hits a
-//     completed stream contains) means two different searches can share one
-//     cache entry: silently wrong answers.
-//
 //   - faultsite: every faultpoint.Hit/HitBuf site name must be one of the
 //     Site* constants registered in internal/faultpoint, every registered
 //     site must have at least one live call site, and every registered site
@@ -113,7 +107,6 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NewCtxFlow(),
-		NewCacheKey(DefaultCacheKeyConfig()),
 		NewFaultSite(nil),
 		NewAtomicState(),
 	}

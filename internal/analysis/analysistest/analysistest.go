@@ -7,8 +7,8 @@
 // Files named *_test.go are NOT type-checked; their raw text is exposed to
 // analyzers through Pass.TestSrc (the faultsite analyzer's test-reference
 // check reads it).  Fixture imports resolve first against sibling fixture
-// directories (so a fixture qcache can import a fixture core), then against
-// the standard library, type-checked from source.
+// directories (so a fixture faultuser can import a fixture faultpoint), then
+// against the standard library, type-checked from source.
 //
 // Expectations are trailing comments of the form
 //

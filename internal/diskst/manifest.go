@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/seq"
 )
@@ -208,7 +210,9 @@ type ShardedBuildOptions struct {
 // BuildSharded cuts db into contiguous sequence runs, writes one index file
 // per run and the manifest into dir (created if needed), and returns the
 // manifest along with one BuildStats per written file: shard-0.oasis ..
-// shard-(N-1).oasis, each an ordinary single-shard index over its run.
+// shard-(N-1).oasis, each an ordinary single-shard index over its run.  The
+// shards build concurrently, at most GOMAXPROCS at a time; when several fail,
+// the lowest-numbered shard's error is returned.
 func BuildSharded(dir string, db *seq.Database, opts ShardedBuildOptions) (*Manifest, []BuildStats, error) {
 	if db == nil {
 		return nil, nil, fmt.Errorf("diskst: nil database")
@@ -237,15 +241,30 @@ func BuildSharded(dir string, db *seq.Database, opts ShardedBuildOptions) (*Mani
 		Alphabet:  alphabet,
 		BlockSize: blockSize,
 	}
-	var stats []BuildStats
+	stats := make([]BuildStats, len(runs))
+	errs := make([]error, len(runs))
+	free := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
 	for s, run := range runs {
 		name := fmt.Sprintf("shard-%d.oasis", s)
-		st, err := Build(filepath.Join(dir, name), run, BuildOptions{BlockSize: blockSize})
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		stats = append(stats, *st)
 		m.Shards = append(m.Shards, Part{File: name, Sequences: run.NumSequences(), Residues: run.TotalResidues()})
+		free <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-free; wg.Done() }()
+			st, err := Build(filepath.Join(dir, name), run, BuildOptions{BlockSize: blockSize})
+			if err != nil {
+				errs[s] = fmt.Errorf("shard %d: %w", s, err)
+				return
+			}
+			stats[s] = *st
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 	if err := writeManifest(dir, m); err != nil {
 		return nil, nil, err

@@ -87,6 +87,28 @@ func TestBuildShardedSequenceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBuildShardedReportsLowestFailedShard: shards build concurrently, but a
+// failure is reported as the serial loop reported it — the lowest-numbered
+// failed shard — and no manifest is written.
+func TestBuildShardedReportsLowestFailedShard(t *testing.T) {
+	dir := t.TempDir()
+	for _, s := range []string{"shard-1.oasis", "shard-2.oasis"} {
+		// A non-empty directory where a shard file belongs: that shard fails.
+		if err := os.MkdirAll(filepath.Join(dir, s, "x"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 5 {
+		_, _, err := BuildSharded(dir, manifestTestDB(t), ShardedBuildOptions{Shards: 3})
+		if err == nil || !strings.HasPrefix(err.Error(), "shard 1:") {
+			t.Fatalf("error %v, want shard 1's", err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, ManifestName)); !os.IsNotExist(err) {
+			t.Fatalf("manifest written after a failed build (stat: %v)", err)
+		}
+	}
+}
+
 // TestManifestSizeIndependentOfSequenceCount: a manifest names files, not
 // sequences, so ten times the sequences in as many shards adds at most the
 // longer numbers' digits.

@@ -1,13 +1,10 @@
 // Package engine turns the per-query OASIS machinery into a long-running
 // batch query engine: one warm sharded index (internal/shard) built once,
 // per-worker scratch reuse (internal/core.Scratch pooled through
-// internal/bufferpool.FreeList), an optional cross-query result cache
-// (internal/qcache, Options.CacheBytes) that replays completed hit streams
-// for repeated queries and single-flights concurrent duplicates, and a
-// SubmitBatch API that multiplexes many concurrent queries over the shared
-// index — sweeping on a bounded, engine-wide set of search slots queued fairly
-// per client (Turn) — while preserving each query's online decreasing-score
-// hit stream.
+// internal/bufferpool.FreeList), and a SubmitBatch API that multiplexes many
+// concurrent queries over the shared index — sweeping on a bounded,
+// engine-wide set of search slots queued fairly per client (Turn) — while
+// preserving each query's online decreasing-score hit stream.
 //
 // The paper's value proposition is online search — hits stream out strongest
 // first so clients can stop early — but a cold start per query (index
@@ -33,7 +30,6 @@ import (
 	"repro/internal/bufferpool"
 	"repro/internal/core"
 	"repro/internal/diskst"
-	"repro/internal/qcache"
 	"repro/internal/seq"
 	"repro/internal/shard"
 	"repro/internal/suffixtree"
@@ -61,8 +57,7 @@ type Options struct {
 	Shards int
 	// BatchWorkers is the number of search slots the engine shares among
 	// the queries of every SubmitBatch (default GOMAXPROCS): a batch query
-	// holds one only while its DP sweep runs, not while it waits on a
-	// concurrent identical query, replays a cached stream, waits for a
+	// holds one only while its DP sweep runs, not while it waits for a
 	// consumer that is not reading or, on a provider-backed engine, waits on
 	// its remote slices.  Queries wait for a free slot in FIFO order, one
 	// place per Turn (WithTurn).  Search takes no slot.
@@ -72,16 +67,11 @@ type Options struct {
 	// Degraded with the per-shard errors instead of the engine refusing to
 	// start.
 	AllowDegraded bool
-	// CacheBytes bounds the cross-query result cache (internal/qcache): a
-	// positive budget makes the engine store every completed decreasing-score
-	// hit stream and replay it — without touching the index — when an
-	// identical query (same residues, scheme, MinScore, E-value statistics)
-	// arrives again.  Concurrent identical queries are single-flighted: one
-	// runs the DP sweep, the rest wait and replay.  Cache keys carry the
-	// index generation, so a write (Insert/Delete/Compact) retargets the
-	// cache instead of serving stale streams; superseded entries age out of
-	// the LRU, which evicts by recency when the budget fills.  Zero disables
-	// caching; see Metrics().Cache for hit rates.
+	// CacheBytes is ignored: the engine keeps no result cache, and every
+	// query searches the index.
+	//
+	// Deprecated: the benchmark still sets it; it goes with ROADMAP
+	// direction 1(b).
 	CacheBytes int64
 }
 
@@ -138,9 +128,6 @@ type Engine struct {
 	// defaultResultBuffer, except where a test sets the field to pin
 	// back-pressure.
 	resultBuffer int
-	// cache is the cross-query result cache (nil when Options.CacheBytes is
-	// zero); it also owns the single-flight table for concurrent duplicates.
-	cache *qcache.Cache
 
 	// state is the published generation snapshot (see mutable.go): one
 	// shard-engine view over the base shards, delta layers and tombstones.
@@ -226,7 +213,7 @@ func New(db *seq.Database, opts Options) (*Engine, error) {
 }
 
 // newWarm is the constructor tail New and NewFromShardEngine share: the batch
-// and cache defaults, the writer wired under the freshly opened base view, and
+// defaults, the writer wired under the freshly opened base view, and
 // the first published generation.  For disk engines base already carries the
 // delta layers and tombstones of the directory's generation, and the
 // generation number continues from the directory's.  An immutable engine has
@@ -250,20 +237,16 @@ func newWarm(base *shard.Engine, dir *diskst.Dir, opts Options, immutable bool) 
 	if err := e.publishLocked(); err != nil {
 		return nil, err
 	}
-	if opts.CacheBytes > 0 {
-		e.cache = qcache.New(opts.CacheBytes)
-	}
 	return e, nil
 }
 
 // NewFromShardEngine wraps a pre-assembled shard engine — typically a
 // provider-backed one (shard.NewEngineFromProviders), whose shards are remote
 // slice streams — as a warm batch engine, so the whole serving stack
-// (SubmitBatch multiplexing, search slots, result cache) runs unchanged
-// over a distributed corpus.  Only the batch/cache options apply
-// (BatchWorkers, CacheBytes); index-construction options must be zero.  The
-// engine is IMMUTABLE: the corpus lives in the remote slices' serving
-// processes, so Insert, Delete and Compact return ErrImmutable.
+// (SubmitBatch multiplexing, search slots) runs unchanged over a distributed
+// corpus.  Only BatchWorkers applies; index-construction options must be
+// zero.  The engine is IMMUTABLE: the corpus lives in the remote slices'
+// serving processes, so Insert, Delete and Compact return ErrImmutable.
 // Close closes base.
 func NewFromShardEngine(base *shard.Engine, opts Options) (*Engine, error) {
 	if base == nil {
@@ -320,14 +303,26 @@ type Metrics struct {
 	// one entry per pool: the base shards, then every delta layer under its
 	// file name.  Nil for in-memory engines.
 	Pools []diskst.PoolStats `json:"pools,omitempty"`
-	// Cache holds the cross-query result cache counters (nil when the
-	// engine was built without Options.CacheBytes).
-	Cache *qcache.Stats `json:"cache,omitempty"`
+	// Cache is always nil: the engine keeps no result cache.
+	//
+	// Deprecated: the benchmark still reads it; it goes with ROADMAP
+	// direction 1(b).
+	Cache *CacheStats `json:"cache,omitempty"`
 	// Faults holds the engine's fault-tolerance counters.
 	Faults FaultMetrics `json:"faults"`
 	// Mutable holds the incremental-indexing counters: current generation,
 	// memtable occupancy, delta layers, tombstones and live totals.
 	Mutable MutableStats `json:"mutable"`
+}
+
+// CacheStats is the shape Metrics.Cache had while the engine kept a result
+// cache.
+//
+// Deprecated: no value of it is ever made; it goes with Metrics.Cache
+// (ROADMAP direction 1(b)).
+type CacheStats struct {
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
 }
 
 // FaultMetrics counts failures survived (or surfaced) since process start.
@@ -353,10 +348,6 @@ func (e *Engine) Metrics() Metrics {
 	m := Metrics{Scratch: v.ScratchStats(), Shards: v.QueueDepths()}
 	if e.dir != nil {
 		m.Pools = e.dir.PoolStats()
-	}
-	if e.cache != nil {
-		cs := e.cache.Stats()
-		m.Cache = &cs
 	}
 	fc := diskst.Counters()
 	e.mu.Lock()
@@ -413,117 +404,19 @@ func (e *Engine) Search(ctx context.Context, q Query, report func(core.Hit) bool
 		return core.Stats{}, ErrClosed
 	}
 	defer e.active.Done()
-	return e.searchOne(ctx, q, nil, report)
+	return e.searchIndex(ctx, q, nil, report)
 }
 
-// searchOne serves one query: through the cross-query cache when the engine
-// has one (replay on hit, single-flighted DP sweep on miss), directly off
-// the index otherwise.  A non-nil seat holds a search slot around the sweep.
-func (e *Engine) searchOne(ctx context.Context, q Query, seat *seat, report func(core.Hit) bool) (core.Stats, error) {
-	// Pin one generation for the life of the query: the snapshot's index
-	// layers stay valid (resources are only released at Close) and the cache
-	// key carries the generation, so a write published mid-query can neither
-	// change this query's view nor let its result stream be replayed for
-	// queries against the newer index state.
-	st := e.state.Load()
-	if e.cache == nil {
-		return e.searchIndex(ctx, st, q, seat, report)
-	}
-	key := qcache.NewKey(q.Residues, q.Options, st.gen)
-	for {
-		if entry, ok := e.cache.Get(key, q.Options.MaxResults); ok {
-			return e.replay(ctx, q, entry, report)
-		}
-		leader, done := e.cache.Begin(key)
-		if leader {
-			break
-		}
-		// A concurrent identical query is already sweeping; wait for its
-		// completion and re-check the cache.  A leader that completed
-		// without inserting (cancelled, or its client stopped early) leaves
-		// a miss, and the next Begin elects us leader.
-		select {
-		case <-done:
-		case <-ctxDone(ctx):
-			return core.Stats{}, ctx.Err()
-		}
-	}
-	defer e.cache.End(key)
-	stopped := false
-	var hits []core.Hit
-	// Stop buffering (and release what was buffered) the moment the stream
-	// outgrows the largest entry the cache can hold: an uncacheable stream
-	// must not cost a full in-memory copy on every execution.
-	sizeLeft := e.cache.MaxEntryBytes()
-	stats, err := e.searchIndex(ctx, st, q, seat, func(h core.Hit) bool {
-		if sizeLeft >= 0 {
-			if sizeLeft -= qcache.HitSize(&h); sizeLeft < 0 {
-				hits = nil
-			} else {
-				hits = append(hits, h)
-			}
-		}
-		if !report(h) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	// Cache only streams that completed on their own terms: a search the
-	// client stopped (or the context cancelled) is a prefix of unknown
-	// coverage.  A stream cut by MaxResults is cached as incomplete — it
-	// still answers any request for at most len(hits) results.  A degraded
-	// stream is never cached: replaying it would keep serving partial
-	// results after the fault has cleared.
-	if err == nil && !stopped && sizeLeft >= 0 && !stats.Degraded {
-		complete := q.Options.MaxResults == 0 || len(hits) < q.Options.MaxResults
-		e.cache.Put(key, &qcache.Entry{Hits: hits, Complete: complete})
-	}
-	return stats, err
-}
-
-// replay streams a cached entry to report, honouring the query's MaxResults
-// and context exactly as a live search would.  No index work happens; the
-// per-query stats show only the replayed hit count.
-func (e *Engine) replay(ctx context.Context, q Query, entry *qcache.Entry, report func(core.Hit) bool) (core.Stats, error) {
-	var st core.Stats
-	n := 0
-	for i := range entry.Hits {
-		if ctx != nil && ctx.Err() != nil {
-			break
-		}
-		if q.Options.MaxResults > 0 && n >= q.Options.MaxResults {
-			break
-		}
-		if !report(entry.Hits[i]) {
-			n++
-			break
-		}
-		n++
-	}
-	st.SequencesReported = int64(n)
-	var err error
-	if ctx != nil {
-		err = ctx.Err()
-	}
-	e.mu.Lock()
-	e.stats.Add(st)
-	e.queriesServed++
-	e.hitsReported += int64(n)
-	e.mu.Unlock()
-	if q.Options.Stats != nil {
-		q.Options.Stats.Add(st)
-	}
-	return st, err
-}
-
-// searchIndex runs the query on the pinned generation's view (the
-// cache-miss path; the only path when the engine has no cache), holding a
+// searchIndex runs the query on the current generation's view, holding a
 // search slot when seat is non-nil — except, on a provider-backed view, while
 // the merge waits on its remote slices.  The context is observed both at
 // every hit callback and — via core's periodic poll — inside hit-less DP
 // stretches.
-func (e *Engine) searchIndex(ctx context.Context, s *genState, q Query, seat *seat, report func(core.Hit) bool) (core.Stats, error) {
+func (e *Engine) searchIndex(ctx context.Context, q Query, seat *seat, report func(core.Hit) bool) (core.Stats, error) {
+	// Pin one generation for the life of the query: the snapshot's index
+	// layers stay valid (resources are only released at Close), so a write
+	// published mid-query cannot change this query's view.
+	s := e.state.Load()
 	var slot shard.Slot
 	if seat != nil {
 		if err := seat.Take(); err != nil {
@@ -651,14 +544,14 @@ func (e *Engine) runQuery(ctx context.Context, index int, q Query, seat *seat, o
 		return
 	}
 	start := time.Now()
-	st, err := e.searchOne(ctx, q, seat, func(h core.Hit) bool {
+	st, err := e.searchIndex(ctx, q, seat, func(h core.Hit) bool {
 		r := Result{QueryID: q.ID, Index: index, Hit: h}
 		select {
 		case out <- r:
 			return true
 		default:
 		}
-		// A replayed hit arrives with no slot held, and takes none back.
+		// A seat that holds no slot (its last Take failed) takes none back.
 		held := seat.held
 		seat.Give()
 		select {

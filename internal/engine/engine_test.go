@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -64,6 +65,91 @@ func newMemoryEngine(db *seq.Database, byPrefix bool, opts Options) (*Engine, er
 		return nil, err
 	}
 	return newWarm(base, nil, opts, false)
+}
+
+// collectStream runs one query through Search and returns its hit stream.
+func collectStream(t testing.TB, eng *Engine, q Query) []core.Hit {
+	t.Helper()
+	var hits []core.Hit
+	if _, err := eng.Search(context.Background(), q, func(h core.Hit) bool {
+		hits = append(hits, h)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return hits
+}
+
+// requireSameHitSet asserts two streams report the same (sequence, score)
+// multiset in decreasing score order.  Multi-shard engines may interleave
+// equal-score ties differently from a single index, so this is the strongest
+// cross-layout guarantee; see requireIdenticalStream for one engine's repeats.
+func requireSameHitSet(t testing.TB, label string, got, want []core.Hit) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d hits, want %d", label, len(got), len(want))
+	}
+	wantSet := map[[2]int]int{}
+	for _, h := range want {
+		wantSet[[2]int{h.SeqIndex, h.Score}]++
+	}
+	for i, h := range got {
+		if i > 0 && h.Score > got[i-1].Score {
+			t.Fatalf("%s: score order violated at %d", label, i)
+		}
+		k := [2]int{h.SeqIndex, h.Score}
+		if wantSet[k] == 0 {
+			t.Fatalf("%s: unexpected hit %+v", label, h)
+		}
+		wantSet[k]--
+	}
+}
+
+// requireIdenticalStream asserts byte-identical hit streams (every Hit field,
+// including Rank and EValue).
+func requireIdenticalStream(t testing.TB, label string, got, want []core.Hit) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d hits, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: hit %d differs:\n got %+v\nwant %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// variedQueries builds a query mix with duplicates and varied options
+// (top-k truncation, E-values).
+func variedQueries(t testing.TB, rng *rand.Rand, scheme score.Scheme, n int) []Query {
+	t.Helper()
+	ka, err := score.Params(scheme.Matrix, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	letters := seq.Protein.Letters()
+	uniq := make([]Query, 0, n)
+	for i := 0; i < n; i++ {
+		qb := make([]byte, 6+rng.Intn(10))
+		for j := range qb {
+			qb[j] = letters[rng.Intn(len(letters))]
+		}
+		opts := core.Options{Scheme: scheme, MinScore: 1 + rng.Intn(6)}
+		if rng.Intn(2) == 0 {
+			opts.KA = &ka
+		}
+		if rng.Intn(3) == 0 {
+			opts.MaxResults = 1 + rng.Intn(4)
+		}
+		uniq = append(uniq, Query{ID: fmt.Sprintf("q%d", i), Residues: seq.Protein.MustEncode(string(qb)), Options: opts})
+	}
+	// Interleave duplicates so roughly half the stream repeats.
+	out := make([]Query, 0, 2*n)
+	for i, q := range uniq {
+		out = append(out, q)
+		out = append(out, uniq[rng.Intn(i+1)])
+	}
+	return out
 }
 
 func randomQueries(rng *rand.Rand, a *seq.Alphabet, n int, scheme score.Scheme) []Query {
@@ -259,6 +345,50 @@ func TestEngineSearchTopKAndStop(t *testing.T) {
 			t.Fatalf("stop-after-first streamed %d hits", len(stopped))
 		}
 	}
+}
+
+// TestCacheMaxResultsTruncation checks top-k truncation end to end: every
+// top-k search must stream exactly the first k hits of the full stream,
+// whatever the engine served before — a complete stream first, or a
+// truncated one and then larger k.  The name dates from the removed result
+// cache, which served repeats from complete or truncated entries; the
+// engine now keeps nothing between queries, and this pins that no earlier
+// search changes what a later one streams.
+func TestCacheMaxResultsTruncation(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	scheme := score.MustScheme(score.ByName("PAM30"), -10)
+	db := randomEngineDB(t, rng, seq.Protein, 24, 80)
+	eng, err := New(db, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	base := Query{Residues: seq.Protein.MustEncode("DKDGDGTITTKE"), Options: core.Options{Scheme: scheme, MinScore: 3}}
+	all := collectStream(t, eng, base)
+	if len(all) < 3 {
+		t.Fatalf("workload yields only %d hits; need >= 3", len(all))
+	}
+	for k := 1; k <= len(all); k++ {
+		topQ := base
+		topQ.Options.MaxResults = k
+		requireIdenticalStream(t, fmt.Sprintf("top-%d after the full stream", k), collectStream(t, eng, topQ), all[:k])
+	}
+
+	// A fresh engine whose first search is truncated must stream smaller
+	// and larger k exactly as the live full stream does.
+	eng2, err := New(db, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng2.Close()
+	top2 := base
+	top2.Options.MaxResults = 2
+	requireIdenticalStream(t, "truncated first search", collectStream(t, eng2, top2), all[:2])
+	top1 := base
+	top1.Options.MaxResults = 1
+	requireIdenticalStream(t, "smaller k after a truncated search", collectStream(t, eng2, top1), all[:1])
+	requireIdenticalStream(t, "full stream after truncated searches", collectStream(t, eng2, base), all)
+	requireIdenticalStream(t, "top-2 after the full stream", collectStream(t, eng2, top2), all[:2])
 }
 
 // TestCloseConcurrentWithSearch races Close against starting searches: every

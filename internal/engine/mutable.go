@@ -170,8 +170,7 @@ func (e *Engine) ensureIDIndexLocked() {
 // Insert adds one sequence to the index.  The sequence becomes searchable
 // before Insert returns: it is appended to the in-memory delta, whose index is
 // rebuilt over every memtable sequence (one suffixtree.Build, linear in the
-// memtable's residues) and published, and the generation bump retargets the
-// result cache so subsequent identical queries re-run against the new corpus.
+// memtable's residues) and published under the next generation.
 // The residues are copied; IDs must be unique among live sequences
 // (re-inserting a deleted ID is allowed and assigns a fresh global index).
 // Disk engines hold inserts in memory until Compact persists them.

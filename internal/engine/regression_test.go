@@ -53,17 +53,16 @@ func TestSubmitBatchBoundedGoroutines(t *testing.T) {
 // TestShardedTopKDeterministic pins the merger's strict release rule: with a
 // >= release the interleaving of equal-score ties — and, under MaxResults
 // truncation, WHICH tie made the cut — depended on shard goroutine timing,
-// so the same top-k query could return different sequences run to run (and
-// the result cache would then freeze one arbitrary outcome).  The (sequence,
-// score) multiset must now be identical across repeats, in both partition
-// modes.
+// so the same top-k query could return different sequences run to run.  The
+// (sequence, score) multiset must now be identical across repeats, in both
+// partition modes.
 func TestShardedTopKDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(1309))
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
 	for _, prefix := range []bool{false, true} {
 		for trial := 0; trial < 3; trial++ {
 			db := randomEngineDB(t, rng, seq.Protein, 12+rng.Intn(12), 70)
-			queries := cacheTestQueries(t, rng, scheme, 6)
+			queries := variedQueries(t, rng, scheme, 6)
 			eng, err := newMemoryEngine(db, prefix, Options{Shards: 3})
 			if err != nil {
 				t.Fatal(err)

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -112,24 +114,28 @@ func TestStressConcurrentBatchesWithCancellation(t *testing.T) {
 	}
 }
 
-// TestStressSingleFlightConcurrentDuplicates hammers a CACHED engine with a
-// tiny query set from many goroutines — concurrent identical queries racing
-// through the single-flight path, batches of pure duplicates, mid-stream
-// cancellation, early stops — to exercise the leader/waiter handoff and
-// entry replay under the race detector (CI runs this package with -race).
+// TestStressSingleFlightConcurrentDuplicates hammers an engine with a tiny
+// query set from many goroutines — concurrent identical queries, batches of
+// pure duplicates, mid-stream cancellation, early stops — under the race
+// detector (CI runs this package with -race).  Every identical query, however
+// many run at once, must stream exactly what the same query streams alone.
 func TestStressSingleFlightConcurrentDuplicates(t *testing.T) {
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
 	setup := rand.New(rand.NewSource(97))
 	db := randomEngineDB(t, setup, seq.Protein, 40, 120)
-	eng, err := New(db, Options{Shards: 4, BatchWorkers: 4, CacheBytes: 4 << 20})
+	eng, err := New(db, Options{Shards: 4, BatchWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.resultBuffer = 4
 	defer eng.Close()
-	// Three queries only: nearly every concurrent operation collides on a
-	// key, so the flight table and the replay path stay saturated.
+	// Three queries only: nearly every concurrent operation runs a query
+	// that another goroutine is running at the same time.
 	queries := randomQueries(setup, seq.Protein, 3, scheme)
+	alone := make([][]core.Hit, len(queries))
+	for i, q := range queries {
+		alone[i] = collectStream(t, eng, q)
+	}
 
 	iters := 10
 	if testing.Short() {
@@ -145,10 +151,12 @@ func TestStressSingleFlightConcurrentDuplicates(t *testing.T) {
 				switch g % 3 {
 				case 0: // duplicate-only batch, fully drained
 					batch := make([]Query, 6)
+					picks := make([]int, len(batch))
 					for i := range batch {
-						batch[i] = queries[rng.Intn(len(queries))]
+						picks[i] = rng.Intn(len(queries))
+						batch[i] = queries[picks[i]]
 					}
-					last := make(map[int]int)
+					streams := make([][]core.Hit, len(batch))
 					for r := range eng.SubmitBatch(context.Background(), batch) {
 						if r.Done {
 							if r.Err != nil {
@@ -156,24 +164,28 @@ func TestStressSingleFlightConcurrentDuplicates(t *testing.T) {
 							}
 							continue
 						}
-						if prev, ok := last[r.Index]; ok && r.Hit.Score > prev {
-							t.Errorf("goroutine %d: score order violated", g)
+						streams[r.Index] = append(streams[r.Index], r.Hit)
+					}
+					for i, got := range streams {
+						if !slices.Equal(got, alone[picks[i]]) {
+							t.Errorf("goroutine %d: batch query %d streamed %d hits unlike the same query alone (%d)",
+								g, i, len(got), len(alone[picks[i]]))
 						}
-						last[r.Index] = r.Hit.Score
 					}
 				case 1: // concurrent identical single queries, occasional early stop
-					q := queries[rng.Intn(len(queries))]
-					prev := int(^uint(0) >> 1)
-					if _, err := eng.Search(context.Background(), q, func(h core.Hit) bool {
-						if h.Score > prev {
-							t.Errorf("goroutine %d: score order violated", g)
+					qi := rng.Intn(len(queries))
+					n := 0
+					if _, err := eng.Search(context.Background(), queries[qi], func(h core.Hit) bool {
+						if n >= len(alone[qi]) || h != alone[qi][n] {
+							t.Errorf("goroutine %d: hit %d of query %d is %+v, not the same query's stream alone", g, n, qi, h)
+							return false
 						}
-						prev = h.Score
+						n++
 						return rng.Intn(6) != 0
 					}); err != nil {
 						t.Errorf("goroutine %d: %v", g, err)
 					}
-				case 2: // cancellation racing the flight table
+				case 2: // cancellation racing concurrent identical queries
 					ctx, cancel := context.WithCancel(context.Background())
 					n := 0
 					stopAfter := 1 + rng.Intn(10)
@@ -191,34 +203,16 @@ func TestStressSingleFlightConcurrentDuplicates(t *testing.T) {
 	}
 	wg.Wait()
 
-	cs := eng.Metrics().Cache
-	if cs == nil || cs.Hits == 0 {
-		t.Fatalf("duplicate stress produced no cache hits: %+v", cs)
-	}
-	// The cache must still serve correct streams after the storm.
+	// The engine must still serve correct streams after the storm.
 	single, err := core.BuildMemoryIndex(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range queries {
+	for i, q := range queries {
 		want, err := core.SearchAll(single, q.Residues, q.Options)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []core.Hit
-		if _, err := eng.Search(context.Background(), q, func(h core.Hit) bool {
-			got = append(got, h)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("post-stress cached stream has %d hits, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Score != want[i].Score {
-				t.Fatalf("post-stress: score %d at %d, want %d", got[i].Score, i, want[i].Score)
-			}
-		}
+		requireSameHitSet(t, fmt.Sprintf("post-stress query %d", i), collectStream(t, eng, q), want)
 	}
 }

@@ -6,16 +6,15 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/score"
 	"repro/internal/seq"
 	"repro/internal/shard"
 )
 
 // TestWrappedShardEngine: an engine wrapped around a pre-assembled shard
-// engine must serve batches and cache hits exactly like a normally built one,
-// and must refuse writes — a coordinator cannot mutate a corpus that lives in
-// the slices' serving processes.
+// engine must serve batches and repeated queries exactly like a normally
+// built one, and must refuse writes — a coordinator cannot mutate a corpus
+// that lives in the slices' serving processes.
 func TestWrappedShardEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	a := seq.Protein
@@ -26,7 +25,7 @@ func TestWrappedShardEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewFromShardEngine(base, Options{CacheBytes: 1 << 20})
+	eng, err := NewFromShardEngine(base, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +53,8 @@ func TestWrappedShardEngine(t *testing.T) {
 		}
 	}
 
-	// Repeating one query must come out of the result cache.
-	q := queries[0]
-	if _, err := eng.Search(context.Background(), q, func(core.Hit) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if m := eng.Metrics(); m.Cache == nil || m.Cache.Hits == 0 {
-		t.Fatalf("repeated query did not hit the result cache: %+v", m.Cache)
-	}
+	// Repeating one query streams it again, hit for hit.
+	requireIdenticalStream(t, "repeated query", collectStream(t, eng, queries[0]), gotHits[0])
 
 	// Writes must refuse: the corpus is owned elsewhere.
 	if _, err := eng.Insert("NEW1", a.MustEncode("DKDGDGCITTKEL")); !errors.Is(err, ErrImmutable) {

@@ -66,9 +66,6 @@ const (
 	// specs model a wedged or crashed shard worker.  The detail string is
 	// "shard-<i>".
 	SiteShardWorker = "shard.worker"
-	// SiteCacheGet is the cross-query result cache lookup; failures there
-	// must degrade to cache misses, never fail queries.
-	SiteCacheGet = "qcache.get"
 	// SiteServeSearch runs at the start of oasis-serve's search and batch
 	// handlers; error specs model handler-level failures (HTTP 500).
 	SiteServeSearch = "serve.search"

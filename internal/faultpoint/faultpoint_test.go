@@ -102,10 +102,10 @@ func TestProbabilityDeterministic(t *testing.T) {
 	defer Reset()
 	run := func() []bool {
 		Reset()
-		Enable(SiteCacheGet, Spec{Mode: ModeError, Prob: 0.5})
+		Enable(SiteShardWorker, Spec{Mode: ModeError, Prob: 0.5})
 		out := make([]bool, 50)
 		for i := range out {
-			out[i] = Hit(SiteCacheGet, "") != nil
+			out[i] = Hit(SiteShardWorker, "") != nil
 		}
 		return out
 	}

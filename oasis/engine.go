@@ -11,9 +11,9 @@ import (
 // EngineOptions configures a warm engine: the source (IndexDir with PoolBytes
 // and AllowDegraded, or a database split into Shards by sequence), the number
 // of search slots all batches share (BatchWorkers; a batch query holds one
-// only while it sweeps, and within one query every shard runs at once) and
-// the result cache budget (CacheBytes).  The fields are documented on
-// engine.Options, which this is.
+// only while it sweeps, and within one query every shard runs at once).  The
+// engine keeps no result cache: CacheBytes is a deprecated, ignored field.
+// The fields are documented on engine.Options, which this is.
 type EngineOptions = engine.Options
 
 // Engine is a warm, long-running OASIS query engine: the sharded suffix-tree
@@ -101,9 +101,9 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // EngineMetrics is a point-in-time snapshot of an engine's resource usage:
-// pooled-scratch reuse (FreeListStats), per-shard active searches,
-// per-shard buffer-pool hit rates (disk-backed engines) and the cross-query
-// result-cache counters (engines built with CacheBytes).  Unlike EngineStats
+// pooled-scratch reuse (FreeListStats), per-shard active searches, per-shard
+// buffer-pool hit rates (disk-backed engines), fault and incremental-indexing
+// counters; its deprecated Cache field is always nil.  Unlike EngineStats
 // (lifetime totals), metrics describe the current load and are meant for
 // capacity planning (cmd/oasis-serve exposes them at /metrics).
 type EngineMetrics = engine.Metrics
@@ -122,14 +122,12 @@ func (e *Engine) Standing() []ShardError { return e.eng.Standing() }
 type MutableStats = engine.MutableStats
 
 // Mutable returns the engine's current incremental-indexing state, the
-// Mutable part of Metrics without its buffer-pool and cache scans.
+// Mutable part of Metrics without its buffer-pool scan.
 func (e *Engine) Mutable() MutableStats { return e.eng.Mutable() }
 
 // Generation returns the engine's current index generation: every successful
-// Insert, Delete and state-changing Compact bumps it.  Result-cache entries
-// are keyed by generation, so a bump atomically retargets the cache — streams
-// computed against older index states simply stop being reachable and age out
-// of the LRU, with no global flush.
+// Insert, Delete and state-changing Compact bumps it, and every search from
+// then on sees the new index state.
 func (e *Engine) Generation() uint64 { return e.eng.Generation() }
 
 // Insert adds one sequence to the served corpus; it is searchable before

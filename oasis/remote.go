@@ -48,7 +48,7 @@ type CoordinatorOptions = remote.Config
 // Coordinator owns a warm Engine over remote shard-server slices plus the
 // health and robustness telemetry of the fan-out.  Build one with
 // OpenCoordinator; cmd/oasis-serve -coordinator wraps it in the standard HTTP
-// front end (admission control, result cache, NDJSON streaming).
+// front end (admission control, NDJSON streaming).
 type Coordinator struct {
 	eng *Engine
 	co  *remote.Coordinator
@@ -56,10 +56,8 @@ type Coordinator struct {
 
 // OpenCoordinator connects to every slice's replica set, lays out the global
 // sequence index space from the slices' reported sizes, and assembles the
-// warm engine.  Of warm only BatchWorkers and CacheBytes apply (a
-// coordinator-side result cache short-circuits repeated queries before any
-// network I/O); its index-construction fields must be zero.  ctx bounds only
-// the startup info fetches.
+// warm engine.  Of warm only BatchWorkers applies; its index-construction
+// fields must be zero.  ctx bounds only the startup info fetches.
 //
 // The returned engine is immutable (Insert/Delete/Compact return an error),
 // and so is the corpus behind it: shard servers serve their slice read-only

@@ -66,8 +66,7 @@ func TestOpenCoordinator(t *testing.T) {
 	}
 
 	co, err := OpenCoordinator(context.Background(),
-		CoordinatorOptions{Slices: slices},
-		EngineOptions{CacheBytes: 1 << 20})
+		CoordinatorOptions{Slices: slices}, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
