@@ -16,11 +16,7 @@
 //     sequences (internal/seq.PartitionDatabase, balanced by residue count),
 //     on disk and in memory alike; shards, delta layers and coordinator
 //     slices are all such runs, each placed in the global numbering by one
-//     offset.  internal/shard can also partition one
-//     shared suffix tree by suffix prefix (shard.Options.Partition), which
-//     computes the near-root DP columns once per query; the benchmark still
-//     measures it, but no command, engine option or index directory offers
-//     it.
+//     offset.
 //   - The dynamic-programming column sweep in internal/core tracks the
 //     live (non-pruned) band of each column and computes only those cells,
 //     which typically cuts Stats.CellsComputed to a fraction of the
@@ -73,10 +69,10 @@
 //
 // The search kernel is pinned by a fuzz/golden/race test layer: native Go
 // fuzz targets assert live-band/full-sweep hit identity and the sharded
-// merge's order contract (in both partition modes) on arbitrary inputs,
-// golden files freeze the Figure-4 workload's hits and work counters, and a
-// -race stress test hammers one warm engine with concurrent batches and
-// mid-stream cancellation.
+// merge's order contract on arbitrary inputs, golden files freeze the
+// Figure-4 workload's hits and work counters, and a -race stress test
+// hammers one warm engine with concurrent batches and mid-stream
+// cancellation.
 //
 // cmd/oasis-bench runs the paper's experiments (the Section 4.2 space table
 // and Figures 3-9) at larger scale with full tables.  Everything this

@@ -81,6 +81,12 @@ type Hit struct {
 
 // Stats accumulates the work counters used by the paper's filtering
 // comparison (Figure 4) and by the ablation benchmarks.
+//
+// A multi-stream search (internal/shard) adds up every stream's work.  When
+// it stops early (MaxResults, or report returning false) its streams race on
+// until they see the cancellation, so the work counters — ColumnsExpanded
+// first — may differ run to run for the same truncated query; the hits and
+// SequencesReported do not.
 type Stats struct {
 	// ColumnsExpanded counts dynamic-programming columns filled in (the
 	// paper's filtering metric).
@@ -101,7 +107,7 @@ type Stats struct {
 	// (cells, not query length).  Column storage is band-sized, so this also
 	// bounds the per-node memory the search ever requested.
 	MaxBandWidth int
-	// SequencesReported counts reported hits.
+	// SequencesReported counts the hits delivered to the caller.
 	SequencesReported int64
 	// Degraded marks a sharded search that lost one or more shards and
 	// completed from the survivors: the hit stream is still in decreasing
@@ -410,8 +416,7 @@ func HeuristicVectorInto(buf []int, query []byte, m *score.Matrix) []int {
 }
 
 // runFromRoot seeds the queue with the root node and runs the best-first
-// loop (the whole-index search; subtree-sharded searches seed the queue from
-// a Frontier instead, see SearchSeedsStream).
+// loop over the whole index.
 func (s *searcher) runFromRoot(report func(Hit) bool) error {
 	if id, f, ok := s.rootNode(); ok {
 		s.push(f, false, id)
@@ -419,8 +424,8 @@ func (s *searcher) runFromRoot(report func(Hit) bool) error {
 	return s.run(report)
 }
 
-// run executes the main best-first loop (paper Algorithm 1) over whatever
-// nodes have been pushed.  Once the queue and band free lists are warm it
+// run executes the main best-first loop (paper Algorithm 1) from the nodes
+// runFromRoot pushed.  Once the queue and band free lists are warm it
 // allocates nothing per node.
 //
 //oasis:hotpath

@@ -12,13 +12,13 @@ import (
 	"repro/internal/diskst"
 	"repro/internal/score"
 	"repro/internal/seq"
-	"repro/internal/shard"
 )
 
 // compactTestEngine opens a two-shard engine over db: a disk engine over a
-// fresh sequence-partitioned index directory (returned), or a memory engine
-// in either partition mode.  Either mode reports the same stream on every
-// run, so callers may compare streams byte for byte.
+// fresh index directory (returned), or a memory engine, byPrefix building it
+// through the deprecated shard.Options.Partition (see newMemoryEngine).  Each
+// reports the same stream on every run, so callers may compare streams byte
+// for byte.
 func compactTestEngine(t testing.TB, db *seq.Database, disk, byPrefix bool) (*Engine, string) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "idx")
@@ -30,14 +30,7 @@ func compactTestEngine(t testing.TB, db *seq.Database, disk, byPrefix bool) (*En
 		}
 		eng, err = New(nil, Options{IndexDir: dir})
 	} else {
-		so := shard.Options{Shards: 2}
-		if byPrefix {
-			so.Partition = shard.PartitionByPrefix
-		}
-		var base *shard.Engine
-		if base, err = shard.NewEngine(db, so); err == nil {
-			eng, err = newWarm(base, nil, Options{}, false)
-		}
+		eng, err = newMemoryEngine(db, byPrefix, Options{Shards: 2})
 	}
 	if err != nil {
 		t.Fatal(err)

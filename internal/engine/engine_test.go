@@ -54,8 +54,10 @@ func openShardView(path string) (*shard.Engine, error) {
 }
 
 // newMemoryEngine builds a mutable in-memory engine as New does, except that
-// byPrefix partitions it by suffix prefix: a mode Options does not offer,
-// reachable only through shard.Options.Partition.
+// byPrefix builds its base through the deprecated shard.Options.Partition,
+// which NewEngine ignores: the rows that set it check that the field the
+// benchmark's shard ladder still sets yields the same sequence-partitioned
+// engine.
 func newMemoryEngine(db *seq.Database, byPrefix bool, opts Options) (*Engine, error) {
 	if !byPrefix {
 		return New(db, opts)
@@ -452,8 +454,8 @@ func TestEngineClose(t *testing.T) {
 	}
 }
 
-// TestPrefixEngineBatchAndMetrics drives a prefix-partitioned warm engine
-// through SubmitBatch and checks the metrics snapshot: per-query hit streams
+// TestPrefixEngineBatchAndMetrics drives a 4-shard warm engine, built through
+// the deprecated partition field (newMemoryEngine), through SubmitBatch and checks the metrics snapshot: per-query hit streams
 // must match the sequential search (as (sequence, score) sets), and Metrics
 // must report one active-search entry per shard, all idle after the batch
 // drains, with scratch reuse on the second batch.

@@ -136,7 +136,8 @@ func extraSequences(rng *rand.Rand, a *seq.Alphabet, n, maxLen int) []seq.Sequen
 // mutable layer: after a random script of inserts, deletes and compactions,
 // an incremental engine must report exactly the hit streams of an engine
 // rebuilt from scratch over the surviving sequences — across in-memory bases
-// in both partition modes and disk-backed (IndexDir) bases.
+// (the prefix row through the deprecated partition field; see
+// newMemoryEngine) and disk-backed (IndexDir) bases.
 func TestIncrementalEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)

@@ -54,38 +54,35 @@ func TestSubmitBatchBoundedGoroutines(t *testing.T) {
 // >= release the interleaving of equal-score ties — and, under MaxResults
 // truncation, WHICH tie made the cut — depended on shard goroutine timing,
 // so the same top-k query could return different sequences run to run.  The
-// (sequence, score) multiset must now be identical across repeats, in both
-// partition modes.
+// (sequence, score) multiset must now be identical across repeats.
 func TestShardedTopKDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(1309))
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
-	for _, prefix := range []bool{false, true} {
-		for trial := 0; trial < 3; trial++ {
-			db := randomEngineDB(t, rng, seq.Protein, 12+rng.Intn(12), 70)
-			queries := variedQueries(t, rng, scheme, 6)
-			eng, err := newMemoryEngine(db, prefix, Options{Shards: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for qi, q := range queries {
-				base := hitMultiset(t, eng, q)
-				for rep := 0; rep < 8; rep++ {
-					got := hitMultiset(t, eng, q)
-					if len(got) != len(base) {
-						t.Fatalf("prefix=%v trial %d query %d rep %d: %d distinct hits, want %d",
-							prefix, trial, qi, rep, len(got), len(base))
-					}
-					for k, n := range base {
-						if got[k] != n {
-							t.Fatalf("prefix=%v trial %d query %d rep %d: hit multiset changed at seq=%d score=%d (%d vs %d)",
-								prefix, trial, qi, rep, k[0], k[1], got[k], n)
-						}
+	for trial := 0; trial < 3; trial++ {
+		db := randomEngineDB(t, rng, seq.Protein, 12+rng.Intn(12), 70)
+		queries := variedQueries(t, rng, scheme, 6)
+		eng, err := New(db, Options{Shards: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range queries {
+			base := hitMultiset(t, eng, q)
+			for rep := 0; rep < 8; rep++ {
+				got := hitMultiset(t, eng, q)
+				if len(got) != len(base) {
+					t.Fatalf("trial %d query %d rep %d: %d distinct hits, want %d",
+						trial, qi, rep, len(got), len(base))
+				}
+				for k, n := range base {
+					if got[k] != n {
+						t.Fatalf("trial %d query %d rep %d: hit multiset changed at seq=%d score=%d (%d vs %d)",
+							trial, qi, rep, k[0], k[1], got[k], n)
 					}
 				}
 			}
-			if err := eng.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -104,57 +101,51 @@ func hitMultiset(t *testing.T, eng *Engine, q Query) map[[2]int]int {
 
 // TestSearchObservesCancelWithoutHits pins the check a query makes before it
 // starts: with its context already cancelled it returns context.Canceled
-// having run nothing — no hits, and not one cell computed by the prefix
-// engine's frontier expansion or any stream.  Cancellation from inside a
-// running sweep is TestSearchObservesCancelMidSweep.
+// having run nothing — no hits, and not one cell computed by any stream.
+// Cancellation from inside a running sweep is TestSearchObservesCancelMidSweep.
 func TestSearchObservesCancelWithoutHits(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
 	db := randomEngineDB(t, rng, seq.Protein, 300, 200)
-	for _, prefix := range []bool{false, true} {
-		eng, err := newMemoryEngine(db, prefix, Options{Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := Query{
-			Residues: seq.Protein.MustEncode("DKDGDGTITTKELGTVMRSL"),
-			Options:  core.Options{Scheme: scheme, MinScore: 5},
-		}
-		var baseline core.Stats
-		if _, err := eng.Search(context.Background(), q, func(core.Hit) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
-		baseline, _, _ = eng.Stats()
-		if baseline.CellsComputed == 0 {
-			t.Fatal("baseline search did no work; workload broken")
-		}
+	eng, err := New(db, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	q := Query{
+		Residues: seq.Protein.MustEncode("DKDGDGTITTKELGTVMRSL"),
+		Options:  core.Options{Scheme: scheme, MinScore: 5},
+	}
+	if _, err := eng.Search(context.Background(), q, func(core.Hit) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	baseline, _, _ := eng.Stats()
+	if baseline.CellsComputed == 0 {
+		t.Fatal("baseline search did no work; workload broken")
+	}
 
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		hits := 0
-		_, err = eng.Search(ctx, q, func(core.Hit) bool { hits++; return true })
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("prefix=%v: cancelled search returned %v, want context.Canceled", prefix, err)
-		}
-		if hits != 0 {
-			t.Fatalf("prefix=%v: cancelled search still delivered %d hits", prefix, hits)
-		}
-		after, _, _ := eng.Stats()
-		if cancelledCells := after.CellsComputed - baseline.CellsComputed; cancelledCells != 0 {
-			t.Fatalf("prefix=%v: cancelled search computed %d cells, want 0", prefix, cancelledCells)
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	hits := 0
+	_, err = eng.Search(ctx, q, func(core.Hit) bool { hits++; return true })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled search returned %v, want context.Canceled", err)
+	}
+	if hits != 0 {
+		t.Fatalf("cancelled search still delivered %d hits", hits)
+	}
+	after, _, _ := eng.Stats()
+	if cancelledCells := after.CellsComputed - baseline.CellsComputed; cancelledCells != 0 {
+		t.Fatalf("cancelled search computed %d cells, want 0", cancelledCells)
 	}
 }
 
 // TestSearchObservesCancelMidSweep pins cancellation from inside each
 // stream's DP sweep (core's periodic poll).  The context is cancelled once
-// the query is planned and its streams launched, while each stream stalls at
-// the shard-worker faultpoint, so the check before planning cannot see it;
-// the query is hit-less, so no hit callback can see it either.  Each stream
-// must stop within one poll interval of columns.
+// the query's streams are launched, while each stream stalls at the
+// shard-worker faultpoint, so the check before the streams start cannot see
+// it; the query is hit-less, so no hit callback can see it either.  Each
+// stream must stop within one poll interval of columns.
 func TestSearchObservesCancelMidSweep(t *testing.T) {
 	const pollColumns = 256 // core's cancellation poll interval
 	const stall = 200 * time.Millisecond
@@ -163,66 +154,58 @@ func TestSearchObservesCancelMidSweep(t *testing.T) {
 	db := randomEngineDB(t, rng, seq.Protein, 300, 200)
 	residues := seq.Protein.MustEncode("DKDGDGTITTKELGTVMRSL")
 	defer faultpoint.Reset()
-	for _, prefix := range []bool{false, true} {
-		eng, err := newMemoryEngine(db, prefix, Options{Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// MinScore one above the best hit makes the sweep hit-less.
-		top := 0
-		if _, err := eng.Search(context.Background(), Query{Residues: residues, Options: core.Options{Scheme: scheme, MinScore: 1}},
-			func(h core.Hit) bool { top = h.Score; return false }); err != nil {
-			t.Fatal(err)
-		}
-		q := Query{Residues: residues, Options: core.Options{Scheme: scheme, MinScore: top + 1}}
-		hits := 0
-		count := func(core.Hit) bool { hits++; return true }
-		full, err := eng.Search(context.Background(), q, count)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// With every stream failed at the faultpoint only the work done
-		// before the streams start remains: the prefix frontier expansion.
-		faultpoint.Enable(faultpoint.SiteShardWorker, faultpoint.Spec{Mode: faultpoint.ModeError})
-		planned, _ := eng.Search(context.Background(), q, count)
-		if hits != 0 {
-			t.Fatalf("prefix=%v: hit-less query reported %d hits", prefix, hits)
-		}
+	eng, err := New(db, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	// MinScore one above the best hit makes the sweep hit-less.
+	top := 0
+	if _, err := eng.Search(context.Background(), Query{Residues: residues, Options: core.Options{Scheme: scheme, MinScore: 1}},
+		func(h core.Hit) bool { top = h.Score; return false }); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Residues: residues, Options: core.Options{Scheme: scheme, MinScore: top + 1}}
+	hits := 0
+	count := func(core.Hit) bool { hits++; return true }
+	full, err := eng.Search(context.Background(), q, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits != 0 {
+		t.Fatalf("hit-less query reported %d hits", hits)
+	}
 
-		faultpoint.Enable(faultpoint.SiteShardWorker, faultpoint.Spec{Mode: faultpoint.ModeLatency, Delay: stall})
-		ctx, cancel := context.WithCancel(context.Background())
-		type outcome struct {
-			st  core.Stats
-			err error
-		}
-		done := make(chan outcome, 1)
-		go func() {
-			st, err := eng.Search(ctx, q, count)
-			done <- outcome{st, err}
-		}()
-		for faultpoint.Fired(faultpoint.SiteShardWorker) == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		cancel()
-		r := <-done
-		streams := faultpoint.Fired(faultpoint.SiteShardWorker)
-		faultpoint.Reset()
-		if !errors.Is(r.err, context.Canceled) {
-			t.Fatalf("prefix=%v: search cancelled mid-flight returned %v, want context.Canceled", prefix, r.err)
-		}
-		if hits != 0 {
-			t.Fatalf("prefix=%v: cancelled search delivered %d hits", prefix, hits)
-		}
-		limit := streams * pollColumns
-		if run := full.ColumnsExpanded - planned.ColumnsExpanded; run <= 2*limit {
-			t.Fatalf("prefix=%v: the full run's streams expand only %d columns; workload too small", prefix, run)
-		}
-		if swept := r.st.ColumnsExpanded - planned.ColumnsExpanded; swept > limit {
-			t.Fatalf("prefix=%v: %d cancelled streams expanded %d columns, want <= %d (full run: %d)",
-				prefix, streams, swept, limit, full.ColumnsExpanded-planned.ColumnsExpanded)
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
+	faultpoint.Enable(faultpoint.SiteShardWorker, faultpoint.Spec{Mode: faultpoint.ModeLatency, Delay: stall})
+	ctx, cancel := context.WithCancel(context.Background())
+	type outcome struct {
+		st  core.Stats
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		st, err := eng.Search(ctx, q, count)
+		done <- outcome{st, err}
+	}()
+	for faultpoint.Fired(faultpoint.SiteShardWorker) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	r := <-done
+	streams := faultpoint.Fired(faultpoint.SiteShardWorker)
+	faultpoint.Reset()
+	if !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("search cancelled mid-flight returned %v, want context.Canceled", r.err)
+	}
+	if hits != 0 {
+		t.Fatalf("cancelled search delivered %d hits", hits)
+	}
+	limit := streams * pollColumns
+	if full.ColumnsExpanded <= 2*limit {
+		t.Fatalf("the full run's streams expand only %d columns; workload too small", full.ColumnsExpanded)
+	}
+	if r.st.ColumnsExpanded > limit {
+		t.Fatalf("%d cancelled streams expanded %d columns, want <= %d (full run: %d)",
+			streams, r.st.ColumnsExpanded, limit, full.ColumnsExpanded)
 	}
 }

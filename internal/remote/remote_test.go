@@ -135,7 +135,7 @@ func collect(eng *shard.Engine, query []byte, opts core.Options) ([]core.Hit, co
 }
 
 // TestCoordinatorEquivalence is the tentpole property: across random
-// corpora, slice layouts, replica-internal partition modes and query knobs,
+// corpora, slice layouts, replica-internal shard counts and query knobs,
 // the coordinator's merged stream equals the single-process engine's stream
 // hit for hit — indexes, ids, scores, ranks and E-values — and the
 // distributed path itself is deterministic: a repeated query reproduces the
@@ -148,7 +148,6 @@ func TestCoordinatorEquivalence(t *testing.T) {
 		"dna":     {seq.DNA, score.MustScheme(score.UnitDNA(), -1)},
 		"protein": {seq.Protein, score.MustScheme(score.ByName("PAM30"), -10)},
 	}
-	modes := []shard.PartitionMode{shard.PartitionBySequence, shard.PartitionByPrefix}
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(4211))
@@ -162,16 +161,13 @@ func TestCoordinatorEquivalence(t *testing.T) {
 				}
 
 				// Random contiguous split into 2-3 slices, each replica
-				// engine internally sharded in a random partition mode.
+				// engine internally sharded 1-3 ways.
 				nSlices := 2 + rng.Intn(2)
 				cuts := splitPoints(rng, len(seqs), nSlices)
 				var slices [][]string
 				for s := 0; s < nSlices; s++ {
 					sliceDB := dbOf(t, cfg.a, seqs[cuts[s]:cuts[s+1]])
-					fx := newSliceFixture(t, sliceDB, shard.Options{
-						Shards:    1 + rng.Intn(3),
-						Partition: modes[rng.Intn(2)],
-					}, 1)
+					fx := newSliceFixture(t, sliceDB, shard.Options{Shards: 1 + rng.Intn(3)}, 1)
 					slices = append(slices, fx.urls)
 				}
 				co := openCoordinator(t, slices, fastPacing)
@@ -654,6 +650,36 @@ func TestCancellationPropagates(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("replica streams still active after cancellation")
+}
+
+// TestCoordinatorCountsDeliveredHits: a top-3 reply over two slices reports
+// SequencesReported 3 on every run, however many hits the slices streamed
+// before the merger cut them off.
+func TestCoordinatorCountsDeliveredHits(t *testing.T) {
+	motif := "DKDGDGCITTKELGTV"
+	var urls [][]string
+	for s := 0; s < 2; s++ {
+		seqs := make([]seq.Sequence, 6)
+		for i := range seqs {
+			sq, err := seq.NewSequence(seq.Protein, "s"+itoa(s)+"-"+itoa(i), "", "AAAA"+motif+"GGGG")
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs[i] = sq
+		}
+		urls = append(urls, newSliceFixture(t, dbOf(t, seq.Protein, seqs), shard.Options{Shards: 1}, 1).urls)
+	}
+	co := openCoordinator(t, urls, fastPacing)
+	opts := core.Options{Scheme: score.MustScheme(score.ByName("PAM30"), -10), MinScore: 20, MaxResults: 3}
+	for run := 0; run < 10; run++ {
+		hits, st, err := collect(co.Engine(), seq.Protein.MustEncode(motif), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hits) != 3 || st.SequencesReported != 3 {
+			t.Fatalf("run %d: %d hits, SequencesReported %d; want 3 and 3", run, len(hits), st.SequencesReported)
+		}
+	}
 }
 
 // TestStreamBadRequestIsPermanent verifies a replica-rejected request fails

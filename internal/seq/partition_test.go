@@ -156,174 +156,6 @@ func TestPartitionIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestPrefixPartitionCoversSuffixesDisjointly is the prefix partitioner's
-// core property: every residue-starting suffix of the database maps to
-// exactly one shard through Owner (coverage and disjointness both follow
-// from Owner being a total function over the suffixes), and the per-shard
-// loads account for every suffix exactly once.
-func TestPrefixPartitionCoversSuffixesDisjointly(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	alphabets := []*Alphabet{DNA, Protein}
-	for trial := 0; trial < 30; trial++ {
-		a := alphabets[trial%len(alphabets)]
-		letters := a.Letters()
-		strs := make([]string, 1+rng.Intn(30))
-		for i := range strs {
-			var b strings.Builder
-			l := 1 + rng.Intn(100)
-			for j := 0; j < l; j++ {
-				b.WriteByte(letters[rng.Intn(len(letters))])
-			}
-			strs[i] = b.String()
-		}
-		db, err := DatabaseFromStrings(a, strs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nShards := 1 + rng.Intn(8)
-		p, err := PartitionByPrefix(db, nShards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.NumShards() != nShards {
-			t.Fatalf("trial %d: %d shards, want %d", trial, p.NumShards(), nShards)
-		}
-		tally := make([]int64, nShards)
-		concat := db.Concat()
-		var covered int64
-		for pos := 0; pos < len(concat); pos++ {
-			if concat[pos] == Terminator {
-				continue
-			}
-			s := p.Owner(concat[pos], concat[pos+1])
-			if s < 0 || s >= nShards {
-				t.Fatalf("trial %d: suffix at %d assigned to invalid shard %d", trial, pos, s)
-			}
-			tally[s]++
-			covered++
-		}
-		if covered != db.TotalResidues() {
-			t.Fatalf("trial %d: covered %d suffixes, database has %d", trial, covered, db.TotalResidues())
-		}
-		var loadSum int64
-		for s := range tally {
-			if tally[s] != p.Load[s] {
-				t.Fatalf("trial %d shard %d: Owner routes %d suffixes, Load records %d",
-					trial, s, tally[s], p.Load[s])
-			}
-			loadSum += p.Load[s]
-		}
-		if loadSum != db.TotalResidues() {
-			t.Fatalf("trial %d: loads sum to %d, want %d", trial, loadSum, db.TotalResidues())
-		}
-		// Split groups must route consistently: Split(first) implies every
-		// second symbol (including the terminator) has a valid owner.
-		for _, f := range letters {
-			code, _ := a.Code(f)
-			if !p.Split(code) {
-				continue
-			}
-			for _, g := range append(letters, Terminator) {
-				second := g
-				if g != Terminator {
-					second, _ = a.Code(g)
-				}
-				if s := p.Owner(code, second); s < 0 || s >= nShards {
-					t.Fatalf("trial %d: split prefix (%c,%v) has invalid owner %d", trial, f, g, s)
-				}
-			}
-		}
-	}
-}
-
-// TestPrefixPartitionBalance checks the LPT assignment spreads a large DNA
-// database evenly: with only a handful of first symbols the heavy groups
-// must be split for 8 shards to get comparable loads.
-func TestPrefixPartitionBalance(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	db := randomPartitionDB(t, rng, 150, 400)
-	p, err := PartitionByPrefix(db, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumGroups <= 8 {
-		t.Fatalf("expected heavy DNA first-symbol groups to split, got %d groups", p.NumGroups)
-	}
-	var min, max int64
-	for s, l := range p.Load {
-		if s == 0 || l < min {
-			min = l
-		}
-		if l > max {
-			max = l
-		}
-	}
-	if min == 0 || float64(max)/float64(min) > 2.0 {
-		t.Fatalf("unbalanced prefix shards: min=%d max=%d", min, max)
-	}
-}
-
-// TestPrefixPartitionDeterministicAndDegenerate pins determinism and the
-// error cases.
-func TestPrefixPartitionDeterministicAndDegenerate(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	db := randomPartitionDB(t, rng, 40, 80)
-	a, err := PartitionByPrefix(db, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := PartitionByPrefix(db, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	concat := db.Concat()
-	for pos := 0; pos < len(concat); pos++ {
-		if concat[pos] == Terminator {
-			continue
-		}
-		if a.Owner(concat[pos], concat[pos+1]) != b.Owner(concat[pos], concat[pos+1]) {
-			t.Fatalf("assignment differs between identical runs at position %d", pos)
-		}
-	}
-	if _, err := PartitionByPrefix(db, 0); err == nil {
-		t.Fatal("expected an error for shard count 0")
-	}
-	if _, err := PartitionByPrefix(nil, 2); err == nil {
-		t.Fatal("expected an error for a nil database")
-	}
-	empty := &Database{alphabet: DNA}
-	if _, err := PartitionByPrefix(empty, 2); err == nil {
-		t.Fatal("expected an error for an empty database")
-	}
-	// Terminator-first prefixes route to shard 0 (they can never start an
-	// alignment, so the owner is arbitrary but must be valid).
-	if s := a.Owner(Terminator, 0); s != 0 {
-		t.Fatalf("terminator prefix routed to shard %d, want 0", s)
-	}
-}
-
-// TestPrefixOwnersDeterministic pins that owners are identical across runs.
-func TestPrefixOwnersDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	db := randomPartitionDB(t, rng, 50, 120)
-	a, err := PartitionByPrefix(db, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := PartitionByPrefix(db, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	width := db.Alphabet().Size()
-	for f := 0; f < width; f++ {
-		for s := 0; s <= width; s++ {
-			if a.Owner(byte(f), byte(s)) != b.Owner(byte(f), byte(s)) {
-				t.Fatalf("Owner(%d,%d) differs between identical runs", f, s)
-			}
-		}
-	}
-}
-
 func mustSeq(t *testing.T, id, residues string) Sequence {
 	t.Helper()
 	s, err := NewSequence(DNA, id, "", residues)

@@ -22,13 +22,13 @@ type extraCase struct {
 	numDelta int
 }
 
-func buildExtraCase(t *testing.T, rng *rand.Rand, mode PartitionMode, shards int) *extraCase {
+func buildExtraCase(t *testing.T, rng *rand.Rand, shards int) *extraCase {
 	t.Helper()
 	full := randomShardDB(t, rng, seq.Protein, 8+rng.Intn(10), 60)
 	all := full.Sequences()
 	nBase := 1 + rng.Intn(len(all)-1)
 	baseDB := seq.MustDatabase(seq.Protein, all[:nBase])
-	base, err := NewEngine(baseDB, Options{Shards: shards, Partition: mode})
+	base, err := NewEngine(baseDB, Options{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func buildExtraCase(t *testing.T, rng *rand.Rand, mode PartitionMode, shards int
 	}
 }
 
-// TestViewEquivalence: across random corpora, partition modes, shard counts
+// TestViewEquivalence: across random corpora, shard counts
 // and tombstone subsets, a (base + delta + tombstones) view must produce the
 // same (sequence, score, E-value) multiset in non-increasing score order as a
 // plain engine rebuilt over the live corpus.
@@ -83,13 +83,9 @@ func TestViewEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(733))
 	scheme := score.MustScheme(score.ByName("PAM30"), -10)
 	for trial := 0; trial < 30; trial++ {
-		mode := PartitionBySequence
-		if trial%2 == 1 {
-			mode = PartitionByPrefix
-		}
 		shards := 1 + rng.Intn(4)
-		c := buildExtraCase(t, rng, mode, shards)
-		rebuilt, err := NewEngine(c.liveDB, Options{Shards: shards, Partition: mode})
+		c := buildExtraCase(t, rng, shards)
+		rebuilt, err := NewEngine(c.liveDB, Options{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +135,7 @@ func TestViewEquivalence(t *testing.T) {
 			wm[k{h.SeqID, h.Score}]++
 		}
 		if len(gm) != len(wm) {
-			t.Fatalf("trial %d (mode=%v shards=%d): %d distinct hits vs rebuilt %d", trial, mode, shards, len(gm), len(wm))
+			t.Fatalf("trial %d (shards=%d): %d distinct hits vs rebuilt %d", trial, shards, len(gm), len(wm))
 		}
 		for kk, n := range wm {
 			if gm[kk] != n {
@@ -198,10 +194,8 @@ func TestEmptyViewIsPlainSearch(t *testing.T) {
 // run to completion.
 func TestMergerLiveSequenceEarlyStop(t *testing.T) {
 	bounds := []int{100, 100}
-	dedup := &dedupSet{}
-	dedup.acquire(3)
 	var emitted []core.Hit
-	m := newMerger(bounds, core.Options{}, 1000, 10, dedup, func(h core.Hit) bool {
+	m := newMerger(bounds, core.Options{}, 1000, 10, func(h core.Hit) bool {
 		emitted = append(emitted, h)
 		return true
 	})
@@ -227,7 +221,7 @@ func TestMergerLiveSequenceEarlyStop(t *testing.T) {
 }
 
 // TestViewDeleteTerminates: engine-level version of the regression —
-// delete one sequence from a prefix-sharded corpus where every sequence
+// delete one sequence from a 3-shard corpus where every sequence
 // matches, and assert the merged stream still terminates with exactly the
 // live sequences.
 func TestViewDeleteTerminates(t *testing.T) {
@@ -240,7 +234,7 @@ func TestViewDeleteTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(db, Options{Shards: 3, Partition: PartitionByPrefix})
+	eng, err := NewEngine(db, Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +253,46 @@ func TestViewDeleteTerminates(t *testing.T) {
 	for _, h := range got {
 		if h.SeqIndex == 2 {
 			t.Fatal("deleted sequence leaked into the stream")
+		}
+	}
+}
+
+// TestSequencesReportedCountsDeliveredHits: on a truncated multi-stream query
+// the streams together report more hits than the merger releases (each runs
+// until cancelled), so the merged Stats must count the hits the caller got.
+// Both views run on a 2-shard engine where every sequence hits at one score:
+// the pristine one gives each stream a budget of MaxResults hits, the
+// tombstoned one gives it none.
+func TestSequencesReportedCountsDeliveredHits(t *testing.T) {
+	motif := "DKDGDGCITTKELGTV"
+	strs := make([]string, 12)
+	for i := range strs {
+		strs[i] = "AAAA" + motif + "GGGG"
+	}
+	db, err := seq.DatabaseFromStrings(seq.Protein, strs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(db, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tombed, err := eng.WithLayers(nil, map[int]bool{1: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := seq.Protein.MustEncode(motif)
+	scheme := score.MustScheme(score.ByName("PAM30"), -10)
+	for name, view := range map[string]*Engine{"pristine": eng, "tombstone": tombed} {
+		for rep := 0; rep < 20; rep++ {
+			var st core.Stats
+			hits, err := view.SearchAll(query, core.Options{Scheme: scheme, MinScore: 20, MaxResults: 3, Stats: &st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hits) != 3 || st.SequencesReported != int64(len(hits)) {
+				t.Fatalf("%s rep %d: %d hits delivered, SequencesReported %d", name, rep, len(hits), st.SequencesReported)
+			}
 		}
 	}
 }

@@ -10,11 +10,9 @@ import (
 )
 
 // FuzzShardMergeOrder asserts the sharded engine's merge contract on
-// arbitrary databases, queries and shard counts, in BOTH
-// partition modes (sequence-partitioned indexes and prefix-partitioned
-// subtrees over a shared index): the merged stream must be non-increasing in
-// score with consecutive ranks, and must contain exactly the hits the
-// single-index search reports (equal-score hits may interleave differently,
+// arbitrary databases, queries and shard counts: the merged stream must be
+// non-increasing in score with consecutive ranks, and must contain exactly
+// the hits the single-index search reports (equal-score hits may interleave differently,
 // nothing may appear, vanish or change score).
 func FuzzShardMergeOrder(f *testing.F) {
 	f.Add([]byte("ACGTACGTTTACGGACGT\x00GGGTTTACGT\x00ACACACAC\x00TTGGAACC"), []byte("ACGTAC"), uint8(3), uint8(0))
@@ -40,51 +38,49 @@ func FuzzShardMergeOrder(f *testing.F) {
 			t.Fatalf("single-index search: %v", err)
 		}
 
-		for _, mode := range []PartitionMode{PartitionBySequence, PartitionByPrefix} {
-			engine, err := NewEngine(db, Options{Shards: 1 + int(shardByte%8), Partition: mode})
-			if err != nil {
-				t.Fatalf("engine build (mode %d): %v", mode, err)
-			}
-			merged, err := engine.SearchAll(query, opts)
-			if err != nil {
-				t.Fatalf("sharded search (mode %d): %v", mode, err)
-			}
+		engine, err := NewEngine(db, Options{Shards: 1 + int(shardByte%8)})
+		if err != nil {
+			t.Fatalf("engine build: %v", err)
+		}
+		merged, err := engine.SearchAll(query, opts)
+		if err != nil {
+			t.Fatalf("sharded search: %v", err)
+		}
 
-			// Strict merge-order contract: non-increasing scores, ranks 1..n.
-			for i, h := range merged {
-				if h.Rank != i+1 {
-					t.Fatalf("mode %d: hit %d has rank %d, want %d", mode, i, h.Rank, i+1)
-				}
-				if i > 0 && h.Score > merged[i-1].Score {
-					t.Fatalf("mode %d: score order violated at %d: %d after %d (shards=%d)",
-						mode, i, h.Score, merged[i-1].Score, engine.NumShards())
-				}
+		// Strict merge-order contract: non-increasing scores, ranks 1..n.
+		for i, h := range merged {
+			if h.Rank != i+1 {
+				t.Fatalf("hit %d has rank %d, want %d", i, h.Rank, i+1)
 			}
+			if i > 0 && h.Score > merged[i-1].Score {
+				t.Fatalf("score order violated at %d: %d after %d (shards=%d)",
+					i, h.Score, merged[i-1].Score, engine.NumShards())
+			}
+		}
 
-			// Hit-identity contract against the single-index baseline.
-			want := len(baseline)
-			if opts.MaxResults > 0 && opts.MaxResults < want {
-				want = opts.MaxResults
+		// Hit-identity contract against the single-index baseline.
+		want := len(baseline)
+		if opts.MaxResults > 0 && opts.MaxResults < want {
+			want = opts.MaxResults
+		}
+		if len(merged) != want {
+			t.Fatalf("merged %d hits, want %d (MaxResults=%d, baseline=%d, shards=%d)",
+				len(merged), want, opts.MaxResults, len(baseline), engine.NumShards())
+		}
+		valid := map[[2]int]int{} // (seqIndex, score) -> multiplicity
+		for _, h := range baseline {
+			valid[[2]int{h.SeqIndex, h.Score}]++
+		}
+		for i, h := range merged {
+			if h.Score != baseline[i].Score {
+				t.Fatalf("score %d at position %d, baseline has %d",
+					h.Score, i, baseline[i].Score)
 			}
-			if len(merged) != want {
-				t.Fatalf("mode %d: merged %d hits, want %d (MaxResults=%d, baseline=%d, shards=%d)",
-					mode, len(merged), want, opts.MaxResults, len(baseline), engine.NumShards())
+			k := [2]int{h.SeqIndex, h.Score}
+			if valid[k] == 0 {
+				t.Fatalf("hit %+v not in the single-index result set", h)
 			}
-			valid := map[[2]int]int{} // (seqIndex, score) -> multiplicity
-			for _, h := range baseline {
-				valid[[2]int{h.SeqIndex, h.Score}]++
-			}
-			for i, h := range merged {
-				if h.Score != baseline[i].Score {
-					t.Fatalf("mode %d: score %d at position %d, baseline has %d",
-						mode, h.Score, i, baseline[i].Score)
-				}
-				k := [2]int{h.SeqIndex, h.Score}
-				if valid[k] == 0 {
-					t.Fatalf("mode %d: hit %+v not in the single-index result set", mode, h)
-				}
-				valid[k]--
-			}
+			valid[k]--
 		}
 	})
 }

@@ -22,18 +22,10 @@ import (
 // unfinished shard's bound is below the score gathers the complete tie set
 // in the pending heap first, and the heap then releases ties by global
 // sequence index, making the emitted (sequence, score) stream reproducible
-// run to run.
-//
-// With deduplication enabled (prefix-partitioned subtree sharding, where a
-// sequence's suffixes spread across shards), a released hit whose sequence
-// was already emitted is dropped.  The release rule makes the drop safe: a
-// duplicate's better copy either was emitted earlier (released streams are
-// non-increasing) or is still capped by its shard's bound, which would have
-// blocked the duplicate's release.
+// run to run.  Streams cover disjoint sequences, so no sequence arrives twice.
 type merger struct {
-	bounds     []int     // latest frontier bound per shard
-	done       []bool    // shard finished (bound is effectively -inf)
-	dedup      *dedupSet // emitted sequences (nil when streams cannot overlap)
+	bounds     []int  // latest frontier bound per shard
+	done       []bool // shard finished (bound is effectively -inf)
 	pending    hitQueue
 	shardStats []core.Stats
 	opts       core.Options
@@ -72,13 +64,11 @@ type merger struct {
 }
 
 // newMerger builds a merger over len(bounds) shards, each starting at its
-// given initial frontier bound.  A non-nil dedup (acquired for the global
-// sequence count) enables sequence-level deduplication.
-func newMerger(bounds []int, opts core.Options, totalRes int64, queryLen int, dedup *dedupSet, report func(core.Hit) bool) *merger {
-	m := &merger{
+// given initial frontier bound.
+func newMerger(bounds []int, opts core.Options, totalRes int64, queryLen int, report func(core.Hit) bool) *merger {
+	return &merger{
 		bounds:     bounds,
 		done:       make([]bool, len(bounds)),
-		dedup:      dedup,
 		shardStats: make([]core.Stats, 0, len(bounds)),
 		opts:       opts,
 		report:     report,
@@ -86,49 +76,6 @@ func newMerger(bounds []int, opts core.Options, totalRes int64, queryLen int, de
 		queryLen:   queryLen,
 		lastBound:  int(^uint(0) >> 1), // MaxInt
 	}
-	if dedup != nil {
-		m.stopAt = dedup.n
-	}
-	return m
-}
-
-// dedupSet tracks emitted sequences across one merged query.  Like
-// core.Scratch's reported flags, it is pooled by the engine and reset in
-// O(emitted hits) via the touched list, so a warm prefix-mode engine does
-// not pay an O(sequences) allocation per query.
-type dedupSet struct {
-	seen    []bool
-	touched []int
-	n       int // sequences covered by the current query
-}
-
-// acquire prepares the set for a query over n global sequences: flags left
-// by the previous query are cleared and the flag array grown as needed.
-func (d *dedupSet) acquire(n int) {
-	for _, i := range d.touched {
-		if i < len(d.seen) {
-			d.seen[i] = false
-		}
-	}
-	d.touched = d.touched[:0]
-	d.n = n
-	if len(d.seen) < n {
-		d.seen = make([]bool, n)
-	}
-}
-
-// markNew records a sequence's first emission, reporting false when the
-// sequence was already emitted.  The touched list grows amortized; reset
-// reuses its capacity.
-//
-//oasis:hotpath
-func (d *dedupSet) markNew(seqIndex int) bool {
-	if d.seen[seqIndex] {
-		return false
-	}
-	d.seen[seqIndex] = true
-	d.touched = append(d.touched, seqIndex)
-	return true
 }
 
 // run consumes shard events until every shard has completed, emitting hits
@@ -257,9 +204,6 @@ func (m *merger) emitReady() bool {
 		if m.drop[h.SeqIndex] {
 			continue // tombstoned: the sequence was deleted
 		}
-		if m.dedup != nil && !m.dedup.markNew(h.SeqIndex) {
-			continue // a better copy of this sequence was already emitted
-		}
 		m.nEmitted++
 		h.Rank = m.nEmitted
 		if m.opts.KA != nil {
@@ -273,8 +217,7 @@ func (m *merger) emitReady() bool {
 		}
 		if m.stopAt > 0 && m.nEmitted >= m.stopAt {
 			// Every live database sequence has been emitted; nothing the
-			// shards still hold can survive deduplication or the tombstone
-			// filter (mirrors the single searcher's all-sequences-reported
+			// shards still hold can survive the tombstone filter (mirrors the single searcher's all-sequences-reported
 			// early stop).
 			return false
 		}
@@ -315,10 +258,7 @@ type shardHit struct {
 
 // hitQueue is a max-heap of hits ordered by score (ties: lower global
 // sequence index first, so simultaneous buffered ties release
-// deterministically; equal sequence — duplicate copies from prefix-mode
-// shards, equal but for the shard — by producing shard).  Strict release
-// buffers every equal-score copy of a sequence before the first is released,
-// so the surviving copy does not depend on the order the copies arrived in.
+// deterministically).
 //
 // It is a hand-rolled binary heap rather than container/heap because the
 // standard interface moves every element through `any`, boxing one shardHit
@@ -332,10 +272,7 @@ func (q *hitQueue) less(i, j int) bool {
 	if q.hits[i].Score != q.hits[j].Score {
 		return q.hits[i].Score > q.hits[j].Score
 	}
-	if q.hits[i].SeqIndex != q.hits[j].SeqIndex {
-		return q.hits[i].SeqIndex < q.hits[j].SeqIndex
-	}
-	return q.hits[i].shard < q.hits[j].shard
+	return q.hits[i].SeqIndex < q.hits[j].SeqIndex
 }
 
 // push adds a pending hit; the heap's buffer grows amortized.

@@ -15,20 +15,10 @@
 // adding its part's first global index.  The stream kinds are:
 //
 //   - a local index (core.SearchStream).  This serves the base shards of a
-//     PartitionBySequence engine — the database cut into contiguous runs of
-//     sequences balanced by residue count, each indexed on its own — and
-//     equally a view's layers (compacted delta indexes and the memtable
-//     snapshot; see WithLayers);
-//   - a prefix shard of a PartitionByPrefix engine: ONE shared suffix tree
-//     whose disjoint top-level subtrees are assigned to shards by suffix
-//     prefix (seq.PartitionByPrefix).  The near-root columns are expanded
-//     exactly once per query (core.ExpandFrontier), so total ColumnsExpanded
-//     stays flat as the shard count grows, and each shard then searches the
-//     seeds it owns (core.SearchSeedsStream).  A sequence's suffixes spread
-//     across subtrees, so prefix streams may each report the same sequence
-//     (once per stream, at that stream's best score): the merger
-//     deduplicates, and the strict release rule guarantees the first released
-//     hit for a sequence carries its global best score;
+//     NewEngine engine — the database cut into contiguous runs of sequences
+//     balanced by residue count (seq.PartitionDatabase), each indexed on its
+//     own — and equally a view's layers (compacted delta indexes and the
+//     memtable snapshot; see WithLayers);
 //   - a Provider (provider.go), an opaque stream — in particular a remote
 //     shard server's (internal/remote) — of one slice of the corpus.
 //
@@ -55,33 +45,27 @@ import (
 	"repro/internal/seq"
 )
 
-// PartitionMode selects how a sharded engine divides work among shards.
+// PartitionMode names a way to divide a database among shards.
+//
+// Deprecated: every engine divides its database by sequence, and NewEngine
+// ignores Options.Partition.
 type PartitionMode int
 
-const (
-	// PartitionBySequence splits the database into independently indexed
-	// shards balanced by residue count (one suffix tree per shard).
-	PartitionBySequence PartitionMode = iota
-	// PartitionByPrefix builds one shared suffix tree and assigns disjoint
-	// top-level subtrees to shards by suffix prefix, eliminating duplicated
-	// near-root column work.
-	PartitionByPrefix
-)
+// PartitionByPrefix once shared one suffix tree among shards by suffix prefix.
+//
+// Deprecated: a PartitionByPrefix engine is a sequence-partitioned engine.
+const PartitionByPrefix PartitionMode = 1
 
 // Options says how NewEngine divides a database; a directory or a provider
 // set arrives divided, and OpenDiskEngine and NewEngineFromProviders take
 // none.  Every stream of a query — every shard and every layer — runs at once.
 type Options struct {
 	// Shards is the number of work partitions (default 1; capped at the
-	// number of sequences in PartitionBySequence mode).
+	// number of sequences).
 	Shards int
-	// Partition selects the work-partitioning strategy (default
-	// PartitionBySequence).
+	// Deprecated: ignored; every engine partitions by sequence.
 	Partition PartitionMode
 }
-
-// The prefix partitioner must satisfy the core assigner contract.
-var _ core.SubtreeAssigner = (*seq.PrefixPartition)(nil)
 
 // Engine is a sharded OASIS search engine over one logical database.  It is
 // safe for concurrent use: the indexes are immutable after construction and
@@ -129,24 +113,19 @@ type root struct {
 	baseCat core.Catalog
 	// base is the engine's own shards, one per work partition.
 	base []baseShard
-	// frontier and prefixes drive the shared near-root expansion of a prefix
-	// engine with more than one shard: the index handle the expansion reads
-	// through and the suffix-prefix assignment of subtrees to shards.  A
-	// one-shard prefix engine never expands a frontier: its single view is
-	// searched like any other local index.
-	frontier core.Index
-	prefixes *seq.PrefixPartition
 	// closers are resources the engine owns (an index directory, provider
 	// connections); see Close.
 	closers []io.Closer
-	// scratch recycles per-stream searcher state across queries; dedups
-	// recycles the merger's emitted-sequence sets (prefix mode only).
+	// scratch recycles per-stream searcher state across queries.
 	scratch *bufferpool.FreeList[*core.Scratch]
-	dedups  *bufferpool.FreeList[*dedupSet]
-	// affine[s] parks the scratch shard s's worker used last, so a warm
+	// affine[s] parks the scratch base shard s's stream used last, so a warm
 	// engine re-serves a shard with buffers already sized to its workload
-	// (band free lists, node stores) before falling back to the shared pool.
+	// (band free lists, node stores).  Without it every pooled scratch grows
+	// to a base shard's size: the benchmark's ingest-mixed (one base shard,
+	// ~30 layers) peaked 10% higher in RSS on 2 vCPUs.
 	affine []atomic.Pointer[core.Scratch]
+	// affineReuses counts the streams an affine slot served (ScratchStats).
+	affineReuses atomic.Int64
 	// active counts, per shard, the searches running (see QueueDepths).
 	active []atomic.Int64
 	// standing lists shards that were quarantined at open time (e.g. an
@@ -160,60 +139,40 @@ type root struct {
 // baseShard is one of the engine's own work partitions: a local index, or an
 // opaque provider stream standing in for one.
 type baseShard struct {
-	// Sequence mode: index is the shard's own suffix tree over a run of
-	// sequences whose first has global index first.  Prefix mode: index is
-	// the one shared tree and first is 0.
+	// index is the shard's own suffix tree over a run of sequences whose
+	// first has global index first.
 	index core.Index
 	first int
 	// provider, when set, replaces the local index (NewEngineFromProviders).
 	provider Provider
 }
 
-// NewEngine partitions the work for db into opts.Shards shards and builds
-// the in-memory index(es): one per shard in PartitionBySequence mode, a
-// single shared index in PartitionByPrefix mode.
+// NewEngine cuts db into opts.Shards contiguous runs of sequences
+// (seq.PartitionDatabase) and builds one in-memory index per run.
 func NewEngine(db *seq.Database, opts Options) (*Engine, error) {
 	if opts.Shards < 1 {
 		opts.Shards = 1
 	}
+	runs, err := seq.PartitionDatabase(db, opts.Shards)
+	if err != nil {
+		return nil, err
+	}
 	r := &root{parts: []Part{partOf(core.NewDatabaseCatalog(db))}}
-	switch opts.Partition {
-	case PartitionBySequence:
-		runs, err := seq.PartitionDatabase(db, opts.Shards)
+	first := 0
+	for s, run := range runs {
+		idx, err := core.BuildMemoryIndex(run)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		first := 0
-		for s, run := range runs {
-			idx, err := core.BuildMemoryIndex(run)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", s, err)
-			}
-			r.base = append(r.base, baseShard{index: idx, first: first})
-			first += run.NumSequences()
-		}
-	case PartitionByPrefix:
-		idx, err := core.BuildMemoryIndex(db)
-		if err != nil {
-			return nil, err
-		}
-		r.prefixes, err = seq.PartitionByPrefix(db, opts.Shards)
-		if err != nil {
-			return nil, err
-		}
-		r.frontier = idx
-		for s := 0; s < r.prefixes.NumShards(); s++ {
-			r.base = append(r.base, baseShard{index: idx})
-		}
-	default:
-		return nil, fmt.Errorf("shard: unknown partition mode %d", opts.Partition)
+		r.base = append(r.base, baseShard{index: idx, first: first})
+		first += run.NumSequences()
 	}
 	return r.finish(db.Alphabet())
 }
 
 // finish is the constructor tail every engine shape shares, run once the base
 // parts and base shards are set: it builds the base catalog over alphabet,
-// sizes the pooled scratch, dedup sets and per-shard accounting, and returns
+// sizes the pooled scratch and per-shard accounting, and returns
 // the pristine view (no layers, no tombstones).
 func (r *root) finish(alphabet *seq.Alphabet) (*Engine, error) {
 	n := len(r.base)
@@ -223,9 +182,8 @@ func (r *root) finish(alphabet *seq.Alphabet) (*Engine, error) {
 	r.queryAl = alphabet
 	r.baseCat = newCatalog(alphabet, r.parts)
 	// Hold enough idle scratches for a few concurrent queries, each using
-	// one scratch per stream (plus the frontier expansion in prefix mode).
+	// one scratch per stream.
 	r.scratch = bufferpool.NewFreeList(4*(n+1), core.NewScratch)
-	r.dedups = bufferpool.NewFreeList(8, func() *dedupSet { return &dedupSet{} })
 	r.affine = make([]atomic.Pointer[core.Scratch], n)
 	r.active = make([]atomic.Int64, n)
 	return (&Engine{root: r}).WithLayers(nil, nil)
@@ -243,7 +201,7 @@ func (r *root) finish(alphabet *seq.Alphabet) (*Engine, error) {
 // the index-space size and the live totals that drive E-values and the
 // all-sequences early stop are derived here, from the layers' catalogs and
 // the tombstone set, and nowhere else.  e's own layers and tombstones are replaced, not extended.  The view
-// shares everything else with e — base shards, scratch and dedup pools, affine
+// shares everything else with e — base shards, scratch pool and affine
 // slots, lifetime counters, Close — so it costs O(parts + tombstones).
 // Neither argument may be modified afterwards.  With neither it is the
 // pristine engine.
@@ -300,9 +258,15 @@ func (e *Engine) Close() error {
 	return first
 }
 
-// ScratchStats reports how often shard searches reused pooled scratch
-// buffers instead of allocating fresh ones.
-func (e *Engine) ScratchStats() bufferpool.FreeListStats { return e.scratch.Stats() }
+// ScratchStats reports how often shard searches reused scratch buffers — a
+// shard's affine slot or the shared pool — instead of allocating fresh ones.
+func (e *Engine) ScratchStats() bufferpool.FreeListStats {
+	st := e.scratch.Stats()
+	n := e.affineReuses.Load()
+	st.Gets += n
+	st.Reuses += n
+	return st
+}
 
 // QueueDepth is one shard's instantaneous load: the searches running on it.
 type QueueDepth struct {
@@ -329,9 +293,9 @@ func (e *Engine) Standing() []core.ShardError { return e.standing }
 // the engine's lifetime (each degraded query counts its failed shards).
 func (e *Engine) Quarantines() int64 { return e.quarantines.Load() }
 
-// Steals returns 0: prefix shards search only the seeds they are assigned, so
-// no shard ever claims another's.  It stays because the benchmark's shard
-// ladder reports it as shard.steals_per_query (benchmark/layers.go:318).
+// Steals returns 0: no stream ever takes another's work.
+//
+// Deprecated: it reads 0 by construction.
 func (e *Engine) Steals() int64 { return 0 }
 
 // NumShards returns the number of work partitions.
@@ -406,9 +370,8 @@ func (e *Engine) SearchBounded(query []byte, opts core.Options, hit func(core.Hi
 // bsink, when non-nil, receives the merged stream's own decreasing bound;
 // slot, when non-nil, is given back while the merge waits on its streams.
 func (e *Engine) search(query []byte, opts core.Options, report func(core.Hit) bool, bsink func(int) bool, slot Slot) error {
-	// A query cancelled before it starts runs nothing: the frontier expansion
-	// and every stream's searcher would each sweep a poll interval of columns
-	// before noticing.
+	// A query cancelled before it starts runs nothing: every stream's
+	// searcher would sweep a poll interval of columns before noticing.
 	if ctx := opts.Context; ctx != nil && ctx.Err() != nil {
 		return ctx.Err()
 	}
@@ -436,11 +399,7 @@ func (e *Engine) search(query []byte, opts core.Options, report func(core.Hit) b
 	if err := opts.Scheme.Validate(); err != nil {
 		return err
 	}
-	p, err := e.plan(query, opts)
-	if err != nil {
-		return err
-	}
-	return e.fanOutMerge(len(query), opts, p, report, bsink, slot)
+	return e.fanOutMerge(query, opts, report, bsink, slot)
 }
 
 // applyStanding folds open-time quarantines into the query: strict mode
@@ -463,12 +422,6 @@ func (e *Engine) applyStanding(opts core.Options) error {
 // stream is the unit the engine fans out and the merger consumes: one
 // decreasing-score hit stream under a decreasing bound.
 type stream struct {
-	// bound caps what the stream may report before it has published a bound
-	// of its own (or even been scheduled): the merger's initial bound for it.
-	bound int
-	// idle marks a stream with no work; it is completed without spending a
-	// goroutine or scratch.
-	idle bool
 	// slot is the base shard whose active counter and affine scratch the
 	// stream uses, or -1 for a layer, which has neither.
 	slot int
@@ -481,102 +434,39 @@ type stream struct {
 
 // localStream adapts a local index to a stream over the part starting at
 // global index first.
-func localStream(idx core.Index, first int, query []byte, bound, slot int) stream {
-	return stream{bound: bound, slot: slot, first: first, run: func(opts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
+func localStream(idx core.Index, first int, query []byte, slot int) stream {
+	return stream{slot: slot, first: first, run: func(opts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
 		return core.SearchStream(idx, query, opts, hit, frontier)
 	}}
 }
 
-// plan is one query's fan-out: the streams to merge and what the merger must
-// know about them.
-type plan struct {
-	streams []stream
-	// dedup is set when streams may report the same sequence (prefix shards);
-	// the merger then keeps each sequence's first — best — copy.
-	dedup bool
-	// budget reports whether each stream may stop after opts.MaxResults hits
-	// of its own: only when the merger discards nothing.  Where it drops
-	// duplicates or tombstones a stream could exhaust its budget on hits that
-	// are then dropped, starving the merged stream of live hits the stream
-	// never got to report.
-	budget bool
-	// frontier is the work of the shared near-root expansion (prefix mode),
-	// merged into the query's stats beside the per-stream counters.
-	frontier core.Stats
-}
-
-// plan builds the query's stream list: the engine's base shards — expanded
-// from one shared frontier in prefix mode — followed by the view's layers.
-func (e *Engine) plan(query []byte, opts core.Options) (*plan, error) {
-	prefix := e.prefixes != nil && len(e.base) > 1
-	p := &plan{dedup: prefix, budget: !prefix && len(e.tombs) == 0}
-	p.streams = make([]stream, 0, len(e.base)+len(e.layers))
-	// Streams that are not seeded from a frontier start at the strongest f
-	// any search over this query can hold.
-	rb := e.rootBound(query, opts)
-	if prefix {
-		if err := e.planPrefix(p, query, opts); err != nil {
-			return nil, err
+// plan lists the query's streams: the engine's base shards followed by the
+// view's layers.
+func (e *Engine) plan(query []byte) []stream {
+	streams := make([]stream, 0, len(e.base)+len(e.layers))
+	for s, b := range e.base {
+		if b.provider == nil {
+			streams = append(streams, localStream(b.index, b.first, query, s))
+			continue
 		}
-	} else {
-		for s, b := range e.base {
-			if b.provider == nil {
-				p.streams = append(p.streams, localStream(b.index, b.first, query, rb, s))
-				continue
-			}
-			p.streams = append(p.streams, stream{bound: rb, slot: s, first: b.first, run: func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
-				return b.provider.Stream(query, opts, hit, bound)
-			}})
-		}
+		streams = append(streams, stream{slot: s, first: b.first, run: func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
+			return b.provider.Stream(query, opts, hit, bound)
+		}})
 	}
 	// Each layer is its own small suffix tree over sequences no other stream
 	// holds, numbered on from the base corpus.
 	first := e.baseCat.NumSequences()
 	for _, l := range e.layers {
-		p.streams = append(p.streams, localStream(l, first, query, rb, -1))
+		streams = append(streams, localStream(l, first, query, -1))
 		first += l.Catalog().NumSequences()
 	}
-	return p, nil
-}
-
-// planPrefix runs the one shared near-root expansion (columns computed once
-// per query) and appends one seeded stream per prefix shard over its disjoint
-// subtrees.
-func (e *Engine) planPrefix(p *plan, query []byte, opts core.Options) error {
-	frOpts := opts
-	frOpts.KA = nil
-	frOpts.Stats = nil
-	// The frontier's seeds are independent copies, so a pooled scratch goes
-	// back as soon as the expansion returns instead of being pinned for the
-	// whole query.
-	var pooled *core.Scratch
-	if frOpts.Scratch == nil {
-		pooled = e.scratch.Get()
-		frOpts.Scratch = pooled
-	}
-	fr, err := core.ExpandFrontier(e.frontier, query, frOpts, e.prefixes)
-	if pooled != nil {
-		e.scratch.Put(pooled)
-	}
-	if err != nil {
-		return err
-	}
-	p.frontier = fr.Stats
-	for s := range e.base {
-		view, seeds := e.base[s].index, fr.Seeds[s]
-		// With more prefix shards than prefix groups, seedless shards would
-		// otherwise queue real work behind no-op searcher setup.
-		p.streams = append(p.streams, stream{bound: fr.Bounds[s], slot: s, idle: len(seeds) == 0,
-			run: func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
-				return core.SearchSeedsStream(view, query, opts, seeds, hit, bound)
-			}})
-	}
-	return nil
+	return streams
 }
 
 // rootBound is the strongest f any search over this query can hold (max
-// heuristic among unpruned query positions): the initial frontier bound for
-// every stream that has not published a bound of its own yet.
+// heuristic among unpruned query positions): the merger's initial bound for
+// every stream that has not published a bound of its own yet (or even been
+// scheduled).
 func (e *Engine) rootBound(query []byte, opts core.Options) int {
 	rootBound := score.NegInf
 	if e.queryAl.ValidCodes(query) && opts.Scheme.Matrix.Alphabet() == e.queryAl {
@@ -589,20 +479,18 @@ func (e *Engine) rootBound(query []byte, opts core.Options) int {
 	return rootBound
 }
 
-// fanOutMerge runs a plan: one goroutine per stream, all at once — a stream
-// that has not started holds the merger at its initial bound, so queueing one
-// would delay every release — each adapted into merger events by runStream, merged by a merger
-// configured with the streams' initial bounds, the (pooled) dedup set and the
-// view's tombstone filter and live totals.  The shared frontier
-// work and the per-stream counters are merged into opts.Stats once every
-// stream has unwound.  bsink, when non-nil, receives the merged stream's own
-// decreasing upper bound (SearchBounded); slot, when non-nil, is given back
-// while the merger waits for an event (SearchYield).
-func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, report func(core.Hit) bool, bsink func(int) bool, slot Slot) error {
-	// The buffer holds at least one event per stream, so the idle-stream
-	// completions below — all sent before any stream starts filling it —
-	// never block ahead of the merger draining.
-	n := len(p.streams)
+// fanOutMerge runs the query's streams (plan): one goroutine per stream, all
+// at once — a stream that has not started holds the merger at its initial
+// bound, so queueing one would delay every release — each adapted into
+// merger events by runStream, merged by a merger configured with the
+// streams' initial bound and the view's tombstone filter and live totals.
+// The per-stream counters are merged into opts.Stats once every stream has
+// unwound.  bsink, when non-nil, receives the merged stream's own decreasing
+// upper bound (SearchBounded); slot, when non-nil, is given back while the
+// merger waits for an event (SearchYield).
+func (e *Engine) fanOutMerge(query []byte, opts core.Options, report func(core.Hit) bool, bsink func(int) bool, slot Slot) error {
+	streams := e.plan(query)
+	n := len(streams)
 	events := make(chan event, 4*n+16)
 	var cancelled atomic.Bool
 	var wg sync.WaitGroup
@@ -610,21 +498,17 @@ func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, report fu
 	// merger, not the stream.
 	streamOpts := opts
 	streamOpts.KA = nil
-	if !p.budget {
+	if len(e.tombs) > 0 {
+		// A stream could spend a budget of MaxResults hits on tombstoned
+		// sequences the merger then drops, starving the merged stream of live
+		// hits the stream never got to report.
 		streamOpts.MaxResults = 0
 	}
+	rb := e.rootBound(query, opts)
 	bounds := make([]int, n)
-	for s, st := range p.streams {
-		bounds[s] = st.bound
-		if st.idle {
-			events <- event{shard: s, kind: evDone}
-		}
-	}
-	for s := range p.streams {
-		st := &p.streams[s]
-		if st.idle {
-			continue
-		}
+	for s := range streams {
+		st := &streams[s]
+		bounds[s] = rb
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -637,16 +521,7 @@ func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, report fu
 			e.runStream(s, st, streamOpts, events, &cancelled)
 		}()
 	}
-	var dedup *dedupSet
-	if p.dedup {
-		// Deduplication covers the full global space: base sequences may
-		// repeat across prefix shards; layer sequences appear in exactly one
-		// stream but flow through the same set harmlessly.
-		dedup = e.dedups.Get()
-		dedup.acquire(e.NumSequences())
-		defer e.dedups.Put(dedup)
-	}
-	m := newMerger(bounds, opts, e.liveRes, queryLen, dedup, report)
+	m := newMerger(bounds, opts, e.liveRes, len(query), report)
 	m.onBound = bsink
 	m.slot = slot
 	if e.layered() {
@@ -657,10 +532,13 @@ func (e *Engine) fanOutMerge(queryLen int, opts core.Options, p *plan, report fu
 	wg.Wait()
 	e.quarantines.Add(int64(len(m.degraded)))
 	if opts.Stats != nil {
-		opts.Stats.Add(p.frontier)
+		// Streams race until cancellation, so together they may report more
+		// hits than the merger released: the reply counts what it delivered.
 		for _, st := range m.shardStats {
+			st.SequencesReported = 0
 			opts.Stats.Add(st)
 		}
+		opts.Stats.SequencesReported += int64(m.nEmitted)
 		if len(m.degraded) > 0 {
 			opts.Stats.Degraded = true
 			opts.Stats.ShardErrors = append(opts.Stats.ShardErrors, m.degraded...)
@@ -684,14 +562,16 @@ func (e *Engine) runStream(s int, st *stream, opts core.Options, events chan<- e
 	opts.Stats = &stats
 	// Each stream gets its own scratch (a Scratch serves one search at a
 	// time); the caller's Scratch cannot be shared by the concurrent stream
-	// goroutines.  The shard-affine slot is tried first — its buffers were
-	// sized by this very shard's last search — then the shared pool.
+	// goroutines.  A base shard's affine slot is tried first, then the
+	// shared pool.
 	var sc *core.Scratch
 	if st.slot >= 0 {
 		sc = e.affine[st.slot].Swap(nil)
 	}
 	if sc == nil {
 		sc = e.scratch.Get()
+	} else {
+		e.affineReuses.Add(1)
 	}
 	opts.Scratch = sc
 	defer func() {

@@ -201,240 +201,6 @@ func checkTruncated(t *testing.T, trial int, label string, got, baseline []core.
 	}
 }
 
-// TestPrefixShardedEquivalenceProperty is the randomized prefix-vs-single
-// equivalence property, mirroring TestShardedEquivalenceProperty: across
-// random databases, queries, shard counts, MinScore thresholds,
-// MaxResults limits and early cancellation, the prefix-partitioned engine
-// must report the same sequences with the same scores in globally
-// non-increasing score order as the single-index search.  Equal-score ties
-// may leave the merge in a different order than the single traversal's, so
-// hits are compared as (sequence, score) pairs.
-func TestPrefixShardedEquivalenceProperty(t *testing.T) {
-	cases := map[string]struct {
-		a      *seq.Alphabet
-		scheme score.Scheme
-	}{
-		"dna":     {seq.DNA, score.MustScheme(score.UnitDNA(), -1)},
-		"protein": {seq.Protein, score.MustScheme(score.ByName("PAM30"), -10)},
-	}
-	for name, cfg := range cases {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(2003))
-			letters := cfg.a.Letters()
-			for trial := 0; trial < 40; trial++ {
-				db := randomShardDB(t, rng, cfg.a, 2+rng.Intn(30), 90)
-				qb := make([]byte, 3+rng.Intn(16))
-				for i := range qb {
-					qb[i] = letters[rng.Intn(len(letters))]
-				}
-				query := cfg.a.MustEncode(string(qb))
-				minScore := 1 + rng.Intn(12)
-				var ka *score.KarlinAltschul
-				if params, err := score.Params(cfg.scheme.Matrix, nil); err == nil && rng.Intn(2) == 0 {
-					ka = &params
-				}
-				opts := core.Options{Scheme: cfg.scheme, MinScore: minScore, KA: ka}
-
-				single, err := core.BuildMemoryIndex(db)
-				if err != nil {
-					t.Fatal(err)
-				}
-				baseline, err := core.SearchAll(single, query, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				engine, err := NewEngine(db, Options{Shards: 1 + rng.Intn(8), Partition: PartitionByPrefix})
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				var st core.Stats
-				fullOpts := opts
-				fullOpts.Stats = &st
-				sharded, err := engine.SearchAll(query, fullOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkOrderAndRanks(t, sharded, "prefix full")
-				if len(sharded) != len(baseline) {
-					t.Fatalf("trial %d (%d shards): prefix-sharded reported %d hits, single %d",
-						trial, engine.NumShards(), len(sharded), len(baseline))
-				}
-				wantPairs := map[[2]int]int{}
-				for _, h := range baseline {
-					wantPairs[[2]int{h.SeqIndex, h.Score}]++
-				}
-				for i, h := range sharded {
-					if h.Score != baseline[i].Score {
-						t.Fatalf("trial %d: score %d at position %d, baseline has %d",
-							trial, h.Score, i, baseline[i].Score)
-					}
-					k := [2]int{h.SeqIndex, h.Score}
-					if wantPairs[k] == 0 {
-						t.Fatalf("trial %d: hit %+v not in the single-index result set", trial, h)
-					}
-					wantPairs[k]--
-					if h.EValue != baseline[i].EValue {
-						t.Fatalf("trial %d: E-value %v at position %d, baseline has %v",
-							trial, h.EValue, i, baseline[i].EValue)
-					}
-				}
-				if st.SequencesReported < int64(len(sharded)) {
-					t.Fatalf("trial %d: merged stats report %d sequences, emitted %d",
-						trial, st.SequencesReported, len(sharded))
-				}
-
-				// Top-k: score sequence equals the baseline's first k scores.
-				if len(baseline) > 1 {
-					k := 1 + rng.Intn(len(baseline))
-					topOpts := opts
-					topOpts.MaxResults = k
-					topK, err := engine.SearchAll(query, topOpts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkTruncatedPairs(t, trial, "prefix top-k", topK, baseline, k)
-				}
-
-				// Early cancel via the report callback.
-				if len(baseline) > 0 {
-					stop := 1 + rng.Intn(len(baseline))
-					var got []core.Hit
-					err := engine.Search(query, opts, func(h core.Hit) bool {
-						got = append(got, h)
-						return len(got) < stop
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkTruncatedPairs(t, trial, "prefix early-cancel", got, baseline, stop)
-				}
-			}
-		})
-	}
-}
-
-// checkTruncatedPairs verifies a truncated prefix-sharded stream against the
-// full single-index baseline: same length, same score sequence, every
-// (sequence, score) pair present in the full result set.
-func checkTruncatedPairs(t *testing.T, trial int, label string, got, baseline []core.Hit, k int) {
-	t.Helper()
-	if k > len(baseline) {
-		k = len(baseline)
-	}
-	if len(got) != k {
-		t.Fatalf("trial %d %s: got %d hits, want %d", trial, label, len(got), k)
-	}
-	checkOrderAndRanks(t, got, label)
-	valid := map[[2]int]int{}
-	for _, h := range baseline {
-		valid[[2]int{h.SeqIndex, h.Score}]++
-	}
-	for i, h := range got {
-		if h.Score != baseline[i].Score {
-			t.Fatalf("trial %d %s: score %d at position %d, baseline has %d",
-				trial, label, h.Score, i, baseline[i].Score)
-		}
-		k := [2]int{h.SeqIndex, h.Score}
-		if valid[k] == 0 {
-			t.Fatalf("trial %d %s: hit %+v not in the full result set", trial, label, h)
-		}
-		valid[k]--
-	}
-}
-
-// TestPrefixShardingEliminatesNearRootDuplication is the tentpole work
-// claim: on a full (uncancelled) workload, the prefix-partitioned engine's
-// total ColumnsExpanded and CellsComputed must equal the single-index
-// search's exactly, at every shard count — the shared frontier computes
-// near-root columns once, and disjoint subtrees never repeat work.  The
-// sequence-partitioned engine, by contrast, must show strictly more columns
-// at 4 shards (that duplication is what prefix partitioning removes).
-func TestPrefixShardingEliminatesNearRootDuplication(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	motif := "DKDGDGCITTKELGTVMRSL"
-	letters := seq.Protein.Letters()
-	strs := make([]string, 60)
-	for i := range strs {
-		b := make([]byte, 40+rng.Intn(110))
-		for j := range b {
-			b[j] = letters[rng.Intn(len(letters))]
-		}
-		s := string(b)
-		if i%3 == 0 { // plant the motif (sometimes truncated) in a third
-			frag := motif[:8+rng.Intn(len(motif)-8)]
-			pos := rng.Intn(len(s))
-			s = s[:pos] + frag + s[pos:]
-		}
-		strs[i] = s
-	}
-	db, err := seq.DatabaseFromStrings(seq.Protein, strs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	query := seq.Protein.MustEncode(motif)
-	scheme := score.MustScheme(score.ByName("PAM30"), -10)
-	opts := core.Options{Scheme: scheme, MinScore: 30}
-
-	single, err := core.BuildMemoryIndex(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base core.Stats
-	baseOpts := opts
-	baseOpts.Stats = &base
-	baseHits, err := core.SearchAll(single, query, baseOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(baseHits) == 0 || len(baseHits) == db.NumSequences() {
-		t.Fatalf("degenerate workload: %d/%d sequences hit", len(baseHits), db.NumSequences())
-	}
-
-	for _, shards := range []int{2, 4, 8} {
-		engine, err := NewEngine(db, Options{Shards: shards, Partition: PartitionByPrefix})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st core.Stats
-		prefOpts := opts
-		prefOpts.Stats = &st
-		hits, err := engine.SearchAll(query, prefOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(hits) != len(baseHits) {
-			t.Fatalf("%d shards: %d hits, single-index %d", shards, len(hits), len(baseHits))
-		}
-		if st.ColumnsExpanded != base.ColumnsExpanded {
-			t.Errorf("%d shards: ColumnsExpanded %d, single-index %d (near-root work duplicated or lost)",
-				shards, st.ColumnsExpanded, base.ColumnsExpanded)
-		}
-		if st.CellsComputed != base.CellsComputed {
-			t.Errorf("%d shards: CellsComputed %d, single-index %d",
-				shards, st.CellsComputed, base.CellsComputed)
-		}
-	}
-
-	seqEngine, err := NewEngine(db, Options{Shards: 4, Partition: PartitionBySequence})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seqStats core.Stats
-	seqOpts := opts
-	seqOpts.Stats = &seqStats
-	if _, err := seqEngine.SearchAll(query, seqOpts); err != nil {
-		t.Fatal(err)
-	}
-	if seqStats.ColumnsExpanded <= base.ColumnsExpanded {
-		t.Fatalf("sequence sharding at 4 shards expanded %d columns, expected more than the single-index %d",
-			seqStats.ColumnsExpanded, base.ColumnsExpanded)
-	}
-	t.Logf("columns: single=%d prefix(2/4/8)=%d sequence(4)=%d",
-		base.ColumnsExpanded, base.ColumnsExpanded, seqStats.ColumnsExpanded)
-}
-
 // TestShardedSingleShardMatchesBaselineExactly pins the 1-shard fast path to
 // the single-index search bit for bit (whole hits, ranks included).
 func TestShardedSingleShardMatchesBaselineExactly(t *testing.T) {
@@ -492,15 +258,14 @@ func TestShardedErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestPrefixEngineConcurrentStress multiplexes concurrent queries over one
-// prefix engine (the shared dedup sets and scratch free lists, the
-// shard-affine scratch slots) and checks every whole stream against a
-// per-query reference; run with -race this is the prefix path's data-race
-// harness.
-func TestPrefixEngineConcurrentStress(t *testing.T) {
+// TestShardEngineConcurrentStress multiplexes concurrent queries over one
+// 6-shard engine (the shared scratch free list, the per-shard active
+// counters) and checks every whole stream against a per-query reference; run
+// with -race this is the fan-out path's data-race harness.
+func TestShardEngineConcurrentStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(7717))
 	db := randomShardDB(t, rng, seq.DNA, 24, 90)
-	eng, err := NewEngine(db, Options{Shards: 6, Partition: PartitionByPrefix})
+	eng, err := NewEngine(db, Options{Shards: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
