@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/diskst"
 	"repro/internal/experiments"
-	"repro/internal/suffixtree"
 	"repro/internal/workload"
 	"repro/oasis"
 )
@@ -309,25 +308,6 @@ func BenchmarkFigure9OnlineAllResults(b *testing.B) {
 }
 
 // --- Ablations ---------------------------------------------------------------
-
-// BenchmarkAblationIndexConstruction compares the two whole-database
-// suffix-tree builders: Ukkonen's online algorithm and the suffix-array
-// construction (SA-IS + LCP) the index builders use.
-func BenchmarkAblationIndexConstruction(b *testing.B) {
-	l, _ := benchLab(b)
-	for name, build := range map[string]func() error{
-		"ukkonen": func() error { _, err := suffixtree.BuildUkkonen(l.DB); return err },
-		"build":   func() error { _, err := suffixtree.Build(l.DB); return err },
-	} {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := build(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAblationBlockSize measures the effect of the index block size on
 // query time (paper Section 3.4 uses 2 KB blocks).

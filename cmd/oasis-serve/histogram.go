@@ -6,8 +6,8 @@ import (
 )
 
 // latencyBounds are the histogram bucket upper bounds in milliseconds
-// (exponential, factor 4), chosen to straddle everything from a cached
-// metadata request to a long batch stream.  The last bucket is unbounded.
+// (exponential, factor 4), chosen to straddle everything from a health
+// check to a long batch stream.  The last bucket is unbounded.
 var latencyBounds = [...]float64{0.25, 1, 4, 16, 64, 256, 1024, 4096}
 
 // latencyHistogram accumulates request latencies for one endpoint.  All

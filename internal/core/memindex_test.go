@@ -56,30 +56,27 @@ func TestMemoryIndexLeafRangesMatchRecursiveDefinition(t *testing.T) {
 			a = seq.Protein
 		}
 		db := randomDB(t, rng, a, 1+rng.Intn(12), 1+rng.Intn(80))
-		tree, err := suffixtree.BuildUkkonen(db)
+		tree, err := suffixtree.Build(db)
 		if err != nil {
 			t.Fatal(err)
 		}
 		check("batch", tree, db)
 
-		// The memtable's trees come from the online builder's snapshots.
+		// The engine's memtable indexes each prefix of its inserts in turn.
 		// An empty one is a childless root.
-		ob, err := suffixtree.NewOnlineBuilder(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; ; i++ {
-			otree, odb, err := ob.Snapshot()
+		for i := 0; i <= db.NumSequences(); i++ {
+			pdb, err := seq.NewDatabase(a, db.Sequences()[:i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("online", otree, odb)
-			if i == db.NumSequences() {
-				break
-			}
-			if err := ob.Append(db.Sequence(i)); err != nil {
+			ptree, err := suffixtree.Build(pdb)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if i == 0 && (ptree.NumNodes() != 1 || ptree.FirstChild(ptree.Root()) != suffixtree.NoNode) {
+				t.Fatalf("empty memtable tree has %d nodes", ptree.NumNodes())
+			}
+			check("prefix", ptree, pdb)
 		}
 	}
 }

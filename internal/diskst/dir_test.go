@@ -14,7 +14,7 @@ import (
 // treeOf is the suffix tree Commit writes for a database of delta sequences.
 func treeOf(t *testing.T, db *seq.Database) *suffixtree.Tree {
 	t.Helper()
-	tree, err := suffixtree.BuildUkkonen(db)
+	tree, err := suffixtree.Build(db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package diskst
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -14,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/score"
 	"repro/internal/seq"
-	"repro/internal/suffixtree"
 	"repro/internal/workload"
 )
 
@@ -435,48 +432,6 @@ func TestVisitChildrenOnLeafIsNoop(t *testing.T) {
 	}
 	if called {
 		t.Fatal("leaf should have no children")
-	}
-}
-
-// Build writes, byte for byte, the file Write writes from BuildUkkonen's
-// tree, at the default block size and at 512: an index the Ukkonen builder
-// wrote is the index Build writes.
-func TestBuildWritesUkkonenBytes(t *testing.T) {
-	protein, _, err := workload.ProteinDatabase(workload.DefaultProteinConfig(20000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dna, err := workload.DNADatabase(workload.DefaultDNAConfig(20000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	for _, db := range []*seq.Database{protein, dna} {
-		tree, err := suffixtree.BuildUkkonen(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, opts := range []BuildOptions{{}, {BlockSize: 512}} {
-			name := fmt.Sprintf("%s block %d", db.Alphabet().Name(), opts.BlockSize)
-			want, got := filepath.Join(dir, "ukkonen"), filepath.Join(dir, "build")
-			if _, err := Write(want, tree, opts); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Build(got, db, opts); err != nil {
-				t.Fatal(err)
-			}
-			wantBytes, err := os.ReadFile(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotBytes, err := os.ReadFile(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotBytes, wantBytes) {
-				t.Fatalf("%s: Build wrote %d bytes that differ from Write's %d", name, len(gotBytes), len(wantBytes))
-			}
-		}
 	}
 }
 

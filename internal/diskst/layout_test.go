@@ -100,7 +100,7 @@ func TestLayoutMatchesTree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tree, err := suffixtree.BuildUkkonen(db)
+			tree, err := suffixtree.Build(db)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -32,7 +32,6 @@ import (
 	"repro/internal/diskst"
 	"repro/internal/seq"
 	"repro/internal/shard"
-	"repro/internal/suffixtree"
 )
 
 // Options configures a warm engine.  It is the one statement of these
@@ -144,8 +143,9 @@ type Engine struct {
 	wmu     sync.Mutex
 	wBase   *shard.Engine
 	wGen    uint64
-	mem     *suffixtree.OnlineBuilder
-	tombs   map[int]bool // immutable once published; copy-on-write
+	mem     []seq.Sequence // the memtable: inserts since the last compaction
+	memRes  int64          // the memtable's residues
+	tombs   map[int]bool   // immutable once published; copy-on-write
 	idIndex map[string]int
 	dir     *diskst.Dir
 

@@ -368,6 +368,107 @@ func TestInsertInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestInsertRefusesCodesOutsideAlphabet: an insert whose residues hold a
+// terminator or a code past the alphabet is refused before it changes any
+// state — taken into the memtable, it would fail every later publish — so
+// the same ID then inserts and searches normally.
+func TestInsertRefusesCodesOutsideAlphabet(t *testing.T) {
+	db, err := seq.DatabaseFromStrings(seq.Protein, "ACDEFGHIKLMNPQRSTVWY", "MKVLITTTAGGGS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Insert("first", seq.Protein.MustEncode("PPPPGGGGSSSS")); err != nil {
+		t.Fatal(err)
+	}
+	gen, mem := eng.Generation(), eng.Mutable().MemtableSequences
+	good := seq.Protein.MustEncode("AAWWWWHHHHWWWWAA")
+	for _, bad := range [][]byte{
+		append(slices.Clone(good[:8]), seq.Terminator),
+		append(slices.Clone(good), byte(seq.Protein.Size())),
+	} {
+		if _, err := eng.Insert("fresh", bad); err == nil {
+			t.Fatalf("insert of codes %v accepted", bad)
+		}
+		if g, m := eng.Generation(), eng.Mutable().MemtableSequences; g != gen || m != mem {
+			t.Fatalf("refused insert moved generation %d -> %d, memtable %d -> %d sequences", gen, g, mem, m)
+		}
+	}
+	if _, err := eng.Insert("fresh", good); err != nil {
+		t.Fatalf("valid insert after refused ones: %v", err)
+	}
+	scheme := score.MustScheme(score.ByName("PAM30"), -10)
+	hits := collectStream(t, eng, Query{Residues: seq.Protein.MustEncode("WWWWHHHHWWWW"), Options: core.Options{Scheme: scheme, MinScore: 40}})
+	if len(hits) == 0 || hits[0].SeqID != "fresh" {
+		t.Fatalf("stream %v does not lead with the valid insert", hits)
+	}
+}
+
+// TestPinnedGenerationIgnoresLaterWrites: a search pins one generation for its
+// whole run, so that generation's catalog and hit stream must not move while
+// inserts (and a compaction, which clears the memtable they append to) go on.
+func TestPinnedGenerationIgnoresLaterWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	eng, err := New(randomEngineDB(t, rng, seq.Protein, 8, 60), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	motif := "WWWWHHHHWWWW"
+	extras := extraSequences(rng, seq.Protein, 9, 40)
+	for i := range extras {
+		extras[i].Residues = append(extras[i].Residues, seq.Protein.MustEncode(motif)...)
+	}
+	insert := func(s seq.Sequence) {
+		t.Helper()
+		if _, err := eng.Insert(s.ID, s.Residues); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := seq.Protein.MustEncode(motif)
+	opts := core.Options{Scheme: score.MustScheme(score.ByName("PAM30"), -10), MinScore: 40}
+	observe := func(st *genState) ([]string, []core.Hit) {
+		t.Helper()
+		cat := st.view.Catalog()
+		ids := make([]string, cat.NumSequences())
+		for g := range ids {
+			ids[g] = cat.SequenceID(g)
+		}
+		hits, err := st.view.SearchAll(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ids, hits
+	}
+
+	for _, s := range extras[:3] {
+		insert(s)
+	}
+	pinned := eng.cur()
+	ids, hits := observe(pinned)
+	if pinned.memSeqs != 3 || len(hits) != 3 {
+		t.Fatalf("pinned generation has %d memtable sequences and %d hits, want 3 and 3", pinned.memSeqs, len(hits))
+	}
+	if _, err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range extras[3:] {
+		insert(s)
+	}
+	if _, now := observe(eng.cur()); len(now) != len(extras) {
+		t.Fatalf("current generation has %d hits, want %d", len(now), len(extras))
+	}
+	gotIDs, gotHits := observe(pinned)
+	if !slices.Equal(gotIDs, ids) {
+		t.Fatalf("pinned catalog changed under later writes:\n got %v\nwant %v", gotIDs, ids)
+	}
+	requireIdenticalStream(t, "pinned generation", gotHits, hits)
+}
+
 // TestCompactionCrashSafety fails a disk compaction after each step of
 // diskst.Dir.Commit in turn — the SiteCompactSwap failpoint, matched on its
 // step tag: the delta built under its temporary name, renamed into place,

@@ -6,7 +6,7 @@
 // (shard.Engine.WithLayers), which derives the global catalog and the live
 // totals itself and is searched like any other shard engine.  This file is the
 // WRITER of generations and nothing else.  Inserts land in an in-memory delta,
-// the memtable (internal/suffixtree.OnlineBuilder), whose index every write
+// the memtable (the inserted sequences, in order), whose index every write
 // rebuilds with suffixtree.Build; deletes add per-sequence tombstones; every
 // write builds the next view and publishes it as an immutable genState that
 // searches pin for their whole run.  Compaction seals the memtable's index,
@@ -54,9 +54,7 @@ type genState struct {
 // Engine.Mutable).
 type MutableStats struct {
 	// Generation is the current index generation; every successful Insert,
-	// Delete and state-changing Compact bumps it, which retargets the result
-	// cache (entries are keyed by generation, so stale streams simply stop
-	// being reachable).
+	// Delete and state-changing Compact bumps it.
 	Generation uint64 `json:"generation"`
 	// Inserts / Deletes / Compactions count successful mutations since the
 	// engine was built.
@@ -81,8 +79,8 @@ type MutableStats struct {
 }
 
 // Mutable snapshots the current generation's incremental-indexing state: the
-// Mutable part of Metrics, without Metrics' scans of every buffer pool and
-// cache stripe, for callers on the write path.
+// Mutable part of Metrics, without Metrics' scan of every buffer pool, for
+// callers on the write path.
 func (e *Engine) Mutable() MutableStats { return e.mutableStats(e.cur()) }
 
 func (e *Engine) mutableStats(st *genState) MutableStats {
@@ -117,16 +115,18 @@ var ErrImmutable = fmt.Errorf("engine: index is immutable here; rebuild the slic
 func (e *Engine) publishLocked() error {
 	st := &genState{gen: e.wGen}
 	layers := e.wBase.Layers()
-	if e.memLen() > 0 {
-		tree, mdb, err := e.mem.Snapshot()
+	if len(e.mem) > 0 {
+		// A clone: the generation must not share the array later inserts
+		// append to.
+		mdb, err := seq.NewDatabase(e.Alphabet(), slices.Clone(e.mem))
 		if err != nil {
 			return err
 		}
-		idx, err := core.NewMemoryIndex(tree, mdb)
+		idx, err := core.BuildMemoryIndex(mdb)
 		if err != nil {
 			return err
 		}
-		st.mem, st.memSeqs, st.memRes = idx, e.mem.NumSequences(), e.mem.TotalResidues()
+		st.mem, st.memSeqs, st.memRes = idx, len(e.mem), e.memRes
 		layers = append(slices.Clip(layers), idx)
 	}
 	var err error
@@ -135,14 +135,6 @@ func (e *Engine) publishLocked() error {
 	}
 	e.state.Store(st)
 	return nil
-}
-
-// memLen is the number of sequences in the memtable.  Caller holds wmu.
-func (e *Engine) memLen() int {
-	if e.mem == nil {
-		return 0
-	}
-	return e.mem.NumSequences()
 }
 
 // ensureIDIndexLocked lazily builds the live SeqID -> global index map writes
@@ -188,24 +180,19 @@ func (e *Engine) Insert(id string, residues []byte) (uint64, error) {
 	if len(residues) == 0 {
 		return 0, fmt.Errorf("engine: insert of %q has no residues", id)
 	}
+	res := append([]byte(nil), residues...)
+	if a := e.Alphabet(); !a.ValidCodes(res) {
+		return 0, fmt.Errorf("engine: sequence %q contains codes outside alphabet %q", id, a.Name())
+	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
 	e.ensureIDIndexLocked()
 	if _, ok := e.idIndex[id]; ok {
 		return 0, fmt.Errorf("engine: sequence %q already exists", id)
 	}
-	if e.mem == nil {
-		mem, err := suffixtree.NewOnlineBuilder(e.Alphabet())
-		if err != nil {
-			return 0, err
-		}
-		e.mem = mem
-	}
-	res := append([]byte(nil), residues...)
-	if err := e.mem.Append(seq.Sequence{ID: id, Residues: res}); err != nil {
-		return 0, err
-	}
-	e.idIndex[id] = e.wBase.NumSequences() + e.mem.NumSequences() - 1
+	e.mem = append(e.mem, seq.Sequence{ID: id, Residues: res})
+	e.memRes += int64(len(res))
+	e.idIndex[id] = e.wBase.NumSequences() + len(e.mem) - 1
 	e.wGen++
 	if err := e.publishLocked(); err != nil {
 		return 0, err
@@ -218,8 +205,8 @@ func (e *Engine) Insert(id string, residues []byte) (uint64, error) {
 // writing a tombstone: the sequence stays physically present (and remains
 // addressable through Catalog for alignment recovery of older streams) but
 // every subsequent search filters it during the merge, and the all-sequences
-// early stop shrinks accordingly.  The generation bump retargets the result
-// cache.  Disk engines persist tombstones at the next Compact.
+// early stop shrinks accordingly.  Disk engines persist tombstones at the
+// next Compact.
 func (e *Engine) Delete(id string) (uint64, error) {
 	if !e.begin() {
 		return 0, ErrClosed
@@ -277,10 +264,10 @@ func (e *Engine) Compact() (uint64, error) {
 	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	if e.memLen() == 0 && (e.dir == nil || len(e.tombs) == len(e.dir.Tombstones())) {
+	if len(e.mem) == 0 && (e.dir == nil || len(e.tombs) == len(e.dir.Tombstones())) {
 		return e.wGen, nil // nothing new to seal or persist
 	}
-	if e.cur().memSeqs != e.memLen() { // a publish failed after an Append
+	if e.cur().memSeqs != len(e.mem) { // a publish failed after an insert
 		if err := e.publishLocked(); err != nil {
 			return e.wGen, err
 		}
@@ -301,7 +288,7 @@ func (e *Engine) Compact() (uint64, error) {
 	} else {
 		layers = append(slices.Clip(layers), sealed)
 	}
-	e.mem = nil
+	e.mem, e.memRes = nil, 0
 	// The durable view as the directory now records it (memory engines: as
 	// this process holds it).  Nothing from here on can fail: WithLayers
 	// refuses only provider-backed engines, which Compact turned away as

@@ -7,18 +7,19 @@ import (
 	"repro/internal/seq"
 )
 
-// maxBuildSymbols is the longest concatenated view either builder accepts:
-// node edge starts are int32, and Build's mapped text, suffix array and LCP
-// array are int32 and hold one sentinel past the view.  A variable only so
-// tests can lower it.
+// maxBuildSymbols is the longest concatenated view Build (and the tests'
+// Ukkonen reference) accepts: node edge starts are int32, and Build's mapped
+// text, suffix array and LCP array are int32 and hold one sentinel past the
+// view.  A variable only so tests can lower it.
 var maxBuildSymbols = math.MaxInt32 - 2
 
 // Build constructs the generalized suffix tree of the whole database from its
 // suffix array: SA-IS (Nong, Zhang & Chan, DCC 2009) sorts the suffixes,
 // Kasai et al. (CPM 2001) gives the longest common prefix of each adjacent
 // pair, and one left-to-right pass over the two grows the tree along its
-// rightmost path.  The tree equals BuildUkkonen's node for node, edge starts
-// included; it is built without child maps and without sorting.
+// rightmost path.  The tree equals the tests' Ukkonen reference node for
+// node, edge starts included; it is built without child maps and without
+// sorting.
 func Build(db *seq.Database) (*Tree, error) {
 	if db == nil {
 		return nil, fmt.Errorf("suffixtree: nil database")
@@ -30,8 +31,8 @@ func Build(db *seq.Database) (*Tree, error) {
 	}
 	// Residue c becomes c+1 and the terminator of sequence k becomes σ+1+k,
 	// before a 0 sentinel: terminators are distinct (no suffix runs past its
-	// own), sort above every residue and rise with position — the sibling
-	// order BuildUkkonen's freeze gives its tree.
+	// own), sort above every residue and rise with position — the tree's
+	// sibling order: terminator edges last, ties by edge start.
 	sym := make([]int32, n+1)
 	k := int32(db.Alphabet().Size()) + 1
 	for i, c := range text {
@@ -47,8 +48,8 @@ func Build(db *seq.Database) (*Tree, error) {
 	lcp := kasai(sym, sa)
 
 	// n leaves and the internal nodes counted up front: never regrown.  The
-	// builder tests compare numInternal with BuildUkkonen's, so a miscount
-	// fails them.
+	// builder tests compare numInternal with the Ukkonen reference's, so a
+	// miscount fails them.
 	t := &Tree{db: db, text: text, numLeaves: n, numInternal: internalNodes(lcp)}
 	t.nodes = make([]node, 1, n+t.numInternal)
 	t.nodes[0] = node{parent: NoNode, firstChild: NoNode, nextSibling: NoNode}
@@ -78,7 +79,7 @@ func Build(db *seq.Database) (*Tree, error) {
 // maxBuildSymbols.
 func checkBuildSymbols(n int) error {
 	if n > maxBuildSymbols {
-		return fmt.Errorf("suffixtree: %d symbols exceed the builders' limit of %d", n, maxBuildSymbols)
+		return fmt.Errorf("suffixtree: %d symbols exceed the build limit of %d", n, maxBuildSymbols)
 	}
 	return nil
 }

@@ -10,12 +10,11 @@
 // is derived: the edge is depth - parent depth symbols long, and a leaf's
 // suffix starts at its edge start - parent depth.
 //
-// Two construction algorithms produce the same tree node for node, which the
-// tests verify.  Build derives it from a suffix array (SA-IS + LCP); it
-// builds every tree the system searches: the memory index
-// (core.BuildMemoryIndex), every disk index file (diskst.Build) and each
-// snapshot of the engine's memtable (OnlineBuilder).  Ukkonen's online
-// algorithm (BuildUkkonen) is the tests' reference.
+// Build derives the tree from a suffix array (SA-IS + LCP) and builds every
+// tree the system searches: each memory index (core.BuildMemoryIndex, the
+// engine's memtable included) and every disk index file (diskst.Build).  The
+// tests hold it, node for node, to their reference: Ukkonen's online
+// algorithm.
 package suffixtree
 
 import (
@@ -154,12 +153,12 @@ func (t *Tree) Edge(n NodeID, parentDepth int) (label []byte, suffixStart int64,
 }
 
 // relayout renumbers the nodes so every sibling family occupies consecutive
-// ids, in depth-first family order.  Construction order (Ukkonen's in
-// particular) scatters siblings across the node array, which turns every
-// child-list walk into a chain of random fetches; after relayout the Edge
-// walks and the child scans of the OASIS search walk sequential memory.  The
-// renumbering is fully determined by the tree structure, child order
-// included, so the two builders still produce identical trees.
+// ids, in depth-first family order.  Construction order scatters siblings
+// across the node array, which turns every child-list walk into a chain of
+// random fetches; after relayout the Edge walks and the child scans of the
+// OASIS search walk sequential memory.  The renumbering is fully determined
+// by the tree structure, child order included, so any construction of the
+// same tree, the tests' Ukkonen reference included, ends with the same nodes.
 func (t *Tree) relayout() {
 	n := len(t.nodes)
 	newID := make([]NodeID, n)    // old id -> new id

@@ -24,7 +24,7 @@ func paperDB(t *testing.T) *seq.Database {
 
 // builders lists every construction algorithm under test.
 var builders = map[string]func(*seq.Database) (*Tree, error){
-	"ukkonen": BuildUkkonen,
+	"ukkonen": buildUkkonen,
 	"build":   Build,
 }
 
@@ -127,10 +127,10 @@ func sameNodes(got, want *Tree) error {
 	return nil
 }
 
-// buildersAgree builds db with BuildUkkonen, Build and an OnlineBuilder
-// snapshot and requires the last two to equal the first, which it returns.
+// buildersAgree builds db with buildUkkonen and Build and requires the
+// second to equal the first, which it returns.
 func buildersAgree(db *seq.Database) (*Tree, error) {
-	ref, err := BuildUkkonen(db)
+	ref, err := buildUkkonen(db)
 	if err != nil {
 		return nil, err
 	}
@@ -140,22 +140,6 @@ func buildersAgree(db *seq.Database) (*Tree, error) {
 	}
 	if err := sameNodes(built, ref); err != nil {
 		return nil, fmt.Errorf("Build: %v", err)
-	}
-	ob, err := NewOnlineBuilder(db.Alphabet())
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range db.Sequences() {
-		if err := ob.Append(s); err != nil {
-			return nil, err
-		}
-	}
-	snap, _, err := ob.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	if err := sameNodes(snap, ref); err != nil {
-		return nil, fmt.Errorf("OnlineBuilder.Snapshot: %v", err)
 	}
 	return ref, nil
 }
@@ -248,7 +232,7 @@ func TestFindAllMatchesNaiveSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := BuildUkkonen(db)
+		tree, err := buildUkkonen(db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +284,7 @@ func TestLeafPositionsCoverEverySuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := BuildUkkonen(db)
+	tree, err := buildUkkonen(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +334,7 @@ func TestPathLabelMatchesSuffix(t *testing.T) {
 
 func TestWalkPruning(t *testing.T) {
 	db := paperDB(t)
-	tree, err := BuildUkkonen(db)
+	tree, err := buildUkkonen(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +354,7 @@ func TestEmptyAndTinyDatabases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := BuildUkkonen(empty)
+	tree, err := buildUkkonen(empty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +384,7 @@ func TestEmptyAndTinyDatabases(t *testing.T) {
 }
 
 func TestNilDatabaseRejected(t *testing.T) {
-	if _, err := BuildUkkonen(nil); err == nil {
+	if _, err := buildUkkonen(nil); err == nil {
 		t.Fatal("expected error")
 	}
 	if _, err := Build(nil); err == nil {
@@ -410,7 +394,7 @@ func TestNilDatabaseRejected(t *testing.T) {
 
 func TestTreeStats(t *testing.T) {
 	db := paperDB(t)
-	tree, err := BuildUkkonen(db)
+	tree, err := buildUkkonen(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +415,7 @@ func TestDepthAndParentConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := BuildUkkonen(db)
+	tree, err := buildUkkonen(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +446,7 @@ func TestDepthAndParentConsistency(t *testing.T) {
 
 func TestSuffixStartPanicsOnInternalNode(t *testing.T) {
 	db := paperDB(t)
-	tree, _ := BuildUkkonen(db)
+	tree, _ := buildUkkonen(db)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -7,15 +7,16 @@ import (
 	"repro/internal/seq"
 )
 
-// BuildUkkonen constructs the generalized suffix tree of the database using
-// Ukkonen's online algorithm in O(n) expected time.
+// buildUkkonen constructs the generalized suffix tree of the database using
+// Ukkonen's online algorithm in O(n) expected time.  It is the tests'
+// reference: Build's tree must equal it node for node.
 //
 // To obtain a *generalized* tree (no suffix crosses a sequence boundary),
 // construction runs over a virtual symbol sequence in which every
 // terminator is given a distinct symbol; the resulting leaf edges are then
 // truncated at the first terminator so the frozen tree stores only the
 // shared terminator byte.
-func BuildUkkonen(db *seq.Database) (*Tree, error) {
+func buildUkkonen(db *seq.Database) (*Tree, error) {
 	if db == nil {
 		return nil, fmt.Errorf("suffixtree: nil database")
 	}
